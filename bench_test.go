@@ -15,6 +15,9 @@ import (
 	"testing"
 
 	"cumulon/internal/bench"
+	"cumulon/internal/opt"
+	"cumulon/internal/plan"
+	"cumulon/internal/workloads"
 )
 
 // runExp executes one experiment b.N times, reporting a chosen check
@@ -86,3 +89,30 @@ func BenchmarkE20FaultRecovery(b *testing.B) { runExp(b, "E20", "slowdown:4", "x
 func BenchmarkE21Distribution(b *testing.B) { runExp(b, "E21", "p95rel", "rel-err") }
 
 func BenchmarkE22TileCache(b *testing.B) { runExp(b, "E22", "speedup:0.6", "x-speedup") }
+
+// BenchmarkSearchGNMFCold is one cold cumulon-opt search, calibration
+// included: a fresh optimizer, perf/'s search_gnmf program (paper-scale
+// 1-iteration GNMF, tile 2048), a 120 s deadline over the full catalog —
+// 300 candidates. CI gates its B/op (see .github/workflows/ci.yml):
+// allocation repeats to a fraction of a percent on any host, times do not.
+func BenchmarkSearchGNMFCold(b *testing.B) {
+	w := workloads.GNMF(100000, 50000, 10, 1, 0.01)
+	req := opt.Request{
+		Program:     w.Prog,
+		PlanCfg:     plan.Config{TileSize: 2048, Densities: w.Densities},
+		DeadlineSec: 120,
+	}
+	b.ReportAllocs()
+	candidates := 0
+	for i := 0; i < b.N; i++ {
+		res, err := opt.New(42).MinCostForDeadline(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Met {
+			b.Fatalf("deadline not met: %v", res.Best)
+		}
+		candidates += len(res.Candidates)
+	}
+	b.ReportMetric(float64(candidates)/b.Elapsed().Seconds(), "candidates/s")
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cumulon/internal/compute"
-	"cumulon/internal/lang"
 	"cumulon/internal/plan"
 	"cumulon/internal/store"
 )
@@ -50,7 +49,7 @@ func (e *Engine) buildMapTasks(j *plan.Job) []*task {
 		for _, js := range jSpans {
 			tasks = append(tasks, &task{
 				index:    len(tasks),
-				prefNode: e.preferredNode(firstLeafPath(j.Expr, j.Leaves, is.Lo, js.Lo)),
+				prefNode: e.preferredNode(firstLeafPath(j.Prog, is.Lo, js.Lo)),
 				ct:       compute.NewMapTask(e.env, j, is, js),
 			})
 		}
@@ -94,7 +93,7 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 				}
 				phase1 = append(phase1, &task{
 					index:    len(phase1),
-					prefNode: e.preferredNode(firstLeafPath(j.LExpr, j.Leaves, is.Lo, ks.Lo)),
+					prefNode: e.preferredNode(firstLeafPath(j.LProg, is.Lo, ks.Lo)),
 					ct:       compute.NewMulTask(e.env, j, outMeta, epilogue, is, js, ks),
 				})
 			}
@@ -163,20 +162,13 @@ func (e *Engine) preferredNode(path string) int {
 	return nodes[0]
 }
 
-// firstLeafPath returns the tile path of the first leaf referenced by the
-// expression at logical tile coordinates (ti, tj), for locality hints.
-func firstLeafPath(expr lang.Expr, leaves map[string]plan.LeafRef, ti, tj int) string {
-	for _, name := range lang.FreeVars(expr) {
-		ref, ok := leaves[name]
-		if !ok {
-			continue
-		}
-		ri, rj := ti, tj
-		if ref.Transposed {
-			ri, rj = tj, ti
-		}
-		if ri < ref.Meta.TileRows() && rj < ref.Meta.TileCols() {
-			return ref.Meta.TilePath(ri, rj)
+// firstLeafPath returns the tile path of the first leaf the compiled
+// expression references at logical tile coordinates (ti, tj), for locality
+// hints.
+func firstLeafPath(prog *plan.TileProgram, ti, tj int) string {
+	for _, ref := range prog.Refs {
+		if path := leafTilePath(ref, ti, tj); path != "" {
+			return path
 		}
 	}
 	return ""

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"cumulon/internal/cloud"
 	"cumulon/internal/exec"
@@ -56,6 +57,23 @@ output D
 `,
 }
 
+// benchmarkPlans parses and compiles the suite once per process: a cold
+// optimizer search calibrates every (machine type, slots) pair, and the
+// plans do not depend on either. Engine runs Clone them.
+var benchmarkPlans = sync.OnceValues(func() ([]*plan.Plan, error) {
+	plans := make([]*plan.Plan, len(benchmarkPrograms))
+	for i, src := range benchmarkPrograms {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
+		}
+		if plans[i], err = plan.Compile(prog, plan.Config{TileSize: 1024}); err != nil {
+			return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
+		}
+	}
+	return plans, nil
+})
+
 // CalibrationResult bundles the fitted model with its raw observations so
 // callers can report residuals (experiment E7).
 type CalibrationResult struct {
@@ -107,15 +125,11 @@ func CalibrateWithProfile(mt cloud.MachineType, slots int, seed int64, prof *tun
 	if repl > cluster.Nodes {
 		repl = cluster.Nodes
 	}
-	for i, src := range benchmarkPrograms {
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
-		}
-		pl, err := plan.Compile(prog, plan.Config{TileSize: 1024})
-		if err != nil {
-			return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
-		}
+	plans, err := benchmarkPlans()
+	if err != nil {
+		return nil, err
+	}
+	for i, tmpl := range plans {
 		// Several splits per benchmark vary per-task work, enriching the
 		// regression design.
 		for _, tasks := range []int{4, 16, 64} {
@@ -128,6 +142,7 @@ func CalibrateWithProfile(mt cloud.MachineType, slots int, seed int64, prof *tun
 			if err != nil {
 				return nil, err
 			}
+			pl := tmpl.Clone()
 			pl.AutoSplit(tasks)
 			for _, in := range pl.Inputs {
 				if err := e.LoadVirtual(in); err != nil {

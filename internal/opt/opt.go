@@ -251,46 +251,68 @@ func nodeSweep(maxNodes int) []int {
 	return out
 }
 
+// search is what one search derives once and reuses for every candidate:
+// the plan compiled for each swept tile size, and the predictor whose
+// profile memo spans them. OptimizeSplits overwrites every job's split
+// for each candidate, so one plan serves the whole (machine, slots,
+// nodes) grid.
+type search struct {
+	plans map[int]*plan.Plan
+	pred  *sim.Predictor
+}
+
 // Enumerate evaluates the full deployment space for the request: every
 // (machine type, slots, nodes) triple, with per-job splits optimized by
 // the simulator for each. When req.Search is set, every grid point is
 // reported to it with its model-term breakdown.
 func (o *Optimizer) Enumerate(req Request) ([]Deployment, error) {
-	req = req.withDefaults()
-	rec := searchOrNop(req.Search)
+	cands, _, err := o.enumerate(req.withDefaults(), searchOrNop(req.Search))
+	return cands, err
+}
+
+// enumerate is Enumerate on a request with defaults applied; it also
+// returns the search's shared state for the confidence re-simulation.
+func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *search, error) {
 	if _, err := req.Program.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tileSizes := req.TileSizes
 	if len(tileSizes) == 0 {
 		tileSizes = []int{req.PlanCfg.TileSize}
+	}
+	s := &search{
+		plans: map[int]*plan.Plan{},
+		pred:  &sim.Predictor{Replication: req.Replication, JobStartup: req.JobStartupSec},
+	}
+	for _, ts := range tileSizes {
+		cfg := req.PlanCfg
+		cfg.TileSize = ts
+		pl, err := plan.Compile(req.Program, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.plans[ts] = pl
 	}
 	var out []Deployment
 	for _, mt := range req.Machines {
 		for _, slots := range slotOptions(mt) {
 			tm, err := o.modelFor(mt, slots, rec)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, nodes := range nodeSweep(req.MaxNodes) {
 				cluster, err := cloud.NewCluster(mt, nodes, slots)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				for _, ts := range tileSizes {
-					cfg := req.PlanCfg
-					cfg.TileSize = ts
-					pl, err := plan.Compile(req.Program, cfg)
-					if err != nil {
-						return nil, err
-					}
+					pl, pred := s.plans[ts], s.pred
+					// Counted per candidate, as when each compiled its own plan.
 					if r := pl.Rewrites; r != nil {
 						rec.Count(CounterCSEChains, int64(r.Chains()))
 						rec.Count(CounterCSEFlops, r.FlopsSaved())
 					}
-					pred := sim.New(tm, cluster)
-					pred.Replication = req.Replication
-					pred.JobStartup = req.JobStartupSec
+					pred.Model, pred.Cluster = tm, cluster
 					memPerSlot := int64(mt.MemoryGB * 1e9 * 0.7 / float64(slots))
 					// Sweep splits with the fast wave model, then price the
 					// chosen deployment with the exact scheduler simulation.
@@ -323,7 +345,7 @@ func (o *Optimizer) Enumerate(req Request) ([]Deployment, error) {
 			}
 		}
 	}
-	return out, nil
+	return out, s, nil
 }
 
 // MinCostForDeadline finds the cheapest deployment predicted to finish
@@ -337,13 +359,13 @@ func (o *Optimizer) MinCostForDeadline(req Request) (*Result, error) {
 	}
 	rec.Begin("min-cost-deadline", req.DeadlineSec, req.Confidence)
 	rec.Count(CounterSearches, 1)
-	cands, err := o.Enumerate(req)
+	cands, s, err := o.enumerate(req, rec)
 	if err != nil {
 		return nil, err
 	}
 	res := newResult(cands)
 	if req.Confidence > 0 && req.Confidence < 1 {
-		return o.minCostConfident(req, res, rec)
+		return o.minCostConfident(req, s, res, rec)
 	}
 	best, fastest := -1, -1
 	for i := range cands {
@@ -411,7 +433,7 @@ func markDecision(rec SearchRecorder, res *Result, win int, infeasible func(*Dep
 // completion time (by Monte Carlo over the model's residual distribution)
 // meets the deadline. Candidates are verified lazily in cost order, so
 // the expensive simulation only touches the frontier.
-func (o *Optimizer) minCostConfident(req Request, res *Result, rec SearchRecorder) (*Result, error) {
+func (o *Optimizer) minCostConfident(req Request, s *search, res *Result, rec SearchRecorder) (*Result, error) {
 	trials := req.Trials
 	if trials <= 0 {
 		trials = 30
@@ -438,7 +460,7 @@ func (o *Optimizer) minCostConfident(req Request, res *Result, rec SearchRecorde
 		if d.PredSeconds > req.DeadlineSec {
 			continue
 		}
-		q, err := o.confQuantile(req, d, trials, rec)
+		q, err := o.confQuantile(req, s, d, trials, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -490,17 +512,11 @@ func (o *Optimizer) minCostConfident(req Request, res *Result, rec SearchRecorde
 	return res, nil
 }
 
-// confQuantile recompiles the candidate's plan, applies its splits, and
-// simulates the completion-time quantile at the request's confidence.
-func (o *Optimizer) confQuantile(req Request, d *Deployment, trials int, rec SearchRecorder) (float64, error) {
-	cfg := req.PlanCfg
-	if d.TileSize != 0 {
-		cfg.TileSize = d.TileSize
-	}
-	pl, err := plan.Compile(req.Program, cfg)
-	if err != nil {
-		return 0, err
-	}
+// confQuantile applies the candidate's splits to the search's plan for its
+// tile size and simulates the completion-time quantile at the request's
+// confidence.
+func (o *Optimizer) confQuantile(req Request, s *search, d *Deployment, trials int, rec SearchRecorder) (float64, error) {
+	pl := s.plans[d.TileSize]
 	if err := d.Apply(pl); err != nil {
 		return 0, err
 	}
@@ -508,10 +524,8 @@ func (o *Optimizer) confQuantile(req Request, d *Deployment, trials int, rec Sea
 	if err != nil {
 		return 0, err
 	}
-	pred := sim.New(tm, d.Cluster)
-	pred.Replication = req.Replication
-	pred.JobStartup = req.JobStartupSec
-	return pred.PredictPlanQuantile(pl, trials, o.seed+int64(d.Cluster.Nodes), req.Confidence), nil
+	s.pred.Model, s.pred.Cluster = tm, d.Cluster
+	return s.pred.PredictPlanQuantile(pl, trials, o.seed+int64(d.Cluster.Nodes), req.Confidence), nil
 }
 
 // MinTimeForBudget finds the fastest deployment whose billed cost fits the
@@ -524,7 +538,7 @@ func (o *Optimizer) MinTimeForBudget(req Request) (*Result, error) {
 	}
 	rec.Begin("min-time-budget", req.BudgetDollars, 0)
 	rec.Count(CounterSearches, 1)
-	cands, err := o.Enumerate(req)
+	cands, _, err := o.enumerate(req, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -109,6 +109,10 @@ type TileProgram struct {
 	// occurrence in post-order (slot order == the interpreter's read
 	// order).
 	Leaves []string
+	// Refs binds each leaf slot to its stored matrix (parallel to
+	// Leaves): the distinct leaf references of the source tree, recorded
+	// once here so cost estimation and locality hints never re-walk it.
+	Refs []LeafRef
 	// MaxStack is the operand-stack depth the tape needs.
 	MaxStack int
 	// NeedsMM reports whether the tape references the MMVar placeholder
@@ -176,7 +180,8 @@ func CompileTileProgram(e lang.Expr, leaves map[string]LeafRef) (*TileProgram, e
 				push(TileInstr{Op: TileMM}, 0)
 				return nil
 			}
-			if _, ok := leaves[x.Name]; !ok {
+			ref, ok := leaves[x.Name]
+			if !ok {
 				return fmt.Errorf("plan: compile pipeline: unbound leaf %s", x.Name)
 			}
 			slot, ok := slots[x.Name]
@@ -184,6 +189,7 @@ func CompileTileProgram(e lang.Expr, leaves map[string]LeafRef) (*TileProgram, e
 				slot = len(p.Leaves)
 				slots[x.Name] = slot
 				p.Leaves = append(p.Leaves, x.Name)
+				p.Refs = append(p.Refs, ref)
 			}
 			push(TileInstr{Op: TileLeaf, Arg: slot}, 0)
 			return nil

@@ -125,9 +125,9 @@ type Job struct {
 	// Prog is the compiled tape of Expr (Map jobs); LProg and RProg are
 	// the compiled prologue tapes and EpiProg the compiled epilogue tape
 	// of a Mul job. Compile populates them as a finalize pass; the compute
-	// layer executes the tapes in a single fused pass per tile, keeping
-	// the tree forms above only for the differential-oracle interpreter
-	// and for cost estimation.
+	// layer executes the tapes in a single fused pass per tile, and cost
+	// estimation reads their leaf lists and op counts; the tree forms
+	// above remain for the differential-oracle interpreter.
 	Prog, LProg, RProg, EpiProg *TileProgram
 
 	// MaskLeaf, when non-empty, names the sparse pattern leaf of a masked

@@ -1,9 +1,5 @@
 package plan
 
-import (
-	"cumulon/internal/lang"
-)
-
 // PhaseStats describes one scheduling phase of a job: a set of tasks with
 // (average) per-task work. Mul jobs with ck > 1 have two phases — the
 // multiply tasks producing partial results, then the aggregation tasks
@@ -42,13 +38,8 @@ func EstimateJob(j *Job) JobStats {
 func estimateMap(j *Job) JobStats {
 	tasks := j.Split.CI * j.Split.CJ
 	elems := int64(j.Out.Rows) * int64(j.Out.Cols)
-	flops := int64(countOps(j.Expr)) * elems
-	var read int64
-	for _, name := range lang.FreeVars(j.Expr) {
-		read += j.Leaves[name].Meta.EstBytes()
-	}
-	write := j.Out.EstBytes()
-	return singlePhase(tasks, flops, read, write)
+	flops := int64(j.Prog.Ops()) * elems
+	return singlePhase(tasks, flops, j.Prog.estLeafBytes(), j.Out.EstBytes())
 }
 
 func estimateMul(j *Job) JobStats {
@@ -67,26 +58,14 @@ func estimateMul(j *Job) JobStats {
 	}
 	// Prologue element-wise work applies to every (chunk-replicated) read
 	// of the operands.
-	lOps, rOps := int64(countOps(j.LExpr)), int64(countOps(j.RExpr))
+	lOps, rOps := int64(j.LProg.Ops()), int64(j.RProg.Ops())
 	prologueFlops := lOps*m*k*int64(cj) + rOps*k*n*int64(ci)
 
-	var lBytes, rBytes int64
-	for _, name := range lang.FreeVars(j.LExpr) {
-		lBytes += j.Leaves[name].Meta.EstBytes()
-	}
-	for _, name := range lang.FreeVars(j.RExpr) {
-		rBytes += j.Leaves[name].Meta.EstBytes()
-	}
-	var epiBytes int64
-	var epiOps int64
+	lBytes, rBytes := j.LProg.estLeafBytes(), j.RProg.estLeafBytes()
+	var epiBytes, epiOps int64
 	if j.Epilogue != nil {
-		epiOps = int64(countOps(j.Epilogue))
-		for _, name := range lang.FreeVars(j.Epilogue) {
-			if name == MMVar {
-				continue
-			}
-			epiBytes += j.Leaves[name].Meta.EstBytes()
-		}
+		epiOps = int64(j.EpiProg.Ops())
+		epiBytes = j.EpiProg.estLeafBytes()
 	}
 
 	outBytes := j.Out.EstBytes()
@@ -146,23 +125,17 @@ func EstTaskMemBytes(j *Job) int64 {
 		// chunk are resident; prologue/epilogue tiles are transient.
 		return (ib*kb + kb*jb + ib*jb) * tileBytes
 	}
-	leaves := int64(len(lang.FreeVars(j.Expr)))
+	leaves := int64(len(j.Prog.Refs))
 	return (leaves + 1) * ib * jb * tileBytes
 }
 
-// countOps counts element-wise operator applications in an expression
-// (one per element per operator node); leaves count zero.
-func countOps(e lang.Expr) int {
-	if e == nil {
-		return 0
+// estLeafBytes sums the estimated stored size of the pipeline's distinct
+// leaves.
+func (p *TileProgram) estLeafBytes() int64 {
+	var n int64
+	for _, ref := range p.Refs {
+		n += ref.Meta.EstBytes()
 	}
-	n := 0
-	lang.Walk(e, func(x lang.Expr) {
-		switch x.(type) {
-		case lang.Add, lang.Sub, lang.ElemMul, lang.ElemDiv, lang.Scale, lang.Apply:
-			n++
-		}
-	})
 	return n
 }
 

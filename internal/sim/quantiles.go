@@ -43,28 +43,13 @@ func (p *Predictor) planSamples(pl *plan.Plan, trials int, seed int64) []float64
 	}
 	rng := rand.New(rand.NewSource(seed))
 	samples := make([]float64, trials)
-	slots := p.Cluster.TotalSlots()
+	residual := func() float64 { return p.Model.SampleResidual(rng.Float64()) }
 	for t := 0; t < trials; t++ {
 		total := 0.0
 		for _, j := range pl.Jobs {
 			total += p.JobStartup
-			for _, phase := range plan.TaskProfiles(j) {
-				free := make([]float64, slots)
-				end := 0.0
-				for _, w := range phase {
-					best := 0
-					for i := 1; i < slots; i++ {
-						if free[i] < free[best] {
-							best = i
-						}
-					}
-					d := p.TaskSeconds(w) * p.Model.SampleResidual(rng.Float64())
-					free[best] += d
-					if free[best] > end {
-						end = free[best]
-					}
-				}
-				total += end
+			for _, ph := range p.profiles.Profile(j) {
+				total += p.schedulePhase(ph, residual)
 			}
 		}
 		samples[t] = total

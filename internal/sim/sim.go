@@ -2,9 +2,11 @@
 // hypothetical deployment, using the fitted task-time models of package
 // model and a deterministic simulation of Cumulon's slot scheduler. The
 // optimizer calls it thousands of times per search, so prediction must be
-// cheap: per-job work comes from the planner's closed-form estimates
-// (plan.EstimateJob), locality from the replication geometry, and phase
-// times from wave-based scheduling.
+// cheap: per-job work comes from the planner's per-task work profiles in
+// class form (plan.Profile, memoized per job and split for the life of the
+// predictor), each class is priced once per deployment, locality comes
+// from the replication geometry, and phase times from list-scheduling the
+// tasks over the slots (or, in coarse mode, the wave approximation).
 package sim
 
 import (
@@ -17,6 +19,10 @@ import (
 )
 
 // Predictor predicts job and plan times for one concrete deployment.
+// Work profiles depend on the job and its split only, not on the
+// deployment, so a search reuses one predictor across its candidates —
+// reassigning Model and Cluster — and derives each profile once. A
+// Predictor is not safe for concurrent use.
 type Predictor struct {
 	Model       *model.TaskModel
 	Cluster     cloud.Cluster
@@ -32,6 +38,10 @@ type Predictor struct {
 	// offsets), so predictions can be compared structurally against an
 	// executed trace with obs.DiffTraces. nil disables recording.
 	Rec obs.Recorder
+
+	profiles plan.ProfileMemo
+	dur      []float64 // scratch: seconds per work class of the current phase
+	free     []float64 // scratch: when each slot frees up
 }
 
 // New constructs a predictor with engine-matching defaults.
@@ -63,65 +73,95 @@ func (p *Predictor) localFraction() float64 {
 	return f
 }
 
+// diskNet folds a task's reads and (replicated) writes into the model's
+// disk and network byte features.
+func (p *Predictor) diskNet(w plan.TaskWork) (disk, net int64) {
+	local := int64(float64(w.ReadBytes) * p.localFraction())
+	remote := w.ReadBytes - local
+	return local + w.WriteBytes, remote + w.WriteBytes*int64(p.replication()-1)
+}
+
 // TaskSeconds predicts one task's duration from its exact work profile.
 func (p *Predictor) TaskSeconds(w plan.TaskWork) float64 {
-	repl := int64(p.replication())
-	lf := p.localFraction()
-	local := int64(float64(w.ReadBytes) * lf)
-	remote := w.ReadBytes - local
-	disk := local + w.WriteBytes
-	net := remote + w.WriteBytes*(repl-1)
+	disk, net := p.diskNet(w)
 	return p.Model.Predict(w.Flops, disk, net)
+}
+
+// classSeconds prices each work class of a phase once. The result is
+// scratch, valid until the next call.
+func (p *Predictor) classSeconds(ph plan.PhaseProfile) []float64 {
+	p.dur = p.dur[:0]
+	for _, w := range ph.Work {
+		p.dur = append(p.dur, p.TaskSeconds(w))
+	}
+	return p.dur
+}
+
+// schedulePhase list-schedules a phase's tasks, in task order, over the
+// cluster's slots — each task on the earliest-free slot, the lowest on
+// ties: the engine's greedy discipline — and returns the makespan. A task
+// takes its class's seconds, times a draw of residual when that is set.
+func (p *Predictor) schedulePhase(ph plan.PhaseProfile, residual func() float64) float64 {
+	dur := p.classSeconds(ph)
+	slots := p.Cluster.TotalSlots()
+	if cap(p.free) < slots {
+		p.free = make([]float64, slots)
+	}
+	free := p.free[:slots]
+	clear(free)
+	end := 0.0
+	for _, c := range ph.Class {
+		best := 0
+		for i := 1; i < slots; i++ {
+			if free[i] < free[best] {
+				best = i
+			}
+		}
+		d := dur[c]
+		if residual != nil {
+			d *= residual()
+		}
+		free[best] += d
+		if free[best] > end {
+			end = free[best]
+		}
+	}
+	return end
 }
 
 // PredictJob returns the predicted wall-clock seconds of one job under its
 // current split, including job startup. Each phase is list-scheduled
-// task-by-task over the cluster's slots — the same greedy discipline the
-// engine uses — so uneven chunk sizes and partial waves are captured.
+// task-by-task over the cluster's slots, so uneven chunk sizes and partial
+// waves are captured.
 func (p *Predictor) PredictJob(j *plan.Job) float64 {
 	total := p.JobStartup
-	slots := p.Cluster.TotalSlots()
-	for _, phase := range plan.TaskProfiles(j) {
+	for _, ph := range p.profiles.Profile(j) {
 		if p.Coarse {
-			total += p.coarsePhase(phase, slots)
-			continue
+			total += p.coarsePhase(ph)
+		} else {
+			total += p.schedulePhase(ph, nil)
 		}
-		free := make([]float64, slots)
-		end := 0.0
-		for _, w := range phase {
-			// Earliest-free slot.
-			best := 0
-			for i := 1; i < slots; i++ {
-				if free[i] < free[best] {
-					best = i
-				}
-			}
-			free[best] += p.TaskSeconds(w)
-			if free[best] > end {
-				end = free[best]
-			}
-		}
-		total += end
 	}
 	return total
 }
 
 // coarsePhase approximates a phase's makespan as full waves of the mean
 // task duration, bounded below by the longest task.
-func (p *Predictor) coarsePhase(phase []plan.TaskWork, slots int) float64 {
+func (p *Predictor) coarsePhase(ph plan.PhaseProfile) float64 {
+	dur := p.classSeconds(ph)
 	var total, maxDur float64
-	for _, w := range phase {
-		d := p.TaskSeconds(w)
+	for _, c := range ph.Class {
+		d := dur[c]
 		total += d
 		if d > maxDur {
 			maxDur = d
 		}
 	}
-	n := len(phase)
+	n := len(ph.Class)
 	if n == 0 {
 		return 0
 	}
-	waves := math.Ceil(float64(n) / float64(slots))
+	waves := math.Ceil(float64(n) / float64(p.Cluster.TotalSlots()))
 	t := waves * total / float64(n)
 	if t < maxDur {
 		t = maxDur
@@ -165,9 +205,10 @@ func (p *Predictor) PredictPlanOverlap(pl *plan.Plan) float64 {
 			}
 		}
 		clock := ready + p.JobStartup
-		for _, phase := range plan.TaskProfiles(j) {
+		for _, ph := range p.profiles.Profile(j) {
+			dur := p.classSeconds(ph)
 			end := clock
-			for _, w := range phase {
+			for _, c := range ph.Class {
 				best := 0
 				avail := func(i int) float64 {
 					if slots[i] < clock {
@@ -181,7 +222,7 @@ func (p *Predictor) PredictPlanOverlap(pl *plan.Plan) float64 {
 					}
 				}
 				start := avail(best)
-				slots[best] = start + p.TaskSeconds(w)
+				slots[best] = start + dur[c]
 				if slots[best] > end {
 					end = slots[best]
 				}

@@ -52,22 +52,22 @@ func (t Terms) Sub(o Terms) Terms {
 // consistent with PredictPlan's totals.
 func (p *Predictor) PlanTerms(pl *plan.Plan) Terms {
 	slots := float64(p.Cluster.TotalSlots())
-	repl := int64(p.replication())
-	lf := p.localFraction()
 	var t Terms
 	for _, j := range pl.Jobs {
 		t.StartupSec += p.JobStartup
-		for _, phase := range plan.TaskProfiles(j) {
-			for _, w := range phase {
-				local := int64(float64(w.ReadBytes) * lf)
-				remote := w.ReadBytes - local
-				disk := local + w.WriteBytes
-				net := remote + w.WriteBytes*(repl-1)
+		for _, ph := range p.profiles.Profile(j) {
+			// Each class's per-slot terms, priced once.
+			class := make([]Terms, len(ph.Work))
+			for c, w := range ph.Work {
+				disk, net := p.diskNet(w)
 				b0, fl, dk, nt := p.Model.Terms(w.Flops, disk, net)
-				t.StartupSec += b0 / slots
-				t.ComputeSec += fl / slots
-				t.LocalSec += dk / slots
-				t.RemoteSec += nt / slots
+				class[c] = Terms{StartupSec: b0 / slots, ComputeSec: fl / slots, LocalSec: dk / slots, RemoteSec: nt / slots}
+			}
+			for _, c := range ph.Class {
+				t.StartupSec += class[c].StartupSec
+				t.ComputeSec += class[c].ComputeSec
+				t.LocalSec += class[c].LocalSec
+				t.RemoteSec += class[c].RemoteSec
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
 
 	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
@@ -63,8 +64,17 @@ func (m Meta) TileShape(ti, tj int) (rows, cols int) {
 }
 
 // TilePath returns the DFS path of tile (ti, tj) of the matrix.
+// It is built on every tile read and write, virtual ones included, so the
+// string is assembled in a stack buffer and costs its one allocation.
 func (m Meta) TilePath(ti, tj int) string {
-	return fmt.Sprintf("/matrix/%s/%d_%d", m.Name, ti, tj)
+	var buf [64]byte
+	b := append(buf[:0], "/matrix/"...)
+	b = append(b, m.Name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(ti), 10)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(tj), 10)
+	return string(b)
 }
 
 // MatrixPrefix returns the DFS path prefix under which every tile of

@@ -32,6 +32,37 @@ func TestMetaGeometry(t *testing.T) {
 	}
 }
 
+// TilePath's format is the DFS naming convention every stored tile, replica
+// lookup and checkpoint manifest depends on; it is built by hand rather
+// than with fmt, so the format is pinned here.
+func TestTilePathFormat(t *testing.T) {
+	long := "a-matrix-name-longer-than-the-sixty-four-byte-stack-buffer-of-TilePath~p12"
+	cases := []struct {
+		name   string
+		ti, tj int
+		want   string
+	}{
+		{"A", 0, 0, "/matrix/A/0_0"},
+		{"H#3", 7, 12, "/matrix/H#3/7_12"},
+		{"_tmp4~p1", 1048575, 123456789, "/matrix/_tmp4~p1/1048575_123456789"},
+		{"V", -1, -20, "/matrix/V/-1_-20"},
+		{"", 3, 4, "/matrix//3_4"},
+		{long, 10, 2, "/matrix/" + long + "/10_2"},
+	}
+	for _, c := range cases {
+		m := Meta{Name: c.name}
+		if got := m.TilePath(c.ti, c.tj); got != c.want {
+			t.Errorf("TilePath(%q, %d, %d) = %q, want %q", c.name, c.ti, c.tj, got, c.want)
+		}
+	}
+	m := Meta{Name: "W#12"}
+	if n := testing.AllocsPerRun(100, func() { tilePathSink = m.TilePath(31, 407) }); n > 1 {
+		t.Errorf("TilePath allocates %v times per call, want at most 1", n)
+	}
+}
+
+var tilePathSink string
+
 func TestTileCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

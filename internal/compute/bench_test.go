@@ -43,14 +43,14 @@ output Out
 		d := linalg.RandomDense(ts, ts, 5).Map(func(x float64) float64 { return x + 0.5 })
 		loadInput(srcMap, in, d)
 	}
-	c := newCtx(Env{Src: srcMap, Interpret: interpret}, &scratch{})
+	c := newCtx(Env{Src: srcMap, Interpret: interpret})
 	return c, job
 }
 
 // BenchmarkMapEval measures one Map-job tile evaluation: "naive" walks
 // the expression tree (one pass and one intermediate tile per operator),
 // "fused" executes the compiled tape in a single cache-chunked pass into
-// scratch. The fused variant must run at 0 allocs/op in steady state —
+// a pooled tile. The fused variant must run at 0 allocs/op in steady state —
 // CI greps this benchmark's output to enforce that.
 func BenchmarkMapEval(b *testing.B) {
 	for _, ts := range []int{256, 512} {
@@ -77,7 +77,11 @@ func BenchmarkMapEval(b *testing.B) {
 				b.Fatal(err)
 			}
 			if owned {
-				c.sc.release(warm)
+				// Two buffers: a sync.Pool keeps the first it is handed
+				// private to the current P, so a goroutine the scheduler
+				// moves before the timed loop would find only the second.
+				freeTile(newTile(ts, ts, false))
+				freeTile(warm)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -87,7 +91,7 @@ func BenchmarkMapEval(b *testing.B) {
 					b.Fatal(err)
 				}
 				if owned {
-					c.sc.release(tile)
+					freeTile(tile)
 				}
 			}
 			b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e6, "MFLOP/s")
@@ -135,7 +139,7 @@ output Out
 				d := linalg.RandomDense(ts, ts, 6).Map(func(x float64) float64 { return x + 0.5 })
 				loadInput(srcMap, in, d)
 			}
-			c := newCtx(Env{Src: srcMap, Interpret: mode.interpret}, &scratch{})
+			c := newCtx(Env{Src: srcMap, Interpret: mode.interpret})
 			ks := Span{0, job.KTiles()}
 			run := func() {
 				var epi *plan.TileProgram
@@ -152,7 +156,7 @@ output Out
 						b.Fatal(err)
 					}
 				}
-				c.sc.release(acc)
+				freeTile(acc)
 			}
 			run()
 			b.ReportAllocs()

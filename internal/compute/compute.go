@@ -111,9 +111,11 @@ type Backend interface {
 	RunBatch(ts []*Task) func(i int) (*Result, error)
 }
 
-// runTask executes one task with the given scratch space.
-func runTask(t *Task, sc *scratch) (*Result, error) {
-	c := newCtx(t.Env, sc)
+// runTask executes one task; the input tiles it decoded go back to the
+// process-wide pool when it ends.
+func runTask(t *Task) (*Result, error) {
+	c := newCtx(t.Env)
+	defer c.release()
 	if err := t.Fn(c); err != nil {
 		return nil, err
 	}
@@ -124,18 +126,16 @@ func runTask(t *Task, sc *scratch) (*Result, error) {
 // exactly when the engine first asks for its result. This is the reference
 // backend: with it, compute interleaves with accounting in the engine's
 // scheduling order just as the pre-refactor engine did.
-type sequentialBackend struct {
-	sc *scratch
-}
+type sequentialBackend struct{}
 
 // NewSequential returns the sequential reference backend.
-func NewSequential() Backend { return &sequentialBackend{sc: &scratch{}} }
+func NewSequential() Backend { return sequentialBackend{} }
 
-func (s *sequentialBackend) Workers() int { return 1 }
+func (sequentialBackend) Workers() int { return 1 }
 
-func (s *sequentialBackend) Run(t *Task) (*Result, error) { return runTask(t, s.sc) }
+func (sequentialBackend) Run(t *Task) (*Result, error) { return runTask(t) }
 
-func (s *sequentialBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
+func (sequentialBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
 	type slot struct {
 		res  *Result
 		err  error
@@ -145,17 +145,17 @@ func (s *sequentialBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
 	return func(i int) (*Result, error) {
 		m := &memo[i]
 		if !m.done {
-			m.res, m.err = runTask(ts[i], s.sc)
+			m.res, m.err = runTask(ts[i])
 			m.done = true
 		}
 		return m.res, m.err
 	}
 }
 
-// poolBackend fans a batch out across worker goroutines, each with its own
-// scratch space. Tasks are handed to workers in index order; completion
-// order is arbitrary, but the engine's fetch blocks per index, so nothing
-// about scheduling depends on it.
+// poolBackend fans a batch out across worker goroutines. Tasks are handed
+// to workers in index order; completion order is arbitrary, but the
+// engine's fetch blocks per index, so nothing about scheduling depends on
+// it.
 type poolBackend struct {
 	n int
 }
@@ -172,7 +172,7 @@ func NewPool(workers int) Backend {
 
 func (p *poolBackend) Workers() int { return p.n }
 
-func (p *poolBackend) Run(t *Task) (*Result, error) { return runTask(t, &scratch{}) }
+func (p *poolBackend) Run(t *Task) (*Result, error) { return runTask(t) }
 
 func (p *poolBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
 	type slot struct {
@@ -197,9 +197,8 @@ func (p *poolBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
 	}
 	for w := 0; w < workers; w++ {
 		go func() {
-			sc := &scratch{}
 			for i := range idx {
-				out[i].res, out[i].err = runTask(ts[i], sc)
+				out[i].res, out[i].err = runTask(ts[i])
 				close(done[i])
 			}
 		}()

@@ -9,58 +9,24 @@ import (
 	"cumulon/internal/store"
 )
 
-// scratch recycles accumulator tiles within a worker. Accumulators are
-// released as soon as their contents have been encoded into the trace, so
-// a worker's peak footprint stays at a few tiles regardless of task count.
-type scratch struct {
-	free []*linalg.Tile
-}
-
-// tile returns a zeroed rows x cols tile, reusing a released buffer when
-// one is large enough. The pooled Tile header is reshaped and returned
-// as-is (not re-wrapped), so a pool hit performs zero allocations.
-func (s *scratch) tile(rows, cols int) *linalg.Tile {
-	n := rows * cols
-	for i := len(s.free) - 1; i >= 0; i-- {
-		if t := s.free[i]; cap(t.Data) >= n {
-			s.free = append(s.free[:i], s.free[i+1:]...)
-			t.Rows, t.Cols, t.Data = rows, cols, t.Data[:n]
-			for j := range t.Data {
-				t.Data[j] = 0
-			}
-			return t
-		}
-	}
-	return linalg.NewTile(rows, cols)
-}
-
-// release returns a tile to the pool. Only tiles obtained from this
-// scratch may be released, and only once nothing references their data.
-func (s *scratch) release(t *linalg.Tile) {
-	if t == nil {
-		return
-	}
-	const keep = 8
-	if len(s.free) < keep {
-		s.free = append(s.free, t)
-	}
-}
-
 // Ctx carries the per-task compute state: the environment, decoded-tile
-// caches so repeated references read once (as a real task would), the
-// recorded trace, and the worker's scratch space. A Ctx lives for exactly
-// one task execution and is confined to one goroutine.
+// caches so repeated references read once (as a real task would), and the
+// recorded trace. A Ctx lives for exactly one task execution and is
+// confined to one goroutine.
 type Ctx struct {
 	env Env
-	sc  *scratch
 	res Result
 	// dense / sparse cache decoded input tiles by structured key — no
 	// path formatting on the hit path, so repeat reads allocate nothing
 	// (materialized mode). A tile read both densely and sparsely within
 	// one task is traced once per access kind, matching how a real task
-	// would fetch it twice into the two formats.
-	dense  map[tileKey]*linalg.Tile
-	sparse map[tileKey]*linalg.CSRTile
+	// would fetch it twice into the two formats. transposed caches the
+	// materialized transposes of dense entries, under the same keys; it
+	// is made on first use (most tasks, and all virtual ones, need none).
+	// All three hold pooled tiles, which release returns when the task
+	// ends.
+	dense, transposed map[tileKey]*linalg.Tile
+	sparse            map[tileKey]*linalg.CSRTile
 	// seen marks paths already traced in virtual mode, where the two
 	// access kinds share one marker (no payloads distinguish them).
 	seen map[string]bool
@@ -78,17 +44,29 @@ type tileKey struct {
 	ti, tj int
 }
 
-func newCtx(env Env, sc *scratch) *Ctx {
-	if sc == nil {
-		sc = &scratch{}
-	}
+func newCtx(env Env) *Ctx {
 	return &Ctx{
 		env:    env,
-		sc:     sc,
 		dense:  map[tileKey]*linalg.Tile{},
 		sparse: map[tileKey]*linalg.CSRTile{},
 		seen:   map[string]bool{},
 	}
+}
+
+// release returns every cached input tile to the pool. Nothing may use the
+// Ctx's tiles afterwards; its Result references none of them (outputs are
+// encoded copies).
+func (c *Ctx) release() {
+	for _, t := range c.dense {
+		freeTile(t)
+	}
+	for _, t := range c.transposed {
+		freeTile(t)
+	}
+	for _, t := range c.sparse {
+		freeCSR(t)
+	}
+	c.dense, c.transposed, c.sparse = nil, nil, nil
 }
 
 func (c *Ctx) virtual() bool { return c.env.Virtual }
@@ -146,16 +124,25 @@ func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 		return nil, err
 	}
 	c.traceRead(path, false)
+	rows, cols := meta.TileShape(ti, tj)
 	var tile *linalg.Tile
 	if meta.Sparse {
-		sp, err := store.DecodeSparseTile(raw)
-		if err != nil {
+		sp := newCSR()
+		defer freeCSR(sp)
+		if err := store.DecodeSparseTileInto(sp, raw); err != nil {
 			return nil, err
 		}
-		tile = sp.ToDense()
+		// The payload sizes the CSR form, not the dense one: only a tile
+		// of the declared shape may be expanded.
+		if sp.Rows != rows || sp.Cols != cols {
+			return nil, fmt.Errorf("tile %s is stored %dx%d, want %dx%d", path, sp.Rows, sp.Cols, rows, cols)
+		}
+		tile = newTile(rows, cols, true)
+		sp.ScatterInto(tile.Data, cols)
 	} else {
-		tile, err = store.DecodeTile(raw)
-		if err != nil {
+		tile = newTile(rows, cols, false)
+		if err := store.DecodeTileInto(tile, raw); err != nil {
+			freeTile(tile)
 			return nil, err
 		}
 	}
@@ -179,8 +166,9 @@ func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int) (*linalg.CSRTile, erro
 		return nil, err
 	}
 	c.traceRead(path, true)
-	sp, err := store.DecodeSparseTile(raw)
-	if err != nil {
+	sp := newCSR()
+	if err := store.DecodeSparseTileInto(sp, raw); err != nil {
+		freeCSR(sp)
 		return nil, err
 	}
 	c.sparse[key] = sp
@@ -195,13 +183,25 @@ func (c *Ctx) readLeafTile(ref plan.LeafRef, ti, tj int) (*linalg.Tile, error) {
 		ri, rj = tj, ti
 	}
 	t, err := c.readDenseTile(ref.Meta, ri, rj)
-	if err != nil || t == nil {
-		return nil, err
+	if err != nil || t == nil || !ref.Transposed {
+		return t, err
 	}
-	if ref.Transposed {
-		return linalg.Transpose(t), nil
+	return c.transposedTile(tileKey{ref.Meta.Name, ri, rj}, t), nil
+}
+
+// transposedTile returns the materialized transpose of the cached input
+// tile t, built once per task.
+func (c *Ctx) transposedTile(key tileKey, t *linalg.Tile) *linalg.Tile {
+	tt, ok := c.transposed[key]
+	if !ok {
+		tt = newTile(t.Cols, t.Rows, false)
+		linalg.TransposeInto(tt, t)
+		if c.transposed == nil {
+			c.transposed = map[tileKey]*linalg.Tile{}
+		}
+		c.transposed[key] = tt
 	}
-	return t, nil
+	return tt
 }
 
 // leafShape returns the logical shape of leaf tile (ti, tj).
@@ -312,7 +312,7 @@ func (c *Ctx) zipTiles(l, r lang.Expr, leaves map[string]plan.LeafRef, ti, tj in
 // explicit per-k Transpose materialization: the raw tile feeds GemmTA /
 // GemmTB, whose packing absorbs the layout (same reads traced, same flops
 // charged, one less tile copy per k step). The returned accumulator comes
-// from scratch; the caller must release it after encoding.
+// from the tile pool; the caller must free it after encoding.
 //
 // epi, when non-nil, is the compiled epilogue tape to fuse into the final
 // k step's blocked GEMM write-back: each finished output panel is
@@ -326,7 +326,7 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 	outRows, outCols := j.Out.TileShape(ti, tj)
 	var acc *linalg.Tile
 	if !c.virtual() {
-		acc = c.sc.tile(outRows, outCols)
+		acc = newTile(outRows, outCols, true)
 	}
 	compiled := !c.env.Interpret && j.LProg != nil && j.RProg != nil
 	lRef, lBare := bareSparseLeaf(j.LExpr, j.Leaves)
@@ -354,7 +354,7 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 				return nil, err
 			}
 			if rtOwned {
-				c.sc.release(rt)
+				freeTile(rt)
 			}
 			continue
 		}
@@ -389,10 +389,10 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 		}
 		if acc == nil {
 			if ltOwned {
-				c.sc.release(lt)
+				freeTile(lt)
 			}
 			if rtOwned {
-				c.sc.release(rt)
+				freeTile(rt)
 			}
 			continue
 		}
@@ -400,7 +400,7 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 		case lTrans && rTrans:
 			// Aᵀ·Bᵀ has no fused kernel; transpose the (usually smaller)
 			// left tile once and use the Bᵀ path for the right.
-			linalg.GemmHooked(acc, linalg.Transpose(lt), rt, false, true, hook)
+			linalg.GemmHooked(acc, c.transposedTile(tileKey{lTRef.Meta.Name, k, ti}, lt), rt, false, true, hook)
 		case lTrans:
 			linalg.GemmHooked(acc, lt, rt, true, false, hook)
 		case rTrans:
@@ -409,10 +409,10 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 			linalg.GemmHooked(acc, lt, rt, false, false, hook)
 		}
 		if ltOwned {
-			c.sc.release(lt)
+			freeTile(lt)
 		}
 		if rtOwned {
-			c.sc.release(rt)
+			freeTile(rt)
 		}
 	}
 	if epi != nil && !epiFused {
@@ -535,7 +535,7 @@ func bareSparseLeaf(e lang.Expr, leaves map[string]plan.LeafRef) (plan.LeafRef, 
 
 // sumTiles reads and sums the (ti, tj) tiles of the given partial
 // matrices (aggregation phase of a k-split product). The returned
-// accumulator comes from scratch; the caller must release it after
+// accumulator comes from the tile pool; the caller must free it after
 // encoding.
 func (c *Ctx) sumTiles(partials []store.Meta, ti, tj int) (*linalg.Tile, error) {
 	var acc *linalg.Tile
@@ -552,7 +552,7 @@ func (c *Ctx) sumTiles(partials []store.Meta, ti, tj int) (*linalg.Tile, error) 
 			continue
 		}
 		if acc == nil {
-			acc = c.sc.tile(rows, cols)
+			acc = newTile(rows, cols, false)
 			copy(acc.Data, t.Data)
 		} else {
 			linalg.AddInto(acc, t)

@@ -13,8 +13,8 @@ import (
 // A plan.TileProgram is a post-order op tape over leaf slots plus the
 // MMVar placeholder. The executor evaluates the tape in one fused pass
 // over the output tile: leaf tiles are read once (in slot order, which is
-// the interpreter's read order), the destination comes from the worker's
-// scratch pool, and the tape runs chunk-vectorized over a small stack of
+// the interpreter's read order), the destination comes from the tile
+// pool, and the tape runs chunk-vectorized over a small stack of
 // fixed-size buffers, so steady-state evaluation allocates nothing. The
 // tree-walking interpreter in ctx.go remains as the differential oracle:
 // both evaluators must produce bit-identical tiles *and* identical
@@ -196,8 +196,8 @@ func (c *Ctx) readProgramLeaves(p *plan.TileProgram, leaves map[string]plan.Leaf
 
 // evalProgram evaluates a compiled pipeline at logical tile coordinates
 // (ti, tj) with the given output shape. mm binds the TileMM placeholder
-// (epilogues). The returned tile comes from the worker's scratch pool
-// when owned is true — the caller must release it after encoding — and
+// (epilogues). The returned tile comes from the tile pool when
+// owned is true — the caller must free it after encoding — and
 // is a directly-readable input tile (single-leaf pipelines, which the
 // interpreter also passes through) when owned is false. In virtual mode
 // the tile is nil but all reads and flops are traced.
@@ -230,7 +230,7 @@ func (c *Ctx) evalProgram(p *plan.TileProgram, leaves map[string]plan.LeafRef, t
 		}
 		mmData = mm.Data
 	}
-	dst := c.sc.tile(rows, cols)
+	dst := newTile(rows, cols, false)
 	RunTileProgram(p, dst.Data, ld, mmData)
 	return dst, true, nil
 }

@@ -52,7 +52,7 @@ func NewMapTask(env Env, j *plan.Job, is, js Span) *Task {
 						return err
 					}
 					if owned {
-						c.sc.release(tile)
+						freeTile(tile)
 					}
 					continue
 				}
@@ -99,7 +99,7 @@ func NewMulTask(env Env, j *plan.Job, outMeta store.Meta, epilogue lang.Expr, is
 				if err := c.writeTile(outMeta, ti, tj, out); err != nil {
 					return err
 				}
-				c.sc.release(acc)
+				freeTile(acc)
 			}
 		}
 		return nil
@@ -154,7 +154,7 @@ func NewAggTask(env Env, j *plan.Job, partials []store.Meta, is, js Span) *Task 
 				if err := c.writeTile(j.Out, ti, tj, out); err != nil {
 					return err
 				}
-				c.sc.release(acc)
+				freeTile(acc)
 			}
 		}
 		return nil

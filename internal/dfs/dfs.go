@@ -139,6 +139,11 @@ func (fs *FS) Replication() int { return fs.cfg.Replication }
 // (HDFS write-local-first) and the remaining replicas on random distinct
 // live nodes. writerNode < 0 means an external client: all replicas are
 // placed randomly.
+//
+// Files are write-once, so Write takes ownership of data instead of
+// copying it: the blocks are sub-slices of it. The payload is immutable
+// once handed over — the caller may keep reading it and may store the
+// same slice under several paths, but must never modify it again.
 func (fs *FS) Write(path string, data []byte, writerNode int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -154,8 +159,7 @@ func (fs *FS) Write(path string, data []byte, writerNode int) error {
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		chunk := append([]byte(nil), data[off:end]...)
-		b := &block{data: chunk, size: int64(len(chunk)), replicas: fs.placeReplicas(writerNode)}
+		b := &block{data: data[off:end:end], size: end - off, replicas: fs.placeReplicas(writerNode)}
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
@@ -349,10 +353,26 @@ func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
 	return replicas
 }
 
+// contents returns the file's bytes: the stored block itself for a
+// single-block file (a read-only view, capacity clipped to its length),
+// a fresh concatenation for a multi-block one.
+func (f *file) contents() []byte {
+	if len(f.blocks) == 1 {
+		return f.blocks[0].data
+	}
+	out := make([]byte, 0, f.size)
+	for _, b := range f.blocks {
+		out = append(out, b.data...)
+	}
+	return out
+}
+
 // Read returns the file contents as seen by readerNode, recording read
 // bytes per block by distance class. readerNode < 0 means an external
 // client (all reads count as remote, attributed to the cluster total
-// only).
+// only). The returned bytes are a read-only view of the stored file (see
+// Write): they stay valid and unchanged whatever happens to the file
+// system afterwards, and the caller must not modify them.
 func (fs *FS) Read(path string, readerNode int) ([]byte, error) {
 	data, _, err := fs.ReadTracked(path, readerNode)
 	return data, err
@@ -374,16 +394,14 @@ func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error
 	if readerNode >= 0 && fs.dead[readerNode] {
 		return nil, sp, fmt.Errorf("%w: %d", ErrDeadNode, readerNode)
 	}
-	out := make([]byte, 0, f.size)
 	for _, b := range f.blocks {
 		live := fs.liveReplicas(b)
 		if len(live) == 0 {
 			return nil, sp, fmt.Errorf("%w: %s", ErrUnavailable, path)
 		}
 		fs.classify(b, live, readerNode, &sp)
-		out = append(out, b.data...)
 	}
-	return out, sp, nil
+	return f.contents(), sp, nil
 }
 
 // Peek returns the file contents without performing any read accounting,
@@ -392,7 +410,8 @@ func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error
 // engine separately replays the read for placement and byte accounting;
 // splitting the two is what lets tile math run on worker goroutines while
 // the accounting stays deterministic. Blocks whose every replica is dead
-// are unavailable, exactly as for Read.
+// are unavailable, exactly as for Read, and the returned bytes are the
+// same read-only view Read returns.
 func (fs *FS) Peek(path string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -403,14 +422,12 @@ func (fs *FS) Peek(path string) ([]byte, error) {
 	if f.virtual {
 		return nil, fmt.Errorf("%w: %s", ErrVirtual, path)
 	}
-	out := make([]byte, 0, f.size)
 	for _, b := range f.blocks {
 		if len(fs.liveReplicas(b)) == 0 {
 			return nil, fmt.Errorf("%w: %s", ErrUnavailable, path)
 		}
-		out = append(out, b.data...)
 	}
-	return out, nil
+	return f.contents(), nil
 }
 
 // Locality reports whether readerNode holds a local replica of every block
@@ -627,7 +644,8 @@ func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 // pure bookkeeping, the restore half of checkpointing, reconstructing a
 // file exactly where the checkpointed run had it. data may be nil for a
 // virtual file of the given size. The replica lists must cover
-// ceil(size/BlockSize) blocks (minimum one) and be non-empty.
+// ceil(size/BlockSize) blocks (minimum one) and be non-empty. Like Write,
+// it takes ownership of data: the payload is immutable from here on.
 func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -664,7 +682,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 		}
 		b := &block{size: end - off, replicas: append([]int(nil), replicas[i]...)}
 		if data != nil {
-			b.data = append([]byte(nil), data[off:end]...)
+			b.data = data[off:end:end]
 		}
 		f.blocks = append(f.blocks, b)
 	}

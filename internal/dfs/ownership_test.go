@@ -1,0 +1,123 @@
+package dfs
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+)
+
+// The payload contract: Write and WritePlaced take ownership of the slice
+// they are handed, reads return read-only views of it, and nothing the file
+// system does later changes bytes a reader already holds.
+
+func payload(n int) []byte {
+	b := make([]byte, n, n+64) // spare capacity a careless append would scribble on
+	for i := range b {
+		b[i] = byte(i*7 + 3)
+	}
+	return b
+}
+
+func TestWriteOwnsPayloadAndReadsAreClippedViews(t *testing.T) {
+	fs := New(DefaultConfig(4))
+	data := payload(100)
+	if err := fs.Write("/a", data, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WritePlaced("/b", data, 0, [][]int{{2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/a", "/b"} {
+		peeked, err := fs.Peek(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := fs.Read(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracked, sp, err := fs.ReadTracked(path, 0)
+		if err != nil || sp.Total() != 100 {
+			t.Fatalf("ReadTracked: %v, split %+v", err, sp)
+		}
+		for name, got := range map[string][]byte{"Peek": peeked, "Read": read, "ReadTracked": tracked} {
+			if &got[0] != &data[0] {
+				t.Errorf("%s(%s) copied a single-block file", name, path)
+			}
+			if len(got) != 100 || cap(got) != len(got) {
+				t.Errorf("%s(%s): len %d cap %d, want a view clipped to 100", name, path, len(got), cap(got))
+			}
+		}
+	}
+}
+
+func TestMultiBlockFileRoundTripsThroughEveryRead(t *testing.T) {
+	fs := New(Config{Nodes: 4, Replication: 2, BlockSize: 16, Seed: 7})
+	data := payload(100) // 7 blocks, the last one short
+	want := append([]byte(nil), data...)
+	if err := fs.Write("/big", data, 0); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := fs.BlockReplicas("/big")
+	if err != nil || len(reps) != 7 {
+		t.Fatalf("blocks: %d, %v", len(reps), err)
+	}
+	if err := fs.WritePlaced("/placed", data, 0, reps); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/big", "/placed"} {
+		peeked, err := fs.Peek(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := fs.Read(path, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(peeked, want) || !bytes.Equal(read, want) {
+			t.Fatalf("%s: multi-block round trip mismatch", path)
+		}
+		if cap(peeked) != len(peeked) || cap(read) != len(read) {
+			t.Fatalf("%s: multi-block read has spare capacity", path)
+		}
+	}
+}
+
+func TestHeldBytesSurviveFileSystemChanges(t *testing.T) {
+	fs := New(Config{Nodes: 6, Replication: 3, BlockSize: 1 << 20, Seed: 3, RackSize: 2})
+	shared := payload(4096)
+	want := append([]byte(nil), shared...)
+	// One slice stored under several paths, as the perf harness does.
+	for i := 0; i < 8; i++ {
+		if err := fs.Write(fmt.Sprintf("/t/%d", i), shared, i%6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, err := fs.Peek("/t/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, _ := fs.BlockReplicas("/t/0")
+	if rep := fs.KillNode(reps[0][0]); rep.ReplicasAdded == 0 {
+		t.Fatal("killing a replica holder re-replicated nothing; the test exercises nothing")
+	}
+	for i := 1; i < 8; i++ {
+		fs.Delete(fmt.Sprintf("/t/%d", i))
+	}
+	fs.Reseed(99)
+	if err := fs.Write("/t/new", payload(512), 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, want) {
+		t.Fatal("bytes held by a reader changed under re-replication, deletes and a reseed")
+	}
+	again, err := fs.Read("/t/0", 1)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("file content changed: %v", err)
+	}
+	// Even the file's own deletion leaves a held view intact.
+	fs.Delete("/t/0")
+	if !bytes.Equal(held, want) || !bytes.Equal(shared, want) {
+		t.Fatal("deleting a file disturbed its payload")
+	}
+}

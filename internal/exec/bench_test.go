@@ -12,13 +12,16 @@ import (
 )
 
 // BenchmarkMaterializedMatMul measures real tile compute through the full
-// engine (decode, Gemm, encode, DFS replay) for the sequential reference
-// backend versus an 8-wide worker pool, on an n x n dense multiply. The
-// pool's wall-clock win scales with physical cores (it is injected via
-// Config.Backend, so the benchmark exercises the pool machinery even where
-// GOMAXPROCS would cap Config.Workers); results are byte-for-byte
-// identical either way. Run with -benchtime=1x: one iteration is a full
-// 2n^3-flop execution.
+// engine (ingest, decode, kernels, encode, DFS replay, fetch) for the
+// sequential reference backend versus an 8-wide worker pool, on an n x n
+// dense multiply and on a sparse GNMF at the shape of the perf harness's
+// gnmf_sparse workload (many small tasks: sparse ingest, densify, SpMM,
+// transposed leaves). The pool's wall-clock win scales with physical cores
+// (it is injected via Config.Backend, so the benchmark exercises the pool
+// machinery even where GOMAXPROCS would cap Config.Workers); results are
+// byte-for-byte identical either way. Run with -benchtime=1x: one
+// iteration is a full execution. B/op repeats closely on any host, so CI
+// gates the two sequential sub-benchmarks on it (see ci.yml).
 func BenchmarkMaterializedMatMul(b *testing.B) {
 	mt, err := cloud.TypeByName("m1.large")
 	if err != nil {
@@ -28,14 +31,47 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	type workload struct {
+		name  string
+		src   string
+		cfg   plan.Config
+		data  func() map[string]*linalg.Dense // called once, by the first sub-benchmark that runs
+		bytes int64                           // dense input bytes per run
+	}
+	var ws []workload
 	for _, n := range []int{1024, 4096} {
-		src := fmt.Sprintf("input A %d %d\ninput B %d %d\nC = A * B\noutput C\n", n, n, n, n)
-		prog, err := lang.Parse(src)
+		ws = append(ws, workload{
+			name: fmt.Sprintf("n=%d", n),
+			src:  fmt.Sprintf("input A %d %d\ninput B %d %d\nC = A * B\noutput C\n", n, n, n, n),
+			cfg:  plan.Config{TileSize: 512},
+			data: func() map[string]*linalg.Dense {
+				return map[string]*linalg.Dense{"A": linalg.RandomDense(n, n, 1), "B": linalg.RandomDense(n, n, 2)}
+			},
+			bytes: int64(2 * n * n * 8),
+		})
+	}
+	const m, n, r = 4096, 3072, 32
+	ws = append(ws, workload{
+		name: "gnmf",
+		src: fmt.Sprintf("input V %d %d sparse\ninput W %d %d\ninput H %d %d\nfor i in 1:2 {\n"+
+			"  H = H .* (W' * V) ./ ((W' * W) * H)\n  W = W .* (V * H') ./ (W * (H * H'))\n}\noutput W\noutput H\n",
+			m, n, m, r, r, n),
+		cfg: plan.Config{TileSize: 256, Densities: map[string]float64{"V": 0.05}},
+		data: func() map[string]*linalg.Dense {
+			return map[string]*linalg.Dense{
+				"V": linalg.RandomSparseDense(m, n, 0.05, 1),
+				"W": linalg.RandomDense(m, r, 2).Map(func(x float64) float64 { return x + 0.5 }),
+				"H": linalg.RandomDense(r, n, 3).Map(func(x float64) float64 { return x + 0.5 }),
+			}
+		},
+		bytes: int64((m*n + m*r + r*n) * 8),
+	})
+	for _, w := range ws {
+		prog, err := lang.Parse(w.src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		a := linalg.RandomDense(n, n, 1)
-		bm := linalg.RandomDense(n, n, 2)
+		var data map[string]*linalg.Dense
 		for _, bk := range []struct {
 			name string
 			be   compute.Backend
@@ -43,10 +79,14 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 			{"sequential", compute.NewSequential()},
 			{"pool8", compute.NewPool(8)},
 		} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, bk.name), func(b *testing.B) {
-				b.SetBytes(int64(2 * n * n * 8)) // input bytes per run
+			b.Run(w.name+"/"+bk.name, func(b *testing.B) {
+				b.SetBytes(w.bytes)
+				if data == nil {
+					data = w.data()
+				}
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pl, err := plan.Compile(prog, plan.Config{TileSize: 512})
+					pl, err := plan.Compile(prog, w.cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -55,7 +95,6 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					data := map[string]*linalg.Dense{"A": a, "B": bm}
 					for _, in := range pl.Inputs {
 						if err := e.LoadDense(in, data[in.Name]); err != nil {
 							b.Fatal(err)
@@ -63,6 +102,11 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 					}
 					if _, err := e.Run(pl); err != nil {
 						b.Fatal(err)
+					}
+					for _, out := range pl.Outputs {
+						if _, err := e.FetchOutput(out); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})

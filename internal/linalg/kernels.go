@@ -181,13 +181,22 @@ func GemmHooked(c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 // Transpose returns a new tile holding tᵀ.
 func Transpose(t *Tile) *Tile {
 	out := NewTile(t.Cols, t.Rows)
+	TransposeInto(out, t)
+	return out
+}
+
+// TransposeInto overwrites every element of out, a t.Cols x t.Rows tile,
+// with tᵀ.
+func TransposeInto(out, t *Tile) {
+	if out.Rows != t.Cols || out.Cols != t.Rows {
+		panic(fmt.Sprintf("linalg: transpose shape mismatch %v -> %v", t, out))
+	}
 	for i := 0; i < t.Rows; i++ {
 		row := t.Data[i*t.Cols : (i+1)*t.Cols]
 		for j, v := range row {
 			out.Data[j*t.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // AddInto computes dst += src element-wise.

@@ -24,29 +24,47 @@ func (s *CSRTile) Bytes() int64 {
 
 // DenseToCSR converts a dense tile to CSR, dropping exact zeros.
 func DenseToCSR(t *Tile) *CSRTile {
-	s := &CSRTile{Rows: t.Rows, Cols: t.Cols, RowPtr: make([]int, t.Rows+1)}
-	for i := 0; i < t.Rows; i++ {
-		row := t.Data[i*t.Cols : (i+1)*t.Cols]
-		for j, v := range row {
+	s := new(CSRTile)
+	s.SetDense(t.Data, t.Rows, t.Cols, t.Cols)
+	return s
+}
+
+// SetDense makes s the CSR form, exact zeros dropped, of the rows x cols
+// region at the start of data, a row-major array with the given row stride.
+// The slices of s are reused when they have the capacity.
+func (s *CSRTile) SetDense(data []float64, rows, cols, stride int) {
+	s.Rows, s.Cols = rows, cols
+	if cap(s.RowPtr) <= rows {
+		s.RowPtr = make([]int, 0, rows+1)
+	}
+	s.RowPtr, s.ColIdx, s.Val = append(s.RowPtr[:0], 0), s.ColIdx[:0], s.Val[:0]
+	for i := 0; i < rows; i++ {
+		for j, v := range data[i*stride : i*stride+cols] {
 			if v != 0 {
 				s.ColIdx = append(s.ColIdx, j)
 				s.Val = append(s.Val, v)
 			}
 		}
-		s.RowPtr[i+1] = len(s.Val)
+		s.RowPtr = append(s.RowPtr, len(s.Val))
 	}
-	return s
 }
 
 // ToDense expands the CSR tile back to dense form.
 func (s *CSRTile) ToDense() *Tile {
 	t := NewTile(s.Rows, s.Cols)
+	s.ScatterInto(t.Data, s.Cols)
+	return t
+}
+
+// ScatterInto writes the stored entries into the s.Rows x s.Cols region at
+// the start of dst, a row-major array with the given row stride. Only
+// stored positions are written: the region must already be zero.
+func (s *CSRTile) ScatterInto(dst []float64, stride int) {
 	for i := 0; i < s.Rows; i++ {
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			t.Data[i*s.Cols+s.ColIdx[p]] = s.Val[p]
+			dst[i*stride+s.ColIdx[p]] = s.Val[p]
 		}
 	}
-	return t
 }
 
 // SpGemmDense computes C += S * B where S is sparse (m x k), B dense

@@ -14,7 +14,7 @@ import (
 // op tape over numbered leaf slots plus the MMVar placeholder. The compute
 // layer executes the tape in a single pass over the output tile — every
 // leaf tile is read exactly once, no per-node intermediate tiles are
-// materialized, and the destination comes from the worker's scratch pool.
+// materialized, and the destination comes from the compute layer's tile pool.
 // Compiling here (instead of interpreting the tree per tile) also moves
 // structural validation to lowering time: unbound leaves, residual
 // transposes and unknown Apply function names are plan errors, not

@@ -157,28 +157,38 @@ func (s *Store) ReadSparseTile(m Meta, ti, tj int, node int) (*linalg.CSRTile, e
 // DeleteMatrix removes every tile of the matrix. Used to garbage-collect
 // intermediates between jobs.
 func (s *Store) DeleteMatrix(m Meta) {
-	for _, p := range s.FS.List(fmt.Sprintf("/matrix/%s/", m.Name)) {
+	for _, p := range s.FS.List(MatrixPrefix(m.Name)) {
 		s.FS.Delete(p)
 	}
 }
 
+// region returns the slice of d that starts at tile (ti, tj) of m, and the
+// tile's shape; rows of the tile are d.Cols apart in it.
+func region(m Meta, d *linalg.Dense, ti, tj int) (data []float64, rows, cols int) {
+	rows, cols = m.TileShape(ti, tj)
+	return d.Data[ti*m.TileSize*d.Cols+tj*m.TileSize:], rows, cols
+}
+
 // SaveDense uploads a dense in-memory matrix tile by tile (as an external
-// client: replicas are placed randomly, like an HDFS ingest).
+// client: replicas are placed randomly, like an HDFS ingest). Each tile is
+// encoded, or CSR-converted, straight from its region of d.
 func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 	if d.Rows != m.Rows || d.Cols != m.Cols {
 		return fmt.Errorf("store: matrix %s shape %dx%d does not match meta %dx%d",
 			m.Name, d.Rows, d.Cols, m.Rows, m.Cols)
 	}
+	var sp linalg.CSRTile // conversion buffer shared by every sparse tile
 	for ti := 0; ti < m.TileRows(); ti++ {
 		for tj := 0; tj < m.TileCols(); tj++ {
-			tile := d.TileAt(ti, tj, m.TileSize)
-			var err error
+			data, rows, cols := region(m, d, ti, tj)
+			var raw []byte
 			if m.Sparse {
-				err = s.WriteSparseTile(m, ti, tj, linalg.DenseToCSR(tile), node)
+				sp.SetDense(data, rows, cols, d.Cols)
+				raw = EncodeSparseTile(&sp)
 			} else {
-				err = s.WriteTile(m, ti, tj, tile, node)
+				raw = encodeDense(data, rows, cols, d.Cols)
 			}
-			if err != nil {
+			if err := s.FS.Write(m.TilePath(ti, tj), raw, node); err != nil {
 				return err
 			}
 		}
@@ -187,71 +197,126 @@ func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 }
 
 // LoadDense downloads the whole matrix into a dense in-memory matrix,
-// decoding sparse tiles if the matrix is stored sparse.
+// decoding each tile (sparse ones included) straight into its region.
 func (s *Store) LoadDense(m Meta, node int) (*linalg.Dense, error) {
 	d := linalg.NewDense(m.Rows, m.Cols)
+	var sp linalg.CSRTile // decode buffer shared by every sparse tile
 	for ti := 0; ti < m.TileRows(); ti++ {
 		for tj := 0; tj < m.TileCols(); tj++ {
-			var tile *linalg.Tile
-			if m.Sparse {
-				st, err := s.ReadSparseTile(m, ti, tj, node)
-				if err != nil {
-					return nil, err
-				}
-				tile = st.ToDense()
-			} else {
-				t, err := s.ReadTile(m, ti, tj, node)
-				if err != nil {
-					return nil, err
-				}
-				tile = t
+			raw, err := s.FS.Read(m.TilePath(ti, tj), node)
+			if err != nil {
+				return nil, err
 			}
-			d.SetTile(ti, tj, m.TileSize, tile)
+			data, rows, cols := region(m, d, ti, tj)
+			var gotRows, gotCols int
+			var body []byte
+			if m.Sparse {
+				err = DecodeSparseTileInto(&sp, raw)
+				gotRows, gotCols = sp.Rows, sp.Cols
+			} else {
+				gotRows, gotCols, body, err = denseBody(raw)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if gotRows != rows || gotCols != cols {
+				return nil, fmt.Errorf("store: matrix %s tile (%d,%d) is stored %dx%d, meta says %dx%d",
+					m.Name, ti, tj, gotRows, gotCols, rows, cols)
+			}
+			if m.Sparse {
+				sp.ScatterInto(data, d.Cols)
+				continue
+			}
+			for i := 0; i < rows; i++ {
+				getFloats(data[i*d.Cols:i*d.Cols+cols], body[8*i*cols:])
+			}
 		}
 	}
 	return d, nil
 }
 
 // EncodeTile serializes a dense tile: magic, rows, cols, payload, CRC32.
-func EncodeTile(t *linalg.Tile) []byte {
-	buf := make([]byte, 12+8*len(t.Data)+4)
+func EncodeTile(t *linalg.Tile) []byte { return encodeDense(t.Data, t.Rows, t.Cols, t.Cols) }
+
+// encodeDense serializes as a dense tile the rows x cols region at the
+// start of data, a row-major array with the given row stride.
+func encodeDense(data []float64, rows, cols, stride int) []byte {
+	buf := make([]byte, 12+8*rows*cols+4)
 	binary.LittleEndian.PutUint32(buf[0:], magicDense)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(t.Rows))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.Cols))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(rows))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(cols))
 	off := 12
-	for _, v := range t.Data {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
+	for i := 0; i < rows; i++ {
+		for _, v := range data[i*stride : i*stride+cols] {
+			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
+			off += 8
+		}
 	}
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
 	return buf
 }
 
-// DecodeTile deserializes a dense tile, verifying the checksum.
-func DecodeTile(raw []byte) (*linalg.Tile, error) {
+// getFloats decodes len(dst) little-endian float64 values from src.
+func getFloats(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// denseBody validates a dense tile payload — magic, a shape that accounts
+// for every byte, checksum — and returns the shape and the encoded values.
+func denseBody(raw []byte) (rows, cols int, body []byte, err error) {
 	if len(raw) < 16 {
-		return nil, ErrCorrupt
+		return 0, 0, nil, ErrCorrupt
 	}
 	if binary.LittleEndian.Uint32(raw[0:]) != magicDense {
-		return nil, ErrBadMagic
+		return 0, 0, nil, ErrBadMagic
 	}
-	rows := int(binary.LittleEndian.Uint32(raw[4:]))
-	cols := int(binary.LittleEndian.Uint32(raw[8:]))
-	want := 12 + 8*rows*cols + 4
-	if rows <= 0 || cols <= 0 || len(raw) != want {
-		return nil, ErrCorrupt
+	rows = int(binary.LittleEndian.Uint32(raw[4:]))
+	cols = int(binary.LittleEndian.Uint32(raw[8:]))
+	// Bound the shape by the payload before multiplying: a hostile header
+	// makes 8*rows*cols wrap around to a length that matches.
+	n := (len(raw) - 16) / 8
+	if rows <= 0 || cols <= 0 || rows > n || cols > n/rows || len(raw) != 16+8*rows*cols {
+		return 0, 0, nil, ErrCorrupt
 	}
-	body := len(raw) - 4
-	if crc32.ChecksumIEEE(raw[:body]) != binary.LittleEndian.Uint32(raw[body:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	end := len(raw) - 4
+	if crc32.ChecksumIEEE(raw[:end]) != binary.LittleEndian.Uint32(raw[end:]) {
+		return 0, 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	t := linalg.NewTile(rows, cols)
-	off := 12
-	for i := range t.Data {
-		t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-		off += 8
+	return rows, cols, raw[12:end], nil
+}
+
+// DecodeTile deserializes a dense tile into a fresh tile, verifying the
+// checksum.
+func DecodeTile(raw []byte) (*linalg.Tile, error) {
+	t := new(linalg.Tile)
+	if err := DecodeTileInto(t, raw); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// DecodeTileInto is DecodeTile into a tile the caller supplies: t takes the
+// payload's shape and every element of it is overwritten, in t's own buffer
+// when that has the capacity. On error t is left as it was.
+func DecodeTileInto(t *linalg.Tile, raw []byte) error {
+	rows, cols, body, err := denseBody(raw)
+	if err != nil {
+		return err
+	}
+	t.Rows, t.Cols, t.Data = rows, cols, grow(t.Data, rows*cols)
+	getFloats(t.Data, body)
+	return nil
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity falls short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EncodeSparseTile serializes a CSR tile: magic, rows, cols, nnz, rowptr,
@@ -281,33 +346,43 @@ func EncodeSparseTile(t *linalg.CSRTile) []byte {
 	return buf
 }
 
-// DecodeSparseTile deserializes a CSR tile, verifying the checksum and
-// structural invariants (monotone row pointers, in-range column indices).
+// DecodeSparseTile deserializes a CSR tile into a fresh tile, verifying
+// the checksum and structural invariants (monotone row pointers, in-range
+// column indices).
 func DecodeSparseTile(raw []byte) (*linalg.CSRTile, error) {
+	t := new(linalg.CSRTile)
+	if err := DecodeSparseTileInto(t, raw); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// DecodeSparseTileInto is DecodeSparseTile into a tile the caller supplies,
+// reusing the capacity of t's slices. A header or checksum failure leaves t
+// as it was; a structural one leaves its contents unspecified.
+func DecodeSparseTileInto(t *linalg.CSRTile, raw []byte) error {
 	if len(raw) < 20 {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	if binary.LittleEndian.Uint32(raw[0:]) != magicSparse {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	rows := int(binary.LittleEndian.Uint32(raw[4:]))
 	cols := int(binary.LittleEndian.Uint32(raw[8:]))
 	nnz := int(binary.LittleEndian.Uint32(raw[12:]))
-	want := 16 + 4*(rows+1) + 4*nnz + 8*nnz + 4
-	if rows <= 0 || cols <= 0 || nnz < 0 || len(raw) != want {
-		return nil, ErrCorrupt
+	// As for dense tiles, bound each count by the payload before any
+	// arithmetic on it can wrap; a tile cannot store more entries than it
+	// has positions.
+	if rows <= 0 || cols <= 0 || nnz < 0 || rows > len(raw)/4 || nnz > len(raw)/12 ||
+		len(raw) != 16+4*(rows+1)+12*nnz+4 || uint64(nnz) > uint64(rows)*uint64(cols) {
+		return ErrCorrupt
 	}
-	body := len(raw) - 4
-	if crc32.ChecksumIEEE(raw[:body]) != binary.LittleEndian.Uint32(raw[body:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	end := len(raw) - 4
+	if crc32.ChecksumIEEE(raw[:end]) != binary.LittleEndian.Uint32(raw[end:]) {
+		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	t := &linalg.CSRTile{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: make([]int, rows+1),
-		ColIdx: make([]int, nnz),
-		Val:    make([]float64, nnz),
-	}
+	t.Rows, t.Cols = rows, cols
+	t.RowPtr, t.ColIdx, t.Val = grow(t.RowPtr, rows+1), grow(t.ColIdx, nnz), grow(t.Val, nnz)
 	off := 16
 	for i := range t.RowPtr {
 		t.RowPtr[i] = int(binary.LittleEndian.Uint32(raw[off:]))
@@ -317,22 +392,19 @@ func DecodeSparseTile(raw []byte) (*linalg.CSRTile, error) {
 		t.ColIdx[i] = int(binary.LittleEndian.Uint32(raw[off:]))
 		off += 4
 	}
-	for i := range t.Val {
-		t.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-		off += 8
-	}
+	getFloats(t.Val, raw[off:])
 	if t.RowPtr[0] != 0 || t.RowPtr[rows] != nnz {
-		return nil, fmt.Errorf("%w: bad row pointers", ErrCorrupt)
+		return fmt.Errorf("%w: bad row pointers", ErrCorrupt)
 	}
 	for i := 0; i < rows; i++ {
 		if t.RowPtr[i] > t.RowPtr[i+1] {
-			return nil, fmt.Errorf("%w: non-monotone row pointers", ErrCorrupt)
+			return fmt.Errorf("%w: non-monotone row pointers", ErrCorrupt)
 		}
 	}
 	for _, c := range t.ColIdx {
 		if c < 0 || c >= cols {
-			return nil, fmt.Errorf("%w: column index out of range", ErrCorrupt)
+			return fmt.Errorf("%w: column index out of range", ErrCorrupt)
 		}
 	}
-	return t, nil
+	return nil
 }

@@ -54,8 +54,8 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("host: GOMAXPROCS=%d, gemm %dx%dx%d, best of %d reps\n\n",
-		prof.GoMaxProcs, prof.Size, prof.Size, prof.Size, prof.Reps)
+	fmt.Printf("host: GOMAXPROCS=%d, kernel %s, gemm %dx%dx%d, best of %d reps\n\n",
+		prof.GoMaxProcs, prof.Kernel, prof.Size, prof.Size, prof.Size, prof.Reps)
 	fmt.Printf("  %-8s %-8s %-8s %-8s %12s\n", "mc", "kc", "nc", "workers", "MFLOP/s")
 	for _, pt := range prof.Points {
 		marker := ""

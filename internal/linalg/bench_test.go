@@ -16,24 +16,35 @@ func benchTile(n int, seed int64) *Tile {
 }
 
 // The Gemm/GemmTA/GemmTB benchmarks compare the naive reference loops
-// against the cache-blocked, register-tiled driver at the square sizes
-// recorded in EXPERIMENTS.md. Compare paths with benchstat:
+// against the cache-blocked driver under each micro-kernel, at the square
+// sizes recorded in EXPERIMENTS.md. Compare paths with benchstat:
 //
-//	go test -run '^$' -bench 'Gemm.*/(naive|blocked)' -benchtime 10x -count 10 ./internal/linalg | tee bench.txt
+//	go test -run '^$' -bench 'Gemm.*/(naive|scalar|blocked)' -benchtime 10x -count 10 ./internal/linalg | tee bench.txt
 //	benchstat bench.txt   # or diff two checkouts' bench.txt files
 //
-// Both sub-benchmarks call the concrete kernels directly (not the public
-// dispatch), so each path is measured even at sizes the cutoff would
-// route elsewhere. The "blocked" arm pins the *sequential* driver
-// (gemmBlockedSeq) so its 0 allocs/op CI guard and its naive-vs-blocked
-// comparison stay independent of the host's core count; the parallel
-// tier has its own sub-benchmarks (BenchmarkGemmParallel) with explicit
-// worker counts.
+// Every arm calls a concrete kernel directly (not the public dispatch),
+// so each path is measured even at sizes the cutoff would route
+// elsewhere. "blocked" is the process's selected kernel (AVX2 where
+// available) and "scalar" the portable 4×2 kernel; both pin the
+// *sequential* driver (gemmBlockedSeq) so their 0 allocs/op CI guard and
+// the comparisons stay independent of the host's core count. The
+// parallel tier has its own sub-benchmarks (BenchmarkGemmParallel) with
+// explicit worker counts.
 
-func benchGemmPair(b *testing.B, n int, naive, blocked func(c, a, x *Tile)) {
-	a, x := benchTile(n, 1), benchTile(n, 2)
-	c := NewTile(n, n)
-	flops := GemmFlops(n, n, n)
+// benchGemmArms times C += op(A)·op(B) for an (m×k)·(k×n) product through
+// the reference and through the sequential blocked driver under the
+// scalar and the selected kernel.
+func benchGemmArms(b *testing.B, m, k, n int, ta, tb bool, naive func(c, a, x *Tile)) {
+	rng := rand.New(rand.NewSource(1))
+	a, x := randTile(rng, m, k), randTile(rng, k, n)
+	if ta {
+		a = Transpose(a)
+	}
+	if tb {
+		x = Transpose(x)
+	}
+	c := NewTile(m, n)
+	flops := GemmFlops(m, k, n)
 	run := func(b *testing.B, kernel func(c, a, x *Tile)) {
 		kernel(c, a, x) // warm scratch pool and caches
 		b.ReportAllocs()
@@ -44,27 +55,23 @@ func benchGemmPair(b *testing.B, n int, naive, blocked func(c, a, x *Tile)) {
 			kernel(c, a, x)
 		}
 	}
+	blocked := func(cf blockConf) func(c, a, x *Tile) {
+		return func(c, a, x *Tile) { gemmBlockedSeq(cf, c, a, x, ta, tb, nil) }
+	}
 	b.Run("naive", func(b *testing.B) { run(b, naive) })
-	b.Run("blocked", func(b *testing.B) { run(b, blocked) })
+	b.Run("scalar", func(b *testing.B) { run(b, blocked(prodConf(&kernScalar))) })
+	b.Run("blocked", func(b *testing.B) { run(b, blocked(defaultBlockConf)) })
 }
 
 func BenchmarkGemm(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGemmPair(b, n, refGemm, func(c, a, x *Tile) {
-				gemmBlockedSeq(defaultBlockConf, c, a, x, false, false, nil)
-			})
-		})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchGemmArms(b, n, n, n, false, false, refGemm) })
 	}
 }
 
 func BenchmarkGemmTA(b *testing.B) {
 	for _, n := range []int{128, 256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGemmPair(b, n, refGemmTA, func(c, a, x *Tile) {
-				gemmBlockedSeq(defaultBlockConf, c, a, x, true, false, nil)
-			})
-		})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchGemmArms(b, n, n, n, true, false, refGemmTA) })
 	}
 }
 
@@ -72,11 +79,23 @@ func BenchmarkGemmTA(b *testing.B) {
 // per output element, re-streaming a full row of B for every column, so
 // blocking pays off earliest here.
 func BenchmarkGemmTB(b *testing.B) {
-	for _, n := range []int{256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGemmPair(b, n, refGemmTB, func(c, a, x *Tile) {
-				gemmBlockedSeq(defaultBlockConf, c, a, x, false, true, nil)
-			})
+	for _, n := range []int{128, 256, 512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchGemmArms(b, n, n, n, false, true, refGemmTB) })
+	}
+}
+
+// BenchmarkGemmSkinny sweeps the non-square products the materialized
+// workloads issue — gnmf_sparse's r = 32 factors against 256-tiles, the
+// narrow n ∈ [8, 32) band just above useBlocked's floor, and
+// serve_mixed's 64-tiles — so where the blocked path beats the naive
+// loops is a recorded measurement, per kernel, not an assumption.
+func BenchmarkGemmSkinny(b *testing.B) {
+	for _, s := range []struct{ m, k, n int }{
+		{256, 256, 32}, {32, 256, 256}, {256, 32, 256},
+		{256, 256, 8}, {256, 256, 16}, {256, 256, 24}, {64, 64, 64},
+	} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+			benchGemmArms(b, s.m, s.k, s.n, false, false, refGemm)
 		})
 	}
 }

@@ -26,40 +26,76 @@ import "sync"
 // fuzz targets in blocked_test.go / parallel_test.go / fuzz_test.go hold
 // the kernels to that contract.
 
-// blockConf carries the cache-blocking factors. Production code uses
-// defaultBlockConf; tests shrink the factors to force multi-block loops
-// and fringe panels at tiny, fast-to-verify sizes.
+// blockConf carries the cache-blocking factors and the micro-kernel they
+// feed. Production code uses defaultBlockConf; tests shrink the factors to
+// force multi-block loops and fringe panels at tiny, fast-to-verify sizes,
+// and swap the kernel to hold every micro-kernel to the same contract.
 type blockConf struct {
-	mc int // rows of a packed A block (multiple of mr)
-	kc int // shared inner-dimension block depth
-	nc int // columns of a packed B block (multiple of nr)
+	mc   int        // rows of a packed A block (multiple of kern.mr)
+	kc   int        // shared inner-dimension block depth
+	nc   int        // columns of a packed B block (multiple of kern.nr)
+	kern *microKern // register-tile kernel; fixes the packed panel widths
 }
 
 // defaultBlockConf targets common x86-64 cache sizes: the packed A block
 // (mc×kc = 64×256 float64s = 128 KiB) fits in L2 alongside the B
-// micro-panel (kc×nr = 4 KiB) it is multiplied against, and the packed B
+// micro-panel (kc×nr ≤ 16 KiB) it is multiplied against, and the packed B
 // block (kc×nc = 1 MiB) lives in L3 and is reused across all A blocks.
-var defaultBlockConf = blockConf{mc: 64, kc: 256, nc: 512}
+// Its kern field is the process's one kernel selection: the portable
+// scalar kernel here, replaced once at package init by the AVX2 kernel
+// where the build and the CPU have it (kern_amd64.go).
+var defaultBlockConf = blockConf{mc: 64, kc: 256, nc: 512, kern: &kernScalar}
 
-// The register tile is mr×nr = 4×2: eight accumulators plus six operand
-// temporaries stay inside the sixteen SSE registers the gc compiler has
-// on amd64. A 4×4 tile amortizes loads better on paper but its sixteen
-// accumulators spill, which measures ~35% slower on the micro-benchmarks.
-const (
-	mr = 4 // micro-kernel rows
-	nr = 2 // micro-kernel columns
-)
+// microKern is a register-tiled micro-kernel: run adds the product of one
+// packed mr-row A panel and one packed nr-column B panel, kb terms deep,
+// into the mr×nr tile of C that starts at c[0] with row stride ldc. The
+// tile shape belongs to the kernel, so the packers and both drivers read
+// mr and nr from here. Exactly two exist:
+//
+//   - kernScalar, 4×2 in plain Go: eight accumulators plus six operand
+//     temporaries stay inside the sixteen SSE registers the gc compiler
+//     has on amd64 (a scalar 4×4 tile amortizes loads better on paper but
+//     its sixteen accumulators spill, ~35% slower). It is the only kernel
+//     on non-amd64 builds, under -tags purego and on pre-AVX2 hosts.
+//   - kernAVX2, 4×8 in assembly (kern_amd64.s): eight YMM accumulators,
+//     separate multiply and add so each term rounds exactly as here.
+//
+// Both honour the numerical contract above, so they are bit-identical to
+// each other and which one runs is invisible outside wall-clock time.
+type microKern struct {
+	name   string
+	mr, nr int
+}
+
+var kernScalar = microKern{name: "scalar-4x2", mr: 4, nr: 2}
+
+// microKernels lists the kernels this process can run, for the tests
+// that hold each of them to the contract; package init appends kernAVX2
+// where it is usable.
+var microKernels = []*microKern{&kernScalar}
+
+// maxTile bounds mr·nr over all micro-kernels: the size of the padded
+// stack tile fringe sub-blocks are computed in.
+const maxTile = 4 * 8
+
+// BlockQuantum is a multiple of every micro-kernel's mr and nr: a block
+// shape whose MC and NC are multiples of it is legal whichever kernel the
+// host selected.
+const BlockQuantum = 8
 
 // blockedMinFlops is the dispatch cutoff: below ~64³ multiply-adds the
 // packing overhead (m·k + k·n extra copies) is not repaid and the naive
 // loops win, so the public kernels fall back to refGemm*. Each dimension
-// must also clear the micro-tile so the packed panels are mostly useful.
+// must also clear a floor so the packed panels are mostly useful.
 const blockedMinFlops = 1 << 18
 
 // useBlocked reports whether the blocked driver should handle an
-// (m×k)·(k×n) product.
+// (m×k)·(k×n) product. The floors are literals, not multiples of the
+// active kernel's tile: the references skip a==0 terms while the blocked
+// path adds their +0 products, so the routing of a shape must not depend
+// on which kernel the host selected.
 func useBlocked(m, k, n int) bool {
-	return m >= 4*mr && n >= 4*nr && k >= 16 &&
+	return m >= 16 && n >= 8 && k >= 16 &&
 		int64(m)*int64(k)*int64(n) >= blockedMinFlops
 }
 
@@ -68,8 +104,8 @@ func useBlocked(m, k, n int) bool {
 // nothing; tile sizes vary, so the slices grow monotonically to the
 // largest block seen by that scratch.
 type gemmScratch struct {
-	a []float64 // packed A block: mc ceil-padded to mr, times kc
-	b []float64 // packed B block: kc times nc ceil-padded to nr
+	a []float64 // packed A block: mc × kc
+	b []float64 // packed B block: kc × nc
 }
 
 var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
@@ -149,7 +185,7 @@ func gemmBlockedSeq(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 	}
 	sc := gemmPool.Get().(*gemmScratch)
 	defer gemmPool.Put(sc)
-	sc.ensure(ceilDiv(cf.mc, mr)*mr*cf.kc, cf.kc*ceilDiv(cf.nc, nr)*nr)
+	sc.ensure(cf.mc*cf.kc, cf.kc*cf.nc)
 
 	for jc := 0; jc < n; jc += cf.nc {
 		nb := minInt(cf.nc, n-jc)
@@ -157,19 +193,11 @@ func gemmBlockedSeq(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 		// accumulates its terms in ascending-k order (see contract above).
 		for pc := 0; pc < k; pc += cf.kc {
 			kb := minInt(cf.kc, k-pc)
-			packB(sc.b, b, tb, pc, kb, jc, nb)
+			packB(sc.b, cf.kern.nr, b, tb, pc, kb, jc, nb)
 			for ic := 0; ic < m; ic += cf.mc {
 				mb := minInt(cf.mc, m-ic)
-				packA(sc.a, a, ta, ic, mb, pc, kb)
-				for jr := 0; jr < nb; jr += nr {
-					bp := sc.b[(jr/nr)*kb*nr:]
-					cols := minInt(nr, nb-jr)
-					for ir := 0; ir < mb; ir += mr {
-						ap := sc.a[(ir/mr)*kb*mr:]
-						rows := minInt(mr, mb-ir)
-						microKernel(kb, ap, bp, c, ic+ir, jc+jr, rows, cols)
-					}
-				}
+				packA(sc.a, cf.kern.mr, a, ta, ic, mb, pc, kb)
+				macroKernel(cf.kern, kb, sc.a, sc.b, c, ic, mb, jc, nb)
 			}
 		}
 		if epi != nil {
@@ -178,181 +206,160 @@ func gemmBlockedSeq(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 	}
 }
 
+// macroKernel adds the product of a packed mb×kb A block and a packed
+// kb×nb B block into the block of C at (ic, jc), one register tile at a
+// time. A full mr×nr tile runs the micro-kernel on C in place; a fringe
+// tile detours through a zero-padded stack tile and the same kernel (the
+// packers zero-pad the panels, so the padding lanes only ever hold values
+// that are never copied back). Either way each element is loaded first
+// and then takes its kb terms in ascending order — the contract above.
+func macroKernel(kern *microKern, kb int, pa, pb []float64, c *Tile, ic, mb, jc, nb int) {
+	mr, nr, ld := kern.mr, kern.nr, c.Cols
+	for jr := 0; jr < nb; jr += nr {
+		bp := pb[jr*kb : (jr+nr)*kb]
+		cols := minInt(nr, nb-jr)
+		for ir := 0; ir < mb; ir += mr {
+			ap := pa[ir*kb : (ir+mr)*kb]
+			rows := minInt(mr, mb-ir)
+			off := (ic+ir)*ld + jc + jr
+			if rows == mr && cols == nr {
+				kern.run(kb, ap, bp, c.Data[off:], ld)
+				continue
+			}
+			var acc [maxTile]float64
+			for ii := 0; ii < rows; ii++ {
+				copy(acc[ii*nr:ii*nr+cols], c.Data[off+ii*ld:])
+			}
+			kern.run(kb, ap, bp, acc[:mr*nr], nr)
+			for ii := 0; ii < rows; ii++ {
+				copy(c.Data[off+ii*ld:off+ii*ld+cols], acc[ii*nr:])
+			}
+		}
+	}
+}
+
 // packA gathers the (ic..ic+mb)×(pc..pc+kb) block of A (or Aᵀ when ta)
 // into mr-row panels: panel q holds element (ic+q·mr+ii, pc+p) at offset
 // q·kb·mr + p·mr + ii, with rows past mb zero-padded so the micro-kernel
 // never branches on the fringe.
-func packA(dst []float64, a *Tile, ta bool, ic, mb, pc, kb int) {
-	idx := 0
-	for ir := 0; ir < mb; ir += mr {
-		rows := minInt(mr, mb-ir)
-		if ta {
-			// A is stored k×m: row p of A holds the p-th term of every
-			// column, so a panel gathers mr adjacent columns per p.
-			for p := 0; p < kb; p++ {
-				src := a.Data[(pc+p)*a.Cols+ic+ir:]
-				for ii := 0; ii < rows; ii++ {
-					dst[idx+ii] = src[ii]
-				}
-				for ii := rows; ii < mr; ii++ {
-					dst[idx+ii] = 0
-				}
-				idx += mr
-			}
-		} else {
-			// A is stored m×k: copy each of the mr rows contiguously,
-			// scattering into the mr-strided panel layout.
-			for ii := 0; ii < rows; ii++ {
-				src := a.Data[(ic+ir+ii)*a.Cols+pc:]
-				for p := 0; p < kb; p++ {
-					dst[idx+p*mr+ii] = src[p]
-				}
-			}
-			for ii := rows; ii < mr; ii++ {
-				for p := 0; p < kb; p++ {
-					dst[idx+p*mr+ii] = 0
-				}
-			}
-			idx += kb * mr
-		}
-	}
+func packA(dst []float64, mr int, a *Tile, ta bool, ic, mb, pc, kb int) {
+	packPanels(dst, mr, a, !ta, ic, mb, pc, kb)
 }
 
 // packB gathers the (pc..pc+kb)×(jc..jc+nb) block of B (or Bᵀ when tb)
 // into nr-column panels: panel q holds element (pc+p, jc+q·nr+jj) at
 // offset q·kb·nr + p·nr + jj, columns past nb zero-padded.
-func packB(dst []float64, b *Tile, tb bool, pc, kb, jc, nb int) {
-	idx := 0
-	for jr := 0; jr < nb; jr += nr {
-		cols := minInt(nr, nb-jr)
-		if tb {
-			// B is stored n×k: row j of the tile holds B(·,j) contiguously,
-			// so each of the nr columns copies a contiguous run.
-			for jj := 0; jj < cols; jj++ {
-				src := b.Data[(jc+jr+jj)*b.Cols+pc:]
-				for p := 0; p < kb; p++ {
-					dst[idx+p*nr+jj] = src[p]
+func packB(dst []float64, nr int, b *Tile, tb bool, pc, kb, jc, nb int) {
+	packPanels(dst, nr, b, tb, jc, nb, pc, kb)
+}
+
+// packPanels is both packers: it cuts nl lanes of t starting at l0 into
+// w-lane panels, each holding terms p0..p0+kb at offset p·w + lane, the
+// last panel's missing lanes zero. A lane is a row of t when lanesAreRows
+// (A, or B stored transposed: each lane is one contiguous run, scattered
+// at stride w) and a column otherwise (B, or A stored transposed: each
+// term is one contiguous w-wide run).
+func packPanels(dst []float64, w int, t *Tile, lanesAreRows bool, l0, nl, p0, kb int) {
+	ld := t.Cols
+	for lr := 0; lr < nl; lr += w {
+		lanes := minInt(w, nl-lr)
+		panel := dst[lr*kb : (lr+w)*kb]
+		if lanes < w {
+			clear(panel)
+		}
+		if lanesAreRows {
+			for ll := 0; ll < lanes; ll++ {
+				src := t.Data[(l0+lr+ll)*ld+p0:][:kb]
+				for p, v := range src {
+					panel[p*w+ll] = v
 				}
 			}
-			for jj := cols; jj < nr; jj++ {
-				for p := 0; p < kb; p++ {
-					dst[idx+p*nr+jj] = 0
-				}
-			}
-			idx += kb * nr
-		} else {
-			for p := 0; p < kb; p++ {
-				src := b.Data[(pc+p)*b.Cols+jc+jr:]
-				for jj := 0; jj < cols; jj++ {
-					dst[idx+jj] = src[jj]
-				}
-				for jj := cols; jj < nr; jj++ {
-					dst[idx+jj] = 0
-				}
-				idx += nr
+			continue
+		}
+		for p := 0; p < kb; p++ {
+			src := t.Data[(p0+p)*ld+l0+lr:][:lanes]
+			d := panel[p*w:][:lanes]
+			for i := range d {
+				d[i] = src[i]
 			}
 		}
 	}
 }
 
-// microKernel computes the rows×cols sub-block of C at (i0, j0) +=
-// A-panel · B-panel over kb terms. The full mr×nr case keeps the tile in
-// eight scalar accumulators with the k loop unrolled four-way (constant
-// indices into a re-sliced window, so every bounds check is hoisted);
-// fringe tiles detour through a padded stack tile (the zero-padded
-// panels contribute exact +0 terms there). Both paths add each
-// accumulator's terms in ascending-k order — the unroll reads a[0..15]
-// in panel order — preserving the bit-exactness contract.
-func microKernel(kb int, ap, bp []float64, c *Tile, i0, j0 int, rows, cols int) {
-	if rows == mr && cols == nr {
-		ld := c.Cols
-		r0 := c.Data[i0*ld+j0 : i0*ld+j0+nr]
-		r1 := c.Data[(i0+1)*ld+j0 : (i0+1)*ld+j0+nr]
-		r2 := c.Data[(i0+2)*ld+j0 : (i0+2)*ld+j0+nr]
-		r3 := c.Data[(i0+3)*ld+j0 : (i0+3)*ld+j0+nr]
-		c00, c01 := r0[0], r0[1]
-		c10, c11 := r1[0], r1[1]
-		c20, c21 := r2[0], r2[1]
-		c30, c31 := r3[0], r3[1]
-		for ; kb >= 4; kb -= 4 {
-			a := ap[: 4*mr : 4*mr]
-			b := bp[: 4*nr : 4*nr]
-			c00 += a[0] * b[0]
-			c01 += a[0] * b[1]
-			c10 += a[1] * b[0]
-			c11 += a[1] * b[1]
-			c20 += a[2] * b[0]
-			c21 += a[2] * b[1]
-			c30 += a[3] * b[0]
-			c31 += a[3] * b[1]
+// kernelScalar is kernScalar's run: the 4×2 tile in eight scalar
+// accumulators with the k loop unrolled four-way (constant indices into a
+// re-sliced window, so every bounds check is hoisted). Each accumulator
+// adds its terms in ascending-k order — the unroll reads a[0..15] in
+// panel order — preserving the bit-exactness contract.
+func kernelScalar(kb int, ap, bp, c []float64, ldc int) {
+	const mr, nr = 4, 2
+	r0 := c[:nr]
+	r1 := c[ldc : ldc+nr]
+	r2 := c[2*ldc : 2*ldc+nr]
+	r3 := c[3*ldc : 3*ldc+nr]
+	c00, c01 := r0[0], r0[1]
+	c10, c11 := r1[0], r1[1]
+	c20, c21 := r2[0], r2[1]
+	c30, c31 := r3[0], r3[1]
+	for ; kb >= 4; kb -= 4 {
+		a := ap[: 4*mr : 4*mr]
+		b := bp[: 4*nr : 4*nr]
+		c00 += a[0] * b[0]
+		c01 += a[0] * b[1]
+		c10 += a[1] * b[0]
+		c11 += a[1] * b[1]
+		c20 += a[2] * b[0]
+		c21 += a[2] * b[1]
+		c30 += a[3] * b[0]
+		c31 += a[3] * b[1]
 
-			c00 += a[4] * b[2]
-			c01 += a[4] * b[3]
-			c10 += a[5] * b[2]
-			c11 += a[5] * b[3]
-			c20 += a[6] * b[2]
-			c21 += a[6] * b[3]
-			c30 += a[7] * b[2]
-			c31 += a[7] * b[3]
+		c00 += a[4] * b[2]
+		c01 += a[4] * b[3]
+		c10 += a[5] * b[2]
+		c11 += a[5] * b[3]
+		c20 += a[6] * b[2]
+		c21 += a[6] * b[3]
+		c30 += a[7] * b[2]
+		c31 += a[7] * b[3]
 
-			c00 += a[8] * b[4]
-			c01 += a[8] * b[5]
-			c10 += a[9] * b[4]
-			c11 += a[9] * b[5]
-			c20 += a[10] * b[4]
-			c21 += a[10] * b[5]
-			c30 += a[11] * b[4]
-			c31 += a[11] * b[5]
+		c00 += a[8] * b[4]
+		c01 += a[8] * b[5]
+		c10 += a[9] * b[4]
+		c11 += a[9] * b[5]
+		c20 += a[10] * b[4]
+		c21 += a[10] * b[5]
+		c30 += a[11] * b[4]
+		c31 += a[11] * b[5]
 
-			c00 += a[12] * b[6]
-			c01 += a[12] * b[7]
-			c10 += a[13] * b[6]
-			c11 += a[13] * b[7]
-			c20 += a[14] * b[6]
-			c21 += a[14] * b[7]
-			c30 += a[15] * b[6]
-			c31 += a[15] * b[7]
-			ap = ap[4*mr:]
-			bp = bp[4*nr:]
-		}
-		for ; kb > 0; kb-- {
-			a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-			b0, b1 := bp[0], bp[1]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c30 += a3 * b0
-			c31 += a3 * b1
-			ap = ap[mr:]
-			bp = bp[nr:]
-		}
-		r0[0], r0[1] = c00, c01
-		r1[0], r1[1] = c10, c11
-		r2[0], r2[1] = c20, c21
-		r3[0], r3[1] = c30, c31
-		return
+		c00 += a[12] * b[6]
+		c01 += a[12] * b[7]
+		c10 += a[13] * b[6]
+		c11 += a[13] * b[7]
+		c20 += a[14] * b[6]
+		c21 += a[14] * b[7]
+		c30 += a[15] * b[6]
+		c31 += a[15] * b[7]
+		ap = ap[4*mr:]
+		bp = bp[4*nr:]
 	}
-	var acc [mr * nr]float64
-	ld := c.Cols
-	for ii := 0; ii < rows; ii++ {
-		copy(acc[ii*nr:ii*nr+cols], c.Data[(i0+ii)*ld+j0:])
+	for ; kb > 0; kb-- {
+		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
+		b0, b1 := bp[0], bp[1]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c20 += a2 * b0
+		c21 += a2 * b1
+		c30 += a3 * b0
+		c31 += a3 * b1
+		ap = ap[mr:]
+		bp = bp[nr:]
 	}
-	for p := 0; p < kb; p++ {
-		av := ap[p*mr : p*mr+mr]
-		bv := bp[p*nr : p*nr+nr]
-		for ii := 0; ii < mr; ii++ {
-			a := av[ii]
-			row := acc[ii*nr : ii*nr+nr]
-			row[0] += a * bv[0]
-			row[1] += a * bv[1]
-		}
-	}
-	for ii := 0; ii < rows; ii++ {
-		copy(c.Data[(i0+ii)*ld+j0:(i0+ii)*ld+j0+cols], acc[ii*nr:])
-	}
+	r0[0], r0[1] = c00, c01
+	r1[0], r1[1] = c10, c11
+	r2[0], r2[1] = c20, c21
+	r3[0], r3[1] = c30, c31
 }
 
 // maskedMinWork is the dispatch cutoff for the packed masked multiply:

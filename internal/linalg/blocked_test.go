@@ -25,6 +25,34 @@ func zeroableTile(rng *rand.Rand, rows, cols int) *Tile {
 	return t
 }
 
+// forEachKernel runs body as one subtest per micro-kernel this process
+// can execute, so every differential below holds the AVX2 and the scalar
+// kernel to the same references in one binary. Where the AVX2 kernel is
+// missing (non-amd64, -tags purego, or a CPU without it) its arm is
+// skipped and the reason logged.
+func forEachKernel(t *testing.T, body func(t *testing.T, kern *microKern)) {
+	t.Helper()
+	for _, kern := range microKernels {
+		t.Run(kern.name, func(t *testing.T) { body(t, kern) })
+	}
+	if len(microKernels) == 1 {
+		t.Logf("AVX2 arm skipped: this build or CPU has only the %s kernel", microKernels[0].name)
+	}
+}
+
+// kernConf builds a block configuration for kern with mc and nc given in
+// register tiles, so shrunken test shapes stay legal under either kernel.
+func kernConf(kern *microKern, mcTiles, kc, ncTiles int) blockConf {
+	return blockConf{mc: mcTiles * kern.mr, kc: kc, nc: ncTiles * kern.nr, kern: kern}
+}
+
+// prodConf is production blocking over kern.
+func prodConf(kern *microKern) blockConf {
+	cf := defaultBlockConf
+	cf.kern = kern
+	return cf
+}
+
 func assertExact(t *testing.T, got, want *Tile, label string) {
 	t.Helper()
 	if !got.Equal(want) {
@@ -44,14 +72,20 @@ func assertExact(t *testing.T, got, want *Tile, label string) {
 // combination, under a block config small enough that all of them cross
 // block boundaries.
 func TestBlockedGemmEdgeShapes(t *testing.T) {
+	forEachKernel(t, testBlockedGemmEdgeShapes)
+}
+
+func testBlockedGemmEdgeShapes(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(11))
-	cf := blockConf{mc: 8, kc: 4, nc: 6}
+	cf := kernConf(kern, 2, 4, 3)
+	mr, nr := kern.mr, kern.nr
 	shapes := []struct{ m, k, n int }{
 		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {0, 0, 0},
 		{1, 1, 1}, {1, 7, 1}, {2, 1, 2},
 		{mr, 5, nr}, {mr - 1, 5, nr - 1}, {mr + 1, 5, nr + 1},
 		{5, 3, 7}, {8, 4, 6}, {9, 5, 7}, {13, 11, 3},
 		{17, 2, 19}, {16, 16, 16}, {33, 9, 31},
+		{2*mr + 1, 6, 3*nr + 1}, {3 * mr, 9, 4*nr - 1},
 	}
 	for _, s := range shapes {
 		a := zeroableTile(rng, s.m, s.k)
@@ -83,10 +117,14 @@ func TestBlockedGemmEdgeShapes(t *testing.T) {
 // case of the packers and micro-kernel are exercised at fast sizes, with
 // random nonzero accumulators.
 func TestBlockedGemmRandomized(t *testing.T) {
+	forEachKernel(t, testBlockedGemmRandomized)
+}
+
+func testBlockedGemmRandomized(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
 		m, k, n := 1+rng.Intn(70), 1+rng.Intn(70), 1+rng.Intn(70)
-		cf := blockConf{mc: mr * (1 + rng.Intn(4)), kc: 1 + rng.Intn(24), nc: nr * (1 + rng.Intn(8))}
+		cf := kernConf(kern, 1+rng.Intn(4), 1+rng.Intn(24), 1+rng.Intn(8))
 		a, b := randTile(rng, m, k), randTile(rng, k, n)
 
 		got := randTile(rng, m, n)
@@ -151,6 +189,10 @@ func TestGemmDispatchStraddlesCutoff(t *testing.T) {
 // of the result, because the micro-kernel reloads C between blocks and
 // continues the same ascending-k addition chain.
 func TestGemmAccumulationOrderAcrossKBlocks(t *testing.T) {
+	forEachKernel(t, testGemmAccumulationOrderAcrossKBlocks)
+}
+
+func testGemmAccumulationOrderAcrossKBlocks(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(14))
 	m, k, n := 12, 200, 10
 	a, b := randTile(rng, m, k), randTile(rng, k, n)
@@ -158,8 +200,8 @@ func TestGemmAccumulationOrderAcrossKBlocks(t *testing.T) {
 	one := want.Clone()
 	many := want.Clone()
 	refGemm(want, a, b)
-	gemmBlocked(blockConf{mc: 64, kc: 512, nc: 64}, one, a, b, false, false, nil) // single k block
-	gemmBlocked(blockConf{mc: 8, kc: 3, nc: 4}, many, a, b, false, false, nil)    // 67 k blocks
+	gemmBlocked(blockConf{mc: 64, kc: 512, nc: 64, kern: kern}, one, a, b, false, false, nil) // single k block
+	gemmBlocked(kernConf(kern, 2, 3, 2), many, a, b, false, false, nil)                       // 67 k blocks
 	assertExact(t, one, want, "single k block")
 	assertExact(t, many, want, "many k blocks")
 }
@@ -202,12 +244,19 @@ func TestBlockedGemmSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at random; alloc count is not stable")
 	}
+	forEachKernel(t, testBlockedGemmSteadyStateAllocFree)
+}
+
+func testBlockedGemmSteadyStateAllocFree(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(16))
-	a, b := randTile(rng, 96, 96), randTile(rng, 96, 96)
-	c := NewTile(96, 96)
-	gemmBlocked(defaultBlockConf, c, a, b, false, false, nil) // warm the pool
+	// 99×97: fringe tiles on both axes, so the padded stack tile is on
+	// the measured path and must not escape to the heap.
+	a, b := randTile(rng, 99, 96), randTile(rng, 96, 97)
+	c := NewTile(99, 97)
+	cf := prodConf(kern)
+	gemmBlocked(cf, c, a, b, false, false, nil) // warm the pool
 	allocs := testing.AllocsPerRun(20, func() {
-		gemmBlocked(defaultBlockConf, c, a, b, false, false, nil)
+		gemmBlocked(cf, c, a, b, false, false, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("blocked gemm allocates %.1f objects/run in steady state, want 0", allocs)

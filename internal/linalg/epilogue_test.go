@@ -37,6 +37,10 @@ func assertFullCoverage(t *testing.T, counts []int, label string) {
 // reference) and all three transpose modes, the hook visits every output
 // element exactly once.
 func TestGemmHookedCoverage(t *testing.T) {
+	forEachActiveKernel(t, testGemmHookedCoverage)
+}
+
+func testGemmHookedCoverage(t *testing.T, _ *microKern) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 2}, {17, 9, 13},
@@ -69,9 +73,13 @@ func TestGemmHookedCoverage(t *testing.T) {
 // times: the hook must fire once per jc panel, after that panel's final
 // k rank has been accumulated — never per pc step.
 func TestGemmBlockedEpilogueCoverage(t *testing.T) {
+	forEachKernel(t, testGemmBlockedEpilogueCoverage)
+}
+
+func testGemmBlockedEpilogueCoverage(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(8))
-	cf := blockConf{mc: 4, kc: 4, nc: 4}
-	for _, s := range []struct{ m, k, n int }{{9, 10, 11}, {4, 4, 4}, {13, 3, 5}} {
+	cf := kernConf(kern, 1, 4, 2)
+	for _, s := range []struct{ m, k, n int }{{9, 10, 11}, {4, 4, 4}, {13, 3, 5}, {9, 10, 37}} {
 		a := zeroableTile(rng, s.m, s.k)
 		b := zeroableTile(rng, s.k, s.n)
 		c := NewTile(s.m, s.n)
@@ -97,6 +105,10 @@ func TestGemmBlockedEpilogueCoverage(t *testing.T) {
 // bit-identical to a plain Gemm followed by the same transform as a
 // separate pass — on both dispatch tiers.
 func TestGemmHookedFusedMatchesPostPass(t *testing.T) {
+	forEachActiveKernel(t, testGemmHookedFusedMatchesPostPass)
+}
+
+func testGemmHookedFusedMatchesPostPass(t *testing.T, _ *microKern) {
 	rng := rand.New(rand.NewSource(9))
 	xform := func(x float64) float64 { return 0.5*x + 1 }
 	for _, s := range []struct{ m, k, n int }{{5, 7, 3}, {70, 64, 80}} {

@@ -1,13 +1,14 @@
 package linalg
 
 import (
+	"fmt"
 	"testing"
 )
 
 // Native fuzz targets for the blocked GEMM driver. Each target decodes
-// the fuzz payload into shapes, a (deliberately small) block
-// configuration and finite matrix data, then checks the blocked kernel
-// against the naive reference. Shapes are kept small so the fuzzer's
+// the fuzz payload into shapes, a micro-kernel, a (deliberately small)
+// block configuration and finite matrix data, then checks the blocked
+// kernel against the naive reference. Shapes are kept small so the fuzzer's
 // iteration rate stays high; the block configuration is shrunk to match,
 // which makes every fringe and multi-block path reachable at those sizes
 // even though the public cutoff would route them to the naive loop.
@@ -15,14 +16,18 @@ import (
 // fuzzDims decodes one byte into a dimension in [1, 48].
 func fuzzDims(b byte) int { return 1 + int(b)%48 }
 
-// fuzzConf decodes three bytes into a legal block configuration whose
+// fuzzHeader is the number of payload bytes that decode into dimensions,
+// block configuration and kernel; matrix data starts after it.
+const fuzzHeader = 7
+
+// fuzzConf decodes four bytes into a legal block configuration whose
 // blocks are small enough that fuzz-sized inputs span several of them.
-func fuzzConf(b0, b1, b2 byte) blockConf {
-	return blockConf{
-		mc: mr * (1 + int(b0)%6),
-		kc: 1 + int(b1)%24,
-		nc: nr * (1 + int(b2)%10),
-	}
+// The last byte picks the micro-kernel among those this process can run,
+// so one corpus drives the AVX2 and the scalar kernel alike (and only the
+// scalar one where that is all there is).
+func fuzzConf(b0, b1, b2, bk byte) blockConf {
+	kern := microKernels[int(bk)%len(microKernels)]
+	return kernConf(kern, 1+int(b0)%6, 1+int(b1)%24, 1+int(b2)%10)
 }
 
 // fuzzFill populates dst with finite values derived from the payload,
@@ -43,6 +48,10 @@ func fuzzFill(dst []float64, data []byte) {
 	}
 }
 
+func fuzzConfString(cf blockConf) string {
+	return fmt.Sprintf("{mc:%d kc:%d nc:%d kern:%s}", cf.mc, cf.kc, cf.nc, cf.kern.name)
+}
+
 func fuzzTile(rows, cols int, data []byte, salt byte) *Tile {
 	t := NewTile(rows, cols)
 	seeded := append([]byte{salt}, data...)
@@ -52,26 +61,27 @@ func fuzzTile(rows, cols int, data []byte, salt byte) *Tile {
 
 func FuzzGemm(f *testing.F) {
 	f.Add([]byte("gemm blocked differential seed"))
-	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{255, 1, 128, 7, 64, 200, 3, 0, 0, 99})
+	f.Add([]byte{47, 30, 40, 1, 9, 1, 1, 17, 0, 250, 3}) // kernel 1, fringe on both axes
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 6 {
+		if len(data) < fuzzHeader {
 			return
 		}
 		m, k, n := fuzzDims(data[0]), fuzzDims(data[1]), fuzzDims(data[2])
-		cf := fuzzConf(data[3], data[4], data[5])
-		a := fuzzTile(m, k, data[6:], 1)
-		b := fuzzTile(k, n, data[6:], 2)
-		got := fuzzTile(m, n, data[6:], 3)
+		cf := fuzzConf(data[3], data[4], data[5], data[6])
+		a := fuzzTile(m, k, data[fuzzHeader:], 1)
+		b := fuzzTile(k, n, data[fuzzHeader:], 2)
+		got := fuzzTile(m, n, data[fuzzHeader:], 3)
 		want := got.Clone()
 		gemmBlocked(cf, got, a, b, false, false, nil)
 		refGemm(want, a, b)
 		if !got.Equal(want) {
-			t.Fatalf("blocked gemm diverges from refGemm at %dx%dx%d conf %+v", m, k, n, cf)
+			t.Fatalf("blocked gemm diverges from refGemm at %dx%dx%d conf %s", m, k, n, fuzzConfString(cf))
 		}
 		// Public dispatch on the same data must agree too, whichever
 		// path the cutoff picks.
-		got2 := fuzzTile(m, n, data[6:], 3)
+		got2 := fuzzTile(m, n, data[fuzzHeader:], 3)
 		Gemm(got2, a, b)
 		if !got2.Equal(want) {
 			t.Fatalf("Gemm dispatch diverges from refGemm at %dx%dx%d", m, k, n)
@@ -83,22 +93,23 @@ func FuzzGemmTA(f *testing.F) {
 	f.Add([]byte("gemmTA blocked differential seed"))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 1, 2, 3})
 	f.Add([]byte{47, 13, 2, 0, 255, 31, 0, 128})
+	f.Add([]byte{8, 33, 16, 2, 6, 0, 1, 200, 100, 0, 50}) // kernel 1, n = 2 full tiles + 1 column
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 6 {
+		if len(data) < fuzzHeader {
 			return
 		}
 		m, k, n := fuzzDims(data[0]), fuzzDims(data[1]), fuzzDims(data[2])
-		cf := fuzzConf(data[3], data[4], data[5])
-		at := fuzzTile(k, m, data[6:], 4) // A is stored transposed: k x m
-		b := fuzzTile(k, n, data[6:], 5)
-		got := fuzzTile(m, n, data[6:], 6)
+		cf := fuzzConf(data[3], data[4], data[5], data[6])
+		at := fuzzTile(k, m, data[fuzzHeader:], 4) // A is stored transposed: k x m
+		b := fuzzTile(k, n, data[fuzzHeader:], 5)
+		got := fuzzTile(m, n, data[fuzzHeader:], 6)
 		want := got.Clone()
 		gemmBlocked(cf, got, at, b, true, false, nil)
 		refGemmTA(want, at, b)
 		if !got.Equal(want) {
-			t.Fatalf("blocked gemmTA diverges from refGemmTA at %dx%dx%d conf %+v", m, k, n, cf)
+			t.Fatalf("blocked gemmTA diverges from refGemmTA at %dx%dx%d conf %s", m, k, n, fuzzConfString(cf))
 		}
-		got2 := fuzzTile(m, n, data[6:], 6)
+		got2 := fuzzTile(m, n, data[fuzzHeader:], 6)
 		GemmTA(got2, at, b)
 		if !got2.Equal(want) {
 			t.Fatalf("GemmTA dispatch diverges from refGemmTA at %dx%dx%d", m, k, n)
@@ -110,30 +121,31 @@ func FuzzGemmTB(f *testing.F) {
 	f.Add([]byte("gemmTB blocked differential seed"))
 	f.Add([]byte{5, 40, 5, 0, 0, 0, 200, 100, 50})
 	f.Add([]byte{31, 31, 31, 255, 255, 255, 0})
+	f.Add([]byte{4, 20, 8, 0, 3, 0, 1, 9, 0, 77}) // kernel 1, m = mr+1, n = nr+1
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 6 {
+		if len(data) < fuzzHeader {
 			return
 		}
 		m, k, n := fuzzDims(data[0]), fuzzDims(data[1]), fuzzDims(data[2])
-		cf := fuzzConf(data[3], data[4], data[5])
-		a := fuzzTile(m, k, data[6:], 7)
-		bt := fuzzTile(n, k, data[6:], 8) // B is stored transposed: n x k
+		cf := fuzzConf(data[3], data[4], data[5], data[6])
+		a := fuzzTile(m, k, data[fuzzHeader:], 7)
+		bt := fuzzTile(n, k, data[fuzzHeader:], 8) // B is stored transposed: n x k
 		got := NewTile(m, n)
 		want := NewTile(m, n)
 		gemmBlocked(cf, got, a, bt, false, true, nil)
 		refGemmTB(want, a, bt)
 		if !got.Equal(want) {
-			t.Fatalf("blocked gemmTB diverges from refGemmTB at %dx%dx%d conf %+v", m, k, n, cf)
+			t.Fatalf("blocked gemmTB diverges from refGemmTB at %dx%dx%d conf %s", m, k, n, fuzzConfString(cf))
 		}
 		// Nonzero accumulator: since the refGemmTB accumulation fix both
 		// paths fold terms into the loaded C element ascending-k, so the
 		// TB branch is held to bit equality here too.
-		gotAcc := fuzzTile(m, n, data[6:], 9)
+		gotAcc := fuzzTile(m, n, data[fuzzHeader:], 9)
 		wantAcc := gotAcc.Clone()
 		gemmBlocked(cf, gotAcc, a, bt, false, true, nil)
 		refGemmTB(wantAcc, a, bt)
 		if !gotAcc.Equal(wantAcc) {
-			t.Fatalf("blocked gemmTB accumulate diverges from refGemmTB at %dx%dx%d conf %+v", m, k, n, cf)
+			t.Fatalf("blocked gemmTB accumulate diverges from refGemmTB at %dx%dx%d conf %s", m, k, n, fuzzConfString(cf))
 		}
 	})
 }

@@ -111,7 +111,7 @@ func gemmBlockedParallel(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueF
 			defer wg.Done()
 			sc := gemmPool.Get().(*gemmScratch)
 			defer gemmPool.Put(sc)
-			sc.ensure(ceilDiv(cf.mc, mr)*mr*cf.kc, cf.kc*ceilDiv(cf.nc, nr)*nr)
+			sc.ensure(cf.mc*cf.kc, cf.kc*cf.nc)
 			for {
 				cell := int(next.Add(1)) - 1
 				if cell >= total {
@@ -129,17 +129,9 @@ func gemmBlockedParallel(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueF
 				// the bit-exactness contract of block.go.
 				for pc := 0; pc < k; pc += cf.kc {
 					kb := minInt(cf.kc, k-pc)
-					packB(sc.b, b, tb, pc, kb, jc, nb)
-					packA(sc.a, a, ta, ic, mb, pc, kb)
-					for jr := 0; jr < nb; jr += nr {
-						bp := sc.b[(jr/nr)*kb*nr:]
-						cols := minInt(nr, nb-jr)
-						for ir := 0; ir < mb; ir += mr {
-							ap := sc.a[(ir/mr)*kb*mr:]
-							rows := minInt(mr, mb-ir)
-							microKernel(kb, ap, bp, c, ic+ir, jc+jr, rows, cols)
-						}
-					}
+					packB(sc.b, cf.kern.nr, b, tb, pc, kb, jc, nb)
+					packA(sc.a, cf.kern.mr, a, ta, ic, mb, pc, kb)
+					macroKernel(cf.kern, kb, sc.a, sc.b, c, ic, mb, jc, nb)
 				}
 				if epi != nil {
 					epi(ic, jc, mb, nb)
@@ -152,26 +144,39 @@ func gemmBlockedParallel(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueF
 
 // BlockShape is the exported cache-blocking configuration of the blocked
 // GEMM driver, as swept and persisted by the autotuner (package tune).
-// MC must be a positive multiple of the micro-kernel row count, NC of the
-// micro-kernel column count, and KC positive.
+// MC must be a positive multiple of the active micro-kernel's row count,
+// NC of its column count (multiples of BlockQuantum satisfy every
+// kernel), and KC positive.
 type BlockShape struct {
 	MC int `json:"mc"`
 	KC int `json:"kc"`
 	NC int `json:"nc"`
 }
 
-// Validate reports whether the shape is legal for the micro-kernel.
+// KernelName names the micro-kernel this process selected at init
+// ("avx2-4x8" or "scalar-4x2"). Results are bit-identical under either;
+// the name only labels measurements, which are not.
+func KernelName() string { return defaultBlockConf.kern.name }
+
+// Validate reports whether the shape is legal for the active micro-kernel.
 func (s BlockShape) Validate() error {
-	if s.MC <= 0 || s.MC%mr != 0 {
-		return fmt.Errorf("linalg: block MC %d must be a positive multiple of %d", s.MC, mr)
+	kern := defaultBlockConf.kern
+	if s.MC <= 0 || s.MC%kern.mr != 0 {
+		return fmt.Errorf("linalg: block MC %d must be a positive multiple of %d (kernel %s)", s.MC, kern.mr, kern.name)
 	}
-	if s.NC <= 0 || s.NC%nr != 0 {
-		return fmt.Errorf("linalg: block NC %d must be a positive multiple of %d", s.NC, nr)
+	if s.NC <= 0 || s.NC%kern.nr != 0 {
+		return fmt.Errorf("linalg: block NC %d must be a positive multiple of %d (kernel %s)", s.NC, kern.nr, kern.name)
 	}
 	if s.KC <= 0 {
 		return fmt.Errorf("linalg: block KC %d must be positive", s.KC)
 	}
 	return nil
+}
+
+// conf is the driver configuration for a validated shape under the
+// active micro-kernel.
+func (s BlockShape) conf() blockConf {
+	return blockConf{mc: s.MC, kc: s.KC, nc: s.NC, kern: defaultBlockConf.kern}
 }
 
 // BlockDefaults returns the blocking configuration the public kernels
@@ -190,7 +195,7 @@ func SetBlockDefaults(s BlockShape) (BlockShape, error) {
 		return BlockDefaults(), err
 	}
 	prev := BlockDefaults()
-	defaultBlockConf = blockConf{mc: s.MC, kc: s.KC, nc: s.NC}
+	defaultBlockConf = s.conf()
 	return prev, nil
 }
 
@@ -206,7 +211,7 @@ func GemmBlockedWith(s BlockShape, workers int, c, a, b *Tile) error {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		return fmt.Errorf("linalg: gemm shape mismatch %v * %v -> %v", a, b, c)
 	}
-	cf := blockConf{mc: s.MC, kc: s.KC, nc: s.NC}
+	cf := s.conf()
 	if workers > 1 {
 		gemmBlockedParallel(cf, c, a, b, false, false, nil, workers)
 		return nil

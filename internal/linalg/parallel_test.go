@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -22,10 +23,14 @@ var parallelWorkerCounts = []int{1, 2, 4, 8}
 // gemmBlockedSeq over random shapes and shrunken block configurations
 // that force many (jc, ic) cells per call, for every transpose mode.
 func TestParallelGemmBitIdentical(t *testing.T) {
+	forEachKernel(t, testParallelGemmBitIdentical)
+}
+
+func testParallelGemmBitIdentical(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
 		m, k, n := 1+rng.Intn(60), 1+rng.Intn(60), 1+rng.Intn(60)
-		cf := blockConf{mc: mr * (1 + rng.Intn(3)), kc: 1 + rng.Intn(16), nc: nr * (1 + rng.Intn(5))}
+		cf := kernConf(kern, 1+rng.Intn(3), 1+rng.Intn(16), 1+rng.Intn(5))
 		a, b := randTile(rng, m, k), randTile(rng, k, n)
 		at, bt := Transpose(a), Transpose(b)
 		c0 := randTile(rng, m, n)
@@ -41,6 +46,11 @@ func TestParallelGemmBitIdentical(t *testing.T) {
 		} {
 			want := c0.Clone()
 			gemmBlockedSeq(cf, want, mode.la, mode.lb, mode.ta, mode.tb, nil)
+			// Every kernel's sequential result is also the scalar
+			// kernel's: the two are interchangeable bit for bit.
+			scalar := c0.Clone()
+			gemmBlockedSeq(kernConf(&kernScalar, 2, cf.kc, 3), scalar, mode.la, mode.lb, mode.ta, mode.tb, nil)
+			assertExact(t, want, scalar, fmt.Sprintf("trial %d %s vs scalar kernel", trial, mode.name))
 			for _, w := range parallelWorkerCounts {
 				got := c0.Clone()
 				gemmBlockedParallel(cf, got, mode.la, mode.lb, mode.ta, mode.tb, nil, w)
@@ -56,10 +66,14 @@ func TestParallelGemmBitIdentical(t *testing.T) {
 // bit-for-bit — with every C element visited by the epilogue exactly
 // once.
 func TestParallelGemmHookedBitIdentical(t *testing.T) {
+	forEachKernel(t, testParallelGemmHookedBitIdentical)
+}
+
+func testParallelGemmHookedBitIdentical(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
 		m, k, n := 1+rng.Intn(50), 1+rng.Intn(50), 1+rng.Intn(50)
-		cf := blockConf{mc: mr * (1 + rng.Intn(3)), kc: 1 + rng.Intn(12), nc: nr * (1 + rng.Intn(4))}
+		cf := kernConf(kern, 1+rng.Intn(3), 1+rng.Intn(12), 1+rng.Intn(4))
 		a, b := randTile(rng, m, k), randTile(rng, k, n)
 		c0 := randTile(rng, m, n)
 
@@ -101,6 +115,10 @@ func TestParallelGemmHookedBitIdentical(t *testing.T) {
 // parallel cutoffs, and checks bit-identity against the naive references
 // — the end-to-end guarantee the engines rely on.
 func TestPublicKernelsUnderParallelism(t *testing.T) {
+	forEachActiveKernel(t, testPublicKernelsUnderParallelism)
+}
+
+func testPublicKernelsUnderParallelism(t *testing.T, _ *microKern) {
 	rng := rand.New(rand.NewSource(23))
 	n := 260 // 2·260³ ≈ 35M flops: above gemmParallelMinFlops
 	a, b := randTile(rng, n, n), randTile(rng, n, n)
@@ -152,31 +170,68 @@ func TestSetParallelism(t *testing.T) {
 	if w := gemmWorkers(defaultBlockConf, 512, 512, 512); w != 8 {
 		t.Fatalf("gemmWorkers(big grid) = %d, want 8", w)
 	}
-	if w := gemmWorkers(blockConf{mc: 4096, kc: 256, nc: 4096}, 512, 512, 512); w != 1 {
+	if w := gemmWorkers(blockConf{mc: 4096, kc: 256, nc: 4096, kern: &kernScalar}, 512, 512, 512); w != 1 {
 		t.Fatalf("gemmWorkers(one cell) = %d, want 1", w)
 	}
 }
 
+// forEachActiveKernel is forEachKernel with each kernel also installed as
+// the process's selected one (what init would have chosen on another
+// host), so the exported surface — Validate, GemmBlockedWith, the public
+// kernels — is exercised under each. Not parallel-safe, like the setters
+// it sits beside.
+func forEachActiveKernel(t *testing.T, body func(t *testing.T, kern *microKern)) {
+	t.Helper()
+	forEachKernel(t, func(t *testing.T, kern *microKern) {
+		prev := defaultBlockConf.kern
+		defaultBlockConf.kern = kern
+		defer func() { defaultBlockConf.kern = prev }()
+		body(t, kern)
+	})
+}
+
 // TestGemmBlockedWith covers the autotuner's measuring hook: explicit
 // shapes and worker counts must agree with the reference, and illegal
-// shapes must be rejected rather than mis-packed.
+// shapes must be rejected rather than mis-packed — with an error that
+// names the active kernel and the multiple it needs.
 func TestGemmBlockedWith(t *testing.T) {
+	forEachActiveKernel(t, testGemmBlockedWith)
+}
+
+func testGemmBlockedWith(t *testing.T, kern *microKern) {
 	rng := rand.New(rand.NewSource(24))
 	a, b := randTile(rng, 40, 30), randTile(rng, 30, 20)
 	want := NewTile(40, 20)
 	refGemm(want, a, b)
+	legal := BlockShape{MC: 2 * kern.mr, KC: 7, NC: 3 * kern.nr}
 	for _, w := range parallelWorkerCounts {
 		got := NewTile(40, 20)
-		if err := GemmBlockedWith(BlockShape{MC: 8, KC: 7, NC: 6}, w, got, a, b); err != nil {
+		if err := GemmBlockedWith(legal, w, got, a, b); err != nil {
 			t.Fatal(err)
 		}
 		assertExact(t, got, want, fmt.Sprintf("GemmBlockedWith w=%d", w))
 	}
-	if err := GemmBlockedWith(BlockShape{MC: 7, KC: 4, NC: 6}, 1, NewTile(40, 20), a, b); err == nil {
-		t.Fatal("GemmBlockedWith accepted MC not a multiple of mr")
+	for _, bad := range []struct {
+		shape BlockShape
+		need  string
+	}{
+		{BlockShape{MC: 2*kern.mr - 1, KC: 4, NC: 3 * kern.nr}, fmt.Sprintf("multiple of %d (kernel %s)", kern.mr, kern.name)},
+		{BlockShape{MC: 2 * kern.mr, KC: 4, NC: 3*kern.nr - 1}, fmt.Sprintf("multiple of %d (kernel %s)", kern.nr, kern.name)},
+	} {
+		err := GemmBlockedWith(bad.shape, 1, NewTile(40, 20), a, b)
+		if err == nil || !strings.Contains(err.Error(), bad.need) {
+			t.Fatalf("GemmBlockedWith(%+v) = %v, want an error saying %q", bad.shape, err, bad.need)
+		}
 	}
-	if err := GemmBlockedWith(BlockShape{MC: 8, KC: 4, NC: 6}, 1, NewTile(40, 21), a, b); err == nil {
+	if err := GemmBlockedWith(legal, 1, NewTile(40, 21), a, b); err == nil {
 		t.Fatal("GemmBlockedWith accepted a shape mismatch")
+	}
+	// A shape on the BlockQuantum grid is legal whichever kernel is active.
+	if err := (BlockShape{MC: BlockQuantum, KC: 1, NC: BlockQuantum}).Validate(); err != nil {
+		t.Fatalf("BlockQuantum shape rejected under %s: %v", kern.name, err)
+	}
+	if KernelName() != kern.name {
+		t.Fatalf("KernelName() = %q with %s active", KernelName(), kern.name)
 	}
 }
 
@@ -215,14 +270,19 @@ func TestParallelGemmScratchPooled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode drops sync.Pool items at random; alloc count is not stable")
 	}
+	forEachKernel(t, testParallelGemmScratchPooled)
+}
+
+func testParallelGemmScratchPooled(t *testing.T, kern *microKern) {
+	cf := prodConf(kern)
 	rng := rand.New(rand.NewSource(26))
 	const workers = 4
 	measure := func(n int) float64 {
 		a, b := randTile(rng, n, n), randTile(rng, n, n)
 		c := NewTile(n, n)
-		gemmBlockedParallel(defaultBlockConf, c, a, b, false, false, nil, workers) // warm the pool
+		gemmBlockedParallel(cf, c, a, b, false, false, nil, workers) // warm the pool
 		return testing.AllocsPerRun(10, func() {
-			gemmBlockedParallel(defaultBlockConf, c, a, b, false, false, nil, workers)
+			gemmBlockedParallel(cf, c, a, b, false, false, nil, workers)
 		})
 	}
 	small, large := measure(96), measure(192)

@@ -77,25 +77,20 @@ func (o Options) withDefaults() Options {
 // DefaultShapes returns the standard blocking-shape grid: the built-in
 // configuration plus neighbors that halve/double one factor at a time,
 // which is where real hosts differ (L2 size moves mc·kc, L3 moves
-// kc·nc).
+// kc·nc). Halved MC and NC land on linalg.BlockQuantum's grid, so all
+// seven shapes are legal whichever micro-kernel the host selected.
 func DefaultShapes() []linalg.BlockShape {
 	d := linalg.BlockDefaults()
-	shapes := []linalg.BlockShape{
+	half := func(v int) int { return max(v/2/linalg.BlockQuantum, 1) * linalg.BlockQuantum }
+	return []linalg.BlockShape{
 		d,
-		{MC: d.MC / 2, KC: d.KC, NC: d.NC},
+		{MC: half(d.MC), KC: d.KC, NC: d.NC},
 		{MC: d.MC * 2, KC: d.KC, NC: d.NC},
-		{MC: d.MC, KC: d.KC / 2, NC: d.NC},
+		{MC: d.MC, KC: max(d.KC/2, 1), NC: d.NC},
 		{MC: d.MC, KC: d.KC * 2, NC: d.NC},
-		{MC: d.MC, KC: d.KC, NC: d.NC / 2},
+		{MC: d.MC, KC: d.KC, NC: half(d.NC)},
 		{MC: d.MC, KC: d.KC, NC: d.NC * 2},
 	}
-	out := shapes[:0]
-	for _, s := range shapes {
-		if s.Validate() == nil {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // workerGrid returns the ascending worker counts to sweep: powers of two
@@ -117,13 +112,18 @@ type Point struct {
 
 // Profile is the persisted result of a sweep. The JSON rendering is
 // deterministic: fixed field order, points in sweep order (shape-major,
-// workers ascending), throughput rounded to 0.1 MFLOP/s.
+// workers ascending), throughput rounded to 0.1 MFLOP/s. Kernel names the
+// micro-kernel the numbers were measured under (linalg.KernelName; empty
+// in profiles written before it was recorded): throughput and the best
+// shape are that kernel's, so a profile is recognisable when it is
+// applied under another.
 type Profile struct {
 	Version    int     `json:"version"`
 	Size       int     `json:"size"`
 	Reps       int     `json:"reps"`
 	Seed       int64   `json:"seed"`
 	GoMaxProcs int     `json:"gomaxprocs"`
+	Kernel     string  `json:"kernel,omitempty"`
 	Best       Point   `json:"best"`
 	Baseline   Point   `json:"baseline"` // best sequential (workers=1) point
 	Points     []Point `json:"points"`
@@ -237,6 +237,7 @@ func Sweep(o Options) (*Profile, error) {
 		Reps:       o.Reps,
 		Seed:       o.Seed,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Kernel:     linalg.KernelName(),
 	}
 	for _, shape := range o.Shapes {
 		if err := shape.Validate(); err != nil {

@@ -137,3 +137,58 @@ func TestSpeedupClamps(t *testing.T) {
 		t.Fatalf("missing baseline speedup = %v, want 1", s)
 	}
 }
+
+// TestDefaultShapesLegalUnderEveryKernel: the default grid keeps all
+// seven neighbors and puts every halved MC and NC on linalg.BlockQuantum's
+// grid, which every micro-kernel's tile divides — so the grid is legal
+// under the AVX2 and the scalar kernel alike (this test runs under both:
+// the default build and CI's -tags purego step), also around an installed
+// shape whose halves would fall off the grid.
+func TestDefaultShapesLegalUnderEveryKernel(t *testing.T) {
+	orig := linalg.BlockDefaults()
+	defer linalg.SetBlockDefaults(orig)
+	for _, d := range []linalg.BlockShape{orig, {MC: 24, KC: 1, NC: 40}} {
+		if _, err := linalg.SetBlockDefaults(d); err != nil {
+			t.Fatal(err)
+		}
+		shapes := DefaultShapes()
+		if len(shapes) != 7 || shapes[0] != d {
+			t.Fatalf("DefaultShapes around %+v = %+v, want the shape and its six neighbors", d, shapes)
+		}
+		for _, s := range shapes {
+			if err := s.Validate(); err != nil {
+				t.Errorf("default shape %+v illegal under kernel %s: %v", s, linalg.KernelName(), err)
+			}
+		}
+		if mc, nc := shapes[1].MC, shapes[5].NC; mc%linalg.BlockQuantum != 0 || nc%linalg.BlockQuantum != 0 {
+			t.Errorf("halved MC %d / NC %d are off the BlockQuantum grid", mc, nc)
+		}
+	}
+}
+
+// TestProfileRecordsKernel: a sweep stamps the micro-kernel it measured,
+// and a profile written before the field existed still loads.
+func TestProfileRecordsKernel(t *testing.T) {
+	prof, err := Sweep(smokeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Kernel == "" || prof.Kernel != linalg.KernelName() {
+		t.Fatalf("profile kernel %q, want %q", prof.Kernel, linalg.KernelName())
+	}
+	var buf bytes.Buffer
+	if err := prof.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"kernel": "`+prof.Kernel+`"`) || !strings.Contains(buf.String(), `"version": 1`) {
+		t.Fatalf("profile JSON lacks the kernel name or moved the version:\n%s", buf.String())
+	}
+	old := `{"version": 1, "best": {"shape": {"mc": 64, "kc": 256, "nc": 512}, "workers": 1, "mflops": 100}, "points": [{}]}`
+	back, err := Read(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("profile without a kernel field rejected: %v", err)
+	}
+	if back.Kernel != "" {
+		t.Fatalf("kernel %q read from a profile that has none", back.Kernel)
+	}
+}

@@ -143,14 +143,16 @@ func depKey(planKey string, req opt.Request) string {
 // Compile returns the parsed program and compiled plan template for the
 // source under cfg, computing and caching them on first use. The
 // returned plan is shared and must be treated as read-only (Clone
-// before applying splits). The second return is the cache key, reusable
-// with Deployment.
-func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *plan.Plan, string, error) {
+// before applying splits). The third return is the cache key, reusable
+// with Deployment; the fourth reports whether this call found the entry
+// already present (the caller's own hit, not a counter another job may
+// bump).
+func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *plan.Plan, string, bool, error) {
 	key := Key(source, cfg)
 	c.mu.Lock()
 	c.tick++
-	e, ok := c.plans[key]
-	if ok {
+	e, hit := c.plans[key]
+	if hit {
 		c.hits++
 	} else {
 		c.misses++
@@ -174,9 +176,9 @@ func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *pla
 		e.prog, e.plan = prog, pl
 	})
 	if e.err != nil {
-		return nil, nil, key, e.err
+		return nil, nil, key, hit, e.err
 	}
-	return e.prog, e.plan, key, nil
+	return e.prog, e.plan, key, hit, nil
 }
 
 // Deployment returns the optimizer's winner for the request, running

@@ -23,11 +23,11 @@ func testCfg() plan.Config {
 func TestPlanCacheHitMiss(t *testing.T) {
 	c := NewPlanCache(0)
 	src, cfg := gnmfSource(), testCfg()
-	_, p1, key1, err := c.Compile(src, cfg)
+	_, p1, key1, _, err := c.Compile(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p2, key2, err := c.Compile(src, cfg)
+	_, p2, key2, _, err := c.Compile(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, p, _, err := c.Compile(src, cfg)
+			_, p, _, _, err := c.Compile(src, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -118,7 +118,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 func TestDeploymentCache(t *testing.T) {
 	c := NewPlanCache(0)
 	src, cfg := gnmfSource(), testCfg()
-	_, _, key, err := c.Compile(src, cfg)
+	_, _, key, _, err := c.Compile(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestDeploymentCache(t *testing.T) {
 // not poison the stats.
 func TestPlanCacheCompileError(t *testing.T) {
 	c := NewPlanCache(0)
-	if _, _, _, err := c.Compile("this is not a program", testCfg()); err == nil {
+	if _, _, _, _, err := c.Compile("this is not a program", testCfg()); err == nil {
 		t.Fatal("want parse error")
 	}
 	// The error is cached too: a retry is a hit that returns it again.
-	if _, _, _, err := c.Compile("this is not a program", testCfg()); err == nil {
+	if _, _, _, _, err := c.Compile("this is not a program", testCfg()); err == nil {
 		t.Fatal("want cached parse error")
 	}
 }

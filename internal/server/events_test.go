@@ -8,12 +8,15 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"cumulon/internal/cloud"
 	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/obs"
+	"cumulon/internal/workloads"
 )
 
 // fetchEvents long-polls a job's full event stream from seq 0 in one
@@ -436,7 +439,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	cfg := testCfg()
 	srcs := []string{gnmfSource(), gnmfSource() + "\n# v2", gnmfSource() + "\n# v3"}
 	for _, src := range srcs {
-		if _, _, _, err := c.Compile(src, cfg); err != nil {
+		if _, _, _, _, err := c.Compile(src, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +449,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 	// The oldest entry (srcs[0]) was evicted: recompiling misses.
 	before := c.Stats().PlanMisses
-	if _, _, _, err := c.Compile(srcs[0], cfg); err != nil {
+	if _, _, _, _, err := c.Compile(srcs[0], cfg); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().PlanMisses != before+1 {
@@ -454,7 +457,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 	// srcs[2] is still cached: hits.
 	beforeHits := c.Stats().PlanHits
-	if _, _, _, err := c.Compile(srcs[2], cfg); err != nil {
+	if _, _, _, _, err := c.Compile(srcs[2], cfg); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().PlanHits != beforeHits+1 {
@@ -512,4 +515,73 @@ func TestMetricsHaveTenantHistograms(t *testing.T) {
 	if presp.StatusCode == http.StatusOK {
 		t.Fatal("pprof mounted without Config.Pprof")
 	}
+}
+
+// TestPlanCacheVerdictIsPerJob: a job's plan-cache event must report its
+// own compile, not whatever another job did to the cache meanwhile. N
+// clients each submit fresh programs nobody else submits and resubmit
+// each once; every first submission's stream must carry exactly one miss
+// and no hit, every resubmission's exactly one hit and no miss — under
+// -race in CI, with the clients' compiles interleaving.
+func TestPlanCacheVerdictIsPerJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Nodes: 16})
+	const clients, rounds = 6, 5
+	verdicts := func(id string) (hits, misses int, err error) {
+		for {
+			var st JobStatus
+			if err := getJSON(http.DefaultClient, ts.URL+"/v1/jobs/"+id, &st); err != nil {
+				return 0, 0, err
+			}
+			if st.State.Terminal() {
+				if st.State != StateSucceeded {
+					return 0, 0, fmt.Errorf("job %s: %s (%s)", id, st.State, st.Error)
+				}
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var page EventPage
+		if err := getJSON(http.DefaultClient, ts.URL+"/v1/jobs/"+id+"/events?wait=0", &page); err != nil {
+			return 0, 0, err
+		}
+		for _, ev := range page.Events {
+			switch ev.Type {
+			case EvPlanCacheHit:
+				hits++
+			case EvPlanCacheMiss:
+				misses++
+			}
+		}
+		return hits, misses, nil
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// Dimensions unique to (client, round): a program no
+				// other submission shares.
+				src := workloads.GNMF(24+c, 18+r, 3, 6, 0.4).Prog.String()
+				for attempt, want := range []struct{ hits, misses int }{{0, 1}, {1, 0}} {
+					var st JobStatus
+					req := SubmitRequest{Tenant: "t", Program: src, Tile: 4, Nodes: 2}
+					if err := postJSON(http.DefaultClient, ts.URL+"/v1/jobs", req, &st); err != nil {
+						t.Errorf("client %d round %d: submit: %v", c, r, err)
+						return
+					}
+					hits, misses, err := verdicts(st.ID)
+					if err != nil {
+						t.Errorf("client %d round %d: %v", c, r, err)
+						return
+					}
+					if hits != want.hits || misses != want.misses {
+						t.Errorf("client %d round %d submission %d: %d plan-cache-hit and %d plan-cache-miss events, want %d and %d",
+							c, r, attempt, hits, misses, want.hits, want.misses)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

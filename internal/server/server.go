@@ -649,14 +649,13 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 	var out execOutcome
 	cfg := planConfig(j.prog, req)
 	j.events.emit(JobEvent{Type: EvCompiling})
-	before := s.cache.Stats().PlanHits
 	compileStart := time.Now()
-	prog, tmpl, _, err := s.cache.Compile(req.Program, cfg)
+	prog, tmpl, _, planHit, err := s.cache.Compile(req.Program, cfg)
 	out.compileSec = time.Since(compileStart).Seconds()
 	if err != nil {
 		return out, err
 	}
-	out.planHit = s.cache.Stats().PlanHits > before
+	out.planHit = planHit
 	if out.planHit {
 		j.events.emit(JobEvent{Type: EvPlanCacheHit})
 	} else {

@@ -43,7 +43,7 @@ output Out
 		d := linalg.RandomDense(ts, ts, 5).Map(func(x float64) float64 { return x + 0.5 })
 		loadInput(srcMap, in, d)
 	}
-	c := newCtx(Env{Src: srcMap, Interpret: interpret})
+	c := newCtx(&Task{Env: Env{Src: srcMap, Interpret: interpret}})
 	return c, job
 }
 
@@ -139,8 +139,8 @@ output Out
 				d := linalg.RandomDense(ts, ts, 6).Map(func(x float64) float64 { return x + 0.5 })
 				loadInput(srcMap, in, d)
 			}
-			c := newCtx(Env{Src: srcMap, Interpret: mode.interpret})
-			ks := Span{0, job.KTiles()}
+			c := newCtx(&Task{Env: Env{Src: srcMap, Interpret: mode.interpret}})
+			ks := Span{Lo: 0, Hi: job.KTiles()}
 			run := func() {
 				var epi *plan.TileProgram
 				if !mode.interpret {

@@ -94,6 +94,10 @@ type Result struct {
 type Task struct {
 	Env Env
 	Fn  func(*Ctx) error
+	// ops is the constructor's upper bound on the length of the trace, from
+	// the task's span geometry: the trace and the virtual-mode seen set are
+	// allocated once, at that size (0 grows them on demand).
+	ops int
 }
 
 // Backend runs compute tasks. Both implementations are deterministic in
@@ -114,7 +118,7 @@ type Backend interface {
 // runTask executes one task; the input tiles it decoded go back to the
 // process-wide pool when it ends.
 func runTask(t *Task) (*Result, error) {
-	c := newCtx(t.Env)
+	c := newCtx(t)
 	defer c.release()
 	if err := t.Fn(c); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
+	"cumulon/internal/plan"
 )
 
 func TestPartitionAxis(t *testing.T) {
@@ -15,14 +16,14 @@ func TestPartitionAxis(t *testing.T) {
 		want     []Span
 	}{
 		{0, 4, []Span{}},
-		{1, 4, []Span{{0, 1}}},
-		{4, 2, []Span{{0, 2}, {2, 4}}},
-		{5, 2, []Span{{0, 2}, {2, 5}}},
-		{7, 3, []Span{{0, 2}, {2, 4}, {4, 7}}},
-		{3, 1, []Span{{0, 3}}},
+		{1, 4, []Span{{Lo: 0, Hi: 1}}},
+		{4, 2, []Span{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}},
+		{5, 2, []Span{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 5}}},
+		{7, 3, []Span{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}, {Lo: 4, Hi: 7}}},
+		{3, 1, []Span{{Lo: 0, Hi: 3}}},
 	}
 	for _, c := range cases {
-		got := PartitionAxis(c.n, c.parts)
+		got := plan.PartitionAxis(c.n, c.parts)
 		if len(got) != len(c.want) {
 			t.Fatalf("PartitionAxis(%d,%d) = %v, want %v", c.n, c.parts, got, c.want)
 		}
@@ -35,7 +36,7 @@ func TestPartitionAxis(t *testing.T) {
 	// Spans must always tile [0, n) exactly, in order.
 	for _, n := range []int{1, 5, 16, 31, 100} {
 		for _, parts := range []int{1, 2, 3, 7, 200} {
-			spans := PartitionAxis(n, parts)
+			spans := plan.PartitionAxis(n, parts)
 			pos := 0
 			for _, sp := range spans {
 				if sp.Lo != pos || sp.Hi <= sp.Lo {

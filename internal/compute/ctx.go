@@ -27,9 +27,11 @@ type Ctx struct {
 	// ends.
 	dense, transposed map[tileKey]*linalg.Tile
 	sparse            map[tileKey]*linalg.CSRTile
-	// seen marks paths already traced in virtual mode, where the two
-	// access kinds share one marker (no payloads distinguish them).
-	seen map[string]bool
+	// seen marks tiles already traced in virtual mode, where the two
+	// access kinds share one marker (no payloads distinguish them) and no
+	// decoded-tile cache exists. It is keyed like the caches, so a repeat
+	// access formats no path.
+	seen map[tileKey]bool
 	// leafBuf is the reusable leaf-slot buffer of the compiled pipeline
 	// executor (pipeline.go); it keeps steady-state evaluation at zero
 	// allocations.
@@ -44,13 +46,16 @@ type tileKey struct {
 	ti, tj int
 }
 
-func newCtx(env Env) *Ctx {
-	return &Ctx{
-		env:    env,
-		dense:  map[tileKey]*linalg.Tile{},
-		sparse: map[tileKey]*linalg.CSRTile{},
-		seen:   map[string]bool{},
+func newCtx(t *Task) *Ctx {
+	c := &Ctx{env: t.Env}
+	c.res.Ops = make([]Op, 0, t.ops)
+	if t.Env.Virtual {
+		c.seen = make(map[tileKey]bool, t.ops)
+	} else {
+		c.dense = map[tileKey]*linalg.Tile{}
+		c.sparse = map[tileKey]*linalg.CSRTile{}
 	}
+	return c
 }
 
 // release returns every cached input tile to the pool. Nothing may use the
@@ -94,13 +99,14 @@ func (c *Ctx) traceRead(path string, sparse bool) {
 	c.res.Ops = append(c.res.Ops, Op{Path: path, Sparse: sparse})
 }
 
-// readVirtual records a read in virtual mode, once per path per task.
-func (c *Ctx) readVirtual(path string) {
-	if c.seen[path] {
+// readVirtual records a read in virtual mode, once per tile per task.
+func (c *Ctx) readVirtual(meta store.Meta, ti, tj int) {
+	key := tileKey{meta.Name, ti, tj}
+	if c.seen[key] {
 		return
 	}
-	c.seen[path] = true
-	c.traceRead(path, false)
+	c.seen[key] = true
+	c.traceRead(meta.TilePath(ti, tj), false)
 }
 
 // readDenseTile reads and decodes the dense tile at (ti, tj) of meta,
@@ -111,7 +117,7 @@ func (c *Ctx) readVirtual(path string) {
 // is zero allocations per evaluation).
 func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 	if c.virtual() {
-		c.readVirtual(meta.TilePath(ti, tj))
+		c.readVirtual(meta, ti, tj)
 		return nil, nil
 	}
 	key := tileKey{meta.Name, ti, tj}
@@ -153,7 +159,7 @@ func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 // readSparseTile reads a CSR tile (sparse fast path).
 func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int) (*linalg.CSRTile, error) {
 	if c.virtual() {
-		c.readVirtual(meta.TilePath(ti, tj))
+		c.readVirtual(meta, ti, tj)
 		return nil, nil
 	}
 	key := tileKey{meta.Name, ti, tj}

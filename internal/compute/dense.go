@@ -5,6 +5,7 @@ import (
 
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
+	"cumulon/internal/plan"
 )
 
 // Whole-matrix helpers: operator-at-a-time evaluation over linalg.Dense,
@@ -28,7 +29,7 @@ func stripeCount(b Backend) int {
 // runStripes partitions rows into stripes and runs fn over each on the
 // backend. fn must only write state disjoint per stripe.
 func runStripes(b Backend, rows int, fn func(lo, hi int)) {
-	spans := PartitionAxis(rows, stripeCount(b))
+	spans := plan.PartitionAxis(rows, stripeCount(b))
 	if len(spans) <= 1 {
 		fn(0, rows)
 		return

@@ -41,7 +41,7 @@ func loadInput(src mapSource, m store.Meta, d *linalg.Dense) {
 // optionally forcing a two-way k-split (partials plus aggregation) on
 // splittable Mul jobs.
 func jobTasks(env Env, j *plan.Job, kSplit bool) [][]*Task {
-	full := func(n int) Span { return Span{0, n} }
+	full := func(n int) Span { return Span{Lo: 0, Hi: n} }
 	is, js := full(j.ITiles()), full(j.JTiles())
 	switch {
 	case j.Kind == plan.MapKind:
@@ -49,7 +49,7 @@ func jobTasks(env Env, j *plan.Job, kSplit bool) [][]*Task {
 	case j.MaskLeaf != "":
 		return [][]*Task{{NewMaskedMulTask(env, j, j.Leaves[j.MaskLeaf], is, js, full(j.KTiles()))}}
 	case kSplit && j.KTiles() > 1:
-		kSpans := PartitionAxis(j.KTiles(), 2)
+		kSpans := plan.PartitionAxis(j.KTiles(), 2)
 		var partials []store.Meta
 		for c := range kSpans {
 			pm := j.Out

@@ -6,23 +6,23 @@ import (
 	"cumulon/internal/store"
 )
 
-// Span is a half-open chunk [Lo, Hi) of a tile axis.
-type Span struct{ Lo, Hi int }
+// Span is the planner's: how a split cuts an axis (plan.PartitionAxis) is
+// defined once, for the work profiles and for the tasks.
+type Span = plan.Span
 
-// PartitionAxis cuts n tile indices into parts balanced chunks.
-func PartitionAxis(n, parts int) []Span {
-	if parts > n {
-		parts = n
+// refs returns how many leaf tiles one evaluation of p reads at most (every
+// leaf of the job for a hand-built job without a tape).
+func refs(p *plan.TileProgram, j *plan.Job) int {
+	if p == nil {
+		return len(j.Leaves)
 	}
-	out := make([]Span, 0, parts)
-	for p := 0; p < parts; p++ {
-		lo := p * n / parts
-		hi := (p + 1) * n / parts
-		if hi > lo {
-			out = append(out, Span{lo, hi})
-		}
-	}
-	return out
+	return len(p.Refs)
+}
+
+// mulOps bounds the trace of a multiply chunk: the prologue tiles of both
+// sides, plus perOut reads and writes per output tile.
+func mulOps(j *plan.Job, is, js, ks Span, perOut int) int {
+	return is.Len()*ks.Len()*refs(j.LProg, j) + ks.Len()*js.Len()*refs(j.RProg, j) + is.Len()*js.Len()*perOut
 }
 
 // KExtent returns the element extent of inner-dimension tile k.
@@ -39,7 +39,7 @@ func KExtent(kSize, tileSize, k int) int {
 // compiled tape (j.Prog) runs one fused pass per tile; Env.Interpret (or a
 // hand-built job without a tape) falls back to the tree-walker oracle.
 func NewMapTask(env Env, j *plan.Job, is, js Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
+	return &Task{Env: env, ops: is.Len() * js.Len() * (refs(j.Prog, j) + 1), Fn: func(c *Ctx) error {
 		for ti := is.Lo; ti < is.Hi; ti++ {
 			for tj := js.Lo; tj < js.Hi; tj++ {
 				if j.Prog != nil && !env.Interpret {
@@ -73,7 +73,11 @@ func NewMapTask(env Env, j *plan.Job, is, js Span) *Task {
 // span ks, writing to outMeta (the job output, or a k-split partial) with
 // the given epilogue (nil for partials).
 func NewMulTask(env Env, j *plan.Job, outMeta store.Meta, epilogue lang.Expr, is, js, ks Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
+	perOut := 1 // the write
+	if epilogue != nil {
+		perOut += refs(j.EpiProg, j)
+	}
+	return &Task{Env: env, ops: mulOps(j, is, js, ks, perOut), Fn: func(c *Ctx) error {
 		// With compiled tapes the epilogue fuses into the final k step's
 		// blocked GEMM write-back inside mulTile; the tree-walker oracle
 		// applies it as a separate pass over the finished product.
@@ -109,7 +113,8 @@ func NewMulTask(env Env, j *plan.Job, outMeta store.Meta, epilogue lang.Expr, is
 // NewMaskedMulTask builds the compute task of one masked-multiply chunk:
 // the product restricted to the mask's stored positions, written sparsely.
 func NewMaskedMulTask(env Env, j *plan.Job, maskRef plan.LeafRef, is, js, ks Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
+	// Per output tile: the mask read and the write.
+	return &Task{Env: env, ops: mulOps(j, is, js, ks, 2), Fn: func(c *Ctx) error {
 		for ti := is.Lo; ti < is.Hi; ti++ {
 			for tj := js.Lo; tj < js.Hi; tj++ {
 				sp, err := c.mulTileMasked(j, maskRef, ti, tj, ks)
@@ -128,7 +133,8 @@ func NewMaskedMulTask(env Env, j *plan.Job, maskRef plan.LeafRef, is, js, ks Spa
 // NewAggTask builds the compute task of one aggregation chunk: sum the
 // partial matrices tile-wise and apply the job epilogue.
 func NewAggTask(env Env, j *plan.Job, partials []store.Meta, is, js Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
+	ops := is.Len() * js.Len() * (len(partials) + refs(j.EpiProg, j) + 1)
+	return &Task{Env: env, ops: ops, Fn: func(c *Ctx) error {
 		for ti := is.Lo; ti < is.Hi; ti++ {
 			for tj := js.Lo; tj < js.Hi; tj++ {
 				acc, err := c.sumTiles(partials, ti, tj)

@@ -1,9 +1,6 @@
 package dfs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file holds the administrative operations of the file system: usage
 // reporting, replica rebalancing after skewed ingest, and graceful
@@ -40,7 +37,7 @@ func (fs *FS) Balance(slack float64) int64 {
 		slack = 0
 	}
 	usage := fs.nodeUsageLocked()
-	live := fs.liveNodesLocked()
+	live := fs.live
 	if len(live) < 2 {
 		return 0
 	}
@@ -53,13 +50,10 @@ func (fs *FS) Balance(slack float64) int64 {
 
 	var moved int64
 	// Iterate files deterministically.
-	paths := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		for _, b := range fs.files[p].blocks {
+	for _, p := range fs.sortedPaths("") {
+		blocks := fs.files[p].blocks
+		for i := range blocks {
+			b := &blocks[i]
 			// Find a replica on an overloaded node and a live underloaded
 			// node that does not already hold the block.
 			for ri, r := range b.replicas {
@@ -103,7 +97,9 @@ func (fs *FS) Balance(slack float64) int64 {
 // Decommission gracefully retires a datanode: every replica it holds is
 // first copied to another live node (accounted as replication traffic),
 // then the node is marked dead. Unlike KillNode, no block ever drops
-// below its replica count — safe even at replication factor 1.
+// below its replica count — safe even at replication factor 1. Files are
+// processed in sorted path order: each target is the least-loaded node of a
+// running tally, so the outcome depends on the order.
 func (fs *FS) Decommission(node int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -114,7 +110,7 @@ func (fs *FS) Decommission(node int) error {
 		return fmt.Errorf("dfs: node %d is already dead", node)
 	}
 	targets := make([]int, 0, fs.cfg.Nodes)
-	for _, n := range fs.liveNodesLocked() {
+	for _, n := range fs.live {
 		if n != node {
 			targets = append(targets, n)
 		}
@@ -123,8 +119,10 @@ func (fs *FS) Decommission(node int) error {
 		return fmt.Errorf("dfs: cannot decommission the last live node")
 	}
 	usage := fs.nodeUsageLocked()
-	for _, f := range fs.files {
-		for _, b := range f.blocks {
+	for _, p := range fs.sortedPaths("") {
+		blocks := fs.files[p].blocks
+		for i := range blocks {
+			b := &blocks[i]
 			for ri, r := range b.replicas {
 				if r != node {
 					continue
@@ -157,6 +155,6 @@ func (fs *FS) Decommission(node int) error {
 			}
 		}
 	}
-	fs.dead[node] = true
+	fs.markDead(node)
 	return nil
 }

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -134,5 +135,37 @@ func TestDecommissionFullyReplicatedBlocks(t *testing.T) {
 	}
 	if len(nodes) != 2 {
 		t.Fatalf("replicas after decommission: %v", nodes)
+	}
+}
+
+// Decommission picks each replica's new home from a running usage tally, so
+// the order it visits files in decides the outcome: two file systems built
+// the same way must end up with the same placement.
+func TestDecommissionDeterministic(t *testing.T) {
+	build := func() *FS {
+		fs := New(Config{Nodes: 6, Replication: 2, BlockSize: 64, Seed: 3})
+		for i := 0; i < 60; i++ {
+			if err := fs.WriteVirtual(fmt.Sprintf("/f%02d", i), int64(10+i%7*30), i%6); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Decommission(2); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	want := build()
+	for round := 0; round < 5; round++ {
+		got := build()
+		for _, p := range want.List("") {
+			w, _ := want.BlockReplicas(p)
+			g, _ := got.BlockReplicas(p)
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("round %d: %s placed on %v, first build had %v", round, p, g, w)
+			}
+		}
+		if !reflect.DeepEqual(got.NodeUsage(), want.NodeUsage()) {
+			t.Fatalf("round %d: usage %v, first build had %v", round, got.NodeUsage(), want.NodeUsage())
+		}
 	}
 }

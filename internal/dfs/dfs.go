@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -60,9 +61,18 @@ type block struct {
 }
 
 type file struct {
-	blocks  []*block
+	blocks  []block
 	size    int64
 	virtual bool
+	one     [1]block // backing array of blocks for a single-block file
+}
+
+// newFile returns an empty file whose first block needs no allocation of
+// its own.
+func newFile(size int64, virtual bool) *file {
+	f := &file{size: size, virtual: virtual}
+	f.blocks = f.one[:0]
+	return f
 }
 
 // IOStats aggregates byte counters; one instance exists per node plus one
@@ -83,9 +93,14 @@ type FS struct {
 	cfg   Config
 	rng   *rand.Rand
 	files map[string]*file
-	dead  map[int]bool
+	dead  []bool    // per node
+	live  []int     // live node ids, ascending; rebuilt by markDead only
 	stats []IOStats // per node
 	total IOStats
+	// used and cands are the scratch of fillReplicaTargets, so placing a
+	// block allocates nothing but its replica list.
+	used  []bool
+	cands []int
 }
 
 // New creates a file system with the given configuration. Replication is
@@ -103,13 +118,39 @@ func New(cfg Config) *FS {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 64 << 20
 	}
-	return &FS{
+	fs := &FS{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		files: make(map[string]*file),
-		dead:  make(map[int]bool),
+		dead:  make([]bool, cfg.Nodes),
+		live:  make([]int, cfg.Nodes),
 		stats: make([]IOStats, cfg.Nodes),
+		used:  make([]bool, cfg.Nodes),
+		cands: make([]int, 0, cfg.Nodes),
 	}
+	for n := range fs.live {
+		fs.live[n] = n
+	}
+	return fs
+}
+
+// isDead reports whether node is a dead datanode; an id outside
+// [0, Nodes) is an external client, which is never dead.
+func (fs *FS) isDead(node int) bool {
+	return node >= 0 && node < len(fs.dead) && fs.dead[node]
+}
+
+// markDead flags a live, in-range node dead and drops it from the live
+// list. Caller holds the lock.
+func (fs *FS) markDead(node int) {
+	fs.dead[node] = true
+	live := fs.live[:0]
+	for _, n := range fs.live {
+		if n != node {
+			live = append(live, n)
+		}
+	}
+	fs.live = live
 }
 
 // Nodes returns the number of datanodes (live or dead).
@@ -150,16 +191,16 @@ func (fs *FS) Write(path string, data []byte, writerNode int) error {
 	if _, ok := fs.files[path]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, path)
 	}
-	if writerNode >= 0 && fs.dead[writerNode] {
+	if fs.isDead(writerNode) {
 		return fmt.Errorf("%w: %d", ErrDeadNode, writerNode)
 	}
-	f := &file{size: int64(len(data))}
+	f := newFile(int64(len(data)), false)
 	for off := int64(0); off == 0 || off < int64(len(data)); off += fs.cfg.BlockSize {
 		end := off + fs.cfg.BlockSize
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		b := &block{data: data[off:end:end], size: end - off, replicas: fs.placeReplicas(writerNode)}
+		b := block{data: data[off:end:end], size: end - off, replicas: fs.placeReplicas(writerNode)}
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
@@ -179,19 +220,19 @@ func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 	if _, ok := fs.files[path]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, path)
 	}
-	if writerNode >= 0 && fs.dead[writerNode] {
+	if fs.isDead(writerNode) {
 		return fmt.Errorf("%w: %d", ErrDeadNode, writerNode)
 	}
 	if size < 0 {
 		return fmt.Errorf("dfs: negative size %d for %s", size, path)
 	}
-	f := &file{size: size, virtual: true}
+	f := newFile(size, true)
 	for off := int64(0); off == 0 || off < size; off += fs.cfg.BlockSize {
 		bs := fs.cfg.BlockSize
 		if off+bs > size {
 			bs = size - off
 		}
-		b := &block{size: bs, replicas: fs.placeReplicas(writerNode)}
+		b := block{size: bs, replicas: fs.placeReplicas(writerNode)}
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
@@ -199,7 +240,7 @@ func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 	return nil
 }
 
-func (fs *FS) accountWrite(b *block) {
+func (fs *FS) accountWrite(b block) {
 	primary := b.replicas[0]
 	fs.stats[primary].WrittenBytes += b.size
 	fs.total.WrittenBytes += b.size
@@ -222,8 +263,8 @@ type ReadSplit struct {
 // Total returns the total bytes of the read.
 func (r ReadSplit) Total() int64 { return r.Local + r.RackLocal + r.Remote }
 
-// classify determines the read class of a block for readerNode and
-// accounts it; caller holds the lock.
+// classify determines the read class of a block for readerNode (-1 for an
+// external client) and accounts it; caller holds the lock.
 func (fs *FS) classify(b *block, live []int, readerNode int, sp *ReadSplit) {
 	for _, r := range live {
 		if r == readerNode {
@@ -258,15 +299,28 @@ func (fs *FS) classify(b *block, live []int, readerNode int, sp *ReadSplit) {
 func (fs *FS) ReadAccount(path string, readerNode int) (ReadSplit, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var sp ReadSplit
 	f, ok := fs.files[path]
 	if !ok {
-		return sp, fmt.Errorf("%w: %s", ErrNotFound, path)
+		return ReadSplit{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	if readerNode >= 0 && fs.dead[readerNode] {
+	return fs.accountRead(f, path, readerNode)
+}
+
+// accountRead classifies and accounts a read of every block of f by
+// readerNode. A reader id outside [0, Nodes) — negative, or one past the
+// cluster from a stale topology — is an external client, as for writes: its
+// bytes are remote and charged to the cluster total only. Caller holds the
+// lock.
+func (fs *FS) accountRead(f *file, path string, readerNode int) (ReadSplit, error) {
+	var sp ReadSplit
+	if readerNode >= fs.cfg.Nodes {
+		readerNode = -1
+	}
+	if fs.isDead(readerNode) {
 		return sp, fmt.Errorf("%w: %d", ErrDeadNode, readerNode)
 	}
-	for _, b := range f.blocks {
+	for i := range f.blocks {
+		b := &f.blocks[i]
 		live := fs.liveReplicas(b)
 		if len(live) == 0 {
 			return sp, fmt.Errorf("%w: %s", ErrUnavailable, path)
@@ -285,13 +339,12 @@ func (fs *FS) ReadAccount(path string, readerNode int) (ReadSplit, error) {
 // uploader addressed by a stale topology — is an external client: all
 // replicas are placed randomly.
 func (fs *FS) placeReplicas(writerNode int) []int {
-	live := fs.liveNodesLocked()
-	if len(live) == 0 {
+	if len(fs.live) == 0 {
 		panic("dfs: no live nodes")
 	}
 	want := fs.cfg.Replication
-	if want > len(live) {
-		want = len(live)
+	if want > len(fs.live) {
+		want = len(fs.live)
 	}
 	replicas := make([]int, 0, want)
 	if writerNode >= 0 && writerNode < fs.cfg.Nodes && !fs.dead[writerNode] {
@@ -305,23 +358,29 @@ func (fs *FS) placeReplicas(writerNode int) []int {
 // (second replica off the first's rack, third on the second's rack) and
 // filling the rest uniformly at random. It is the shared target-selection
 // policy of fresh writes and of post-failure re-replication, so recovered
-// blocks spread exactly like newly written ones. Caller holds the lock.
+// blocks spread exactly like newly written ones. The candidates — the live
+// nodes not yet holding the block, ascending — are shuffled once per call,
+// whatever want is: the draw sequence of the placement stream is part of
+// every golden trace. Caller holds the lock.
 func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
-	used := map[int]bool{}
+	used := fs.used
+	clear(used)
 	for _, r := range replicas {
 		used[r] = true
 	}
-	var cands []int
-	for _, n := range fs.liveNodesLocked() {
+	cands := fs.cands[:0]
+	for _, n := range fs.live {
 		if !used[n] {
 			cands = append(cands, n)
 		}
 	}
 	fs.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 
-	pick := func(pred func(n int) bool) bool {
+	// pick takes the first unused candidate that is on rack (on) or off it
+	// (!on); rack < 0 accepts any.
+	pick := func(rack int, on bool) bool {
 		for _, n := range cands {
-			if !used[n] && pred(n) {
+			if !used[n] && (rack < 0 || (fs.RackOf(n) == rack) == on) {
 				replicas = append(replicas, n)
 				used[n] = true
 				return true
@@ -330,25 +389,16 @@ func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
 		return false
 	}
 	if fs.cfg.RackSize > 0 && len(replicas) > 0 {
-		firstRack := fs.RackOf(replicas[0])
-		if len(replicas) < want {
-			// Second replica off-rack (fall back to any node).
-			if !pick(func(n int) bool { return fs.RackOf(n) != firstRack }) {
-				pick(func(int) bool { return true })
-			}
+		// Second replica off the first's rack, third on the second's rack;
+		// either falls back to any node.
+		if len(replicas) < want && !pick(fs.RackOf(replicas[0]), false) {
+			pick(-1, true)
 		}
-		if len(replicas) >= 2 && len(replicas) < want {
-			// Third replica on the second replica's rack.
-			secondRack := fs.RackOf(replicas[1])
-			if !pick(func(n int) bool { return fs.RackOf(n) == secondRack }) {
-				pick(func(int) bool { return true })
-			}
+		if len(replicas) >= 2 && len(replicas) < want && !pick(fs.RackOf(replicas[1]), true) {
+			pick(-1, true)
 		}
 	}
-	for len(replicas) < want {
-		if !pick(func(int) bool { return true }) {
-			break
-		}
+	for len(replicas) < want && pick(-1, true) {
 	}
 	return replicas
 }
@@ -361,8 +411,8 @@ func (f *file) contents() []byte {
 		return f.blocks[0].data
 	}
 	out := make([]byte, 0, f.size)
-	for _, b := range f.blocks {
-		out = append(out, b.data...)
+	for i := range f.blocks {
+		out = append(out, f.blocks[i].data...)
 	}
 	return out
 }
@@ -383,23 +433,16 @@ func (fs *FS) Read(path string, readerNode int) ([]byte, error) {
 func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var sp ReadSplit
 	f, ok := fs.files[path]
 	if !ok {
-		return nil, sp, fmt.Errorf("%w: %s", ErrNotFound, path)
+		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	if f.virtual {
-		return nil, sp, fmt.Errorf("%w: %s", ErrVirtual, path)
+		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrVirtual, path)
 	}
-	if readerNode >= 0 && fs.dead[readerNode] {
-		return nil, sp, fmt.Errorf("%w: %d", ErrDeadNode, readerNode)
-	}
-	for _, b := range f.blocks {
-		live := fs.liveReplicas(b)
-		if len(live) == 0 {
-			return nil, sp, fmt.Errorf("%w: %s", ErrUnavailable, path)
-		}
-		fs.classify(b, live, readerNode, &sp)
+	sp, err := fs.accountRead(f, path, readerNode)
+	if err != nil {
+		return nil, sp, err
 	}
 	return f.contents(), sp, nil
 }
@@ -422,8 +465,8 @@ func (fs *FS) Peek(path string) ([]byte, error) {
 	if f.virtual {
 		return nil, fmt.Errorf("%w: %s", ErrVirtual, path)
 	}
-	for _, b := range f.blocks {
-		if len(fs.liveReplicas(b)) == 0 {
+	for i := range f.blocks {
+		if len(fs.liveReplicas(&f.blocks[i])) == 0 {
 			return nil, fmt.Errorf("%w: %s", ErrUnavailable, path)
 		}
 	}
@@ -439,9 +482,9 @@ func (fs *FS) Locality(path string, readerNode int) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	for _, b := range f.blocks {
+	for i := range f.blocks {
 		found := false
-		for _, r := range fs.liveReplicas(b) {
+		for _, r := range fs.liveReplicas(&f.blocks[i]) {
 			if r == readerNode {
 				found = true
 				break
@@ -464,8 +507,8 @@ func (fs *FS) ReplicaNodes(path string) ([]int, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	set := map[int]bool{}
-	for _, b := range f.blocks {
-		for _, r := range fs.liveReplicas(b) {
+	for i := range f.blocks {
+		for _, r := range fs.liveReplicas(&f.blocks[i]) {
 			set[r] = true
 		}
 	}
@@ -475,6 +518,26 @@ func (fs *FS) ReplicaNodes(path string) ([]int, error) {
 	}
 	sort.Ints(nodes)
 	return nodes, nil
+}
+
+// FirstReplicaNode returns the lowest-numbered live node holding a replica
+// of some block of the file — ReplicaNodes(path)[0] without building the
+// set — or -1 when the file is missing or has no live replica. The engine
+// asks it once per task for a locality hint.
+func (fs *FS) FirstReplicaNode(path string) int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	first := -1
+	if f, ok := fs.files[path]; ok {
+		for i := range f.blocks {
+			for _, r := range f.blocks[i].replicas {
+				if !fs.dead[r] && (first < 0 || r < first) {
+					first = r
+				}
+			}
+		}
+	}
+	return first
 }
 
 // Exists reports whether path is present.
@@ -504,13 +567,32 @@ func (fs *FS) Delete(path string) {
 	delete(fs.files, path)
 }
 
+// DeletePrefix removes every file whose path starts with prefix, without
+// listing or ordering them (deletion order is unobservable).
+func (fs *FS) DeletePrefix(prefix string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for p := range fs.files {
+		if strings.HasPrefix(p, prefix) {
+			delete(fs.files, p)
+		}
+	}
+}
+
 // List returns all paths with the given prefix, sorted.
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	return fs.sortedPaths(prefix)
+}
+
+// sortedPaths returns the stored paths under prefix in sorted order — the
+// order every whole-namespace operation that draws from the placement
+// stream or keeps a running tally must use. Caller holds the lock.
+func (fs *FS) sortedPaths(prefix string) []string {
 	var out []string
 	for p := range fs.files {
-		if len(p) >= len(prefix) && p[:len(prefix)] == prefix {
+		if strings.HasPrefix(p, prefix) {
 			out = append(out, p)
 		}
 	}
@@ -543,15 +625,12 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 	if node < 0 || node >= fs.cfg.Nodes || fs.dead[node] {
 		return rep
 	}
-	fs.dead[node] = true
-	liveNodes := len(fs.liveNodesLocked())
-	paths := make([]string, 0, len(fs.files))
-	for p := range fs.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		for _, b := range fs.files[p].blocks {
+	fs.markDead(node)
+	liveNodes := len(fs.live)
+	for _, p := range fs.sortedPaths("") {
+		blocks := fs.files[p].blocks
+		for i := range blocks {
+			b := &blocks[i]
 			lost := false
 			for _, r := range b.replicas {
 				if r == node {
@@ -617,8 +696,8 @@ func (fs *FS) Reseed(seed int64) {
 func (fs *FS) MarkDead(node int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if node >= 0 && node < fs.cfg.Nodes {
-		fs.dead[node] = true
+	if node >= 0 && node < fs.cfg.Nodes && !fs.dead[node] {
+		fs.markDead(node)
 	}
 }
 
@@ -633,8 +712,8 @@ func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	out := make([][]int, len(f.blocks))
-	for i, b := range f.blocks {
-		out[i] = append([]int(nil), b.replicas...)
+	for i := range f.blocks {
+		out[i] = append([]int(nil), f.blocks[i].replicas...)
 	}
 	return out, nil
 }
@@ -665,7 +744,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 	if len(replicas) != nBlocks {
 		return fmt.Errorf("dfs: %s wants %d block replica lists, got %d", path, nBlocks, len(replicas))
 	}
-	f := &file{size: size, virtual: data == nil}
+	f := newFile(size, data == nil)
 	for i := 0; i < nBlocks; i++ {
 		if len(replicas[i]) == 0 {
 			return fmt.Errorf("dfs: %s block %d has no replicas", path, i)
@@ -680,7 +759,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 		if end > size {
 			end = size
 		}
-		b := &block{size: end - off, replicas: append([]int(nil), replicas[i]...)}
+		b := block{size: end - off, replicas: append([]int(nil), replicas[i]...)}
 		if data != nil {
 			b.data = data[off:end:end]
 		}
@@ -737,21 +816,16 @@ func (fs *FS) TotalBytes() int64 {
 	return n
 }
 
+// liveReplicas returns the block's replicas on live nodes: the stored list
+// itself (read-only) while no node is dead, a filtered copy otherwise.
 func (fs *FS) liveReplicas(b *block) []int {
+	if len(fs.live) == fs.cfg.Nodes {
+		return b.replicas
+	}
 	var out []int
 	for _, r := range b.replicas {
 		if !fs.dead[r] {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (fs *FS) liveNodesLocked() []int {
-	var out []int
-	for n := 0; n < fs.cfg.Nodes; n++ {
-		if !fs.dead[n] {
-			out = append(out, n)
 		}
 	}
 	return out

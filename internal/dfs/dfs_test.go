@@ -450,6 +450,70 @@ func TestExternalWriterPastClusterTreatedAsClient(t *testing.T) {
 	}
 }
 
+// A reader id at or past Nodes is an external client, exactly like a writer
+// id there: its bytes are remote and charged to the cluster total only.
+func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
+	for _, rackSize := range []int{0, 2} {
+		fs := New(Config{Nodes: 4, Replication: 2, Seed: 6, RackSize: rackSize})
+		if err := fs.Write("/real", make([]byte, 100), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteVirtual("/virt", 40, 2); err != nil {
+			t.Fatal(err)
+		}
+		fs.ResetStats()
+		sp, err := fs.ReadAccount("/virt", 4)
+		if err != nil || sp != (ReadSplit{Remote: 40}) {
+			t.Fatalf("ReadAccount by node 4 of 4: %+v, err %v", sp, err)
+		}
+		data, sp, err := fs.ReadTracked("/real", 100)
+		if err != nil || len(data) != 100 || sp != (ReadSplit{Remote: 100}) {
+			t.Fatalf("ReadTracked by node 100 of 4: %d bytes, %+v, err %v", len(data), sp, err)
+		}
+		if got := fs.Stats(-1); got != (IOStats{RemoteReadBytes: 140}) {
+			t.Fatalf("cluster total %+v, want 140 remote bytes only", got)
+		}
+		for n := 0; n < 4; n++ {
+			if got := fs.Stats(n); got != (IOStats{}) {
+				t.Fatalf("node %d charged for an external read: %+v", n, got)
+			}
+		}
+		if local, err := fs.Locality("/real", 7); err != nil || local {
+			t.Fatalf("Locality for node 7 of 4: %v, err %v", local, err)
+		}
+	}
+}
+
+// FirstReplicaNode is ReplicaNodes(path)[0], through kills and for missing
+// and unavailable files.
+func TestFirstReplicaNodeMatchesReplicaNodes(t *testing.T) {
+	fs := New(Config{Nodes: 6, Replication: 2, BlockSize: 32, Seed: 4})
+	for i := 0; i < 20; i++ {
+		if err := fs.WriteVirtual(fmt.Sprintf("/f%d", i), int64(20+i*9), i%6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func() {
+		t.Helper()
+		for i := 0; i < 21; i++ { // /f20 does not exist
+			p := fmt.Sprintf("/f%d", i)
+			want := -1
+			if nodes, err := fs.ReplicaNodes(p); err == nil && len(nodes) > 0 {
+				want = nodes[0]
+			}
+			if got := fs.FirstReplicaNode(p); got != want {
+				t.Fatalf("FirstReplicaNode(%s) = %d, ReplicaNodes gives %d", p, got, want)
+			}
+		}
+	}
+	check()
+	fs.KillNode(0)
+	check()
+	fs.MarkDead(1) // no re-replication: some files lose their only live copy
+	fs.MarkDead(2)
+	check()
+}
+
 func TestKillNodeReportAndSourceCharging(t *testing.T) {
 	fs := New(Config{Nodes: 6, Replication: 2, Seed: 8})
 	const size = 1000

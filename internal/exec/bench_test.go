@@ -115,7 +115,9 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 }
 
 // BenchmarkVirtualMatMulRun measures the engine's scheduling throughput:
-// one full virtual execution of a 256-task matrix multiply.
+// one full virtual execution of a 256-task matrix multiply. Its allocs/op
+// repeats exactly, so CI gates it (see ci.yml): a virtual run allocates per
+// task, not per tile access or per block.
 func BenchmarkVirtualMatMulRun(b *testing.B) {
 	mt, err := cloud.TypeByName("m1.large")
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
@@ -392,16 +393,17 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 		e.rec.SetAttrs(jspan, obs.Attrs{JobID: j.ID, Deps: j.Deps})
 	}
 	clock := jobStart
-	nPhases := 0
 	nTasks := 0
+	for _, tasks := range phases {
+		nTasks += len(tasks)
+	}
+	m.Tasks = slices.Grow(m.Tasks, nTasks)
 	for phase, tasks := range phases {
 		end, err := e.schedulePhase(j.ID, phase, tasks, clock, slots, m, jspan)
 		if err != nil {
 			return 0, err
 		}
 		clock = end
-		nPhases++
-		nTasks += len(tasks)
 	}
 	e.rec.End(jspan, clock)
 	for _, c := range cleanup {
@@ -411,7 +413,7 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 		JobID:    j.ID,
 		Name:     j.Name,
 		Kind:     j.Kind.String(),
-		Phases:   nPhases,
+		Phases:   len(phases),
 		Tasks:    nTasks,
 		StartSec: start,
 		EndSec:   clock,
@@ -448,7 +450,7 @@ func (e *Engine) schedulePhase(jobID, phase int, tasks []*task, notBefore float6
 		cts[t.index] = t.ct
 	}
 	fetch := e.backend.RunBatch(cts)
-	var placements []specPlacement
+	placements := make([]specPlacement, 0, len(tasks))
 	pending := append([]*task(nil), tasks...)
 	end := notBefore
 	for len(pending) > 0 {

@@ -23,7 +23,7 @@ type work struct {
 // replays the resulting trace on whichever node the scheduler picked.
 type task struct {
 	index    int
-	prefNode int // preferred (data-local) node, -1 if none
+	prefNode int // a node holding the task's first input tile (data-local), -1 if none
 	ct       *compute.Task
 }
 
@@ -42,14 +42,14 @@ func (e *Engine) buildTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 }
 
 func (e *Engine) buildMapTasks(j *plan.Job) []*task {
-	iSpans := compute.PartitionAxis(j.ITiles(), j.Split.CI)
-	jSpans := compute.PartitionAxis(j.JTiles(), j.Split.CJ)
-	var tasks []*task
+	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
+	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
+	tasks := make([]*task, 0, len(iSpans)*len(jSpans))
 	for _, is := range iSpans {
 		for _, js := range jSpans {
 			tasks = append(tasks, &task{
 				index:    len(tasks),
-				prefNode: e.preferredNode(firstLeafPath(j.Prog, is.Lo, js.Lo)),
+				prefNode: e.fs.FirstReplicaNode(firstLeafPath(j.Prog, is.Lo, js.Lo)),
 				ct:       compute.NewMapTask(e.env, j, is, js),
 			})
 		}
@@ -58,9 +58,9 @@ func (e *Engine) buildMapTasks(j *plan.Job) []*task {
 }
 
 func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
-	iSpans := compute.PartitionAxis(j.ITiles(), j.Split.CI)
-	jSpans := compute.PartitionAxis(j.JTiles(), j.Split.CJ)
-	kSpans := compute.PartitionAxis(j.KTiles(), j.Split.CK)
+	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
+	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
+	kSpans := plan.PartitionAxis(j.KTiles(), j.Split.CK)
 	singleK := len(kSpans) == 1
 	if j.MaskLeaf != "" {
 		if !singleK {
@@ -81,8 +81,12 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 		}
 	}
 
-	var phase1 []*task
+	phase1 := make([]*task, 0, len(iSpans)*len(jSpans)*len(kSpans))
+	pref := make([]int, len(kSpans)) // the hint depends on (is, ks) only
 	for _, is := range iSpans {
+		for kc, ks := range kSpans {
+			pref[kc] = e.fs.FirstReplicaNode(firstLeafPath(j.LProg, is.Lo, ks.Lo))
+		}
 		for _, js := range jSpans {
 			for kc, ks := range kSpans {
 				outMeta := j.Out
@@ -93,7 +97,7 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 				}
 				phase1 = append(phase1, &task{
 					index:    len(phase1),
-					prefNode: e.preferredNode(firstLeafPath(j.LProg, is.Lo, ks.Lo)),
+					prefNode: pref[kc],
 					ct:       compute.NewMulTask(e.env, j, outMeta, epilogue, is, js, ks),
 				})
 			}
@@ -104,12 +108,12 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 	}
 
 	// Phase 2: aggregate the partials and apply the epilogue.
-	var phase2 []*task
+	phase2 := make([]*task, 0, len(iSpans)*len(jSpans))
 	for _, is := range iSpans {
 		for _, js := range jSpans {
 			phase2 = append(phase2, &task{
 				index:    len(phase2),
-				prefNode: e.preferredNode(partials[0].TilePath(is.Lo, js.Lo)),
+				prefNode: e.fs.FirstReplicaNode(partials[0].TilePath(is.Lo, js.Lo)),
 				ct:       compute.NewAggTask(e.env, j, partials, is, js),
 			})
 		}
@@ -131,7 +135,7 @@ func (e *Engine) buildMaskedMulTasks(j *plan.Job, iSpans, jSpans []compute.Span)
 		for _, js := range jSpans {
 			tasks = append(tasks, &task{
 				index:    len(tasks),
-				prefNode: e.preferredNode(leafTilePath(maskRef, is.Lo, js.Lo)),
+				prefNode: e.fs.FirstReplicaNode(leafTilePath(maskRef, is.Lo, js.Lo)),
 				ct:       compute.NewMaskedMulTask(e.env, j, maskRef, is, js, fullK),
 			})
 		}
@@ -148,18 +152,6 @@ func leafTilePath(ref plan.LeafRef, ti, tj int) string {
 		return ref.Meta.TilePath(ti, tj)
 	}
 	return ""
-}
-
-// preferredNode returns a node holding a replica of path, or -1.
-func (e *Engine) preferredNode(path string) int {
-	if path == "" {
-		return -1
-	}
-	nodes, err := e.fs.ReplicaNodes(path)
-	if err != nil || len(nodes) == 0 {
-		return -1
-	}
-	return nodes[0]
 }
 
 // firstLeafPath returns the tile path of the first leaf the compiled

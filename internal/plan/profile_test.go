@@ -29,7 +29,7 @@ func oracleOps(e lang.Expr) int64 {
 	return n
 }
 
-func oracleRegionBytes(expr lang.Expr, leaves map[string]LeafRef, rows, cols tileSpan) int64 {
+func oracleRegionBytes(expr lang.Expr, leaves map[string]LeafRef, rows, cols Span) int64 {
 	var n int64
 	for _, name := range lang.FreeVars(expr) {
 		if name == MMVar {
@@ -43,8 +43,8 @@ func oracleRegionBytes(expr lang.Expr, leaves map[string]LeafRef, rows, cols til
 }
 
 func oracleTaskProfiles(j *Job) [][]TaskWork {
-	iSpans := spansOf(j.ITiles(), j.Split.CI)
-	jSpans := spansOf(j.JTiles(), j.Split.CJ)
+	iSpans := PartitionAxis(j.ITiles(), j.Split.CI)
+	jSpans := PartitionAxis(j.JTiles(), j.Split.CJ)
 	ts := j.Out.TileSize
 	if j.Kind != MulKind {
 		ops := oracleOps(j.Expr)
@@ -60,7 +60,7 @@ func oracleTaskProfiles(j *Job) [][]TaskWork {
 		}
 		return [][]TaskWork{tasks}
 	}
-	kSpans := spansOf(j.KTiles(), j.Split.CK)
+	kSpans := PartitionAxis(j.KTiles(), j.Split.CK)
 	singleK := len(kSpans) == 1
 	density := 1.0
 	if ref, ok := bareLeaf(j.LExpr, j.Leaves); ok && ref.Meta.Sparse {
@@ -79,8 +79,8 @@ func oracleTaskProfiles(j *Job) [][]TaskWork {
 				extI := extent(is, j.Out.Rows, ts)
 				extJ := extent(js, j.Out.Cols, ts)
 				extK := extent(ks, j.KSize, ts)
-				tilesI := int64(is.hi - is.lo)
-				tilesJ := int64(js.hi - js.lo)
+				tilesI := int64(is.Len())
+				tilesJ := int64(js.Len())
 				w := TaskWork{}
 				w.Flops = int64(2*density*float64(extI)*float64(extK)*float64(extJ)) +
 					lOps*extI*extK*tilesJ + rOps*extK*extJ*tilesI
@@ -111,7 +111,7 @@ func oracleTaskProfiles(j *Job) [][]TaskWork {
 		for _, js := range jSpans {
 			extI := extent(is, j.Out.Rows, ts)
 			extJ := extent(js, j.Out.Cols, ts)
-			partialChunk := extI*extJ*8 + 16*int64(is.hi-is.lo)*int64(js.hi-js.lo)
+			partialChunk := extI*extJ*8 + 16*int64(is.Len())*int64(js.Len())
 			w := TaskWork{
 				Flops:      (ck-1)*extI*extJ + epiOps*extI*extJ,
 				ReadBytes:  ck * partialChunk,
@@ -153,7 +153,7 @@ func TestProfileExpandsToOracle(t *testing.T) {
 		})
 		var memo ProfileMemo
 		for _, j := range pl.Jobs {
-			// Splits range past the grid: spansOf clamps them.
+			// Splits range past the grid: PartitionAxis clamps them.
 			j.Split = Split{CI: 1 + rng.Intn(j.ITiles()+2), CJ: 1 + rng.Intn(j.JTiles()+2), CK: 1}
 			if j.Kind == MulKind && j.MaskLeaf == "" {
 				j.Split.CK = 1 + rng.Intn(j.KTiles()+2)

@@ -76,18 +76,24 @@ func (c *ProfileMemo) Profile(j *Job) []PhaseProfile {
 	return ph
 }
 
-type tileSpan struct{ lo, hi int }
+// Span is a half-open chunk [Lo, Hi) of a tile axis.
+type Span struct{ Lo, Hi int }
 
-func spansOf(n, parts int) []tileSpan {
+// Len returns the number of tiles in the span.
+func (s Span) Len() int { return s.Hi - s.Lo }
+
+// PartitionAxis cuts n tile indices into parts balanced chunks: the spans
+// a split assigns to tasks, for the work profiles here and for the engine.
+func PartitionAxis(n, parts int) []Span {
 	if parts > n {
 		parts = n
 	}
-	out := make([]tileSpan, 0, parts)
+	out := make([]Span, 0, parts)
 	for p := 0; p < parts; p++ {
 		lo := p * n / parts
 		hi := (p + 1) * n / parts
 		if hi > lo {
-			out = append(out, tileSpan{lo, hi})
+			out = append(out, Span{lo, hi})
 		}
 	}
 	return out
@@ -95,9 +101,9 @@ func spansOf(n, parts int) []tileSpan {
 
 // extent returns the element extent of a tile span along an axis of
 // `size` elements.
-func extent(s tileSpan, size, tileSize int) int64 {
-	lo := s.lo * tileSize
-	hi := s.hi * tileSize
+func extent(s Span, size, tileSize int) int64 {
+	lo := s.Lo * tileSize
+	hi := s.Hi * tileSize
 	if hi > size {
 		hi = size
 	}
@@ -113,7 +119,7 @@ func extent(s tileSpan, size, tileSize int) int64 {
 // mirrored region of the underlying matrix. For dense matrices the result
 // is exact; for sparse ones it matches the engine's density estimate up
 // to per-tile rounding.
-func regionBytes(ref LeafRef, rows, cols tileSpan) int64 {
+func regionBytes(ref LeafRef, rows, cols Span) int64 {
 	ri, rj := rows, cols
 	if ref.Transposed {
 		ri, rj = cols, rows
@@ -121,19 +127,19 @@ func regionBytes(ref LeafRef, rows, cols tileSpan) int64 {
 	m := ref.Meta
 	extR := extent(ri, m.Rows, m.TileSize)
 	extC := extent(rj, m.Cols, m.TileSize)
-	nTiles := int64(ri.hi-ri.lo) * int64(rj.hi-rj.lo)
+	nTiles := int64(ri.Len()) * int64(rj.Len())
 	if m.Sparse {
 		nnz := int64(m.EffDensity() * float64(extR) * float64(extC))
 		// CSR: 12 bytes per nonzero, row pointers per tile row, 20-byte
 		// header+checksum per tile.
-		return nnz*12 + (extR*int64(rj.hi-rj.lo)+nTiles)*4 + 20*nTiles
+		return nnz*12 + (extR*int64(rj.Len())+nTiles)*4 + 20*nTiles
 	}
 	return extR*extC*8 + 16*nTiles
 }
 
 // progRegionBytes sums regionBytes over the distinct leaves of a compiled
 // expression.
-func progRegionBytes(p *TileProgram, rows, cols tileSpan) int64 {
+func progRegionBytes(p *TileProgram, rows, cols Span) int64 {
 	var n int64
 	for _, ref := range p.Refs {
 		n += regionBytes(ref, rows, cols)
@@ -143,31 +149,31 @@ func progRegionBytes(p *TileProgram, rows, cols tileSpan) int64 {
 
 // outRegionBytes computes the stored size of the output tiles in a chunk
 // (density-scaled when the output is sparse, e.g. masked multiplies).
-func outRegionBytes(meta store.Meta, rows, cols tileSpan) int64 {
+func outRegionBytes(meta store.Meta, rows, cols Span) int64 {
 	return regionBytes(LeafRef{Meta: meta}, rows, cols)
 }
 
 // axis is one split axis in class form: a representative span of each
 // shape class, and the class of every span.
 type axis struct {
-	reps  []tileSpan
+	reps  []Span
 	class []uint8
 }
 
 // unitAxis stands in for the K axis of phases that have none.
-var unitAxis = axis{reps: []tileSpan{{0, 1}}, class: []uint8{0}}
+var unitAxis = axis{reps: []Span{{0, 1}}, class: []uint8{0}}
 
 // classesOf groups the spans of an axis by tile count, keeping the last
 // span — the only one that can end in the ragged tile — in a class of its
 // own.
 func classesOf(n, parts int) axis {
-	spans := spansOf(n, parts)
+	spans := PartitionAxis(n, parts)
 	a := axis{class: make([]uint8, len(spans))}
 	for i, s := range spans {
 		c := len(a.reps)
 		if i < len(spans)-1 {
 			for k, r := range a.reps {
-				if r.hi-r.lo == s.hi-s.lo {
+				if r.Len() == s.Len() {
 					c = k
 					break
 				}
@@ -184,7 +190,7 @@ func classesOf(n, parts int) axis {
 // classPhase builds the profile of a phase whose tasks are the cross
 // product of the axes' spans (i outermost, k innermost, as the engine
 // loops), evaluating work once per class.
-func classPhase(ai, aj, ak axis, work func(is, js, ks tileSpan) TaskWork) PhaseProfile {
+func classPhase(ai, aj, ak axis, work func(is, js, ks Span) TaskWork) PhaseProfile {
 	nj, nk := len(aj.reps), len(ak.reps)
 	ph := PhaseProfile{
 		Work:  make([]TaskWork, 0, len(ai.reps)*nj*nk),
@@ -215,7 +221,7 @@ func Profile(j *Job) []PhaseProfile {
 	ts := j.Out.TileSize
 	if j.Kind != MulKind {
 		ops := int64(j.Prog.Ops())
-		return []PhaseProfile{classPhase(ai, aj, unitAxis, func(is, js, _ tileSpan) TaskWork {
+		return []PhaseProfile{classPhase(ai, aj, unitAxis, func(is, js, _ Span) TaskWork {
 			extI := extent(is, j.Out.Rows, ts)
 			extJ := extent(js, j.Out.Cols, ts)
 			return TaskWork{
@@ -244,16 +250,16 @@ func Profile(j *Job) []PhaseProfile {
 		epiOps = int64(j.EpiProg.Ops())
 	}
 	// Partials are dense regardless of the output estimate.
-	partialBytes := func(is, js tileSpan, extI, extJ int64) int64 {
-		return extI*extJ*8 + 16*int64(is.hi-is.lo)*int64(js.hi-js.lo)
+	partialBytes := func(is, js Span, extI, extJ int64) int64 {
+		return extI*extJ*8 + 16*int64(is.Len())*int64(js.Len())
 	}
 
-	phase1 := classPhase(ai, aj, ak, func(is, js, ks tileSpan) TaskWork {
+	phase1 := classPhase(ai, aj, ak, func(is, js, ks Span) TaskWork {
 		extI := extent(is, j.Out.Rows, ts)
 		extJ := extent(js, j.Out.Cols, ts)
 		extK := extent(ks, j.KSize, ts)
-		tilesI := int64(is.hi - is.lo)
-		tilesJ := int64(js.hi - js.lo)
+		tilesI := int64(is.Len())
+		tilesJ := int64(js.Len())
 		w := TaskWork{}
 		w.Flops = int64(2*density*float64(extI)*float64(extK)*float64(extJ)) +
 			lOps*extI*extK*tilesJ + rOps*extK*extJ*tilesI
@@ -275,7 +281,7 @@ func Profile(j *Job) []PhaseProfile {
 	if singleK {
 		return []PhaseProfile{phase1}
 	}
-	phase2 := classPhase(ai, aj, unitAxis, func(is, js, _ tileSpan) TaskWork {
+	phase2 := classPhase(ai, aj, unitAxis, func(is, js, _ Span) TaskWork {
 		extI := extent(is, j.Out.Rows, ts)
 		extJ := extent(js, j.Out.Cols, ts)
 		w := TaskWork{

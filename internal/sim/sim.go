@@ -40,8 +40,8 @@ type Predictor struct {
 	Rec obs.Recorder
 
 	profiles plan.ProfileMemo
-	dur      []float64 // scratch: seconds per work class of the current phase
-	free     []float64 // scratch: when each slot frees up
+	dur      []float64  // scratch: seconds per work class of the current phase
+	free     []slotFree // scratch: schedulePhase's slot heap
 }
 
 // New constructs a predictor with engine-matching defaults.
@@ -97,34 +97,64 @@ func (p *Predictor) classSeconds(ph plan.PhaseProfile) []float64 {
 	return p.dur
 }
 
+// slotFree is one slot of schedulePhase's heap: when it frees up, and its
+// index, which breaks ties.
+type slotFree struct {
+	at   float64
+	slot int
+}
+
+func (a slotFree) before(b slotFree) bool {
+	return a.at < b.at || (a.at == b.at && a.slot < b.slot)
+}
+
 // schedulePhase list-schedules a phase's tasks, in task order, over the
 // cluster's slots — each task on the earliest-free slot, the lowest on
 // ties: the engine's greedy discipline — and returns the makespan. A task
-// takes its class's seconds, times a draw of residual when that is set.
+// takes its class's seconds, times a draw of residual when that is set
+// (one draw per task, in task order). The slots sit in a binary min-heap
+// ordered by (free time, index), so the pick is the one a scan for the
+// first minimum makes and each slot accumulates the same additions in the
+// same order: the makespan is bit-identical to the scan's, in O(log slots)
+// per task.
 func (p *Predictor) schedulePhase(ph plan.PhaseProfile, residual func() float64) float64 {
 	dur := p.classSeconds(ph)
 	slots := p.Cluster.TotalSlots()
 	if cap(p.free) < slots {
-		p.free = make([]float64, slots)
+		p.free = make([]slotFree, slots)
 	}
-	free := p.free[:slots]
-	clear(free)
+	h := p.free[:slots]
+	for i := range h {
+		h[i] = slotFree{0, i} // all free at 0, in index order: already a heap
+	}
 	end := 0.0
 	for _, c := range ph.Class {
-		best := 0
-		for i := 1; i < slots; i++ {
-			if free[i] < free[best] {
-				best = i
-			}
-		}
 		d := dur[c]
 		if residual != nil {
 			d *= residual()
 		}
-		free[best] += d
-		if free[best] > end {
-			end = free[best]
+		top := h[0]
+		top.at += d
+		if top.at > end {
+			end = top.at
 		}
+		// Sift the slot down from the root to its new place.
+		i := 0
+		for {
+			next := 2*i + 1
+			if next >= slots {
+				break
+			}
+			if r := next + 1; r < slots && h[r].before(h[next]) {
+				next = r
+			}
+			if !h[next].before(top) {
+				break
+			}
+			h[i] = h[next]
+			i = next
+		}
+		h[i] = top
 	}
 	return end
 }

@@ -157,9 +157,7 @@ func (s *Store) ReadSparseTile(m Meta, ti, tj int, node int) (*linalg.CSRTile, e
 // DeleteMatrix removes every tile of the matrix. Used to garbage-collect
 // intermediates between jobs.
 func (s *Store) DeleteMatrix(m Meta) {
-	for _, p := range s.FS.List(MatrixPrefix(m.Name)) {
-		s.FS.Delete(p)
-	}
+	s.FS.DeletePrefix(MatrixPrefix(m.Name))
 }
 
 // region returns the slice of d that starts at tile (ti, tj) of m, and the

@@ -32,6 +32,7 @@ import (
 	"cumulon/internal/cloud"
 	"cumulon/internal/core"
 	"cumulon/internal/lang"
+	"cumulon/internal/linalg"
 	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
@@ -59,7 +60,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0,
 		"parallel compute workers for -materialize (capped at GOMAXPROCS; results are identical)")
 	kernelPar := fs.Int("kernel-par", 0,
-		"worker fan-out inside a single blocked GEMM (0 = GOMAXPROCS; results are identical)")
+		"host-wide worker fan-out inside a single blocked GEMM (0 = GOMAXPROCS; results are identical)")
 	showPlan := fs.Bool("plan", true, "print the compiled physical plan")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	dot := fs.Bool("dot", false, "emit the plan DAG in Graphviz DOT and exit")
@@ -102,6 +103,9 @@ func run(args []string) error {
 	}
 	if *asJSON {
 		*showPlan = false
+	}
+	if *kernelPar > 0 {
+		linalg.SetParallelism(*kernelPar)
 	}
 	if !*optimize && (*explain || *searchTrace != "" || *frontierOut != "") {
 		return fmt.Errorf("-explain, -searchtrace and -frontier require -optimize")
@@ -218,7 +222,7 @@ func run(args []string) error {
 		cluster = dep.Cluster
 	}
 
-	opts := core.ExecOptions{Cluster: cluster, Workers: *workers, KernelParallelism: *kernelPar, Chaos: sched, MaxTaskRetries: *maxRetries}
+	opts := core.ExecOptions{Cluster: cluster, Workers: *workers, Chaos: sched, MaxTaskRetries: *maxRetries}
 	if *resume && *checkpoint <= 0 {
 		return fmt.Errorf("-resume requires -checkpoint N (the cadence is part of the checkpoint identity)")
 	}

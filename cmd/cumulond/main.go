@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"cumulon/internal/server"
 )
@@ -84,7 +85,15 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "cumulond listening on http://%s (machine %s, %d nodes, seed %d)\n",
 		bound, *machine, *nodes, *seed)
-	return http.Serve(ln, srv.Handler())
+	// Bound how long a client may take to send a request. No WriteTimeout:
+	// SSE streams and long-polls are legitimately long responses.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	return hs.Serve(ln)
 }
 
 // parseWeights parses "a=2,b=1" into a weight map.

@@ -12,7 +12,7 @@ import (
 // benchMapJob compiles a representative fused element-wise statement
 // (six tile operators: ⊙, ⊘, scale, add, sqrt, sub) over one ts x ts
 // tile and returns a warmed Ctx ready to evaluate it repeatedly.
-func benchMapJob(b *testing.B, ts int, interpret bool) (*Ctx, *plan.Job) {
+func benchMapJob(b *testing.B, ts int) (*Ctx, *plan.Job) {
 	b.Helper()
 	src := fmt.Sprintf(`
 input A %[1]d %[1]d
@@ -43,19 +43,20 @@ output Out
 		d := linalg.RandomDense(ts, ts, 5).Map(func(x float64) float64 { return x + 0.5 })
 		loadInput(srcMap, in, d)
 	}
-	c := newCtx(&Task{Env: Env{Src: srcMap, Interpret: interpret}})
+	c := newCtx(&Task{Env: Env{Src: srcMap}})
 	return c, job
 }
 
 // BenchmarkMapEval measures one Map-job tile evaluation: "naive" walks
-// the expression tree (one pass and one intermediate tile per operator),
+// the expression tree with the test-side oracle (one pass and one
+// intermediate tile per operator),
 // "fused" executes the compiled tape in a single cache-chunked pass into
 // a pooled tile. The fused variant must run at 0 allocs/op in steady state —
 // CI greps this benchmark's output to enforce that.
 func BenchmarkMapEval(b *testing.B) {
 	for _, ts := range []int{256, 512} {
 		b.Run(fmt.Sprintf("naive-%d", ts), func(b *testing.B) {
-			c, j := benchMapJob(b, ts, true)
+			c, j := benchMapJob(b, ts)
 			flops := int64(j.Prog.Ops()) * int64(ts) * int64(ts)
 			if _, err := c.evalTile(j.Expr, j.Leaves, 0, 0, nil); err != nil {
 				b.Fatal(err)
@@ -70,7 +71,7 @@ func BenchmarkMapEval(b *testing.B) {
 			b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e6, "MFLOP/s")
 		})
 		b.Run(fmt.Sprintf("fused-%d", ts), func(b *testing.B) {
-			c, j := benchMapJob(b, ts, false)
+			c, j := benchMapJob(b, ts)
 			flops := int64(j.Prog.Ops()) * int64(ts) * int64(ts)
 			warm, owned, err := c.evalProgram(j.Prog, j.Leaves, 0, 0, ts, ts, nil)
 			if err != nil {
@@ -100,9 +101,9 @@ func BenchmarkMapEval(b *testing.B) {
 }
 
 // BenchmarkMulEpilogue measures a full mul-tile with a scalar epilogue:
-// "naive" applies the epilogue as a separate interpreted pass over the
-// finished product; "fused" folds it into the blocked GEMM write-back
-// while the panel is cache-resident.
+// "naive" is the test-side oracle, which applies the epilogue as a separate
+// tree-walked pass over the finished product; "fused" folds it into the
+// blocked GEMM write-back while the panel is cache-resident.
 func BenchmarkMulEpilogue(b *testing.B) {
 	const ts = 256
 	src := fmt.Sprintf(`
@@ -130,8 +131,8 @@ output Out
 		b.Fatal("benchmark plan lacks a mul job with an epilogue")
 	}
 	for _, mode := range []struct {
-		name      string
-		interpret bool
+		name  string
+		naive bool
 	}{{"naive", true}, {"fused", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			srcMap := mapSource{}
@@ -139,22 +140,21 @@ output Out
 				d := linalg.RandomDense(ts, ts, 6).Map(func(x float64) float64 { return x + 0.5 })
 				loadInput(srcMap, in, d)
 			}
-			c := newCtx(&Task{Env: Env{Src: srcMap, Interpret: mode.interpret}})
+			c := newCtx(&Task{Env: Env{Src: srcMap}})
 			ks := Span{Lo: 0, Hi: job.KTiles()}
 			run := func() {
-				var epi *plan.TileProgram
-				if !mode.interpret {
-					epi = job.EpiProg
+				var acc *linalg.Tile
+				var err error
+				if mode.naive {
+					if acc, err = c.oracleMulTile(job, 0, 0, ks); err == nil {
+						r, cc := job.Out.TileShape(0, 0)
+						_, _, _, err = c.evalTileShaped(job.Epilogue, job.Leaves, 0, 0, acc, r, cc)
+					}
+				} else {
+					acc, err = c.mulTile(job, 0, 0, ks, job.EpiProg)
 				}
-				acc, err := c.mulTile(job, 0, 0, ks, epi)
 				if err != nil {
 					b.Fatal(err)
-				}
-				if mode.interpret {
-					r, cc := job.Out.TileShape(0, 0)
-					if _, _, _, err := c.evalTileShaped(job.Epilogue, job.Leaves, 0, 0, acc, r, cc); err != nil {
-						b.Fatal(err)
-					}
 				}
 				freeTile(acc)
 			}

@@ -41,12 +41,6 @@ type Env struct {
 	// them at replay, in scheduling order, so traces stay deterministic
 	// regardless of compute parallelism.
 	TileOps bool
-	// Interpret forces the retained tree-walking evaluator instead of the
-	// compiled tile pipelines. It exists for differential testing (the
-	// interpreter is the oracle the compiled tapes are held bit-identical
-	// to) and as an escape hatch; both paths must produce byte-identical
-	// traces and tiles.
-	Interpret bool
 }
 
 // Op is one recorded I/O operation of a task, in program order. The engine

@@ -219,101 +219,9 @@ func leafShape(ref plan.LeafRef, ti, tj int) (rows, cols int) {
 	return ref.Meta.TileShape(ti, tj)
 }
 
-// evalTile evaluates a fused element-wise expression at logical tile
-// coordinates (ti, tj). mm binds the MMVar placeholder (epilogues). In
-// virtual mode the returned tile is nil but all reads and flops are
-// traced.
-func (c *Ctx) evalTile(e lang.Expr, leaves map[string]plan.LeafRef, ti, tj int, mm *linalg.Tile) (*linalg.Tile, error) {
-	tile, _, _, err := c.evalTileShaped(e, leaves, ti, tj, mm, -1, -1)
-	return tile, err
-}
-
-// evalTileShaped is evalTile tracking shapes so virtual mode can count
-// flops without data. mmRows/mmCols give MMVar's shape when mm is nil.
-func (c *Ctx) evalTileShaped(e lang.Expr, leaves map[string]plan.LeafRef, ti, tj int, mm *linalg.Tile, mmRows, mmCols int) (*linalg.Tile, int, int, error) {
-	switch x := e.(type) {
-	case lang.Var:
-		if x.Name == plan.MMVar {
-			if mm != nil {
-				return mm, mm.Rows, mm.Cols, nil
-			}
-			return nil, mmRows, mmCols, nil
-		}
-		ref, ok := leaves[x.Name]
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("unbound leaf %s", x.Name)
-		}
-		rows, cols := leafShape(ref, ti, tj)
-		t, err := c.readLeafTile(ref, ti, tj)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return t, rows, cols, nil
-	case lang.Transpose:
-		// Transposes are pushed to leaves by the planner; a residual one
-		// here is a planner bug.
-		return nil, 0, 0, fmt.Errorf("unexpected transpose in physical expression %s", e)
-	case lang.Add:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a + b })
-	case lang.Sub:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a - b })
-	case lang.ElemMul:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a * b })
-	case lang.ElemDiv:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a / b })
-	case lang.Scale:
-		t, rows, cols, err := c.evalTileShaped(x.X, leaves, ti, tj, mm, mmRows, mmCols)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		c.addFlops("scale", int64(rows)*int64(cols))
-		if t == nil {
-			return nil, rows, cols, nil
-		}
-		return linalg.Scale(t, x.S), rows, cols, nil
-	case lang.Apply:
-		t, rows, cols, err := c.evalTileShaped(x.X, leaves, ti, tj, mm, mmRows, mmCols)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		c.addFlops("apply", int64(rows)*int64(cols))
-		if t == nil {
-			return nil, rows, cols, nil
-		}
-		fn, ok := lang.Funcs[x.Fn]
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("unknown function %s", x.Fn)
-		}
-		return linalg.Map(t, fn), rows, cols, nil
-	default:
-		return nil, 0, 0, fmt.Errorf("unexpected node %T in physical expression", e)
-	}
-}
-
-func (c *Ctx) zipTiles(l, r lang.Expr, leaves map[string]plan.LeafRef, ti, tj int, mm *linalg.Tile, mmRows, mmCols int, f func(a, b float64) float64) (*linalg.Tile, int, int, error) {
-	lt, rows, cols, err := c.evalTileShaped(l, leaves, ti, tj, mm, mmRows, mmCols)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rt, rRows, rCols, err := c.evalTileShaped(r, leaves, ti, tj, mm, mmRows, mmCols)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if rRows != rows || rCols != cols {
-		return nil, 0, 0, fmt.Errorf("element-wise operands disagree at tile (%d,%d): left %s is %dx%d, right %s is %dx%d",
-			ti, tj, l, rows, cols, r, rRows, rCols)
-	}
-	c.addFlops("zip", int64(rows)*int64(cols))
-	if lt == nil || rt == nil {
-		return nil, rows, cols, nil
-	}
-	return linalg.Zip(lt, rt, f), rows, cols, nil
-}
-
 // mulTile computes the (ti, tj) output tile contribution of a Mul job over
-// the inner-dimension tile span ks, evaluating the prologues per tile
-// (compiled tapes when available, the tree-walker under Env.Interpret) and
-// using the sparse kernel when the left operand is a bare sparse leaf.
+// the inner-dimension tile span ks, evaluating the prologue tapes per tile
+// and using the sparse kernel when the left operand is a bare sparse leaf.
 // Bare dense leaves read through a transposed access path skip the
 // explicit per-k Transpose materialization: the raw tile feeds GemmTA /
 // GemmTB, whose packing absorbs the layout (same reads traced, same flops
@@ -326,15 +234,14 @@ func (c *Ctx) zipTiles(l, r lang.Expr, leaves map[string]plan.LeafRef, ti, tj in
 // tile. Callers pass it only when the span covers the whole inner
 // dimension (k-split partials must stay raw products; the aggregation
 // phase applies the epilogue). Epilogue leaf reads and flop charges land
-// at the same trace point the interpreted post-pass uses — after the last
-// prologue read and gemm charge — so both paths trace identically.
+// after the last prologue read and gemm charge — the trace point of a
+// separate post-pass, which is how the test-side tree-walker applies it.
 func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (*linalg.Tile, error) {
 	outRows, outCols := j.Out.TileShape(ti, tj)
 	var acc *linalg.Tile
 	if !c.virtual() {
 		acc = newTile(outRows, outCols, true)
 	}
-	compiled := !c.env.Interpret && j.LProg != nil && j.RProg != nil
 	lRef, lBare := bareSparseLeaf(j.LExpr, j.Leaves)
 	lTRef, lTrans := bareTransposedDenseLeaf(j.LExpr, j.Leaves)
 	rTRef, rTrans := bareTransposedDenseLeaf(j.RExpr, j.Leaves)
@@ -347,10 +254,8 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 		if rTrans && !lBare {
 			// Logical tile (k, tj) of the transposed leaf is raw (tj, k).
 			rt, err = c.readDenseTile(rTRef.Meta, tj, k)
-		} else if compiled {
-			rt, rtOwned, err = c.evalProgram(j.RProg, j.Leaves, k, tj, kk, outCols, nil)
 		} else {
-			rt, _, _, err = c.evalTileShaped(j.RExpr, j.Leaves, k, tj, nil, kk, outCols)
+			rt, rtOwned, err = c.evalProgram(j.RProg, j.Leaves, k, tj, kk, outCols, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -368,10 +273,8 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 		var ltOwned bool
 		if lTrans {
 			lt, err = c.readDenseTile(lTRef.Meta, k, ti)
-		} else if compiled {
-			lt, ltOwned, err = c.evalProgram(j.LProg, j.Leaves, ti, k, outRows, kk, nil)
 		} else {
-			lt, _, _, err = c.evalTileShaped(j.LExpr, j.Leaves, ti, k, nil, outRows, kk)
+			lt, ltOwned, err = c.evalProgram(j.LProg, j.Leaves, ti, k, outRows, kk, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -443,11 +346,11 @@ func (c *Ctx) mulTileMasked(j *plan.Job, maskRef plan.LeafRef, ti, tj int, ks Sp
 	var acc *linalg.CSRTile
 	for k := ks.Lo; k < ks.Hi; k++ {
 		kk := KExtent(j.KSize, j.Out.TileSize, k)
-		lt, _, _, err := c.evalTileShaped(j.LExpr, j.Leaves, ti, k, nil, outRows, kk)
+		lt, ltOwned, err := c.evalProgram(j.LProg, j.Leaves, ti, k, outRows, kk, nil)
 		if err != nil {
 			return nil, err
 		}
-		rt, _, _, err := c.evalTileShaped(j.RExpr, j.Leaves, k, tj, nil, kk, outCols)
+		rt, rtOwned, err := c.evalProgram(j.RProg, j.Leaves, k, tj, kk, outCols, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -458,6 +361,12 @@ func (c *Ctx) mulTileMasked(j *plan.Job, maskRef plan.LeafRef, ti, tj int, ks Sp
 		}
 		c.addFlops("masked-gemm", 2*int64(pat.NNZ())*int64(kk))
 		part := linalg.MaskedGemm(pat, lt, rt)
+		if ltOwned {
+			freeTile(lt)
+		}
+		if rtOwned {
+			freeTile(rt)
+		}
 		if acc == nil {
 			acc = part
 		} else {

@@ -13,13 +13,14 @@ import (
 // A plan.TileProgram is a post-order op tape over leaf slots plus the
 // MMVar placeholder. The executor evaluates the tape in one fused pass
 // over the output tile: leaf tiles are read once (in slot order, which is
-// the interpreter's read order), the destination comes from the tile
-// pool, and the tape runs chunk-vectorized over a small stack of
-// fixed-size buffers, so steady-state evaluation allocates nothing. The
-// tree-walking interpreter in ctx.go remains as the differential oracle:
-// both evaluators must produce bit-identical tiles *and* identical
-// Result traces (reads, flops, kernel stats), which the differential and
-// fuzz tests in pipeline_test.go enforce.
+// the expression's left-to-right read order), the destination comes from
+// the tile pool, and the tape runs chunk-vectorized over a small stack of
+// fixed-size buffers, so steady-state evaluation allocates nothing. It is
+// the only evaluator tasks run. Its differential oracle, a tree-walker over
+// the job's expressions, lives in oracle_test.go: the two must produce
+// bit-identical tiles *and* identical Result traces (reads, flops, kernel
+// stats), which the differential and fuzz tests in pipeline_test.go
+// enforce.
 
 const (
 	// evalChunk is the vectorization width of the tape executor: operand
@@ -161,7 +162,7 @@ func runProgramSpanDeep(p *plan.TileProgram, dst []float64, leaves [][]float64, 
 }
 
 // readProgramLeaves reads the pipeline's leaf tiles in slot order (the
-// interpreter's read order), validates each against the output tile
+// tree-walker oracle's read order), validates each against the output tile
 // shape, and charges the tape's per-element flops in tape order — exactly
 // the trace the tree-walker would record. The returned slice (backed by
 // the Ctx's reusable buffer) holds the leaf data; it is nil-length in
@@ -198,12 +199,12 @@ func (c *Ctx) readProgramLeaves(p *plan.TileProgram, leaves map[string]plan.Leaf
 // (ti, tj) with the given output shape. mm binds the TileMM placeholder
 // (epilogues). The returned tile comes from the tile pool when
 // owned is true — the caller must free it after encoding — and
-// is a directly-readable input tile (single-leaf pipelines, which the
-// interpreter also passes through) when owned is false. In virtual mode
+// is a directly-readable input tile (single-leaf pipelines pass the
+// decoded tile through) when owned is false. In virtual mode
 // the tile is nil but all reads and flops are traced.
 func (c *Ctx) evalProgram(p *plan.TileProgram, leaves map[string]plan.LeafRef, ti, tj, rows, cols int, mm *linalg.Tile) (t *linalg.Tile, owned bool, err error) {
-	// Single-leaf pipelines pass the decoded tile through, like the
-	// interpreter: no copy, and the tile stays owned by the read cache.
+	// Single-leaf pipelines pass the decoded tile through: no copy, and
+	// the tile stays owned by the read cache.
 	if len(p.Code) == 1 && p.Code[0].Op == plan.TileLeaf {
 		ref, ok := leaves[p.Leaves[0]]
 		if !ok {

@@ -3,6 +3,7 @@ package compute
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cumulon/internal/lang"
@@ -37,77 +38,106 @@ func loadInput(src mapSource, m store.Meta, d *linalg.Dense) {
 	}
 }
 
-// jobTasks builds the phase lists of one job the way the engine does,
-// optionally forcing a two-way k-split (partials plus aggregation) on
-// splittable Mul jobs.
-func jobTasks(env Env, j *plan.Job, kSplit bool) [][]*Task {
-	full := func(n int) Span { return Span{Lo: 0, Hi: n} }
-	is, js := full(j.ITiles()), full(j.JTiles())
-	switch {
-	case j.Kind == plan.MapKind:
-		return [][]*Task{{NewMapTask(env, j, is, js)}}
-	case j.MaskLeaf != "":
-		return [][]*Task{{NewMaskedMulTask(env, j, j.Leaves[j.MaskLeaf], is, js, full(j.KTiles()))}}
-	case kSplit && j.KTiles() > 1:
-		kSpans := plan.PartitionAxis(j.KTiles(), 2)
-		var partials []store.Meta
+// jobTasks builds the phase lists of one job the way the engine does, from
+// the job's split, with one evaluator's constructors. With forceK,
+// splittable Mul jobs are cut two ways along k whatever their split says
+// (partials plus aggregation).
+func jobTasks(mk taskMakers, env Env, j *plan.Job, forceK bool) [][]*Task {
+	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
+	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
+	ck := j.Split.CK
+	if forceK && j.KTiles() > 1 && j.MaskLeaf == "" {
+		ck = 2
+	}
+	kSpans := plan.PartitionAxis(j.KTiles(), ck)
+	var partials []store.Meta
+	if len(kSpans) > 1 {
 		for c := range kSpans {
 			pm := j.Out
 			pm.Name = fmt.Sprintf("%s~p%d", j.Out.Name, c)
 			pm.Sparse = false
 			partials = append(partials, pm)
 		}
-		var phase1 []*Task
-		for kc, ks := range kSpans {
-			phase1 = append(phase1, NewMulTask(env, j, partials[kc], nil, is, js, ks))
-		}
-		return [][]*Task{phase1, {NewAggTask(env, j, partials, is, js)}}
-	default:
-		return [][]*Task{{NewMulTask(env, j, j.Out, j.Epilogue, is, js, full(j.KTiles()))}}
 	}
+	var phase1, phase2 []*Task
+	for _, is := range iSpans {
+		for _, js := range jSpans {
+			switch {
+			case j.Kind == plan.MapKind:
+				phase1 = append(phase1, mk.mapTask(env, j, is, js))
+			case j.MaskLeaf != "":
+				phase1 = append(phase1, mk.maskedTask(env, j, j.Leaves[j.MaskLeaf], is, js, kSpans[0]))
+			case partials == nil:
+				phase1 = append(phase1, mk.mulTask(env, j, j.Out, j.EpiProg, is, js, kSpans[0]))
+			default:
+				for kc, ks := range kSpans {
+					phase1 = append(phase1, mk.mulTask(env, j, partials[kc], nil, is, js, ks))
+				}
+				phase2 = append(phase2, mk.aggTask(env, j, partials, is, js))
+			}
+		}
+	}
+	if partials == nil {
+		return [][]*Task{phase1}
+	}
+	return [][]*Task{phase1, phase2}
 }
 
 // runPlanDual executes every job of pl twice — compiled tapes vs the
-// tree-walking interpreter — against separate in-memory sources, and
-// requires every task's Result (ordered I/O trace with encoded payloads,
-// flop count, kernel stats) to be deeply identical between the two
-// evaluators. Returns the compiled run's final source for output checks.
-func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, kSplit bool) mapSource {
+// test-side tree-walker — against separate in-memory sources (none in
+// virtual mode, where data is nil), and requires every task's Result
+// (ordered I/O trace with encoded payloads, flop count, kernel stats) to be
+// deeply identical between the two evaluators. With rerun, each tape task
+// is computed a second time, as a backend that does not memoize would on a
+// retry, and must reproduce its Result. Returns the compiled run's final
+// source for output checks.
+func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, forceK, rerun bool) mapSource {
 	t.Helper()
-	srcInterp, srcComp := mapSource{}, mapSource{}
-	for _, in := range pl.Inputs {
-		loadInput(srcInterp, in, data[in.Name])
-		loadInput(srcComp, in, data[in.Name])
+	envOracle := Env{TileOps: true, Virtual: data == nil}
+	envComp := envOracle
+	srcOracle, srcComp := mapSource{}, mapSource{}
+	if data != nil {
+		for _, in := range pl.Inputs {
+			loadInput(srcOracle, in, data[in.Name])
+			loadInput(srcComp, in, data[in.Name])
+		}
+		envOracle.Src, envComp.Src = srcOracle, srcComp
 	}
 	be := NewSequential()
-	envInterp := Env{Src: srcInterp, TileOps: true, Interpret: true}
-	envComp := Env{Src: srcComp, TileOps: true}
 	for _, j := range pl.Jobs {
-		phInterp := jobTasks(envInterp, j, kSplit)
-		phComp := jobTasks(envComp, j, kSplit)
-		for p := range phInterp {
-			for i := range phInterp[p] {
-				ri, err := be.Run(phInterp[p][i])
+		phOracle := jobTasks(oracleMakers, envOracle, j, forceK)
+		phComp := jobTasks(tapeMakers, envComp, j, forceK)
+		for p := range phOracle {
+			for i := range phOracle[p] {
+				ro, err := be.Run(phOracle[p][i])
 				if err != nil {
-					t.Fatalf("%s (interp): %v", j, err)
+					t.Fatalf("%s (tree-walker): %v", j, err)
 				}
 				rc, err := be.Run(phComp[p][i])
 				if err != nil {
 					t.Fatalf("%s (compiled): %v", j, err)
 				}
-				if !reflect.DeepEqual(ri, rc) {
-					t.Fatalf("%s phase %d task %d: results diverge\ninterp:   %+v\ncompiled: %+v",
-						j, p, i, ri, rc)
+				if !reflect.DeepEqual(ro, rc) {
+					t.Fatalf("%s phase %d task %d: results diverge\ntree-walker: %+v\ncompiled:    %+v",
+						j, p, i, ro, rc)
 				}
-				for _, res := range []*Result{ri, rc} {
-					src := srcInterp
-					if res == rc {
-						src = srcComp
+				if rerun {
+					again, err := be.Run(phComp[p][i])
+					if err != nil {
+						t.Fatalf("%s (compiled, rerun): %v", j, err)
 					}
-					for _, op := range res.Ops {
-						if op.Write {
-							src[op.Path] = op.Data
-						}
+					if !reflect.DeepEqual(rc, again) {
+						t.Fatalf("%s phase %d task %d: a recomputed task diverges from its first run", j, p, i)
+					}
+				}
+				for _, op := range ro.Ops {
+					if op.Write {
+						srcOracle[op.Path] = op.Data
+					}
+				}
+				for _, op := range rc.Ops {
+					if op.Write {
+						srcComp[op.Path] = op.Data
 					}
 				}
 			}
@@ -116,7 +146,8 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, kSp
 	return srcComp
 }
 
-// fetchDense reassembles a dense matrix from a source's tiles.
+// fetchDense reassembles a matrix from a source's tiles, densifying sparse
+// storage.
 func fetchDense(t *testing.T, src mapSource, m store.Meta) *linalg.Dense {
 	t.Helper()
 	d := linalg.NewDense(m.Rows, m.Cols)
@@ -126,7 +157,15 @@ func fetchDense(t *testing.T, src mapSource, m store.Meta) *linalg.Dense {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tile, err := store.DecodeTile(raw)
+			var tile *linalg.Tile
+			if m.Sparse {
+				var sp *linalg.CSRTile
+				if sp, err = store.DecodeSparseTile(raw); err == nil {
+					tile = sp.ToDense()
+				}
+			} else {
+				tile, err = store.DecodeTile(raw)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,11 +175,84 @@ func fetchDense(t *testing.T, src mapSource, m store.Meta) *linalg.Dense {
 	return d
 }
 
-// diffSrc covers every task shape in one program: a GNMF iteration
-// (k-split products with fused epilogues, transposed prologues, a sparse
-// operand), a masked multiply, and a pure map statement with scale and a
-// scalar function.
-const diffSrc = `
+// diffCase is one input of the task-level differential suite.
+type diffCase struct {
+	name      string
+	src       string
+	data      map[string]*linalg.Dense
+	densities map[string]float64
+	tileSizes []int
+	// slots > 0 splits the jobs as the engine would for that many slots
+	// (plan.AutoSplit); 0 keeps one task per job and phase.
+	slots int
+	// rerun recomputes every task once more (see runPlanDual).
+	rerun bool
+}
+
+func shifted(d *linalg.Dense) *linalg.Dense {
+	return d.Map(func(x float64) float64 { return x + 0.5 })
+}
+
+// gnmfCase is one GNMF iteration as the engine-level suites in package exec
+// run it (26x22 at tile 4, split for 8 slots): k-split products with fused
+// epilogues, transposed prologues, a sparse operand, ragged last tiles.
+func gnmfCase(name string, rerun bool) diffCase {
+	return diffCase{
+		name: name,
+		src: `
+input V 26 22 sparse
+input W 26 4
+input H 4 22
+H = H .* (W' * V) ./ ((W' * W) * H)
+W = W .* (V * H') ./ (W * (H * H'))
+output W
+output H
+`,
+		data: map[string]*linalg.Dense{
+			"V": linalg.RandomSparseDense(26, 22, 0.25, 31),
+			"W": shifted(linalg.RandomDense(26, 4, 32)),
+			"H": shifted(linalg.RandomDense(4, 22, 33)),
+		},
+		densities: map[string]float64{"V": 0.25},
+		tileSizes: []int{4},
+		slots:     8,
+		rerun:     rerun,
+	}
+}
+
+// maskedCase is a masked product whose prologues are expressions, not bare
+// leaves: 13x11 over a 7-wide inner dimension, so every tile size below
+// leaves a ragged last tile on all three axes.
+func maskedCase(name, stmt string, inputs ...string) diffCase {
+	src := "input V 13 11 sparse\n"
+	data := map[string]*linalg.Dense{"V": linalg.RandomSparseDense(13, 11, 0.3, 61)}
+	shapes := map[string][2]int{"L": {13, 7}, "Lt": {7, 13}, "R": {7, 11}, "Rt": {11, 7}}
+	for i, in := range inputs {
+		sh := shapes[strings.TrimRight(in, "0123456789")]
+		src += fmt.Sprintf("input %s %d %d\n", in, sh[0], sh[1])
+		data[in] = shifted(linalg.RandomDense(sh[0], sh[1], int64(62+i)))
+	}
+	return diffCase{
+		name:      name,
+		src:       src + stmt + "\noutput Out\n",
+		data:      data,
+		densities: map[string]float64{"V": 0.3},
+		tileSizes: []int{3, 4, 16},
+		slots:     6,
+	}
+}
+
+// diffCases lists the suite's programs: every task shape, the engine-level
+// workloads that used to be differenced through exec's evaluator switch,
+// and masked products with composite prologues.
+func diffCases() []diffCase {
+	return []diffCase{
+		{
+			// Every task shape in one program: a GNMF iteration, a masked
+			// multiply, and a pure map statement with scale and a scalar
+			// function.
+			name: "tasks",
+			src: `
 input V 13 11 sparse
 input W 13 3
 input H 3 11
@@ -151,85 +263,132 @@ W = 0.5 * W + sqrt(W .* W)
 output W
 output H
 output R
-`
-
-func diffData() map[string]*linalg.Dense {
-	shift := func(x float64) float64 { return x + 0.5 }
-	return map[string]*linalg.Dense{
-		"V": linalg.RandomSparseDense(13, 11, 0.3, 41),
-		"W": linalg.RandomDense(13, 3, 42).Map(shift),
-		"H": linalg.RandomDense(3, 11, 43).Map(shift),
+`,
+			data: map[string]*linalg.Dense{
+				"V": linalg.RandomSparseDense(13, 11, 0.3, 41),
+				"W": shifted(linalg.RandomDense(13, 3, 42)),
+				"H": shifted(linalg.RandomDense(3, 11, 43)),
+			},
+			densities: map[string]float64{"V": 0.3},
+			tileSizes: []int{3, 4, 16},
+		},
+		gnmfCase("gnmf", false),
+		// The engine replays a task's memoized Result on a retry, so a
+		// fault schedule cannot tell evaluators apart; what a retry can
+		// add at this level is a second computation of the same task.
+		gnmfCase("gnmf-recomputed", true),
+		{
+			// The sketching stage of randomized SVD with two power
+			// iterations: transposed prologues and deep product chains, no
+			// epilogues.
+			name: "rsvd",
+			src: `
+input A 24 16
+input Omega 16 4
+B = A * Omega
+B = A * (A' * B)
+B = A * (A' * B)
+output B
+`,
+			data: map[string]*linalg.Dense{
+				"A":     linalg.RandomDense(24, 16, 51),
+				"Omega": linalg.RandomDense(16, 4, 52),
+			},
+			tileSizes: []int{4},
+			slots:     6,
+		},
+		{
+			// Two KL-divergence GNMF iterations: the CSE pass hoists one
+			// V ./ (W * H) chain per iteration into a shared temporary.
+			name: "gnmf-kl",
+			src: `
+input V 12 10 sparse
+input W 12 3
+input H 3 10
+input U 12 10
+Hn = H .* (W' * (V ./ (W * H))) ./ (W' * U)
+W = W .* ((V ./ (W * H)) * H') ./ (U * H')
+H = Hn
+Hn = H .* (W' * (V ./ (W * H))) ./ (W' * U)
+W = W .* ((V ./ (W * H)) * H') ./ (U * H')
+H = Hn
+output W
+output H
+`,
+			data: map[string]*linalg.Dense{
+				"V": linalg.RandomSparseDense(12, 10, 0.4, 11),
+				"W": shifted(linalg.RandomDense(12, 3, 12)),
+				"H": shifted(linalg.RandomDense(3, 10, 13)),
+				"U": linalg.ConstDense(12, 10, 1),
+			},
+			densities: map[string]float64{"V": 0.4},
+			tileSizes: []int{4},
+			slots:     6,
+		},
+		maskedCase("masked-composite", "Out = mask(V, (L1 + L2) * (2 * R1))", "L1", "L2", "R1"),
+		maskedCase("masked-transposed", "Out = mask(V, Lt1' * Rt1')", "Lt1", "Rt1"),
+		maskedCase("masked-composite-transposed", "Out = mask(V, (Lt1' - L1) * sqrt(R1 .* Rt1'))", "Lt1", "L1", "R1", "Rt1"),
 	}
 }
 
+// compile parses and compiles the case at one tile size and splits it.
+func (c diffCase) compile(t *testing.T, ts int) (*lang.Program, *plan.Plan) {
+	t.Helper()
+	prog, err := lang.Parse(c.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Compile(prog, plan.Config{TileSize: ts, Densities: c.densities})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.slots > 0 {
+		pl.AutoSplit(c.slots)
+	}
+	return prog, pl
+}
+
 // TestCompiledTasksMatchInterpreter is the task-level differential suite:
-// identical Results (trace order, payload bytes, flops, kernel stats) for
-// every job kind, with and without k-splitting, and final outputs that
-// agree with the language reference interpreter.
+// identical Results (trace order, payload bytes, flops, kernel stats)
+// between the compiled tapes and the tree-walker for every job kind and
+// every case, under the plan's splits and under a forced k-split, and
+// final outputs that agree with the language reference interpreter.
 func TestCompiledTasksMatchInterpreter(t *testing.T) {
-	prog, err := lang.Parse(diffSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := diffData()
-	want, err := lang.Interpret(prog, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ts := range []int{3, 4, 16} {
-		for _, kSplit := range []bool{false, true} {
-			pl, err := plan.Compile(prog, plan.Config{TileSize: ts, Densities: map[string]float64{"V": 0.3}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := runPlanDual(t, pl, data, kSplit)
-			for name, m := range pl.Outputs {
-				if m.Sparse {
-					continue // masked output: dual equality above is the contract
-				}
-				got := fetchDense(t, src, m)
-				if !got.AlmostEqual(want[name], 1e-9) {
-					t.Fatalf("ts=%d kSplit=%v: output %s off oracle by %g",
-						ts, kSplit, name, got.MaxAbsDiff(want[name]))
+	for _, c := range diffCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for _, ts := range c.tileSizes {
+				for _, forceK := range []bool{false, true} {
+					prog, pl := c.compile(t, ts)
+					want, err := lang.Interpret(prog, c.data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					src := runPlanDual(t, pl, c.data, forceK, c.rerun)
+					for name, m := range pl.Outputs {
+						got := fetchDense(t, src, m)
+						if !got.AlmostEqual(want[name], 1e-9) {
+							t.Fatalf("ts=%d forceK=%v: output %s off oracle by %g",
+								ts, forceK, name, got.MaxAbsDiff(want[name]))
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestCompiledTasksVirtual repeats the differential check in virtual
 // mode, where only traces, sizes and flop counts exist.
 func TestCompiledTasksVirtual(t *testing.T) {
-	prog, err := lang.Parse(diffSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := plan.Compile(prog, plan.Config{TileSize: 4, Densities: map[string]float64{"V": 0.3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := NewSequential()
-	for _, kSplit := range []bool{false, true} {
-		for _, j := range pl.Jobs {
-			phInterp := jobTasks(Env{Virtual: true, TileOps: true, Interpret: true}, j, kSplit)
-			phComp := jobTasks(Env{Virtual: true, TileOps: true}, j, kSplit)
-			for p := range phInterp {
-				for i := range phInterp[p] {
-					ri, err := be.Run(phInterp[p][i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					rc, err := be.Run(phComp[p][i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ri, rc) {
-						t.Fatalf("%s kSplit=%v: virtual results diverge\ninterp:   %+v\ncompiled: %+v",
-							j, kSplit, ri, rc)
-					}
+	for _, c := range diffCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for _, ts := range c.tileSizes {
+				for _, forceK := range []bool{false, true} {
+					_, pl := c.compile(t, ts)
+					runPlanDual(t, pl, nil, forceK, c.rerun)
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -331,6 +490,6 @@ func FuzzTilePipeline(f *testing.F) {
 		for i, in := range prog.Inputs {
 			data[in.Name] = linalg.RandomDense(in.Rows, in.Cols, int64(71+i)).Map(shift)
 		}
-		runPlanDual(t, pl, data, kSplit)
+		runPlanDual(t, pl, data, kSplit, false)
 	})
 }

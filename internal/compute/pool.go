@@ -21,23 +21,24 @@ var (
 	csrPool   sync.Pool     // *linalg.CSRTile, slices grown to the largest tile seen
 )
 
-// PoolMode selects what happens to a released buffer. Only tests change it.
-type PoolMode int32
+// poolMode selects what happens to a released buffer. Only tests change it,
+// through export_test.go.
+type poolMode int32
 
 const (
-	PoolReuse  PoolMode = iota // recycle (production)
-	PoolPoison                 // fill with NaN, then recycle: a stale read cannot go unnoticed
-	PoolOff                    // bypass the pools: every request allocates fresh, the un-pooled oracle
+	poolReuse  poolMode = iota // recycle (production)
+	poolPoison                 // fill with NaN, then recycle: a stale read cannot go unnoticed
+	poolOff                    // bypass the pools: every request allocates fresh, the un-pooled oracle
 )
 
-var poolMode atomic.Int32
+var poolModeNow atomic.Int32
 
-// SetPoolMode installs m and returns the mode it replaced.
-func SetPoolMode(m PoolMode) PoolMode { return PoolMode(poolMode.Swap(int32(m))) }
+// setPoolMode installs m and returns the mode it replaced.
+func setPoolMode(m poolMode) poolMode { return poolMode(poolModeNow.Swap(int32(m))) }
 
 // pooled takes a buffer from p, or nothing when the pools are off.
 func pooled(p *sync.Pool) any {
-	if PoolMode(poolMode.Load()) == PoolOff {
+	if poolMode(poolModeNow.Load()) == poolOff {
 		return nil
 	}
 	return p.Get()
@@ -89,10 +90,10 @@ func freeCSR(t *linalg.CSRTile) {
 // recycle reports whether released buffers go back to their pool, after
 // poisoning the values of this one when the mode asks for it.
 func recycle(values []float64) bool {
-	switch PoolMode(poolMode.Load()) {
-	case PoolOff:
+	switch poolMode(poolModeNow.Load()) {
+	case poolOff:
 		return false
-	case PoolPoison:
+	case poolPoison:
 		for i := range values {
 			values[i] = math.NaN()
 		}

@@ -97,10 +97,6 @@ type ExecOptions struct {
 	// Workers sets the compute parallelism for materialized runs (see
 	// exec.Config.Workers). Virtual time and results are unaffected.
 	Workers int
-	// KernelParallelism bounds the worker fan-out inside a single blocked
-	// GEMM (see exec.Config.KernelParallelism). 0 keeps the process-wide
-	// default; results are bit-identical at any value.
-	KernelParallelism int
 	// Recorder receives the run's observability spans (see obs.Recorder);
 	// nil disables recording at zero cost.
 	Recorder obs.Recorder
@@ -209,19 +205,18 @@ func (s *Session) execute(pl *plan.Plan, cluster cloud.Cluster, opts ExecOptions
 	}
 	materialize := opts.Inputs != nil
 	eng, err := exec.New(exec.Config{
-		Cluster:           cluster,
-		Replication:       opts.Replication,
-		Materialize:       materialize,
-		Seed:              seed,
-		NoiseFactor:       noise,
-		Workers:           opts.Workers,
-		KernelParallelism: opts.KernelParallelism,
-		Recorder:          opts.Recorder,
-		Chaos:             opts.Chaos,
-		MaxTaskRetries:    opts.MaxTaskRetries,
-		CheckpointEvery:   opts.CheckpointEvery,
-		CheckpointStore:   opts.CheckpointStore,
-		Resume:            opts.Resume,
+		Cluster:         cluster,
+		Replication:     opts.Replication,
+		Materialize:     materialize,
+		Seed:            seed,
+		NoiseFactor:     noise,
+		Workers:         opts.Workers,
+		Recorder:        opts.Recorder,
+		Chaos:           opts.Chaos,
+		MaxTaskRetries:  opts.MaxTaskRetries,
+		CheckpointEvery: opts.CheckpointEvery,
+		CheckpointStore: opts.CheckpointStore,
+		Resume:          opts.Resume,
 	})
 	if err != nil {
 		return nil, err

@@ -84,12 +84,14 @@ func (e *Engine) checkpointSetup(p *plan.Plan) (map[int]ckptPoint, error) {
 // run's timeline and placement. A checkpoint resumes only under the
 // exact same fingerprint. The chaos schedule is included minus its
 // kill-program entry: the killed run and the resuming run differ only
-// in that entry, and it never affects the surviving prefix.
+// in that entry, and it never affects the surviving prefix. The literal
+// interp=false stands where an evaluator switch used to be hashed; it
+// stays so that checkpoints written before the switch was removed resume.
 func (e *Engine) configHash(p *plan.Plan) string {
 	s := fmt.Sprintf(
-		"type=%s nodes=%d slots=%d repl=%d mat=%t interp=%t seed=%d noise=%g jobstartup=%g retries=%d backoff=%g rack=%d xrack=%g cache=%g spec=%t tile=%d every=%d chaos=%q targets=%v",
+		"type=%s nodes=%d slots=%d repl=%d mat=%t interp=false seed=%d noise=%g jobstartup=%g retries=%d backoff=%g rack=%d xrack=%g cache=%g spec=%t tile=%d every=%d chaos=%q targets=%v",
 		e.cfg.Cluster.Type.Name, e.cfg.Cluster.Nodes, e.cfg.Cluster.Slots,
-		e.cfg.Replication, e.cfg.Materialize, e.cfg.Interpret,
+		e.cfg.Replication, e.cfg.Materialize,
 		e.cfg.Seed, e.cfg.NoiseFactor, e.jobStartupSec,
 		e.maxTaskRetries, e.retryBackoffSec,
 		e.cfg.RackSize, e.crossRackPenalty, e.cfg.CacheFraction,

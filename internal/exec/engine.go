@@ -37,11 +37,6 @@ type Config struct {
 	// Materialize selects real tile computation. Off, tiles are virtual:
 	// placement, accounting and timing are identical but no payloads move.
 	Materialize bool
-	// Interpret forces the tree-walking expression evaluator instead of
-	// the compiled tile pipelines. Both must produce byte-identical traces
-	// and tiles; the flag exists for differential/golden testing and as an
-	// escape hatch.
-	Interpret bool
 	// Seed drives the deterministic noise and placement randomness.
 	Seed int64
 	// NoiseFactor scales multiplicative task-duration noise (stragglers,
@@ -99,12 +94,6 @@ type Config struct {
 	// sequentially. Virtual runs have no tile math and always run
 	// sequentially.
 	Workers int
-	// KernelParallelism bounds the worker fan-out *inside* a single
-	// blocked GEMM (linalg.SetParallelism) — intra-kernel parallelism,
-	// orthogonal to Workers' task-level fan-out. 0 leaves the process-wide
-	// setting untouched (default: GOMAXPROCS). Results are bit-identical
-	// at any value; only wall-clock changes.
-	KernelParallelism int
 	// Backend overrides the compute backend entirely (tests use it to
 	// force a specific pool width regardless of GOMAXPROCS). When set,
 	// Workers is ignored.
@@ -217,9 +206,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Chaos.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.KernelParallelism > 0 {
-		linalg.SetParallelism(cfg.KernelParallelism)
-	}
 	rec := obs.OrNop(cfg.Recorder)
 	return &Engine{
 		cfg:              cfg,
@@ -232,7 +218,7 @@ func New(cfg Config) (*Engine, error) {
 		retryBackoffSec:  *cfg.RetryBackoffSec,
 		chaos:            chaos.NewInjector(cfg.Chaos),
 		backend:          backend,
-		env:              compute.Env{Src: fs, Virtual: !cfg.Materialize, TileOps: rec.Enabled(), Interpret: cfg.Interpret},
+		env:              compute.Env{Src: fs, Virtual: !cfg.Materialize, TileOps: rec.Enabled()},
 		rec:              rec,
 	}, nil
 }

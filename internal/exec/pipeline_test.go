@@ -1,28 +1,12 @@
 package exec
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
-	"cumulon/internal/chaos"
-	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
-	"cumulon/internal/obs"
 	"cumulon/internal/plan"
 )
-
-// rsvdSrc is the sketching stage of randomized SVD with two power
-// iterations: transposed prologues and deep product chains, no epilogues.
-const rsvdSrc = `
-input A 24 16
-input Omega 16 4
-B = A * Omega
-B = A * (A' * B)
-B = A * (A' * B)
-output B
-`
 
 // gnmfKLSrc is two KL-divergence GNMF iterations (Lee & Seung's Jacobi
 // form): both factor updates read V ./ (W * H) at the same W and H
@@ -41,134 +25,6 @@ H = Hn
 output W
 output H
 `
-
-// runGNMFEval is runGNMF with the evaluator selectable: interpret forces
-// the tree-walking oracle, false runs the compiled tile pipelines.
-func runGNMFEval(t *testing.T, interpret bool, sched *chaos.Schedule, rec obs.Recorder) (map[string]*linalg.Dense, *RunMetrics) {
-	t.Helper()
-	e, err := New(Config{
-		Cluster:       testCluster(t, 4, 2),
-		Materialize:   true,
-		Interpret:     interpret,
-		Seed:          7,
-		NoiseFactor:   0.08,
-		RackSize:      2,
-		CacheFraction: 0.4,
-		Speculation:   true,
-		Chaos:         sched,
-		Recorder:      rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, m, _ := runProgram(t, e, gnmfSrc,
-		plan.Config{Densities: map[string]float64{"V": 0.25}},
-		gnmfData(), 8)
-	return outs, m
-}
-
-// TestCompiledPipelineMatchesInterpreter is the dual-evaluator contract,
-// end to end: the compiled tile pipelines must reproduce the tree-walking
-// interpreter byte-for-byte on the full GNMF iteration — identical
-// RunMetrics (virtual times, placement, byte accounting), bitwise-equal
-// output matrices, and byte-identical Chrome trace exports (same reads in
-// the same order, same flop charges, same kernel stats). This is what
-// lets the compiled path go default-on without re-recording any goldens.
-func TestCompiledPipelineMatchesInterpreter(t *testing.T) {
-	intTr, compTr := obs.NewTrace(), obs.NewTrace()
-	intOuts, intM := runGNMFEval(t, true, nil, intTr)
-	compOuts, compM := runGNMFEval(t, false, nil, compTr)
-
-	if !reflect.DeepEqual(intM, compM) {
-		t.Fatalf("RunMetrics diverge between evaluators:\ninterp:   %+v\ncompiled: %+v", intM, compM)
-	}
-	for name, id := range intOuts {
-		cd := compOuts[name]
-		if cd == nil {
-			t.Fatalf("compiled run missing output %s", name)
-		}
-		if !reflect.DeepEqual(id.Data, cd.Data) {
-			t.Fatalf("output %s not bitwise identical between evaluators (maxdiff %g)",
-				name, id.MaxAbsDiff(cd))
-		}
-	}
-	var intOut, compOut bytes.Buffer
-	if err := intTr.WriteChrome(&intOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := compTr.WriteChrome(&compOut); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(intOut.Bytes(), compOut.Bytes()) {
-		t.Fatalf("trace exports diverge between evaluators: interp %d bytes, compiled %d bytes",
-			intOut.Len(), compOut.Len())
-	}
-	if len(intTr.Events()) == 0 {
-		t.Fatal("trace recorded no kernel events; test exercises nothing")
-	}
-}
-
-// TestCompiledPipelineMatchesInterpreterUnderFaults repeats the contract
-// under a probabilistic chaos schedule: retries, re-replication and
-// speculative copies must not tell the evaluators apart either.
-func TestCompiledPipelineMatchesInterpreterUnderFaults(t *testing.T) {
-	sched := &chaos.Schedule{Seed: 5, TaskFaultProb: 0.12, ReadFaultProb: 0.04}
-	intOuts, intM := runGNMFEval(t, true, sched, nil)
-	compOuts, compM := runGNMFEval(t, false, sched, nil)
-
-	if !reflect.DeepEqual(intM, compM) {
-		t.Fatalf("RunMetrics diverge under faults:\ninterp:   %+v\ncompiled: %+v", intM, compM)
-	}
-	for name, id := range intOuts {
-		if !reflect.DeepEqual(id.Data, compOuts[name].Data) {
-			t.Fatalf("output %s diverges under faults (maxdiff %g)",
-				name, id.MaxAbsDiff(compOuts[name]))
-		}
-	}
-	if intM.TotalRetries == 0 {
-		t.Fatal("chaos schedule produced no retries; test exercises nothing")
-	}
-}
-
-// TestCompiledPipelineRSVD extends the dual-evaluator check to the RSVD
-// power iteration — transposed prologues and deep product chains, no
-// epilogues — in virtual mode, where only traces and accounting exist.
-func TestCompiledPipelineRSVD(t *testing.T) {
-	run := func(interpret bool) *RunMetrics {
-		e, err := New(Config{
-			Cluster:     testCluster(t, 3, 2),
-			Interpret:   interpret,
-			Seed:        7,
-			NoiseFactor: 0.05,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := lang.Parse(rsvdSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := plan.Compile(prog, plan.Config{TileSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.AutoSplit(6)
-		for _, in := range pl.Inputs {
-			if err := e.LoadVirtual(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m, err := e.Run(pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	intM, compM := run(true), run(false)
-	if !reflect.DeepEqual(intM, compM) {
-		t.Fatalf("virtual RSVD metrics diverge:\ninterp:   %+v\ncompiled: %+v", intM, compM)
-	}
-}
 
 // TestGNMFKLRunsCorrectlyWithCSE executes the KL-divergence GNMF variant
 // — whose repeated V⊘(WH) product the CSE pass hoists into a shared
@@ -225,69 +81,5 @@ func TestGNMFKLRunsCorrectlyWithCSE(t *testing.T) {
 		if !got.AlmostEqual(want[name], 1e-9) {
 			t.Fatalf("output %s off oracle by %g", name, got.MaxAbsDiff(want[name]))
 		}
-	}
-}
-
-// BenchmarkGNMFEvaluator times one materialized GNMF iteration through
-// the full engine with the tree-walking interpreter vs the compiled tile
-// pipelines — the end-to-end wall-clock value of single-pass map
-// evaluation and GEMM epilogue fusion (EXPERIMENTS.md).
-func BenchmarkGNMFEvaluator(b *testing.B) {
-	const src = `
-input V 768 768 sparse
-input W 768 16
-input H 16 768
-H = H .* (W' * V) ./ ((W' * W) * H)
-W = W .* (V * H') ./ (W * (H * H'))
-output W
-output H
-`
-	data := map[string]*linalg.Dense{
-		"V": linalg.RandomSparseDense(768, 768, 0.1, 31),
-		"W": linalg.RandomDense(768, 16, 32).Map(func(x float64) float64 { return x + 0.5 }),
-		"H": linalg.RandomDense(16, 768, 33).Map(func(x float64) float64 { return x + 0.5 }),
-	}
-	mt, err := cloud.TypeByName("m1.large")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := cloud.NewCluster(mt, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name      string
-		interpret bool
-	}{{"naive", true}, {"fused", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, err := New(Config{
-					Cluster:     cl,
-					Materialize: true,
-					Interpret:   mode.interpret,
-					Seed:        7,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				prog, err := lang.Parse(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pl, err := plan.Compile(prog, plan.Config{TileSize: 256, Densities: map[string]float64{"V": 0.1}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pl.AutoSplit(1)
-				for _, in := range pl.Inputs {
-					if err := e.LoadDense(in, data[in.Name]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := e.Run(pl); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

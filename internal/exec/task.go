@@ -89,16 +89,14 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 		}
 		for _, js := range jSpans {
 			for kc, ks := range kSpans {
-				outMeta := j.Out
-				epilogue := j.Epilogue
+				outMeta, epi := j.Out, j.EpiProg
 				if !singleK {
-					outMeta = partials[kc]
-					epilogue = nil
+					outMeta, epi = partials[kc], nil
 				}
 				phase1 = append(phase1, &task{
 					index:    len(phase1),
 					prefNode: pref[kc],
-					ct:       compute.NewMulTask(e.env, j, outMeta, epilogue, is, js, ks),
+					ct:       compute.NewMulTask(e.env, j, outMeta, epi, is, js, ks),
 				})
 			}
 		}

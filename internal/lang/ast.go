@@ -347,20 +347,6 @@ func Walk(e Expr, f func(Expr)) {
 	}
 }
 
-// FreeVars returns the distinct variable names referenced by e, in first
-// appearance order.
-func FreeVars(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	Walk(e, func(n Expr) {
-		if v, ok := n.(Var); ok && !seen[v.Name] {
-			seen[v.Name] = true
-			out = append(out, v.Name)
-		}
-	})
-	return out
-}
-
 // String renders the whole program in the textual syntax accepted by Parse.
 func (p *Program) String() string {
 	var b strings.Builder

@@ -213,23 +213,6 @@ func TestRoundTripStringParse(t *testing.T) {
 	}
 }
 
-func TestFreeVars(t *testing.T) {
-	e, err := ParseExpr("A .* (B * A) + C'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FreeVars(e)
-	want := []string{"A", "B", "C"}
-	if len(got) != len(want) {
-		t.Fatalf("freevars: %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("freevars order: %v", got)
-		}
-	}
-}
-
 func TestInterpretSimple(t *testing.T) {
 	src := `
 input A 4 3

@@ -226,13 +226,6 @@ func Map(t *Tile, f func(x float64) float64) *Tile {
 	return out
 }
 
-// MapInto applies f element-wise over t in place.
-func MapInto(t *Tile, f func(x float64) float64) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
 // Scale returns s * t in a fresh tile.
 func Scale(t *Tile, s float64) *Tile {
 	return Map(t, func(x float64) float64 { return s * x })

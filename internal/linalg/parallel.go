@@ -37,8 +37,8 @@ var parallelism atomic.Int32
 // SetParallelism bounds the worker count of the parallel GEMM tier and
 // returns the previous bound. n <= 0 restores the default (GOMAXPROCS at
 // call time). The knob is process-wide — it is a property of the host,
-// not of one engine — and is threaded from exec.Config.KernelParallelism
-// / core.ExecOptions.KernelParallelism and the CLIs' -kernel-par flags.
+// not of one engine — so a process sets it once at start (the CLIs'
+// -kernel-par flags, tune.Profile.Apply) and engines never touch it.
 // Results are bit-identical at every setting; only wall-clock changes.
 func SetParallelism(n int) int {
 	prev := int(parallelism.Swap(int32(max(n, 0))))

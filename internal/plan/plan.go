@@ -25,7 +25,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"cumulon/internal/lang"
 	"cumulon/internal/store"
@@ -161,25 +160,6 @@ func (j *Job) KTiles() int {
 	return (j.KSize + j.Out.TileSize - 1) / j.Out.TileSize
 }
 
-// InputMetas returns the distinct stored matrices the job reads, sorted by
-// name for determinism.
-func (j *Job) InputMetas() []store.Meta {
-	seen := map[string]store.Meta{}
-	for _, l := range j.Leaves {
-		seen[l.Meta.Name] = l.Meta
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]store.Meta, len(names))
-	for i, n := range names {
-		out[i] = seen[n]
-	}
-	return out
-}
-
 func (j *Job) String() string {
 	return fmt.Sprintf("job %d %s [%s] -> %s (%dx%d tiles, split %v)",
 		j.ID, j.Name, j.Kind, j.Out.Name, j.ITiles(), j.JTiles(), j.Split)
@@ -213,33 +193,6 @@ type Boundary struct {
 	Stmt int
 	// LastJob is the highest job ID completed at the boundary.
 	LastJob int
-}
-
-// LiveAt returns the stored matrices that must exist for execution to
-// continue after the boundary job b: outputs of jobs with ID <= b that
-// are read by a job with ID > b or are program outputs. It is a pure
-// function of the plan, so a resuming engine derives the same set the
-// checkpointing engine persisted.
-func (p *Plan) LiveAt(b int) []store.Meta {
-	needed := map[string]bool{}
-	for _, m := range p.Outputs {
-		needed[m.Name] = true
-	}
-	for _, j := range p.Jobs {
-		if j.ID <= b {
-			continue
-		}
-		for _, in := range j.InputMetas() {
-			needed[in.Name] = true
-		}
-	}
-	var live []store.Meta
-	for _, j := range p.Jobs {
-		if j.ID <= b && needed[j.Out.Name] {
-			live = append(live, j.Out)
-		}
-	}
-	return live
 }
 
 // JobByID returns the job with the given id, or nil.

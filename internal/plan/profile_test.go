@@ -10,8 +10,8 @@ import (
 )
 
 // The oracle: the per-task enumerator TaskProfiles used before profiles
-// took class form. It walks the expression trees per task (lang.FreeVars,
-// the Leaves lookup, the MMVar skip) and evaluates every task's work on its
+// took class form. It walks the expression trees per task (freeVars, the
+// Leaves lookup, the MMVar skip) and evaluates every task's work on its
 // own spans, so it shares neither the compile-time leaf lists nor the class
 // grouping with the production path.
 
@@ -29,9 +29,33 @@ func oracleOps(e lang.Expr) int64 {
 	return n
 }
 
+// freeVars returns the distinct variable names referenced by e, in first
+// appearance order.
+func freeVars(e lang.Expr) []string {
+	var out []string
+	seen := map[string]bool{}
+	lang.Walk(e, func(n lang.Expr) {
+		if v, ok := n.(lang.Var); ok && !seen[v.Name] {
+			seen[v.Name] = true
+			out = append(out, v.Name)
+		}
+	})
+	return out
+}
+
+func TestFreeVars(t *testing.T) {
+	e, err := lang.ParseExpr("A .* (B * A) + C'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := freeVars(e), []string{"A", "B", "C"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("freeVars = %v, want %v", got, want)
+	}
+}
+
 func oracleRegionBytes(expr lang.Expr, leaves map[string]LeafRef, rows, cols Span) int64 {
 	var n int64
-	for _, name := range lang.FreeVars(expr) {
+	for _, name := range freeVars(expr) {
 		if name == MMVar {
 			continue
 		}

@@ -96,17 +96,6 @@ output B
 	if pl.String() == "" || pl.Jobs[0].String() == "" {
 		t.Fatal("String broken")
 	}
-	for _, j := range pl.Jobs {
-		metas := j.InputMetas()
-		if len(metas) == 0 {
-			t.Fatalf("job %d has no input metas", j.ID)
-		}
-		for i := 1; i < len(metas); i++ {
-			if metas[i].Name <= metas[i-1].Name {
-				t.Fatal("InputMetas not sorted")
-			}
-		}
-	}
 	// LeafRef.Shape covers both orientations.
 	j := pl.Jobs[0]
 	for _, ref := range j.Leaves {

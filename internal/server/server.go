@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -841,6 +842,11 @@ func (s *Server) StatsSnapshot() Stats {
 	return st
 }
 
+// maxSubmitBytes bounds a POST /v1/jobs body. Program text, shapes and
+// options fit in a few KiB; an unbounded body would be buffered whole by the
+// JSON decoder.
+const maxSubmitBytes = 1 << 20
+
 // Handler returns the HTTP API:
 //
 //	POST   /v1/jobs           submit (SubmitRequest JSON -> JobStatus)
@@ -865,7 +871,13 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeErr(w, &apiError{code: http.StatusRequestEntityTooLarge,
+					msg: fmt.Sprintf("request body exceeds the %d-byte limit", maxSubmitBytes)})
+				return
+			}
 			writeErr(w, badRequest("bad request body: %v", err))
 			return
 		}

@@ -179,6 +179,9 @@ func TestServerValidation(t *testing.T) {
 		{"wrong machine", SubmitRequest{Tenant: "a", Program: gnmfSource(), Machine: "c1.xlarge"}, 400},
 		{"deadline and budget", SubmitRequest{Tenant: "a", Program: gnmfSource(),
 			Optimize: true, DeadlineSec: 60, BudgetDollars: 1}, 400},
+		// A 2 MiB body: refused once the decoder has read maxSubmitBytes,
+		// whatever it holds.
+		{"oversized body", SubmitRequest{Tenant: "a", Program: strings.Repeat("# padding\n", 2<<20/10)}, 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,7 +201,15 @@ func TestServerValidation(t *testing.T) {
 			if json.Unmarshal(body, &e) != nil || e.Error == "" {
 				t.Fatalf("error body not JSON: %s", body)
 			}
+			if tc.code == 413 && !strings.Contains(e.Error, "1048576-byte limit") {
+				t.Fatalf("413 does not state the limit: %s", e.Error)
+			}
 		})
+	}
+	// None of the refusals cost the server anything: it still runs a job.
+	st := submit(t, ts.URL, SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Density: 0.4, Nodes: 4})
+	if fin := await(t, ts.URL, st.ID); fin.State != StateSucceeded {
+		t.Fatalf("job after the refused submissions: %s %s", fin.State, fin.Error)
 	}
 }
 

@@ -219,54 +219,6 @@ func (p *Predictor) PredictPlan(pl *plan.Plan) float64 {
 	return total
 }
 
-// PredictPlanOverlap predicts the plan under the engine's OverlapJobs
-// mode: a job is released as soon as its dependencies finish and its
-// tasks share the persistent slot pool with everything already running —
-// the same greedy discipline the engine uses.
-func (p *Predictor) PredictPlanOverlap(pl *plan.Plan) float64 {
-	slots := make([]float64, p.Cluster.TotalSlots())
-	jobEnds := map[int]float64{}
-	makespan := 0.0
-	for _, j := range pl.Jobs {
-		ready := 0.0
-		for _, d := range j.Deps {
-			if jobEnds[d] > ready {
-				ready = jobEnds[d]
-			}
-		}
-		clock := ready + p.JobStartup
-		for _, ph := range p.profiles.Profile(j) {
-			dur := p.classSeconds(ph)
-			end := clock
-			for _, c := range ph.Class {
-				best := 0
-				avail := func(i int) float64 {
-					if slots[i] < clock {
-						return clock
-					}
-					return slots[i]
-				}
-				for i := 1; i < len(slots); i++ {
-					if avail(i) < avail(best) {
-						best = i
-					}
-				}
-				start := avail(best)
-				slots[best] = start + dur[c]
-				if slots[best] > end {
-					end = slots[best]
-				}
-			}
-			clock = end
-		}
-		jobEnds[j.ID] = clock
-		if clock > makespan {
-			makespan = clock
-		}
-	}
-	return makespan
-}
-
 // BestSplit sweeps the split candidates of a job and returns the one with
 // the lowest predicted time whose estimated per-task memory fits in
 // memBytesPerSlot (0 disables the memory constraint). The job's split is

@@ -286,50 +286,3 @@ func TestQuantileOfGuards(t *testing.T) {
 		t.Fatalf("quantileOf(q>1) = %v, want last sample", v)
 	}
 }
-
-func TestPredictPlanOverlapTracksEngine(t *testing.T) {
-	tm, mt := calibrated(t, "m1.large", 2)
-	cluster, _ := cloud.NewCluster(mt, 8, 2)
-	src := `
-input A 16384 16384
-input B 16384 16384
-C = A * B
-D = B * A
-E = C .* D
-output E
-`
-	build := func() *plan.Plan {
-		pl := compile(t, src, 2048)
-		// Under-split so overlap matters.
-		for _, j := range pl.Jobs {
-			j.Split = plan.Split{CI: 2, CJ: 2, CK: 1}
-		}
-		return pl
-	}
-	p := New(tm, cluster)
-	pl := build()
-	seq := p.PredictPlan(pl)
-	ovl := p.PredictPlanOverlap(pl)
-	if ovl >= seq {
-		t.Fatalf("overlap prediction (%v) not below sequential (%v)", ovl, seq)
-	}
-	// Compare against the engine in overlap mode.
-	e, err := exec.New(exec.Config{Cluster: cluster, Seed: 5, NoiseFactor: 0.08, OverlapJobs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2 := build()
-	for _, in := range pl2.Inputs {
-		if err := e.LoadVirtual(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := e.Run(pl2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := math.Abs(ovl-m.TotalSeconds) / m.TotalSeconds
-	if rel > 0.25 {
-		t.Fatalf("overlap prediction %v vs engine %v (rel %v)", ovl, m.TotalSeconds, rel)
-	}
-}

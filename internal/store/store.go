@@ -145,15 +145,6 @@ func (s *Store) WriteSparseTile(m Meta, ti, tj int, t *linalg.CSRTile, node int)
 	return s.FS.Write(m.TilePath(ti, tj), EncodeSparseTile(t), node)
 }
 
-// ReadSparseTile fetches and decodes one CSR tile.
-func (s *Store) ReadSparseTile(m Meta, ti, tj int, node int) (*linalg.CSRTile, error) {
-	raw, err := s.FS.Read(m.TilePath(ti, tj), node)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSparseTile(raw)
-}
-
 // DeleteMatrix removes every tile of the matrix. Used to garbage-collect
 // intermediates between jobs.
 func (s *Store) DeleteMatrix(m Meta) {

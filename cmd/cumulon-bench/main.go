@@ -29,9 +29,10 @@ func main() {
 	seed := flag.Int64("seed", 42, "reproduction seed")
 	quiet := flag.Bool("q", false, "suppress per-experiment timing")
 	format := flag.String("format", "text", "table format: text, markdown, or csv")
-	workers := flag.Int("workers", 0, "parallel compute workers for materialized runs")
+	workers := flag.Int("workers", 0,
+		"tasks computed at once in materialized runs (0 = the host's compute budget, 1 = sequential; results are identical)")
 	kernelPar := flag.Int("kernel-par", 0,
-		"worker fan-out inside a single blocked GEMM (0 = GOMAXPROCS; results are identical)")
+		"size of the host's compute budget: goroutines doing tile math at once (0 = GOMAXPROCS; results are identical)")
 	autotune := flag.Bool("autotune", false,
 		"sweep blocking shapes and worker counts on this host (internal/linalg/tune) and install the best before running experiments")
 	traceOut := flag.String("trace", "",
@@ -44,6 +45,10 @@ func main() {
 		"inject a deterministic fault schedule into every engine run, e.g. \"seed=7,kill=3@120,taskfault=0.02\"")
 	flag.Parse()
 
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "-workers must be >= 0, got %d\n", *workers)
+		os.Exit(1)
+	}
 	sched, err := chaos.Parse(*chaosSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

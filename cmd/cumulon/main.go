@@ -58,9 +58,9 @@ func run(args []string) error {
 		"compute real values on random inputs (small programs only) and print output stats")
 	seed := fs.Int64("seed", 42, "seed for data, placement and noise")
 	workers := fs.Int("workers", 0,
-		"parallel compute workers for -materialize (capped at GOMAXPROCS; results are identical)")
+		"tasks computed at once with -materialize (0 = the host's compute budget, 1 = sequential; results are identical)")
 	kernelPar := fs.Int("kernel-par", 0,
-		"host-wide worker fan-out inside a single blocked GEMM (0 = GOMAXPROCS; results are identical)")
+		"size of the host's compute budget: goroutines doing tile math at once, tasks and parallel GEMM together (0 = GOMAXPROCS; results are identical)")
 	showPlan := fs.Bool("plan", true, "print the compiled physical plan")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	dot := fs.Bool("dot", false, "emit the plan DAG in Graphviz DOT and exit")
@@ -103,6 +103,9 @@ func run(args []string) error {
 	}
 	if *asJSON {
 		*showPlan = false
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	if *kernelPar > 0 {
 		linalg.SetParallelism(*kernelPar)

@@ -40,6 +40,8 @@ func TestRunBadInputs(t *testing.T) {
 		{"chaos bad rate", []string{"-f", prog, "-chaos", "taskfault=2.5"}, "chaos"},
 		{"chaos unknown key", []string{"-f", prog, "-chaos", "frobnicate=1"}, "chaos"},
 		{"non-numeric nodes", []string{"-f", prog, "-nodes", "many"}, "invalid value"},
+		{"negative workers", []string{"-f", prog, "-materialize", "-workers", "-3"}, "-workers must be >= 0"},
+		{"negative workers, virtual run", []string{"-f", prog, "-workers", "-1"}, "-workers must be >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

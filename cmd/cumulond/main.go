@@ -34,7 +34,7 @@ func run(args []string, out io.Writer) error {
 	nodes := fs.Int("nodes", 16, "node capacity of the shared cluster")
 	slots := fs.Int("slots", 2, "default task slots per node")
 	seed := fs.Int64("seed", 42, "default seed for jobs that do not supply one")
-	workers := fs.Int("workers", 0, "per-job compute parallelism for materialized runs (0 = sequential)")
+	workers := fs.Int("workers", 0, "tasks a materialized job computes at once (0 = the host's compute budget, shared by all jobs; 1 = sequential)")
 	weights := fs.String("weights", "", "fair-share weights as tenant=w pairs, e.g. \"analytics=3,adhoc=1\"")
 	aging := fs.Float64("aging", 1, "service units per second a waiting job's rank improves by")
 	boost := fs.Float64("priority-boost", 100, "service units of head start per priority point")
@@ -51,6 +51,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	w, err := parseWeights(*weights)
 	if err != nil {

@@ -273,11 +273,11 @@ output H
 }
 
 // TestGNMFWorkerCountInvariance runs the full GNMF loop materialized with
-// workers=1 and with an 8-wide worker pool and asserts the runs are
+// workers=1, with a worker pool, and with the default configuration under
+// compute budgets of 1 to 8 tokens, and asserts the runs are
 // indistinguishable: same virtual completion time, same output norms. The
-// pool is injected via exec.Config.Backend so the test exercises real
-// multi-goroutine compute even on hosts where GOMAXPROCS would cap
-// Config.Workers back to 1.
+// budget is set explicitly so the test exercises real multi-goroutine
+// compute even on a one-core host.
 func TestGNMFWorkerCountInvariance(t *testing.T) {
 	src := `
 input V 24 18 sparse
@@ -334,14 +334,24 @@ output H
 		return m.TotalSeconds, norms
 	}
 	seqSecs, seqNorms := run(nil, 1)
-	poolSecs, poolNorms := run(compute.NewPool(8), 0)
-	if seqSecs != poolSecs {
-		t.Fatalf("virtual completion time depends on worker count: %v vs %v", seqSecs, poolSecs)
-	}
-	for name, sn := range seqNorms {
-		if pn := poolNorms[name]; pn != sn {
-			t.Fatalf("output %s norm depends on worker count: %v vs %v", name, sn, pn)
+	check := func(be compute.Backend, workers int) {
+		t.Helper()
+		poolSecs, poolNorms := run(be, workers)
+		if seqSecs != poolSecs {
+			t.Fatalf("virtual completion time depends on worker count: %v vs %v", seqSecs, poolSecs)
 		}
+		for name, sn := range seqNorms {
+			if pn := poolNorms[name]; pn != sn {
+				t.Fatalf("output %s norm depends on worker count: %v vs %v", name, sn, pn)
+			}
+		}
+	}
+	check(compute.NewPool(8), 0)
+	// Workers: 0 is the host's compute budget, whatever its size.
+	for _, budget := range []int{1, 2, 4, 8} {
+		prev := linalg.SetParallelism(budget)
+		check(nil, 0)
+		linalg.SetParallelism(prev)
 	}
 }
 

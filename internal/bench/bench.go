@@ -99,10 +99,9 @@ func newResult(id, title string, header ...string) *Result {
 type Suite struct {
 	Sess *core.Session
 	Seed int64
-	// Workers sets the compute parallelism of materialized runs (see
-	// exec.Config.Workers). Virtual-mode experiments are unaffected; the
-	// knob exists so materialized comparisons and the integration tests
-	// that drive the suite finish faster on multi-core hosts.
+	// Workers bounds the tasks materialized runs compute at once (see
+	// exec.Config.Workers: 0 = the host's compute budget, 1 = sequential).
+	// Virtual-mode experiments are unaffected.
 	Workers int
 	// Recorder, when set, receives the observability spans of every
 	// engine run the suite performs (the bench binary points it at an

@@ -18,6 +18,12 @@
 // identical to the sequential reference.
 package compute
 
+import (
+	"sync"
+
+	"cumulon/internal/linalg"
+)
+
 // Source supplies input payloads to compute tasks. Implementations must be
 // safe for concurrent use (dfs.FS is). Peek returns the file contents
 // without any read accounting; the engine accounts the read later when it
@@ -94,8 +100,8 @@ type Task struct {
 	ops int
 }
 
-// Backend runs compute tasks. Both implementations are deterministic in
-// their results; they differ only in wall-clock strategy.
+// Backend runs compute tasks. Results do not depend on the backend's width;
+// only wall-clock does.
 type Backend interface {
 	// Workers returns the backend's concurrency width (1 for sequential).
 	Workers() int
@@ -106,12 +112,20 @@ type Backend interface {
 	// waiting as needed. fetch must only be called from the engine's
 	// scheduling goroutine; it may be called in any order, at most once
 	// per index effectively (repeat calls return the memoized result).
-	RunBatch(ts []*Task) func(i int) (*Result, error)
+	// The caller calls release when it is done with the batch, whether or
+	// not it fetched every result: the backend starts no further task, and
+	// release returns once none is running.
+	RunBatch(ts []*Task) (fetch func(i int) (*Result, error), release func())
 }
 
-// runTask executes one task; the input tiles it decoded go back to the
-// process-wide pool when it ends.
+// runTask executes one task. A materialized task holds a token of the
+// host's compute budget while it runs (a virtual one does no tile math);
+// the input tiles it decoded go back to the process-wide pool when it ends.
 func runTask(t *Task) (*Result, error) {
+	if !t.Env.Virtual {
+		linalg.AcquireToken()
+		defer linalg.ReleaseToken()
+	}
 	c := newCtx(t)
 	defer c.release()
 	if err := t.Fn(c); err != nil {
@@ -120,89 +134,117 @@ func runTask(t *Task) (*Result, error) {
 	return &c.res, nil
 }
 
-// sequentialBackend computes each task lazily on the calling goroutine,
-// exactly when the engine first asks for its result. This is the reference
-// backend: with it, compute interleaves with accounting in the engine's
-// scheduling order just as the pre-refactor engine did.
-type sequentialBackend struct{}
+// poolBackend computes a batch on up to n goroutines, of which the
+// scheduling goroutine is one: inside fetch it computes the task it was
+// asked for, or, while a helper goroutine has that one in flight, another
+// task nobody has started. Helpers claim tasks in index order. With n = 1
+// there are no helpers and each task is computed exactly when the engine
+// first asks for its result, on the goroutine that asks: the sequential
+// reference, in which compute interleaves with accounting in scheduling
+// order. Completion order is otherwise arbitrary, but fetch answers per
+// index, so nothing about scheduling depends on it.
+type poolBackend struct {
+	n int // most tasks in flight; 0 means as many as the compute budget has tokens
+}
 
 // NewSequential returns the sequential reference backend.
-func NewSequential() Backend { return sequentialBackend{} }
+func NewSequential() Backend { return &poolBackend{n: 1} }
 
-func (sequentialBackend) Workers() int { return 1 }
+// NewPool returns a backend that keeps at most `workers` tasks in flight,
+// or as many as the host's compute budget allows (linalg.Parallelism) when
+// workers is 0 or more than that.
+func NewPool(workers int) Backend { return &poolBackend{n: max(workers, 0)} }
 
-func (sequentialBackend) Run(t *Task) (*Result, error) { return runTask(t) }
-
-func (sequentialBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
-	type slot struct {
-		res  *Result
-		err  error
-		done bool
+func (p *poolBackend) Workers() int {
+	if w := linalg.Parallelism(); p.n == 0 || p.n > w {
+		return w
 	}
-	memo := make([]slot, len(ts))
-	return func(i int) (*Result, error) {
-		m := &memo[i]
-		if !m.done {
-			m.res, m.err = runTask(ts[i])
-			m.done = true
-		}
-		return m.res, m.err
-	}
+	return p.n
 }
-
-// poolBackend fans a batch out across worker goroutines. Tasks are handed
-// to workers in index order; completion order is arbitrary, but the
-// engine's fetch blocks per index, so nothing about scheduling depends on
-// it.
-type poolBackend struct {
-	n int
-}
-
-// NewPool returns a worker-pool backend of the given width. Widths below 1
-// are clamped to 1 (making it equivalent to running sequentially, minus
-// the lazy evaluation).
-func NewPool(workers int) Backend {
-	if workers < 1 {
-		workers = 1
-	}
-	return &poolBackend{n: workers}
-}
-
-func (p *poolBackend) Workers() int { return p.n }
 
 func (p *poolBackend) Run(t *Task) (*Result, error) { return runTask(t) }
 
-func (p *poolBackend) RunBatch(ts []*Task) func(int) (*Result, error) {
-	type slot struct {
-		res *Result
-		err error
-	}
-	out := make([]slot, len(ts))
-	done := make([]chan struct{}, len(ts))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	idx := make(chan int)
-	go func() {
-		for i := range ts {
-			idx <- i
+// batch is one RunBatch call: the tasks, their memoized results and who
+// has started which.
+type batch struct {
+	ts       []*Task
+	mu       sync.Mutex
+	finished sync.Cond // the scheduling goroutine waits here for a task in flight
+	slots    []batchSlot
+	next     int  // helpers and the idle scheduling goroutine claim from here up
+	released bool // no further claims
+}
+
+type batchSlot struct {
+	res           *Result
+	err           error
+	claimed, done bool
+}
+
+// claimNext claims the lowest-indexed task nobody has started, or returns
+// -1 when there is none or the batch was released. b.mu must be held.
+func (b *batch) claimNext() int {
+	for ; !b.released && b.next < len(b.ts); b.next++ {
+		if s := &b.slots[b.next]; !s.claimed {
+			s.claimed = true
+			return b.next
 		}
-		close(idx)
-	}()
-	workers := p.n
-	if workers > len(ts) {
-		workers = len(ts)
 	}
-	for w := 0; w < workers; w++ {
+	return -1
+}
+
+// run computes a claimed task and publishes its result.
+func (b *batch) run(i int) {
+	res, err := runTask(b.ts[i])
+	b.mu.Lock()
+	b.slots[i].res, b.slots[i].err, b.slots[i].done = res, err, true
+	b.mu.Unlock()
+	b.finished.Broadcast()
+}
+
+func (p *poolBackend) RunBatch(ts []*Task) (func(int) (*Result, error), func()) {
+	b := &batch{ts: ts, slots: make([]batchSlot, len(ts))}
+	b.finished.L = &b.mu
+	var helpers sync.WaitGroup
+	for h := min(p.Workers(), len(ts)) - 1; h > 0; h-- {
+		helpers.Add(1)
 		go func() {
-			for i := range idx {
-				out[i].res, out[i].err = runTask(ts[i])
-				close(done[i])
+			defer helpers.Done()
+			for {
+				b.mu.Lock()
+				i := b.claimNext()
+				b.mu.Unlock()
+				if i < 0 {
+					return
+				}
+				b.run(i)
 			}
 		}()
 	}
-	return func(i int) (*Result, error) {
-		<-done[i]
-		return out[i].res, out[i].err
+	fetch := func(i int) (*Result, error) {
+		b.mu.Lock()
+		s := &b.slots[i]
+		for !s.done {
+			j := i
+			if s.claimed {
+				// A helper has task i in flight: compute another meanwhile.
+				if j = b.claimNext(); j < 0 {
+					b.finished.Wait()
+					continue
+				}
+			}
+			b.slots[j].claimed = true
+			b.mu.Unlock()
+			b.run(j)
+			b.mu.Lock()
+		}
+		b.mu.Unlock()
+		return s.res, s.err
+	}
+	return fetch, func() {
+		b.mu.Lock()
+		b.released = true
+		b.mu.Unlock()
+		helpers.Wait()
 	}
 }

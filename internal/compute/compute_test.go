@@ -142,7 +142,7 @@ func TestRunBatchErrorAndMemoization(t *testing.T) {
 			{Fn: func(c *Ctx) error { runs[1]++; return boom }},
 			{Fn: func(c *Ctx) error { runs[2]++; c.res.Flops = 33; return nil }},
 		}
-		fetch := tc.be.RunBatch(tasks)
+		fetch, release := tc.be.RunBatch(tasks)
 		if _, err := fetch(1); !errors.Is(err, boom) {
 			t.Fatalf("%s: fetch(1) err = %v, want boom", tc.name, err)
 		}
@@ -161,6 +161,7 @@ func TestRunBatchErrorAndMemoization(t *testing.T) {
 		}
 		// The pool computes every task eagerly exactly once; the
 		// sequential backend computes lazily, also exactly once.
+		release()
 		for i, n := range runs {
 			if n != 1 {
 				t.Fatalf("%s: task %d ran %d times", tc.name, i, n)

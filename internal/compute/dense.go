@@ -42,7 +42,8 @@ func runStripes(b Backend, rows int, fn func(lo, hi int)) {
 			return nil
 		}}
 	}
-	fetch := b.RunBatch(tasks)
+	fetch, release := b.RunBatch(tasks)
+	defer release()
 	for i := range tasks {
 		// The stripe functions cannot fail; fetch only synchronizes.
 		fetch(i) //nolint:errcheck

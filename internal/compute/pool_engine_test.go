@@ -230,11 +230,12 @@ func TestPoisonedPoolDifferential(t *testing.T) {
 // TestPoisonedPoolParallelKernels repeats the differential where the
 // sharing is widest: pool-backend workers decode the same DFS tile (one
 // read-only view of one stored block) at the same time, each task's GEMM
-// fans out across the parallel blocked driver, and every released buffer
-// is poisoned while other workers are still computing.
+// fans out across the parallel blocked driver — four tasks in flight on a
+// compute budget of eight leave it tokens to borrow — and every released
+// buffer is poisoned while other workers are still computing.
 func TestPoisonedPoolParallelKernels(t *testing.T) {
 	defer compute.SetPoolMode(compute.PoolReuse)
-	defer linalg.SetParallelism(linalg.SetParallelism(4))
+	defer linalg.SetParallelism(linalg.SetParallelism(8))
 	const n = 264 // 2·264³ flops per tile product: above the fan-out gate
 	c := poolCase{
 		name: "parallel-kernels",

@@ -94,8 +94,9 @@ type ExecOptions struct {
 	NoiseFactor float64
 	// Seed overrides the session seed for this run when nonzero.
 	Seed int64
-	// Workers sets the compute parallelism for materialized runs (see
-	// exec.Config.Workers). Virtual time and results are unaffected.
+	// Workers bounds how many tasks a materialized run computes at once
+	// (see exec.Config.Workers): 0 = the host's compute budget, 1 =
+	// sequential. Virtual time and results are unaffected.
 	Workers int
 	// Recorder receives the run's observability spans (see obs.Recorder);
 	// nil disables recording at zero cost.

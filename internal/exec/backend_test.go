@@ -60,25 +60,28 @@ func runGNMF(t *testing.T, be compute.Backend, sched *chaos.Schedule, rec obs.Re
 	return outs, m
 }
 
-// TestPoolBackendMatchesSequential is the backend-equivalence contract: a
-// worker pool far wider than GOMAXPROCS must reproduce the sequential
+// TestPoolBackendMatchesSequential is the backend-equivalence contract: the
+// engine's default backend (the pool on the host's compute budget) and a
+// worker pool asked for more than the budget must reproduce the sequential
 // reference byte-for-byte — identical RunMetrics (virtual times, placement,
 // byte accounting, task durations) and bitwise-identical output matrices.
+// TestComputeBudgetInvariance widens this to every budget and observable.
 func TestPoolBackendMatchesSequential(t *testing.T) {
 	seqOuts, seqM := runGNMF(t, compute.NewSequential(), nil, nil)
-	poolOuts, poolM := runGNMF(t, compute.NewPool(8), nil, nil)
-
-	if !reflect.DeepEqual(seqM, poolM) {
-		t.Fatalf("RunMetrics diverge between backends:\nseq:  %+v\npool: %+v", seqM, poolM)
-	}
-	for name, sd := range seqOuts {
-		pd := poolOuts[name]
-		if pd == nil {
-			t.Fatalf("pool run missing output %s", name)
+	for _, be := range []compute.Backend{nil, compute.NewPool(8)} {
+		poolOuts, poolM := runGNMF(t, be, nil, nil)
+		if !reflect.DeepEqual(seqM, poolM) {
+			t.Fatalf("RunMetrics diverge between backends:\nseq:  %+v\npool: %+v", seqM, poolM)
 		}
-		if !reflect.DeepEqual(sd.Data, pd.Data) {
-			t.Fatalf("output %s not bitwise identical between backends (maxdiff %g)",
-				name, sd.MaxAbsDiff(pd))
+		for name, sd := range seqOuts {
+			pd := poolOuts[name]
+			if pd == nil {
+				t.Fatalf("pool run missing output %s", name)
+			}
+			if !reflect.DeepEqual(sd.Data, pd.Data) {
+				t.Fatalf("output %s not bitwise identical between backends (maxdiff %g)",
+					name, sd.MaxAbsDiff(pd))
+			}
 		}
 	}
 

@@ -13,15 +13,15 @@ import (
 
 // BenchmarkMaterializedMatMul measures real tile compute through the full
 // engine (ingest, decode, kernels, encode, DFS replay, fetch) for the
-// sequential reference backend versus an 8-wide worker pool, on an n x n
-// dense multiply and on a sparse GNMF at the shape of the perf harness's
-// gnmf_sparse workload (many small tasks: sparse ingest, densify, SpMM,
-// transposed leaves). The pool's wall-clock win scales with physical cores
-// (it is injected via Config.Backend, so the benchmark exercises the pool
-// machinery even where GOMAXPROCS would cap Config.Workers); results are
+// sequential reference backend versus the default one (the worker pool on
+// the host's compute budget), on an n x n dense multiply and on a sparse
+// GNMF at the shape of the perf harness's gnmf_sparse workload (many small
+// tasks: sparse ingest, densify, SpMM, transposed leaves). The default's
+// wall-clock win scales with the cores the host has; results are
 // byte-for-byte identical either way. Run with -benchtime=1x: one
 // iteration is a full execution. B/op repeats closely on any host, so CI
-// gates the two sequential sub-benchmarks on it (see ci.yml).
+// gates the sequential sub-benchmarks and the default GNMF on it (see
+// ci.yml): a per-worker buffer that escapes the pools shows there.
 func BenchmarkMaterializedMatMul(b *testing.B) {
 	mt, err := cloud.TypeByName("m1.large")
 	if err != nil {
@@ -77,7 +77,7 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 			be   compute.Backend
 		}{
 			{"sequential", compute.NewSequential()},
-			{"pool8", compute.NewPool(8)},
+			{"default", nil},
 		} {
 			b.Run(w.name+"/"+bk.name, func(b *testing.B) {
 				b.SetBytes(w.bytes)

@@ -15,7 +15,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 
 	"cumulon/internal/chaos"
@@ -86,17 +85,19 @@ type Config struct {
 	// assumes barriers, so this is an engine extension (ablated in
 	// experiment E15), off by default.
 	OverlapJobs bool
-	// Workers sets the compute parallelism for materialized runs: the
-	// tile math of a scheduling phase fans out across
-	// min(Workers, GOMAXPROCS) goroutines. Virtual time, placement, byte
-	// accounting and task durations are unaffected — the result is
-	// byte-for-byte identical to a sequential run. 0 or 1 computes
-	// sequentially. Virtual runs have no tile math and always run
-	// sequentially.
+	// Workers bounds how many tasks of a scheduling phase a materialized
+	// run computes at once. 0, the default, means the host's compute
+	// budget (linalg.Parallelism, GOMAXPROCS unless the process set it),
+	// which also caps larger values; 1 computes sequentially on the
+	// scheduling goroutine, the reference. Every goroutine doing tile math
+	// holds a token of that one budget, so tasks and the parallel GEMM tier
+	// together never exceed it. Virtual time, placement, byte accounting
+	// and task durations are unaffected — the result is byte-for-byte
+	// identical at every width. Virtual runs have no tile math and always
+	// run sequentially. Negative values are rejected.
 	Workers int
 	// Backend overrides the compute backend entirely (tests use it to
-	// force a specific pool width regardless of GOMAXPROCS). When set,
-	// Workers is ignored.
+	// force a specific backend). When set, Workers is ignored.
 	Backend compute.Backend
 	// Recorder receives the run's observability spans (program → job →
 	// phase → task, plus per-task kernel events). nil disables recording
@@ -191,14 +192,13 @@ func New(cfg Config) (*Engine, error) {
 		Seed:        cfg.Seed + 1,
 		RackSize:    cfg.RackSize,
 	})
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("exec: Workers must be >= 0, got %d", cfg.Workers)
+	}
 	backend := cfg.Backend
 	if backend == nil {
-		n := cfg.Workers
-		if g := runtime.GOMAXPROCS(0); n > g {
-			n = g
-		}
-		if cfg.Materialize && n > 1 {
-			backend = compute.NewPool(n)
+		if cfg.Materialize && cfg.Workers != 1 {
+			backend = compute.NewPool(cfg.Workers)
 		} else {
 			backend = compute.NewSequential()
 		}
@@ -425,17 +425,20 @@ func (e *Engine) schedulePhase(jobID, phase int, tasks []*task, notBefore float6
 		pspan = e.rec.Start(obs.KindPhase, fmt.Sprintf("j%d/p%d", jobID, phase), jspan, notBefore)
 		e.rec.SetAttrs(pspan, obs.Attrs{JobID: jobID, Phase: phase})
 	}
-	// Hand the phase's compute work to the backend up front: a worker
-	// pool starts the tile math for every task now, while the scheduler
-	// below consumes results in its own deterministic order (fetch blocks
-	// per task). The sequential backend computes lazily inside fetch, so
-	// with it, compute still interleaves with accounting exactly as the
-	// pre-compute-layer engine did.
+	// Hand the phase's compute work to the backend up front: a pool's
+	// helpers start on the tile math now, while the scheduler below
+	// consumes results in its own deterministic order (fetch computes the
+	// task it is asked for, or waits for the helper that has it). The
+	// sequential backend has no helpers, so with it compute interleaves
+	// with accounting exactly as the pre-compute-layer engine did. However
+	// the phase ends, the batch is released: an abandoned one must not keep
+	// computing.
 	cts := make([]*compute.Task, len(tasks))
 	for _, t := range tasks {
 		cts[t.index] = t.ct
 	}
-	fetch := e.backend.RunBatch(cts)
+	fetch, release := e.backend.RunBatch(cts)
+	defer release()
 	placements := make([]specPlacement, 0, len(tasks))
 	pending := append([]*task(nil), tasks...)
 	end := notBefore

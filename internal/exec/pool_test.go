@@ -3,7 +3,10 @@ package exec
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cumulon/internal/compute"
 	"cumulon/internal/lang"
@@ -94,5 +97,93 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	}
 	if !bytes.Equal(first, wantFirst) || !bytes.Equal(second, wantSecond) {
 		t.Fatal("replaying a Result modified its payloads")
+	}
+}
+
+// spyBackend is the default pool with every task's Fn wrapped: it counts the
+// Fns started, slows each down so that a batch outlives the engine's
+// interest in it, and counts those that start after the run has returned.
+type spyBackend struct {
+	compute.Backend
+	batch         int // tasks in the last batch
+	started, late atomic.Int32
+	returned      atomic.Bool
+}
+
+func (s *spyBackend) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
+	s.batch = len(ts)
+	spied := make([]*compute.Task, len(ts))
+	for i, t := range ts {
+		cp := *t
+		cp.Fn = func(c *compute.Ctx) error {
+			s.started.Add(1)
+			if s.returned.Load() {
+				s.late.Add(1)
+			}
+			time.Sleep(time.Millisecond)
+			return t.Fn(c)
+		}
+		spied[i] = &cp
+	}
+	return s.Backend.RunBatch(spied)
+}
+
+// TestAbandonedPhaseStopsComputing: once a phase is lost — here its first
+// task reads a corrupt tile and exhausts its retries — the pool must not
+// go on computing the rest of it behind the caller's back. The batch is
+// released on every exit path of schedulePhase, and release waits for the
+// workers, so no task Fn starts after Run has returned, most of the phase
+// never runs at all, and the pool's goroutines are gone.
+func TestAbandonedPhaseStopsComputing(t *testing.T) {
+	spy := &spyBackend{Backend: compute.NewPool(0)}
+	e, err := New(Config{Cluster: testCluster(t, 4, 2), Materialize: true, Seed: 7, Backend: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Parse("input V 64 64\ninput W 64 64\nX = V * W\noutput X\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Compile(prog, plan.Config{TileSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.AutoSplit(8)
+	pl.Jobs[0].Split = plan.Split{CI: 16, CJ: 16, CK: 1} // one task per output tile
+	for _, in := range pl.Inputs {
+		if err := e.LoadDense(in, linalg.RandomDense(64, 64, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := store.MatrixPrefix("V") + "0_0"
+	raw, err := e.FS().Peek(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), raw...)
+	bad[len(bad)/2] ^= 0x40
+	e.FS().Delete(path)
+	if err := e.FS().Write(path, bad, -1); err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	_, err = e.Run(pl)
+	spy.returned.Store(true)
+	if !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("run over a corrupted tile returned %v, want store.ErrCorrupt", err)
+	}
+	// A worker has left the batch's WaitGroup a moment before it is gone.
+	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the failed run, %d before it", n, before)
+	}
+	if n := spy.started.Load(); spy.batch != 256 || n == 0 || n > 128 {
+		t.Fatalf("%d of the phase's %d tasks were computed although its first one failed", n, spy.batch)
+	}
+	if n := spy.late.Load(); n != 0 {
+		t.Fatalf("%d task Fns started after Run had returned", n)
 	}
 }

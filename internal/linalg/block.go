@@ -150,9 +150,10 @@ func minInt(a, b int) int {
 //
 // Products big enough to repay goroutine fan-out run on the parallel
 // driver (parallel.go), which partitions the jc/ic macro-panel grid
-// across workers. Each C element sees the identical ascending-k
-// accumulation sequence either way, so the parallel result is
-// bit-identical to the sequential one at every worker count.
+// across workers, when the compute budget has tokens idle. Each C element
+// sees the identical ascending-k accumulation sequence either way, so the
+// parallel result is bit-identical to the sequential one at every worker
+// count.
 func gemmBlocked(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 	m, n := c.Rows, c.Cols
 	k := a.Cols
@@ -166,8 +167,12 @@ func gemmBlocked(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 		return
 	}
 	if w := gemmWorkers(cf, m, k, n); w > 1 {
-		gemmBlockedParallel(cf, c, a, b, ta, tb, epi, w)
-		return
+		// The caller holds its token; borrow the ones idle right now.
+		if extra := tryAcquire(w - 1); extra > 0 {
+			gemmBlockedParallel(cf, c, a, b, ta, tb, epi, 1+extra)
+			releaseTokens(extra)
+			return
+		}
 	}
 	gemmBlockedSeq(cf, c, a, b, ta, tb, epi)
 }
@@ -182,6 +187,10 @@ func gemmBlockedSeq(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 	k := a.Cols
 	if ta {
 		k = a.Rows
+	}
+	if mathHook != nil {
+		mathHook(1)
+		defer mathHook(-1)
 	}
 	sc := gemmPool.Get().(*gemmScratch)
 	defer gemmPool.Put(sc)

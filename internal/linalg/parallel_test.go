@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The parallel driver's contract (parallel.go) is bit-identity with the
@@ -294,4 +295,61 @@ func testParallelGemmScratchPooled(t *testing.T, kern *microKern) {
 	if large > small+workers {
 		t.Fatalf("parallel gemm allocations grow with size: %.1f at 96 vs %.1f at 192 (scratch not pooled?)", small, large)
 	}
+}
+
+// TestBudgetTokens pins the token budget: tryAcquire takes only what is
+// idle and never waits, AcquireToken waits for a release or a larger
+// budget, and ForEach adds one goroutine per idle token up to its item
+// count and runs every item once.
+func TestBudgetTokens(t *testing.T) {
+	defer SetParallelism(SetParallelism(3))
+	AcquireToken()
+	if got := tryAcquire(5); got != 2 {
+		t.Fatalf("tryAcquire(5) took %d tokens with 2 of 3 idle", got)
+	}
+	if got := tryAcquire(1); got != 0 {
+		t.Fatalf("tryAcquire took %d tokens from a spent budget", got)
+	}
+	acquired := make(chan struct{})
+	go func() {
+		AcquireToken()
+		AcquireToken()
+		close(acquired)
+	}()
+	select {
+	case <-acquired:
+		t.Fatal("AcquireToken did not wait on a spent budget")
+	case <-time.After(20 * time.Millisecond):
+	}
+	releaseTokens(1)  // wakes the first AcquireToken
+	SetParallelism(4) // and a larger budget the second
+	select {
+	case <-acquired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("AcquireToken still waiting after a release and a larger budget")
+	}
+	releaseTokens(4)
+
+	for _, tc := range []struct{ elsewhere, items, want int32 }{{0, 8, 4}, {0, 2, 2}, {2, 8, 2}, {3, 8, 1}, {0, 1, 1}} {
+		tryAcquire(int(tc.elsewhere))
+		var copies atomic.Int32
+		ran := make([]atomic.Int32, tc.items)
+		ForEach(int(tc.items), func() func(int) {
+			copies.Add(1)
+			return func(i int) { ran[i].Add(1) }
+		})
+		if copies.Load() != tc.want {
+			t.Fatalf("ForEach(%d) with %d of 4 tokens held elsewhere ran on %d goroutines, want %d", tc.items, tc.elsewhere, copies.Load(), tc.want)
+		}
+		for i := range ran {
+			if n := ran[i].Load(); n != 1 {
+				t.Fatalf("ForEach(%d) ran item %d %d times", tc.items, i, n)
+			}
+		}
+		releaseTokens(int(tc.elsewhere))
+	}
+	if got := tryAcquire(9); got != 4 {
+		t.Fatalf("%d of 4 tokens idle after every release", got)
+	}
+	releaseTokens(4)
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
@@ -95,9 +94,10 @@ type Config struct {
 	Seed        int64
 	NoiseFactor float64
 	// Workers sets the compute parallelism for materialized values: each
-	// operator's arithmetic row-stripes across min(Workers, GOMAXPROCS)
-	// goroutines via the shared compute layer. Results and timing are
-	// unaffected. 0 or 1 computes sequentially.
+	// operator's arithmetic row-stripes across Workers goroutines, at most
+	// as many as the host's compute budget (linalg.Parallelism), via the
+	// shared compute layer. Results and timing are unaffected. 0 or 1
+	// computes sequentially.
 	Workers int
 	// Backend overrides the compute backend (tests use it to force a
 	// specific pool width). When set, Workers is ignored.
@@ -214,12 +214,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	be := cfg.Backend
 	if be == nil {
-		n := cfg.Workers
-		if g := runtime.GOMAXPROCS(0); n > g {
-			n = g
-		}
-		if cfg.Materialize && n > 1 {
-			be = compute.NewPool(n)
+		if cfg.Materialize && cfg.Workers > 1 {
+			be = compute.NewPool(cfg.Workers)
 		} else {
 			be = compute.NewSequential()
 		}

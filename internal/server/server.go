@@ -43,8 +43,9 @@ type Config struct {
 	// MaxQueue bounds the admission queue; submissions beyond it get 429
 	// (default 1024).
 	MaxQueue int
-	// Workers is the per-job compute parallelism for materialized runs
-	// (0 = sequential).
+	// Workers bounds how many tasks a materialized job computes at once
+	// (see exec.Config.Workers): 0 = the host's compute budget, which all
+	// running jobs share; 1 = sequential.
 	Workers int
 	// Sched tunes the fair-share scheduler (weights, aging, reservation).
 	Sched SchedConfig

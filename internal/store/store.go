@@ -160,68 +160,92 @@ func region(m Meta, d *linalg.Dense, ti, tj int) (data []float64, rows, cols int
 
 // SaveDense uploads a dense in-memory matrix tile by tile (as an external
 // client: replicas are placed randomly, like an HDFS ingest). Each tile is
-// encoded, or CSR-converted, straight from its region of d.
+// encoded, or CSR-converted, straight from its region of d; the payloads
+// are then written in (ti, tj) order, the order replica placement draws
+// its random numbers in.
 func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 	if d.Rows != m.Rows || d.Cols != m.Cols {
 		return fmt.Errorf("store: matrix %s shape %dx%d does not match meta %dx%d",
 			m.Name, d.Rows, d.Cols, m.Rows, m.Cols)
 	}
-	var sp linalg.CSRTile // conversion buffer shared by every sparse tile
-	for ti := 0; ti < m.TileRows(); ti++ {
-		for tj := 0; tj < m.TileCols(); tj++ {
-			data, rows, cols := region(m, d, ti, tj)
-			var raw []byte
+	tileCols := m.TileCols()
+	raws := make([][]byte, m.TileRows()*tileCols)
+	linalg.ForEach(len(raws), func() func(int) {
+		var sp linalg.CSRTile // conversion buffer shared by the goroutine's sparse tiles
+		return func(i int) {
+			data, rows, cols := region(m, d, i/tileCols, i%tileCols)
 			if m.Sparse {
 				sp.SetDense(data, rows, cols, d.Cols)
-				raw = EncodeSparseTile(&sp)
+				raws[i] = EncodeSparseTile(&sp)
 			} else {
-				raw = encodeDense(data, rows, cols, d.Cols)
+				raws[i] = encodeDense(data, rows, cols, d.Cols)
 			}
-			if err := s.FS.Write(m.TilePath(ti, tj), raw, node); err != nil {
-				return err
-			}
+		}
+	})
+	for i, raw := range raws {
+		if err := s.FS.Write(m.TilePath(i/tileCols, i%tileCols), raw, node); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// LoadDense downloads the whole matrix into a dense in-memory matrix,
-// decoding each tile (sparse ones included) straight into its region.
+// LoadDense downloads the whole matrix into a dense in-memory matrix: the
+// tiles are read, and the reads accounted, in (ti, tj) order, then each is
+// decoded (sparse ones included) straight into its region.
 func (s *Store) LoadDense(m Meta, node int) (*linalg.Dense, error) {
+	tileCols := m.TileCols()
+	raws := make([][]byte, m.TileRows()*tileCols)
+	for i := range raws {
+		var err error
+		if raws[i], err = s.FS.Read(m.TilePath(i/tileCols, i%tileCols), node); err != nil {
+			return nil, err
+		}
+	}
 	d := linalg.NewDense(m.Rows, m.Cols)
-	var sp linalg.CSRTile // decode buffer shared by every sparse tile
-	for ti := 0; ti < m.TileRows(); ti++ {
-		for tj := 0; tj < m.TileCols(); tj++ {
-			raw, err := s.FS.Read(m.TilePath(ti, tj), node)
-			if err != nil {
-				return nil, err
-			}
-			data, rows, cols := region(m, d, ti, tj)
-			var gotRows, gotCols int
-			var body []byte
-			if m.Sparse {
-				err = DecodeSparseTileInto(&sp, raw)
-				gotRows, gotCols = sp.Rows, sp.Cols
-			} else {
-				gotRows, gotCols, body, err = denseBody(raw)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if gotRows != rows || gotCols != cols {
-				return nil, fmt.Errorf("store: matrix %s tile (%d,%d) is stored %dx%d, meta says %dx%d",
-					m.Name, ti, tj, gotRows, gotCols, rows, cols)
-			}
-			if m.Sparse {
-				sp.ScatterInto(data, d.Cols)
-				continue
-			}
-			for i := 0; i < rows; i++ {
-				getFloats(data[i*d.Cols:i*d.Cols+cols], body[8*i*cols:])
-			}
+	errs := make([]error, len(raws))
+	linalg.ForEach(len(raws), func() func(int) {
+		var sp linalg.CSRTile // decode buffer shared by the goroutine's sparse tiles
+		return func(i int) {
+			errs[i] = decodeInto(m, d, i/tileCols, i%tileCols, raws[i], &sp)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return d, nil
+}
+
+// decodeInto decodes the stored payload of tile (ti, tj) of m into its
+// region of d, through sp when the matrix is sparse.
+func decodeInto(m Meta, d *linalg.Dense, ti, tj int, raw []byte, sp *linalg.CSRTile) error {
+	data, rows, cols := region(m, d, ti, tj)
+	var gotRows, gotCols int
+	var body []byte
+	var err error
+	if m.Sparse {
+		err = DecodeSparseTileInto(sp, raw)
+		gotRows, gotCols = sp.Rows, sp.Cols
+	} else {
+		gotRows, gotCols, body, err = denseBody(raw)
+	}
+	if err != nil {
+		return err
+	}
+	if gotRows != rows || gotCols != cols {
+		return fmt.Errorf("store: matrix %s tile (%d,%d) is stored %dx%d, meta says %dx%d",
+			m.Name, ti, tj, gotRows, gotCols, rows, cols)
+	}
+	if m.Sparse {
+		sp.ScatterInto(data, d.Cols)
+		return nil
+	}
+	for i := 0; i < rows; i++ {
+		getFloats(data[i*d.Cols:i*d.Cols+cols], body[8*i*cols:])
+	}
+	return nil
 }
 
 // EncodeTile serializes a dense tile: magic, rows, cols, payload, CRC32.

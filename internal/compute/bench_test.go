@@ -167,3 +167,66 @@ output Out
 		})
 	}
 }
+
+// sparseRightJob compiles GNMF's H-side product W' * V — a raw transposed
+// dense left leaf against a bare sparse right one — over a single ts x ts
+// tile of V at density 0.05 and an r-column W, the shape gnmf_sparse runs,
+// and returns a Ctx over its inputs.
+func sparseRightJob(tb testing.TB, ts, r int) (*Ctx, *plan.Job) {
+	tb.Helper()
+	prog, err := lang.Parse(fmt.Sprintf("input W %[1]d %[2]d\ninput V %[1]d %[1]d sparse\nH = W' * V\noutput H\n", ts, r))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl, err := plan.Compile(prog, plan.Config{TileSize: ts, Densities: map[string]float64{"V": 0.05}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	job := pl.Jobs[0]
+	if _, sparse := bareSparseLeaf(job.RExpr, job.Leaves); len(pl.Jobs) != 1 || !sparse {
+		tb.Fatalf("plan is not one product with a bare sparse right operand: %v", pl.Jobs)
+	}
+	src := mapSource{}
+	for _, in := range pl.Inputs {
+		d := linalg.RandomDense(in.Rows, in.Cols, 8)
+		if in.Sparse {
+			d = linalg.RandomSparseDense(in.Rows, in.Cols, 0.05, 9)
+		}
+		loadInput(src, in, d)
+	}
+	return newCtx(&Task{Env: Env{Src: src}}), job
+}
+
+// BenchmarkMulSparseRight measures one W' * V tile product at gnmf_sparse's
+// shape (r = 32, tile 256, density 0.05): "csr" is mulTile, which
+// accumulates the transposed output from V's CSR form; "densified" is the
+// test-side oracle, which expands V and runs the blocked GEMM over all
+// 256 x 256 x 32 terms. Both read from a warm Ctx, so the arms differ by
+// the product alone. CI greps 0 allocs/op on the csr arm.
+func BenchmarkMulSparseRight(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		mul  func(c *Ctx, j *plan.Job, ks Span) (*linalg.Tile, error)
+	}{
+		{"csr", func(c *Ctx, j *plan.Job, ks Span) (*linalg.Tile, error) { return c.mulTile(j, 0, 0, ks, nil) }},
+		{"densified", func(c *Ctx, j *plan.Job, ks Span) (*linalg.Tile, error) { return c.oracleMulTile(j, 0, 0, ks) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			c, j := sparseRightJob(b, 256, 32)
+			ks := Span{Lo: 0, Hi: j.KTiles()}
+			run := func() {
+				acc, err := arm.mul(c, j, ks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				freeTile(acc)
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}

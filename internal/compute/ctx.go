@@ -18,15 +18,18 @@ type Ctx struct {
 	res Result
 	// dense / sparse cache decoded input tiles by structured key — no
 	// path formatting on the hit path, so repeat reads allocate nothing
-	// (materialized mode). A tile read both densely and sparsely within
-	// one task is traced once per access kind, matching how a real task
-	// would fetch it twice into the two formats. transposed caches the
-	// materialized transposes of dense entries, under the same keys; it
-	// is made on first use (most tasks, and all virtual ones, need none).
-	// All three hold pooled tiles, which release returns when the task
-	// ends.
+	// (materialized mode). A tile read in both formats within one task is
+	// traced once per format, matching how a real task would fetch it
+	// twice into the two forms. sparse holds the CSR form of every
+	// sparse-stored tile read, keyed by the format the task fetched it in:
+	// a dense-format entry serves a sparse right operand (mulTile) and
+	// readDenseTile, which expands it into dense, so the two share one
+	// read op whichever comes first. transposed caches the materialized
+	// transposes of dense entries, under the same keys; it is made on
+	// first use (most tasks, and all virtual ones, need none). All three
+	// hold pooled tiles, which release returns when the task ends.
 	dense, transposed map[tileKey]*linalg.Tile
-	sparse            map[tileKey]*linalg.CSRTile
+	sparse            map[csrKey]*linalg.CSRTile
 	// seen marks tiles already traced in virtual mode, where the two
 	// access kinds share one marker (no payloads distinguish them) and no
 	// decoded-tile cache exists. It is keyed like the caches, so a repeat
@@ -46,6 +49,13 @@ type tileKey struct {
 	ti, tj int
 }
 
+// csrKey identifies a cached CSR tile: the tile and the format the task
+// fetched it in.
+type csrKey struct {
+	tileKey
+	asDense bool
+}
+
 func newCtx(t *Task) *Ctx {
 	c := &Ctx{env: t.Env}
 	c.res.Ops = make([]Op, 0, t.ops)
@@ -53,7 +63,7 @@ func newCtx(t *Task) *Ctx {
 		c.seen = make(map[tileKey]bool, t.ops)
 	} else {
 		c.dense = map[tileKey]*linalg.Tile{}
-		c.sparse = map[tileKey]*linalg.CSRTile{}
+		c.sparse = map[csrKey]*linalg.CSRTile{}
 	}
 	return c
 }
@@ -124,28 +134,22 @@ func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 	if t, ok := c.dense[key]; ok {
 		return t, nil
 	}
-	path := meta.TilePath(ti, tj)
-	raw, err := c.env.Src.Peek(path)
-	if err != nil {
-		return nil, err
-	}
-	c.traceRead(path, false)
 	rows, cols := meta.TileShape(ti, tj)
 	var tile *linalg.Tile
 	if meta.Sparse {
-		sp := newCSR()
-		defer freeCSR(sp)
-		if err := store.DecodeSparseTileInto(sp, raw); err != nil {
+		sp, err := c.readSparseTile(meta, ti, tj, true)
+		if err != nil {
 			return nil, err
-		}
-		// The payload sizes the CSR form, not the dense one: only a tile
-		// of the declared shape may be expanded.
-		if sp.Rows != rows || sp.Cols != cols {
-			return nil, fmt.Errorf("tile %s is stored %dx%d, want %dx%d", path, sp.Rows, sp.Cols, rows, cols)
 		}
 		tile = newTile(rows, cols, true)
 		sp.ScatterInto(tile.Data, cols)
 	} else {
+		path := meta.TilePath(ti, tj)
+		raw, err := c.env.Src.Peek(path)
+		if err != nil {
+			return nil, err
+		}
+		c.traceRead(path, false)
 		tile = newTile(rows, cols, false)
 		if err := store.DecodeTileInto(tile, raw); err != nil {
 			freeTile(tile)
@@ -156,13 +160,15 @@ func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 	return tile, nil
 }
 
-// readSparseTile reads a CSR tile (sparse fast path).
-func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int) (*linalg.CSRTile, error) {
+// readSparseTile reads the CSR form of the sparse-stored tile at (ti, tj)
+// of meta, traced as a fetch in the sparse format or, with asDense, in the
+// dense one (see Ctx). Returns nil in virtual mode.
+func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int, asDense bool) (*linalg.CSRTile, error) {
 	if c.virtual() {
 		c.readVirtual(meta, ti, tj)
 		return nil, nil
 	}
-	key := tileKey{meta.Name, ti, tj}
+	key := csrKey{tileKey{meta.Name, ti, tj}, asDense}
 	if t, ok := c.sparse[key]; ok {
 		return t, nil
 	}
@@ -171,9 +177,15 @@ func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int) (*linalg.CSRTile, erro
 	if err != nil {
 		return nil, err
 	}
-	c.traceRead(path, true)
+	c.traceRead(path, !asDense)
 	sp := newCSR()
-	if err := store.DecodeSparseTileInto(sp, raw); err != nil {
+	err = store.DecodeSparseTileInto(sp, raw)
+	// The payload sizes the CSR form, not the dense one: only a tile of the
+	// declared shape may be expanded or reach a kernel (theirs panic).
+	if rows, cols := meta.TileShape(ti, tj); err == nil && (sp.Rows != rows || sp.Cols != cols) {
+		err = fmt.Errorf("tile %s is stored %dx%d, want %dx%d", path, sp.Rows, sp.Cols, rows, cols)
+	}
+	if err != nil {
 		freeCSR(sp)
 		return nil, err
 	}
@@ -220,13 +232,29 @@ func leafShape(ref plan.LeafRef, ti, tj int) (rows, cols int) {
 }
 
 // mulTile computes the (ti, tj) output tile contribution of a Mul job over
-// the inner-dimension tile span ks, evaluating the prologue tapes per tile
-// and using the sparse kernel when the left operand is a bare sparse leaf.
+// the inner-dimension tile span ks, evaluating the prologue tapes per tile.
 // Bare dense leaves read through a transposed access path skip the
 // explicit per-k Transpose materialization: the raw tile feeds GemmTA /
 // GemmTB, whose packing absorbs the layout (same reads traced, same flops
 // charged, one less tile copy per k step). The returned accumulator comes
 // from the tile pool; the caller must free it after encoding.
+//
+// A bare sparse leaf on either side is multiplied from its CSR form, never
+// densified (the left one when both sides are): on the left acc += op(S)·R,
+// on the right the same two kernels accumulate the transposed output tile,
+// accᵀ += op(S)ᵀ·Lᵀ, where Lᵀ is the raw tile of a bare transposed dense
+// left leaf (GNMF's W' * V: no copy at all) and one TransposeInto of the
+// evaluated left tile otherwise; accᵀ is carried across the whole span and
+// transposed into the output once. Every output element is still the dense
+// kernels' ascending-k chain less its exact-zero terms, so the tile is bit
+// for bit the one a densified product gives (linalg.SpGemmDense states the
+// contract) and which path ran shows only in wall-clock time. The modelled
+// task does not change either: a sparse right operand is still fetched in
+// the dense format (Op.Sparse is the node-cache format the model prices,
+// not the layout computed on) and charged the full "gemm" flops. Pricing
+// sparse-right products by nnz — here, in plan.Profile and in mapred — is
+// a paper-fidelity change that moves goldens and search results; it is
+// deliberately not made here.
 //
 // epi, when non-nil, is the compiled epilogue tape to fuse into the final
 // k step's blocked GEMM write-back: each finished output panel is
@@ -238,23 +266,33 @@ func leafShape(ref plan.LeafRef, ti, tj int) (rows, cols int) {
 // separate post-pass, which is how the test-side tree-walker applies it.
 func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (*linalg.Tile, error) {
 	outRows, outCols := j.Out.TileShape(ti, tj)
-	var acc *linalg.Tile
-	if !c.virtual() {
-		acc = newTile(outRows, outCols, true)
-	}
 	lRef, lBare := bareSparseLeaf(j.LExpr, j.Leaves)
+	rRef, rBare := bareSparseLeaf(j.RExpr, j.Leaves)
+	rBare = rBare && !lBare
 	lTRef, lTrans := bareTransposedDenseLeaf(j.LExpr, j.Leaves)
 	rTRef, rTrans := bareTransposedDenseLeaf(j.RExpr, j.Leaves)
+	var acc, accT *linalg.Tile
+	switch {
+	case c.virtual():
+	case rBare:
+		accT = newTile(outCols, outRows, true)
+	default:
+		acc = newTile(outRows, outCols, true)
+	}
 	epiFused := false
 	for k := ks.Lo; k < ks.Hi; k++ {
 		kk := KExtent(j.KSize, j.Out.TileSize, k)
 		var rt *linalg.Tile
+		var rs *linalg.CSRTile
 		var rtOwned bool
 		var err error
-		if rTrans && !lBare {
+		switch {
+		case rBare:
+			rs, err = c.readSparseLeaf(rRef, k, tj, true)
+		case rTrans && !lBare:
 			// Logical tile (k, tj) of the transposed leaf is raw (tj, k).
 			rt, err = c.readDenseTile(rTRef.Meta, tj, k)
-		} else {
+		default:
 			rt, rtOwned, err = c.evalProgram(j.RProg, j.Leaves, k, tj, kk, outCols, nil)
 		}
 		if err != nil {
@@ -280,6 +318,24 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 			return nil, err
 		}
 		c.addFlops("gemm", linalg.GemmFlops(outRows, kk, outCols))
+		if rBare {
+			if accT != nil {
+				ltT := lt
+				if !lTrans {
+					ltT = newTile(kk, outRows, false)
+					linalg.TransposeInto(ltT, lt)
+				}
+				// Transposing the product swaps the access path's sense.
+				spGemm(accT, rs, !rRef.Transposed, ltT)
+				if ltT != lt {
+					freeTile(ltT)
+				}
+			}
+			if ltOwned {
+				freeTile(lt)
+			}
+			continue
+		}
 		// Bind the fused epilogue on the final k step, once the product
 		// is about to be complete.
 		var hook linalg.EpilogueFn
@@ -324,9 +380,14 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 			freeTile(rt)
 		}
 	}
+	if accT != nil {
+		acc = newTile(outRows, outCols, false)
+		linalg.TransposeInto(acc, accT)
+		freeTile(accT)
+	}
 	if epi != nil && !epiFused {
-		// Sparse-left products have no blocked write-back to hook into;
-		// apply the epilogue in place over the finished accumulator.
+		// CSR products have no blocked write-back to hook into; apply the
+		// epilogue in place over the finished accumulator.
 		if err := c.applyProgramInPlace(epi, j.Leaves, ti, tj, outRows, outCols, acc); err != nil {
 			return nil, err
 		}
@@ -380,11 +441,7 @@ func (c *Ctx) mulTileMasked(j *plan.Job, maskRef plan.LeafRef, ti, tj int, ks Sp
 // transposing in CSR form for transposed access paths. Returns nil in
 // virtual mode (the read is still traced).
 func (c *Ctx) readLeafSparseTile(ref plan.LeafRef, ti, tj int) (*linalg.CSRTile, error) {
-	ri, rj := ti, tj
-	if ref.Transposed {
-		ri, rj = tj, ti
-	}
-	sp, err := c.readSparseTile(ref.Meta, ri, rj)
+	sp, err := c.readSparseLeaf(ref, ti, tj, false)
 	if err != nil || sp == nil {
 		return nil, err
 	}
@@ -394,14 +451,29 @@ func (c *Ctx) readLeafSparseTile(ref plan.LeafRef, ti, tj int) (*linalg.CSRTile,
 	return sp, nil
 }
 
+// readSparseLeaf reads the raw CSR tile behind *logical* tile (ti, tj) of
+// a sparse leaf; spGemm applies the access path.
+func (c *Ctx) readSparseLeaf(ref plan.LeafRef, ti, tj int, asDense bool) (*linalg.CSRTile, error) {
+	if ref.Transposed {
+		ti, tj = tj, ti
+	}
+	return c.readSparseTile(ref.Meta, ti, tj, asDense)
+}
+
+// spGemm accumulates acc += S·d, or Sᵀ·d when ta is set, for the raw CSR
+// tile S of a sparse operand on either side of a product.
+func spGemm(acc *linalg.Tile, sp *linalg.CSRTile, ta bool, d *linalg.Tile) {
+	if ta {
+		linalg.SpGemmDenseTA(acc, sp, d)
+	} else {
+		linalg.SpGemmDense(acc, sp, d)
+	}
+}
+
 // mulSparseLeft accumulates the contribution of a bare sparse left leaf at
 // logical coordinates (ti, k) times the dense right tile rt.
 func (c *Ctx) mulSparseLeft(acc *linalg.Tile, ref plan.LeafRef, ti, k int, rt *linalg.Tile, kk, outCols int) error {
-	ri, rj := ti, k
-	if ref.Transposed {
-		ri, rj = k, ti
-	}
-	sp, err := c.readSparseTile(ref.Meta, ri, rj)
+	sp, err := c.readSparseLeaf(ref, ti, k, false)
 	if err != nil {
 		return err
 	}
@@ -412,11 +484,7 @@ func (c *Ctx) mulSparseLeft(acc *linalg.Tile, ref plan.LeafRef, ti, k int, rt *l
 		return nil
 	}
 	c.addFlops("spgemm", 2*int64(sp.NNZ())*int64(outCols))
-	if ref.Transposed {
-		linalg.SpGemmDenseTA(acc, sp, rt)
-	} else {
-		linalg.SpGemmDense(acc, sp, rt)
-	}
+	spGemm(acc, sp, ref.Transposed, rt)
 	return nil
 }
 

@@ -242,6 +242,50 @@ func maskedCase(name, stmt string, inputs ...string) diffCase {
 	}
 }
 
+// sparseSidesCase puts a bare sparse leaf on either side of a product, in
+// every pairing mulTile tells apart. The tapes multiply all of them from
+// the CSR form; the tree-walker densifies a sparse right operand and runs
+// the dense kernels, so equal Results here are the proof that the CSR path
+// moves no byte, read op or flop charge: a plain and a transposed sparse
+// right leaf under an evaluated, a bare and a raw-transposed left operand,
+// sparse on both sides (the left one wins), one tile read densely by the
+// left prologue and as the right operand, and a sparse-right product under
+// an epilogue that reads the operand again. 13 is ragged at every tile size.
+func sparseSidesCase(name string, slots int) diffCase {
+	return diffCase{
+		name: name,
+		src: `
+input S 13 13 sparse
+input A 9 13
+input At 13 9
+input D 13 13
+O1 = A * S
+O2 = (A + A) * S'
+O3 = At' * S
+O4 = At' * S'
+O5 = S' * S
+O6 = (S .* S) * S
+O7 = S .* (D * S) ./ (S + D)
+output O1
+output O2
+output O3
+output O4
+output O5
+output O6
+output O7
+`,
+		data: map[string]*linalg.Dense{
+			"S":  linalg.RandomSparseDense(13, 13, 0.3, 81),
+			"A":  shifted(linalg.RandomDense(9, 13, 82)),
+			"At": shifted(linalg.RandomDense(13, 9, 83)),
+			"D":  shifted(linalg.RandomDense(13, 13, 84)),
+		},
+		densities: map[string]float64{"S": 0.3},
+		tileSizes: []int{4, 5, 16},
+		slots:     slots,
+	}
+}
+
 // diffCases lists the suite's programs: every task shape, the engine-level
 // workloads that used to be differenced through exec's evaluator switch,
 // and masked products with composite prologues.
@@ -325,6 +369,10 @@ output H
 			tileSizes: []int{4},
 			slots:     6,
 		},
+		// One task per job: whole-k products (the in-place epilogue) and
+		// every tile of an operand meeting in one task's caches.
+		sparseSidesCase("sparse-sides", 0),
+		sparseSidesCase("sparse-sides-split", 6),
 		maskedCase("masked-composite", "Out = mask(V, (L1 + L2) * (2 * R1))", "L1", "L2", "R1"),
 		maskedCase("masked-transposed", "Out = mask(V, Lt1' * Rt1')", "Lt1", "Rt1"),
 		maskedCase("masked-composite-transposed", "Out = mask(V, (Lt1' - L1) * sqrt(R1 .* Rt1'))", "Lt1", "L1", "R1", "Rt1"),
@@ -392,9 +440,77 @@ func TestCompiledTasksVirtual(t *testing.T) {
 	}
 }
 
+// TestMisshapenSparseTileFailsTask: a well-formed sparse payload of the
+// wrong shape is a one-line task error wherever the CSR form is consumed —
+// as the left or the right operand of a product, as a mask, densified —
+// and never reaches a kernel, whose shape checks panic.
+func TestMisshapenSparseTileFailsTask(t *testing.T) {
+	for _, stmt := range []string{"S * B", "S' * B", "B * S", "B * S'", "mask(S, B * B)", "S + B"} {
+		prog, err := lang.Parse("input S 8 8 sparse\ninput B 8 8\nOut = " + stmt + "\noutput Out\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := plan.Compile(prog, plan.Config{TileSize: 4, Densities: map[string]float64{"S": 0.3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := mapSource{}
+		for _, in := range pl.Inputs {
+			loadInput(src, in, shifted(linalg.RandomDense(8, 8, 91)))
+			if in.Sparse {
+				bad := linalg.RandomSparseDense(3, 4, 0.5, 92).TileAt(0, 0, 4)
+				src[in.TilePath(1, 0)] = store.EncodeSparseTile(linalg.DenseToCSR(bad))
+			}
+		}
+		var got error
+		for _, j := range pl.Jobs {
+			for _, phase := range jobTasks(tapeMakers, Env{Src: src}, j, false) {
+				for _, task := range phase {
+					if _, err := NewSequential().Run(task); err != nil {
+						got = err
+					}
+				}
+			}
+		}
+		if got == nil || !strings.Contains(got.Error(), "is stored 3x4, want 4x4") {
+			t.Errorf("%s: task error = %v, want the stored-shape mismatch", stmt, got)
+		}
+	}
+}
+
+// TestMulSparseRightSteadyState: a sparse-right product multiplies from
+// the CSR form — nothing of the operand is densified — and once the pools
+// and the task's caches are warm it allocates nothing: the transposed
+// accumulator and the output tile both come from the tile pool.
+func TestMulSparseRightSteadyState(t *testing.T) {
+	c, j := sparseRightJob(t, 64, 8)
+	ks := Span{Lo: 0, Hi: j.KTiles()}
+	run := func() {
+		acc, err := c.mulTile(j, 0, 0, ks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freeTile(acc)
+	}
+	run()
+	if _, csr := c.sparse[csrKey{tileKey{"V", 0, 0}, true}]; !csr || len(c.sparse) != 1 {
+		t.Fatalf("V was not read once, as CSR in the dense format: %v", c.sparse)
+	}
+	if _, densified := c.dense[tileKey{"V", 0, 0}]; densified || len(c.transposed) != 0 {
+		t.Fatalf("a sparse-right product densified or copied an operand: dense %d, transposed %d", len(c.dense), len(c.transposed))
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Fatalf("a warm sparse-right mulTile allocates %v objects per call, want 0", n)
+	}
+}
+
 // fuzzLeaves declares the closed leaf set fuzz expressions draw from:
 // element-wise operands A, B, C (r x c), a transposed operand D (c x r),
-// and product factors P (r x k), Q (k x c).
+// product factors P (r x k), Q (k x c), and sparse right factors S (k x c)
+// and St (c x k, read transposed).
 func fuzzLeaves(r, c, k int) []lang.Input {
 	return []lang.Input{
 		{Name: "A", Rows: r, Cols: c},
@@ -403,6 +519,8 @@ func fuzzLeaves(r, c, k int) []lang.Input {
 		{Name: "D", Rows: c, Cols: r},
 		{Name: "P", Rows: r, Cols: k},
 		{Name: "Q", Rows: k, Cols: c},
+		{Name: "S", Rows: k, Cols: c, Sparse: true},
+		{Name: "St", Rows: c, Cols: k, Sparse: true},
 	}
 }
 
@@ -435,7 +553,16 @@ func fuzzExpr(code []byte) lang.Expr {
 		case 3:
 			stack = append(stack, lang.Transpose{X: lang.Var{Name: "D"}})
 		case 4:
-			stack = append(stack, lang.MatMul{L: lang.Var{Name: "P"}, R: lang.Var{Name: "Q"}})
+			// The high nibble picks the right factor: dense, sparse, or
+			// sparse through a transposed access path.
+			var right lang.Expr = lang.Var{Name: "Q"}
+			switch mod % 3 {
+			case 1:
+				right = lang.Var{Name: "S"}
+			case 2:
+				right = lang.Transpose{X: lang.Var{Name: "St"}}
+			}
+			stack = append(stack, lang.MatMul{L: lang.Var{Name: "P"}, R: right})
 		case 5:
 			r, l := pop(), pop()
 			stack = append(stack, lang.Add{L: l, R: r})
@@ -464,14 +591,15 @@ func fuzzExpr(code []byte) lang.Expr {
 // FuzzTilePipeline differences the compiled tile pipelines against the
 // tree-walking interpreter on randomly generated element-wise programs:
 // arbitrary shapes and tile sizes, arbitrary operator trees, transposed
-// leaves, matrix products with fused epilogues, optional k-splitting and
-// virtual mode — the Results must be deeply identical, payload bytes
-// included.
+// leaves, matrix products (dense and sparse right factors) with fused
+// epilogues, optional k-splitting and virtual mode — the Results must be
+// deeply identical, payload bytes included.
 func FuzzTilePipeline(f *testing.F) {
 	f.Add(uint8(5), uint8(7), uint8(3), uint8(2), false, []byte{4, 0, 7, 10, 2, 5})
 	f.Add(uint8(9), uint8(9), uint8(9), uint8(4), true, []byte{4, 3, 8, 9, 1, 5, 2, 7})
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), false, []byte{0})
 	f.Add(uint8(8), uint8(6), uint8(5), uint8(3), true, []byte{0, 1, 5, 4, 8, 10, 2, 6, 3, 7})
+	f.Add(uint8(7), uint8(6), uint8(5), uint8(3), false, []byte{0x1a, 0, 7, 0x25, 5}) // (P*S) .* A + P*St'
 	f.Fuzz(func(t *testing.T, rb, cb, kb, tb uint8, kSplit bool, code []byte) {
 		r, c, k := 1+int(rb)%9, 1+int(cb)%9, 1+int(kb)%9
 		ts := 1 + int(tb)%4
@@ -488,7 +616,11 @@ func FuzzTilePipeline(f *testing.F) {
 		shift := func(x float64) float64 { return x + 0.5 }
 		data := map[string]*linalg.Dense{}
 		for i, in := range prog.Inputs {
-			data[in.Name] = linalg.RandomDense(in.Rows, in.Cols, int64(71+i)).Map(shift)
+			if in.Sparse {
+				data[in.Name] = linalg.RandomSparseDense(in.Rows, in.Cols, 0.4, int64(71+i))
+			} else {
+				data[in.Name] = linalg.RandomDense(in.Rows, in.Cols, int64(71+i)).Map(shift)
+			}
 		}
 		runPlanDual(t, pl, data, kSplit, false)
 	})

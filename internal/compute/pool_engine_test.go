@@ -34,9 +34,9 @@ output H
 // poolCase is one program of the poisoned-pool differential: together the
 // cases cover every way a task obtains a pooled buffer — decoded dense
 // inputs, densified sparse ones, cached sparse ones, materialized
-// transposes, accumulators (plain, k-split partials and their aggregation,
-// epilogue-fused), pipeline destinations — and the retry path that replays
-// a computed Result.
+// transposes, accumulators (plain, transposed, k-split partials and their
+// aggregation, epilogue-fused), pipeline destinations — and the retry path
+// that replays a computed Result.
 type poolCase struct {
 	name  string
 	src   string
@@ -80,6 +80,27 @@ func poolCases() []poolCase {
 			cfg:   plan.Config{Densities: map[string]float64{"V": 0.25}},
 			data:  gnmf,
 			sched: &chaos.Schedule{Seed: 5, TaskFaultProb: 0.12, ReadFaultProb: 0.04},
+		},
+		{
+			// Sparse right operands: the pooled transposed accumulator,
+			// the per-step transposed copy of an evaluated left tile, and
+			// a CSR tile that an epilogue then expands densely.
+			name: "sparse-right",
+			src: `
+input S 13 13 sparse
+input A 9 13
+input D 13 13
+X = (A + A) * S'
+Y = S .* (D * S) ./ (S + D)
+output X
+output Y
+`,
+			cfg: plan.Config{Densities: map[string]float64{"S": 0.3}},
+			data: map[string]*linalg.Dense{
+				"S": linalg.RandomSparseDense(13, 13, 0.3, 81),
+				"A": pos(linalg.RandomDense(9, 13, 82)),
+				"D": pos(linalg.RandomDense(13, 13, 84)),
+			},
 		},
 		{
 			name: "masked-transposed",

@@ -16,7 +16,7 @@ import (
 // sequential reference backend versus the default one (the worker pool on
 // the host's compute budget), on an n x n dense multiply and on a sparse
 // GNMF at the shape of the perf harness's gnmf_sparse workload (many small
-// tasks: sparse ingest, densify, SpMM, transposed leaves). The default's
+// tasks: sparse ingest, SpMM on either side, transposed leaves). The default's
 // wall-clock win scales with the cores the host has; results are
 // byte-for-byte identical either way. Run with -benchtime=1x: one
 // iteration is a full execution. B/op repeats closely on any host, so CI

@@ -160,21 +160,41 @@ func BenchmarkMaskedGemm(b *testing.B) {
 	})
 }
 
-func BenchmarkSpGemm128(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	dense := NewTile(128, 128)
-	for i := range dense.Data {
-		if rng.Float64() < 0.05 {
-			dense.Data[i] = rng.NormFloat64()
-		}
+// BenchmarkSpGemmSkinny times the CSR×dense kernels at the shape the
+// sparse workloads run — a 256×256 tile at density 0.05 against a 256×r
+// factor tile — under the portable axpy loop ("scalar") and the AVX2
+// routine ("avx2", skipped where the build or the CPU has none). The MB/s column
+// reads as MFLOP/s over the 2·nnz·r flops the product needs.
+func BenchmarkSpGemmSkinny(b *testing.B) {
+	s := randSparse(rand.New(rand.NewSource(3)), 256, 256, 0.05)
+	type arm struct {
+		name string
+		fn   func(a float64, x, y []float64)
 	}
-	s := DenseToCSR(dense)
-	x := benchTile(128, 4)
-	c := NewTile(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Zero()
-		SpGemmDense(c, s, x)
+	arms := []arm{{"scalar", axpyScalar}}
+	if len(microKernels) > 1 {
+		arms = append(arms, arm{"avx2", axpy})
+	}
+	for _, kern := range []struct {
+		name string
+		run  func(c *Tile, s *CSRTile, x *Tile)
+	}{{"spgemm", SpGemmDense}, {"spgemmTA", SpGemmDenseTA}} {
+		for _, r := range []int{8, 32, 128} {
+			for _, a := range arms {
+				b.Run(fmt.Sprintf("%s/r=%d/%s", kern.name, r, a.name), func(b *testing.B) {
+					defer func(prev func(a float64, x, y []float64)) { axpy = prev }(axpy)
+					axpy = a.fn
+					x, c := randTile(rand.New(rand.NewSource(4)), 256, r), NewTile(256, r)
+					b.ReportAllocs()
+					b.SetBytes(2 * int64(s.NNZ()) * int64(r))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.Zero()
+						kern.run(c, s, x)
+					}
+				})
+			}
+		}
 	}
 }
 

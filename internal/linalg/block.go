@@ -25,6 +25,12 @@ import "sync"
 // driver (parallel.go) at every worker count. The differential tests and
 // fuzz targets in blocked_test.go / parallel_test.go / fuzz_test.go hold
 // the kernels to that contract.
+//
+// The CSR×dense kernels (sparse.go) honour the same chain over a sparse
+// operand's stored entries; the terms they never form are exact zeros,
+// which cannot change a −0-free sum of finite terms. So a product may run
+// there or densify and come here, and the result is the same bits (the
+// argument is at SpGemmDense; sparse_test.go holds it to refGemm/refGemmTA).
 
 // blockConf carries the cache-blocking factors and the micro-kernel they
 // feed. Production code uses defaultBlockConf; tests shrink the factors to

@@ -11,6 +11,7 @@ func init() {
 	if cpuHasAVX2() {
 		microKernels = append(microKernels, &kernAVX2)
 		defaultBlockConf.kern = &kernAVX2
+		axpy = axpyAVX2
 	}
 }
 
@@ -33,3 +34,9 @@ func (k *microKern) run(kb int, ap, bp, c []float64, ldc int) {
 	_, _, _ = ap[4*kb-1], bp[8*kb-1], c[3*ldc+7]
 	gemmKernelAVX2(kb, ap, bp, c, ldc)
 }
+
+// axpyAVX2 is axpy (sparse.go) in AVX2: y[j] += a·x[j] for j < len(x).
+// It checks no bounds: the CSR kernels hand it two rows of one length.
+//
+//go:noescape
+func axpyAVX2(a float64, x, y []float64)

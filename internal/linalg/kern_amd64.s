@@ -99,3 +99,44 @@ loop:
 	VMOVUPD Y7, 32(R11)
 	VZEROUPPER
 	RET
+
+// func axpyAVX2(a float64, x, y []float64)
+//
+// y[j] += a·x[j] for j < len(x), four elements per step and the last
+// len(x)%4 one at a time: a broadcast once, then a separate multiply and
+// add per step — each element rounds its product and its sum exactly as
+// the Go loop does (no FMA, and nothing to reassociate: an element is
+// its own chain).
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSD a+0(FP), Y0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DI
+	MOVQ         CX, DX
+	ANDQ         $3, DX
+	SHRQ         $2, CX
+	JZ           axpytail
+
+axpyloop:
+	VMULPD  (SI), Y0, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     axpyloop
+
+axpytail:
+	TESTQ DX, DX
+	JZ    axpydone
+	VMULSD (SI), X0, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   DX
+	JMP    axpytail
+
+axpydone:
+	VZEROUPPER
+	RET

@@ -67,6 +67,23 @@ func (s *CSRTile) ScatterInto(dst []float64, stride int) {
 	}
 }
 
+// The two CSR×dense kernels honour block.go's numerical contract: every C
+// element is one addition chain c0 + s(i,k0)·b(k0,j) + s(i,k1)·b(k1,j) + …
+// over S's stored entries in ascending k, each term rounded as a product
+// and then as a sum (a CSR row lists its columns in ascending order — every
+// encoder in the tree writes them so — and SpGemmDenseTA walks S's rows,
+// its k axis, outermost). What they leave out is exactly the dense chain's
+// zero terms, and among finite terms a ±0 never changes a chain: x + ±0 = x
+// for x ≠ 0, and +0 + ±0 = +0, which is all a chain that started −0-free
+// can hold (in round-to-nearest a sum is −0 only when both operands are).
+// From a zeroed or any −0-free accumulator they therefore agree bit for
+// bit with refGemm / refGemmTA and with the blocked kernels on the
+// densified operand, which is what lets compute multiply a sparse operand
+// from its CSR form on either side of a product without an output byte
+// moving. (The one divergence is a non-finite b(k,j) under an unstored
+// s(i,k): 0·Inf makes the dense chain NaN.) Both run their inner loop
+// through axpy.
+
 // SpGemmDense computes C += S * B where S is sparse (m x k), B dense
 // (k x n), C dense (m x n). Cost is proportional to NNZ(S) * n.
 func SpGemmDense(c *Tile, s *CSRTile, b *Tile) {
@@ -77,11 +94,7 @@ func SpGemmDense(c *Tile, s *CSRTile, b *Tile) {
 	for i := 0; i < s.Rows; i++ {
 		crow := c.Data[i*n : (i+1)*n]
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			av := s.Val[p]
-			brow := b.Data[s.ColIdx[p]*n : (s.ColIdx[p]+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
+			axpy(s.Val[p], b.Data[s.ColIdx[p]*n:(s.ColIdx[p]+1)*n], crow)
 		}
 	}
 }
@@ -96,12 +109,22 @@ func SpGemmDenseTA(c *Tile, s *CSRTile, b *Tile) {
 	for i := 0; i < s.Rows; i++ {
 		brow := b.Data[i*n : (i+1)*n]
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			av := s.Val[p]
-			crow := c.Data[s.ColIdx[p]*n : (s.ColIdx[p]+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
+			axpy(s.Val[p], brow, c.Data[s.ColIdx[p]*n:(s.ColIdx[p]+1)*n])
 		}
+	}
+}
+
+// axpy is y[j] += a·x[j] for j < len(x) ≤ len(y), each element its own
+// multiply-then-add: the inner loop of both CSR kernels. Like
+// defaultBlockConf.kern it is selected once: the portable loop here,
+// replaced at package init by the bit-identical AVX2 routine where the
+// build and the CPU have it (kern_amd64.go).
+var axpy = axpyScalar
+
+func axpyScalar(a float64, x, y []float64) {
+	y = y[:len(x)]
+	for j, xv := range x {
+		y[j] += a * xv
 	}
 }
 

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,34 +34,97 @@ func TestCSRRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpGemmMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
-		s := randSparse(rng, m, k, 0.3)
-		b := randTile(rng, k, n)
-		got := NewTile(m, n)
-		SpGemmDense(got, s, b)
-		want := naiveGemm(s.ToDense(), b)
-		if !got.AlmostEqual(want, 1e-12) {
-			t.Fatalf("trial %d: spgemm mismatch", trial)
+// forEachAxpy runs body under the portable axpy loop and, where package
+// init selected it, under the AVX2 routine (forEachKernel's twin for the
+// CSR kernels).
+func forEachAxpy(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	selected := axpy
+	defer func() { axpy = selected }()
+	axpy = axpyScalar
+	t.Run("scalar", body)
+	if len(microKernels) == 1 {
+		t.Log("AVX2 arm skipped: this build or CPU has only the scalar axpy")
+		return
+	}
+	axpy = selected
+	t.Run("avx2", body)
+}
+
+// TestAxpyMatchesScalar holds the selected axpy to the portable loop bit
+// for bit: every length across the vector width and its tail, every
+// 8-byte offset of both operands within a 32-byte vector, finite and
+// special values (a NaN must be a NaN; payloads are the hardware's), and
+// not one element written past len(x).
+func TestAxpyMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	fill := func(v []float64, special bool) {
+		for i := range v {
+			if special && rng.Intn(3) > 0 {
+				v[i] = specialValues[rng.Intn(len(specialValues))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			for _, special := range []bool{false, true} {
+				xbuf, ybuf := make([]float64, off+n), make([]float64, (off+1)%4+n+3)
+				fill(xbuf, special)
+				fill(ybuf, special)
+				x, got := xbuf[off:], ybuf[(off+1)%4:]
+				want := append([]float64(nil), got...)
+				a := rng.NormFloat64()
+				if special {
+					a = specialValues[(n+off)%len(specialValues)]
+				}
+				axpy(a, x, got[:n])
+				axpyScalar(a, x, want[:n])
+				for i, w := range want {
+					if g := got[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+						t.Fatalf("n=%d offset=%d a=%g element %d: got %g (%#x), want %g (%#x)",
+							n, off, a, i, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
 		}
 	}
 }
 
-func TestSpGemmTAMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 30; trial++ {
-		k, m, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
-		s := randSparse(rng, k, m, 0.3)
-		b := randTile(rng, k, n)
-		got := NewTile(m, n)
-		SpGemmDenseTA(got, s, b)
-		want := naiveGemm(Transpose(s.ToDense()), b)
-		if !got.AlmostEqual(want, 1e-12) {
-			t.Fatalf("trial %d: spgemmTA mismatch", trial)
+// TestSpGemmMatchesDense and its TA twin pin the contract compute relies
+// on: from any (−0-free) accumulator the CSR kernels reproduce the naive
+// references on the densified operand bit for bit, under either axpy.
+func TestSpGemmMatchesDense(t *testing.T) {
+	forEachAxpy(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < 60; trial++ {
+			m, k, n := 1+rng.Intn(64), 1+rng.Intn(64), 1+rng.Intn(40)
+			s := randSparse(rng, m, k, 0.3)
+			b := randTile(rng, k, n)
+			got := randTile(rng, m, n)
+			want := got.Clone()
+			SpGemmDense(got, s, b)
+			refGemm(want, s.ToDense(), b)
+			assertExact(t, got, want, fmt.Sprintf("spgemm trial %d (%dx%dx%d)", trial, m, k, n))
 		}
-	}
+	})
+}
+
+func TestSpGemmTAMatchesDense(t *testing.T) {
+	forEachAxpy(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		for trial := 0; trial < 60; trial++ {
+			k, m, n := 1+rng.Intn(64), 1+rng.Intn(64), 1+rng.Intn(40)
+			s := randSparse(rng, k, m, 0.3)
+			b := randTile(rng, k, n)
+			got := randTile(rng, m, n)
+			want := got.Clone()
+			SpGemmDenseTA(got, s, b)
+			refGemmTA(want, s.ToDense(), b)
+			assertExact(t, got, want, fmt.Sprintf("spgemmTA trial %d (%dx%dx%d)", trial, m, k, n))
+		}
+	})
 }
 
 func TestMaskedGemm(t *testing.T) {

@@ -37,7 +37,7 @@ func (s *Suite) E13ReorderAblation() (*Result, error) {
 		w := workloads.MatMulChain(c.dims)
 		var times [2]float64
 		for i, disable := range []bool{true, false} {
-			m, err := s.runVirtualCfg(w.Prog, plan.Config{TileSize: tileSize, DisableReorder: disable}, cl)
+			m, err := s.runVirtual(w.Prog, plan.Config{TileSize: tileSize, DisableReorder: disable}, cl)
 			if err != nil {
 				return nil, err
 			}
@@ -60,12 +60,12 @@ func (s *Suite) E14FusionAblation() (*Result, error) {
 	cl := s.cluster(cmpType, cmpNodes, cmpSlots)
 	for _, m := range []int{20000, 80000} {
 		w := workloads.GNMF(m, m/2, 10, 1, 0.05)
-		fused, err := s.runVirtualCfg(w.Prog,
+		fused, err := s.runVirtual(w.Prog,
 			plan.Config{TileSize: tileSize, Densities: w.Densities}, cl)
 		if err != nil {
 			return nil, err
 		}
-		unfused, err := s.runVirtualCfg(w.Prog,
+		unfused, err := s.runVirtual(w.Prog,
 			plan.Config{TileSize: tileSize, Densities: w.Densities, DisableFusion: true}, cl)
 		if err != nil {
 			return nil, err
@@ -93,11 +93,11 @@ output D
 	if err != nil {
 		return nil, err
 	}
-	epFused, err := s.runVirtualCfg(ep, plan.Config{TileSize: tileSize}, cl)
+	epFused, err := s.runVirtual(ep, plan.Config{TileSize: tileSize}, cl)
 	if err != nil {
 		return nil, err
 	}
-	epUnfused, err := s.runVirtualCfg(ep, plan.Config{TileSize: tileSize, DisableFusion: true}, cl)
+	epUnfused, err := s.runVirtual(ep, plan.Config{TileSize: tileSize, DisableFusion: true}, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -108,16 +108,6 @@ output D
 	r.Checks["speedup:epilogue"] = epSpeedup
 	r.Table.Notes = "fusion removes whole jobs (startup + materialization + re-reads)"
 	return r, nil
-}
-
-// runVirtualCfg is runVirtual with a caller-supplied plan configuration
-// (used by the ablations to flip planner features).
-func (s *Suite) runVirtualCfg(prog *lang.Program, cfg plan.Config, cl cloud.Cluster) (*exec.RunMetrics, error) {
-	res, err := s.Sess.Run(prog, cfg, core.ExecOptions{Cluster: cl, Recorder: s.Recorder, Chaos: s.Chaos})
-	if err != nil {
-		return nil, err
-	}
-	return res.Metrics, nil
 }
 
 // E15OverlapAblation measures the engine extension that schedules jobs as
@@ -158,20 +148,11 @@ output E
 			// Under-split so single jobs cannot saturate the cluster and
 			// the barrier slack is visible.
 			pl.AutoSplit(cl.TotalSlots() / 4)
-			eng, err := exec.New(exec.Config{Cluster: cl, Seed: s.Seed, NoiseFactor: 0.08, OverlapJobs: overlap})
+			res, err := s.Sess.ExecutePlan(pl, cl, core.ExecOptions{Seed: s.Seed, OverlapJobs: overlap})
 			if err != nil {
 				return nil, err
 			}
-			for _, in := range pl.Inputs {
-				if err := eng.LoadVirtual(in); err != nil {
-					return nil, err
-				}
-			}
-			m, err := eng.Run(pl)
-			if err != nil {
-				return nil, err
-			}
-			times[i] = m.TotalSeconds
+			times[i] = res.Metrics.TotalSeconds
 		}
 		speedup := times[0] / times[1]
 		r.Table.AddRow(c.label, f1(times[0]), f1(times[1]), f2(speedup))
@@ -199,7 +180,7 @@ output R
 	if err != nil {
 		return nil, err
 	}
-	full, err := s.runVirtualCfg(fullProg, plan.Config{TileSize: tileSize}, cl)
+	full, err := s.runVirtual(fullProg, plan.Config{TileSize: tileSize}, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +195,7 @@ output R
 		if err != nil {
 			return nil, err
 		}
-		masked, err := s.runVirtualCfg(maskedProg,
+		masked, err := s.runVirtual(maskedProg,
 			plan.Config{TileSize: tileSize, Densities: map[string]float64{"V": density}}, cl)
 		if err != nil {
 			return nil, err
@@ -236,7 +217,7 @@ func (s *Suite) E17SpotBidding() (*Result, error) {
 		"bid $/h", "finish prob", "expected cost $", "mean evictions")
 	cl := s.cluster(cmpType, cmpNodes, cmpSlots)
 	w := workloads.GNMF(200000, 100000, 10, 2, 0.05)
-	m, err := s.runVirtualCfg(w.Prog, plan.Config{TileSize: tileSize, Densities: w.Densities}, cl)
+	m, err := s.runVirtual(w.Prog, plan.Config{TileSize: tileSize, Densities: w.Densities}, cl)
 	if err != nil {
 		return nil, err
 	}
@@ -287,32 +268,17 @@ func (s *Suite) E18Locality() (*Result, error) {
 	var flat3, racked float64
 	var localFracs []float64
 	for _, v := range variants {
-		pl, err := plan.Compile(w.Prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cl := s.cluster(cmpType, cmpNodes, cmpSlots)
-		pl.AutoSplit(cl.TotalSlots())
-		eng, err := exec.New(exec.Config{
-			Cluster:          cl,
+		res, err := s.Sess.Run(w.Prog, cfg, core.ExecOptions{
+			Cluster:          s.cluster(cmpType, cmpNodes, cmpSlots),
+			Seed:             s.Seed,
 			Replication:      v.repl,
 			RackSize:         v.rackSize,
 			CrossRackPenalty: exec.Float(v.penalty),
-			Seed:             s.Seed,
-			NoiseFactor:      0.08,
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return nil, err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return nil, err
-		}
+		m := res.Metrics
 		var local, rack, remote int64
 		for _, tr := range m.Tasks {
 			local += tr.LocalReadBytes
@@ -357,30 +323,16 @@ func (s *Suite) E19Speculation() (*Result, error) {
 		var times [2]float64
 		var wins int
 		for i, speculate := range []bool{false, true} {
-			pl, err := plan.Compile(w.Prog, plan.Config{TileSize: tileSize})
-			if err != nil {
-				return nil, err
-			}
-			cl := s.cluster(cmpType, 8, cmpSlots)
-			pl.AutoSplit(cl.TotalSlots())
-			eng, err := exec.New(exec.Config{
-				Cluster: cl, Seed: s.Seed, NoiseFactor: noise, Speculation: speculate,
+			res, err := s.Sess.Run(w.Prog, plan.Config{TileSize: tileSize}, core.ExecOptions{
+				Cluster: s.cluster(cmpType, 8, cmpSlots),
+				Seed:    s.Seed, NoiseFactor: noise, Speculation: speculate,
 			})
 			if err != nil {
 				return nil, err
 			}
-			for _, in := range pl.Inputs {
-				if err := eng.LoadVirtual(in); err != nil {
-					return nil, err
-				}
-			}
-			m, err := eng.Run(pl)
-			if err != nil {
-				return nil, err
-			}
-			times[i] = m.TotalSeconds
+			times[i] = res.Metrics.TotalSeconds
 			if speculate {
-				wins = m.SpeculativeTasks
+				wins = res.Metrics.SpeculativeTasks
 			}
 		}
 		imp := times[0] / times[1]
@@ -447,31 +399,19 @@ func (s *Suite) E20FaultRecovery() (*Result, error) {
 	// survivors and the DFS re-replicates from the remaining copies, so
 	// the run completes — slower, never wrong.
 	if base > 0 {
-		pl, err := plan.Compile(w.Prog, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cl := s.cluster(cmpType, cmpNodes, cmpSlots)
-		pl.AutoSplit(cl.TotalSlots())
 		sched := &chaos.Schedule{
 			Seed:          s.Seed,
 			Crashes:       []chaos.NodeCrash{{Node: 0, At: 0.4 * base}},
 			TaskFaultProb: 0.02,
 			ReadFaultProb: 0.01,
 		}
-		eng, err := exec.New(exec.Config{Cluster: cl, Seed: s.Seed, NoiseFactor: 0.08, Chaos: sched})
+		res, err := s.Sess.Run(w.Prog, cfg, core.ExecOptions{
+			Cluster: s.cluster(cmpType, cmpNodes, cmpSlots), Seed: s.Seed, Chaos: sched,
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return nil, err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return nil, err
-		}
+		m := res.Metrics
 		r.Table.AddRow("1 mid-run", "true", f1(m.TotalSeconds),
 			gb(m.RereplicatedBytes), f2(m.TotalSeconds/base))
 		r.Checks["midrun:crashes"] = float64(m.NodeCrashes)
@@ -515,37 +455,14 @@ output H
 		"H": linalg.RandomDense(4, 22, 33).Map(func(x float64) float64 { return x + 0.5 }),
 	}
 	run := func(sched *chaos.Schedule) (map[string]*linalg.Dense, *exec.RunMetrics, error) {
-		pl, err := plan.Compile(prog, plan.Config{TileSize: 8, Densities: map[string]float64{"V": 0.25}})
-		if err != nil {
-			return nil, nil, err
-		}
-		cl := s.cluster(cmpType, 4, 2)
-		pl.AutoSplit(cl.TotalSlots())
-		eng, err := exec.New(exec.Config{
-			Cluster: cl, Materialize: true, Seed: s.Seed, NoiseFactor: 0.08,
-			RackSize: 2, Workers: s.Workers, Chaos: sched,
+		res, err := s.Sess.Run(prog, plan.Config{TileSize: 8, Densities: map[string]float64{"V": 0.25}}, core.ExecOptions{
+			Cluster: s.cluster(cmpType, 4, 2), Inputs: inputs,
+			Seed: s.Seed, RackSize: 2, Workers: s.Workers, Chaos: sched,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadDense(in, inputs[in.Name]); err != nil {
-				return nil, nil, err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return nil, nil, err
-		}
-		outs := map[string]*linalg.Dense{}
-		for name, meta := range pl.Outputs {
-			d, err := eng.FetchOutput(meta)
-			if err != nil {
-				return nil, nil, err
-			}
-			outs[name] = d
-		}
-		return outs, m, nil
+		return res.Outputs, res.Metrics, nil
 	}
 	clean, cleanM, err := run(nil)
 	if err != nil {
@@ -582,25 +499,13 @@ func (s *Suite) E22TileCache() (*Result, error) {
 	cfg := plan.Config{TileSize: tileSize, Densities: w.Densities}
 	var base float64
 	for _, frac := range []float64{0, 0.25, 0.6} {
-		pl, err := plan.Compile(w.Prog, cfg)
+		res, err := s.Sess.Run(w.Prog, cfg, core.ExecOptions{
+			Cluster: s.cluster(cmpType, 8, cmpSlots), Seed: s.Seed, CacheFraction: frac,
+		})
 		if err != nil {
 			return nil, err
 		}
-		cl := s.cluster(cmpType, 8, cmpSlots)
-		pl.AutoSplit(cl.TotalSlots())
-		eng, err := exec.New(exec.Config{Cluster: cl, Seed: s.Seed, NoiseFactor: 0.08, CacheFraction: frac})
-		if err != nil {
-			return nil, err
-		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return nil, err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return nil, err
-		}
+		m := res.Metrics
 		if frac == 0 {
 			base = m.TotalSeconds
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"cumulon/internal/cloud"
-	"cumulon/internal/exec"
+	"cumulon/internal/core"
 	"cumulon/internal/model"
 	"cumulon/internal/obs"
 	"cumulon/internal/plan"
@@ -35,25 +35,12 @@ func (s *Suite) E07TaskModelAccuracy() (*Result, error) {
 			return nil, err
 		}
 		w := workloads.GNMF(30000, 15000, 10, 1, 0.05)
-		pl, err := plan.Compile(w.Prog, plan.Config{TileSize: tileSize, Densities: w.Densities})
+		res, err := s.Sess.Run(w.Prog, plan.Config{TileSize: tileSize, Densities: w.Densities},
+			core.ExecOptions{Cluster: cl, Seed: s.Seed + 999})
 		if err != nil {
 			return nil, err
 		}
-		pl.AutoSplit(cl.TotalSlots())
-		eng, err := exec.New(exec.Config{Cluster: cl, Seed: s.Seed + 999, NoiseFactor: 0.08})
-		if err != nil {
-			return nil, err
-		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return nil, err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return nil, err
-		}
-		holdout := model.ObsFromTasks(m.Tasks, 3)
+		holdout := model.ObsFromTasks(res.Metrics.Tasks, 3)
 		mre := model.MeanRelError(cal.Model, holdout)
 		r.Table.AddRow(name, d0(slots), d0(cal.Model.N), d0(len(holdout)), f3(mre))
 		r.Checks["mre:"+name] = mre
@@ -187,25 +174,11 @@ func (s *Suite) E21Distribution() (*Result, error) {
 
 	var times []float64
 	for seed := int64(0); seed < 20; seed++ {
-		pl2, err := plan.Compile(w.Prog, cfg)
+		res, err := s.Sess.Run(w.Prog, cfg, core.ExecOptions{Cluster: cl, Seed: 1000 + seed})
 		if err != nil {
 			return nil, err
 		}
-		pl2.AutoSplit(cl.TotalSlots())
-		eng, err := exec.New(exec.Config{Cluster: cl, Seed: 1000 + seed, NoiseFactor: 0.08})
-		if err != nil {
-			return nil, err
-		}
-		for _, in := range pl2.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return nil, err
-			}
-		}
-		m, err := eng.Run(pl2)
-		if err != nil {
-			return nil, err
-		}
-		times = append(times, m.TotalSeconds)
+		times = append(times, res.Metrics.TotalSeconds)
 	}
 	sortFloats(times)
 	empP50 := times[len(times)/2]

@@ -37,7 +37,6 @@ func (s *Suite) runMR(w workloads.Workload, nodes int) (*mapred.RunMetrics, erro
 		BlockSize:   tileSize,
 		Seed:        s.Seed,
 		NoiseFactor: 0.08,
-		Workers:     s.Workers,
 		Recorder:    s.Recorder,
 	})
 	if err != nil {

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -363,5 +365,30 @@ func TestE22TileCache(t *testing.T) {
 	}
 	if sp := check(t, r, "speedup:0.6"); sp < 1.02 {
 		t.Fatalf("caching speedup %v too small", sp)
+	}
+}
+
+// TestCommittedResultsMatch pins results/experiments.{txt,md} to what the
+// generators print at seed 42 (`cumulon-bench -q`, `-format markdown`): a
+// generator change that moves a table must regenerate the files with it.
+func TestCommittedResultsMatch(t *testing.T) {
+	res := results(t)
+	for _, f := range []struct{ format, path string }{
+		{"text", "../../results/experiments.txt"},
+		{"markdown", "../../results/experiments.md"},
+	} {
+		var got bytes.Buffer
+		for _, e := range All() {
+			if err := res[e.ID].Table.RenderAs(&got, f.format); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s differs from the suite's %s output; regenerate it with `go run ./cmd/cumulon-bench -q`", f.path, f.format)
+		}
 	}
 }

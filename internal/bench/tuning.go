@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"cumulon/internal/cloud"
-	"cumulon/internal/exec"
+	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/plan"
 	"cumulon/internal/workloads"
@@ -31,21 +30,12 @@ func (s *Suite) E05SplitSweep() (*Result, error) {
 			return err
 		}
 		pl.Jobs[0].Split = sp
-		eng, err := s.newEngine(cl)
+		res, err := s.Sess.ExecutePlan(pl, cl, core.ExecOptions{Seed: s.Seed})
 		if err != nil {
 			return err
 		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return err
-		}
-		points = append(points, point{sp, m.TotalSeconds})
-		r.Table.AddRow(sp.String(), d0(sp.Tasks()), f1(m.TotalSeconds))
+		points = append(points, point{sp, res.Metrics.TotalSeconds})
+		r.Table.AddRow(sp.String(), d0(sp.Tasks()), f1(res.Metrics.TotalSeconds))
 		return nil
 	}
 	// Part A: square output splits with ck=1.
@@ -85,23 +75,14 @@ output C
 		if err != nil {
 			return nil, err
 		}
-		pl.Jobs[0].Split = plan.Split{CI: 1, CJ: 16, CK: ck}
-		eng, err := s.newEngine(s.cluster(cmpType, cmpNodes, cmpSlots))
-		if err != nil {
-			return nil, err
-		}
-		for _, in := range pl.Inputs {
-			if err := eng.LoadVirtual(in); err != nil {
-				return nil, err
-			}
-		}
-		m, err := eng.Run(pl)
-		if err != nil {
-			return nil, err
-		}
 		sp := plan.Split{CI: 1, CJ: 16, CK: ck}
-		r2rows = append(r2rows, point{sp, m.TotalSeconds})
-		r.Table.AddRow("skinny "+sp.String(), d0(sp.Tasks()), f1(m.TotalSeconds))
+		pl.Jobs[0].Split = sp
+		res, err := s.Sess.ExecutePlan(pl, s.cluster(cmpType, cmpNodes, cmpSlots), core.ExecOptions{Seed: s.Seed})
+		if err != nil {
+			return nil, err
+		}
+		r2rows = append(r2rows, point{sp, res.Metrics.TotalSeconds})
+		r.Table.AddRow("skinny "+sp.String(), d0(sp.Tasks()), f1(res.Metrics.TotalSeconds))
 	}
 	bestCk, bestCkTime := 1, math.Inf(1)
 	for _, p := range r2rows {
@@ -158,11 +139,4 @@ func (s *Suite) E06SlotSweep() (*Result, error) {
 	r.Checks["bestSlots:gnmf"] = float64(bestGn)
 	r.Table.Notes = "m1.xlarge has 4 cores; the optimum sits at or above the core count"
 	return r, nil
-}
-
-// newEngine builds a virtual-mode engine on the cluster with the suite's
-// seed, for experiments that drive the engine directly (e.g. to set
-// splits by hand).
-func (s *Suite) newEngine(cl cloud.Cluster) (*exec.Engine, error) {
-	return exec.New(exec.Config{Cluster: cl, Seed: s.Seed, NoiseFactor: 0.08})
 }

@@ -1,9 +1,7 @@
-// Package compute is the shared tile-compute layer: the pure mathematics
-// of task execution, factored out of the orchestration engines so that the
-// same kernels serve both Cumulon's slot scheduler (package exec) and the
-// MapReduce baseline (package mapred), and so that the float work can run
-// on parallel worker goroutines without disturbing the engines'
-// deterministic virtual time.
+// Package compute is the tile-compute layer: the pure mathematics of task
+// execution, factored out of Cumulon's slot scheduler (package exec) so
+// that the float work can run on parallel worker goroutines without
+// disturbing the engine's deterministic virtual time.
 //
 // The key design point is the split between computing and accounting. A
 // Task's function reads input tiles through a non-accounting Source.Peek,

@@ -2,11 +2,8 @@ package compute
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
-	"cumulon/internal/lang"
-	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
 )
 
@@ -60,71 +57,6 @@ func TestKExtent(t *testing.T) {
 	}
 	if got := KExtent(8, 4, 1); got != 4 {
 		t.Fatalf("KExtent(8,4,1) = %d, want 4", got)
-	}
-}
-
-// TestDenseHelpersMatchOracle checks every whole-matrix helper against the
-// linalg.Dense reference on both backends, and that the pool's striping
-// produces bitwise-identical results to the sequential backend.
-func TestDenseHelpersMatchOracle(t *testing.T) {
-	a := linalg.RandomDense(37, 23, 1)
-	b := linalg.RandomDense(23, 19, 2)
-	c := linalg.RandomDense(37, 23, 3)
-	seq := NewSequential()
-	pool := NewPool(4)
-
-	type result struct {
-		name string
-		eval func(be Backend) *linalg.Dense
-		want *linalg.Dense
-	}
-	mulWant := a.Mul(b)
-	cases := []result{
-		{"mul", func(be Backend) *linalg.Dense { return MulDense(be, a, b) }, mulWant},
-		{"zip", func(be Backend) *linalg.Dense {
-			return ZipDense(be, a, c, func(x, y float64) float64 { return x*y + 1 })
-		}, a.ElemMul(c).Map(func(v float64) float64 { return v + 1 })},
-		{"map", func(be Backend) *linalg.Dense {
-			return MapDense(be, a, func(v float64) float64 { return 2*v - 1 })
-		}, a.Map(func(v float64) float64 { return 2*v - 1 })},
-		{"scale", func(be Backend) *linalg.Dense { return ScaleDense(be, a, 2.5) },
-			a.Map(func(v float64) float64 { return 2.5 * v })},
-		{"transpose", func(be Backend) *linalg.Dense { return TransposeDense(be, a) }, a.T()},
-	}
-	for _, cs := range cases {
-		s := cs.eval(seq)
-		p := cs.eval(pool)
-		if !s.AlmostEqual(cs.want, 1e-12) {
-			t.Fatalf("%s: sequential result off by %g", cs.name, s.MaxAbsDiff(cs.want))
-		}
-		if !reflect.DeepEqual(s.Data, p.Data) {
-			t.Fatalf("%s: pool result not bitwise identical to sequential (maxdiff %g)",
-				cs.name, s.MaxAbsDiff(p))
-		}
-	}
-}
-
-func TestZipFunc(t *testing.T) {
-	cases := []struct {
-		e       lang.Expr
-		x, y, w float64
-	}{
-		{lang.Add{}, 3, 4, 7},
-		{lang.Sub{}, 3, 4, -1},
-		{lang.ElemMul{}, 3, 4, 12},
-		{lang.ElemDiv{}, 3, 4, 0.75},
-	}
-	for _, c := range cases {
-		f, ok := ZipFunc(c.e)
-		if !ok {
-			t.Fatalf("ZipFunc(%T) not recognized", c.e)
-		}
-		if got := f(c.x, c.y); got != c.w {
-			t.Fatalf("ZipFunc(%T)(%g,%g) = %g, want %g", c.e, c.x, c.y, got, c.w)
-		}
-	}
-	if _, ok := ZipFunc(lang.Var{}); ok {
-		t.Fatal("ZipFunc(Var) should not be recognized")
 	}
 }
 

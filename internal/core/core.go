@@ -16,13 +16,10 @@ package core
 import (
 	"fmt"
 
-	"cumulon/internal/chaos"
-	"cumulon/internal/ckpt"
 	"cumulon/internal/cloud"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
-	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
 )
@@ -69,55 +66,17 @@ func (s *Session) OptimizeDeadline(p *lang.Program, cfg plan.Config, deadlineSec
 	})
 }
 
-// OptimizeBudget finds the fastest deployment within the budget.
-func (s *Session) OptimizeBudget(p *lang.Program, cfg plan.Config, budgetDollars float64) (*opt.Result, error) {
-	return s.optz.MinTimeForBudget(opt.Request{
-		Program: p, PlanCfg: cfg, BudgetDollars: budgetDollars,
-	})
-}
-
 // Optimizer exposes the underlying optimizer for custom requests.
 func (s *Session) Optimizer() *opt.Optimizer { return s.optz }
 
-// ExecOptions controls one execution.
-type ExecOptions struct {
-	// Cluster to run on; ignored when a Deployment is supplied to
-	// RunDeployment. Required for Run.
-	Cluster cloud.Cluster
-	// Inputs supplies real input matrices; when set, execution is
-	// materialized and outputs are fetched. When nil, execution is
-	// virtual: inputs are registered by size only and outputs are nil.
-	Inputs map[string]*linalg.Dense
-	// Replication is the DFS replication factor (default 3).
-	Replication int
-	// NoiseFactor scales straggler noise (default 0.08).
-	NoiseFactor float64
-	// Seed overrides the session seed for this run when nonzero.
-	Seed int64
-	// Workers bounds how many tasks a materialized run computes at once
-	// (see exec.Config.Workers): 0 = the host's compute budget, 1 =
-	// sequential. Virtual time and results are unaffected.
-	Workers int
-	// Recorder receives the run's observability spans (see obs.Recorder);
-	// nil disables recording at zero cost.
-	Recorder obs.Recorder
-	// Chaos injects a deterministic fault schedule — node crashes,
-	// transient task and read faults — into the run (see chaos.Schedule).
-	// Recovery changes the timeline, never the results.
-	Chaos *chaos.Schedule
-	// MaxTaskRetries bounds per-task retry attempts under faults
-	// (default 3; negative means no retries).
-	MaxTaskRetries int
-	// CheckpointEvery, when positive, checkpoints the program at every
-	// Nth iteration boundary (see exec.Config.CheckpointEvery).
-	CheckpointEvery int
-	// CheckpointStore persists program checkpoints across runs (see
-	// package ckpt). Required for Resume.
-	CheckpointStore ckpt.Store
-	// Resume fast-forwards past the jobs covered by the newest valid
-	// checkpoint of this exact program and configuration.
-	Resume bool
-}
+// ExecOptions controls one execution. It is the engine's own
+// configuration: a session run can set every engine field. The session
+// owns four of them (see execute): Cluster is the Run/ExecutePlan cluster
+// or the deployment's, a zero Seed means the session seed, a zero
+// NoiseFactor means 0.08, and Materialize follows Inputs — set, execution
+// is materialized and outputs are fetched; nil, it is virtual (inputs
+// registered by size only) and ExecResult.Outputs is nil.
+type ExecOptions = exec.Config
 
 // ExecResult is one finished execution.
 type ExecResult struct {
@@ -196,29 +155,16 @@ func RandomInputs(prog *lang.Program, cfg plan.Config, seed int64) map[string]*l
 }
 
 func (s *Session) execute(pl *plan.Plan, cluster cloud.Cluster, opts ExecOptions) (*ExecResult, error) {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = s.seed
+	opts.Cluster = cluster
+	if opts.Seed == 0 {
+		opts.Seed = s.seed
 	}
-	noise := opts.NoiseFactor
-	if noise == 0 {
-		noise = 0.08
+	if opts.NoiseFactor == 0 {
+		opts.NoiseFactor = 0.08
 	}
 	materialize := opts.Inputs != nil
-	eng, err := exec.New(exec.Config{
-		Cluster:         cluster,
-		Replication:     opts.Replication,
-		Materialize:     materialize,
-		Seed:            seed,
-		NoiseFactor:     noise,
-		Workers:         opts.Workers,
-		Recorder:        opts.Recorder,
-		Chaos:           opts.Chaos,
-		MaxTaskRetries:  opts.MaxTaskRetries,
-		CheckpointEvery: opts.CheckpointEvery,
-		CheckpointStore: opts.CheckpointStore,
-		Resume:          opts.Resume,
-	})
+	opts.Materialize = materialize
+	eng, err := exec.New(opts)
 	if err != nil {
 		return nil, err
 	}

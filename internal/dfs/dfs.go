@@ -165,14 +165,6 @@ func (fs *FS) RackOf(node int) int {
 	return node / fs.cfg.RackSize
 }
 
-// Racks returns the number of racks in the cluster.
-func (fs *FS) Racks() int {
-	if fs.cfg.RackSize <= 0 {
-		return 1
-	}
-	return (fs.cfg.Nodes + fs.cfg.RackSize - 1) / fs.cfg.RackSize
-}
-
 // Replication returns the configured replication factor.
 func (fs *FS) Replication() int { return fs.cfg.Replication }
 
@@ -471,30 +463,6 @@ func (fs *FS) Peek(path string) ([]byte, error) {
 		}
 	}
 	return f.contents(), nil
-}
-
-// Locality reports whether readerNode holds a local replica of every block
-// of path. The scheduler uses this to prefer node-local tasks.
-func (fs *FS) Locality(path string, readerNode int) (bool, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	for i := range f.blocks {
-		found := false
-		for _, r := range fs.liveReplicas(&f.blocks[i]) {
-			if r == readerNode {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // ReplicaNodes returns the set of live nodes that hold at least one block
@@ -803,17 +771,6 @@ func (fs *FS) FileCount() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return len(fs.files)
-}
-
-// TotalBytes returns the sum of logical file sizes (not counting replicas).
-func (fs *FS) TotalBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var n int64
-	for _, f := range fs.files {
-		n += f.size
-	}
-	return n
 }
 
 // liveReplicas returns the block's replicas on live nodes: the stored list

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -34,16 +35,15 @@ func TestWriteLocalFirstPlacement(t *testing.T) {
 	if err := fs.Write("/a", []byte("x"), 5); err != nil {
 		t.Fatal(err)
 	}
-	local, err := fs.Locality("/a", 5)
-	if err != nil || !local {
-		t.Fatalf("writer node must hold a replica: local=%v err=%v", local, err)
-	}
 	nodes, err := fs.ReplicaNodes("/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes) != 3 {
 		t.Fatalf("want 3 replicas, got %v", nodes)
+	}
+	if i := sort.SearchInts(nodes, 5); i == len(nodes) || nodes[i] != 5 {
+		t.Fatalf("writer node must hold a replica, got %v", nodes)
 	}
 }
 
@@ -278,19 +278,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	fs := New(DefaultConfig(3))
-	if err := fs.Write("/a", make([]byte, 100), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("/b", make([]byte, 50), 0); err != nil {
-		t.Fatal(err)
-	}
-	if fs.TotalBytes() != 150 {
-		t.Fatalf("total bytes: %d", fs.TotalBytes())
-	}
-}
-
 func TestVirtualFiles(t *testing.T) {
 	fs := New(Config{Nodes: 4, Replication: 2, BlockSize: 100, Seed: 1})
 	if err := fs.WriteVirtual("/v", 250, 1); err != nil {
@@ -353,14 +340,11 @@ func TestVirtualKillNodeReReplicates(t *testing.T) {
 
 func TestRackTopology(t *testing.T) {
 	fs := New(Config{Nodes: 8, Replication: 3, RackSize: 4, Seed: 1})
-	if fs.Racks() != 2 {
-		t.Fatalf("racks: %d", fs.Racks())
-	}
 	if fs.RackOf(3) != 0 || fs.RackOf(4) != 1 || fs.RackOf(-1) != 0 {
 		t.Fatal("rack assignment wrong")
 	}
 	single := New(Config{Nodes: 4, Replication: 2, Seed: 1})
-	if single.Racks() != 1 || single.RackOf(3) != 0 {
+	if single.RackOf(3) != 0 {
 		t.Fatal("single-rack cluster misconfigured")
 	}
 }
@@ -477,9 +461,6 @@ func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 			if got := fs.Stats(n); got != (IOStats{}) {
 				t.Fatalf("node %d charged for an external read: %+v", n, got)
 			}
-		}
-		if local, err := fs.Locality("/real", 7); err != nil || local {
-			t.Fatalf("Locality for node 7 of 4: %v, err %v", local, err)
 		}
 	}
 }

@@ -36,6 +36,10 @@ type Config struct {
 	// Materialize selects real tile computation. Off, tiles are virtual:
 	// placement, accounting and timing are identical but no payloads move.
 	Materialize bool
+	// Inputs carries a session run's input matrices. Only core.Session
+	// reads it (it loads them and sets Materialize); the engine itself
+	// takes inputs through LoadDense and LoadVirtual.
+	Inputs map[string]*linalg.Dense
 	// Seed drives the deterministic noise and placement randomness.
 	Seed int64
 	// NoiseFactor scales multiplicative task-duration noise (stragglers,

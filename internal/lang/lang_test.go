@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -466,6 +467,46 @@ func TestParseForLoopErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("expected parse error for %q", src)
 		}
+	}
+}
+
+// TestParseUnrollLimit: loops that would unroll past maxStatements are
+// refused before they expand, in bounded time and allocation, with an error
+// that states the numbers; a loop exactly at the limit parses.
+func TestParseUnrollLimit(t *testing.T) {
+	loop := func(prefix string, n int) string {
+		return fmt.Sprintf("input A 2 2\n%sfor i in 1:%d {\nA = A\n}\noutput A", prefix, n)
+	}
+	hostile := []struct{ name, src, want string }{
+		{"flat", loop("", 2000000000), "2000000000 x 1 statements on top of 0, over the limit of 65536"},
+		{"one over", loop("", maxStatements+1), "65537 x 1 statements"},
+		{"full after a statement", loop("A = A\n", maxStatements), "on top of 1,"},
+		{"nested", "input A 2 2\nfor i in 1:65536 {\nfor j in 1:65536 {\nA = A\n}\n}\noutput A",
+			"65536 x 65536 statements"},
+		{"count overflows", "input A 2 2\nfor i in -9223372036854775808:9223372036854775807 {\nA = A\n}\noutput A",
+			"overflows"},
+		{"product overflows", "input A 2 2\nfor i in 1:9223372036854775807 {\nA = A\nA = A\n}\noutput A",
+			"9223372036854775807 x 2 statements"},
+	}
+	for _, tc := range hostile {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() { _, err = Parse(tc.src) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		// The nested case legitimately builds the inner 65536-item body
+		// (a few dozen slice growths); nothing grows with the loop counts.
+		if allocs > 200 {
+			t.Errorf("%s: %v allocations before the refusal", tc.name, allocs)
+		}
+	}
+	// An empty body has nothing to unroll, whatever the count.
+	if p, err := Parse("input A 2 2\nfor i in 1:2000000000 {\n}\noutput A"); err != nil || len(p.Stmts) != 0 {
+		t.Fatalf("empty loop body: %v", err)
+	}
+	p, err := Parse(loop("", maxStatements))
+	if err != nil || len(p.Stmts) != maxStatements {
+		t.Fatalf("a loop exactly at the limit must parse: %v", err)
 	}
 }
 

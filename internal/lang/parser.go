@@ -19,11 +19,11 @@ import (
 //	output H
 //
 // Iteration counts are literal: `for` loops unroll at parse time (Cumulon
-// optimizes and executes whole iterative programs as one plan). Loops may
-// nest; the loop variable is purely a counter and is not substitutable
-// into expressions. A bare `checkpoint` line marks an iteration boundary
-// for program-level checkpointing; inside a loop it unrolls into one
-// boundary per iteration.
+// optimizes and executes whole iterative programs as one plan), to at most
+// maxStatements statements. Loops may nest; the loop variable is purely a
+// counter and is not substitutable into expressions. A bare `checkpoint`
+// line marks an iteration boundary for program-level checkpointing; inside
+// a loop it unrolls into one boundary per iteration.
 //
 // Grammar (expressions, by precedence, loosest first):
 //
@@ -34,6 +34,11 @@ import (
 //
 // A number in factor position denotes scalar multiplication (e.g.
 // "0.5 * A"); bare numbers are only valid in that position.
+// maxStatements caps what loops may unroll a program to. Without it a
+// 40-byte loop makes Parse allocate billions of statements, and nesting
+// multiplies; the largest committed workload unrolls to a few hundred.
+const maxStatements = 1 << 16
+
 func Parse(src string) (*Program, error) {
 	p := &Program{}
 	// loopStack holds the items being accumulated by enclosing for loops,
@@ -108,6 +113,19 @@ func Parse(src string) (*Program, error) {
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			if len(top.items) == 0 {
+				continue
+			}
+			// Checked before expanding, by division: the product can
+			// overflow.
+			have := len(p.Stmts)
+			if len(stack) > 0 {
+				have = len(stack[len(stack)-1].items)
+			}
+			if top.count > (maxStatements-have)/len(top.items) {
+				return nil, fmt.Errorf("lang: line %d: loop unrolls to %d x %d statements on top of %d, over the limit of %d",
+					lineNo+1, top.count, len(top.items), have, maxStatements)
+			}
 			for i := 0; i < top.count; i++ {
 				for _, it := range top.items {
 					emit(it)
@@ -162,7 +180,11 @@ func parseForHeader(line string) (int, error) {
 	if hi < lo {
 		return 0, fmt.Errorf("empty loop range %d:%d", lo, hi)
 	}
-	return hi - lo + 1, nil
+	count := hi - lo + 1
+	if count <= 0 {
+		return 0, fmt.Errorf("loop range %d:%d overflows", lo, hi)
+	}
+	return count, nil
 }
 
 func parseInput(line string) (Input, error) {

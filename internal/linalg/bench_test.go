@@ -205,23 +205,3 @@ func BenchmarkTranspose256(b *testing.B) {
 		Transpose(t)
 	}
 }
-
-func BenchmarkQR256x32(b *testing.B) {
-	a := RandomDense(256, 32, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := QR(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSVD64x32(b *testing.B) {
-	a := RandomDense(64, 32, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SVD(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

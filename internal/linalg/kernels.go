@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Gemm computes C += A * B for dense tiles, where A is (m x k), B is
 // (k x n) and C is (m x n). It panics on shape mismatch: shape errors at
@@ -238,51 +235,6 @@ func Sum(t *Tile) float64 {
 		s += v
 	}
 	return s
-}
-
-// SumSq returns the sum of squared elements, used by norm computations.
-func SumSq(t *Tile) float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value.
-func MaxAbs(t *Tile) float64 {
-	var m float64
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// RowSums returns a (Rows x 1) tile whose i-th entry is the sum of row i.
-func RowSums(t *Tile) *Tile {
-	out := NewTile(t.Rows, 1)
-	for i := 0; i < t.Rows; i++ {
-		var s float64
-		for _, v := range t.Data[i*t.Cols : (i+1)*t.Cols] {
-			s += v
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
-// ColSums returns a (1 x Cols) tile whose j-th entry is the sum of column j.
-func ColSums(t *Tile) *Tile {
-	out := NewTile(1, t.Cols)
-	for i := 0; i < t.Rows; i++ {
-		row := t.Data[i*t.Cols : (i+1)*t.Cols]
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	return out
 }
 
 // GemmFlops returns the floating-point operation count of a GEMM with the

@@ -141,24 +141,6 @@ func TestMapZipScale(t *testing.T) {
 	if Sum(a) != 10 {
 		t.Fatalf("sum: got %v", Sum(a))
 	}
-	if SumSq(a) != 30 {
-		t.Fatalf("sumsq: got %v", SumSq(a))
-	}
-	if MaxAbs(Scale(a, -2)) != 8 {
-		t.Fatalf("maxabs: got %v", MaxAbs(Scale(a, -2)))
-	}
-}
-
-func TestRowColSums(t *testing.T) {
-	a := NewTileFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	rs := RowSums(a)
-	if rs.Rows != 2 || rs.Cols != 1 || rs.At(0, 0) != 6 || rs.At(1, 0) != 15 {
-		t.Fatalf("rowsums: %+v", rs)
-	}
-	cs := ColSums(a)
-	if cs.Rows != 1 || cs.Cols != 3 || cs.At(0, 0) != 5 || cs.At(0, 2) != 9 {
-		t.Fatalf("colsums: %+v", cs)
-	}
 }
 
 func TestGemmFlops(t *testing.T) {

@@ -66,10 +66,6 @@ func (t *Tile) Fill(v float64) {
 	}
 }
 
-// Bytes reports the in-memory payload size of the tile in bytes, as used by
-// the I/O accounting in the DFS and the cost models.
-func (t *Tile) Bytes() int64 { return int64(len(t.Data)) * 8 }
-
 // Equal reports whether two tiles have identical shape and elements.
 func (t *Tile) Equal(o *Tile) bool {
 	if t.Rows != o.Rows || t.Cols != o.Cols {

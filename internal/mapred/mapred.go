@@ -31,7 +31,6 @@ import (
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
-	"cumulon/internal/compute"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/obs"
@@ -93,15 +92,6 @@ type Config struct {
 	Materialize bool
 	Seed        int64
 	NoiseFactor float64
-	// Workers sets the compute parallelism for materialized values: each
-	// operator's arithmetic row-stripes across Workers goroutines, at most
-	// as many as the host's compute budget (linalg.Parallelism), via the
-	// shared compute layer. Results and timing are unaffected. 0 or 1
-	// computes sequentially.
-	Workers int
-	// Backend overrides the compute backend (tests use it to force a
-	// specific pool width). When set, Workers is ignored.
-	Backend compute.Backend
 	// Chaos injects the same deterministic fault schedule the Cumulon
 	// engine honors: node crashes shrink the live cluster for every job
 	// priced after the crash time, and per-task fault decisions (hashed
@@ -195,7 +185,6 @@ func (m matInfo) bytes() int64 {
 type Engine struct {
 	cfg Config
 	rng *rand.Rand
-	be  compute.Backend // runs the materialized arithmetic
 	rec obs.Recorder
 	inj *chaos.Injector
 	// prog is the program span of the Run in progress (emitJob parents
@@ -212,15 +201,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Chaos.Validate(); err != nil {
 		return nil, fmt.Errorf("mapred: %w", err)
 	}
-	be := cfg.Backend
-	if be == nil {
-		if cfg.Materialize && cfg.Workers > 1 {
-			be = compute.NewPool(cfg.Workers)
-		} else {
-			be = compute.NewSequential()
-		}
-	}
-	return &Engine{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), be: be,
+	return &Engine{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)),
 		rec: obs.OrNop(cfg.Recorder), inj: chaos.NewInjector(cfg.Chaos)}, nil
 }
 
@@ -279,7 +260,7 @@ func (e *Engine) evalExpr(label string, expr lang.Expr, env map[string]matInfo, 
 		}
 		out := matInfo{rows: in.cols, cols: in.rows, sparse: in.sparse, density: in.density}
 		if in.value != nil {
-			out.value = compute.TransposeDense(e.be, in.value)
+			out.value = in.value.T()
 		}
 		// Transpose is a full shuffle job: every block changes key.
 		e.emitJob(m, label, "transpose", in.bytes(), in.bytes(), out.bytes(), 0, true)
@@ -291,7 +272,7 @@ func (e *Engine) evalExpr(label string, expr lang.Expr, env map[string]matInfo, 
 		}
 		out := matInfo{rows: in.rows, cols: in.cols}
 		if in.value != nil {
-			out.value = compute.ScaleDense(e.be, in.value, x.S)
+			out.value = in.value.Scale(x.S)
 		}
 		elems := int64(in.rows) * int64(in.cols)
 		e.emitJob(m, label, "scale", in.bytes(), 0, out.bytes(), elems, false)
@@ -303,13 +284,13 @@ func (e *Engine) evalExpr(label string, expr lang.Expr, env map[string]matInfo, 
 		}
 		out := matInfo{rows: in.rows, cols: in.cols}
 		if in.value != nil {
-			out.value = compute.MapDense(e.be, in.value, lang.Funcs[x.Fn])
+			out.value = in.value.Map(lang.Funcs[x.Fn])
 		}
 		elems := int64(in.rows) * int64(in.cols)
 		e.emitJob(m, label, x.Fn, in.bytes(), 0, out.bytes(), elems, false)
 		return out, nil
 	case lang.Add, lang.Sub, lang.ElemMul, lang.ElemDiv:
-		l, r := binaryOperands(x)
+		l, r, name, f := binaryOp(x)
 		li, err := e.evalExpr(label, l, env, m)
 		if err != nil {
 			return matInfo{}, err
@@ -320,16 +301,12 @@ func (e *Engine) evalExpr(label string, expr lang.Expr, env map[string]matInfo, 
 		}
 		out := matInfo{rows: li.rows, cols: li.cols}
 		if li.value != nil && ri.value != nil {
-			f, ok := compute.ZipFunc(x)
-			if !ok {
-				return matInfo{}, fmt.Errorf("mapred: not a binary op: %T", x)
-			}
-			out.value = compute.ZipDense(e.be, li.value, ri.value, f)
+			out.value = f(li.value, ri.value)
 		}
 		elems := int64(li.rows) * int64(li.cols)
 		// Aligning the two block streams requires shuffling both inputs.
 		in := li.bytes() + ri.bytes()
-		e.emitJob(m, label, opName(x), in, in, out.bytes(), elems, true)
+		e.emitJob(m, label, name, in, in, out.bytes(), elems, true)
 		return out, nil
 	case lang.MatMul:
 		li, err := e.evalExpr(label, x.L, env, m)
@@ -353,7 +330,7 @@ func (e *Engine) emitMatMul(label string, li, ri matInfo, m *RunMetrics) (matInf
 	}
 	out := matInfo{rows: li.rows, cols: ri.cols}
 	if li.value != nil && ri.value != nil {
-		out.value = compute.MulDense(e.be, li.value, ri.value)
+		out.value = li.value.Mul(ri.value)
 	}
 	bs := e.cfg.BlockSize
 	ib := ceilDiv(li.rows, bs)
@@ -559,32 +536,20 @@ func (e *Engine) recordJobSpans(jobID int, label, op string, start, secs, startu
 	e.rec.End(j, start+secs)
 }
 
-func binaryOperands(e lang.Expr) (l, r lang.Expr) {
+// binaryOp splits an element-wise binary node into its operands, its job
+// name and the Dense method that computes its value.
+func binaryOp(e lang.Expr) (l, r lang.Expr, name string, f func(a, b *linalg.Dense) *linalg.Dense) {
 	switch x := e.(type) {
 	case lang.Add:
-		return x.L, x.R
+		return x.L, x.R, "add", (*linalg.Dense).Add
 	case lang.Sub:
-		return x.L, x.R
+		return x.L, x.R, "sub", (*linalg.Dense).Sub
 	case lang.ElemMul:
-		return x.L, x.R
+		return x.L, x.R, "elemmul", (*linalg.Dense).ElemMul
 	case lang.ElemDiv:
-		return x.L, x.R
+		return x.L, x.R, "elemdiv", (*linalg.Dense).ElemDiv
 	}
 	panic("mapred: not a binary op")
-}
-
-func opName(e lang.Expr) string {
-	switch e.(type) {
-	case lang.Add:
-		return "add"
-	case lang.Sub:
-		return "sub"
-	case lang.ElemMul:
-		return "elemmul"
-	case lang.ElemDiv:
-		return "elemdiv"
-	}
-	return "?"
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

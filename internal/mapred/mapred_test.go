@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,6 +140,39 @@ func TestMaterializedResultsMatchInterpreter(t *testing.T) {
 				t.Fatalf("seed %d output %s mismatch", seed, name)
 			}
 		}
+	}
+}
+
+// TestMaterializedBudgetInvariance pins the baseline's arithmetic to the
+// one compute budget: a product above the parallel GEMM gate (2^25 flops)
+// and the element-wise operators around it give the same bits whether the
+// budget is one token or four.
+func TestMaterializedBudgetInvariance(t *testing.T) {
+	prog := parse(t, `
+input A 288 256
+input B 256 256
+C = sqrt(A * B) .* (A + A) - 0.5 * (B' * A')'
+output C
+`)
+	data := map[string]*linalg.Dense{
+		"A": linalg.RandomDense(288, 256, 1),
+		"B": linalg.RandomDense(256, 256, 2),
+	}
+	run := func(budget int) []float64 {
+		prev := linalg.SetParallelism(budget)
+		t.Cleanup(func() { linalg.SetParallelism(prev) })
+		e, err := New(Config{Cluster: cluster(t, 2, 2), Materialize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, outs, err := e.Run(prog, nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs["C"].Data
+	}
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Fatal("materialized baseline output differs between compute budgets 1 and 4")
 	}
 }
 

@@ -52,22 +52,6 @@ func (m *TaskModel) SampleResidual(u float64) float64 {
 	return m.Residuals[i]
 }
 
-// ResidualQuantile returns the q-th quantile (0..1) of the residual
-// distribution, or 1 if none was recorded.
-func (m *TaskModel) ResidualQuantile(q float64) float64 {
-	if len(m.Residuals) == 0 {
-		return 1
-	}
-	i := int(q * float64(len(m.Residuals)))
-	if i >= len(m.Residuals) {
-		i = len(m.Residuals) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return m.Residuals[i]
-}
-
 // Predict returns the predicted task duration in seconds. Negative
 // predictions (possible with an imperfect fit near the origin) clamp to
 // the intercept.

@@ -575,13 +575,6 @@ func (o *Optimizer) MinTimeForBudget(req Request) (*Result, error) {
 	return res, nil
 }
 
-// pareto returns the deployments not dominated in (time, cost), sorted by
-// time ascending (and thus cost descending).
-func pareto(cands []Deployment) []Deployment {
-	f, _ := paretoSplit(cands)
-	return f
-}
-
 // paretoSplit computes the Pareto frontier of the candidates in (time,
 // cost) and, for every dominated candidate, the index of a frontier
 // member that dominates it (-1 for frontier members). Dominance is

@@ -143,7 +143,7 @@ func TestParetoFrontierShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frontier := pareto(cands)
+	frontier, _ := paretoSplit(cands)
 	if len(frontier) < 2 {
 		t.Fatalf("frontier too small: %d points", len(frontier))
 	}

@@ -56,16 +56,6 @@ func (r PruneReason) String() string {
 	return "?"
 }
 
-// pruneReasonByName inverts String for trace replay.
-func pruneReasonByName(s string) PruneReason {
-	for r := PruneReason(0); r < NumPruneReasons; r++ {
-		if r.String() == s {
-			return r
-		}
-	}
-	return PruneNone
-}
-
 // SearchCounter names one scalar search counter. Candidate and prune
 // counts are derived from the recorded candidates themselves; these
 // counters cover events with no candidate record of their own.

@@ -220,16 +220,6 @@ func (p *Plan) TopoOrder() ([]*Job, error) {
 	return p.Jobs, nil
 }
 
-// TotalTiles returns the total number of output tiles across all jobs, a
-// rough size indicator used in reports.
-func (p *Plan) TotalTiles() int {
-	n := 0
-	for _, j := range p.Jobs {
-		n += j.ITiles() * j.JTiles()
-	}
-	return n
-}
-
 // String renders a human-readable plan summary.
 func (p *Plan) String() string {
 	s := fmt.Sprintf("plan(%s): %d jobs, tile=%d\n", p.Program.Name, len(p.Jobs), p.TileSize)

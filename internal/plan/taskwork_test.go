@@ -90,9 +90,6 @@ output B
 	if pl.JobByID(0) == nil || pl.JobByID(99) != nil {
 		t.Fatal("JobByID broken")
 	}
-	if pl.TotalTiles() <= 0 {
-		t.Fatal("TotalTiles broken")
-	}
 	if pl.String() == "" || pl.Jobs[0].String() == "" {
 		t.Fatal("String broken")
 	}

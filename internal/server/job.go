@@ -297,23 +297,6 @@ func (s *jobStore) prune(keep int) []string {
 	return removed
 }
 
-// list returns job statuses in admission order, optionally filtered by
-// tenant and/or state.
-func (s *jobStore) list(tenant string, state JobState) []JobStatus {
-	out := []JobStatus{}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if tenant != "" && j.req.Tenant != tenant {
-			continue
-		}
-		if state != "" && j.state != state {
-			continue
-		}
-		out = append(out, j.status)
-	}
-	return out
-}
-
 // listPage returns up to limit job statuses with IDs strictly greater
 // than after (empty = from the start), plus the cursor to pass as the
 // next page's after ("" when this page exhausts the store). The scan

@@ -258,7 +258,7 @@ func TestServerRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ids []string
-	for _, st := range s2.List("", "") {
+	for _, st := range listAll(s2) {
 		ids = append(ids, st.ID)
 	}
 	wantIDs := []string{"j-000001", "j-000002", "j-000003", "j-000004", "j-000005"}
@@ -327,7 +327,7 @@ func TestServerRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if got := len(s3.List("", "")); got != 6 {
+	if got := len(listAll(s3)); got != 6 {
 		t.Fatalf("after second restart: %d jobs, want 6", got)
 	}
 	stA3, ok := s3.Status(stA.ID)

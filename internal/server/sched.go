@@ -189,16 +189,6 @@ func (f *FairScheduler) Remove(id string) bool {
 // Depth returns the number of queued jobs.
 func (f *FairScheduler) Depth() int { return len(f.queue) }
 
-// Queued returns the queued job IDs in current rank order (a status
-// endpoint convenience).
-func (f *FairScheduler) Queued(now float64) []string {
-	out := make([]string, 0, len(f.queue))
-	for _, i := range f.ranked(now) {
-		out = append(out, f.queue[i].ID)
-	}
-	return out
-}
-
 // String summarizes the scheduler state for logs.
 func (f *FairScheduler) String() string {
 	return fmt.Sprintf("fair-share queue depth %d", len(f.queue))

@@ -760,13 +760,6 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 	return st, true
 }
 
-// List returns job statuses in admission order, optionally filtered.
-func (s *Server) List(tenant string, state JobState) []JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.list(tenant, state)
-}
-
 // TenantStats is the per-tenant slice of /v1/stats.
 type TenantStats struct {
 	Tenant    string  `json:"tenant"`

@@ -54,6 +54,15 @@ func await(t *testing.T, base, id string) JobStatus {
 	}
 }
 
+// listAll returns every job's status in admission order, through the
+// store scan the paginated API serves.
+func listAll(s *Server) []JobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs, _ := s.store.listPage("", "", "", len(s.store.order)+1)
+	return jobs
+}
+
 // TestServerSubmitAndResult runs a materialized GNMF end to end over
 // HTTP and checks the result, then resubmits and checks the plan cache
 // hit shows up on the job and in the stats.
@@ -174,6 +183,8 @@ func TestServerValidation(t *testing.T) {
 		{"no tenant", SubmitRequest{Program: gnmfSource()}, 400},
 		{"no program", SubmitRequest{Tenant: "a"}, 400},
 		{"parse error", SubmitRequest{Tenant: "a", Program: "not a program"}, 400},
+		// Two billion iterations in 50 bytes: refused before it unrolls.
+		{"loop bomb", SubmitRequest{Tenant: "a", Program: "input A 2 2\nfor i in 1:2000000000 {\nA = A\n}\noutput A"}, 400},
 		{"too many nodes", SubmitRequest{Tenant: "a", Program: gnmfSource(), Nodes: 9}, 400},
 		{"negative nodes", SubmitRequest{Tenant: "a", Program: gnmfSource(), Nodes: -1}, 400},
 		{"wrong machine", SubmitRequest{Tenant: "a", Program: gnmfSource(), Machine: "c1.xlarge"}, 400},
@@ -203,6 +214,9 @@ func TestServerValidation(t *testing.T) {
 			}
 			if tc.code == 413 && !strings.Contains(e.Error, "1048576-byte limit") {
 				t.Fatalf("413 does not state the limit: %s", e.Error)
+			}
+			if tc.name == "loop bomb" && !strings.Contains(e.Error, "2000000000 x 1 statements") {
+				t.Fatalf("loop refusal does not state the count: %s", e.Error)
 			}
 		})
 	}
@@ -385,7 +399,7 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
 		}
 	}
-	if got := len(s.List("", "")); got != n {
+	if got := len(listAll(s)); got != n {
 		t.Fatalf("list has %d jobs, want %d", got, n)
 	}
 }

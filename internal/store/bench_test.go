@@ -35,16 +35,6 @@ func BenchmarkDecodeTile256(b *testing.B) {
 	}
 }
 
-func BenchmarkCompressTile256(b *testing.B) {
-	raw := EncodeTile(benchTile(256))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompressTile(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSparseCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	t := linalg.NewTile(256, 256)

@@ -81,9 +81,6 @@ func (m Meta) TilePath(ti, tj int) string {
 // the named matrix lives.
 func MatrixPrefix(name string) string { return "/matrix/" + name + "/" }
 
-// DenseBytes estimates the total stored size of the matrix if dense.
-func (m Meta) DenseBytes() int64 { return int64(m.Rows) * int64(m.Cols) * 8 }
-
 // EffDensity returns the density used for size estimation: the declared
 // density for sparse matrices (defaulting to 1 when unset), 1 for dense.
 func (m Meta) EffDensity() float64 {

@@ -27,9 +27,6 @@ func TestMetaGeometry(t *testing.T) {
 	if r != 2 || c != 3 {
 		t.Fatalf("fringe tile %dx%d", r, c)
 	}
-	if m.DenseBytes() != 10*7*8 {
-		t.Fatalf("dense bytes %d", m.DenseBytes())
-	}
 }
 
 // TilePath's format is the DFS naming convention every stored tile, replica

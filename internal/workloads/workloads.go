@@ -183,32 +183,6 @@ func PageRank(n, iters int, density, alpha float64) Workload {
 	return Workload{Name: p.Name, Prog: p, Densities: map[string]float64{"P": density}}
 }
 
-// PageRankInputs generates a random column-stochastic transition matrix
-// (each column's nonzeros sum to 1), the uniform start vector and the
-// uniform teleport vector, deterministically from seed.
-func PageRankInputs(n int, density float64, seed int64) map[string]*linalg.Dense {
-	p := linalg.RandomSparseDense(n, n, density, seed)
-	// Guarantee every column has at least one out-link, then normalize
-	// columns to sum to 1 (links point column -> row).
-	for j := 0; j < n; j++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += p.At(i, j)
-		}
-		if sum == 0 {
-			p.Set(j%n, j, 1)
-			sum = 1
-		}
-		for i := 0; i < n; i++ {
-			if v := p.At(i, j); v != 0 {
-				p.Set(i, j, v/sum)
-			}
-		}
-	}
-	uniform := linalg.ConstDense(n, 1, 1/float64(n))
-	return map[string]*linalg.Dense{"P": p, "x": uniform.Clone(), "v": uniform.Clone()}
-}
-
 // MatMul builds the single square (or rectangular) product benchmark.
 func MatMul(m, k, n int) Workload {
 	p := &lang.Program{

@@ -169,19 +169,16 @@ func TestIterationsUnroll(t *testing.T) {
 }
 
 func TestPageRankConverges(t *testing.T) {
+	// Node j links to j+1 and back to 0, half its rank each: every column
+	// of P sums to 1. All rank starts on node 0.
 	n := 60
-	inputs := PageRankInputs(n, 0.1, 5)
-	// Column-stochastic check.
-	p := inputs["P"]
+	p, x := linalg.NewDense(n, n), linalg.NewDense(n, 1)
 	for j := 0; j < n; j++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += p.At(i, j)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("column %d sums to %v", j, sum)
-		}
+		p.Set((j+1)%n, j, 0.5)
+		p.Set(0, j, p.At(0, j)+0.5)
 	}
+	x.Set(0, 0, 1)
+	inputs := map[string]*linalg.Dense{"P": p, "x": x, "v": linalg.ConstDense(n, 1, 1/float64(n))}
 	wl20 := PageRank(n, 20, 0.1, 0.85)
 	out20, err := lang.Interpret(wl20.Prog, inputs)
 	if err != nil {
@@ -204,9 +201,8 @@ func TestPageRankConverges(t *testing.T) {
 }
 
 func TestPageRankOnEngine(t *testing.T) {
-	n := 40
-	inputs := PageRankInputs(n, 0.15, 9)
-	wl := PageRank(n, 5, 0.15, 0.85)
+	wl := PageRank(40, 5, 0.15, 0.85)
+	inputs := wl.RandomInputs(9)
 	sess := core.NewSession(3)
 	mt, _ := cloud.TypeByName("m1.large")
 	cl, _ := cloud.NewCluster(mt, 3, 2)

@@ -32,9 +32,10 @@ type Ctx struct {
 	sparse            map[csrKey]*linalg.CSRTile
 	// seen marks tiles already traced in virtual mode, where the two
 	// access kinds share one marker (no payloads distinguish them) and no
-	// decoded-tile cache exists. It is keyed like the caches, so a repeat
-	// access formats no path.
-	seen map[tileKey]bool
+	// decoded-tile cache exists. Like the caches it is keyed by matrix and
+	// tile coordinates, so a repeat access formats no path, and pooled like
+	// their tiles: release returns it.
+	seen *readSet
 	// leafBuf is the reusable leaf-slot buffer of the compiled pipeline
 	// executor (pipeline.go); it keeps steady-state evaluation at zero
 	// allocations.
@@ -60,7 +61,7 @@ func newCtx(t *Task) *Ctx {
 	c := &Ctx{env: t.Env}
 	c.res.Ops = make([]Op, 0, t.ops)
 	if t.Env.Virtual {
-		c.seen = make(map[tileKey]bool, t.ops)
+		c.seen = newReadSet(t.ops)
 	} else {
 		c.dense = map[tileKey]*linalg.Tile{}
 		c.sparse = map[csrKey]*linalg.CSRTile{}
@@ -68,10 +69,14 @@ func newCtx(t *Task) *Ctx {
 	return c
 }
 
-// release returns every cached input tile to the pool. Nothing may use the
-// Ctx's tiles afterwards; its Result references none of them (outputs are
-// encoded copies).
+// release returns every cached input tile and the read set to the pool.
+// Nothing may use the Ctx's tiles afterwards; its Result references none of
+// them (outputs are encoded copies).
 func (c *Ctx) release() {
+	if c.seen != nil {
+		freeReadSet(c.seen)
+		c.seen = nil
+	}
 	for _, t := range c.dense {
 		freeTile(t)
 	}
@@ -104,19 +109,16 @@ func (c *Ctx) addFlops(kind string, n int64) {
 	c.res.Kernels = append(c.res.Kernels, KernelStat{Kind: kind, Count: 1, Flops: n})
 }
 
-// trace appends a read op unless the path was already traced this task.
+// traceRead appends a read op; callers dedup per task.
 func (c *Ctx) traceRead(path string, sparse bool) {
 	c.res.Ops = append(c.res.Ops, Op{Path: path, Sparse: sparse})
 }
 
 // readVirtual records a read in virtual mode, once per tile per task.
 func (c *Ctx) readVirtual(meta store.Meta, ti, tj int) {
-	key := tileKey{meta.Name, ti, tj}
-	if c.seen[key] {
-		return
+	if c.seen.add(meta.Name, ti, tj) {
+		c.traceRead(meta.TilePath(ti, tj), false)
 	}
-	c.seen[key] = true
-	c.traceRead(meta.TilePath(ti, tj), false)
 }
 
 // readDenseTile reads and decodes the dense tile at (ti, tj) of meta,

@@ -12,13 +12,15 @@ import (
 
 // Tile buffers — decoded inputs, densified and transposed copies,
 // accumulators, pipeline destinations — are recycled through one
-// process-wide pool per power-of-two capacity class, so an engine run
-// starts warm and a task allocates only what outlives it (the encoded
-// outputs in its Result). Nothing bounds the pools but the garbage
-// collector, which empties a sync.Pool that goes unused.
+// process-wide pool per power-of-two capacity class, and so is a virtual
+// task's read set, so an engine run starts warm and a task allocates only
+// what outlives it (its Result: the trace and the encoded outputs).
+// Nothing bounds the pools but the garbage collector, which empties a
+// sync.Pool that goes unused.
 var (
-	tilePools [64]sync.Pool // class c: *linalg.Tile with 1<<c <= cap(Data) < 2<<c
-	csrPool   sync.Pool     // *linalg.CSRTile, slices grown to the largest tile seen
+	tilePools   [64]sync.Pool // class c: *linalg.Tile with 1<<c <= cap(Data) < 2<<c
+	csrPool     sync.Pool     // *linalg.CSRTile, slices grown to the largest tile seen
+	readSetPool sync.Pool     // *readSet, table grown to the largest task seen
 )
 
 // poolMode selects what happens to a released buffer. Only tests change it,
@@ -85,6 +87,27 @@ func freeCSR(t *linalg.CSRTile) {
 	if recycle(t.Val[:cap(t.Val)]) {
 		csrPool.Put(t)
 	}
+}
+
+// newReadSet returns an empty read set from the pool, with room for n tiles.
+func newReadSet(n int) *readSet {
+	s, ok := pooled(&readSetPool).(*readSet)
+	if !ok {
+		s = new(readSet)
+	}
+	s.reset(n)
+	return s
+}
+
+// freeReadSet returns a set obtained from newReadSet to the pool.
+func freeReadSet(s *readSet) {
+	switch poolMode(poolModeNow.Load()) {
+	case poolOff:
+		return
+	case poolPoison:
+		s.poison()
+	}
+	readSetPool.Put(s)
 }
 
 // recycle reports whether released buffers go back to their pool, after

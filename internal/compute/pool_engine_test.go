@@ -2,6 +2,7 @@ package compute_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -274,6 +275,85 @@ func TestPoisonedPoolParallelKernels(t *testing.T) {
 		}
 		if !bytes.Equal(trace, wantTrace) {
 			t.Fatalf("round %d: Chrome trace differs from the un-pooled oracle", round)
+		}
+	}
+}
+
+// TestVirtualRunsShareReadSetPool is cumulond's steady state: several
+// engines run virtual jobs at the same time, each on a pool backend whose
+// workers take their tasks' read sets from the one process-wide pool and
+// poison them on release while the other engines are mid-task. Every run
+// must report the metrics and the trace of a run made alone with the pools
+// off. CI runs it under -race with -count=10.
+func TestVirtualRunsShareReadSetPool(t *testing.T) {
+	defer compute.SetPoolMode(compute.PoolReuse)
+	defer linalg.SetParallelism(linalg.SetParallelism(4))
+	mt, err := cloud.TypeByName("m1.large")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cloud.NewCluster(mt, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Parse(gnmfSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(be compute.Backend) ([]byte, *exec.RunMetrics, error) {
+		pl, err := plan.Compile(prog, plan.Config{TileSize: 4, Densities: map[string]float64{"V": 0.25}})
+		if err != nil {
+			return nil, nil, err
+		}
+		pl.AutoSplit(cl.TotalSlots())
+		tr := obs.NewTrace()
+		e, err := exec.New(exec.Config{Cluster: cl, Seed: 7, RackSize: 2, CacheFraction: 0.4, Backend: be, Recorder: tr})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, in := range pl.Inputs {
+			if err := e.LoadVirtual(in); err != nil {
+				return nil, nil, err
+			}
+		}
+		m, err := e.Run(pl)
+		if err != nil {
+			return nil, nil, err
+		}
+		var trace bytes.Buffer
+		err = tr.WriteChrome(&trace)
+		return trace.Bytes(), m, err
+	}
+	compute.SetPoolMode(compute.PoolOff)
+	wantTrace, wantM, err := run(compute.NewSequential())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compute.SetPoolMode(compute.PoolPoison)
+	const engines, rounds = 4, 3
+	errs := make(chan error, engines)
+	for g := 0; g < engines; g++ {
+		go func() {
+			for round := 0; round < rounds; round++ {
+				trace, m, err := run(compute.NewPool(3))
+				switch {
+				case err != nil:
+					errs <- err
+					return
+				case !bytes.Equal(trace, wantTrace):
+					errs <- fmt.Errorf("engine %d round %d: Chrome trace differs from the run made alone", g, round)
+					return
+				case !reflect.DeepEqual(m, wantM):
+					errs <- fmt.Errorf("engine %d round %d: RunMetrics differ from the run made alone", g, round)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < engines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }

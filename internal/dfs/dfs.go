@@ -89,10 +89,16 @@ type IOStats struct {
 // FS is the simulated distributed file system. All methods are safe for
 // concurrent use.
 type FS struct {
-	mu    sync.Mutex
-	cfg   Config
-	rng   *rand.Rand
-	files map[string]*file
+	mu  sync.Mutex
+	cfg Config
+	rng *rand.Rand
+	// dirs is the namespace: every file, under its full path, in the map of
+	// its directory (the path through its last '/'; a matrix's tiles share
+	// one), and no directory without a file. A point lookup splits the path
+	// and allocates nothing; a prefix operation visits the directory names
+	// and the files of the one directory the prefix may end inside, never
+	// the rest of the namespace.
+	dirs  map[string]map[string]*file
 	dead  []bool    // per node
 	live  []int     // live node ids, ascending; rebuilt by markDead only
 	stats []IOStats // per node
@@ -121,7 +127,7 @@ func New(cfg Config) *FS {
 	fs := &FS{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		files: make(map[string]*file),
+		dirs:  make(map[string]map[string]*file),
 		dead:  make([]bool, cfg.Nodes),
 		live:  make([]int, cfg.Nodes),
 		stats: make([]IOStats, cfg.Nodes),
@@ -138,6 +144,39 @@ func New(cfg Config) *FS {
 // [0, Nodes) is an external client, which is never dead.
 func (fs *FS) isDead(node int) bool {
 	return node >= 0 && node < len(fs.dead) && fs.dead[node]
+}
+
+// dirOf returns the directory of path: the path through its last '/', or
+// "" for a path without one.
+func dirOf(path string) string {
+	return path[:strings.LastIndexByte(path, '/')+1]
+}
+
+// lookup returns the file stored under path, or nil. Caller holds the lock.
+func (fs *FS) lookup(path string) *file {
+	return fs.dirs[dirOf(path)][path]
+}
+
+// vacant resolves the directory of a path about to be written — its name
+// and its map, nil while it has no file — or fails if the path is taken:
+// files are write-once. Caller holds the lock.
+func (fs *FS) vacant(path string) (string, map[string]*file, error) {
+	dir := dirOf(path)
+	d := fs.dirs[dir]
+	if _, ok := d[path]; ok {
+		return "", nil, fmt.Errorf("%w: %s", ErrExists, path)
+	}
+	return dir, d, nil
+}
+
+// add stores f under path in the directory vacant resolved. Caller holds
+// the lock.
+func (fs *FS) add(dir string, d map[string]*file, path string, f *file) {
+	if d == nil {
+		d = make(map[string]*file)
+		fs.dirs[dir] = d
+	}
+	d[path] = f
 }
 
 // markDead flags a live, in-range node dead and drops it from the live
@@ -180,8 +219,9 @@ func (fs *FS) Replication() int { return fs.cfg.Replication }
 func (fs *FS) Write(path string, data []byte, writerNode int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, path)
+	dir, d, err := fs.vacant(path)
+	if err != nil {
+		return err
 	}
 	if fs.isDead(writerNode) {
 		return fmt.Errorf("%w: %d", ErrDeadNode, writerNode)
@@ -196,7 +236,7 @@ func (fs *FS) Write(path string, data []byte, writerNode int) error {
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
-	fs.files[path] = f
+	fs.add(dir, d, path, f)
 	return nil
 }
 
@@ -209,8 +249,9 @@ func (fs *FS) Write(path string, data []byte, writerNode int) error {
 func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, path)
+	dir, d, err := fs.vacant(path)
+	if err != nil {
+		return err
 	}
 	if fs.isDead(writerNode) {
 		return fmt.Errorf("%w: %d", ErrDeadNode, writerNode)
@@ -228,7 +269,7 @@ func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
-	fs.files[path] = f
+	fs.add(dir, d, path, f)
 	return nil
 }
 
@@ -291,8 +332,8 @@ func (fs *FS) classify(b *block, live []int, readerNode int, sp *ReadSplit) {
 func (fs *FS) ReadAccount(path string, readerNode int) (ReadSplit, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
+	f := fs.lookup(path)
+	if f == nil {
 		return ReadSplit{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return fs.accountRead(f, path, readerNode)
@@ -425,8 +466,8 @@ func (fs *FS) Read(path string, readerNode int) ([]byte, error) {
 func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
+	f := fs.lookup(path)
+	if f == nil {
 		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	if f.virtual {
@@ -450,8 +491,8 @@ func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error
 func (fs *FS) Peek(path string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
+	f := fs.lookup(path)
+	if f == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	if f.virtual {
@@ -470,8 +511,8 @@ func (fs *FS) Peek(path string) ([]byte, error) {
 func (fs *FS) ReplicaNodes(path string) ([]int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
+	f := fs.lookup(path)
+	if f == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	set := map[int]bool{}
@@ -496,7 +537,7 @@ func (fs *FS) FirstReplicaNode(path string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	first := -1
-	if f, ok := fs.files[path]; ok {
+	if f := fs.lookup(path); f != nil {
 		for i := range f.blocks {
 			for _, r := range f.blocks[i].replicas {
 				if !fs.dead[r] && (first < 0 || r < first) {
@@ -512,16 +553,15 @@ func (fs *FS) FirstReplicaNode(path string) int {
 func (fs *FS) Exists(path string) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
-	return ok
+	return fs.lookup(path) != nil
 }
 
 // Size returns the byte size of the file.
 func (fs *FS) Size(path string) (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
+	f := fs.lookup(path)
+	if f == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return f.size, nil
@@ -532,17 +572,39 @@ func (fs *FS) Size(path string) (int64, error) {
 func (fs *FS) Delete(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	delete(fs.files, path)
+	dir := dirOf(path)
+	if d := fs.dirs[dir]; d[path] != nil {
+		fs.remove(dir, d, path)
+	}
 }
 
-// DeletePrefix removes every file whose path starts with prefix, without
-// listing or ordering them (deletion order is unobservable).
+// remove deletes path from directory dir, whose map is d, and the directory
+// with its last file. Caller holds the lock.
+func (fs *FS) remove(dir string, d map[string]*file, path string) {
+	delete(d, path)
+	if len(d) == 0 {
+		delete(fs.dirs, dir)
+	}
+}
+
+// DeletePrefix removes every file whose path starts with prefix. A
+// directory whose name does — a matrix, for the prefix the store deletes
+// it by — is dropped whole, its files unvisited; a prefix that ends inside
+// a base name is matched against the files of that one directory.
 func (fs *FS) DeletePrefix(prefix string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			delete(fs.files, p)
+	inside := dirOf(prefix)
+	for dir, d := range fs.dirs {
+		switch {
+		case strings.HasPrefix(dir, prefix):
+			delete(fs.dirs, dir)
+		case dir == inside:
+			for p := range d {
+				if strings.HasPrefix(p, prefix) {
+					fs.remove(dir, d, p)
+				}
+			}
 		}
 	}
 }
@@ -554,14 +616,21 @@ func (fs *FS) List(prefix string) []string {
 	return fs.sortedPaths(prefix)
 }
 
-// sortedPaths returns the stored paths under prefix in sorted order — the
-// order every whole-namespace operation that draws from the placement
-// stream or keeps a running tally must use. Caller holds the lock.
+// sortedPaths returns the stored paths under prefix in sort.Strings order
+// of the full paths, whatever directories they are in — the order every
+// whole-namespace operation that draws from the placement stream or keeps
+// a running tally must use (KillNode's re-replication does both). It
+// visits what DeletePrefix does. Caller holds the lock.
 func (fs *FS) sortedPaths(prefix string) []string {
 	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
+	inside := dirOf(prefix)
+	for dir, d := range fs.dirs {
+		if whole := strings.HasPrefix(dir, prefix); whole || dir == inside {
+			for p := range d {
+				if whole || strings.HasPrefix(p, prefix) {
+					out = append(out, p)
+				}
+			}
 		}
 	}
 	sort.Strings(out)
@@ -596,7 +665,7 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 	fs.markDead(node)
 	liveNodes := len(fs.live)
 	for _, p := range fs.sortedPaths("") {
-		blocks := fs.files[p].blocks
+		blocks := fs.lookup(p).blocks
 		for i := range blocks {
 			b := &blocks[i]
 			lost := false
@@ -675,8 +744,8 @@ func (fs *FS) MarkDead(node int) {
 func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
+	f := fs.lookup(path)
+	if f == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	out := make([][]int, len(f.blocks))
@@ -696,8 +765,9 @@ func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; ok {
-		return fmt.Errorf("%w: %s", ErrExists, path)
+	dir, d, err := fs.vacant(path)
+	if err != nil {
+		return err
 	}
 	if data != nil {
 		size = int64(len(data))
@@ -733,7 +803,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 		}
 		f.blocks = append(f.blocks, b)
 	}
-	fs.files[path] = f
+	fs.add(dir, d, path, f)
 	return nil
 }
 
@@ -770,7 +840,11 @@ func (fs *FS) ResetStats() {
 func (fs *FS) FileCount() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return len(fs.files)
+	n := 0
+	for _, d := range fs.dirs {
+		n += len(d)
+	}
+	return n
 }
 
 // liveReplicas returns the block's replicas on live nodes: the stored list

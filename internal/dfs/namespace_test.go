@@ -1,0 +1,206 @@
+package dfs
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The namespace tests drive paths in directories whose names share
+// prefixes — a matrix, its k-split partials, a longer name, a nested
+// directory, files with no directory at all — and prefixes of every
+// alignment: whole directories, partial directory names, partial base
+// names, the whole namespace, nothing.
+var (
+	nsDirs = []string{"/matrix/C/", "/matrix/C#1~p0/", "/matrix/C#1~p1/", "/matrix/CC/", "/matrix/C/sub/", "/w/", ""}
+	nsBase = []string{"0_0", "0_1", "1_0", "10_0", "10_1", "C"}
+	nsPref = []string{
+		"/matrix/C/", "/matrix/C#1~p0/", "/matrix/CC/", "/matrix/C/sub/", "/matrix/", "/w/", "/",
+		"/matrix/C", "/matrix/C#1~p", "/mat", "/matrix/C/s",
+		"/matrix/C/1", "/matrix/CC/0_", "/matrix/C#1~p1/10_1", "1", "C",
+		"",
+		"/nope/", "/matrix/D", "/matrix/C/2", "x",
+	}
+)
+
+func nsPath(rng *rand.Rand) string {
+	return nsDirs[rng.Intn(len(nsDirs))] + nsBase[rng.Intn(len(nsBase))]
+}
+
+// nsWrite stores path through one of the three write calls, by turn.
+func nsWrite(fs *FS, path string, turn int) error {
+	switch turn % 3 {
+	case 0:
+		return fs.Write(path, []byte(path), turn%fs.Nodes())
+	case 1:
+		return fs.WriteVirtual(path, int64(10+turn%90), -1)
+	default:
+		return fs.WritePlaced(path, nil, int64(10+turn%50), [][]int{{turn % fs.Nodes()}})
+	}
+}
+
+// TestNamespaceMatchesFlatOracle runs seeded random histories of writes,
+// deletes and prefix deletes against a flat map of paths kept here, and
+// holds List, Exists and FileCount to it after every step.
+func TestNamespaceMatchesFlatOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := New(Config{Nodes: 5, Replication: 2, BlockSize: 64, Seed: seed})
+		oracle := map[string]bool{}
+		under := func(prefix string) []string {
+			var out []string
+			for p := range oracle {
+				if strings.HasPrefix(p, prefix) {
+					out = append(out, p)
+				}
+			}
+			sort.Strings(out)
+			return out
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				p := nsPath(rng)
+				err := nsWrite(fs, p, step)
+				if oracle[p] != errors.Is(err, ErrExists) || (!oracle[p] && err != nil) {
+					t.Fatalf("seed %d step %d: write %q (present %v): %v", seed, step, p, oracle[p], err)
+				}
+				oracle[p] = true
+			case op < 7:
+				p := nsPath(rng)
+				fs.Delete(p)
+				delete(oracle, p)
+				// A deleted path is free again.
+				if rng.Intn(2) == 0 {
+					if err := nsWrite(fs, p, step); err != nil {
+						t.Fatalf("seed %d step %d: re-create %q: %v", seed, step, p, err)
+					}
+					oracle[p] = true
+				}
+			default:
+				prefix := nsPref[rng.Intn(len(nsPref))]
+				gone := under(prefix)
+				fs.DeletePrefix(prefix)
+				for _, p := range gone {
+					delete(oracle, p)
+				}
+				if len(gone) > 0 {
+					p := gone[rng.Intn(len(gone))]
+					if err := nsWrite(fs, p, step); err != nil {
+						t.Fatalf("seed %d step %d: re-create %q after DeletePrefix(%q): %v", seed, step, p, prefix, err)
+					}
+					oracle[p] = true
+				}
+			}
+			if got := fs.FileCount(); got != len(oracle) {
+				t.Fatalf("seed %d step %d: FileCount %d, oracle holds %d", seed, step, got, len(oracle))
+			}
+			prefix := nsPref[rng.Intn(len(nsPref))]
+			if got, want := fs.List(prefix), under(prefix); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: List(%q)\n got  %v\n want %v", seed, step, prefix, got, want)
+			}
+			if p := nsPath(rng); fs.Exists(p) != oracle[p] {
+				t.Fatalf("seed %d step %d: Exists(%q) = %v", seed, step, p, !oracle[p])
+			}
+			// No directory outlives its last file.
+			live := map[string]bool{}
+			for p := range oracle {
+				live[dirOf(p)] = true
+			}
+			if len(fs.dirs) != len(live) {
+				t.Fatalf("seed %d step %d: %d directories held for %d with files", seed, step, len(fs.dirs), len(live))
+			}
+			for dir, d := range fs.dirs {
+				if len(d) == 0 {
+					t.Fatalf("seed %d step %d: directory %q is empty", seed, step, dir)
+				}
+			}
+		}
+		if got, want := fs.List(""), under(""); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: final List\n got  %v\n want %v", seed, got, want)
+		}
+	}
+}
+
+// namespaceKillScript interleaves writes with deletes of every kind, kills
+// nodes in between, and dumps each RecoveryReport and every file's replica
+// lists: re-replication walks the namespace in sorted path order and draws
+// from the placement stream per block, so the dump depends on that order
+// and on nothing else about how the namespace is laid out.
+func namespaceKillScript(cfg Config) []byte {
+	var out bytes.Buffer
+	fs := New(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
+	// Prefixes that take a directory or less, so the namespace stays full.
+	narrow := []string{"/matrix/C/", "/matrix/C#1~p0/", "/matrix/CC/", "/matrix/C/sub/", "/w/",
+		"/matrix/C#1~p", "/matrix/C/s", "/matrix/C/1", "/matrix/CC/0_", "/matrix/C#1~p1/10_1", "1", "C"}
+	dump := func(stage string) {
+		fmt.Fprintf(&out, "-- %s: %d files\n", stage, fs.FileCount())
+		for _, p := range fs.List("") {
+			reps, _ := fs.BlockReplicas(p)
+			fmt.Fprintf(&out, "  %s %v\n", p, reps)
+		}
+		fmt.Fprintf(&out, "  total %+v\n", fs.Stats(-1))
+	}
+	churn := func(steps int) {
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(10); {
+			case op < 7:
+				// Two of the three write calls: WritePlaced draws nothing.
+				if p := nsPath(rng); !fs.Exists(p) {
+					writer := rng.Intn(cfg.Nodes)
+					if !fs.NodeAlive(writer) {
+						writer = -1
+					}
+					var err error
+					if step%2 == 0 {
+						err = fs.Write(p, bytes.Repeat([]byte{byte(step)}, 40+rng.Intn(120)), writer)
+					} else {
+						err = fs.WriteVirtual(p, int64(40+rng.Intn(120)), writer)
+					}
+					if err != nil {
+						fmt.Fprintf(&out, "  write %s: %v\n", p, err)
+					}
+				}
+			case op < 9:
+				fs.Delete(nsPath(rng))
+			default:
+				fs.DeletePrefix(narrow[rng.Intn(len(narrow))])
+			}
+		}
+	}
+	churn(120)
+	dump("before any kill")
+	fmt.Fprintf(&out, "  kill 1 %+v\n", fs.KillNode(1))
+	dump("after kill 1")
+	churn(80)
+	fmt.Fprintf(&out, "  kill 3 %+v\n", fs.KillNode(3))
+	dump("after churn and kill 3")
+	fs.DeletePrefix("/matrix/C#")
+	churn(40)
+	fmt.Fprintf(&out, "  kill 0 %+v\n", fs.KillNode(0))
+	dump("after DeletePrefix, churn and kill 0")
+	return out.Bytes()
+}
+
+// TestNamespaceKillGolden holds KillNode after interleaved deletes to what
+// the flat-map namespace reported for the same histories (recorded at
+// commit e747f59, before the directory index).
+func TestNamespaceKillGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, seed := range []int64{1, 7, 42} {
+		for _, cfg := range []Config{
+			{Nodes: 6, Replication: 3, BlockSize: 64, Seed: seed},
+			{Nodes: 8, Replication: 3, BlockSize: 64, Seed: seed, RackSize: 4},
+		} {
+			fmt.Fprintf(&got, "== %+v\n", cfg)
+			got.Write(namespaceKillScript(cfg))
+		}
+	}
+	checkGolden(t, "namespace_kill_golden.txt", got.Bytes())
+}

@@ -11,7 +11,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/placement_golden.txt from the current code")
+	"rewrite the golden files under testdata/ from the current code")
 
 // placementScript drives one file system through every operation that
 // draws from the placement random stream or moves a byte counter, and
@@ -124,29 +124,36 @@ func TestPlacementStreamGolden(t *testing.T) {
 			got.Write(placementScript(cfg))
 		}
 	}
-	path := filepath.Join("testdata", "placement_golden.txt")
+	checkGolden(t, "placement_golden.txt", got.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", path, got.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file: %v", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("placement stream drifted from golden at line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+				t.Fatalf("%s: drifted from golden at line %d:\n got  %s\n want %s", name, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("placement stream drifted from golden: %d lines now vs %d recorded", len(gl), len(wl))
+		t.Fatalf("%s: drifted from golden: %d lines now vs %d recorded", name, len(gl), len(wl))
 	}
 }
 

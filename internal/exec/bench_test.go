@@ -119,27 +119,53 @@ func BenchmarkMaterializedMatMul(b *testing.B) {
 // repeats exactly, so CI gates it (see ci.yml): a virtual run allocates per
 // task, not per tile access or per block.
 func BenchmarkVirtualMatMulRun(b *testing.B) {
-	mt, err := cloud.TypeByName("m1.large")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := cloud.NewCluster(mt, 16, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := lang.Parse(`
+	benchVirtualRun(b, 16, plan.Config{TileSize: 2048}, `
 input A 32768 32768
 input B 32768 32768
 C = A * B
 output C
 `)
+}
+
+// BenchmarkVirtualGNMFRun is the same for the job class that sets
+// serve_mixed's p90, at the shape cumulond's load mix submits it: three
+// GNMF iterations at paper scale on 4 x 2 slots — 24 jobs and 624 tasks over
+// some thirty matrices that come and go, so what a run pays per matrix
+// dropped and per task started shows here. CI gates its allocs/op too.
+func BenchmarkVirtualGNMFRun(b *testing.B) {
+	benchVirtualRun(b, 4, plan.Config{TileSize: 2048, Densities: map[string]float64{"V": 0.01}}, `
+input V 100000 50000 sparse
+input W 100000 10
+input H 10 50000
+for i in 1:3 {
+  H = H .* (W' * V) ./ ((W' * W) * H)
+  W = W .* (V * H') ./ (W * (H * H'))
+  checkpoint
+}
+output W
+output H
+`)
+}
+
+// benchVirtualRun times compiling src and running it virtually on a fresh
+// engine of nodes x 2 m1.large slots.
+func benchVirtualRun(b *testing.B, nodes int, cfg plan.Config, src string) {
+	mt, err := cloud.TypeByName("m1.large")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := cloud.NewCluster(mt, nodes, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := lang.Parse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl, err := plan.Compile(prog, plan.Config{TileSize: 2048})
+		pl, err := plan.Compile(prog, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

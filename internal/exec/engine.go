@@ -272,7 +272,8 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		return nil, err
 	}
 	// Overwrite semantics for re-runs; caches cannot carry stale tiles
-	// across runs.
+	// across runs. Each delete costs the tiles of that matrix (none, on a
+	// first run) and a look at the directory names, never the namespace.
 	for _, j := range jobs {
 		e.st.DeleteMatrix(j.Out)
 	}
@@ -349,6 +350,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	}
 	m.TotalSeconds = globalEnd
 	e.rec.End(prog, globalEnd)
+	// One directory dropped per intermediate: O(its tiles), as above.
 	for _, im := range p.Intermediates() {
 		e.st.DeleteMatrix(im)
 	}
@@ -396,6 +398,8 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 		clock = end
 	}
 	e.rec.End(jspan, clock)
+	// The k-split partials go as soon as they are summed; dropping one is
+	// O(its tiles) whatever else the file system holds.
 	for _, c := range cleanup {
 		e.st.DeleteMatrix(c)
 	}

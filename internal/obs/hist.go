@@ -1,6 +1,9 @@
 package obs
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // LogBuckets returns fixed log-spaced histogram bounds spanning
 // 10^minExp .. 10^maxExp with perDecade bounds per decade, each rounded
@@ -19,20 +22,21 @@ func LogBuckets(minExp, maxExp, perDecade int) []float64 {
 	return out
 }
 
-// round3 rounds to three significant digits.
+// round3 rounds to three significant digits: to the float64 nearest that
+// decimal, so the bound renders as the decimal itself ("0.0215", "1e-05")
+// and not as an arithmetic residue beside it.
 func round3(v float64) float64 {
-	if v == 0 {
-		return 0
-	}
-	exp := math.Floor(math.Log10(math.Abs(v)))
-	scale := math.Pow(10, exp-2)
-	return math.Round(v/scale) * scale
+	r, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'e', 2, 64), 64)
+	return r
 }
 
 // LatencyBuckets is the standard latency layout of the job service:
-// 1ms to 1000s, three buckets per decade (…, 0.1, 0.215, 0.464, 1, …).
-// Queue-wait, compile, run and end-to-end histograms all use it.
-var LatencyBuckets = LogBuckets(-3, 3, 3)
+// 10µs to 1000s, three buckets per decade (…, 0.1, 0.215, 0.464, 1, …).
+// Queue-wait, compile, run and end-to-end histograms all use it. The floor
+// sits two decades under a millisecond because most of a job mix's stages
+// do: with a 1ms first bucket the medians of a 2ms job's queue wait,
+// compile and run all read as an interpolated 0.5ms, whatever they are.
+var LatencyBuckets = LogBuckets(-5, 3, 3)
 
 // QuantileFromBuckets estimates the q-quantile of a histogram from its
 // bucket upper bounds and *cumulative* counts (len(cumulative) ==

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,8 +25,46 @@ func TestLogBuckets(t *testing.T) {
 			t.Fatalf("buckets not ascending: %v", got)
 		}
 	}
-	if n := len(LatencyBuckets); n != 19 {
-		t.Fatalf("LatencyBuckets has %d bounds, want 19", n)
+	if n := len(LatencyBuckets); n != 25 {
+		t.Fatalf("LatencyBuckets has %d bounds, want 25", n)
+	}
+	if lo, hi := LatencyBuckets[0], LatencyBuckets[len(LatencyBuckets)-1]; lo != 1e-5 || hi != 1000 {
+		t.Fatalf("LatencyBuckets spans %v..%v, want 1e-05..1000", lo, hi)
+	}
+	for _, b := range LatencyBuckets {
+		if r, _ := strconv.ParseFloat(strconv.FormatFloat(b, 'e', 2, 64), 64); r != b {
+			t.Errorf("bound renders as %s: more than three digits", formatBound(b))
+		}
+	}
+}
+
+// TestLatencyBucketsResolveSubMillisecond: the service's stages mostly take
+// tens to hundreds of microseconds, so the layout must tell those apart —
+// a median is read from the bucket its samples fell in, not interpolated
+// across one first bucket that ends at a millisecond.
+func TestLatencyBucketsResolveSubMillisecond(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", "latency", LatencyBuckets)
+	for _, c := range []struct {
+		tenant         string
+		sample, lo, hi float64
+	}{
+		{"queue", 30e-6, 21.5e-6, 46.4e-6},
+		{"compile", 150e-6, 100e-6, 215e-6},
+		{"run", 700e-6, 464e-6, 1e-3},
+		{"floor", 2e-6, 0, 10e-6}, // under the first bound: its bucket starts at 0
+	} {
+		s := h.With(Label{Key: "tenant", Value: c.tenant})
+		for i := 0; i < 9; i++ {
+			s.Observe(c.sample)
+		}
+		for _, q := range []float64{0, 0.5, 1} {
+			got := s.Quantile(q)
+			if got < c.lo || got > c.hi || math.Abs(got-c.lo-(c.hi-c.lo)*q) > 1e-12 {
+				t.Errorf("%s: nine samples of %v s: q%v = %v, want %v of the way through (%v, %v]",
+					c.tenant, c.sample, q, got, q, c.lo, c.hi)
+			}
+		}
 	}
 }
 

@@ -143,7 +143,8 @@ func (s *Store) WriteSparseTile(m Meta, ti, tj int, t *linalg.CSRTile, node int)
 }
 
 // DeleteMatrix removes every tile of the matrix. Used to garbage-collect
-// intermediates between jobs.
+// intermediates between jobs; the prefix is the matrix's directory, which
+// the file system drops whole.
 func (s *Store) DeleteMatrix(m Meta) {
 	s.FS.DeletePrefix(MatrixPrefix(m.Name))
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"cumulon/internal/bench"
@@ -122,21 +121,17 @@ func main() {
 // snapshot folding the search counters in with the engine counters.
 func writeObs(tr *obs.Trace, st *opt.SearchTrace, tracePath, metricsPath, searchPath string) error {
 	if tracePath != "" {
-		if err := writeFile(tracePath, tr.WriteChrome); err != nil {
+		if err := obs.WriteFile(tracePath, tr.WriteChrome); err != nil {
 			return err
 		}
 	}
 	if searchPath != "" {
-		write := st.WriteJSON
-		if strings.HasSuffix(searchPath, ".csv") {
-			write = st.WriteCSV
-		}
-		if err := writeFile(searchPath, write); err != nil {
+		if err := st.WriteFile(searchPath); err != nil {
 			return err
 		}
 	}
 	if metricsPath != "" {
-		return writeFile(metricsPath, func(w io.Writer) error {
+		return obs.WriteFile(metricsPath, func(w io.Writer) error {
 			reg := obs.Snapshot(tr)
 			if st != nil {
 				st.MetricsInto(reg)
@@ -145,20 +140,4 @@ func writeObs(tr *obs.Trace, st *opt.SearchTrace, tracePath, metricsPath, search
 		})
 	}
 	return nil
-}
-
-// writeFile writes with fn to the named file, or to stdout for "-".
-func writeFile(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -22,6 +21,7 @@ import (
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/linalg/tune"
+	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
 )
@@ -71,20 +71,11 @@ func run(args []string) error {
 	if _, err := chaos.Parse(*chaosSpec); err != nil {
 		return err
 	}
-	src, err := readSource(*file)
+	prog, err := lang.ParseFile(*file)
 	if err != nil {
 		return err
 	}
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return err
-	}
-	cfg := plan.Config{TileSize: *tile, Densities: map[string]float64{}}
-	for _, in := range prog.Inputs {
-		if in.Sparse {
-			cfg.Densities[in.Name] = *density
-		}
-	}
+	cfg := plan.ConfigFor(prog, *tile, *density)
 	st := opt.NewSearchTrace()
 	req := opt.Request{
 		Program:       prog,
@@ -105,12 +96,7 @@ func run(args []string) error {
 		fmt.Printf("kernel profile: %s (speedup %.2fx, best %s w=%d)\n",
 			*kernelProfile, prof.Speedup(), shapeString(prof.Best.Shape), prof.Best.Workers)
 	}
-	var res *opt.Result
-	if *deadline > 0 {
-		res, err = o.MinCostForDeadline(req)
-	} else {
-		res, err = o.MinTimeForBudget(req)
-	}
+	res, err := o.Search(req)
 	if err != nil {
 		return err
 	}
@@ -163,16 +149,12 @@ func run(args []string) error {
 		}
 	}
 	if *searchTrace != "" {
-		write := st.WriteJSON
-		if strings.HasSuffix(*searchTrace, ".csv") {
-			write = st.WriteCSV
-		}
-		if err := writeTo(*searchTrace, write); err != nil {
+		if err := st.WriteFile(*searchTrace); err != nil {
 			return err
 		}
 	}
 	if *frontierSVG != "" {
-		if err := writeTo(*frontierSVG, st.WriteFrontierSVG); err != nil {
+		if err := obs.WriteFile(*frontierSVG, st.WriteFrontierSVG); err != nil {
 			return err
 		}
 	}
@@ -197,31 +179,6 @@ func run(args []string) error {
 		fmt.Printf("  billed cost:  $%.2f\n", vres.CostDollars)
 	}
 	return nil
-}
-
-// writeTo writes with fn to the named file, or to stdout for "-".
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func readSource(path string) (string, error) {
-	if path == "" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func shapeString(s linalg.BlockShape) string {

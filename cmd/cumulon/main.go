@@ -119,11 +119,7 @@ func run(args []string) error {
 		return err
 	}
 
-	src, err := readSource(*file)
-	if err != nil {
-		return err
-	}
-	prog, err := lang.Parse(src)
+	prog, err := lang.ParseFile(*file)
 	if err != nil {
 		return err
 	}
@@ -135,12 +131,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := plan.Config{TileSize: *tile, Densities: map[string]float64{}}
-	for _, in := range prog.Inputs {
-		if in.Sparse {
-			cfg.Densities[in.Name] = *density
-		}
-	}
+	cfg := plan.ConfigFor(prog, *tile, *density)
 
 	sess := core.NewSession(*seed)
 	if *dot {
@@ -185,12 +176,7 @@ func run(args []string) error {
 			MaxNodes:      *maxNodes,
 			Search:        st,
 		}
-		var sres *opt.Result
-		if *deadline > 0 {
-			sres, err = sess.Optimizer().MinCostForDeadline(req)
-		} else {
-			sres, err = sess.Optimizer().MinTimeForBudget(req)
-		}
+		sres, err := sess.Optimizer().Search(req)
 		if err != nil {
 			return err
 		}
@@ -209,16 +195,12 @@ func run(args []string) error {
 			fmt.Println()
 		}
 		if *searchTrace != "" {
-			write := st.WriteJSON
-			if strings.HasSuffix(*searchTrace, ".csv") {
-				write = st.WriteCSV
-			}
-			if err := writeTo(*searchTrace, write); err != nil {
+			if err := st.WriteFile(*searchTrace); err != nil {
 				return err
 			}
 		}
 		if *frontierOut != "" {
-			if err := writeTo(*frontierOut, st.WriteFrontierSVG); err != nil {
+			if err := obs.WriteFile(*frontierOut, st.WriteFrontierSVG); err != nil {
 				return err
 			}
 		}
@@ -260,17 +242,17 @@ func run(args []string) error {
 	}
 
 	if *timelineOut != "" {
-		if err := writeTo(*timelineOut, res.Metrics.TimelineCSV); err != nil {
+		if err := obs.WriteFile(*timelineOut, res.Metrics.TimelineCSV); err != nil {
 			return err
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTo(*traceOut, tr.WriteChrome); err != nil {
+		if err := obs.WriteFile(*traceOut, tr.WriteChrome); err != nil {
 			return err
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeTo(*metricsOut, func(w io.Writer) error {
+		if err := obs.WriteFile(*metricsOut, func(w io.Writer) error {
 			reg := obs.Snapshot(tr)
 			if st != nil {
 				// Fold the optimizer's search counters into the same snapshot.
@@ -382,29 +364,4 @@ func emitJSON(cluster cloud.Cluster, res *core.ExecResult) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
-}
-
-// writeTo writes with fn to the named file, or to stdout for "-".
-func writeTo(path string, fn func(io.Writer) error) error {
-	if path == "-" {
-		return fn(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func readSource(path string) (string, error) {
-	if path == "" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }

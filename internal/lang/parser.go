@@ -2,6 +2,8 @@ package lang
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"strconv"
 	"strings"
 	"unicode"
@@ -212,6 +214,22 @@ func parseInput(line string) (Input, error) {
 		in.Sparse = true
 	}
 	return in, nil
+}
+
+// ParseFile parses the program in the named file, or on stdin when path
+// is empty.
+func ParseFile(path string) (*Program, error) {
+	var src []byte
+	var err error
+	if path == "" {
+		src, err = io.ReadAll(os.Stdin)
+	} else {
+		src, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return Parse(string(src))
 }
 
 // ParseExpr parses a single matrix expression.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -159,4 +160,21 @@ func trackOf(s Span, byID map[SpanID]Span) (pid, tid int) {
 	default:
 		return schedulerPID, 0
 	}
+}
+
+// WriteFile writes an export with fn to the named file, or to stdout for
+// "-".
+func WriteFile(path string, fn func(io.Writer) error) error {
+	if path == "-" {
+		return fn(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

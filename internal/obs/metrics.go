@@ -170,7 +170,7 @@ func (r *Registry) Write(w io.Writer) error {
 			return err
 		}
 		if m.typ == "histogram" {
-			for _, key := range sortedKeys(m.hseries) {
+			for _, key := range SortedKeys(m.hseries) {
 				s := m.hseries[key]
 				// inner is the series' labels ready to prefix the le label:
 				// "" for the unlabeled series, `tenant="a",` for `{tenant="a"}`.
@@ -195,7 +195,7 @@ func (r *Registry) Write(w io.Writer) error {
 			}
 			continue
 		}
-		for _, k := range sortedKeys(m.samples) {
+		for _, k := range SortedKeys(m.samples) {
 			if _, err := fmt.Fprintf(w, "%s%s %s\n", m.name, k, formatValue(m.samples[k])); err != nil {
 				return err
 			}
@@ -253,7 +253,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	for _, m := range r.metrics {
 		mj := metricJSON{Name: m.name, Type: m.typ, Help: m.help}
 		if m.typ == "histogram" {
-			for _, key := range sortedKeys(m.hseries) {
+			for _, key := range SortedKeys(m.hseries) {
 				s := m.hseries[key]
 				if key == "" {
 					mj.Buckets = cumulativeBuckets(s)
@@ -266,7 +266,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				})
 			}
 		} else {
-			for _, k := range sortedKeys(m.samples) {
+			for _, k := range SortedKeys(m.samples) {
 				mj.Samples = append(mj.Samples, sampleJSON{Labels: k, Value: m.samples[k]})
 			}
 		}
@@ -290,9 +290,9 @@ func cumulativeBuckets(s *HistSeries) []bucketJSON {
 	return append(out, bucketJSON{LE: "+Inf", Cumulative: cum})
 }
 
-// sortedKeys returns a map's keys in sorted order, for deterministic
+// SortedKeys returns a map's keys in sorted order, for deterministic
 // rendering.
-func sortedKeys[V any](m map[string]V) []string {
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

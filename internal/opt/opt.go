@@ -348,6 +348,16 @@ func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *s
 	return out, s, nil
 }
 
+// Search runs the search the request's constraint selects: the cheapest
+// deployment within DeadlineSec when one is set, else the fastest within
+// BudgetDollars.
+func (o *Optimizer) Search(req Request) (*Result, error) {
+	if req.DeadlineSec > 0 {
+		return o.MinCostForDeadline(req)
+	}
+	return o.MinTimeForBudget(req)
+}
+
 // MinCostForDeadline finds the cheapest deployment predicted to finish
 // within the deadline. If none exists, Met is false and Best is the
 // fastest deployment found.

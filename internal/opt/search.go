@@ -7,8 +7,10 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
+	"cumulon/internal/obs"
 	"cumulon/internal/sim"
 )
 
@@ -388,6 +390,16 @@ func (t *SearchTrace) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t.toJSON())
+}
+
+// WriteFile exports the search trace to the named file ("-" for stdout):
+// CSV when the name ends in .csv, JSON otherwise.
+func (t *SearchTrace) WriteFile(path string) error {
+	write := t.WriteJSON
+	if strings.HasSuffix(path, ".csv") {
+		write = t.WriteCSV
+	}
+	return obs.WriteFile(path, write)
 }
 
 // WriteCSV exports the search trace as one flat CSV row per candidate.

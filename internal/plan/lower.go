@@ -27,6 +27,18 @@ type Config struct {
 	DisableCSE bool
 }
 
+// ConfigFor is the default configuration for a program: the tile size,
+// and one density estimate for every sparse input.
+func ConfigFor(p *lang.Program, tileSize int, density float64) Config {
+	cfg := Config{TileSize: tileSize, Densities: map[string]float64{}}
+	for _, in := range p.Inputs {
+		if in.Sparse {
+			cfg.Densities[in.Name] = density
+		}
+	}
+	return cfg
+}
+
 // Compile lowers a validated program to a physical plan. Each statement
 // becomes one or more jobs: nested matrix products materialize into
 // temporary matrices, element-wise operators fuse into their consumers.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 
 	"cumulon/internal/obs"
 )
@@ -31,33 +32,27 @@ func (a *artifactSet) empty() bool {
 // operable than a 500.
 func renderArtifacts(req SubmitRequest, tr *obs.Trace, explain []byte) *artifactSet {
 	a := &artifactSet{explain: explain}
-	if tr != nil && req.Trace {
+	render := func(what string, write func(io.Writer) error) []byte {
 		var buf bytes.Buffer
-		if err := tr.WriteChrome(&buf); err != nil {
-			a.trace = []byte(fmt.Sprintf("trace export failed: %v\n", err))
-		} else {
-			a.trace = buf.Bytes()
+		if err := write(&buf); err != nil {
+			return []byte(fmt.Sprintf("%s failed: %v\n", what, err))
 		}
+		return buf.Bytes()
+	}
+	if tr != nil && req.Trace {
+		a.trace = render("trace export", tr.WriteChrome)
 	}
 	if tr != nil && req.Critpath {
-		var buf bytes.Buffer
-		cp, err := tr.CriticalPath()
-		if err == nil {
-			err = cp.Write(&buf)
-		}
-		if err != nil {
-			a.critpath = []byte(fmt.Sprintf("critical-path analysis failed: %v\n", err))
-		} else {
-			a.critpath = buf.Bytes()
-		}
+		a.critpath = render("critical-path analysis", func(w io.Writer) error {
+			cp, err := tr.CriticalPath()
+			if err != nil {
+				return err
+			}
+			return cp.Write(w)
+		})
 	}
 	if tr != nil && req.Metrics {
-		var buf bytes.Buffer
-		if err := obs.Snapshot(tr).Write(&buf); err != nil {
-			a.metrics = []byte(fmt.Sprintf("metrics snapshot failed: %v\n", err))
-		} else {
-			a.metrics = buf.Bytes()
-		}
+		a.metrics = render("metrics snapshot", obs.Snapshot(tr).Write)
 	}
 	if a.empty() {
 		return nil

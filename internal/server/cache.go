@@ -4,12 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	"cumulon/internal/lang"
+	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
 )
@@ -38,25 +38,22 @@ type PlanCache struct {
 	mu         sync.Mutex
 	maxEntries int
 	tick       int64 // logical access clock for LRU ordering
-	plans      map[string]*cacheEntry
-	deps       map[string]*depEntry
+	// entries holds plans under their Key and deployments under their
+	// depKey, which extends a plan key and so never equals one.
+	entries map[string]*cacheEntry
 
 	hits, misses       int64 // compile cache
 	depHits, depMisses int64 // deployment (optimizer) cache
 	evictions          int64 // entries dropped by the LRU bound
 }
 
+// cacheEntry is one compiled plan (prog, plan) or one optimizer decision
+// (dep, met), filled once by the first caller to miss on its key.
 type cacheEntry struct {
 	once sync.Once
 	used int64 // last access tick (guarded by PlanCache.mu)
 	prog *lang.Program
 	plan *plan.Plan
-	err  error
-}
-
-type depEntry struct {
-	once sync.Once
-	used int64 // last access tick (guarded by PlanCache.mu)
 	dep  opt.Deployment
 	met  bool
 	err  error
@@ -68,43 +65,36 @@ func NewPlanCache(maxEntries int) *PlanCache {
 	if maxEntries <= 0 {
 		maxEntries = 256
 	}
-	return &PlanCache{
-		maxEntries: maxEntries,
-		plans:      map[string]*cacheEntry{},
-		deps:       map[string]*depEntry{},
-	}
+	return &PlanCache{maxEntries: maxEntries, entries: map[string]*cacheEntry{}}
 }
 
-// evictLocked drops least-recently-used entries until the bound holds.
-// Callers hold c.mu.
-func (c *PlanCache) evictLocked() {
-	for len(c.plans)+len(c.deps) > c.maxEntries {
-		var (
-			oldKey  string
-			oldTick int64
-			isDep   bool
-			found   bool
-		)
-		for k, e := range c.plans {
-			if !found || e.used < oldTick {
-				oldKey, oldTick, isDep, found = k, e.used, false, true
+// lookup returns the entry under key, creating it on a miss, counts the
+// access in *hits or *misses, and evicts least-recently-used entries
+// until the bound holds.
+func (c *PlanCache) lookup(key string, hits, misses *int64) (*cacheEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tick++
+	e, hit := c.entries[key]
+	if hit {
+		*hits++
+	} else {
+		*misses++
+		e = &cacheEntry{}
+		c.entries[key] = e
+	}
+	e.used = c.tick
+	for len(c.entries) > c.maxEntries {
+		oldest := key
+		for k, o := range c.entries {
+			if o.used < c.entries[oldest].used {
+				oldest = k
 			}
 		}
-		for k, e := range c.deps {
-			if !found || e.used < oldTick {
-				oldKey, oldTick, isDep, found = k, e.used, true, true
-			}
-		}
-		if !found {
-			return
-		}
-		if isDep {
-			delete(c.deps, oldKey)
-		} else {
-			delete(c.plans, oldKey)
-		}
+		delete(c.entries, oldest)
 		c.evictions++
 	}
+	return e, hit
 }
 
 // Key fingerprints a program source and plan configuration. The source
@@ -118,12 +108,7 @@ func Key(source string, cfg plan.Config) string {
 	h.Write([]byte{0})
 	fmt.Fprintf(h, "tile=%d,reorder=%t,fusion=%t,cse=%t",
 		cfg.TileSize, !cfg.DisableReorder, !cfg.DisableFusion, !cfg.DisableCSE)
-	names := make([]string, 0, len(cfg.Densities))
-	for n := range cfg.Densities {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range obs.SortedKeys(cfg.Densities) {
 		fmt.Fprintf(h, ",d:%s=%s", n, strconv.FormatFloat(cfg.Densities[n], 'g', -1, 64))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
@@ -149,19 +134,7 @@ func depKey(planKey string, req opt.Request) string {
 // bump).
 func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *plan.Plan, string, bool, error) {
 	key := Key(source, cfg)
-	c.mu.Lock()
-	c.tick++
-	e, hit := c.plans[key]
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-		e = &cacheEntry{}
-		c.plans[key] = e
-	}
-	e.used = c.tick
-	c.evictLocked()
-	c.mu.Unlock()
+	e, hit := c.lookup(key, &c.hits, &c.misses)
 	e.once.Do(func() {
 		prog, err := lang.Parse(source)
 		if err != nil {
@@ -185,23 +158,11 @@ func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *pla
 // the search on first use and serving the cached decision afterwards.
 // planKey must come from Compile with the request's program and config.
 // search runs the search and returns its winner; it is only invoked on
-// a miss (single-flight).
+// a miss (single-flight). The third result reports whether this call
+// found the entry already present, as Compile's does.
 func (c *PlanCache) Deployment(planKey string, req opt.Request,
-	search func() (*opt.Deployment, bool, error)) (*opt.Deployment, bool, error) {
-	key := depKey(planKey, req)
-	c.mu.Lock()
-	c.tick++
-	e, ok := c.deps[key]
-	if ok {
-		c.depHits++
-	} else {
-		c.depMisses++
-		e = &depEntry{}
-		c.deps[key] = e
-	}
-	e.used = c.tick
-	c.evictLocked()
-	c.mu.Unlock()
+	search func() (*opt.Deployment, bool, error)) (*opt.Deployment, bool, bool, error) {
+	e, hit := c.lookup(depKey(planKey, req), &c.depHits, &c.depMisses)
 	e.once.Do(func() {
 		d, met, err := search()
 		if err != nil {
@@ -211,10 +172,10 @@ func (c *PlanCache) Deployment(planKey string, req opt.Request,
 		e.dep, e.met = *d, met
 	})
 	if e.err != nil {
-		return nil, false, e.err
+		return nil, false, hit, e.err
 	}
 	d := e.dep // value copy: callers may not mutate the cached winner
-	return &d, e.met, nil
+	return &d, e.met, hit, nil
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -234,7 +195,7 @@ func (c *PlanCache) Stats() CacheStats {
 	return CacheStats{
 		PlanHits: c.hits, PlanMisses: c.misses,
 		DepHits: c.depHits, DepMisses: c.depMisses,
-		Entries:   len(c.plans) + len(c.deps),
+		Entries:   len(c.entries),
 		Evictions: c.evictions,
 	}
 }

@@ -129,8 +129,8 @@ func TestDeploymentCache(t *testing.T) {
 	}
 	req := opt.Request{DeadlineSec: 600, MaxNodes: 8}
 	for i := 0; i < 3; i++ {
-		if _, met, err := c.Deployment(key, req, search); err != nil || !met {
-			t.Fatalf("deployment %d: met=%t err=%v", i, met, err)
+		if _, met, hit, err := c.Deployment(key, req, search); err != nil || !met || hit != (i > 0) {
+			t.Fatalf("deployment %d: met=%t hit=%t err=%v", i, met, hit, err)
 		}
 	}
 	if got := searches.Load(); got != 1 {
@@ -138,8 +138,8 @@ func TestDeploymentCache(t *testing.T) {
 	}
 	req2 := req
 	req2.DeadlineSec = 300
-	if _, _, err := c.Deployment(key, req2, search); err != nil {
-		t.Fatal(err)
+	if _, _, hit, err := c.Deployment(key, req2, search); err != nil || hit {
+		t.Fatalf("new deadline: hit=%t err=%v", hit, err)
 	}
 	if got := searches.Load(); got != 2 {
 		t.Fatalf("search ran %d times after new deadline, want 2", got)

@@ -4,6 +4,8 @@ import (
 	"html/template"
 	"net/http"
 	"strconv"
+
+	"cumulon/internal/obs"
 )
 
 // dashData is the template input for /debug/dash, assembled under s.mu.
@@ -59,7 +61,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 			minNorm, first = n, false
 		}
 	}
-	for _, tenant := range sortedTenants(s.tenantHists) {
+	for _, tenant := range obs.SortedKeys(s.tenantHists) {
 		ts := s.tenantHists[tenant]
 		dt := dashTenant{
 			Tenant:   tenant,

@@ -16,6 +16,7 @@ import (
 	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/obs"
+	"cumulon/internal/plan"
 	"cumulon/internal/workloads"
 )
 
@@ -259,7 +260,7 @@ func TestTraceArtifactByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Density = 0.05
-	cfg := planConfig(prog, req)
+	cfg := plan.ConfigFor(prog, req.Tile, req.Density)
 	mt, err := cloud.TypeByName("m1.large")
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
+	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 )
 
@@ -160,15 +161,11 @@ type JobStatus struct {
 	Result             *JobResult `json:"result,omitempty"`
 }
 
-// outputInfos digests materialized outputs, sorted by name.
-func outputInfos(outs map[string]*linalg.Dense) []OutputInfo {
-	names := make([]string, 0, len(outs))
-	for n := range outs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	infos := make([]OutputInfo, 0, len(names))
-	for _, n := range names {
+// DigestOutputs digests materialized outputs, sorted by name, the way the
+// server reports them, so CLI-side runs can compare against its results.
+func DigestOutputs(outs map[string]*linalg.Dense) []OutputInfo {
+	infos := make([]OutputInfo, 0, len(outs))
+	for _, n := range obs.SortedKeys(outs) {
 		d := outs[n]
 		infos = append(infos, OutputInfo{
 			Name: n, Rows: d.Rows, Cols: d.Cols,
@@ -191,10 +188,6 @@ func DigestDense(d *linalg.Dense) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DigestOutputs digests a whole output set the way the server reports
-// it, so CLI-side runs can compare against server results.
-func DigestOutputs(outs map[string]*linalg.Dense) []OutputInfo { return outputInfos(outs) }
-
 func resultFrom(res *core.ExecResult) *JobResult {
 	tasks := 0
 	for _, j := range res.Metrics.Jobs {
@@ -206,7 +199,7 @@ func resultFrom(res *core.ExecResult) *JobResult {
 		TotalFlops:   res.Metrics.TotalFlops,
 		Jobs:         len(res.Metrics.Jobs),
 		Tasks:        tasks,
-		Outputs:      outputInfos(res.Outputs),
+		Outputs:      DigestOutputs(res.Outputs),
 		Checkpoints:  res.Metrics.Checkpoints,
 		ResumedStmt:  res.Metrics.ResumedFromStmt,
 	}

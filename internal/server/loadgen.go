@@ -136,12 +136,6 @@ func ParseLoadSpec(data []byte) (*LoadSpec, error) {
 // buildProgram renders the mix entry to program source plus a density
 // hint for its sparse inputs.
 func (lj LoadJob) buildProgram() (string, error) {
-	pick := func(v, def int) int {
-		if v > 0 {
-			return v
-		}
-		return def
-	}
 	density := lj.Density
 	if density <= 0 {
 		density = 0.05
@@ -157,17 +151,17 @@ func (lj LoadJob) buildProgram() (string, error) {
 		}
 		return lj.Source, nil
 	case "gnmf":
-		return workloads.GNMF(pick(lj.M, 48), pick(lj.N, 36), pick(lj.R, 4), pick(lj.Iters, 1), density).Prog.String(), nil
+		return workloads.GNMF(pickInt(lj.M, 48), pickInt(lj.N, 36), pickInt(lj.R, 4), pickInt(lj.Iters, 1), density).Prog.String(), nil
 	case "gnmfkl":
-		return workloads.GNMFKL(pick(lj.M, 48), pick(lj.N, 36), pick(lj.R, 4), pick(lj.Iters, 1), density).Prog.String(), nil
+		return workloads.GNMFKL(pickInt(lj.M, 48), pickInt(lj.N, 36), pickInt(lj.R, 4), pickInt(lj.Iters, 1), density).Prog.String(), nil
 	case "rsvd":
-		return workloads.RSVD(pick(lj.M, 64), pick(lj.N, 48), pick(lj.K, 8), pick(lj.Power, 1)).Prog.String(), nil
+		return workloads.RSVD(pickInt(lj.M, 64), pickInt(lj.N, 48), pickInt(lj.K, 8), pickInt(lj.Power, 1)).Prog.String(), nil
 	case "regression":
-		return workloads.Regression(pick(lj.M, 64), pick(lj.N, 16), pick(lj.Iters, 2), 0.01).Prog.String(), nil
+		return workloads.Regression(pickInt(lj.M, 64), pickInt(lj.N, 16), pickInt(lj.Iters, 2), 0.01).Prog.String(), nil
 	case "pagerank":
-		return workloads.PageRank(pick(lj.N, 64), pick(lj.Iters, 2), density, alpha).Prog.String(), nil
+		return workloads.PageRank(pickInt(lj.N, 64), pickInt(lj.Iters, 2), density, alpha).Prog.String(), nil
 	case "matmul":
-		return workloads.MatMul(pick(lj.M, 64), pick(lj.K, 48), pick(lj.N, 64)).Prog.String(), nil
+		return workloads.MatMul(pickInt(lj.M, 64), pickInt(lj.K, 48), pickInt(lj.N, 64)).Prog.String(), nil
 	default:
 		return "", fmt.Errorf("unknown workload %q (want gnmf, gnmfkl, rsvd, regression, pagerank, matmul or source)", lj.Workload)
 	}
@@ -274,8 +268,8 @@ func RunLoad(baseURL string, spec *LoadSpec) (*LoadReport, error) {
 	wg.Wait()
 
 	rep := &LoadReport{DurationSec: time.Since(start).Seconds()}
-	stats, err := fetchStats(client, baseURL)
-	if err != nil {
+	var stats Stats
+	if err := getJSON(client, baseURL+"/v1/stats", &stats); err != nil {
 		return nil, err
 	}
 	rep.Cache = stats.Cache
@@ -512,14 +506,6 @@ func tailEvents(client *http.Client, baseURL, id string, deadline time.Time) err
 			return nil
 		}
 	}
-}
-
-func fetchStats(client *http.Client, baseURL string) (*Stats, error) {
-	var st Stats
-	if err := getJSON(client, baseURL+"/v1/stats", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 func postJSON(client *http.Client, url string, body, into any) error {

@@ -5,16 +5,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
-	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
-	"cumulon/internal/opt"
+	"cumulon/internal/obs"
 )
 
 // Job-store durability: cumulond configured with a state directory
@@ -34,6 +36,18 @@ import (
 // journal-<gen+1>; older generations are then deleted. A record is
 // a full upsert of one job, so replay is last-write-wins and a crash
 // between any two writes loses at most the final transition.
+//
+// Journaling is group commit in two halves: append writes a record under
+// the server lock, so the file's order is the order of state transitions;
+// flush, called once that lock is released, returns when every record
+// written before the call is on disk, and callers that arrive together
+// share one sync. A submission's answer, a cancel's answer and a worker's
+// exit (hence Close) wait for the disk. The scheduler's "running" record
+// and retention deletes ride along with the next sync: recovery re-queues
+// queued and running jobs alike, and a lost delete is pruned again at the
+// next completion. A terminal event reaches the job's event stream before
+// its record is durable; a job seen succeeded and lost to a crash in that
+// window is re-run to the same digests, as a job killed mid-run is.
 
 // persistedJob is one job as the journal and snapshot record it: the
 // normalized request (defaults already applied at admission), the
@@ -77,16 +91,34 @@ type journalRecord struct {
 }
 
 // statePersister owns the journal file of the current generation.
-// put/remove are called under the server lock; disable() makes every
-// subsequent write a no-op (the crash test hook uses it to freeze the
-// on-disk state at the "kill" instant).
+// put/remove are called under the server lock, flush outside it;
+// disable() makes every subsequent write a no-op (the crash test hook
+// uses it to freeze the on-disk state at the "kill" instant).
 type statePersister struct {
+	// mu guards the write half — the file, the count of records written to
+	// it, the first write or sync error, which is final — and the two
+	// histograms flush feeds.
 	mu       sync.Mutex
 	dir      string
 	gen      int
 	f        *os.File
 	disabled bool
+	written  int64
+	err      error
+	// errs counts the records dropped and flushes refused because of err.
+	errs atomic.Int64
+
+	// syncMu serializes syncs and guards the records-on-disk mark. It is
+	// taken before mu, never under it.
+	syncMu      sync.Mutex
+	synced      int64
+	syncSec     *obs.HistSeries
+	recsPerSync *obs.HistSeries
 }
+
+// syncFile puts a journal file's written records on disk; tests replace
+// it to count, delay or fail syncs.
+var syncFile = (*os.File).Sync
 
 // openState loads the recovered store state from dir (creating it when
 // absent): the newest readable snapshot plus its journal replayed over
@@ -231,26 +263,68 @@ func (p *statePersister) begin(snap *snapshotFile) error {
 	return nil
 }
 
-// append writes one journal record and syncs it to disk.
-func (p *statePersister) append(rec journalRecord) {
+// append writes one journal record; flush makes it durable. It returns
+// the journal's error: a journal with a hole cannot vouch for later
+// records, so after the first failure nothing more is written.
+func (p *statePersister) append(rec journalRecord) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.disabled || p.f == nil {
-		return
+		return nil
 	}
-	enc, err := json.Marshal(rec)
+	if p.err == nil {
+		enc, err := json.Marshal(rec)
+		if err == nil {
+			_, err = p.f.Write(append(enc, '\n'))
+		}
+		p.err = err
+	}
+	if p.err != nil {
+		p.errs.Add(1)
+		return p.err
+	}
+	p.written++
+	return nil
+}
+
+// flush returns once every record appended before the call is on disk.
+// One sync covers everything written when it starts, so of the callers
+// that arrive during a sync the first issues the next one and the rest
+// find their records covered by it. No lock an appender needs is held
+// across the sync.
+func (p *statePersister) flush() error {
+	p.mu.Lock()
+	mine := p.written
+	p.mu.Unlock()
+	p.syncMu.Lock()
+	defer p.syncMu.Unlock()
+	p.mu.Lock()
+	f, upto, err := p.f, p.written, p.err
+	p.mu.Unlock()
+	if err == nil && f != nil && p.synced < mine {
+		start := time.Now()
+		if err = syncFile(f); err == nil {
+			p.mu.Lock()
+			if p.syncSec != nil {
+				p.syncSec.Observe(time.Since(start).Seconds())
+				p.recsPerSync.Observe(float64(upto - p.synced))
+			}
+			p.mu.Unlock()
+			p.synced = upto
+		}
+	}
 	if err != nil {
-		return
+		p.mu.Lock()
+		p.err = err
+		p.mu.Unlock()
+		p.errs.Add(1)
 	}
-	if _, err := p.f.Write(append(enc, '\n')); err != nil {
-		return
-	}
-	p.f.Sync()
+	return err
 }
 
 // put journals an upsert of one job.
-func (p *statePersister) put(seq int, j persistedJob) {
-	p.append(journalRecord{Op: "put", Seq: seq, Job: &j})
+func (p *statePersister) put(seq int, j persistedJob) error {
+	return p.append(journalRecord{Op: "put", Seq: seq, Job: &j})
 }
 
 // remove journals a retention-prune deletion.
@@ -267,8 +341,12 @@ func (p *statePersister) disable() {
 	p.mu.Unlock()
 }
 
-// close closes the journal file.
+// close stops journaling, syncs what was written and closes the file.
 func (p *statePersister) close() {
+	p.disable()
+	p.flush()
+	p.syncMu.Lock()
+	defer p.syncMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.f != nil {
@@ -289,12 +367,29 @@ func (s *Server) persistedOf(j *job) persistedJob {
 	return pj
 }
 
-// persistJob journals a job's current state. Callers hold s.mu.
-func (s *Server) persistJob(j *job) {
+// persistJob journals a job's current state and returns the journal's
+// error as the 503 a client sees. Callers hold s.mu.
+func (s *Server) persistJob(j *job) error {
 	if s.persist == nil {
-		return
+		return nil
 	}
-	s.persist.put(s.store.seq, s.persistedOf(j))
+	return journalErr(s.persist.put(s.store.seq, s.persistedOf(j)))
+}
+
+// flushJournal returns once every journal record written so far is on
+// disk. Callers do not hold s.mu: no sync runs under it.
+func (s *Server) flushJournal() error {
+	if s.persist == nil {
+		return nil
+	}
+	return journalErr(s.persist.flush())
+}
+
+func journalErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &apiError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("journal unavailable: %v", err)}
 }
 
 // recover rebuilds the job store from a loaded state: terminal jobs
@@ -353,15 +448,8 @@ func (s *Server) readmit(j *job) {
 		_, err = prog.Validate()
 	}
 	if err == nil && j.req.Optimize {
-		cfg := planConfig(prog, j.req)
-		oreq := opt.Request{
-			Program: prog, PlanCfg: cfg,
-			DeadlineSec: j.req.DeadlineSec, BudgetDollars: j.req.BudgetDollars,
-			Confidence: j.req.Confidence, MaxNodes: j.req.MaxNodes,
-			Machines: []cloud.MachineType{s.machine},
-		}
 		var met bool
-		j.dep, met, _, err = s.searchDeployment(j.req.Program, cfg, oreq)
+		j.dep, met, _, err = s.searchDeployment(j.req.Program, s.searchRequest(prog, j.req))
 		if err == nil && !met {
 			err = fmt.Errorf("optimize: constraint no longer satisfiable")
 		}

@@ -8,10 +8,7 @@
 // Per-tenant metrics fold into an obs.Registry served at /metrics.
 package server
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // SchedJob is one queued unit of work as the scheduler sees it: no
 // program, no plan — just the identity, size and urgency the ordering
@@ -188,8 +185,3 @@ func (f *FairScheduler) Remove(id string) bool {
 
 // Depth returns the number of queued jobs.
 func (f *FairScheduler) Depth() int { return len(f.queue) }
-
-// String summarizes the scheduler state for logs.
-func (f *FairScheduler) String() string {
-	return fmt.Sprintf("fair-share queue depth %d", len(f.queue))
-}

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -175,6 +177,7 @@ type Server struct {
 	mDebt          *obs.Gauge
 	mEvictions     *obs.Counter
 	mPruned        *obs.Counter
+	mJournalErrors *obs.Gauge
 }
 
 // tenantSeries caches one tenant's latency histogram series handles.
@@ -249,6 +252,7 @@ func New(cfg Config) (*Server, error) {
 	s.mDebt = r.Gauge("cumulond_fair_share_debt", "normalized service above the best-served tenant (service/weight minus the minimum), by tenant")
 	s.mEvictions = r.Counter("cumulond_plan_cache_evictions_total", "plan/deployment cache entries evicted by the LRU bound")
 	s.mPruned = r.Counter("cumulond_jobs_pruned_total", "terminal jobs removed by job-history retention")
+	s.mJournalErrors = r.Gauge("cumulond_journal_errors_total", "journal records dropped and flushes refused since the journal's first write or sync error, which is final")
 
 	if cfg.StateDir != "" {
 		cs, err := ckpt.NewDirStore(filepath.Join(cfg.StateDir, "ckpt"))
@@ -270,6 +274,11 @@ func New(cfg Config) (*Server, error) {
 		if err := p.begin(cur); err != nil {
 			return nil, err
 		}
+		// Fed by flush under the persister's own lock, not s.mu.
+		p.syncSec = r.Histogram("cumulond_journal_sync_seconds", "wall time of one journal sync",
+			obs.LatencyBuckets).With()
+		p.recsPerSync = r.Histogram("cumulond_journal_records_per_sync", "journal records one sync made durable",
+			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 32, 64}).With()
 		s.persist = p
 	} else {
 		s.ckptStore = ckpt.NewMemStore()
@@ -367,18 +376,6 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// planConfig builds the job's plan configuration from its request and
-// the parsed program's sparse inputs.
-func planConfig(prog *lang.Program, req SubmitRequest) plan.Config {
-	cfg := plan.Config{TileSize: req.Tile, Densities: map[string]float64{}}
-	for _, in := range prog.Inputs {
-		if in.Sparse {
-			cfg.Densities[in.Name] = req.Density
-		}
-	}
-	return cfg
-}
-
 // Submit validates, admits and enqueues a job, returning its status
 // snapshot. It is the programmatic form of POST /v1/jobs. For
 // optimizing jobs the deployment search runs here (cache-fronted), so
@@ -455,13 +452,7 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		if req.MaxNodes <= 0 || req.MaxNodes > s.cfg.Nodes {
 			req.MaxNodes = s.cfg.Nodes
 		}
-		cfg := planConfig(prog, req)
-		oreq := opt.Request{
-			Program: prog, PlanCfg: cfg,
-			DeadlineSec: req.DeadlineSec, BudgetDollars: req.BudgetDollars,
-			Confidence: req.Confidence, MaxNodes: req.MaxNodes,
-			Machines: []cloud.MachineType{s.machine},
-		}
+		oreq := s.searchRequest(prog, req)
 		var met bool
 		if req.Explain {
 			// An EXPLAIN report must reflect this submission's search, so
@@ -469,7 +460,7 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 			// with a recorder attached.
 			dep, met, explain, err = s.explainSearch(oreq)
 		} else {
-			dep, met, depHit, err = s.searchDeployment(req.Program, cfg, oreq)
+			dep, met, depHit, err = s.searchDeployment(req.Program, oreq)
 		}
 		if err != nil {
 			return JobStatus{}, badRequest("optimize: %v", err)
@@ -484,13 +475,35 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		return JobStatus{}, badRequest("admission: job wants %d nodes, cluster capacity is %d", req.Nodes, s.cfg.Nodes)
 	}
 
+	j, st, err := s.enqueue(req, prog, dep, explain, depHit)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	// The answer waits for the job's record to be on disk, outside the
+	// lock; the scheduler may already be running the job beside the sync.
+	if err := s.flushJournal(); err != nil {
+		// Not acknowledged, so not run — unless the scheduler started it
+		// during the failed sync: then it finishes as admitted jobs do.
+		s.mu.Lock()
+		if j.state == StateQueued {
+			s.cancelLocked(j)
+		}
+		s.mu.Unlock()
+		return JobStatus{}, err
+	}
+	return st, nil
+}
+
+// enqueue is Submit's locked half: it admits the validated request as a
+// queued job and writes its journal record.
+func (s *Server) enqueue(req SubmitRequest, prog *lang.Program, dep *opt.Deployment, explain []byte, depHit bool) (*job, JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return JobStatus{}, &apiError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
+		return nil, JobStatus{}, &apiError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
 	}
 	if s.sched.Depth() >= s.cfg.MaxQueue {
-		return JobStatus{}, &apiError{code: http.StatusTooManyRequests,
+		return nil, JobStatus{}, &apiError{code: http.StatusTooManyRequests,
 			msg: fmt.Sprintf("admission: queue full (%d jobs)", s.cfg.MaxQueue)}
 	}
 	j := s.store.add(req)
@@ -507,9 +520,23 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		Nodes: req.Nodes, Enqueued: j.enqueued,
 	})
 	s.mSubmitted.Add(1, obs.Label{Key: "tenant", Value: req.Tenant})
-	s.persistJob(j)
+	if err := s.persistJob(j); err != nil {
+		s.cancelLocked(j) // no record, no run: it never reaches the scheduler
+		return nil, JobStatus{}, err
+	}
 	s.signal()
-	return j.status, nil
+	return j, j.status, nil
+}
+
+// searchRequest is the optimizer search an optimizing submission asks
+// for, over the server's one machine type.
+func (s *Server) searchRequest(prog *lang.Program, req SubmitRequest) opt.Request {
+	return opt.Request{
+		Program: prog, PlanCfg: plan.ConfigFor(prog, req.Tile, req.Density),
+		DeadlineSec: req.DeadlineSec, BudgetDollars: req.BudgetDollars,
+		Confidence: req.Confidence, MaxNodes: req.MaxNodes,
+		Machines: []cloud.MachineType{s.machine},
+	}
 }
 
 // explainSearch runs a fresh optimizer search with a SearchTrace
@@ -518,13 +545,7 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 func (s *Server) explainSearch(oreq opt.Request) (*opt.Deployment, bool, []byte, error) {
 	st := opt.NewSearchTrace()
 	oreq.Search = st
-	var res *opt.Result
-	var err error
-	if oreq.DeadlineSec > 0 {
-		res, err = s.sess.Optimizer().MinCostForDeadline(oreq)
-	} else {
-		res, err = s.sess.Optimizer().MinTimeForBudget(oreq)
-	}
+	res, err := s.sess.Optimizer().Search(oreq)
 	if err != nil {
 		return nil, false, nil, err
 	}
@@ -535,25 +556,16 @@ func (s *Server) explainSearch(oreq opt.Request) (*opt.Deployment, bool, []byte,
 	return res.Best, res.Met, buf.Bytes(), nil
 }
 
-// searchDeployment runs the cache-fronted optimizer search.
-func (s *Server) searchDeployment(source string, cfg plan.Config, oreq opt.Request) (*opt.Deployment, bool, bool, error) {
-	planKey := Key(source, cfg)
-	before := s.cache.Stats().DepHits
-	dep, met, err := s.cache.Deployment(planKey, oreq, func() (*opt.Deployment, bool, error) {
-		var res *opt.Result
-		var err error
-		if oreq.DeadlineSec > 0 {
-			res, err = s.sess.Optimizer().MinCostForDeadline(oreq)
-		} else {
-			res, err = s.sess.Optimizer().MinTimeForBudget(oreq)
-		}
+// searchDeployment runs the cache-fronted optimizer search; the third
+// result reports whether this call was served from the cache.
+func (s *Server) searchDeployment(source string, oreq opt.Request) (*opt.Deployment, bool, bool, error) {
+	return s.cache.Deployment(Key(source, oreq.PlanCfg), oreq, func() (*opt.Deployment, bool, error) {
+		res, err := s.sess.Optimizer().Search(oreq)
 		if err != nil {
 			return nil, false, err
 		}
 		return res.Best, res.Met, nil
 	})
-	hit := s.cache.Stats().DepHits > before
-	return dep, met, hit, err
 }
 
 // execOutcome carries what executeJob learned besides the result.
@@ -573,7 +585,6 @@ func (s *Server) runJob(j *job, sj *SchedJob) {
 	out, err := s.executeJob(j)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j.status.RunSec = time.Since(started).Seconds()
 	j.status.Cluster = out.cluster
 	j.status.PlanCacheHit = out.planHit
@@ -621,6 +632,10 @@ func (s *Server) runJob(j *job, sj *SchedJob) {
 	s.freeNodes += sj.Nodes
 	s.running--
 	s.signal()
+	s.mu.Unlock()
+	// The worker outlives its terminal record's sync, so Close, which
+	// waits for the workers, leaves a complete journal.
+	s.flushJournal()
 }
 
 // retainArtifacts renders and stores a terminal job's opted-in
@@ -649,7 +664,7 @@ func (s *Server) retainArtifacts(j *job, tr *obs.Trace) {
 func (s *Server) executeJob(j *job) (execOutcome, error) {
 	req := j.req
 	var out execOutcome
-	cfg := planConfig(j.prog, req)
+	cfg := plan.ConfigFor(j.prog, req.Tile, req.Density)
 	j.events.emit(JobEvent{Type: EvCompiling})
 	compileStart := time.Now()
 	prog, tmpl, _, planHit, err := s.cache.Compile(req.Program, cfg)
@@ -723,26 +738,40 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 // Cancel cancels a queued job. Running and terminal jobs are refused.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.store.get(id)
-	if !ok {
-		return JobStatus{}, &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("no job %s", id)}
+	var err error
+	switch {
+	case !ok:
+		err = &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("no job %s", id)}
+	case j.state == StateRunning:
+		err = &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is running and cannot be interrupted", id)}
+	case j.state != StateQueued:
+		err = &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is already %s", id, j.state)}
 	}
-	switch j.state {
-	case StateQueued:
-		s.sched.Remove(id)
-		j.state = StateCanceled
-		j.status.State = StateCanceled
-		s.mCanceled.Add(1, obs.Label{Key: "tenant", Value: j.req.Tenant})
-		j.events.append(JobEvent{Type: EvCanceled}, true)
-		s.retainArtifacts(j, nil)
-		s.persistJob(j)
-		return j.status, nil
-	case StateRunning:
-		return JobStatus{}, &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is running and cannot be interrupted", id)}
-	default:
-		return JobStatus{}, &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is already %s", id, j.state)}
+	if err != nil {
+		s.mu.Unlock()
+		return JobStatus{}, err
 	}
+	s.cancelLocked(j)
+	st := j.status
+	s.mu.Unlock()
+	// The answer waits for the cancel's record, outside the lock.
+	if err := s.flushJournal(); err != nil {
+		return JobStatus{}, err
+	}
+	return st, nil
+}
+
+// cancelLocked moves a queued job to canceled and writes its record.
+// Callers hold s.mu.
+func (s *Server) cancelLocked(j *job) {
+	s.sched.Remove(j.id)
+	j.state = StateCanceled
+	j.status.State = StateCanceled
+	s.mCanceled.Add(1, obs.Label{Key: "tenant", Value: j.req.Tenant})
+	j.events.append(JobEvent{Type: EvCanceled}, true)
+	s.retainArtifacts(j, nil)
+	s.persistJob(j)
 }
 
 // Status returns a job's status snapshot.
@@ -917,26 +946,20 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := s.Status(r.PathValue("id"))
-		if !ok {
-			writeErr(w, &apiError{code: http.StatusNotFound, msg: "no such job"})
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := s.Status(r.PathValue("id"))
-		if !ok {
-			writeErr(w, &apiError{code: http.StatusNotFound, msg: "no such job"})
-			return
-		}
-		if !st.State.Terminal() {
-			writeErr(w, &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job is %s", st.State)})
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
+	for _, pattern := range []string{"GET /v1/jobs/{id}", "GET /v1/jobs/{id}/result"} {
+		wantTerminal := strings.HasSuffix(pattern, "/result")
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			st, ok := s.Status(r.PathValue("id"))
+			switch {
+			case !ok:
+				writeErr(w, &apiError{code: http.StatusNotFound, msg: "no such job"})
+			case wantTerminal && !st.State.Terminal():
+				writeErr(w, &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job is %s", st.State)})
+			default:
+				writeJSON(w, http.StatusOK, st)
+			}
+		})
+	}
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Cancel(r.PathValue("id"))
 		if err != nil {
@@ -949,23 +972,30 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.StatsSnapshot())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.refreshGauges()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		s.reg.Write(w)
+		s.writeMetrics(w, "text/plain; version=0.0.4", s.reg.Write)
 	})
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.refreshGauges()
-		w.Header().Set("Content-Type", "application/json")
-		s.reg.WriteJSON(w)
+		s.writeMetrics(w, "application/json", s.reg.WriteJSON)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// writeMetrics renders the registry under the locks its writers hold:
+// s.mu, and the journal's write lock for the histograms flush feeds.
+func (s *Server) writeMetrics(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refreshGauges()
+	if p := s.persist; p != nil {
+		s.mJournalErrors.Set(float64(p.errs.Load()))
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	w.Header().Set("Content-Type", contentType)
+	render(w)
 }
 
 // refreshGauges sets the point-in-time gauges before a metrics render.
@@ -994,21 +1024,10 @@ func (s *Server) refreshGauges() {
 			minNorm, first = n, false
 		}
 	}
-	for _, tenant := range sortedTenants(s.tenantHists) {
+	for _, tenant := range obs.SortedKeys(s.tenantHists) {
 		n := s.sched.Service(tenant) / s.sched.Weight(tenant)
 		s.mDebt.Set(n-minNorm, obs.Label{Key: "tenant", Value: tenant})
 	}
-}
-
-// sortedTenants returns the map's keys sorted, for deterministic gauge
-// update order.
-func sortedTenants(m map[string]*tenantSeries) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

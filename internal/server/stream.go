@@ -166,30 +166,21 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, kind str
 		writeErr(w, &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job is %s; artifacts exist once it is terminal", state)})
 		return
 	}
+	if arts == nil {
+		arts = &artifactSet{}
+	}
 	var body []byte
 	var optedIn bool
-	var ctype string
+	ctype := "text/plain; charset=utf-8"
 	switch kind {
 	case "trace":
-		body, optedIn, ctype = nil, req.Trace, "application/json"
-		if arts != nil {
-			body = arts.trace
-		}
+		body, optedIn, ctype = arts.trace, req.Trace, "application/json"
 	case "critpath":
-		body, optedIn, ctype = nil, req.Critpath, "text/plain; charset=utf-8"
-		if arts != nil {
-			body = arts.critpath
-		}
+		body, optedIn = arts.critpath, req.Critpath
 	case "metrics":
-		body, optedIn, ctype = nil, req.Metrics, "text/plain; version=0.0.4"
-		if arts != nil {
-			body = arts.metrics
-		}
+		body, optedIn, ctype = arts.metrics, req.Metrics, "text/plain; version=0.0.4"
 	case "explain":
-		body, optedIn, ctype = nil, req.Explain, "text/plain; charset=utf-8"
-		if arts != nil {
-			body = arts.explain
-		}
+		body, optedIn = arts.explain, req.Explain
 	default:
 		writeErr(w, &apiError{code: http.StatusNotFound, msg: "unknown artifact"})
 		return

@@ -101,10 +101,6 @@ type Task struct {
 // Backend runs compute tasks. Results do not depend on the backend's width;
 // only wall-clock does.
 type Backend interface {
-	// Workers returns the backend's concurrency width (1 for sequential).
-	Workers() int
-	// Run computes a single task synchronously.
-	Run(t *Task) (*Result, error)
 	// RunBatch accepts the tasks of one scheduling phase and returns a
 	// fetch function: fetch(i) yields task i's result, computing or
 	// waiting as needed. fetch must only be called from the engine's
@@ -153,15 +149,6 @@ func NewSequential() Backend { return &poolBackend{n: 1} }
 // workers is 0 or more than that.
 func NewPool(workers int) Backend { return &poolBackend{n: max(workers, 0)} }
 
-func (p *poolBackend) Workers() int {
-	if w := linalg.Parallelism(); p.n == 0 || p.n > w {
-		return w
-	}
-	return p.n
-}
-
-func (p *poolBackend) Run(t *Task) (*Result, error) { return runTask(t) }
-
 // batch is one RunBatch call: the tasks, their memoized results and who
 // has started which.
 type batch struct {
@@ -203,8 +190,12 @@ func (b *batch) run(i int) {
 func (p *poolBackend) RunBatch(ts []*Task) (func(int) (*Result, error), func()) {
 	b := &batch{ts: ts, slots: make([]batchSlot, len(ts))}
 	b.finished.L = &b.mu
+	width := linalg.Parallelism()
+	if p.n > 0 && p.n < width {
+		width = p.n
+	}
 	var helpers sync.WaitGroup
-	for h := min(p.Workers(), len(ts)) - 1; h > 0; h-- {
+	for h := min(width, len(ts)) - 1; h > 0; h-- {
 		helpers.Add(1)
 		go func() {
 			defer helpers.Done()

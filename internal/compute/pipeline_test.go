@@ -103,17 +103,16 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 		}
 		envOracle.Src, envComp.Src = srcOracle, srcComp
 	}
-	be := NewSequential()
 	for _, j := range pl.Jobs {
 		phOracle := jobTasks(oracleMakers, envOracle, j, forceK)
 		phComp := jobTasks(tapeMakers, envComp, j, forceK)
 		for p := range phOracle {
 			for i := range phOracle[p] {
-				ro, err := be.Run(phOracle[p][i])
+				ro, err := runTask(phOracle[p][i])
 				if err != nil {
 					t.Fatalf("%s (tree-walker): %v", j, err)
 				}
-				rc, err := be.Run(phComp[p][i])
+				rc, err := runTask(phComp[p][i])
 				if err != nil {
 					t.Fatalf("%s (compiled): %v", j, err)
 				}
@@ -122,7 +121,7 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 						j, p, i, ro, rc)
 				}
 				if rerun {
-					again, err := be.Run(phComp[p][i])
+					again, err := runTask(phComp[p][i])
 					if err != nil {
 						t.Fatalf("%s (compiled, rerun): %v", j, err)
 					}
@@ -466,7 +465,7 @@ func TestMisshapenSparseTileFailsTask(t *testing.T) {
 		for _, j := range pl.Jobs {
 			for _, phase := range jobTasks(tapeMakers, Env{Src: src}, j, false) {
 				for _, task := range phase {
-					if _, err := NewSequential().Run(task); err != nil {
+					if _, err := runTask(task); err != nil {
 						got = err
 					}
 				}

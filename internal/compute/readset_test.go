@@ -11,8 +11,8 @@ import (
 	"cumulon/internal/store"
 )
 
-// planResults computes every task of pl in plan order on the sequential
-// backend — virtually when data is nil, else over an in-memory source the
+// planResults computes every task of pl in plan order, one at a time —
+// virtually when data is nil, else over an in-memory source the
 // tasks' writes go back into — and returns the Results. bound >= 0 replaces
 // every task's trace-length bound.
 func planResults(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, forceK bool, bound int) []*Result {
@@ -32,7 +32,7 @@ func planResults(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 				if bound >= 0 {
 					task.ops = bound
 				}
-				r, err := NewSequential().Run(task)
+				r, err := runTask(task)
 				if err != nil {
 					t.Fatalf("%s: %v", j, err)
 				}

@@ -65,14 +65,25 @@ type file struct {
 	size    int64
 	virtual bool
 	one     [1]block // backing array of blocks for a single-block file
+	rep     [3]int   // backing array of the first block's replica list
 }
 
-// newFile returns an empty file whose first block needs no allocation of
-// its own.
+// newFile returns an empty file whose first block, and up to three of its
+// replicas, need no allocation of their own.
 func newFile(size int64, virtual bool) *file {
 	f := &file{size: size, virtual: virtual}
 	f.blocks = f.one[:0]
 	return f
+}
+
+// replicaBuf returns an empty list with room for the next block's n
+// replicas: the file's own array for its first block when they fit, a new
+// one otherwise, so no two blocks share a backing array.
+func (f *file) replicaBuf(n int) []int {
+	if len(f.blocks) == 0 && n <= len(f.rep) {
+		return f.rep[:0]
+	}
+	return make([]int, 0, n)
 }
 
 // IOStats aggregates byte counters; one instance exists per node plus one
@@ -104,7 +115,7 @@ type FS struct {
 	stats []IOStats // per node
 	total IOStats
 	// used and cands are the scratch of fillReplicaTargets, so placing a
-	// block allocates nothing but its replica list.
+	// block allocates at most its replica list (nothing for a file's first).
 	used  []bool
 	cands []int
 }
@@ -232,7 +243,7 @@ func (fs *FS) Write(path string, data []byte, writerNode int) error {
 		if end > int64(len(data)) {
 			end = int64(len(data))
 		}
-		b := block{data: data[off:end:end], size: end - off, replicas: fs.placeReplicas(writerNode)}
+		b := block{data: data[off:end:end], size: end - off, replicas: fs.placeReplicas(f.replicaBuf(fs.cfg.Replication), writerNode)}
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
@@ -265,7 +276,7 @@ func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 		if off+bs > size {
 			bs = size - off
 		}
-		b := block{size: bs, replicas: fs.placeReplicas(writerNode)}
+		b := block{size: bs, replicas: fs.placeReplicas(f.replicaBuf(fs.cfg.Replication), writerNode)}
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
@@ -370,8 +381,9 @@ func (fs *FS) accountRead(f *file, path string, readerNode int) (ReadSplit, erro
 // clusters) are placed uniformly at random among unused live nodes. A
 // writerNode outside [0, Nodes) — including one past the cluster, e.g. an
 // uploader addressed by a stale topology — is an external client: all
-// replicas are placed randomly.
-func (fs *FS) placeReplicas(writerNode int) []int {
+// replicas are placed randomly. The list is appended to replicas, which
+// must be empty.
+func (fs *FS) placeReplicas(replicas []int, writerNode int) []int {
 	if len(fs.live) == 0 {
 		panic("dfs: no live nodes")
 	}
@@ -379,7 +391,6 @@ func (fs *FS) placeReplicas(writerNode int) []int {
 	if want > len(fs.live) {
 		want = len(fs.live)
 	}
-	replicas := make([]int, 0, want)
 	if writerNode >= 0 && writerNode < fs.cfg.Nodes && !fs.dead[writerNode] {
 		replicas = append(replicas, writerNode)
 	}
@@ -797,7 +808,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 		if end > size {
 			end = size
 		}
-		b := block{size: end - off, replicas: append([]int(nil), replicas[i]...)}
+		b := block{size: end - off, replicas: append(f.replicaBuf(len(replicas[i])), replicas[i]...)}
 		if data != nil {
 			b.data = data[off:end:end]
 		}

@@ -3,6 +3,8 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -81,6 +83,93 @@ func TestMultiBlockFileRoundTripsThroughEveryRead(t *testing.T) {
 			t.Fatalf("%s: multi-block read has spare capacity", path)
 		}
 	}
+}
+
+// TestReplicaListsNeverAlias: a block's replica list — a file's first
+// block's in the file's own array — is its alone. A caller may change a list
+// it handed to WritePlaced or got from BlockReplicas, KillNode may rewrite
+// the lists of the blocks it re-replicates, and later writes may place new
+// ones, and no other block's placement moves.
+func TestReplicaListsNeverAlias(t *testing.T) {
+	fs := New(Config{Nodes: 8, Replication: 3, BlockSize: 64, Seed: 5, RackSize: 4})
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// placed holds every file's placement as of its own write (or of the
+	// last re-replication); verify holds the file system to it, and every
+	// stored list to a backing array of its own.
+	placed := map[string][][]int{}
+	wrote := func(path string, err error) {
+		t.Helper()
+		check(err)
+		reps, err := fs.BlockReplicas(path)
+		check(err)
+		placed[path] = reps
+	}
+	verify := func(stage string) {
+		t.Helper()
+		owner := map[*int]string{}
+		for p, want := range placed {
+			if got, err := fs.BlockReplicas(p); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s moved %s: %v, placed %v (%v)", stage, p, got, want, err)
+			}
+			for b, blk := range fs.lookup(p).blocks {
+				arr := &blk.replicas[:1][0]
+				if o, ok := owner[arr]; ok {
+					t.Fatalf("%s left %s block %d storing its replica list in %s's array", stage, p, b, o)
+				}
+				owner[arr] = fmt.Sprintf("%s block %d", p, b)
+			}
+		}
+	}
+	writes := func(dir string) {
+		for i := 0; i < 8; i++ {
+			writer := i
+			if !fs.NodeAlive(writer) {
+				writer = -1
+			}
+			path := fmt.Sprintf("/%s/v%d", dir, i)
+			wrote(path, fs.WriteVirtual(path, 40, writer))
+			path = fmt.Sprintf("/%s/m%d", dir, i)
+			wrote(path, fs.Write(path, payload(40+30*i), writer)) // from the third on, several blocks
+		}
+	}
+	writes("a")
+	list := []int{1, 5, 6}
+	wrote("/p/0", fs.WritePlaced("/p/0", nil, 40, [][]int{list}))
+	wrote("/p/1", fs.WritePlaced("/p/1", nil, 100, [][]int{list, list}))
+	list[0] = 7
+	writes("b")
+	verify("writing other files, or changing a list handed to WritePlaced,")
+	if got := placed["/p/1"]; !slices.Equal(got[0], []int{1, 5, 6}) || !slices.Equal(got[1], []int{1, 5, 6}) {
+		t.Fatalf("WritePlaced kept the caller's list: %v", got)
+	}
+	held, err := fs.BlockReplicas("/a/v0")
+	check(err)
+	held[0][0] = 99
+	verify("changing a list BlockReplicas returned")
+
+	if rep := fs.KillNode(5); rep.ReplicasAdded == 0 {
+		t.Fatal("killing node 5 re-replicated nothing; the test exercises nothing")
+	}
+	for p, reps := range placed {
+		after, err := fs.BlockReplicas(p)
+		check(err)
+		for b, r := range reps {
+			// A block keeps its surviving replicas, in order; one that had none
+			// on node 5 keeps its list.
+			kept := slices.DeleteFunc(slices.Clone(r), func(n int) bool { return n == 5 })
+			if got := after[b]; len(kept) == len(r) && !slices.Equal(got, r) || !slices.Equal(got[:len(kept)], kept) {
+				t.Fatalf("%s block %d: %v before killing node 5, %v after", p, b, r, got)
+			}
+		}
+		placed[p] = after
+	}
+	writes("c")
+	verify("writing after re-replication")
 }
 
 func TestHeldBytesSurviveFileSystemChanges(t *testing.T) {

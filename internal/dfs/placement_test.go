@@ -159,11 +159,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestPlacementAllocations bounds what the hot accounting calls allocate:
 // reads and the locality lookup nothing while no node is dead, a
-// single-block virtual write a small constant whatever the cluster size
-// (its file and its replica list; the map's growth averages below one).
+// single-block virtual write into an existing directory one allocation
+// whatever the cluster size: its file, which holds the block and its
+// replica list (the map's growth averages below one).
 func TestPlacementAllocations(t *testing.T) {
 	const runs = 500
-	writeAllocs := func(nodes int) float64 {
+	payload := make([]byte, 100)
+	writeAllocs := func(nodes int, virtual bool) float64 {
 		fs := New(Config{Nodes: nodes, Replication: 3, Seed: 1, RackSize: 4})
 		paths := make([]string, runs+1) // AllocsPerRun makes one warm-up call
 		for i := range paths {
@@ -171,15 +173,22 @@ func TestPlacementAllocations(t *testing.T) {
 		}
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
-			if err := fs.WriteVirtual(paths[i], 100, i%nodes); err != nil {
+			var err error
+			if virtual {
+				err = fs.WriteVirtual(paths[i], 100, i%nodes)
+			} else {
+				err = fs.Write(paths[i], payload, i%nodes)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
 	}
-	small, large := writeAllocs(4), writeAllocs(64)
-	if small > 3 || large != small {
-		t.Errorf("single-block WriteVirtual: %v allocs on 4 nodes, %v on 64; want equal and <= 3", small, large)
+	for _, virtual := range []bool{true, false} {
+		if small, large := writeAllocs(4, virtual), writeAllocs(64, virtual); small != 1 || large != 1 {
+			t.Errorf("single-block write (virtual %v): %v allocs on 4 nodes, %v on 64; want 1", virtual, small, large)
+		}
 	}
 
 	fs := New(Config{Nodes: 8, Replication: 3, BlockSize: 64, Seed: 1, RackSize: 4})

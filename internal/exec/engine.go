@@ -100,8 +100,9 @@ type Config struct {
 	// identical at every width. Virtual runs have no tile math and always
 	// run sequentially. Negative values are rejected.
 	Workers int
-	// Backend overrides the compute backend entirely (tests use it to
-	// force a specific backend). When set, Workers is ignored.
+	// Backend overrides the compute backend entirely: model's calibration
+	// suite serves recorded task results through it, and a caller may pin
+	// a specific backend. When set, Workers is ignored.
 	Backend compute.Backend
 	// Recorder receives the run's observability spans (program → job →
 	// phase → task, plus per-task kernel events). nil disables recording

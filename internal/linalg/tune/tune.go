@@ -8,8 +8,9 @@
 //     shape and worker bound process-wide (linalg.SetBlockDefaults /
 //     linalg.SetParallelism), so subsequent tile products run at the
 //     tuned configuration;
-//   - the optimizer's hardware model: model.CalibrateWithProfile scales
-//     the calibrated machine throughput by the measured parallel speedup,
+//   - the optimizer's hardware model: a profile passed to
+//     (*model.Suite).Calibrate scales the calibrated machine throughput by
+//     the measured parallel speedup,
 //     closing the gap between what internal/model predicts and what the
 //     kernel tier actually delivers (the paper's position that the
 //     optimizer is only as good as its per-machine benchmarks).

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"cumulon/internal/cloud"
+	"cumulon/internal/compute"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg/tune"
@@ -87,24 +88,43 @@ type CalibrationResult struct {
 	KernelSpeedup float64
 }
 
+// suiteSplits are the task counts every benchmark runs at: several splits
+// per benchmark vary per-task work, enriching the regression design.
+var suiteSplits = [...]int{4, 16, 64}
+
+// Suite is the benchmark suite's compute, done once for every (machine
+// type, slots) pair calibrated through it. A virtual task's result — flops,
+// read paths, write sizes — depends only on the plan and the split, so the
+// first calibration to run benchmark b at split s records each scheduling
+// phase's results and later ones replay them through exec.Config.Backend.
+// Their engines still do all that depends on the machine (seeds, placement,
+// scheduling, accounting, straggler noise), so the fitted model is
+// bit-identical to a fresh calibration's. The zero Suite is ready to use;
+// it is not safe for concurrent use (the optimizer keeps one per search).
+type Suite struct {
+	// phases holds, per benchmark and split, each phase's task results in
+	// the order the engine asks for them.
+	phases [][len(suiteSplits)][][]*compute.Result
+}
+
 // Calibrate runs the micro-benchmark suite on a small instrumented
 // cluster of the given machine type and slot configuration and fits the
 // task-time model. Benchmarks run in virtual mode: durations follow the
 // machine's hardware profile with straggler noise, which is exactly what
-// the fitted model must capture.
+// the fitted model must capture. It computes a suite of its own.
 func Calibrate(mt cloud.MachineType, slots int, seed int64) (*CalibrationResult, error) {
-	return CalibrateWithProfile(mt, slots, seed, nil)
+	return new(Suite).Calibrate(mt, slots, seed, nil)
 }
 
-// CalibrateWithProfile is Calibrate with an optional kernel autotuner
-// profile (internal/linalg/tune). The profile's measured parallel
-// speedup scales the machine's effective compute throughput (ECU)
-// before the benchmark suite runs, so the fitted flops coefficient —
-// and every optimizer estimate derived from it — reflects what the
-// tuned kernel tier actually delivers rather than the catalog's
-// sequential rating. The speedup is clamped to [1, cores]: a profile
-// cannot make a machine slower, and no fan-out beats its core count.
-func CalibrateWithProfile(mt cloud.MachineType, slots int, seed int64, prof *tune.Profile) (*CalibrationResult, error) {
+// Calibrate is the package-level Calibrate through the suite, with an
+// optional kernel autotuner profile (internal/linalg/tune). The profile's
+// measured parallel speedup scales the machine's effective compute
+// throughput (ECU) before the suite runs, so the fitted flops coefficient —
+// and every optimizer estimate derived from it — reflects what the tuned
+// kernel tier delivers rather than the catalog's sequential rating. The
+// speedup is clamped to [1, cores]: a profile cannot make a machine slower,
+// and no fan-out beats its core count.
+func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tune.Profile) (*CalibrationResult, error) {
 	speedup := 1.0
 	if prof != nil {
 		speedup = prof.Speedup()
@@ -129,15 +149,17 @@ func CalibrateWithProfile(mt cloud.MachineType, slots int, seed int64, prof *tun
 	if err != nil {
 		return nil, err
 	}
+	if s.phases == nil {
+		s.phases = make([][len(suiteSplits)][][]*compute.Result, len(plans))
+	}
 	for i, tmpl := range plans {
-		// Several splits per benchmark vary per-task work, enriching the
-		// regression design.
-		for _, tasks := range []int{4, 16, 64} {
+		for k, tasks := range suiteSplits {
 			e, err := exec.New(exec.Config{
 				Cluster:     cluster,
 				Replication: repl,
 				Seed:        seed + int64(i*100+tasks),
 				NoiseFactor: 0.08,
+				Backend:     &replay{phases: &s.phases[i][k]},
 			})
 			if err != nil {
 				return nil, err
@@ -161,6 +183,33 @@ func CalibrateWithProfile(mt cloud.MachineType, slots int, seed int64, prof *tun
 		return nil, err
 	}
 	return &CalibrationResult{Machine: mt, Slots: slots, Model: tm, Obs: obs, KernelSpeedup: speedup}, nil
+}
+
+// replay is the compute backend of one suite run. Whatever the machine, the
+// run's engine asks for the same phases in the same order, so its k-th batch
+// is the k-th phase recorded — computed on the sequential backend and
+// recorded if no calibration has run it yet.
+type replay struct {
+	phases *[][]*compute.Result
+	next   int
+}
+
+func (r *replay) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
+	if r.next == len(*r.phases) {
+		res := make([]*compute.Result, len(ts))
+		fetch, release := compute.NewSequential().RunBatch(ts)
+		defer release()
+		for i := range ts {
+			var err error
+			if res[i], err = fetch(i); err != nil {
+				return func(int) (*compute.Result, error) { return nil, err }, func() {}
+			}
+		}
+		*r.phases = append(*r.phases, res)
+	}
+	res := (*r.phases)[r.next]
+	r.next++
+	return func(i int) (*compute.Result, error) { return res[i], nil }, func() {}
 }
 
 // ObsFromTasks converts engine task records into model observations,

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cumulon/internal/cloud"
@@ -106,6 +107,59 @@ func TestCalibrateProducesAccurateModel(t *testing.T) {
 	}
 }
 
+// TestSuiteReplayMatchesFreshCalibration: a calibration that replays the
+// suite another calibration recorded fits exactly the model a fresh one
+// does — observations, coefficients, residuals and kernel speedup alike —
+// for every (machine type, slots) pair the optimizer sweeps, with and
+// without a kernel profile, whichever pair records and in whichever order
+// the rest replay.
+func TestSuiteReplayMatchesFreshCalibration(t *testing.T) {
+	type pair struct {
+		mt    cloud.MachineType
+		slots int
+	}
+	var pairs []pair
+	for _, mt := range cloud.Catalog() {
+		for _, s := range []int{1, mt.Cores / 2, mt.Cores, 2 * mt.Cores} {
+			if s >= 1 && (len(pairs) == 0 || pairs[len(pairs)-1] != pair{mt, s}) {
+				pairs = append(pairs, pair{mt, s})
+			}
+		}
+	}
+	speedup2 := &tune.Profile{
+		Version:  tune.ProfileVersion,
+		Best:     tune.Point{Shape: linalg.BlockDefaults(), Workers: 2, MFlops: 200},
+		Baseline: tune.Point{Shape: linalg.BlockDefaults(), Workers: 1, MFlops: 100},
+		Points:   []tune.Point{{}},
+	}
+	for _, prof := range []*tune.Profile{nil, speedup2} {
+		fresh := make([]*CalibrationResult, len(pairs))
+		for i, p := range pairs {
+			var err error
+			if fresh[i], err = new(Suite).Calibrate(p.mt, p.slots, 7, prof); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, reverse := range []bool{false, true} {
+			var suite Suite
+			for n := range pairs {
+				i := n
+				if reverse {
+					i = len(pairs) - 1 - n
+				}
+				got, err := suite.Calibrate(pairs[i].mt, pairs[i].slots, 7, prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, fresh[i]) {
+					t.Fatalf("%s/%d (profile %v, reverse %v): the replayed calibration differs from a fresh one\nreplayed %s\nfresh    %s",
+						pairs[i].mt.Name, pairs[i].slots, prof != nil, reverse, got.Model, fresh[i].Model)
+				}
+			}
+		}
+	}
+}
+
 // TestCalibrateWithProfileScalesFlops: an autotuner profile reporting a
 // 2x kernel speedup should roughly halve the fitted flops coefficient
 // (the machine computes twice as fast; I/O terms are untouched), and the
@@ -125,7 +179,7 @@ func TestCalibrateWithProfileScalesFlops(t *testing.T) {
 		Baseline: tune.Point{Shape: linalg.BlockDefaults(), Workers: 1, MFlops: 100},
 		Points:   []tune.Point{{}},
 	}
-	tuned, err := CalibrateWithProfile(mt, 2, 42, prof)
+	tuned, err := new(Suite).Calibrate(mt, 2, 42, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +196,7 @@ func TestCalibrateWithProfileScalesFlops(t *testing.T) {
 	}
 	// A profile claiming more speedup than the machine has cores clamps.
 	prof.Best.MFlops = 1600 // 16x claim on a 2-core type
-	clamped, err := CalibrateWithProfile(mt, 2, 42, prof)
+	clamped, err := new(Suite).Calibrate(mt, 2, 42, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

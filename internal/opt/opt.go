@@ -187,16 +187,17 @@ func (o *Optimizer) UseKernelProfile(p *tune.Profile) {
 // ModelFor returns the (cached) calibrated model for a machine type and
 // slot configuration.
 func (o *Optimizer) ModelFor(mt cloud.MachineType, slots int) (*model.TaskModel, error) {
-	return o.modelFor(mt, slots, NopSearch())
+	return o.modelFor(mt, slots, NopSearch(), new(model.Suite))
 }
 
 // modelFor is ModelFor reporting cache hits and misses to the search
 // recorder (the paper's benchmarking phase is the expensive part; the
-// hit rate shows the cache amortizing it across the search grid).
+// hit rate shows the cache amortizing it across the search grid), and
+// calibrating a miss through the caller's benchmark suite.
 // Calibration runs outside the lock; concurrent misses on the same key
 // may calibrate twice, but both compute the identical seeded model and
 // the second write is a no-op overwrite.
-func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec SearchRecorder) (*model.TaskModel, error) {
+func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec SearchRecorder, suite *model.Suite) (*model.TaskModel, error) {
 	key := fmt.Sprintf("%s/%d", mt.Name, slots)
 	o.mu.Lock()
 	if m, ok := o.models[key]; ok {
@@ -207,7 +208,7 @@ func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec SearchRecorder
 	prof := o.profile
 	o.mu.Unlock()
 	rec.Count(CounterModelCacheMisses, 1)
-	res, err := model.CalibrateWithProfile(mt, slots, o.seed, prof)
+	res, err := suite.Calibrate(mt, slots, o.seed, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -252,13 +253,15 @@ func nodeSweep(maxNodes int) []int {
 }
 
 // search is what one search derives once and reuses for every candidate:
-// the plan compiled for each swept tile size, and the predictor whose
-// profile memo spans them. OptimizeSplits overwrites every job's split
-// for each candidate, so one plan serves the whole (machine, slots,
-// nodes) grid.
+// the plan compiled for each swept tile size, the predictor whose profile
+// memo spans them, and the benchmark suite every (machine, slots) pair the
+// model cache misses is calibrated through. OptimizeSplits overwrites every
+// job's split for each candidate, so one plan serves the whole (machine,
+// slots, nodes) grid.
 type search struct {
 	plans map[int]*plan.Plan
 	pred  *sim.Predictor
+	suite model.Suite
 }
 
 // Enumerate evaluates the full deployment space for the request: every
@@ -296,7 +299,7 @@ func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *s
 	var out []Deployment
 	for _, mt := range req.Machines {
 		for _, slots := range slotOptions(mt) {
-			tm, err := o.modelFor(mt, slots, rec)
+			tm, err := o.modelFor(mt, slots, rec, &s.suite)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -530,7 +533,7 @@ func (o *Optimizer) confQuantile(req Request, s *search, d *Deployment, trials i
 	if err := d.Apply(pl); err != nil {
 		return 0, err
 	}
-	tm, err := o.modelFor(d.Cluster.Type, d.Cluster.Slots, rec)
+	tm, err := o.modelFor(d.Cluster.Type, d.Cluster.Slots, rec, &s.suite)
 	if err != nil {
 		return 0, err
 	}

@@ -434,6 +434,52 @@ func TestEmptyTraceErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentColdSearchesMatchSolo: two cold searches running at once on
+// one Optimizer, each calibrating its misses through a benchmark suite of
+// its own, export byte for byte the trace each exports alone on a fresh
+// Optimizer. Their machine sets are disjoint, so neither hits a model the
+// other calibrated and the cache counters must match too. CI runs it under
+// -race.
+func TestConcurrentColdSearchesMatchSolo(t *testing.T) {
+	cat := cloud.Catalog()
+	var reqs [2]Request
+	for i, machines := range [][]cloud.MachineType{cat[:len(cat)/2], cat[len(cat)/2:]} {
+		reqs[i] = request(t)
+		reqs[i].Machines, reqs[i].DeadlineSec = machines, 2*3600
+	}
+	search := func(o *Optimizer, i int) []byte {
+		st := NewSearchTrace()
+		req := reqs[i]
+		req.Search = st
+		var buf bytes.Buffer
+		if _, err := o.MinCostForDeadline(req); err != nil {
+			t.Error(err)
+		} else if err := st.WriteJSON(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	var solo, together [2][]byte
+	for i := range reqs {
+		solo[i] = search(New(1), i)
+	}
+	o := New(1)
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = search(o, i)
+		}()
+	}
+	wg.Wait()
+	for i := range reqs {
+		if len(solo[i]) == 0 || !bytes.Equal(together[i], solo[i]) {
+			t.Fatalf("search %d: the trace of a concurrent cold search differs from a solo one", i)
+		}
+	}
+}
+
 // SearchTrace is safe under concurrent recording (exercised with -race in
 // CI's scoped race job).
 func TestSearchTraceConcurrent(t *testing.T) {

@@ -93,33 +93,37 @@ func factorGrid(it, jt, target int) (int, int) {
 // these; engines only ever need one. Factors are powers of two plus the
 // grid bounds, which keeps the sweep small while covering the extremes.
 func SplitCandidates(j *Job, maxTasks int) []Split {
-	var cis, cjs, cks []int
-	cis = axisCandidates(j.ITiles())
-	cjs = axisCandidates(j.JTiles())
+	return AppendSplitCandidates(nil, j, maxTasks)
+}
+
+// AppendSplitCandidates appends SplitCandidates(j, maxTasks) to dst and
+// returns the extended slice, so a sweep that reuses dst allocates nothing.
+func AppendSplitCandidates(dst []Split, j *Job, maxTasks int) []Split {
+	var ia, ja, ka [64]int // an axis has <= 63 powers of two below its length, plus the length
+	cis := axisCandidates(ia[:0], j.ITiles())
+	cjs := axisCandidates(ja[:0], j.JTiles())
+	cks := append(ka[:0], 1)
 	if j.Kind == MulKind && j.MaskLeaf == "" {
-		cks = axisCandidates(j.KTiles())
-	} else {
-		cks = []int{1}
+		cks = axisCandidates(ka[:0], j.KTiles())
 	}
-	var out []Split
 	for _, ci := range cis {
 		for _, cj := range cjs {
 			for _, ck := range cks {
 				s := Split{CI: ci, CJ: cj, CK: ck}
 				if s.Tasks() <= maxTasks {
-					out = append(out, s)
+					dst = append(dst, s)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-func axisCandidates(n int) []int {
-	var out []int
+// axisCandidates appends an axis's split factors to dst: the powers of two
+// below n, then n.
+func axisCandidates(dst []int, n int) []int {
 	for v := 1; v < n; v *= 2 {
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	out = append(out, n)
-	return out
+	return append(dst, n)
 }

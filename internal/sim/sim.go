@@ -40,8 +40,9 @@ type Predictor struct {
 	Rec obs.Recorder
 
 	profiles plan.ProfileMemo
-	dur      []float64  // scratch: seconds per work class of the current phase
-	free     []slotFree // scratch: schedulePhase's slot heap
+	dur      []float64    // scratch: seconds per work class of the current phase
+	free     []slotFree   // scratch: schedulePhase's slot heap
+	splits   []plan.Split // scratch: BestSplit's candidates
 }
 
 // New constructs a predictor with engine-matching defaults.
@@ -231,12 +232,12 @@ func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, f
 	if maxTasks > 4096 {
 		maxTasks = 4096
 	}
-	cands := plan.SplitCandidates(j, maxTasks)
+	p.splits = plan.AppendSplitCandidates(p.splits[:0], j, maxTasks)
 	best := plan.Split{}
 	bestTime := math.Inf(1)
 	bestMem := int64(math.MaxInt64)
 	var fallback plan.Split
-	for _, s := range cands {
+	for _, s := range p.splits {
 		j.Split = s
 		mem := plan.EstTaskMemBytes(j)
 		if mem < bestMem {

@@ -19,6 +19,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -76,6 +77,14 @@ func newFile(size int64, virtual bool) *file {
 	return f
 }
 
+// clone returns a copy of f with a block list of its own. The copy shares
+// the payloads and replica lists, which nothing changes in place.
+func (f *file) clone() *file {
+	c := &file{size: f.size, virtual: f.virtual}
+	c.blocks = append(c.one[:0], f.blocks...)
+	return c
+}
+
 // replicaBuf returns an empty list with room for the next block's n
 // replicas: the file's own array for its first block when they fit, a new
 // one otherwise, so no two blocks share a backing array.
@@ -118,11 +127,21 @@ type FS struct {
 	// block allocates at most its replica list (nothing for a file's first).
 	used  []bool
 	cands []int
+	// forked is set once this file system has been forked or is a fork:
+	// its files may then be shared with another, and KillNode copies a file
+	// before changing its replica lists.
+	forked bool
 }
 
 // New creates a file system with the given configuration. Replication is
 // clamped to the node count.
 func New(cfg Config) *FS {
+	return NewOn(cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// NewOn is New drawing placement randomness from rng instead of a stream
+// seeded with cfg.Seed, which it ignores.
+func NewOn(cfg Config, rng *rand.Rand) *FS {
 	if cfg.Nodes <= 0 {
 		panic("dfs: need at least one node")
 	}
@@ -137,7 +156,7 @@ func New(cfg Config) *FS {
 	}
 	fs := &FS{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rng,
 		dirs:  make(map[string]map[string]*file),
 		dead:  make([]bool, cfg.Nodes),
 		live:  make([]int, cfg.Nodes),
@@ -149,6 +168,28 @@ func New(cfg Config) *FS {
 		fs.live[n] = n
 	}
 	return fs
+}
+
+// Fork returns a file system with fs's namespace, node states and I/O
+// counters that places every later write from rng; from then on the two are
+// independent. They share the files themselves — a written file is
+// immutable, and KillNode copies a shared one before re-replicating it — so
+// a fork costs the namespace maps, not the blocks. Given rng at the position
+// fs's own stream has reached, the fork places later writes exactly as fs
+// would. A nil rng makes a snapshot that is only forked, never written.
+func (fs *FS) Fork(rng *rand.Rand) *FS {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f := NewOn(fs.cfg, rng)
+	f.live = append(f.live[:0], fs.live...)
+	copy(f.dead, fs.dead)
+	copy(f.stats, fs.stats)
+	f.total = fs.total
+	for dir, d := range fs.dirs {
+		f.dirs[dir] = maps.Clone(d)
+	}
+	fs.forked, f.forked = true, true
+	return f
 }
 
 // isDead reports whether node is a dead datanode; an id outside
@@ -665,7 +706,8 @@ type RecoveryReport struct {
 // (rack-local or remote by topology) as well as the replication write on
 // the receiver. Blocks whose every replica was on dead nodes become
 // unavailable. Files are processed in sorted path order so the recovery
-// traffic is deterministic for a given placement history.
+// traffic is deterministic for a given placement history. On a forked file
+// system a file that lost a replica is copied first: a fork may share it.
 func (fs *FS) KillNode(node int) RecoveryReport {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -676,9 +718,10 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 	fs.markDead(node)
 	liveNodes := len(fs.live)
 	for _, p := range fs.sortedPaths("") {
-		blocks := fs.lookup(p).blocks
-		for i := range blocks {
-			b := &blocks[i]
+		f := fs.lookup(p)
+		owned := !fs.forked
+		for i := range f.blocks {
+			b := &f.blocks[i]
 			lost := false
 			for _, r := range b.replicas {
 				if r == node {
@@ -688,6 +731,11 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 			}
 			if !lost {
 				continue
+			}
+			if !owned {
+				f, owned = f.clone(), true
+				fs.dirs[dirOf(p)][p] = f
+				b = &f.blocks[i]
 			}
 			live := fs.liveReplicas(b)
 			if len(live) == 0 {

@@ -1,0 +1,205 @@
+package dfs
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+)
+
+var forkConfigs = []Config{
+	{Nodes: 4, Replication: 3, BlockSize: 64, Seed: 3},
+	{Nodes: 8, Replication: 3, BlockSize: 64, Seed: 11, RackSize: 4},
+}
+
+// countingSource counts the values drawn from a math/rand source; each
+// Int63 or Uint64 advances rand.NewSource's stream by one.
+type countingSource struct {
+	rand.Source64
+	n int
+}
+
+func (c *countingSource) Int63() int64   { c.n++; return c.Source64.Int63() }
+func (c *countingSource) Uint64() uint64 { c.n++; return c.Source64.Uint64() }
+
+// streamAt returns a generator on seed's stream after n draws.
+func streamAt(seed int64, n int) *rand.Rand {
+	src := rand.NewSource(seed)
+	for i := 0; i < n; i++ {
+		src.Int63()
+	}
+	return rand.New(src)
+}
+
+// forkLoad writes a batch of real and virtual, single- and multi-block files
+// under tag from internal writers and an external client, in a few
+// directories.
+func forkLoad(t testing.TB, fs *FS, tag string) {
+	for i := 0; i < 24; i++ {
+		path := fmt.Sprintf("/%s/m%d/%d_0", tag, i%4, i)
+		writer := i % (fs.Nodes() + 1)
+		if writer == fs.Nodes() || !fs.NodeAlive(writer) {
+			writer = -1
+		}
+		var err error
+		if i%2 == 0 {
+			err = fs.Write(path, make([]byte, 20+i*9), writer)
+		} else {
+			err = fs.WriteVirtual(path, int64(30+i*11), writer)
+		}
+		if err != nil {
+			t.Errorf("write %s: %v", path, err)
+		}
+	}
+}
+
+// loaded returns a file system of cfg with forkLoad's "in" batch on it and
+// how many values placing it drew from the placement stream.
+func loaded(t testing.TB, cfg Config) (*FS, int) {
+	src := &countingSource{Source64: rand.NewSource(cfg.Seed).(rand.Source64)}
+	fs := NewOn(cfg, rand.New(src))
+	forkLoad(t, fs, "in")
+	return fs, src.n
+}
+
+// forkView is everything a file system reports about its files and nodes:
+// the file count, each file's block replicas and first live replica node in
+// path order, and every node's liveness and counters, plus the total.
+func forkView(fs *FS) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d files\n", fs.FileCount())
+	for _, p := range fs.List("") {
+		reps, _ := fs.BlockReplicas(p)
+		fmt.Fprintf(&b, "%s %v first %d\n", p, reps, fs.FirstReplicaNode(p))
+	}
+	for n := -1; n < fs.Nodes(); n++ {
+		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))
+	}
+	return b.String()
+}
+
+// TestForkMatchesSource: a fork reports exactly what its source does.
+func TestForkMatchesSource(t *testing.T) {
+	for _, cfg := range forkConfigs {
+		src, _ := loaded(t, cfg)
+		src.KillNode(1)
+		if got, want := forkView(src.Fork(nil)), forkView(src); got != want {
+			t.Fatalf("%+v: fork\n%s\nsource\n%s", cfg, got, want)
+		}
+	}
+}
+
+// TestForkPlacesLaterWritesAlike: given a stream at the position the
+// source's has reached, a fork places every later write — and re-replicates
+// after a node death — exactly as the source does, and as a file system that
+// was never forked does.
+func TestForkPlacesLaterWritesAlike(t *testing.T) {
+	later := func(fs *FS) {
+		forkLoad(t, fs, "out")
+		fs.KillNode(2)
+		forkLoad(t, fs, "after")
+	}
+	for _, cfg := range forkConfigs {
+		src, drawn := loaded(t, cfg)
+		fork := src.Fork(streamAt(cfg.Seed, drawn))
+		never := New(cfg)
+		forkLoad(t, never, "in")
+		for _, fs := range []*FS{src, fork, never} {
+			later(fs)
+		}
+		want := forkView(never)
+		if got := forkView(src); got != want {
+			t.Fatalf("%+v: the forked source diverges from a never-forked file system\n%s\nwant\n%s", cfg, got, want)
+		}
+		if got := forkView(fork); got != want {
+			t.Fatalf("%+v: the fork diverges from a never-forked file system\n%s\nwant\n%s", cfg, got, want)
+		}
+	}
+}
+
+// TestForkIsolation: no operation on either side of a fork changes anything
+// the other side reports — KillNode least of all, since it rewrites the
+// replica lists of files the two share.
+func TestForkIsolation(t *testing.T) {
+	ops := []struct {
+		name string
+		do   func(fs *FS) error
+	}{
+		{"KillNode", func(fs *FS) error { fs.KillNode(0); return nil }},
+		{"WritePlaced", func(fs *FS) error { return fs.WritePlaced("/in/m0/new", nil, 100, [][]int{{1}, {2, 3}}) }},
+		{"Write", func(fs *FS) error { return fs.Write("/in/m1/new", make([]byte, 90), 1) }},
+		{"Delete", func(fs *FS) error { fs.Delete("/in/m2/2_0"); return nil }},
+		{"DeletePrefix", func(fs *FS) error { fs.DeletePrefix("/in/m3/"); fs.DeletePrefix("/in/m1/1"); return nil }},
+		{"ResetStats", func(fs *FS) error { fs.ResetStats(); return nil }},
+	}
+	for _, cfg := range forkConfigs {
+		for _, op := range ops {
+			for _, onFork := range []bool{false, true} {
+				src, _ := loaded(t, cfg)
+				fork := src.Fork(rand.New(rand.NewSource(1)))
+				changed, other := src, fork
+				if onFork {
+					changed, other = fork, src
+				}
+				before, was := forkView(other), forkView(changed)
+				if err := op.do(changed); err != nil {
+					t.Fatal(err)
+				}
+				if forkView(changed) == was {
+					t.Fatalf("%+v: %s changed nothing", cfg, op.name)
+				}
+				if after := forkView(other); after != before {
+					t.Fatalf("%+v: %s on the %s changed the other side\nbefore\n%s\nafter\n%s",
+						cfg, op.name, map[bool]string{false: "source", true: "fork"}[onFork], before, after)
+				}
+			}
+		}
+	}
+}
+
+// TestForksConcurrent drives two forks of one file system from two
+// goroutines — writes, reads, deletes and node deaths, on shared files and
+// new ones — and requires each to end exactly as a fork of a file system of
+// its own, driven alone, does. CI runs it under -race, ten times over.
+func TestForksConcurrent(t *testing.T) {
+	script := func(fs *FS, g int) {
+		for round := 0; round < 3; round++ {
+			forkLoad(t, fs, fmt.Sprintf("g%d-%d", g, round))
+			for _, p := range fs.List("/in/") {
+				if _, err := fs.ReadAccount(p, round); err != nil && round == 0 {
+					t.Errorf("read %s: %v", p, err)
+				}
+			}
+			fs.KillNode((g + round) % fs.Nodes())
+			fs.Delete(fmt.Sprintf("/in/m%d/%d_0", g, 4+g))
+			fs.DeletePrefix(fmt.Sprintf("/g%d-%d/m1/", g, round))
+		}
+	}
+	for _, cfg := range forkConfigs {
+		src, drawn := loaded(t, cfg)
+		var together [2]string
+		var wg sync.WaitGroup
+		for g := range together {
+			fs := src.Fork(streamAt(cfg.Seed, drawn))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				script(fs, g)
+				together[g] = forkView(fs)
+			}()
+		}
+		wg.Wait()
+		for g := range together {
+			own, drawn := loaded(t, cfg)
+			fs := own.Fork(streamAt(cfg.Seed, drawn))
+			script(fs, g)
+			if forkView(fs) != together[g] {
+				t.Fatalf("%+v: fork %d driven concurrently ends differently from one driven alone", cfg, g)
+			}
+		}
+		if fresh, _ := loaded(t, cfg); forkView(src) != forkView(fresh) {
+			t.Fatalf("%+v: driving the forks changed their source", cfg)
+		}
+	}
+}

@@ -186,17 +186,30 @@ type Engine struct {
 }
 
 // New creates an engine with a fresh DFS sized to the cluster.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (*Engine, error) { return NewOn(cfg, nil, nil) }
+
+// NewOn creates an engine over fs, whatever it already holds, drawing its
+// straggler noise from rng. A nil fs is New's fresh DFS, seeded with
+// cfg.Seed+1; a non-nil one must have the geometry New would give it (cfg's
+// node count, replication and racks). A nil rng is a stream seeded with
+// cfg.Seed. model's calibration suite starts engines on forks of a file
+// system it loaded once.
+func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Cluster.Nodes <= 0 || cfg.Cluster.Slots <= 0 {
 		return nil, fmt.Errorf("exec: invalid cluster %+v", cfg.Cluster)
 	}
-	fs := dfs.New(dfs.Config{
-		Nodes:       cfg.Cluster.Nodes,
-		Replication: cfg.Replication,
-		Seed:        cfg.Seed + 1,
-		RackSize:    cfg.RackSize,
-	})
+	if fs == nil {
+		fs = dfs.New(dfs.Config{
+			Nodes:       cfg.Cluster.Nodes,
+			Replication: cfg.Replication,
+			Seed:        cfg.Seed + 1,
+			RackSize:    cfg.RackSize,
+		})
+	}
+	if rng == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("exec: Workers must be >= 0, got %d", cfg.Workers)
 	}
@@ -216,7 +229,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:              cfg,
 		fs:               fs,
 		st:               store.New(fs),
-		rng:              rand.New(rand.NewSource(cfg.Seed)),
+		rng:              rng,
 		jobStartupSec:    *cfg.JobStartupSec,
 		crossRackPenalty: *cfg.CrossRackPenalty,
 		maxTaskRetries:   cfg.MaxTaskRetries,

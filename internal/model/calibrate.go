@@ -2,10 +2,12 @@ package model
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
+	"cumulon/internal/dfs"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg/tune"
@@ -92,19 +94,83 @@ type CalibrationResult struct {
 // per benchmark vary per-task work, enriching the regression design.
 var suiteSplits = [...]int{4, 16, 64}
 
-// Suite is the benchmark suite's compute, done once for every (machine
-// type, slots) pair calibrated through it. A virtual task's result — flops,
-// read paths, write sizes — depends only on the plan and the split, so the
-// first calibration to run benchmark b at split s records each scheduling
-// phase's results and later ones replay them through exec.Config.Backend.
-// Their engines still do all that depends on the machine (seeds, placement,
-// scheduling, accounting, straggler noise), so the fitted model is
-// bit-identical to a fresh calibration's. The zero Suite is ready to use;
-// it is not safe for concurrent use (the optimizer keeps one per search).
+// Suite is the benchmark suite's machine-independent work, done once for
+// every (machine type, slots) pair calibrated through it. A virtual task's
+// result — flops, read paths, write sizes — depends only on the plan and the
+// split, so the first calibration to run benchmark b at split s records each
+// scheduling phase's results and later ones replay them through
+// exec.Config.Backend. A benchmark's loaded file system depends only on the
+// seed and the split's inputs (the geometry is fixed: 4 nodes, replication
+// 3, no racks, an external writer), so it is recorded once per (benchmark,
+// split, seed) and later engines start on a fork of it. And no seed's random
+// stream is drawn twice. The engines still do all that depends on the
+// machine (scheduling, output placement, accounting, the noise each task
+// draws), so the fitted model is bit-identical to a fresh calibration's.
+// The zero Suite is ready to use; it is not safe for concurrent use (the
+// optimizer keeps one per search).
 type Suite struct {
 	// phases holds, per benchmark and split, each phase's task results in
 	// the order the engine asks for them.
-	phases [][len(suiteSplits)][][]*compute.Result
+	phases  [][len(suiteSplits)][][]*compute.Result
+	streams map[int64]*stream
+	loads   map[loadKey]load
+}
+
+// loadKey names a recorded load: benchmark, split index and calibration seed.
+type loadKey struct {
+	bench, split int
+	seed         int64
+}
+
+// load is a benchmark's file system with its inputs placed, and how far into
+// its placement stream placing them drew.
+type load struct {
+	fs    *dfs.FS
+	drawn int
+}
+
+// stream is one seed's memoized random stream: out holds, in order, every
+// value drawn from src so far.
+type stream struct {
+	src rand.Source64
+	out []uint64
+}
+
+// at returns the stream's k-th value, drawing from src only past the end of
+// what is memoized.
+func (st *stream) at(k int) uint64 {
+	for len(st.out) <= k {
+		st.out = append(st.out, st.src.Uint64())
+	}
+	return st.out[k]
+}
+
+// cursor reads a stream from position k on: a rand.Source64 whose values are
+// those of rand.NewSource(seed). Each rngSource method advances it one value,
+// and Int63 masks Uint64 exactly as rngSource.Int63 does, so every rand.Rand
+// method returns what it would on a fresh source.
+type cursor struct {
+	s *stream
+	k int
+}
+
+func (c *cursor) Uint64() uint64 { c.k++; return c.s.at(c.k - 1) }
+
+func (c *cursor) Int63() int64 { return int64(c.Uint64() & (1<<63 - 1)) }
+
+func (c *cursor) Seed(int64) { panic("model: a memoized random stream cannot be reseeded") }
+
+// cursor returns a cursor over seed's stream at position k.
+func (s *Suite) cursor(seed int64, k int) *cursor {
+	st := s.streams[seed]
+	if st == nil {
+		if s.streams == nil {
+			s.streams = make(map[int64]*stream)
+		}
+		st = &stream{src: rand.NewSource(seed).(rand.Source64)}
+		s.streams[seed] = st
+	}
+	return &cursor{s: st, k: k}
 }
 
 // Calibrate runs the micro-benchmark suite on a small instrumented
@@ -151,25 +217,41 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 	}
 	if s.phases == nil {
 		s.phases = make([][len(suiteSplits)][][]*compute.Result, len(plans))
+		s.loads = make(map[loadKey]load)
 	}
 	for i, tmpl := range plans {
 		for k, tasks := range suiteSplits {
-			e, err := exec.New(exec.Config{
+			// exec.New's seeds: noise from engineSeed, placement from one past.
+			engineSeed := seed + int64(i*100+tasks)
+			key := loadKey{i, k, seed}
+			ld, loaded := s.loads[key]
+			var fs *dfs.FS
+			var placement *cursor
+			if loaded {
+				fs = ld.fs.Fork(rand.New(s.cursor(engineSeed+1, ld.drawn)))
+			} else {
+				placement = s.cursor(engineSeed+1, 0)
+				fs = dfs.NewOn(dfs.Config{Nodes: cluster.Nodes, Replication: repl}, rand.New(placement))
+			}
+			e, err := exec.NewOn(exec.Config{
 				Cluster:     cluster,
 				Replication: repl,
-				Seed:        seed + int64(i*100+tasks),
+				Seed:        engineSeed,
 				NoiseFactor: 0.08,
 				Backend:     &replay{phases: &s.phases[i][k]},
-			})
+			}, fs, rand.New(s.cursor(engineSeed, 0)))
 			if err != nil {
 				return nil, err
 			}
 			pl := tmpl.Clone()
 			pl.AutoSplit(tasks)
-			for _, in := range pl.Inputs {
-				if err := e.LoadVirtual(in); err != nil {
-					return nil, err
+			if !loaded {
+				for _, in := range pl.Inputs {
+					if err := e.LoadVirtual(in); err != nil {
+						return nil, err
+					}
 				}
+				s.loads[key] = load{fs: fs.Fork(nil), drawn: placement.k}
 			}
 			m, err := e.Run(pl)
 			if err != nil {

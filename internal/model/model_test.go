@@ -160,6 +160,35 @@ func TestSuiteReplayMatchesFreshCalibration(t *testing.T) {
 	}
 }
 
+// TestSuiteLoadsKeyedBySeed: a suite that calibrates under two seeds starts
+// each from the load recorded under its own seed. Seeds 7 and 8 also share
+// streams across roles (seed 7's placement stream is seed 8's noise stream
+// for every benchmark and split), which the memo must serve from position 0
+// to both.
+func TestSuiteLoadsKeyedBySeed(t *testing.T) {
+	small, _ := cloud.TypeByName("m1.small")
+	big, _ := cloud.TypeByName("c1.xlarge")
+	var suite Suite
+	for _, c := range []struct {
+		mt    cloud.MachineType
+		slots int
+		seed  int64
+	}{{small, 1, 7}, {big, 4, 8}, {big, 8, 7}, {small, 1, 8}} {
+		got, err := suite.Calibrate(c.mt, c.slots, c.seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Calibrate(c.mt, c.slots, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("%s/%d seed %d: the suite's calibration differs from a fresh one\nsuite %s\nfresh %s",
+				c.mt.Name, c.slots, c.seed, got.Model, fresh.Model)
+		}
+	}
+}
+
 // TestCalibrateWithProfileScalesFlops: an autotuner profile reporting a
 // 2x kernel speedup should roughly halve the fitted flops coefficient
 // (the machine computes twice as fast; I/O terms are untouched), and the

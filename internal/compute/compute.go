@@ -4,7 +4,7 @@
 // disturbing the engine's deterministic virtual time.
 //
 // The key design point is the split between computing and accounting. A
-// Task's function reads input tiles through a non-accounting Source.Peek,
+// Task's function reads input tiles through a non-accounting Source.PeekTile,
 // performs the tile math, and records an ordered Trace of I/O operations
 // (reads touched, outputs produced) plus the flops spent. It never touches
 // the virtual clock, the slot scheduler, replica placement, node caches or
@@ -19,15 +19,16 @@ package compute
 import (
 	"sync"
 
+	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
 )
 
 // Source supplies input payloads to compute tasks. Implementations must be
-// safe for concurrent use (dfs.FS is). Peek returns the file contents
+// safe for concurrent use (dfs.FS is). PeekTile returns the tile's contents
 // without any read accounting; the engine accounts the read later when it
 // replays the task's trace.
 type Source interface {
-	Peek(path string) ([]byte, error)
+	PeekTile(a dfs.TileAddr) ([]byte, error)
 }
 
 // Env is the execution environment shared by the tasks of one engine run.
@@ -48,15 +49,17 @@ type Env struct {
 }
 
 // Op is one recorded I/O operation of a task, in program order. The engine
-// replays ops sequentially to perform read accounting and DFS writes.
+// replays ops sequentially to perform read accounting and DFS writes. An op
+// names its tile by address in both modes: recording and replaying one
+// formats no path.
 type Op struct {
 	// Write distinguishes output writes from input reads.
 	Write bool
 	// Sparse marks sparse-format access. On reads it selects which node
 	// cache flavor can serve the access; on writes it is informational.
 	Sparse bool
-	// Path is the DFS path of the tile.
-	Path string
+	// Tile is the address of the tile.
+	Tile dfs.TileAddr
 	// Data is the encoded payload of a materialized write (nil for reads
 	// and virtual writes).
 	Data []byte

@@ -3,6 +3,7 @@ package compute
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"cumulon/internal/plan"
 )
@@ -127,4 +128,12 @@ func TestPoolReuseZeroes(t *testing.T) {
 		}
 	}
 	t.Fatal("the pool never reused a released buffer")
+}
+
+// TestOpIs64Bytes: a trace op carries a tile address in place of a path,
+// and a virtual run allocates its traces by the op.
+func TestOpIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 64 {
+		t.Fatalf("compute.Op is %d bytes, want at most 64", n)
+	}
 }

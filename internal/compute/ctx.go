@@ -3,6 +3,7 @@ package compute
 import (
 	"fmt"
 
+	"cumulon/internal/dfs"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
@@ -16,25 +17,23 @@ import (
 type Ctx struct {
 	env Env
 	res Result
-	// dense / sparse cache decoded input tiles by structured key — no
-	// path formatting on the hit path, so repeat reads allocate nothing
-	// (materialized mode). A tile read in both formats within one task is
-	// traced once per format, matching how a real task would fetch it
-	// twice into the two forms. sparse holds the CSR form of every
-	// sparse-stored tile read, keyed by the format the task fetched it in:
-	// a dense-format entry serves a sparse right operand (mulTile) and
-	// readDenseTile, which expands it into dense, so the two share one
-	// read op whichever comes first. transposed caches the materialized
-	// transposes of dense entries, under the same keys; it is made on
-	// first use (most tasks, and all virtual ones, need none). All three
-	// hold pooled tiles, which release returns when the task ends.
-	dense, transposed map[tileKey]*linalg.Tile
+	// dense / sparse cache decoded input tiles by address, so repeat reads
+	// allocate nothing (materialized mode). A tile read in both formats
+	// within one task is traced once per format, matching how a real task
+	// would fetch it twice into the two forms. sparse holds the CSR form of
+	// every sparse-stored tile read, keyed by the format the task fetched it
+	// in: a dense-format entry serves a sparse right operand (mulTile) and
+	// readDenseTile, which expands it into dense, so the two share one read
+	// op whichever comes first. transposed caches the materialized
+	// transposes of dense entries, under the same keys; it is made on first
+	// use (most tasks, and all virtual ones, need none). All three hold
+	// pooled tiles, which release returns when the task ends.
+	dense, transposed map[dfs.TileAddr]*linalg.Tile
 	sparse            map[csrKey]*linalg.CSRTile
 	// seen marks tiles already traced in virtual mode, where the two
 	// access kinds share one marker (no payloads distinguish them) and no
 	// decoded-tile cache exists. Like the caches it is keyed by matrix and
-	// tile coordinates, so a repeat access formats no path, and pooled like
-	// their tiles: release returns it.
+	// tile coordinates, and pooled like their tiles: release returns it.
 	seen *readSet
 	// leafBuf is the reusable leaf-slot buffer of the compiled pipeline
 	// executor (pipeline.go); it keeps steady-state evaluation at zero
@@ -42,18 +41,10 @@ type Ctx struct {
 	leafBuf [][]float64
 }
 
-// tileKey identifies one tile of one matrix for the decoded-tile caches.
-// Matrix names are unique within a plan (partials included), so the name
-// plus stored tile coordinates is as unique as the DFS path.
-type tileKey struct {
-	name   string
-	ti, tj int
-}
-
 // csrKey identifies a cached CSR tile: the tile and the format the task
 // fetched it in.
 type csrKey struct {
-	tileKey
+	dfs.TileAddr
 	asDense bool
 }
 
@@ -63,7 +54,7 @@ func newCtx(t *Task) *Ctx {
 	if t.Env.Virtual {
 		c.seen = newReadSet(t.ops)
 	} else {
-		c.dense = map[tileKey]*linalg.Tile{}
+		c.dense = map[dfs.TileAddr]*linalg.Tile{}
 		c.sparse = map[csrKey]*linalg.CSRTile{}
 	}
 	return c
@@ -110,29 +101,28 @@ func (c *Ctx) addFlops(kind string, n int64) {
 }
 
 // traceRead appends a read op; callers dedup per task.
-func (c *Ctx) traceRead(path string, sparse bool) {
-	c.res.Ops = append(c.res.Ops, Op{Path: path, Sparse: sparse})
+func (c *Ctx) traceRead(addr dfs.TileAddr, sparse bool) {
+	c.res.Ops = append(c.res.Ops, Op{Tile: addr, Sparse: sparse})
 }
 
 // readVirtual records a read in virtual mode, once per tile per task.
 func (c *Ctx) readVirtual(meta store.Meta, ti, tj int) {
 	if c.seen.add(meta.Name, ti, tj) {
-		c.traceRead(meta.TilePath(ti, tj), false)
+		c.traceRead(meta.Tile(ti, tj), false)
 	}
 }
 
 // readDenseTile reads and decodes the dense tile at (ti, tj) of meta,
 // densifying sparse storage. Returns nil in virtual mode (the read is
 // still traced for the engine's accounting). Cache hits are found by
-// structured key, without formatting the tile path — repeat reads of a
-// decoded tile must not allocate (the compiled pipelines' steady state
-// is zero allocations per evaluation).
+// structured key — repeat reads of a decoded tile must not allocate (the
+// compiled pipelines' steady state is zero allocations per evaluation).
 func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 	if c.virtual() {
 		c.readVirtual(meta, ti, tj)
 		return nil, nil
 	}
-	key := tileKey{meta.Name, ti, tj}
+	key := meta.Tile(ti, tj)
 	if t, ok := c.dense[key]; ok {
 		return t, nil
 	}
@@ -146,12 +136,11 @@ func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 		tile = newTile(rows, cols, true)
 		sp.ScatterInto(tile.Data, cols)
 	} else {
-		path := meta.TilePath(ti, tj)
-		raw, err := c.env.Src.Peek(path)
+		raw, err := c.env.Src.PeekTile(key)
 		if err != nil {
 			return nil, err
 		}
-		c.traceRead(path, false)
+		c.traceRead(key, false)
 		tile = newTile(rows, cols, false)
 		if err := store.DecodeTileInto(tile, raw); err != nil {
 			freeTile(tile)
@@ -170,22 +159,21 @@ func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int, asDense bool) (*linalg
 		c.readVirtual(meta, ti, tj)
 		return nil, nil
 	}
-	key := csrKey{tileKey{meta.Name, ti, tj}, asDense}
+	key := csrKey{meta.Tile(ti, tj), asDense}
 	if t, ok := c.sparse[key]; ok {
 		return t, nil
 	}
-	path := meta.TilePath(ti, tj)
-	raw, err := c.env.Src.Peek(path)
+	raw, err := c.env.Src.PeekTile(key.TileAddr)
 	if err != nil {
 		return nil, err
 	}
-	c.traceRead(path, !asDense)
+	c.traceRead(key.TileAddr, !asDense)
 	sp := newCSR()
 	err = store.DecodeSparseTileInto(sp, raw)
 	// The payload sizes the CSR form, not the dense one: only a tile of the
 	// declared shape may be expanded or reach a kernel (theirs panic).
 	if rows, cols := meta.TileShape(ti, tj); err == nil && (sp.Rows != rows || sp.Cols != cols) {
-		err = fmt.Errorf("tile %s is stored %dx%d, want %dx%d", path, sp.Rows, sp.Cols, rows, cols)
+		err = fmt.Errorf("tile %s is stored %dx%d, want %dx%d", key.Path(), sp.Rows, sp.Cols, rows, cols)
 	}
 	if err != nil {
 		freeCSR(sp)
@@ -206,18 +194,18 @@ func (c *Ctx) readLeafTile(ref plan.LeafRef, ti, tj int) (*linalg.Tile, error) {
 	if err != nil || t == nil || !ref.Transposed {
 		return t, err
 	}
-	return c.transposedTile(tileKey{ref.Meta.Name, ri, rj}, t), nil
+	return c.transposedTile(ref.Meta.Tile(ri, rj), t), nil
 }
 
 // transposedTile returns the materialized transpose of the cached input
 // tile t, built once per task.
-func (c *Ctx) transposedTile(key tileKey, t *linalg.Tile) *linalg.Tile {
+func (c *Ctx) transposedTile(key dfs.TileAddr, t *linalg.Tile) *linalg.Tile {
 	tt, ok := c.transposed[key]
 	if !ok {
 		tt = newTile(t.Cols, t.Rows, false)
 		linalg.TransposeInto(tt, t)
 		if c.transposed == nil {
-			c.transposed = map[tileKey]*linalg.Tile{}
+			c.transposed = map[dfs.TileAddr]*linalg.Tile{}
 		}
 		c.transposed[key] = tt
 	}
@@ -367,7 +355,7 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 		case lTrans && rTrans:
 			// Aᵀ·Bᵀ has no fused kernel; transpose the (usually smaller)
 			// left tile once and use the Bᵀ path for the right.
-			linalg.GemmHooked(acc, c.transposedTile(tileKey{lTRef.Meta.Name, k, ti}, lt), rt, false, true, hook)
+			linalg.GemmHooked(acc, c.transposedTile(lTRef.Meta.Tile(k, ti), lt), rt, false, true, hook)
 		case lTrans:
 			linalg.GemmHooked(acc, lt, rt, true, false, hook)
 		case rTrans:
@@ -550,22 +538,20 @@ func (c *Ctx) sumTiles(partials []store.Meta, ti, tj int) (*linalg.Tile, error) 
 // estimated size in virtual mode). The engine performs the actual DFS
 // write, with placement, during replay.
 func (c *Ctx) writeTile(meta store.Meta, ti, tj int, tile *linalg.Tile) error {
-	path := meta.TilePath(ti, tj)
 	if c.virtual() {
-		c.res.Ops = append(c.res.Ops, Op{Write: true, Path: path, Size: meta.EstTileBytes(ti, tj)})
+		c.res.Ops = append(c.res.Ops, Op{Write: true, Tile: meta.Tile(ti, tj), Size: meta.EstTileBytes(ti, tj)})
 		return nil
 	}
-	c.res.Ops = append(c.res.Ops, Op{Write: true, Path: path, Data: store.EncodeTile(tile)})
+	c.res.Ops = append(c.res.Ops, Op{Write: true, Tile: meta.Tile(ti, tj), Data: store.EncodeTile(tile)})
 	return nil
 }
 
 // writeSparseTile records a sparse output tile in the trace.
 func (c *Ctx) writeSparseTile(meta store.Meta, ti, tj int, sp *linalg.CSRTile) error {
-	path := meta.TilePath(ti, tj)
 	if c.virtual() {
-		c.res.Ops = append(c.res.Ops, Op{Write: true, Sparse: true, Path: path, Size: meta.EstTileBytes(ti, tj)})
+		c.res.Ops = append(c.res.Ops, Op{Write: true, Sparse: true, Tile: meta.Tile(ti, tj), Size: meta.EstTileBytes(ti, tj)})
 		return nil
 	}
-	c.res.Ops = append(c.res.Ops, Op{Write: true, Sparse: true, Path: path, Data: store.EncodeSparseTile(sp)})
+	c.res.Ops = append(c.res.Ops, Op{Write: true, Sparse: true, Tile: meta.Tile(ti, tj), Data: store.EncodeSparseTile(sp)})
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"cumulon/internal/dfs"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
@@ -13,26 +14,26 @@ import (
 )
 
 // mapSource is an in-memory Source: a task-level stand-in for the DFS.
-type mapSource map[string][]byte
+type mapSource map[dfs.TileAddr][]byte
 
-func (s mapSource) Peek(path string) ([]byte, error) {
-	b, ok := s[path]
+func (s mapSource) PeekTile(a dfs.TileAddr) ([]byte, error) {
+	b, ok := s[a]
 	if !ok {
-		return nil, fmt.Errorf("mapSource: no tile at %s", path)
+		return nil, fmt.Errorf("mapSource: no tile at %s", a.Path())
 	}
 	return b, nil
 }
 
-// loadInput encodes d tile by tile into src under m's tile paths,
+// loadInput encodes d tile by tile into src under m's tile addresses,
 // sparse-encoded when the meta says so.
 func loadInput(src mapSource, m store.Meta, d *linalg.Dense) {
 	for ti := 0; ti < m.TileRows(); ti++ {
 		for tj := 0; tj < m.TileCols(); tj++ {
 			tile := d.TileAt(ti, tj, m.TileSize)
 			if m.Sparse {
-				src[m.TilePath(ti, tj)] = store.EncodeSparseTile(linalg.DenseToCSR(tile))
+				src[m.Tile(ti, tj)] = store.EncodeSparseTile(linalg.DenseToCSR(tile))
 			} else {
-				src[m.TilePath(ti, tj)] = store.EncodeTile(tile)
+				src[m.Tile(ti, tj)] = store.EncodeTile(tile)
 			}
 		}
 	}
@@ -131,12 +132,12 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 				}
 				for _, op := range ro.Ops {
 					if op.Write {
-						srcOracle[op.Path] = op.Data
+						srcOracle[op.Tile] = op.Data
 					}
 				}
 				for _, op := range rc.Ops {
 					if op.Write {
-						srcComp[op.Path] = op.Data
+						srcComp[op.Tile] = op.Data
 					}
 				}
 			}
@@ -152,7 +153,7 @@ func fetchDense(t *testing.T, src mapSource, m store.Meta) *linalg.Dense {
 	d := linalg.NewDense(m.Rows, m.Cols)
 	for ti := 0; ti < m.TileRows(); ti++ {
 		for tj := 0; tj < m.TileCols(); tj++ {
-			raw, err := src.Peek(m.TilePath(ti, tj))
+			raw, err := src.PeekTile(m.Tile(ti, tj))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -458,7 +459,7 @@ func TestMisshapenSparseTileFailsTask(t *testing.T) {
 			loadInput(src, in, shifted(linalg.RandomDense(8, 8, 91)))
 			if in.Sparse {
 				bad := linalg.RandomSparseDense(3, 4, 0.5, 92).TileAt(0, 0, 4)
-				src[in.TilePath(1, 0)] = store.EncodeSparseTile(linalg.DenseToCSR(bad))
+				src[in.Tile(1, 0)] = store.EncodeSparseTile(linalg.DenseToCSR(bad))
 			}
 		}
 		var got error
@@ -492,10 +493,10 @@ func TestMulSparseRightSteadyState(t *testing.T) {
 		freeTile(acc)
 	}
 	run()
-	if _, csr := c.sparse[csrKey{tileKey{"V", 0, 0}, true}]; !csr || len(c.sparse) != 1 {
+	if _, csr := c.sparse[csrKey{dfs.TileAddr{Matrix: "V"}, true}]; !csr || len(c.sparse) != 1 {
 		t.Fatalf("V was not read once, as CSR in the dense format: %v", c.sparse)
 	}
-	if _, densified := c.dense[tileKey{"V", 0, 0}]; densified || len(c.transposed) != 0 {
+	if _, densified := c.dense[dfs.TileAddr{Matrix: "V"}]; densified || len(c.transposed) != 0 {
 		t.Fatalf("a sparse-right product densified or copied an operand: dense %d, transposed %d", len(c.dense), len(c.transposed))
 	}
 	if raceEnabled {

@@ -38,7 +38,7 @@ func planResults(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 				}
 				for _, op := range r.Ops {
 					if op.Write && data != nil {
-						src[op.Path] = op.Data
+						src[op.Tile] = op.Data
 					}
 				}
 				out = append(out, r)
@@ -81,18 +81,20 @@ func TestVirtualTasksUnderEveryPoolMode(t *testing.T) {
 // TestVirtualReadsMatchMaterialized checks the read set against the other
 // dedup the package has: a materialized task reads a tile once per format
 // through its decoded-tile caches, a virtual one once through the read
-// set, so a virtual trace is the materialized one with each path's repeat
-// reads dropped — same paths, same order, writes included.
+// set, so a virtual trace is the materialized one with each tile's repeat
+// reads dropped — same tiles, same order, writes included. Tiles compare
+// by their rendered paths, the names the two modes' files have in the DFS.
 func TestVirtualReadsMatchMaterialized(t *testing.T) {
 	paths := func(r *Result) []string {
 		seen := map[string]bool{}
 		var out []string
 		for _, op := range r.Ops {
-			if !op.Write && seen[op.Path] {
+			p := op.Tile.Path()
+			if !op.Write && seen[p] {
 				continue
 			}
-			seen[op.Path] = true
-			out = append(out, op.Path)
+			seen[p] = true
+			out = append(out, p)
 		}
 		return out
 	}

@@ -19,7 +19,6 @@ package dfs
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -112,13 +111,12 @@ type FS struct {
 	mu  sync.Mutex
 	cfg Config
 	rng *rand.Rand
-	// dirs is the namespace: every file, under its full path, in the map of
-	// its directory (the path through its last '/'; a matrix's tiles share
-	// one), and no directory without a file. A point lookup splits the path
-	// and allocates nothing; a prefix operation visits the directory names
-	// and the files of the one directory the prefix may end inside, never
-	// the rest of the namespace.
-	dirs  map[string]map[string]*file
+	// dirs is the namespace: every file in the index of its directory (the
+	// path through its last '/'; a matrix's tiles share one), and no
+	// directory without a file. A point lookup allocates nothing; a prefix
+	// operation visits the directory names and the files of the one
+	// directory the prefix may end inside, never the rest of the namespace.
+	dirs  map[string]*dir
 	dead  []bool    // per node
 	live  []int     // live node ids, ascending; rebuilt by markDead only
 	stats []IOStats // per node
@@ -131,6 +129,8 @@ type FS struct {
 	// its files may then be shared with another, and KillNode copies a file
 	// before changing its replica lists.
 	forked bool
+	// batch is the tile-keyed face Batch hands out under the lock.
+	batch Batch
 }
 
 // New creates a file system with the given configuration. Replication is
@@ -157,7 +157,7 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 	fs := &FS{
 		cfg:   cfg,
 		rng:   rng,
-		dirs:  make(map[string]map[string]*file),
+		dirs:  make(map[string]*dir),
 		dead:  make([]bool, cfg.Nodes),
 		live:  make([]int, cfg.Nodes),
 		stats: make([]IOStats, cfg.Nodes),
@@ -167,6 +167,7 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 	for n := range fs.live {
 		fs.live[n] = n
 	}
+	fs.batch.fs = fs
 	return fs
 }
 
@@ -185,8 +186,8 @@ func (fs *FS) Fork(rng *rand.Rand) *FS {
 	copy(f.dead, fs.dead)
 	copy(f.stats, fs.stats)
 	f.total = fs.total
-	for dir, d := range fs.dirs {
-		f.dirs[dir] = maps.Clone(d)
+	for p, d := range fs.dirs {
+		f.dirs[p] = d.clone()
 	}
 	fs.forked, f.forked = true, true
 	return f
@@ -204,31 +205,37 @@ func dirOf(path string) string {
 	return path[:strings.LastIndexByte(path, '/')+1]
 }
 
+// at resolves path to its slot. Caller holds the lock.
+func (fs *FS) at(path string) slot {
+	s := slot{dir: dirOf(path), path: path}
+	s.k, s.tile = parseTileName(path[len(s.dir):])
+	s.d = fs.dirs[s.dir]
+	return s
+}
+
 // lookup returns the file stored under path, or nil. Caller holds the lock.
-func (fs *FS) lookup(path string) *file {
-	return fs.dirs[dirOf(path)][path]
+func (fs *FS) lookup(path string) *file { return fs.at(path).file() }
+
+// put stores f in slot s, making its directory when it has none. Caller
+// holds the lock.
+func (fs *FS) put(s slot, f *file) {
+	if s.d == nil {
+		s.d = &dir{path: s.dir}
+		fs.dirs[s.dir] = s.d
+	}
+	s.set(f)
 }
 
-// vacant resolves the directory of a path about to be written — its name
-// and its map, nil while it has no file — or fails if the path is taken:
-// files are write-once. Caller holds the lock.
-func (fs *FS) vacant(path string) (string, map[string]*file, error) {
-	dir := dirOf(path)
-	d := fs.dirs[dir]
-	if _, ok := d[path]; ok {
-		return "", nil, fmt.Errorf("%w: %s", ErrExists, path)
+// drop removes the file in slot s, if any, and its directory with its last
+// file. Caller holds the lock.
+func (fs *FS) drop(s slot) {
+	if s.file() == nil {
+		return
 	}
-	return dir, d, nil
-}
-
-// add stores f under path in the directory vacant resolved. Caller holds
-// the lock.
-func (fs *FS) add(dir string, d map[string]*file, path string, f *file) {
-	if d == nil {
-		d = make(map[string]*file)
-		fs.dirs[dir] = d
+	if s.set(nil); s.d.len() == 0 {
+		delete(fs.dirs, s.dir)
+		fs.batch.forget()
 	}
-	d[path] = f
 }
 
 // markDead flags a live, in-range node dead and drops it from the live
@@ -271,25 +278,7 @@ func (fs *FS) Replication() int { return fs.cfg.Replication }
 func (fs *FS) Write(path string, data []byte, writerNode int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, d, err := fs.vacant(path)
-	if err != nil {
-		return err
-	}
-	if fs.isDead(writerNode) {
-		return fmt.Errorf("%w: %d", ErrDeadNode, writerNode)
-	}
-	f := newFile(int64(len(data)), false)
-	for off := int64(0); off == 0 || off < int64(len(data)); off += fs.cfg.BlockSize {
-		end := off + fs.cfg.BlockSize
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		b := block{data: data[off:end:end], size: end - off, replicas: fs.placeReplicas(f.replicaBuf(fs.cfg.Replication), writerNode)}
-		f.blocks = append(f.blocks, b)
-		fs.accountWrite(b)
-	}
-	fs.add(dir, d, path, f)
-	return nil
+	return fs.write(fs.at(path), data, int64(len(data)), false, writerNode)
 }
 
 // WriteVirtual stores a metadata-only file of the given size: replica
@@ -301,27 +290,33 @@ func (fs *FS) Write(path string, data []byte, writerNode int) error {
 func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, d, err := fs.vacant(path)
-	if err != nil {
-		return err
+	return fs.write(fs.at(path), nil, size, true, writerNode)
+}
+
+// write stores in slot s, which must be vacant — files are write-once — a
+// file of size bytes: data's, or none for a virtual one. Caller holds the
+// lock.
+func (fs *FS) write(s slot, data []byte, size int64, virtual bool, writerNode int) error {
+	if s.file() != nil {
+		return fmt.Errorf("%w: %s", ErrExists, s.pathname())
 	}
 	if fs.isDead(writerNode) {
 		return fmt.Errorf("%w: %d", ErrDeadNode, writerNode)
 	}
 	if size < 0 {
-		return fmt.Errorf("dfs: negative size %d for %s", size, path)
+		return fmt.Errorf("dfs: negative size %d for %s", size, s.pathname())
 	}
-	f := newFile(size, true)
+	f := newFile(size, virtual)
 	for off := int64(0); off == 0 || off < size; off += fs.cfg.BlockSize {
-		bs := fs.cfg.BlockSize
-		if off+bs > size {
-			bs = size - off
+		end := min(off+fs.cfg.BlockSize, size)
+		b := block{size: end - off, replicas: fs.placeReplicas(f.replicaBuf(fs.cfg.Replication), writerNode)}
+		if !virtual {
+			b.data = data[off:end:end]
 		}
-		b := block{size: bs, replicas: fs.placeReplicas(f.replicaBuf(fs.cfg.Replication), writerNode)}
 		f.blocks = append(f.blocks, b)
 		fs.accountWrite(b)
 	}
-	fs.add(dir, d, path, f)
+	fs.put(s, f)
 	return nil
 }
 
@@ -384,20 +379,29 @@ func (fs *FS) classify(b *block, live []int, readerNode int, sp *ReadSplit) {
 func (fs *FS) ReadAccount(path string, readerNode int) (ReadSplit, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := fs.lookup(path)
-	if f == nil {
-		return ReadSplit{}, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return fs.accountRead(f, path, readerNode)
+	s := fs.at(path)
+	return fs.readAccount(&s, readerNode)
 }
 
-// accountRead classifies and accounts a read of every block of f by
-// readerNode. A reader id outside [0, Nodes) — negative, or one past the
+// find returns the file in slot s or ErrNotFound.
+func (s *slot) find() (*file, error) {
+	if f := s.file(); f != nil {
+		return f, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, s.pathname())
+}
+
+// readAccount classifies and accounts a read of every block of the file in
+// slot s by readerNode. A reader id outside [0, Nodes) — negative, or one past the
 // cluster from a stale topology — is an external client, as for writes: its
 // bytes are remote and charged to the cluster total only. Caller holds the
 // lock.
-func (fs *FS) accountRead(f *file, path string, readerNode int) (ReadSplit, error) {
+func (fs *FS) readAccount(s *slot, readerNode int) (ReadSplit, error) {
 	var sp ReadSplit
+	f, err := s.find()
+	if err != nil {
+		return sp, err
+	}
 	if readerNode >= fs.cfg.Nodes {
 		readerNode = -1
 	}
@@ -408,7 +412,7 @@ func (fs *FS) accountRead(f *file, path string, readerNode int) (ReadSplit, erro
 		b := &f.blocks[i]
 		live := fs.liveReplicas(b)
 		if len(live) == 0 {
-			return sp, fmt.Errorf("%w: %s", ErrUnavailable, path)
+			return sp, fmt.Errorf("%w: %s", ErrUnavailable, s.pathname())
 		}
 		fs.classify(b, live, readerNode, &sp)
 	}
@@ -518,14 +522,19 @@ func (fs *FS) Read(path string, readerNode int) ([]byte, error) {
 func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := fs.lookup(path)
-	if f == nil {
-		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrNotFound, path)
+	return fs.read(fs.at(path), readerNode)
+}
+
+// read is ReadTracked of slot s. Caller holds the lock.
+func (fs *FS) read(s slot, readerNode int) ([]byte, ReadSplit, error) {
+	f, err := s.find()
+	if err != nil {
+		return nil, ReadSplit{}, err
 	}
 	if f.virtual {
-		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrVirtual, path)
+		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrVirtual, s.pathname())
 	}
-	sp, err := fs.accountRead(f, path, readerNode)
+	sp, err := fs.readAccount(&s, readerNode)
 	if err != nil {
 		return nil, sp, err
 	}
@@ -543,53 +552,32 @@ func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error
 func (fs *FS) Peek(path string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := fs.lookup(path)
-	if f == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	return fs.peek(fs.at(path))
+}
+
+// peek is Peek of slot s. Caller holds the lock.
+func (fs *FS) peek(s slot) ([]byte, error) {
+	f, err := s.find()
+	if err != nil {
+		return nil, err
 	}
 	if f.virtual {
-		return nil, fmt.Errorf("%w: %s", ErrVirtual, path)
+		return nil, fmt.Errorf("%w: %s", ErrVirtual, s.pathname())
 	}
 	for i := range f.blocks {
 		if len(fs.liveReplicas(&f.blocks[i])) == 0 {
-			return nil, fmt.Errorf("%w: %s", ErrUnavailable, path)
+			return nil, fmt.Errorf("%w: %s", ErrUnavailable, s.pathname())
 		}
 	}
 	return f.contents(), nil
 }
 
-// ReplicaNodes returns the set of live nodes that hold at least one block
-// replica of the file, in ascending order.
-func (fs *FS) ReplicaNodes(path string) ([]int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f := fs.lookup(path)
-	if f == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	set := map[int]bool{}
-	for i := range f.blocks {
-		for _, r := range fs.liveReplicas(&f.blocks[i]) {
-			set[r] = true
-		}
-	}
-	nodes := make([]int, 0, len(set))
-	for n := range set {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes, nil
-}
-
-// FirstReplicaNode returns the lowest-numbered live node holding a replica
-// of some block of the file — ReplicaNodes(path)[0] without building the
-// set — or -1 when the file is missing or has no live replica. The engine
-// asks it once per task for a locality hint.
-func (fs *FS) FirstReplicaNode(path string) int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+// firstReplica returns the lowest-numbered live node holding a replica of
+// some block of f, or -1 when f is nil or has no live replica. Caller holds
+// the lock.
+func (fs *FS) firstReplica(f *file) int {
 	first := -1
-	if f := fs.lookup(path); f != nil {
+	if f != nil {
 		for i := range f.blocks {
 			for _, r := range f.blocks[i].replicas {
 				if !fs.dead[r] && (first < 0 || r < first) {
@@ -599,13 +587,6 @@ func (fs *FS) FirstReplicaNode(path string) int {
 		}
 	}
 	return first
-}
-
-// Exists reports whether path is present.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.lookup(path) != nil
 }
 
 // Size returns the byte size of the file.
@@ -624,19 +605,7 @@ func (fs *FS) Size(path string) (int64, error) {
 func (fs *FS) Delete(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir := dirOf(path)
-	if d := fs.dirs[dir]; d[path] != nil {
-		fs.remove(dir, d, path)
-	}
-}
-
-// remove deletes path from directory dir, whose map is d, and the directory
-// with its last file. Caller holds the lock.
-func (fs *FS) remove(dir string, d map[string]*file, path string) {
-	delete(d, path)
-	if len(d) == 0 {
-		delete(fs.dirs, dir)
-	}
+	fs.drop(fs.at(path))
 }
 
 // DeletePrefix removes every file whose path starts with prefix. A
@@ -652,10 +621,8 @@ func (fs *FS) DeletePrefix(prefix string) {
 		case strings.HasPrefix(dir, prefix):
 			delete(fs.dirs, dir)
 		case dir == inside:
-			for p := range d {
-				if strings.HasPrefix(p, prefix) {
-					fs.remove(dir, d, p)
-				}
+			for _, s := range d.under(prefix) {
+				fs.drop(s)
 			}
 		}
 	}
@@ -665,27 +632,27 @@ func (fs *FS) DeletePrefix(prefix string) {
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.sortedPaths(prefix)
+	var out []string
+	for _, s := range fs.sorted(prefix) {
+		out = append(out, s.path)
+	}
+	return out
 }
 
-// sortedPaths returns the stored paths under prefix in sort.Strings order
-// of the full paths, whatever directories they are in — the order every
-// whole-namespace operation that draws from the placement stream or keeps
-// a running tally must use (KillNode's re-replication does both). It
-// visits what DeletePrefix does. Caller holds the lock.
-func (fs *FS) sortedPaths(prefix string) []string {
-	var out []string
+// sorted returns the slots of the files under prefix, paths rendered, in
+// sort.Strings order of the paths, whatever directories they are in — the
+// order every whole-namespace operation that draws from the placement
+// stream or keeps a running tally must use (KillNode's re-replication does
+// both). It visits what DeletePrefix does. Caller holds the lock.
+func (fs *FS) sorted(prefix string) []slot {
+	var out []slot
 	inside := dirOf(prefix)
 	for dir, d := range fs.dirs {
-		if whole := strings.HasPrefix(dir, prefix); whole || dir == inside {
-			for p := range d {
-				if whole || strings.HasPrefix(p, prefix) {
-					out = append(out, p)
-				}
-			}
+		if strings.HasPrefix(dir, prefix) || dir == inside {
+			out = append(out, d.under(prefix)...)
 		}
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
 	return out
 }
 
@@ -717,8 +684,8 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 	}
 	fs.markDead(node)
 	liveNodes := len(fs.live)
-	for _, p := range fs.sortedPaths("") {
-		f := fs.lookup(p)
+	for _, s := range fs.sorted("") {
+		f := s.file()
 		owned := !fs.forked
 		for i := range f.blocks {
 			b := &f.blocks[i]
@@ -734,7 +701,7 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 			}
 			if !owned {
 				f, owned = f.clone(), true
-				fs.dirs[dirOf(p)][p] = f
+				s.set(f)
 				b = &f.blocks[i]
 			}
 			live := fs.liveReplicas(b)
@@ -824,9 +791,9 @@ func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, d, err := fs.vacant(path)
-	if err != nil {
-		return err
+	s := fs.at(path)
+	if s.file() != nil {
+		return fmt.Errorf("%w: %s", ErrExists, path)
 	}
 	if data != nil {
 		size = int64(len(data))
@@ -862,7 +829,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 		}
 		f.blocks = append(f.blocks, b)
 	}
-	fs.add(dir, d, path, f)
+	fs.put(s, f)
 	return nil
 }
 
@@ -901,7 +868,7 @@ func (fs *FS) FileCount() int {
 	defer fs.mu.Unlock()
 	n := 0
 	for _, d := range fs.dirs {
-		n += len(d)
+		n += d.len()
 	}
 	return n
 }

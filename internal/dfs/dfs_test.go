@@ -35,7 +35,7 @@ func TestWriteLocalFirstPlacement(t *testing.T) {
 	if err := fs.Write("/a", []byte("x"), 5); err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := fs.ReplicaNodes("/a")
+	nodes, err := replicaNodes(fs, "/a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReplicationClampedToClusterSize(t *testing.T) {
 	if err := fs.Write("/a", []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
-	nodes, _ := fs.ReplicaNodes("/a")
+	nodes, _ := replicaNodes(fs, "/a")
 	if len(nodes) != 2 {
 		t.Fatalf("want 2 replicas, got %v", nodes)
 	}
@@ -109,7 +109,7 @@ func TestDeleteIdempotent(t *testing.T) {
 	}
 	fs.Delete("/a")
 	fs.Delete("/a")
-	if fs.Exists("/a") {
+	if exists(fs, "/a") {
 		t.Fatal("file still exists after delete")
 	}
 }
@@ -132,9 +132,9 @@ func TestKillNodeReReplicates(t *testing.T) {
 	if err := fs.Write("/a", []byte("payload"), 1); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := fs.ReplicaNodes("/a")
+	before, _ := replicaNodes(fs, "/a")
 	fs.KillNode(before[0])
-	after, err := fs.ReplicaNodes("/a")
+	after, err := replicaNodes(fs, "/a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAllReplicasDeadUnavailable(t *testing.T) {
 	if err := fs.Write("/a", []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
-	nodes, _ := fs.ReplicaNodes("/a")
+	nodes, _ := replicaNodes(fs, "/a")
 	// Kill every node so re-replication has no live target.
 	for n := 0; n < 3; n++ {
 		_ = nodes
@@ -326,7 +326,7 @@ func TestVirtualKillNodeReReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.KillNode(0)
-	nodes, err := fs.ReplicaNodes("/v")
+	nodes, err := replicaNodes(fs, "/v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestRackAwarePlacement(t *testing.T) {
 		if err := fs.WriteVirtual(path, 100, 1); err != nil {
 			t.Fatal(err)
 		}
-		nodes, err := fs.ReplicaNodes(path)
+		nodes, err := replicaNodes(fs, path)
 		if err != nil || len(nodes) != 3 {
 			t.Fatalf("replicas: %v err %v", nodes, err)
 		}
@@ -417,7 +417,7 @@ func TestExternalWriterPastClusterTreatedAsClient(t *testing.T) {
 	if err := fs.Write("/ext", make([]byte, 100), 9); err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := fs.ReplicaNodes("/ext")
+	nodes, err := replicaNodes(fs, "/ext")
 	if err != nil || len(nodes) != 2 {
 		t.Fatalf("replicas: %v err %v", nodes, err)
 	}
@@ -469,21 +469,24 @@ func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 // and unavailable files.
 func TestFirstReplicaNodeMatchesReplicaNodes(t *testing.T) {
 	fs := New(Config{Nodes: 6, Replication: 2, BlockSize: 32, Seed: 4})
+	tile := func(i int) TileAddr { return TileAddr{Matrix: "f", TI: int32(i)} }
 	for i := 0; i < 20; i++ {
-		if err := fs.WriteVirtual(fmt.Sprintf("/f%d", i), int64(20+i*9), i%6); err != nil {
+		if err := fs.WriteVirtual(tile(i).Path(), int64(20+i*9), i%6); err != nil {
 			t.Fatal(err)
 		}
 	}
 	check := func() {
 		t.Helper()
-		for i := 0; i < 21; i++ { // /f20 does not exist
-			p := fmt.Sprintf("/f%d", i)
+		for i := 0; i < 21; i++ { // tile 20 does not exist
 			want := -1
-			if nodes, err := fs.ReplicaNodes(p); err == nil && len(nodes) > 0 {
+			if nodes, err := replicaNodes(fs, tile(i).Path()); err == nil && len(nodes) > 0 {
 				want = nodes[0]
 			}
-			if got := fs.FirstReplicaNode(p); got != want {
-				t.Fatalf("FirstReplicaNode(%s) = %d, ReplicaNodes gives %d", p, got, want)
+			b := fs.Batch()
+			got := b.FirstReplicaNode(tile(i))
+			b.Done()
+			if got != want {
+				t.Fatalf("FirstReplicaNode(%v) = %d, ReplicaNodes gives %d", tile(i), got, want)
 			}
 		}
 	}
@@ -501,7 +504,7 @@ func TestKillNodeReportAndSourceCharging(t *testing.T) {
 	if err := fs.WriteVirtual("/a", size, 1); err != nil {
 		t.Fatal(err)
 	}
-	nodes, _ := fs.ReplicaNodes("/a")
+	nodes, _ := replicaNodes(fs, "/a")
 	survivor := nodes[1]
 	fs.ResetStats()
 	rep := fs.KillNode(nodes[0])
@@ -545,7 +548,7 @@ func TestKillNodeRackAwareRecovery(t *testing.T) {
 	}
 	targets := map[int]int{}
 	for i := 0; i < 40; i++ {
-		nodes, err := fs.ReplicaNodes(fmt.Sprintf("/r/%d", i))
+		nodes, err := replicaNodes(fs, fmt.Sprintf("/r/%d", i))
 		if err != nil || len(nodes) != 2 {
 			t.Fatalf("file %d replicas: %v err %v", i, nodes, err)
 		}

@@ -3,6 +3,7 @@ package dfs
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +64,40 @@ func loaded(t testing.TB, cfg Config) (*FS, int) {
 	return fs, src.n
 }
 
+// firstReplicaNode is the lowest-numbered live node holding a replica of
+// the file at path, or -1.
+func firstReplicaNode(fs *FS, path string) int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.firstReplica(fs.lookup(path))
+}
+
+// replicaNodes returns the live nodes that hold at least one block replica
+// of the file at path, in ascending order: the oracle of FirstReplicaNode.
+func replicaNodes(fs *FS, path string) ([]int, error) {
+	reps, err := fs.BlockReplicas(path)
+	set := map[int]bool{}
+	for _, rs := range reps {
+		for _, r := range rs {
+			set[r] = set[r] || fs.NodeAlive(r)
+		}
+	}
+	var nodes []int
+	for n, live := range set {
+		if live {
+			nodes = append(nodes, n)
+		}
+	}
+	sort.Ints(nodes)
+	return nodes, err
+}
+
+// exists reports whether a file is stored at path.
+func exists(fs *FS, path string) bool {
+	_, err := fs.Size(path)
+	return err == nil
+}
+
 // forkView is everything a file system reports about its files and nodes:
 // the file count, each file's block replicas and first live replica node in
 // path order, and every node's liveness and counters, plus the total.
@@ -71,7 +106,7 @@ func forkView(fs *FS) string {
 	fmt.Fprintf(&b, "%d files\n", fs.FileCount())
 	for _, p := range fs.List("") {
 		reps, _ := fs.BlockReplicas(p)
-		fmt.Fprintf(&b, "%s %v first %d\n", p, reps, fs.FirstReplicaNode(p))
+		fmt.Fprintf(&b, "%s %v first %d\n", p, reps, firstReplicaNode(fs, p))
 	}
 	for n := -1; n < fs.Nodes(); n++ {
 		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))

@@ -46,7 +46,7 @@ func nsWrite(fs *FS, path string, turn int) error {
 
 // TestNamespaceMatchesFlatOracle runs seeded random histories of writes,
 // deletes and prefix deletes against a flat map of paths kept here, and
-// holds List, Exists and FileCount to it after every step.
+// holds List, FileCount and what exists to it after every step.
 func TestNamespaceMatchesFlatOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -104,7 +104,7 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 			if got, want := fs.List(prefix), under(prefix); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: List(%q)\n got  %v\n want %v", seed, step, prefix, got, want)
 			}
-			if p := nsPath(rng); fs.Exists(p) != oracle[p] {
+			if p := nsPath(rng); exists(fs, p) != oracle[p] {
 				t.Fatalf("seed %d step %d: Exists(%q) = %v", seed, step, p, !oracle[p])
 			}
 			// No directory outlives its last file.
@@ -116,7 +116,7 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d directories held for %d with files", seed, step, len(fs.dirs), len(live))
 			}
 			for dir, d := range fs.dirs {
-				if len(d) == 0 {
+				if d.len() == 0 {
 					t.Fatalf("seed %d step %d: directory %q is empty", seed, step, dir)
 				}
 			}
@@ -152,7 +152,7 @@ func namespaceKillScript(cfg Config) []byte {
 			switch op := rng.Intn(10); {
 			case op < 7:
 				// Two of the three write calls: WritePlaced draws nothing.
-				if p := nsPath(rng); !fs.Exists(p) {
+				if p := nsPath(rng); !exists(fs, p) {
 					writer := rng.Intn(cfg.Nodes)
 					if !fs.NodeAlive(writer) {
 						writer = -1

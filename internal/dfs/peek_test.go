@@ -43,7 +43,7 @@ func TestPeekErrors(t *testing.T) {
 	if err := fs.Write("/a", []byte("x"), 2); err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := fs.ReplicaNodes("/a")
+	nodes, err := replicaNodes(fs, "/a")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,11 +202,19 @@ func TestPlacementAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("ReadAccount allocates %v times per call with no dead node", n)
 	}
+	if err := fs.WriteVirtual("/matrix/multi/0_0", 300, 2); err != nil {
+		t.Fatal(err)
+	}
+	b := fs.Batch()
+	defer b.Done()
 	if n := testing.AllocsPerRun(runs, func() {
-		if fs.FirstReplicaNode("/multi") < 0 {
+		if b.FirstReplicaNode(TileAddr{Matrix: "multi"}) < 0 {
 			t.Fatal("no replica")
 		}
+		if _, err := b.ReadAccount(TileAddr{Matrix: "multi"}, 5); err != nil {
+			t.Fatal(err)
+		}
 	}); n != 0 {
-		t.Errorf("FirstReplicaNode allocates %v times per call", n)
+		t.Errorf("FirstReplicaNode and ReadAccount by address allocate %v times per call", n)
 	}
 }

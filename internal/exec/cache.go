@@ -1,5 +1,11 @@
 package exec
 
+import (
+	"container/list"
+
+	"cumulon/internal/dfs"
+)
+
 // nodeCache is a per-node LRU tile cache: once a task on a node has read
 // a tile, later tasks on the same node read it from memory instead of the
 // DFS (Cumulon's memory-caching configuration setting). Payloads live in
@@ -10,81 +16,51 @@ package exec
 type nodeCache struct {
 	capacity int64
 	used     int64
-	entries  map[string]*cacheEntry
-	// LRU list, most recent at the tail.
-	head, tail *cacheEntry
+	entries  map[dfs.TileAddr]*list.Element
+	lru      list.List // of *cacheEntry, most recent at the back
 }
 
 type cacheEntry struct {
-	path string
+	tile dfs.TileAddr
 	size int64
 	// hasDense / hasSparse record which decoded format(s) the node holds.
 	// A materialized read only hits on a matching format (a re-read in the
 	// other format goes back to the DFS, as the pre-compute-layer engine
 	// did); virtual reads hit on any entry.
 	hasDense, hasSparse bool
-	prev, next          *cacheEntry
 }
 
 func newNodeCache(capacity int64) *nodeCache {
-	return &nodeCache{capacity: capacity, entries: map[string]*cacheEntry{}}
+	return &nodeCache{capacity: capacity, entries: map[dfs.TileAddr]*list.Element{}}
 }
 
-func (c *nodeCache) get(path string) (*cacheEntry, bool) {
-	e, ok := c.entries[path]
+func (c *nodeCache) get(tile dfs.TileAddr) (*cacheEntry, bool) {
+	el, ok := c.entries[tile]
 	if !ok {
 		return nil, false
 	}
-	c.unlink(e)
-	c.pushTail(e)
-	return e, true
+	c.lru.MoveToBack(el)
+	return el.Value.(*cacheEntry), true
 }
 
-func (c *nodeCache) put(path string, size int64, hasDense, hasSparse bool) {
+func (c *nodeCache) put(tile dfs.TileAddr, size int64, hasDense, hasSparse bool) {
 	if size > c.capacity {
 		return
 	}
-	if old, ok := c.entries[path]; ok {
-		c.unlink(old)
-		c.used -= old.size
-		delete(c.entries, path)
+	if old, ok := c.entries[tile]; ok {
+		c.drop(old)
 	}
-	for c.used+size > c.capacity && c.head != nil {
-		evict := c.head
-		c.unlink(evict)
-		c.used -= evict.size
-		delete(c.entries, evict.path)
+	for c.used+size > c.capacity && c.lru.Len() > 0 {
+		c.drop(c.lru.Front())
 	}
-	e := &cacheEntry{path: path, size: size, hasDense: hasDense, hasSparse: hasSparse}
-	c.entries[path] = e
-	c.pushTail(e)
+	c.entries[tile] = c.lru.PushBack(&cacheEntry{tile, size, hasDense, hasSparse})
 	c.used += size
 }
 
-func (c *nodeCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *nodeCache) pushTail(e *cacheEntry) {
-	e.prev = c.tail
-	e.next = nil
-	if c.tail != nil {
-		c.tail.next = e
-	}
-	c.tail = e
-	if c.head == nil {
-		c.head = e
-	}
+func (c *nodeCache) drop(el *list.Element) {
+	e := c.lru.Remove(el).(*cacheEntry)
+	c.used -= e.size
+	delete(c.entries, e.tile)
 }
 
 // resetCaches builds fresh per-node caches for a run.

@@ -245,9 +245,6 @@ func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 // and accounting assertions).
 func (e *Engine) FS() *dfs.FS { return e.fs }
 
-// Store exposes the engine's tile store.
-func (e *Engine) Store() *store.Store { return e.st }
-
 // LoadDense ingests a dense in-memory matrix as the given stored matrix
 // (external ingest: replicas placed randomly). Use with Materialize on.
 func (e *Engine) LoadDense(meta store.Meta, d *linalg.Dense) error {
@@ -262,9 +259,11 @@ func (e *Engine) FetchOutput(meta store.Meta) (*linalg.Dense, error) {
 // LoadVirtual registers an input matrix as virtual tiles of estimated
 // sizes (external ingest: replicas placed randomly).
 func (e *Engine) LoadVirtual(meta store.Meta) error {
+	b := e.fs.Batch()
+	defer b.Done()
 	for ti := 0; ti < meta.TileRows(); ti++ {
 		for tj := 0; tj < meta.TileCols(); tj++ {
-			if err := e.fs.WriteVirtual(meta.TilePath(ti, tj), meta.EstTileBytes(ti, tj), -1); err != nil {
+			if err := b.WriteVirtual(meta.Tile(ti, tj), meta.EstTileBytes(ti, tj), -1); err != nil {
 				return err
 			}
 		}
@@ -729,7 +728,7 @@ func (e *Engine) executeWithRetry(jobID, phase int, t *task, slot *slotState, sl
 		} else {
 			res, err = fetch(t.index)
 			if err == nil {
-				if p := firstReadPath(res); e.chaos.ReadFault(p, jobID, phase, t.index, attempt) {
+				if p := e.firstReadPath(res); e.chaos.ReadFault(p, jobID, phase, t.index, attempt) {
 					err = fmt.Errorf("chaos: transient read error on %s", p)
 				} else {
 					w, err = e.applyResult(res, node)
@@ -772,11 +771,12 @@ func (e *Engine) executeWithRetry(jobID, phase int, t *task, slot *slotState, sl
 }
 
 // firstReadPath returns the path of the task's first traced read, the
-// input a transient read fault is pinned to.
-func firstReadPath(res *compute.Result) string {
-	for _, op := range res.Ops {
-		if !op.Write {
-			return op.Path
+// input a transient read fault is pinned to — rendered only for a schedule
+// with read faults: for any other, "" faults nothing either.
+func (e *Engine) firstReadPath(res *compute.Result) string {
+	for i := 0; e.cfg.Chaos != nil && e.cfg.Chaos.ReadFaultProb > 0 && i < len(res.Ops); i++ {
+		if !res.Ops[i].Write {
+			return res.Ops[i].Tile.Path()
 		}
 	}
 	return ""

@@ -7,6 +7,7 @@ import (
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
+	"cumulon/internal/dfs"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
@@ -1168,22 +1169,23 @@ output X
 
 func TestNodeCacheLRUEviction(t *testing.T) {
 	c := newNodeCache(100)
-	c.put("a", 40, false, false)
-	c.put("b", 40, false, false)
-	if _, ok := c.get("a"); !ok {
+	tile := map[string]dfs.TileAddr{"a": {Matrix: "A"}, "b": {Matrix: "A", TI: 1}, "c": {Matrix: "C", TJ: 1}, "huge": {Matrix: "H"}}
+	c.put(tile["a"], 40, false, false)
+	c.put(tile["b"], 40, false, false)
+	if _, ok := c.get(tile["a"]); !ok {
 		t.Fatal("a should be cached")
 	}
 	// Inserting c (40) must evict the least recently used entry: b.
-	c.put("c", 40, false, false)
-	if _, ok := c.get("b"); ok {
+	c.put(tile["c"], 40, false, false)
+	if _, ok := c.get(tile["b"]); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(tile["a"]); !ok {
 		t.Fatal("a (recently used) should survive")
 	}
 	// Oversized entries are refused.
-	c.put("huge", 1000, false, false)
-	if _, ok := c.get("huge"); ok {
+	c.put(tile["huge"], 1000, false, false)
+	if _, ok := c.get(tile["huge"]); ok {
 		t.Fatal("oversized entry should not be cached")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cumulon/internal/compute"
+	"cumulon/internal/dfs"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
@@ -73,8 +74,8 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	second := store.EncodeTile(linalg.RandomDense(4, 4, 2).TileAt(0, 0, 4))
 	wantFirst, wantSecond := append([]byte(nil), first...), append([]byte(nil), second...)
 	res := &compute.Result{Ops: []compute.Op{
-		{Write: true, Path: "/matrix/X/0_0", Data: first},
-		{Write: true, Path: "/matrix/X/0_1", Data: second},
+		{Write: true, Tile: dfs.TileAddr{Matrix: "X", TI: 0, TJ: 0}, Data: first},
+		{Write: true, Tile: dfs.TileAddr{Matrix: "X", TI: 0, TJ: 1}, Data: second},
 	}}
 	if err := e.FS().Write("/matrix/X/0_1", []byte("in the way"), 0); err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	if _, err := e.applyResult(res, 1); err == nil {
 		t.Fatal("replay over an existing path succeeded")
 	}
-	if e.FS().Exists("/matrix/X/0_0") {
+	if _, err := e.FS().Size("/matrix/X/0_0"); err == nil {
 		t.Fatal("the failed attempt's partial write was not rolled back")
 	}
 	e.FS().Delete("/matrix/X/0_1")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cumulon/internal/compute"
+	"cumulon/internal/dfs"
 	"cumulon/internal/plan"
 	"cumulon/internal/store"
 )
@@ -28,20 +29,22 @@ type task struct {
 }
 
 // buildTasks constructs the phase lists of a job plus the temporary
-// matrices to delete once the job finishes.
+// matrices to delete once the job finishes. The tasks' locality hints look
+// their tiles up in one hold of the file system.
 func (e *Engine) buildTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
+	b := e.fs.Batch()
+	defer b.Done()
 	switch j.Kind {
 	case plan.MapKind:
-		tasks := e.buildMapTasks(j)
-		return [][]*task{tasks}, nil, nil
+		return [][]*task{e.buildMapTasks(b, j)}, nil, nil
 	case plan.MulKind:
-		return e.buildMulTasks(j)
+		return e.buildMulTasks(b, j)
 	default:
 		return nil, nil, fmt.Errorf("unknown job kind %v", j.Kind)
 	}
 }
 
-func (e *Engine) buildMapTasks(j *plan.Job) []*task {
+func (e *Engine) buildMapTasks(b *dfs.Batch, j *plan.Job) []*task {
 	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
 	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
 	tasks := make([]*task, 0, len(iSpans)*len(jSpans))
@@ -49,7 +52,7 @@ func (e *Engine) buildMapTasks(j *plan.Job) []*task {
 		for _, js := range jSpans {
 			tasks = append(tasks, &task{
 				index:    len(tasks),
-				prefNode: e.fs.FirstReplicaNode(firstLeafPath(j.Prog, is.Lo, js.Lo)),
+				prefNode: leafNode(b, j.Prog.Refs, is.Lo, js.Lo),
 				ct:       compute.NewMapTask(e.env, j, is, js),
 			})
 		}
@@ -57,7 +60,7 @@ func (e *Engine) buildMapTasks(j *plan.Job) []*task {
 	return tasks
 }
 
-func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
+func (e *Engine) buildMulTasks(b *dfs.Batch, j *plan.Job) ([][]*task, []store.Meta, error) {
 	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
 	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
 	kSpans := plan.PartitionAxis(j.KTiles(), j.Split.CK)
@@ -66,7 +69,7 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 		if !singleK {
 			return nil, nil, fmt.Errorf("masked multiply cannot k-split (split %v)", j.Split)
 		}
-		return e.buildMaskedMulTasks(j, iSpans, jSpans)
+		return e.buildMaskedMulTasks(b, j, iSpans, jSpans)
 	}
 
 	// With k-splitting, each k-chunk writes a full partial matrix that a
@@ -85,7 +88,7 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 	pref := make([]int, len(kSpans)) // the hint depends on (is, ks) only
 	for _, is := range iSpans {
 		for kc, ks := range kSpans {
-			pref[kc] = e.fs.FirstReplicaNode(firstLeafPath(j.LProg, is.Lo, ks.Lo))
+			pref[kc] = leafNode(b, j.LProg.Refs, is.Lo, ks.Lo)
 		}
 		for _, js := range jSpans {
 			for kc, ks := range kSpans {
@@ -111,7 +114,7 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 		for _, js := range jSpans {
 			phase2 = append(phase2, &task{
 				index:    len(phase2),
-				prefNode: e.fs.FirstReplicaNode(partials[0].TilePath(is.Lo, js.Lo)),
+				prefNode: b.FirstReplicaNode(partials[0].Tile(is.Lo, js.Lo)),
 				ct:       compute.NewAggTask(e.env, j, partials, is, js),
 			})
 		}
@@ -122,7 +125,7 @@ func (e *Engine) buildMulTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
 // buildMaskedMulTasks constructs the tasks of a masked multiply: each
 // task computes, for its output chunk, the product restricted to the
 // sparse pattern's stored positions and writes sparse tiles.
-func (e *Engine) buildMaskedMulTasks(j *plan.Job, iSpans, jSpans []compute.Span) ([][]*task, []store.Meta, error) {
+func (e *Engine) buildMaskedMulTasks(b *dfs.Batch, j *plan.Job, iSpans, jSpans []compute.Span) ([][]*task, []store.Meta, error) {
 	maskRef, ok := j.Leaves[j.MaskLeaf]
 	if !ok {
 		return nil, nil, fmt.Errorf("mask leaf %q unbound", j.MaskLeaf)
@@ -133,7 +136,7 @@ func (e *Engine) buildMaskedMulTasks(j *plan.Job, iSpans, jSpans []compute.Span)
 		for _, js := range jSpans {
 			tasks = append(tasks, &task{
 				index:    len(tasks),
-				prefNode: e.fs.FirstReplicaNode(leafTilePath(maskRef, is.Lo, js.Lo)),
+				prefNode: leafNode(b, []plan.LeafRef{maskRef}, is.Lo, js.Lo),
 				ct:       compute.NewMaskedMulTask(e.env, j, maskRef, is, js, fullK),
 			})
 		}
@@ -141,27 +144,20 @@ func (e *Engine) buildMaskedMulTasks(j *plan.Job, iSpans, jSpans []compute.Span)
 	return [][]*task{tasks}, nil, nil
 }
 
-// leafTilePath returns the tile path of a leaf at logical coordinates.
-func leafTilePath(ref plan.LeafRef, ti, tj int) string {
-	if ref.Transposed {
-		ti, tj = tj, ti
-	}
-	if ti < ref.Meta.TileRows() && tj < ref.Meta.TileCols() {
-		return ref.Meta.TilePath(ti, tj)
-	}
-	return ""
-}
-
-// firstLeafPath returns the tile path of the first leaf the compiled
-// expression references at logical tile coordinates (ti, tj), for locality
-// hints.
-func firstLeafPath(prog *plan.TileProgram, ti, tj int) string {
-	for _, ref := range prog.Refs {
-		if path := leafTilePath(ref, ti, tj); path != "" {
-			return path
+// leafNode returns the locality hint of a task whose first output tile is
+// at logical coordinates (ti, tj): the first live node holding the tile
+// there of the first of the leaves whose grid has one, or -1.
+func leafNode(b *dfs.Batch, refs []plan.LeafRef, ti, tj int) int {
+	for _, ref := range refs {
+		ri, rj := ti, tj
+		if ref.Transposed {
+			ri, rj = tj, ti
+		}
+		if ri < ref.Meta.TileRows() && rj < ref.Meta.TileCols() {
+			return b.FirstReplicaNode(ref.Meta.Tile(ri, rj))
 		}
 	}
-	return ""
+	return -1
 }
 
 // applyResult replays a computed task's trace attributed to a node: read
@@ -173,37 +169,41 @@ func firstLeafPath(prog *plan.TileProgram, ti, tj int) string {
 func (e *Engine) applyResult(res *compute.Result, node int) (work, error) {
 	w := work{flops: res.Flops}
 	virtual := !e.cfg.Materialize
-	// On failure the attempt's partial writes are deleted, so a retry can
-	// replay the same trace without tripping over its own half-finished
-	// output (DFS writes reject existing paths).
-	var written []string
-	fail := func(err error) (work, error) {
-		for _, p := range written {
-			e.fs.Delete(p)
+	nc := e.cacheFor(node)
+	b := e.fs.Batch()
+	defer b.Done()
+	// On failure the attempt's partial writes — the writes before the op
+	// that failed — are deleted, so a retry can replay the same trace
+	// without tripping over its own half-finished output (DFS writes reject
+	// existing files).
+	fail := func(i int, err error) (work, error) {
+		for _, op := range res.Ops[:i] {
+			if op.Write {
+				b.Delete(op.Tile)
+			}
 		}
 		return w, err
 	}
-	for _, op := range res.Ops {
+	for i := range res.Ops {
+		op := &res.Ops[i]
 		if op.Write {
+			var err error
 			if virtual {
 				w.writeBytes += op.Size
-				if err := e.fs.WriteVirtual(op.Path, op.Size, node); err != nil {
-					return fail(err)
-				}
+				err = b.WriteVirtual(op.Tile, op.Size, node)
 			} else {
 				w.writeBytes += int64(len(op.Data))
-				if err := e.fs.Write(op.Path, op.Data, node); err != nil {
-					return fail(err)
-				}
+				err = b.Write(op.Tile, op.Data, node)
 			}
-			written = append(written, op.Path)
+			if err != nil {
+				return fail(i, err)
+			}
 			continue
 		}
-		// Read op. The trace holds at most one per (path, format) per
+		// Read op. The trace holds at most one per (tile, format) per
 		// task, so per-task read dedup is already done.
-		nc := e.cacheFor(node)
 		if nc != nil {
-			if entry, ok := nc.get(op.Path); ok {
+			if entry, ok := nc.get(op.Tile); ok {
 				// Virtual entries hit on any access; materialized ones
 				// only when the node holds the requested format.
 				hit := virtual || (op.Sparse && entry.hasSparse) || (!op.Sparse && entry.hasDense)
@@ -213,15 +213,15 @@ func (e *Engine) applyResult(res *compute.Result, node int) (work, error) {
 				}
 			}
 		}
-		sp, err := e.fs.ReadAccount(op.Path, node)
+		sp, err := b.ReadAccount(op.Tile, node)
 		if err != nil {
-			return fail(err)
+			return fail(i, err)
 		}
 		w.localBytes += sp.Local
 		w.rackBytes += sp.RackLocal
 		w.remoteBytes += sp.Remote
 		if nc != nil {
-			nc.put(op.Path, sp.Total(), !virtual && !op.Sparse, !virtual && op.Sparse)
+			nc.put(op.Tile, sp.Total(), !virtual && !op.Sparse, !virtual && op.Sparse)
 		}
 	}
 	return w, nil

@@ -144,7 +144,7 @@ func TestSaveDenseStoresTileEncodings(t *testing.T) {
 				if sparse {
 					want = EncodeSparseTile(linalg.DenseToCSR(tile))
 				}
-				got, err := s.FS.Peek(m.TilePath(ti, tj))
+				got, err := s.FS.Peek(m.Tile(ti, tj).Path())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,15 +173,13 @@ func TestLoadDenseRejectsMisshapenTile(t *testing.T) {
 		if err := s.SaveDense(m, linalg.RandomDense(6, 6, 1), -1); err != nil {
 			t.Fatal(err)
 		}
-		s.FS.Delete(m.TilePath(1, 1))
+		s.FS.Delete(m.Tile(1, 1).Path())
 		wrong := linalg.RandomDense(4, 4, 2).TileAt(0, 0, 4) // the fringe tile is 2x2
-		var err error
+		raw := EncodeTile(wrong)
 		if sparse {
-			err = s.WriteSparseTile(m, 1, 1, linalg.DenseToCSR(wrong), -1)
-		} else {
-			err = s.WriteTile(m, 1, 1, wrong, -1)
+			raw = EncodeSparseTile(linalg.DenseToCSR(wrong))
 		}
-		if err != nil {
+		if err := s.FS.Write(m.Tile(1, 1).Path(), raw, -1); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.LoadDense(m, -1); err == nil {

@@ -113,9 +113,9 @@ func TestParallelLoadReportsFirstBadTile(t *testing.T) {
 	}
 	// Tile (1,2) gets another tile's shape, tile (3,0) a flipped byte.
 	for path, bad := range map[string][]byte{
-		m.TilePath(1, 2): EncodeTile(linalg.NewTile(3, 8)),
-		m.TilePath(3, 0): func() []byte {
-			raw, _ := s.FS.Peek(m.TilePath(3, 0))
+		m.Tile(1, 2).Path(): EncodeTile(linalg.NewTile(3, 8)),
+		m.Tile(3, 0).Path(): func() []byte {
+			raw, _ := s.FS.Peek(m.Tile(3, 0).Path())
 			raw = append([]byte(nil), raw...)
 			raw[20] ^= 1
 			return raw

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strconv"
 
 	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
@@ -63,23 +62,16 @@ func (m Meta) TileShape(ti, tj int) (rows, cols int) {
 	return rows, cols
 }
 
-// TilePath returns the DFS path of tile (ti, tj) of the matrix.
-// It is built on every tile read and write, virtual ones included, so the
-// string is assembled in a stack buffer and costs its one allocation.
-func (m Meta) TilePath(ti, tj int) string {
-	var buf [64]byte
-	b := append(buf[:0], "/matrix/"...)
-	b = append(b, m.Name...)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(ti), 10)
-	b = append(b, '_')
-	b = strconv.AppendInt(b, int64(tj), 10)
-	return string(b)
+// Tile returns the DFS address of tile (ti, tj) of the matrix. Tiles are
+// read, written and located by address; Path renders the file's path,
+// MatrixPrefix(m.Name) + "<ti>_<tj>".
+func (m Meta) Tile(ti, tj int) dfs.TileAddr {
+	return dfs.TileAddr{Matrix: m.Name, TI: int32(ti), TJ: int32(tj)}
 }
 
 // MatrixPrefix returns the DFS path prefix under which every tile of
 // the named matrix lives.
-func MatrixPrefix(name string) string { return "/matrix/" + name + "/" }
+func MatrixPrefix(name string) string { return dfs.MatrixRoot + name + "/" }
 
 // EffDensity returns the density used for size estimation: the declared
 // density for sparse matrices (defaulting to 1 when unset), 1 for dense.
@@ -123,25 +115,6 @@ type Store struct {
 // New returns a Store over fs.
 func New(fs *dfs.FS) *Store { return &Store{FS: fs} }
 
-// WriteTile serializes and stores one dense tile, writer-local on node.
-func (s *Store) WriteTile(m Meta, ti, tj int, t *linalg.Tile, node int) error {
-	return s.FS.Write(m.TilePath(ti, tj), EncodeTile(t), node)
-}
-
-// ReadTile fetches and decodes one dense tile as seen from node.
-func (s *Store) ReadTile(m Meta, ti, tj int, node int) (*linalg.Tile, error) {
-	raw, err := s.FS.Read(m.TilePath(ti, tj), node)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeTile(raw)
-}
-
-// WriteSparseTile serializes and stores one CSR tile.
-func (s *Store) WriteSparseTile(m Meta, ti, tj int, t *linalg.CSRTile, node int) error {
-	return s.FS.Write(m.TilePath(ti, tj), EncodeSparseTile(t), node)
-}
-
 // DeleteMatrix removes every tile of the matrix. Used to garbage-collect
 // intermediates between jobs; the prefix is the matrix's directory, which
 // the file system drops whole.
@@ -180,8 +153,10 @@ func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 			}
 		}
 	})
+	b := s.FS.Batch()
+	defer b.Done()
 	for i, raw := range raws {
-		if err := s.FS.Write(m.TilePath(i/tileCols, i%tileCols), raw, node); err != nil {
+		if err := b.Write(m.Tile(i/tileCols, i%tileCols), raw, node); err != nil {
 			return err
 		}
 	}
@@ -194,11 +169,13 @@ func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 func (s *Store) LoadDense(m Meta, node int) (*linalg.Dense, error) {
 	tileCols := m.TileCols()
 	raws := make([][]byte, m.TileRows()*tileCols)
-	for i := range raws {
-		var err error
-		if raws[i], err = s.FS.Read(m.TilePath(i/tileCols, i%tileCols), node); err != nil {
-			return nil, err
-		}
+	b := s.FS.Batch()
+	var err error
+	for i := 0; i < len(raws) && err == nil; i++ {
+		raws[i], err = b.Read(m.Tile(i/tileCols, i%tileCols), node)
+	}
+	if b.Done(); err != nil {
+		return nil, err
 	}
 	d := linalg.NewDense(m.Rows, m.Cols)
 	errs := make([]error, len(raws))

@@ -29,11 +29,11 @@ func TestMetaGeometry(t *testing.T) {
 	}
 }
 
-// TilePath's format is the DFS naming convention every stored tile, replica
-// lookup and checkpoint manifest depends on; it is built by hand rather
-// than with fmt, so the format is pinned here.
+// A tile address's path is the DFS naming convention every listing and
+// checkpoint manifest depends on; it is built by hand rather than with fmt,
+// so the format is pinned here.
 func TestTilePathFormat(t *testing.T) {
-	long := "a-matrix-name-longer-than-the-sixty-four-byte-stack-buffer-of-TilePath~p12"
+	long := "a-matrix-name-longer-than-the-sixty-four-byte-stack-buffer-of-Path~p12"
 	cases := []struct {
 		name   string
 		ti, tj int
@@ -48,13 +48,13 @@ func TestTilePathFormat(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := Meta{Name: c.name}
-		if got := m.TilePath(c.ti, c.tj); got != c.want {
-			t.Errorf("TilePath(%q, %d, %d) = %q, want %q", c.name, c.ti, c.tj, got, c.want)
+		if got := m.Tile(c.ti, c.tj).Path(); got != c.want {
+			t.Errorf("Tile(%d, %d).Path() of %q = %q, want %q", c.ti, c.tj, c.name, got, c.want)
 		}
 	}
 	m := Meta{Name: "W#12"}
-	if n := testing.AllocsPerRun(100, func() { tilePathSink = m.TilePath(31, 407) }); n > 1 {
-		t.Errorf("TilePath allocates %v times per call, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { tilePathSink = m.Tile(31, 407).Path() }); n > 1 {
+		t.Errorf("Path allocates %v times per call, want at most 1", n)
 	}
 }
 
@@ -186,22 +186,31 @@ func TestDeleteMatrix(t *testing.T) {
 	}
 }
 
+// A tile written by address reads back by address and by its path, and
+// no other address holds it.
 func TestReadWriteSingleTiles(t *testing.T) {
 	s := newStore(3)
 	m := Meta{Name: "B", Rows: 6, Cols: 6, TileSize: 3}
 	tile := linalg.NewTileFrom(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	if err := s.WriteTile(m, 1, 0, tile, 2); err != nil {
-		t.Fatal(err)
+	b := s.FS.Batch()
+	err := b.Write(m.Tile(1, 0), EncodeTile(tile), 2)
+	raw, rerr := b.Read(m.Tile(1, 0), 0)
+	_, missing := b.Read(m.Tile(0, 0), 0)
+	b.Done()
+	if err != nil || rerr != nil {
+		t.Fatal(err, rerr)
 	}
-	got, err := s.ReadTile(m, 1, 0, 0)
+	byPath, err := s.FS.Read("/matrix/B/1_0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(tile) {
-		t.Fatal("tile mismatch")
+	for _, raw := range [][]byte{raw, byPath} {
+		if got, err := DecodeTile(raw); err != nil || !got.Equal(tile) {
+			t.Fatalf("tile mismatch (%v)", err)
+		}
 	}
 	// Tile coordinates are part of the name: other coords are missing.
-	if _, err := s.ReadTile(m, 0, 0, 0); !errors.Is(err, dfs.ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	if !errors.Is(missing, dfs.ErrNotFound) {
+		t.Fatalf("want ErrNotFound, got %v", missing)
 	}
 }

@@ -4,7 +4,8 @@
 // disturbing the engine's deterministic virtual time.
 //
 // The key design point is the split between computing and accounting. A
-// Task's function reads input tiles through a non-accounting Source.PeekTile,
+// Task's function reads input tiles through the run's Inputs, which fetch
+// payloads with a non-accounting Source.PeekTile and share what they decode,
 // performs the tile math, and records an ordered Trace of I/O operations
 // (reads touched, outputs produced) plus the flops spent. It never touches
 // the virtual clock, the slot scheduler, replica placement, node caches or
@@ -23,7 +24,7 @@ import (
 	"cumulon/internal/linalg"
 )
 
-// Source supplies input payloads to compute tasks. Implementations must be
+// Source supplies input payloads to a run's Inputs. Implementations must be
 // safe for concurrent use (dfs.FS is). PeekTile returns the tile's contents
 // without any read accounting; the engine accounts the read later when it
 // replays the task's trace.
@@ -33,8 +34,9 @@ type Source interface {
 
 // Env is the execution environment shared by the tasks of one engine run.
 type Env struct {
-	// Src supplies tile payloads. Unused (may be nil) in virtual mode.
-	Src Source
+	// Src supplies the decoded input tiles of a materialized run, shared by
+	// its tasks. nil in virtual mode.
+	Src *Inputs
 	// Virtual elides all payloads: reads decode nothing, kernels run
 	// nothing, and writes record estimated sizes only — but the trace and
 	// flop counts are produced exactly as the engine's accounting needs.
@@ -117,7 +119,7 @@ type Backend interface {
 
 // runTask executes one task. A materialized task holds a token of the
 // host's compute budget while it runs (a virtual one does no tile math);
-// the input tiles it decoded go back to the process-wide pool when it ends.
+// the tiles it owns go back to the process-wide pool when it ends.
 func runTask(t *Task) (*Result, error) {
 	if !t.Env.Virtual {
 		linalg.AcquireToken()

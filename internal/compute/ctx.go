@@ -1,8 +1,6 @@
 package compute
 
 import (
-	"fmt"
-
 	"cumulon/internal/dfs"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
@@ -10,30 +8,28 @@ import (
 	"cumulon/internal/store"
 )
 
-// Ctx carries the per-task compute state: the environment, decoded-tile
-// caches so repeated references read once (as a real task would), and the
-// recorded trace. A Ctx lives for exactly one task execution and is
-// confined to one goroutine.
+// Ctx carries the per-task compute state: the environment, the input tiles
+// the task has read so repeated references read once (as a real task
+// would), and the recorded trace. A Ctx lives for exactly one task execution
+// and is confined to one goroutine.
 type Ctx struct {
 	env Env
 	res Result
-	// dense / sparse cache decoded input tiles by address, so repeat reads
-	// allocate nothing (materialized mode). A tile read in both formats
-	// within one task is traced once per format, matching how a real task
-	// would fetch it twice into the two forms. sparse holds the CSR form of
-	// every sparse-stored tile read, keyed by the format the task fetched it
-	// in: a dense-format entry serves a sparse right operand (mulTile) and
+	// dense / sparse hold the input tiles the task has read, by address
+	// (materialized mode), so a tile is traced once per format per task, as
+	// a real task fetches it once into each form, and repeat references take
+	// no lock and allocate nothing. sparse holds the CSR form of every
+	// sparse-stored tile read, keyed by the format the task fetched it in: a
+	// dense-format entry serves a sparse right operand (mulTile) and
 	// readDenseTile, which expands it into dense, so the two share one read
-	// op whichever comes first. transposed caches the materialized
-	// transposes of dense entries, under the same keys; it is made on first
-	// use (most tasks, and all virtual ones, need none). All three hold
-	// pooled tiles, which release returns when the task ends.
-	dense, transposed map[dfs.TileAddr]*linalg.Tile
-	sparse            map[csrKey]*linalg.CSRTile
+	// op whichever comes first. Decoded tiles and transposes are borrowed
+	// read-only from the run's Inputs; release returns what the task owns.
+	dense  map[dfs.TileAddr]taskTile
+	sparse map[csrKey]*linalg.CSRTile
 	// seen marks tiles already traced in virtual mode, where the two
 	// access kinds share one marker (no payloads distinguish them) and no
-	// decoded-tile cache exists. Like the caches it is keyed by matrix and
-	// tile coordinates, and pooled like their tiles: release returns it.
+	// tile is held. Like the maps it is keyed by matrix and tile
+	// coordinates; it is pooled, and release returns it.
 	seen *readSet
 	// leafBuf is the reusable leaf-slot buffer of the compiled pipeline
 	// executor (pipeline.go); it keeps steady-state evaluation at zero
@@ -41,11 +37,19 @@ type Ctx struct {
 	leafBuf [][]float64
 }
 
-// csrKey identifies a cached CSR tile: the tile and the format the task
-// fetched it in.
+// csrKey identifies a CSR tile the task read: the tile and the format the
+// task fetched it in.
 type csrKey struct {
 	dfs.TileAddr
 	asDense bool
+}
+
+// taskTile is a dense input tile as a task holds it, with its transpose once
+// built: borrowed from the run's Inputs entry in, or, with in nil, owned —
+// the densified form of a sparse-stored tile.
+type taskTile struct {
+	t, tt *linalg.Tile
+	in    *input
 }
 
 func newCtx(t *Task) *Ctx {
@@ -54,13 +58,13 @@ func newCtx(t *Task) *Ctx {
 	if t.Env.Virtual {
 		c.seen = newReadSet(t.ops)
 	} else {
-		c.dense = map[dfs.TileAddr]*linalg.Tile{}
+		c.dense = map[dfs.TileAddr]taskTile{}
 		c.sparse = map[csrKey]*linalg.CSRTile{}
 	}
 	return c
 }
 
-// release returns every cached input tile and the read set to the pool.
+// release returns the tiles the task owns and the read set to the pool.
 // Nothing may use the Ctx's tiles afterwards; its Result references none of
 // them (outputs are encoded copies).
 func (c *Ctx) release() {
@@ -69,15 +73,12 @@ func (c *Ctx) release() {
 		c.seen = nil
 	}
 	for _, t := range c.dense {
-		freeTile(t)
+		if t.in == nil {
+			freeTile(t.t)
+			freeTile(t.tt)
+		}
 	}
-	for _, t := range c.transposed {
-		freeTile(t)
-	}
-	for _, t := range c.sparse {
-		freeCSR(t)
-	}
-	c.dense, c.transposed, c.sparse = nil, nil, nil
+	c.dense, c.sparse = nil, nil
 }
 
 func (c *Ctx) virtual() bool { return c.env.Virtual }
@@ -112,11 +113,11 @@ func (c *Ctx) readVirtual(meta store.Meta, ti, tj int) {
 	}
 }
 
-// readDenseTile reads and decodes the dense tile at (ti, tj) of meta,
-// densifying sparse storage. Returns nil in virtual mode (the read is
-// still traced for the engine's accounting). Cache hits are found by
-// structured key — repeat reads of a decoded tile must not allocate (the
-// compiled pipelines' steady state is zero allocations per evaluation).
+// readDenseTile reads the dense tile at (ti, tj) of meta, densifying
+// sparse storage. Returns nil in virtual mode (the read is still traced for
+// the engine's accounting). Repeat references are found by structured key
+// and must not allocate (the compiled pipelines' steady state is zero
+// allocations per evaluation).
 func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 	if c.virtual() {
 		c.readVirtual(meta, ti, tj)
@@ -124,31 +125,26 @@ func (c *Ctx) readDenseTile(meta store.Meta, ti, tj int) (*linalg.Tile, error) {
 	}
 	key := meta.Tile(ti, tj)
 	if t, ok := c.dense[key]; ok {
-		return t, nil
+		return t.t, nil
 	}
-	rows, cols := meta.TileShape(ti, tj)
-	var tile *linalg.Tile
+	var t taskTile
 	if meta.Sparse {
 		sp, err := c.readSparseTile(meta, ti, tj, true)
 		if err != nil {
 			return nil, err
 		}
-		tile = newTile(rows, cols, true)
-		sp.ScatterInto(tile.Data, cols)
+		t.t = newTile(sp.Rows, sp.Cols, true)
+		sp.ScatterInto(t.t.Data, sp.Cols)
 	} else {
-		raw, err := c.env.Src.PeekTile(key)
+		in, err := c.env.Src.read(meta, ti, tj)
 		if err != nil {
 			return nil, err
 		}
 		c.traceRead(key, false)
-		tile = newTile(rows, cols, false)
-		if err := store.DecodeTileInto(tile, raw); err != nil {
-			freeTile(tile)
-			return nil, err
-		}
+		t = taskTile{t: in.dense, in: in}
 	}
-	c.dense[key] = tile
-	return tile, nil
+	c.dense[key] = t
+	return t.t, nil
 }
 
 // readSparseTile reads the CSR form of the sparse-stored tile at (ti, tj)
@@ -163,24 +159,13 @@ func (c *Ctx) readSparseTile(meta store.Meta, ti, tj int, asDense bool) (*linalg
 	if t, ok := c.sparse[key]; ok {
 		return t, nil
 	}
-	raw, err := c.env.Src.PeekTile(key.TileAddr)
+	in, err := c.env.Src.read(meta, ti, tj)
 	if err != nil {
 		return nil, err
 	}
 	c.traceRead(key.TileAddr, !asDense)
-	sp := newCSR()
-	err = store.DecodeSparseTileInto(sp, raw)
-	// The payload sizes the CSR form, not the dense one: only a tile of the
-	// declared shape may be expanded or reach a kernel (theirs panic).
-	if rows, cols := meta.TileShape(ti, tj); err == nil && (sp.Rows != rows || sp.Cols != cols) {
-		err = fmt.Errorf("tile %s is stored %dx%d, want %dx%d", key.Path(), sp.Rows, sp.Cols, rows, cols)
-	}
-	if err != nil {
-		freeCSR(sp)
-		return nil, err
-	}
-	c.sparse[key] = sp
-	return sp, nil
+	c.sparse[key] = in.csr
+	return in.csr, nil
 }
 
 // readLeafTile reads the tile at *logical* coordinates (ti, tj) of a leaf,
@@ -194,22 +179,24 @@ func (c *Ctx) readLeafTile(ref plan.LeafRef, ti, tj int) (*linalg.Tile, error) {
 	if err != nil || t == nil || !ref.Transposed {
 		return t, err
 	}
-	return c.transposedTile(ref.Meta.Tile(ri, rj), t), nil
+	return c.transposedTile(ref.Meta.Tile(ri, rj)), nil
 }
 
-// transposedTile returns the materialized transpose of the cached input
-// tile t, built once per task.
-func (c *Ctx) transposedTile(key dfs.TileAddr, t *linalg.Tile) *linalg.Tile {
-	tt, ok := c.transposed[key]
-	if !ok {
-		tt = newTile(t.Cols, t.Rows, false)
-		linalg.TransposeInto(tt, t)
-		if c.transposed == nil {
-			c.transposed = map[dfs.TileAddr]*linalg.Tile{}
+// transposedTile returns the materialized transpose of the dense input tile
+// at key, which the task has read: the run's, built once per run, or the
+// task's own for a tile the task densified.
+func (c *Ctx) transposedTile(key dfs.TileAddr) *linalg.Tile {
+	t := c.dense[key]
+	if t.tt == nil {
+		if t.in != nil {
+			t.tt = c.env.Src.transposed(t.in)
+		} else {
+			t.tt = newTile(t.t.Cols, t.t.Rows, false)
+			linalg.TransposeInto(t.tt, t.t)
 		}
-		c.transposed[key] = tt
+		c.dense[key] = t
 	}
-	return tt
+	return t.tt
 }
 
 // leafShape returns the logical shape of leaf tile (ti, tj).
@@ -355,7 +342,7 @@ func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (
 		case lTrans && rTrans:
 			// Aᵀ·Bᵀ has no fused kernel; transpose the (usually smaller)
 			// left tile once and use the Bᵀ path for the right.
-			linalg.GemmHooked(acc, c.transposedTile(lTRef.Meta.Tile(k, ti), lt), rt, false, true, hook)
+			linalg.GemmHooked(acc, c.transposedTile(lTRef.Meta.Tile(k, ti)), rt, false, true, hook)
 		case lTrans:
 			linalg.GemmHooked(acc, lt, rt, true, false, hook)
 		case rTrans:

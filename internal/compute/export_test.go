@@ -11,3 +11,24 @@ const (
 )
 
 func SetPoolMode(m PoolMode) PoolMode { return setPoolMode(m) }
+
+// SetInputHook installs f (nil removes it) to see every decoded form a run's
+// Inputs keep — kind "dense", "csr" or "transpose" — as they keep it and, kept
+// false, as they recycle it. Set it only while no engine runs.
+func SetInputHook(f func(kind string, form any, kept bool)) {
+	if f == nil {
+		inputHook = nil
+		return
+	}
+	inputHook = func(e *input, kept bool) {
+		if e.dense != nil {
+			f("dense", e.dense, kept)
+		}
+		if e.trans != nil {
+			f("transpose", e.trans, kept)
+		}
+		if e.csr != nil {
+			f("csr", e.csr, kept)
+		}
+	}
+}

@@ -263,7 +263,7 @@ func (c *Ctx) oracleMulTile(j *plan.Job, ti, tj int, ks Span) (*linalg.Tile, err
 		}
 		switch {
 		case lTrans && rTrans:
-			linalg.GemmTB(acc, c.transposedTile(lTRef.Meta.Tile(k, ti), lt), rt)
+			linalg.GemmTB(acc, c.transposedTile(lTRef.Meta.Tile(k, ti)), rt)
 		case lTrans:
 			linalg.GemmTA(acc, lt, rt)
 		case rTrans:

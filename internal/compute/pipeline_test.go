@@ -102,7 +102,7 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 			loadInput(srcOracle, in, data[in.Name])
 			loadInput(srcComp, in, data[in.Name])
 		}
-		envOracle.Src, envComp.Src = srcOracle, srcComp
+		envOracle.Src, envComp.Src = NewInputs(srcOracle), NewInputs(srcComp)
 	}
 	for _, j := range pl.Jobs {
 		phOracle := jobTasks(oracleMakers, envOracle, j, forceK)
@@ -464,7 +464,7 @@ func TestMisshapenSparseTileFailsTask(t *testing.T) {
 		}
 		var got error
 		for _, j := range pl.Jobs {
-			for _, phase := range jobTasks(tapeMakers, Env{Src: src}, j, false) {
+			for _, phase := range jobTasks(tapeMakers, Env{Src: NewInputs(src)}, j, false) {
 				for _, task := range phase {
 					if _, err := runTask(task); err != nil {
 						got = err
@@ -496,8 +496,8 @@ func TestMulSparseRightSteadyState(t *testing.T) {
 	if _, csr := c.sparse[csrKey{dfs.TileAddr{Matrix: "V"}, true}]; !csr || len(c.sparse) != 1 {
 		t.Fatalf("V was not read once, as CSR in the dense format: %v", c.sparse)
 	}
-	if _, densified := c.dense[dfs.TileAddr{Matrix: "V"}]; densified || len(c.transposed) != 0 {
-		t.Fatalf("a sparse-right product densified or copied an operand: dense %d, transposed %d", len(c.dense), len(c.transposed))
+	if _, densified := c.dense[dfs.TileAddr{Matrix: "V"}]; densified || c.dense[dfs.TileAddr{Matrix: "W"}].tt != nil {
+		t.Fatalf("a sparse-right product densified or copied an operand: %v", c.dense)
 	}
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")

@@ -10,8 +10,8 @@ import (
 	"cumulon/internal/linalg"
 )
 
-// Tile buffers — decoded inputs, densified and transposed copies,
-// accumulators, pipeline destinations — are recycled through one
+// Tile buffers — a run's decoded inputs and their transposes, densified
+// copies, accumulators, pipeline destinations — are recycled through one
 // process-wide pool per power-of-two capacity class, and so is a virtual
 // task's read set, so an engine run starts warm and a task allocates only
 // what outlives it (its Result: the trace and the encoded outputs).
@@ -74,17 +74,24 @@ func freeTile(t *linalg.Tile) {
 	}
 }
 
-// newCSR returns a CSR tile from the pool for a decoder to fill.
-func newCSR() *linalg.CSRTile {
-	if t, ok := pooled(&csrPool).(*linalg.CSRTile); ok {
-		return t
+// newCSR returns a CSR tile from the pool for a decoder to fill with up to
+// n entries, in a power-of-two capacity: a run holds all its CSR tiles at
+// once, and exact-size buffers would rarely fit the next tile handed one.
+func newCSR(n int) *linalg.CSRTile {
+	t, ok := pooled(&csrPool).(*linalg.CSRTile)
+	if !ok {
+		t = new(linalg.CSRTile)
 	}
-	return new(linalg.CSRTile)
+	if cap(t.Val) < n {
+		c := 1 << bits.Len(uint(n-1))
+		t.ColIdx, t.Val = make([]int, 0, c), make([]float64, 0, c)
+	}
+	return t
 }
 
 // freeCSR returns a tile obtained from newCSR to the pool.
 func freeCSR(t *linalg.CSRTile) {
-	if recycle(t.Val[:cap(t.Val)]) {
+	if t != nil && recycle(t.Val[:cap(t.Val)]) {
 		csrPool.Put(t)
 	}
 }

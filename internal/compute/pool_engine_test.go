@@ -14,6 +14,7 @@ import (
 	"cumulon/internal/linalg"
 	"cumulon/internal/obs"
 	"cumulon/internal/plan"
+	"cumulon/internal/workloads"
 )
 
 // These tests set the pool mode, which only this package's export_test.go
@@ -56,6 +57,7 @@ func poolCases() []poolCase {
 		"W": pos(linalg.RandomDense(26, 4, 32)),
 		"H": pos(linalg.RandomDense(4, 22, 33)),
 	}
+	kl := workloads.GNMFKL(20, 16, 3, 2, 0.3)
 	return []poolCase{
 		{
 			name: "dense-ksplit",
@@ -74,6 +76,13 @@ func poolCases() []poolCase {
 			src:  gnmfSrc,
 			cfg:  plan.Config{Densities: map[string]float64{"V": 0.25}},
 			data: gnmf,
+		},
+		{
+			// The quotient V ./ (W * H) that both factor updates read.
+			name: "gnmf-kl",
+			src:  kl.Prog.String(),
+			cfg:  plan.Config{Densities: kl.Densities},
+			data: kl.RandomInputs(34),
 		},
 		{
 			name:  "gnmf-chaos-retry",

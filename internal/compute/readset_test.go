@@ -23,7 +23,7 @@ func planResults(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 		for _, in := range pl.Inputs {
 			loadInput(src, in, data[in.Name])
 		}
-		env.Src = src
+		env.Src = NewInputs(src)
 	}
 	var out []*Result
 	for _, j := range pl.Jobs {

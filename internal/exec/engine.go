@@ -176,7 +176,8 @@ type Engine struct {
 	retryBackoffSec  float64
 	chaos            *chaos.Injector
 	// backend computes the tile math; env is the environment its tasks
-	// capture. The engine itself only replays traces.
+	// capture, with the decoded inputs a materialized run's tasks share. The
+	// engine itself only replays traces.
 	backend compute.Backend
 	env     compute.Env
 	rec     obs.Recorder
@@ -225,6 +226,10 @@ func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 		return nil, err
 	}
 	rec := obs.OrNop(cfg.Recorder)
+	env := compute.Env{Virtual: !cfg.Materialize, TileOps: rec.Enabled()}
+	if cfg.Materialize {
+		env.Src = compute.NewInputs(fs)
+	}
 	return &Engine{
 		cfg:              cfg,
 		fs:               fs,
@@ -236,7 +241,7 @@ func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 		retryBackoffSec:  *cfg.RetryBackoffSec,
 		chaos:            chaos.NewInjector(cfg.Chaos),
 		backend:          backend,
-		env:              compute.Env{Src: fs, Virtual: !cfg.Materialize, TileOps: rec.Enabled()},
+		env:              env,
 		rec:              rec,
 	}, nil
 }
@@ -276,6 +281,9 @@ func (e *Engine) LoadVirtual(meta store.Meta) error {
 // run of the same plan are overwritten; intermediates are garbage
 // collected at the end.
 func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
+	// However the run ends, no task runs once it returns: every decoded
+	// input goes back to the pools, so the next run starts with none.
+	defer e.env.Src.Drop("")
 	jobs, err := p.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -411,10 +419,12 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 		clock = end
 	}
 	e.rec.End(jspan, clock)
-	// The k-split partials go as soon as they are summed; dropping one is
-	// O(its tiles) whatever else the file system holds.
+	// The k-split partials go as soon as they are summed, decoded forms and
+	// all (no task runs between jobs); dropping one is O(its tiles) whatever
+	// else the file system holds.
 	for _, c := range cleanup {
 		e.st.DeleteMatrix(c)
+		e.env.Src.Drop(c.Name)
 	}
 	m.Jobs = append(m.Jobs, JobRecord{
 		JobID:    j.ID,

@@ -3,7 +3,10 @@ package exec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,6 +61,119 @@ func TestCorruptTileFailsTaskThroughPooledDecode(t *testing.T) {
 		}
 		if _, err := e.Run(pl); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("sparse=%v: run over a corrupted tile returned %v, want store.ErrCorrupt", sparse, err)
+		}
+	}
+}
+
+// afterFirstTask is a backend whose tasks call then once, as the first of
+// them to finish computing returns.
+type afterFirstTask struct {
+	compute.Backend
+	then func()
+	once sync.Once
+}
+
+func (b *afterFirstTask) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
+	wrapped := make([]*compute.Task, len(ts))
+	for i, t := range ts {
+		cp := *t
+		cp.Fn = func(c *compute.Ctx) error {
+			err := t.Fn(c)
+			b.once.Do(b.then)
+			return err
+		}
+		wrapped[i] = &cp
+	}
+	return b.Backend.RunBatch(wrapped)
+}
+
+// TestInPlaceCorruptionFailsSharedRead: the tasks of a run share what it
+// decodes, and a read that finds its payload decoded already still verifies
+// the bytes. Every task of X = A * B reads all of A; once the first has
+// decoded it, one byte of each of A's payloads is flipped in place — the
+// same backing array, which is all that identifies a decoded payload — and
+// the next task must fail with store.ErrCorrupt, for a dense A and a sparse
+// one. Skipping the checksum on a shared read fails this test.
+func TestInPlaceCorruptionFailsSharedRead(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		src := "input A 4 12\ninput B 12 12\nX = A * B\noutput X\n"
+		cfg := plan.Config{TileSize: 4}
+		if sparse {
+			src = "input A 4 12 sparse\ninput B 12 12\nX = A * B\noutput X\n"
+			cfg.Densities = map[string]float64{"A": 0.5}
+		}
+		var e *Engine
+		be := &afterFirstTask{Backend: compute.NewSequential(), then: func() {
+			for tj := 0; tj < 3; tj++ {
+				raw, err := e.FS().Peek(store.MatrixPrefix("A") + fmt.Sprintf("0_%d", tj))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				raw[len(raw)/2] ^= 0x40
+			}
+		}}
+		e, err := New(Config{Cluster: testCluster(t, 4, 2), Materialize: true, Seed: 7, Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := plan.Compile(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.Jobs[0].Split = plan.Split{CI: 1, CJ: 3, CK: 1}
+		data := map[string]*linalg.Dense{"A": linalg.RandomSparseDense(4, 12, 0.5, 1), "B": linalg.RandomDense(12, 12, 2)}
+		for _, in := range pl.Inputs {
+			if err := e.LoadDense(in, data[in.Name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Run(pl); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("sparse=%v: a run whose decoded payloads were corrupted in place returned %v, want store.ErrCorrupt", sparse, err)
+		}
+	}
+}
+
+// TestMisshapenDenseTileFailsTask: a well-formed dense payload of the wrong
+// shape — V's tile (1, 1) stored 2x8 where the meta says 4x4 — fails the
+// task that reads it with an error naming the tile, in a product and in an
+// element-wise map, on the sequential backend and on the pool. It used to
+// reach a kernel, whose shape check panics: on a pool helper goroutine, the
+// process.
+func TestMisshapenDenseTileFailsTask(t *testing.T) {
+	defer linalg.SetParallelism(linalg.SetParallelism(4))
+	for _, stmt := range []string{"V * W", "V .* W + V"} {
+		for _, be := range []compute.Backend{compute.NewSequential(), compute.NewPool(0)} {
+			e, err := New(Config{Cluster: testCluster(t, 4, 2), Materialize: true, Seed: 7, Backend: be})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := lang.Parse("input V 12 12\ninput W 12 12\nX = " + stmt + "\noutput X\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := plan.Compile(prog, plan.Config{TileSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.AutoSplit(8)
+			for _, in := range pl.Inputs {
+				if err := e.LoadDense(in, linalg.RandomDense(12, 12, 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := store.MatrixPrefix("V") + "1_1"
+			e.FS().Delete(path)
+			if err := e.FS().Write(path, store.EncodeTile(linalg.RandomDense(2, 8, 4).TileAt(0, 0, 8)), -1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(pl); err == nil || !strings.Contains(err.Error(), "tile "+path+" is stored 2x8, want 4x4") {
+				t.Errorf("%s (backend %T): run over a misshapen tile returned %v, want the stored-shape mismatch", stmt, be, err)
+			}
 		}
 	}
 }

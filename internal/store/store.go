@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync"
 
 	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
@@ -129,11 +130,15 @@ func region(m Meta, d *linalg.Dense, ti, tj int) (data []float64, rows, cols int
 	return d.Data[ti*m.TileSize*d.Cols+tj*m.TileSize:], rows, cols
 }
 
+// csrBufs recycles the CSR forms ingest converts sparse tiles through across
+// calls, which would otherwise grow a fresh one per goroutine per load.
+var csrBufs = sync.Pool{New: func() any { return new(linalg.CSRTile) }}
+
 // SaveDense uploads a dense in-memory matrix tile by tile (as an external
 // client: replicas are placed randomly, like an HDFS ingest). Each tile is
-// encoded, or CSR-converted, straight from its region of d; the payloads
-// are then written in (ti, tj) order, the order replica placement draws
-// its random numbers in.
+// encoded, or CSR-converted through a pooled buffer, straight from its
+// region of d; the payloads are then written in (ti, tj) order, the order
+// replica placement draws its random numbers in.
 func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 	if d.Rows != m.Rows || d.Cols != m.Cols {
 		return fmt.Errorf("store: matrix %s shape %dx%d does not match meta %dx%d",
@@ -142,12 +147,13 @@ func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 	tileCols := m.TileCols()
 	raws := make([][]byte, m.TileRows()*tileCols)
 	linalg.ForEach(len(raws), func() func(int) {
-		var sp linalg.CSRTile // conversion buffer shared by the goroutine's sparse tiles
 		return func(i int) {
 			data, rows, cols := region(m, d, i/tileCols, i%tileCols)
 			if m.Sparse {
+				sp := csrBufs.Get().(*linalg.CSRTile)
 				sp.SetDense(data, rows, cols, d.Cols)
-				raws[i] = EncodeSparseTile(&sp)
+				raws[i] = EncodeSparseTile(sp)
+				csrBufs.Put(sp)
 			} else {
 				raws[i] = encodeDense(data, rows, cols, d.Cols)
 			}
@@ -268,11 +274,21 @@ func denseBody(raw []byte) (rows, cols int, body []byte, err error) {
 	if rows <= 0 || cols <= 0 || rows > n || cols > n/rows || len(raw) != 16+8*rows*cols {
 		return 0, 0, nil, ErrCorrupt
 	}
-	end := len(raw) - 4
-	if crc32.ChecksumIEEE(raw[:end]) != binary.LittleEndian.Uint32(raw[end:]) {
-		return 0, 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if err := Verify(raw); err != nil {
+		return 0, 0, nil, err
 	}
-	return rows, cols, raw[12:end], nil
+	return rows, cols, raw[12 : len(raw)-4], nil
+}
+
+// Verify checks the CRC32 that ends every tile payload, dense or sparse: the
+// decoders' last check, and all a reader that holds the decoded form of these
+// very bytes still owes each read of them.
+func Verify(raw []byte) error {
+	end := len(raw) - 4
+	if end < 0 || crc32.ChecksumIEEE(raw[:end]) != binary.LittleEndian.Uint32(raw[end:]) {
+		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return nil
 }
 
 // DecodeTile deserializes a dense tile into a fresh tile, verifying the
@@ -365,9 +381,8 @@ func DecodeSparseTileInto(t *linalg.CSRTile, raw []byte) error {
 		len(raw) != 16+4*(rows+1)+12*nnz+4 || uint64(nnz) > uint64(rows)*uint64(cols) {
 		return ErrCorrupt
 	}
-	end := len(raw) - 4
-	if crc32.ChecksumIEEE(raw[:end]) != binary.LittleEndian.Uint32(raw[end:]) {
-		return fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	if err := Verify(raw); err != nil {
+		return err
 	}
 	t.Rows, t.Cols = rows, cols
 	t.RowPtr, t.ColIdx, t.Val = grow(t.RowPtr, rows+1), grow(t.ColIdx, nnz), grow(t.Val, nnz)

@@ -195,7 +195,11 @@ func (s *Suite) E02WorkloadSuite() (*Result, error) {
 			if j.Kind == plan.MulKind {
 				muls++
 			}
-			flops += plan.EstimateJob(j).TotalFlops
+			for _, ph := range plan.Profile(j) {
+				for _, c := range ph.Class {
+					flops += ph.Work[c].Flops
+				}
+			}
 		}
 		r.Table.AddRow(w.Name, gb(inBytes), d0(len(pl.Jobs)), d0(muls),
 			fmt.Sprintf("%.0f", float64(flops)/1e9))

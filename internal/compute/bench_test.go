@@ -43,7 +43,7 @@ output Out
 		d := linalg.RandomDense(ts, ts, 5).Map(func(x float64) float64 { return x + 0.5 })
 		loadInput(srcMap, in, d)
 	}
-	c := newCtx(&Task{Env: Env{Src: NewInputs(srcMap)}})
+	c := newCtx(Env{Src: NewInputs(srcMap)}, 0)
 	return c, job
 }
 
@@ -140,7 +140,7 @@ output Out
 				d := linalg.RandomDense(ts, ts, 6).Map(func(x float64) float64 { return x + 0.5 })
 				loadInput(srcMap, in, d)
 			}
-			c := newCtx(&Task{Env: Env{Src: NewInputs(srcMap)}})
+			c := newCtx(Env{Src: NewInputs(srcMap)}, 0)
 			ks := Span{Lo: 0, Hi: job.KTiles()}
 			run := func() {
 				var acc *linalg.Tile
@@ -194,7 +194,7 @@ func sparseRightJob(tb testing.TB, ts, r int) (*Ctx, *plan.Job) {
 		}
 		loadInput(src, in, d)
 	}
-	return newCtx(&Task{Env: Env{Src: NewInputs(src)}}), job
+	return newCtx(Env{Src: NewInputs(src)}, 0), job
 }
 
 // BenchmarkMulSparseRight measures one W' * V tile product at gnmf_sparse's

@@ -22,6 +22,7 @@ import (
 
 	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
+	"cumulon/internal/plan"
 )
 
 // Source supplies input payloads to a run's Inputs. Implementations must be
@@ -89,18 +90,19 @@ type Result struct {
 	Kernels []KernelStat
 }
 
-// Task is one unit of compute work. Fn runs the tile math against a Ctx
-// and must be pure apart from the Ctx it is handed: no shared state, no
-// dependence on which worker or node runs it. Tasks within one engine
-// scheduling phase must not read each other's outputs (the engines'
-// phase barriers guarantee this).
+// Task is one unit of compute work: task Index of a phase of a job
+// (plan.Phase.Task gives its spans). Fn, the package's function for the
+// phase's kind (PhaseTasks), runs the tile math against a Ctx and must be
+// pure apart from the Ctx it is handed: no shared state, no dependence on
+// which worker or node runs it. Tasks within one engine scheduling phase
+// must not read each other's outputs (the engines' phase barriers guarantee
+// this).
 type Task struct {
-	Env Env
-	Fn  func(*Ctx) error
-	// ops is the constructor's upper bound on the length of the trace, from
-	// the task's span geometry: the trace and the virtual-mode seen set are
-	// allocated once, at that size (0 grows them on demand).
-	ops int
+	Env   Env
+	Job   *plan.Job
+	Phase *plan.Phase
+	Index int
+	Fn    func(*Ctx, *Task) error
 }
 
 // Backend runs compute tasks. Results do not depend on the backend's width;
@@ -114,7 +116,7 @@ type Backend interface {
 	// The caller calls release when it is done with the batch, whether or
 	// not it fetched every result: the backend starts no further task, and
 	// release returns once none is running.
-	RunBatch(ts []*Task) (fetch func(i int) (*Result, error), release func())
+	RunBatch(ts []Task) (fetch func(i int) (*Result, error), release func())
 }
 
 // runTask executes one task. A materialized task holds a token of the
@@ -125,9 +127,9 @@ func runTask(t *Task) (*Result, error) {
 		linalg.AcquireToken()
 		defer linalg.ReleaseToken()
 	}
-	c := newCtx(t)
+	c := newCtx(t.Env, t.ops())
 	defer c.release()
-	if err := t.Fn(c); err != nil {
+	if err := t.Fn(c, t); err != nil {
 		return nil, err
 	}
 	return &c.res, nil
@@ -157,7 +159,7 @@ func NewPool(workers int) Backend { return &poolBackend{n: max(workers, 0)} }
 // batch is one RunBatch call: the tasks, their memoized results and who
 // has started which.
 type batch struct {
-	ts       []*Task
+	ts       []Task
 	mu       sync.Mutex
 	finished sync.Cond // the scheduling goroutine waits here for a task in flight
 	slots    []batchSlot
@@ -185,14 +187,14 @@ func (b *batch) claimNext() int {
 
 // run computes a claimed task and publishes its result.
 func (b *batch) run(i int) {
-	res, err := runTask(b.ts[i])
+	res, err := runTask(&b.ts[i])
 	b.mu.Lock()
 	b.slots[i].res, b.slots[i].err, b.slots[i].done = res, err, true
 	b.mu.Unlock()
 	b.finished.Broadcast()
 }
 
-func (p *poolBackend) RunBatch(ts []*Task) (func(int) (*Result, error), func()) {
+func (p *poolBackend) RunBatch(ts []Task) (func(int) (*Result, error), func()) {
 	b := &batch{ts: ts, slots: make([]batchSlot, len(ts))}
 	b.finished.L = &b.mu
 	width := linalg.Parallelism()

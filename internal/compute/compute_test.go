@@ -70,10 +70,10 @@ func TestRunBatchErrorAndMemoization(t *testing.T) {
 		be   Backend
 	}{{"sequential", NewSequential()}, {"pool", NewPool(3)}} {
 		runs := make([]int, 3)
-		tasks := []*Task{
-			{Fn: func(c *Ctx) error { runs[0]++; c.res.Flops = 11; return nil }},
-			{Fn: func(c *Ctx) error { runs[1]++; return boom }},
-			{Fn: func(c *Ctx) error { runs[2]++; c.res.Flops = 33; return nil }},
+		tasks := []Task{
+			{Fn: func(c *Ctx, _ *Task) error { runs[0]++; c.res.Flops = 11; return nil }},
+			{Fn: func(c *Ctx, _ *Task) error { runs[1]++; return boom }},
+			{Fn: func(c *Ctx, _ *Task) error { runs[2]++; c.res.Flops = 33; return nil }},
 		}
 		fetch, release := tc.be.RunBatch(tasks)
 		if _, err := fetch(1); !errors.Is(err, boom) {

@@ -52,11 +52,13 @@ type taskTile struct {
 	in    *input
 }
 
-func newCtx(t *Task) *Ctx {
-	c := &Ctx{env: t.Env}
-	c.res.Ops = make([]Op, 0, t.ops)
-	if t.Env.Virtual {
-		c.seen = newReadSet(t.ops)
+// newCtx starts a task's Ctx, its trace and read set sized for ops entries
+// (0 grows them on demand).
+func newCtx(env Env, ops int) *Ctx {
+	c := &Ctx{env: env}
+	c.res.Ops = make([]Op, 0, ops)
+	if env.Virtual {
+		c.seen = newReadSet(ops)
 	} else {
 		c.dense = map[dfs.TileAddr]taskTile{}
 		c.sparse = map[csrKey]*linalg.CSRTile{}
@@ -236,9 +238,8 @@ func leafShape(ref plan.LeafRef, ti, tj int) (rows, cols int) {
 // epi, when non-nil, is the compiled epilogue tape to fuse into the final
 // k step's blocked GEMM write-back: each finished output panel is
 // transformed while cache-resident instead of in a second pass over the
-// tile. Callers pass it only when the span covers the whole inner
-// dimension (k-split partials must stay raw products; the aggregation
-// phase applies the epilogue). Epilogue leaf reads and flop charges land
+// tile. It is the phase's (plan.Phase.Epilogue): nil for a k-split partial,
+// which must stay a raw product. Epilogue leaf reads and flop charges land
 // after the last prologue read and gemm charge — the trace point of a
 // separate post-pass, which is how the test-side tree-walker applies it.
 func (c *Ctx) mulTile(j *plan.Job, ti, tj int, ks Span, epi *plan.TileProgram) (*linalg.Tile, error) {
@@ -469,28 +470,14 @@ func (c *Ctx) mulSparseLeft(acc *linalg.Tile, ref plan.LeafRef, ti, k int, rt *l
 // read through a transposed access path — the shape GemmTA/GemmTB can
 // consume raw, without materializing the transpose.
 func bareTransposedDenseLeaf(e lang.Expr, leaves map[string]plan.LeafRef) (plan.LeafRef, bool) {
-	v, ok := e.(lang.Var)
-	if !ok {
-		return plan.LeafRef{}, false
-	}
-	ref, ok := leaves[v.Name]
-	if !ok || ref.Meta.Sparse || !ref.Transposed {
-		return plan.LeafRef{}, false
-	}
-	return ref, true
+	ref, ok := plan.BareLeaf(e, leaves)
+	return ref, ok && !ref.Meta.Sparse && ref.Transposed
 }
 
 // bareSparseLeaf reports whether expr is a single sparse leaf reference.
 func bareSparseLeaf(e lang.Expr, leaves map[string]plan.LeafRef) (plan.LeafRef, bool) {
-	v, ok := e.(lang.Var)
-	if !ok {
-		return plan.LeafRef{}, false
-	}
-	ref, ok := leaves[v.Name]
-	if !ok || !ref.Meta.Sparse {
-		return plan.LeafRef{}, false
-	}
-	return ref, true
+	ref, ok := plan.BareLeaf(e, leaves)
+	return ref, ok && ref.Meta.Sparse
 }
 
 // sumTiles reads and sums the (ti, tj) tiles of the given partial

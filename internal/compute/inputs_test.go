@@ -42,13 +42,15 @@ func formHash(form any) uint64 {
 	return h.Sum64()
 }
 
-// TestTaskStructsKeepTheirSizeClass: every virtual task allocates a Task and
-// a Ctx, and a virtual run has no Inputs, so what a materialized run shares
-// sits behind Env's one pointer: neither struct may outgrow its size class
-// (Ctx 144 bytes, Task 48), or every virtual task would pay for it.
+// TestTaskStructsKeepTheirSizeClass: every virtual task allocates a Ctx, and
+// a virtual run has no Inputs, so what a materialized run shares sits behind
+// Env's one pointer: the Ctx may not outgrow its 144-byte size class, or
+// every virtual task would pay for it. A Task is no allocation of its own
+// but an element of its phase's slice — its env, job, phase, position and
+// function, 48 bytes — so every task of a phase pays for any growth.
 func TestTaskStructsKeepTheirSizeClass(t *testing.T) {
 	if c, k := unsafe.Sizeof(compute.Ctx{}), unsafe.Sizeof(compute.Task{}); c > 144 || k > 48 {
-		t.Fatalf("Ctx is %d bytes and Task %d: past the 144- and 48-byte size classes", c, k)
+		t.Fatalf("Ctx is %d bytes and Task %d: past the 144-byte size class and the 48 bytes of a task value", c, k)
 	}
 }
 

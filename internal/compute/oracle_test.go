@@ -6,28 +6,22 @@ import (
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
-	"cumulon/internal/store"
 )
 
 // The tree-walking evaluator: the differential oracle of the compiled tile
 // pipelines. It evaluates a job's expressions node by node — one pass and
 // one fresh intermediate tile per operator, the epilogue as a separate pass
 // over the finished product — and records reads and flops as it goes. No
-// task the engine builds runs it; the oracle* constructors below build the
-// same four task kinds over it, and the differential tests, the fuzz target
+// task the engine builds runs it; the oracle* task functions below run the
+// same four phase kinds over it, and the differential tests, the fuzz target
 // and the benchmarks' naive arms hold the tapes to its Results bit for bit.
 
-// taskMakers is one evaluator's set of task constructors.
-type taskMakers struct {
-	mapTask    func(Env, *plan.Job, Span, Span) *Task
-	mulTask    func(Env, *plan.Job, store.Meta, *plan.TileProgram, Span, Span, Span) *Task
-	maskedTask func(Env, *plan.Job, plan.LeafRef, Span, Span, Span) *Task
-	aggTask    func(Env, *plan.Job, []store.Meta, Span, Span) *Task
-}
+// taskFns is one evaluator's task function per phase kind.
+type taskFns [len(phaseFns)]func(*Ctx, *Task) error
 
 var (
-	tapeMakers   = taskMakers{NewMapTask, NewMulTask, NewMaskedMulTask, NewAggTask}
-	oracleMakers = taskMakers{oracleMapTask, oracleMulTask, oracleMaskedMulTask, oracleAggTask}
+	tapeFns   = taskFns(phaseFns)
+	oracleFns = taskFns{plan.MapPhase: oracleMap, plan.MulPhase: oracleMul, plan.MaskedPhase: oracleMasked, plan.AggPhase: oracleAgg}
 )
 
 // evalTile evaluates a fused element-wise expression at logical tile
@@ -121,100 +115,100 @@ func (c *Ctx) zipTiles(l, r lang.Expr, leaves map[string]plan.LeafRef, ti, tj in
 	return linalg.Zip(lt, rt, f), rows, cols, nil
 }
 
-// oracleMapTask is NewMapTask over the tree-walker.
-func oracleMapTask(env Env, j *plan.Job, is, js Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
-		for ti := is.Lo; ti < is.Hi; ti++ {
-			for tj := js.Lo; tj < js.Hi; tj++ {
-				tile, err := c.evalTile(j.Expr, j.Leaves, ti, tj, nil)
-				if err != nil {
-					return err
-				}
-				if err := c.writeTile(j.Out, ti, tj, tile); err != nil {
-					return err
-				}
+// oracleMap is runMap over the tree-walker.
+func oracleMap(c *Ctx, t *Task) error {
+	j := t.Job
+	is, js, _ := t.Phase.Task(t.Index)
+	for ti := is.Lo; ti < is.Hi; ti++ {
+		for tj := js.Lo; tj < js.Hi; tj++ {
+			tile, err := c.evalTile(j.Expr, j.Leaves, ti, tj, nil)
+			if err != nil {
+				return err
+			}
+			if err := c.writeTile(j.Out, ti, tj, tile); err != nil {
+				return err
 			}
 		}
-		return nil
-	}}
+	}
+	return nil
 }
 
-// oracleMulTask is NewMulTask over the tree-walker: prologues walked per k
-// step and, where NewMulTask is handed the epilogue tape, the epilogue
-// expression applied as a second pass over the finished product.
-func oracleMulTask(env Env, j *plan.Job, outMeta store.Meta, epi *plan.TileProgram, is, js, ks Span) *Task {
+// oracleMul is runMul over the tree-walker: prologues walked per k step and,
+// where the phase has an epilogue, the epilogue expression applied as a
+// second pass over the finished product.
+func oracleMul(c *Ctx, t *Task) error {
+	j, ph := t.Job, t.Phase
+	is, js, ks := ph.Task(t.Index)
 	var epilogue lang.Expr
-	if epi != nil {
+	if ph.Epilogue(j) != nil {
 		epilogue = j.Epilogue
 	}
-	return &Task{Env: env, Fn: func(c *Ctx) error {
-		for ti := is.Lo; ti < is.Hi; ti++ {
-			for tj := js.Lo; tj < js.Hi; tj++ {
-				acc, err := c.oracleMulTile(j, ti, tj, ks)
+	for ti := is.Lo; ti < is.Hi; ti++ {
+		for tj := js.Lo; tj < js.Hi; tj++ {
+			acc, err := c.oracleMulTile(j, ti, tj, ks)
+			if err != nil {
+				return err
+			}
+			out := acc
+			if epilogue != nil {
+				r, cc := j.Out.TileShape(ti, tj)
+				out, _, _, err = c.evalTileShaped(epilogue, j.Leaves, ti, tj, acc, r, cc)
 				if err != nil {
 					return err
 				}
-				out := acc
-				if epilogue != nil {
-					r, cc := j.Out.TileShape(ti, tj)
-					out, _, _, err = c.evalTileShaped(epilogue, j.Leaves, ti, tj, acc, r, cc)
-					if err != nil {
-						return err
-					}
-				}
-				if err := c.writeTile(outMeta, ti, tj, out); err != nil {
-					return err
-				}
-				freeTile(acc)
 			}
+			if err := c.writeTile(ph.Out(j, t.Index), ti, tj, out); err != nil {
+				return err
+			}
+			freeTile(acc)
 		}
-		return nil
-	}}
+	}
+	return nil
 }
 
-// oracleMaskedMulTask is NewMaskedMulTask over the tree-walker.
-func oracleMaskedMulTask(env Env, j *plan.Job, maskRef plan.LeafRef, is, js, ks Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
-		for ti := is.Lo; ti < is.Hi; ti++ {
-			for tj := js.Lo; tj < js.Hi; tj++ {
-				sp, err := c.oracleMulTileMasked(j, maskRef, ti, tj, ks)
-				if err != nil {
-					return err
-				}
-				if err := c.writeSparseTile(j.Out, ti, tj, sp); err != nil {
-					return err
-				}
+// oracleMasked is runMasked over the tree-walker.
+func oracleMasked(c *Ctx, t *Task) error {
+	j := t.Job
+	is, js, ks := t.Phase.Task(t.Index)
+	for ti := is.Lo; ti < is.Hi; ti++ {
+		for tj := js.Lo; tj < js.Hi; tj++ {
+			sp, err := c.oracleMulTileMasked(j, j.Leaves[j.MaskLeaf], ti, tj, ks)
+			if err != nil {
+				return err
+			}
+			if err := c.writeSparseTile(j.Out, ti, tj, sp); err != nil {
+				return err
 			}
 		}
-		return nil
-	}}
+	}
+	return nil
 }
 
-// oracleAggTask is NewAggTask over the tree-walker.
-func oracleAggTask(env Env, j *plan.Job, partials []store.Meta, is, js Span) *Task {
-	return &Task{Env: env, Fn: func(c *Ctx) error {
-		for ti := is.Lo; ti < is.Hi; ti++ {
-			for tj := js.Lo; tj < js.Hi; tj++ {
-				acc, err := c.sumTiles(partials, ti, tj)
+// oracleAgg is runAgg over the tree-walker.
+func oracleAgg(c *Ctx, t *Task) error {
+	j, ph := t.Job, t.Phase
+	is, js, _ := ph.Task(t.Index)
+	for ti := is.Lo; ti < is.Hi; ti++ {
+		for tj := js.Lo; tj < js.Hi; tj++ {
+			acc, err := c.sumTiles(ph.Partials, ti, tj)
+			if err != nil {
+				return err
+			}
+			out := acc
+			if j.Epilogue != nil {
+				r, cc := j.Out.TileShape(ti, tj)
+				out, _, _, err = c.evalTileShaped(j.Epilogue, j.Leaves, ti, tj, acc, r, cc)
 				if err != nil {
 					return err
 				}
-				out := acc
-				if j.Epilogue != nil {
-					r, cc := j.Out.TileShape(ti, tj)
-					out, _, _, err = c.evalTileShaped(j.Epilogue, j.Leaves, ti, tj, acc, r, cc)
-					if err != nil {
-						return err
-					}
-				}
-				if err := c.writeTile(j.Out, ti, tj, out); err != nil {
-					return err
-				}
-				freeTile(acc)
 			}
+			if err := c.writeTile(j.Out, ti, tj, out); err != nil {
+				return err
+			}
+			freeTile(acc)
 		}
-		return nil
-	}}
+	}
+	return nil
 }
 
 // oracleMulTile is mulTile with both prologues walked as expression trees

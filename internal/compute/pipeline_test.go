@@ -39,49 +39,25 @@ func loadInput(src mapSource, m store.Meta, d *linalg.Dense) {
 	}
 }
 
-// jobTasks builds the phase lists of one job the way the engine does, from
-// the job's split, with one evaluator's constructors. With forceK,
-// splittable Mul jobs are cut two ways along k whatever their split says
-// (partials plus aggregation).
-func jobTasks(mk taskMakers, env Env, j *plan.Job, forceK bool) [][]*Task {
-	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
-	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
-	ck := j.Split.CK
-	if forceK && j.KTiles() > 1 && j.MaskLeaf == "" {
-		ck = 2
+// jobTasks builds the phase lists of one job as the engine does, from its
+// plan.Phases, with one evaluator's task functions. With forceK, splittable
+// Mul jobs are split with CK = 2 whatever their split says (partials plus
+// aggregation).
+func jobTasks(fns taskFns, env Env, j *plan.Job, forceK bool) [][]Task {
+	if forceK && j.Kind == plan.MulKind && j.KTiles() > 1 && j.MaskLeaf == "" {
+		cp := *j
+		cp.Split.CK = 2
+		j = &cp
 	}
-	kSpans := plan.PartitionAxis(j.KTiles(), ck)
-	var partials []store.Meta
-	if len(kSpans) > 1 {
-		for c := range kSpans {
-			pm := j.Out
-			pm.Name = fmt.Sprintf("%s~p%d", j.Out.Name, c)
-			pm.Sparse = false
-			partials = append(partials, pm)
+	phases := j.Phases()
+	out := make([][]Task, len(phases))
+	for p := range phases {
+		out[p] = PhaseTasks(env, j, &phases[p])
+		for i := range out[p] {
+			out[p][i].Fn = fns[phases[p].Kind]
 		}
 	}
-	var phase1, phase2 []*Task
-	for _, is := range iSpans {
-		for _, js := range jSpans {
-			switch {
-			case j.Kind == plan.MapKind:
-				phase1 = append(phase1, mk.mapTask(env, j, is, js))
-			case j.MaskLeaf != "":
-				phase1 = append(phase1, mk.maskedTask(env, j, j.Leaves[j.MaskLeaf], is, js, kSpans[0]))
-			case partials == nil:
-				phase1 = append(phase1, mk.mulTask(env, j, j.Out, j.EpiProg, is, js, kSpans[0]))
-			default:
-				for kc, ks := range kSpans {
-					phase1 = append(phase1, mk.mulTask(env, j, partials[kc], nil, is, js, ks))
-				}
-				phase2 = append(phase2, mk.aggTask(env, j, partials, is, js))
-			}
-		}
-	}
-	if partials == nil {
-		return [][]*Task{phase1}
-	}
-	return [][]*Task{phase1, phase2}
+	return out
 }
 
 // runPlanDual executes every job of pl twice — compiled tapes vs the
@@ -105,15 +81,15 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 		envOracle.Src, envComp.Src = NewInputs(srcOracle), NewInputs(srcComp)
 	}
 	for _, j := range pl.Jobs {
-		phOracle := jobTasks(oracleMakers, envOracle, j, forceK)
-		phComp := jobTasks(tapeMakers, envComp, j, forceK)
+		phOracle := jobTasks(oracleFns, envOracle, j, forceK)
+		phComp := jobTasks(tapeFns, envComp, j, forceK)
 		for p := range phOracle {
 			for i := range phOracle[p] {
-				ro, err := runTask(phOracle[p][i])
+				ro, err := runTask(&phOracle[p][i])
 				if err != nil {
 					t.Fatalf("%s (tree-walker): %v", j, err)
 				}
-				rc, err := runTask(phComp[p][i])
+				rc, err := runTask(&phComp[p][i])
 				if err != nil {
 					t.Fatalf("%s (compiled): %v", j, err)
 				}
@@ -122,7 +98,7 @@ func runPlanDual(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 						j, p, i, ro, rc)
 				}
 				if rerun {
-					again, err := runTask(phComp[p][i])
+					again, err := runTask(&phComp[p][i])
 					if err != nil {
 						t.Fatalf("%s (compiled, rerun): %v", j, err)
 					}
@@ -464,9 +440,9 @@ func TestMisshapenSparseTileFailsTask(t *testing.T) {
 		}
 		var got error
 		for _, j := range pl.Jobs {
-			for _, phase := range jobTasks(tapeMakers, Env{Src: NewInputs(src)}, j, false) {
-				for _, task := range phase {
-					if _, err := runTask(task); err != nil {
+			for _, phase := range jobTasks(tapeFns, Env{Src: NewInputs(src)}, j, false) {
+				for i := range phase {
+					if _, err := runTask(&phase[i]); err != nil {
 						got = err
 					}
 				}

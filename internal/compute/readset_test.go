@@ -27,12 +27,9 @@ func planResults(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 	}
 	var out []*Result
 	for _, j := range pl.Jobs {
-		for _, phase := range jobTasks(tapeMakers, env, j, forceK) {
-			for _, task := range phase {
-				if bound >= 0 {
-					task.ops = bound
-				}
-				r, err := runTask(task)
+		for _, phase := range jobTasks(tapeFns, env, j, forceK) {
+			for i := range phase {
+				r, err := runTaskBounded(&phase[i], bound)
 				if err != nil {
 					t.Fatalf("%s: %v", j, err)
 				}
@@ -46,6 +43,20 @@ func planResults(t *testing.T, pl *plan.Plan, data map[string]*linalg.Dense, for
 		}
 	}
 	return out
+}
+
+// runTaskBounded is runTask with the task's trace-length bound replaced by
+// bound when that is >= 0.
+func runTaskBounded(t *Task, bound int) (*Result, error) {
+	if bound < 0 {
+		return runTask(t)
+	}
+	c := newCtx(t.Env, bound)
+	defer c.release()
+	if err := t.Fn(c, t); err != nil {
+		return nil, err
+	}
+	return &c.res, nil
 }
 
 // TestVirtualTasksUnderEveryPoolMode extends the poisoned-pool differential
@@ -163,21 +174,21 @@ func TestVirtualTaskAllocatesNoMap(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	m := store.Meta{Name: "A", Rows: 64, Cols: 64, TileSize: 4}
-	task := &Task{Env: Env{Virtual: true}, ops: 256, Fn: func(c *Ctx) error {
+	task := &Task{Env: Env{Virtual: true}, Fn: func(c *Ctx, _ *Task) error {
 		for i := 0; i < 512; i++ {
 			c.readVirtual(m, i%16, i/16%16)
 		}
 		return nil
 	}}
 	run := func() {
-		c := newCtx(task)
+		c := newCtx(task.Env, 256)
 		c.release()
 	}
 	run()
 	if n := testing.AllocsPerRun(200, run); n > 2 {
 		t.Errorf("newCtx + release of a virtual task: %v allocations, want 2 (the Ctx and its trace)", n)
 	}
-	r, err := runTask(task)
+	r, err := runTaskBounded(task, 256)
 	if err != nil || len(r.Ops) != 256 {
 		t.Fatalf("512 accesses of 256 tiles traced %d reads (err %v)", len(r.Ops), err)
 	}

@@ -284,6 +284,8 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	// However the run ends, no task runs once it returns: every decoded
 	// input goes back to the pools, so the next run starts with none.
 	defer e.env.Src.Drop("")
+	// A plan that cannot run — a bad split anywhere — fails here, before any
+	// task runs or any file is written.
 	jobs, err := p.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -336,9 +338,6 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		if j.ID <= resumeJob {
 			jobEnds[j.ID] = startClock
 			continue
-		}
-		if err := j.Split.Validate(j.ITiles(), j.JTiles(), j.KTiles(), j.Kind); err != nil {
-			return nil, err
 		}
 		// Barrier mode waits for every prior job; overlap mode only for
 		// this job's dependencies.
@@ -396,10 +395,7 @@ func (e *Engine) liveSlots() []*slotState {
 // shared slot pool, and returns the job's end time.
 func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMetrics, prog obs.SpanID) (float64, error) {
 	jobStart := start + e.jobStartupSec
-	phases, cleanup, err := e.buildTasks(j)
-	if err != nil {
-		return 0, err
-	}
+	phases, cleanup := e.buildTasks(j)
 	jspan := obs.NoSpan
 	if e.rec.Enabled() {
 		jspan = e.rec.Start(obs.KindJob, j.Name, prog, start)
@@ -407,12 +403,12 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 	}
 	clock := jobStart
 	nTasks := 0
-	for _, tasks := range phases {
-		nTasks += len(tasks)
+	for _, ph := range phases {
+		nTasks += len(ph.tasks)
 	}
 	m.Tasks = slices.Grow(m.Tasks, nTasks)
-	for phase, tasks := range phases {
-		end, err := e.schedulePhase(j.ID, phase, tasks, clock, slots, m, jspan)
+	for phase, ph := range phases {
+		end, err := e.schedulePhase(j.ID, phase, ph, clock, slots, m, jspan)
 		if err != nil {
 			return 0, err
 		}
@@ -450,7 +446,7 @@ type slotState struct {
 // task that prefers its node if one exists, otherwise the oldest pending
 // task. Tasks cannot start before notBefore (the phase's release time).
 // Returns the phase end time.
-func (e *Engine) schedulePhase(jobID, phase int, tasks []*task, notBefore float64, slots []*slotState, m *RunMetrics, jspan obs.SpanID) (float64, error) {
+func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float64, slots []*slotState, m *RunMetrics, jspan obs.SpanID) (float64, error) {
 	pspan := obs.NoSpan
 	if e.rec.Enabled() {
 		pspan = e.rec.Start(obs.KindPhase, fmt.Sprintf("j%d/p%d", jobID, phase), jspan, notBefore)
@@ -464,14 +460,13 @@ func (e *Engine) schedulePhase(jobID, phase int, tasks []*task, notBefore float6
 	// with accounting exactly as the pre-compute-layer engine did. However
 	// the phase ends, the batch is released: an abandoned one must not keep
 	// computing.
-	cts := make([]*compute.Task, len(tasks))
-	for _, t := range tasks {
-		cts[t.index] = t.ct
-	}
-	fetch, release := e.backend.RunBatch(cts)
+	fetch, release := e.backend.RunBatch(ph.tasks)
 	defer release()
-	placements := make([]specPlacement, 0, len(tasks))
-	pending := append([]*task(nil), tasks...)
+	placements := make([]specPlacement, 0, len(ph.tasks))
+	pending := make([]int, len(ph.tasks)) // task indices, oldest first
+	for i := range pending {
+		pending[i] = i
+	}
 	end := notBefore
 	for len(pending) > 0 {
 		// Earliest-available slot; ties broken by slice order for
@@ -509,11 +504,12 @@ func (e *Engine) schedulePhase(jobID, phase int, tasks []*task, notBefore float6
 		rackPick := -1
 		slotRack := e.fs.RackOf(slot.node)
 		for i, t := range pending {
-			if t.prefNode == slot.node {
+			pref := ph.hints[t]
+			if pref == slot.node {
 				pick = i
 				break
 			}
-			if rackPick < 0 && t.prefNode >= 0 && e.fs.RackOf(t.prefNode) == slotRack {
+			if rackPick < 0 && pref >= 0 && e.fs.RackOf(pref) == slotRack {
 				rackPick = i
 			}
 		}
@@ -720,25 +716,25 @@ func medianOf(v []float64) float64 {
 // original slot; the accumulated loss is reported as the record's
 // RecoverySec. The compute result is node-independent, so a retry replays
 // the same trace on the new node.
-func (e *Engine) executeWithRetry(jobID, phase int, t *task, slot *slotState, slotIdx int, m *RunMetrics, fetch func(int) (*compute.Result, error)) (TaskRecord, float64, *compute.Result, error) {
+func (e *Engine) executeWithRetry(jobID, phase, index int, slot *slotState, slotIdx int, m *RunMetrics, fetch func(int) (*compute.Result, error)) (TaskRecord, float64, *compute.Result, error) {
 	attempt := 0
 	node := slot.node
 	startAt := slot.freeAt
 	retries := 0
 	recovery := 0.0
 	fail := func(err error) (TaskRecord, float64, *compute.Result, error) {
-		return TaskRecord{}, 0, nil, fmt.Errorf("task %d/%d/%d failed after %d attempts: %w", jobID, phase, t.index, attempt+1, err)
+		return TaskRecord{}, 0, nil, fmt.Errorf("task %d/%d/%d failed after %d attempts: %w", jobID, phase, index, attempt+1, err)
 	}
 	for {
 		var w work
 		var res *compute.Result
 		var err error
-		if e.chaos.TaskFault(jobID, phase, t.index, attempt) {
+		if e.chaos.TaskFault(jobID, phase, index, attempt) {
 			err = fmt.Errorf("chaos: injected task fault")
 		} else {
-			res, err = fetch(t.index)
+			res, err = fetch(index)
 			if err == nil {
-				if p := e.firstReadPath(res); e.chaos.ReadFault(p, jobID, phase, t.index, attempt) {
+				if p := e.firstReadPath(res); e.chaos.ReadFault(p, jobID, phase, index, attempt) {
 					err = fmt.Errorf("chaos: transient read error on %s", p)
 				} else {
 					w, err = e.applyResult(res, node)
@@ -767,7 +763,7 @@ func (e *Engine) executeWithRetry(jobID, phase int, t *task, slot *slotState, sl
 		dur := base * e.noiseFactor()
 		slot.freeAt = startAt + dur
 		rec := TaskRecord{
-			JobID: jobID, Phase: phase, Index: t.index, Node: node, Slot: slotIdx,
+			JobID: jobID, Phase: phase, Index: index, Node: node, Slot: slotIdx,
 			Flops:          w.flops,
 			LocalReadBytes: w.localBytes, RackReadBytes: w.rackBytes, RemoteReadBytes: w.remoteBytes,
 			CacheReadBytes: w.cacheBytes,

@@ -2,11 +2,13 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
+	"cumulon/internal/compute"
 	"cumulon/internal/dfs"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
@@ -807,6 +809,64 @@ output R
 	denseFlops := 2 * int64(16384) * 64 * 16384
 	if m.TotalFlops > denseFlops/20 {
 		t.Fatalf("virtual masked flops %d not discounted (dense %d)", m.TotalFlops, denseFlops)
+	}
+}
+
+// TestRunValidatesEverySplitFirst: an invalid split anywhere in a plan — on
+// its last job, or a masked product's cut along K — fails the run before
+// any task reaches the backend and before any file is written or deleted.
+func TestRunValidatesEverySplitFirst(t *testing.T) {
+	const src = `
+input V 16 16 sparse
+input W 16 8
+input H 8 16
+X = W * H
+R = mask(V, W * H)
+output X
+output R
+`
+	for _, c := range []struct {
+		name, want string
+		split      func(last *plan.Job)
+	}{
+		{"last-job-past-grid", "exceeds tile grid", func(last *plan.Job) { last.Split.CI = last.ITiles() + 1 }},
+		{"masked-k-split", "masked multiply cannot k-split", func(last *plan.Job) { last.Split.CK = 2 }},
+	} {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := plan.Compile(prog, plan.Config{TileSize: 4, Densities: map[string]float64{"V": 0.25}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.AutoSplit(8)
+		last := pl.Jobs[len(pl.Jobs)-1]
+		if len(pl.Jobs) != 2 || last.MaskLeaf == "" || last.KTiles() < 2 {
+			t.Fatalf("want a product, then a masked product with a K to cut: %s", pl)
+		}
+		c.split(last)
+		spy := &spyBackend{Backend: compute.NewSequential()}
+		e, err := New(Config{Cluster: testCluster(t, 4, 2), Seed: 7, Backend: spy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range pl.Inputs {
+			if err := e.LoadVirtual(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files := e.FS().List("/")
+		m, err := e.Run(pl)
+		if err == nil || m != nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Run = %v, %v; want no metrics and an error containing %q", c.name, m, err, c.want)
+		}
+		if spy.batch != 0 || spy.started.Load() != 0 {
+			t.Fatalf("%s: %d tasks reached the backend before the bad split failed the run", c.name, spy.batch)
+		}
+		if after := e.FS().List("/"); !slices.Equal(after, files) {
+			t.Fatalf("%s: the failed run changed the file system: %d files before, %d after", c.name, len(files), len(after))
+		}
 	}
 }
 

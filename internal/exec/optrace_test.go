@@ -21,7 +21,7 @@ type traceBackend struct {
 	out bytes.Buffer
 }
 
-func (b *traceBackend) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
+func (b *traceBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
 	fetch, release := b.Backend.RunBatch(ts)
 	return func(i int) (*compute.Result, error) {
 		res, err := fetch(i)

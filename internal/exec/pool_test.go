@@ -73,16 +73,15 @@ type afterFirstTask struct {
 	once sync.Once
 }
 
-func (b *afterFirstTask) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
-	wrapped := make([]*compute.Task, len(ts))
-	for i, t := range ts {
-		cp := *t
-		cp.Fn = func(c *compute.Ctx) error {
-			err := t.Fn(c)
+func (b *afterFirstTask) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
+	wrapped := append([]compute.Task(nil), ts...)
+	for i := range wrapped {
+		fn := wrapped[i].Fn
+		wrapped[i].Fn = func(c *compute.Ctx, t *compute.Task) error {
+			err := fn(c, t)
 			b.once.Do(b.then)
 			return err
 		}
-		wrapped[i] = &cp
 	}
 	return b.Backend.RunBatch(wrapped)
 }
@@ -227,20 +226,19 @@ type spyBackend struct {
 	returned      atomic.Bool
 }
 
-func (s *spyBackend) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
+func (s *spyBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
 	s.batch = len(ts)
-	spied := make([]*compute.Task, len(ts))
-	for i, t := range ts {
-		cp := *t
-		cp.Fn = func(c *compute.Ctx) error {
+	spied := append([]compute.Task(nil), ts...)
+	for i := range spied {
+		fn := spied[i].Fn
+		spied[i].Fn = func(c *compute.Ctx, t *compute.Task) error {
 			s.started.Add(1)
 			if s.returned.Load() {
 				s.late.Add(1)
 			}
 			time.Sleep(time.Millisecond)
-			return t.Fn(c)
+			return fn(c, t)
 		}
-		spied[i] = &cp
 	}
 	return s.Backend.RunBatch(spied)
 }

@@ -1,12 +1,17 @@
 package exec
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"cumulon/internal/lang"
 	"cumulon/internal/plan"
+	"cumulon/internal/testutil"
 )
 
 // tapeUse is one tape of a task and the logical tile region it is
@@ -171,31 +176,110 @@ output H
 }
 
 // taskTapes lists the tapes the task at index of the job's phase evaluates
-// and their regions, from the engine's task order (i outermost, k
-// innermost). Aggregation tasks read their partials, which no tape shares,
-// and the epilogue.
+// and their regions, from plan.Phases. Aggregation tasks read their
+// partials, which no tape shares, and the epilogue.
 func taskTapes(j *plan.Job, phase, index int) []tapeUse {
-	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
-	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
-	kSpans := plan.PartitionAxis(j.KTiles(), j.Split.CK)
-	var ks plan.Span
-	if phase == 0 {
-		ks = kSpans[index%len(kSpans)]
-		index /= len(kSpans)
-	}
-	is, js := iSpans[index/len(jSpans)], jSpans[index%len(jSpans)]
-	if j.Kind == plan.MapKind {
-		return []tapeUse{{"map", j.Prog.Refs, is, js}}
-	}
+	ph := &j.Phases()[phase]
+	is, js, ks := ph.Task(index)
 	var uses []tapeUse
-	if phase == 0 {
+	switch ph.Kind {
+	case plan.MapPhase:
+		uses = append(uses, tapeUse{"map", j.Prog.Refs, is, js})
+	case plan.MulPhase, plan.MaskedPhase:
 		uses = append(uses, tapeUse{"left", j.LProg.Refs, is, ks}, tapeUse{"right", j.RProg.Refs, ks, js})
-		if mask, ok := j.Leaves[j.MaskLeaf]; ok {
-			uses = append(uses, tapeUse{"mask", []plan.LeafRef{mask}, is, js})
+		if ph.Kind == plan.MaskedPhase {
+			uses = append(uses, tapeUse{"mask", []plan.LeafRef{j.Leaves[j.MaskLeaf]}, is, js})
 		}
 	}
-	if j.EpiProg != nil && (phase == 1 || len(kSpans) == 1) {
-		uses = append(uses, tapeUse{"epilogue", j.EpiProg.Refs, is, js})
+	if epi := ph.Epilogue(j); epi != nil {
+		uses = append(uses, tapeUse{"epilogue", epi.Refs, is, js})
 	}
 	return uses
+}
+
+// TestEngineRunsThePlansPhases: over seeded random programs — ragged tile
+// edges, transposed leaves, products and chains, a sparse input, a masked
+// product — at random tile sizes and random splits, k-splits included, the
+// virtual engine's task records in (job, phase, index) order are plan.Phases'
+// tasks position for position: one record per task, each writing exactly
+// the tiles of its spans of the matrix the phase says it writes. Profile
+// lists as many tasks per phase.
+func TestEngineRunsThePlansPhases(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	kSplits, masked := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		prog := testutil.NewGen(seed).Program("phases", 3, 2)
+		prog.Inputs = append(prog.Inputs, lang.Input{Name: "S", Rows: 13, Cols: 8, Sparse: true})
+		for i, src := range []string{"mask(S, M13x5 * M5x8)", "S' * M13x13 + M8x13", "(S .* S) * M8x5"} {
+			x, err := lang.ParseExpr(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("S%d", i)
+			prog.Stmts = append(prog.Stmts, lang.Assign{Name: name, Expr: x})
+			prog.Outputs = append(prog.Outputs, name)
+		}
+		pl, err := plan.Compile(prog, plan.Config{TileSize: 2 + rng.Intn(5), Densities: map[string]float64{"S": 0.3}})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, j := range pl.Jobs {
+			j.Split = plan.Split{CI: 1 + rng.Intn(j.ITiles()), CJ: 1 + rng.Intn(j.JTiles()), CK: 1}
+			if j.Kind == plan.MulKind && j.MaskLeaf == "" {
+				j.Split.CK = 1 + rng.Intn(j.KTiles())
+			}
+		}
+		e := newTestEngine(t, 3, 2, false)
+		for _, in := range pl.Inputs {
+			if err := e.LoadVirtual(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := e.Run(pl)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		recs := slices.Clone(m.Tasks)
+		slices.SortFunc(recs, func(a, b TaskRecord) int {
+			return cmp.Or(cmp.Compare(a.JobID, b.JobID), cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Index, b.Index))
+		})
+		for _, j := range pl.Jobs {
+			phases, profile := j.Phases(), plan.Profile(j)
+			if len(profile) != len(phases) {
+				t.Fatalf("seed %d %s: %d phases, Profile has %d", seed, j, len(phases), len(profile))
+			}
+			for p := range phases {
+				ph := &phases[p]
+				if n := len(profile[p].Class); n != ph.Tasks() {
+					t.Fatalf("seed %d %s phase %d: %d tasks, Profile lists %d", seed, j, p, ph.Tasks(), n)
+				}
+				for i := 0; i < ph.Tasks(); i++ {
+					is, js, _ := ph.Task(i)
+					out := ph.Out(j, i)
+					var want int64
+					for ti := is.Lo; ti < is.Hi; ti++ {
+						for tj := js.Lo; tj < js.Hi; tj++ {
+							want += out.EstTileBytes(ti, tj)
+						}
+					}
+					if len(recs) == 0 || recs[0].JobID != j.ID || recs[0].Phase != p || recs[0].Index != i || recs[0].WriteBytes != want {
+						t.Fatalf("seed %d %s phase %d task %d (%v x %v of %s, %d B): engine ran %+v", seed, j, p, i, is, js, out.Name, want, recs[:min(1, len(recs))])
+					}
+					recs = recs[1:]
+				}
+				if ph.Partials != nil {
+					kSplits++
+				}
+				if ph.Kind == plan.MaskedPhase {
+					masked++
+				}
+			}
+		}
+		if len(recs) != 0 {
+			t.Fatalf("seed %d: the engine ran %d tasks no phase has: %+v", seed, len(recs), recs[0])
+		}
+	}
+	if kSplits < 20 || masked < 20 {
+		t.Fatalf("weak coverage: %d k-split phases, %d masked", kSplits, masked)
+	}
 }

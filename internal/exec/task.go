@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"cumulon/internal/compute"
 	"cumulon/internal/dfs"
 	"cumulon/internal/plan"
@@ -19,129 +17,47 @@ type work struct {
 	writeBytes  int64
 }
 
-// task is one schedulable unit: a compute-layer task plus the engine's
-// placement hint. The tile math runs on the compute backend; the engine
-// replays the resulting trace on whichever node the scheduler picked.
-type task struct {
-	index    int
-	prefNode int // a node holding the task's first input tile (data-local), -1 if none
-	ct       *compute.Task
+// phaseTasks is one phase of a job as the engine schedules it: the compute
+// tasks, and the node each task's locality hint prefers (-1 for none). The
+// tile math runs on the compute backend; the engine replays the resulting
+// trace on whichever node the scheduler picked.
+type phaseTasks struct {
+	tasks []compute.Task
+	hints []int
 }
 
-// buildTasks constructs the phase lists of a job plus the temporary
-// matrices to delete once the job finishes. The tasks' locality hints look
-// their tiles up in one hold of the file system.
-func (e *Engine) buildTasks(j *plan.Job) ([][]*task, []store.Meta, error) {
+// buildTasks constructs the phases of a job, plus the temporary matrices to
+// delete once the job finishes: its k-split partials. The hints look their
+// tiles up in one hold of the file system, before any task runs.
+func (e *Engine) buildTasks(j *plan.Job) ([]phaseTasks, []store.Meta) {
+	phases := j.Phases()
+	out := make([]phaseTasks, len(phases))
 	b := e.fs.Batch()
 	defer b.Done()
-	switch j.Kind {
-	case plan.MapKind:
-		return [][]*task{e.buildMapTasks(b, j)}, nil, nil
-	case plan.MulKind:
-		return e.buildMulTasks(b, j)
-	default:
-		return nil, nil, fmt.Errorf("unknown job kind %v", j.Kind)
+	for p := range phases {
+		ph := &phases[p]
+		out[p] = phaseTasks{tasks: compute.PhaseTasks(e.env, j, ph), hints: make([]int, ph.Tasks())}
+		for t := range out[p].hints {
+			out[p].hints[t] = hint(b, j, ph, t)
+		}
 	}
+	return out, phases[0].Partials
 }
 
-func (e *Engine) buildMapTasks(b *dfs.Batch, j *plan.Job) []*task {
-	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
-	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
-	tasks := make([]*task, 0, len(iSpans)*len(jSpans))
-	for _, is := range iSpans {
-		for _, js := range jSpans {
-			tasks = append(tasks, &task{
-				index:    len(tasks),
-				prefNode: leafNode(b, j.Prog.Refs, is.Lo, js.Lo),
-				ct:       compute.NewMapTask(e.env, j, is, js),
-			})
-		}
+// hint returns the locality hint of task t of phase ph: the first live node
+// holding the tile the task's first tape reads first — the map tape's or the
+// left prologue's, the mask, or partial 0 — or -1.
+func hint(b *dfs.Batch, j *plan.Job, ph *plan.Phase, t int) int {
+	is, js, ks := ph.Task(t)
+	switch ph.Kind {
+	case plan.MapPhase:
+		return leafNode(b, j.Prog.Refs, is.Lo, js.Lo)
+	case plan.MulPhase:
+		return leafNode(b, j.LProg.Refs, is.Lo, ks.Lo)
+	case plan.MaskedPhase:
+		return leafNode(b, []plan.LeafRef{j.Leaves[j.MaskLeaf]}, is.Lo, js.Lo)
 	}
-	return tasks
-}
-
-func (e *Engine) buildMulTasks(b *dfs.Batch, j *plan.Job) ([][]*task, []store.Meta, error) {
-	iSpans := plan.PartitionAxis(j.ITiles(), j.Split.CI)
-	jSpans := plan.PartitionAxis(j.JTiles(), j.Split.CJ)
-	kSpans := plan.PartitionAxis(j.KTiles(), j.Split.CK)
-	singleK := len(kSpans) == 1
-	if j.MaskLeaf != "" {
-		if !singleK {
-			return nil, nil, fmt.Errorf("masked multiply cannot k-split (split %v)", j.Split)
-		}
-		return e.buildMaskedMulTasks(b, j, iSpans, jSpans)
-	}
-
-	// With k-splitting, each k-chunk writes a full partial matrix that a
-	// second phase aggregates.
-	var partials []store.Meta
-	if !singleK {
-		for c := range kSpans {
-			pm := j.Out
-			pm.Name = fmt.Sprintf("%s~p%d", j.Out.Name, c)
-			pm.Sparse = false
-			partials = append(partials, pm)
-		}
-	}
-
-	phase1 := make([]*task, 0, len(iSpans)*len(jSpans)*len(kSpans))
-	pref := make([]int, len(kSpans)) // the hint depends on (is, ks) only
-	for _, is := range iSpans {
-		for kc, ks := range kSpans {
-			pref[kc] = leafNode(b, j.LProg.Refs, is.Lo, ks.Lo)
-		}
-		for _, js := range jSpans {
-			for kc, ks := range kSpans {
-				outMeta, epi := j.Out, j.EpiProg
-				if !singleK {
-					outMeta, epi = partials[kc], nil
-				}
-				phase1 = append(phase1, &task{
-					index:    len(phase1),
-					prefNode: pref[kc],
-					ct:       compute.NewMulTask(e.env, j, outMeta, epi, is, js, ks),
-				})
-			}
-		}
-	}
-	if singleK {
-		return [][]*task{phase1}, nil, nil
-	}
-
-	// Phase 2: aggregate the partials and apply the epilogue.
-	phase2 := make([]*task, 0, len(iSpans)*len(jSpans))
-	for _, is := range iSpans {
-		for _, js := range jSpans {
-			phase2 = append(phase2, &task{
-				index:    len(phase2),
-				prefNode: b.FirstReplicaNode(partials[0].Tile(is.Lo, js.Lo)),
-				ct:       compute.NewAggTask(e.env, j, partials, is, js),
-			})
-		}
-	}
-	return [][]*task{phase1, phase2}, partials, nil
-}
-
-// buildMaskedMulTasks constructs the tasks of a masked multiply: each
-// task computes, for its output chunk, the product restricted to the
-// sparse pattern's stored positions and writes sparse tiles.
-func (e *Engine) buildMaskedMulTasks(b *dfs.Batch, j *plan.Job, iSpans, jSpans []compute.Span) ([][]*task, []store.Meta, error) {
-	maskRef, ok := j.Leaves[j.MaskLeaf]
-	if !ok {
-		return nil, nil, fmt.Errorf("mask leaf %q unbound", j.MaskLeaf)
-	}
-	fullK := compute.Span{Lo: 0, Hi: j.KTiles()}
-	var tasks []*task
-	for _, is := range iSpans {
-		for _, js := range jSpans {
-			tasks = append(tasks, &task{
-				index:    len(tasks),
-				prefNode: leafNode(b, []plan.LeafRef{maskRef}, is.Lo, js.Lo),
-				ct:       compute.NewMaskedMulTask(e.env, j, maskRef, is, js, fullK),
-			})
-		}
-	}
-	return [][]*task{tasks}, nil, nil
+	return b.FirstReplicaNode(ph.Partials[0].Tile(is.Lo, js.Lo))
 }
 
 // leafNode returns the locality hint of a task whose first output tile is

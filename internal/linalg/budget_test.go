@@ -47,13 +47,13 @@ func watchMath(t *testing.T, meet int) *mathWatch {
 
 // bigGemmTasks returns n compute tasks that each run one product above the
 // parallel tier's flop gate, over 5 macro-panel cells.
-func bigGemmTasks(n int) []*compute.Task {
+func bigGemmTasks(n int) []compute.Task {
 	const dim = 260 // 2·260³ ≈ 35 Mflop
 	a, b := linalg.RandomDense(dim, dim, 1), linalg.RandomDense(dim, dim, 2)
 	at, bt := linalg.NewTileFrom(dim, dim, a.Data), linalg.NewTileFrom(dim, dim, b.Data)
-	ts := make([]*compute.Task, n)
+	ts := make([]compute.Task, n)
 	for i := range ts {
-		ts[i] = &compute.Task{Fn: func(*compute.Ctx) error {
+		ts[i] = compute.Task{Fn: func(*compute.Ctx, *compute.Task) error {
 			linalg.Gemm(linalg.NewTile(dim, dim), at, bt)
 			return nil
 		}}
@@ -61,7 +61,7 @@ func bigGemmTasks(n int) []*compute.Task {
 	return ts
 }
 
-func runBatch(t *testing.T, be compute.Backend, ts []*compute.Task) {
+func runBatch(t *testing.T, be compute.Backend, ts []compute.Task) {
 	t.Helper()
 	fetch, release := be.RunBatch(ts)
 	defer release()

@@ -276,7 +276,7 @@ type replay struct {
 	next   int
 }
 
-func (r *replay) RunBatch(ts []*compute.Task) (func(int) (*compute.Result, error), func()) {
+func (r *replay) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
 	if r.next == len(*r.phases) {
 		res := make([]*compute.Result, len(ts))
 		fetch, release := compute.NewSequential().RunBatch(ts)

@@ -319,9 +319,7 @@ func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *s
 					memPerSlot := int64(mt.MemoryGB * 1e9 * 0.7 / float64(slots))
 					// Sweep splits with the fast wave model, then price the
 					// chosen deployment with the exact scheduler simulation.
-					pred.Coarse = true
 					pred.OptimizeSplits(pl, memPerSlot)
-					pred.Coarse = false
 					secs := pred.PredictPlan(pl)
 					splits := map[int]plan.Split{}
 					for _, j := range pl.Jobs {

@@ -72,7 +72,7 @@ output H
 		t.Fatalf("epilogue %s lacks %s", j.Epilogue, MMVar)
 	}
 	// The left prologue reads W transposed without a transpose job.
-	lref, ok := bareLeaf(j.LExpr, j.Leaves)
+	lref, ok := BareLeaf(j.LExpr, j.Leaves)
 	if !ok || !lref.Transposed || lref.Meta.Name != "W" {
 		t.Fatalf("left prologue: %s leaves %v", j.LExpr, j.Leaves)
 	}
@@ -172,7 +172,7 @@ X = V * H
 output X
 `, Config{Densities: map[string]float64{"V": 0.05}})
 	j := pl.Jobs[0]
-	ref, ok := bareLeaf(j.LExpr, j.Leaves)
+	ref, ok := BareLeaf(j.LExpr, j.Leaves)
 	if !ok || !ref.Meta.Sparse {
 		t.Fatalf("left leaf not sparse: %v", j.Leaves)
 	}
@@ -180,10 +180,10 @@ output X
 		t.Fatalf("density: %v", ref.Meta.EffDensity())
 	}
 	// Sparse matmul estimates far fewer flops than dense.
-	st := EstimateJob(j)
+	flops := profileTotal(j).Flops
 	dense := 2 * int64(30) * 30 * 5
-	if st.TotalFlops >= dense/2 {
-		t.Fatalf("sparse flops %d not discounted vs dense %d", st.TotalFlops, dense)
+	if flops >= dense/2 {
+		t.Fatalf("sparse flops %d not discounted vs dense %d", flops, dense)
 	}
 }
 
@@ -280,7 +280,7 @@ output C
 `, Config{TileSize: 4})
 	pl.AutoSplit(8)
 	j := pl.Jobs[0]
-	if err := j.Split.Validate(j.ITiles(), j.JTiles(), j.KTiles(), j.Kind); err != nil {
+	if err := j.Split.Validate(j); err != nil {
 		t.Fatal(err)
 	}
 	if j.Split.Tasks() < 8 {
@@ -318,58 +318,12 @@ output C
 		t.Fatalf("too few candidates: %d", len(cands))
 	}
 	for _, s := range cands {
-		if err := s.Validate(j.ITiles(), j.JTiles(), j.KTiles(), j.Kind); err != nil {
+		if err := s.Validate(j); err != nil {
 			t.Fatalf("candidate %v invalid: %v", s, err)
 		}
 		if s.Tasks() > 1000 {
 			t.Fatalf("candidate %v exceeds task cap", s)
 		}
-	}
-}
-
-func TestEstimateJobMulPhases(t *testing.T) {
-	pl := compileSrc(t, `
-input A 32 32
-input B 32 32
-C = A * B
-output C
-`, Config{TileSize: 4})
-	j := pl.Jobs[0]
-	j.Split = Split{CI: 2, CJ: 2, CK: 1}
-	st1 := EstimateJob(j)
-	if len(st1.Phases) != 1 {
-		t.Fatalf("ck=1 should be single phase: %+v", st1)
-	}
-	j.Split = Split{CI: 2, CJ: 2, CK: 2}
-	st2 := EstimateJob(j)
-	if len(st2.Phases) != 2 {
-		t.Fatalf("ck=2 should be two phases: %+v", st2)
-	}
-	// K-splitting adds aggregation work: total I/O grows.
-	if st2.TotalReadBytes+st2.TotalWriteBytes <= st1.TotalReadBytes+st1.TotalWriteBytes {
-		t.Fatal("k-split should increase total I/O")
-	}
-	// Core matmul flops are identical.
-	if st1.TotalFlops > st2.TotalFlops {
-		t.Fatalf("flops: %d vs %d", st1.TotalFlops, st2.TotalFlops)
-	}
-}
-
-func TestEstimateJobReplicatedReads(t *testing.T) {
-	pl := compileSrc(t, `
-input A 32 32
-input B 32 32
-C = A * B
-output C
-`, Config{TileSize: 4})
-	j := pl.Jobs[0]
-	j.Split = Split{CI: 1, CJ: 1, CK: 1}
-	one := EstimateJob(j)
-	j.Split = Split{CI: 4, CJ: 4, CK: 1}
-	wide := EstimateJob(j)
-	// Wider splits re-read operands: 4x cj means L read 4 times.
-	if wide.TotalReadBytes <= one.TotalReadBytes {
-		t.Fatal("wider split should increase input re-reads")
 	}
 }
 
@@ -413,10 +367,10 @@ output R
 		t.Fatalf("masked output meta: %+v", out)
 	}
 	// Work estimate scales with the pattern density, not the dense product.
-	st := EstimateJob(j)
+	flops := profileTotal(j).Flops
 	dense := 2 * int64(40) * 5 * 30
-	if st.TotalFlops > dense/4 {
-		t.Fatalf("masked flops %d not discounted (dense %d)", st.TotalFlops, dense)
+	if flops > dense/4 {
+		t.Fatalf("masked flops %d not discounted (dense %d)", flops, dense)
 	}
 }
 

@@ -81,19 +81,23 @@ func (s Split) Tasks() int { return s.CI * s.CJ * s.CK }
 
 func (s Split) String() string { return fmt.Sprintf("(%d,%d,%d)", s.CI, s.CJ, s.CK) }
 
-// Validate checks the split against a job's tile-grid dimensions.
-func (s Split) Validate(iTiles, jTiles, kTiles int, kind JobKind) error {
+// Validate checks the split against a job: its tile grid, and that only an
+// unmasked product cuts K (Phases).
+func (s Split) Validate(j *Job) error {
 	if s.CI < 1 || s.CJ < 1 || s.CK < 1 {
 		return fmt.Errorf("plan: split %v has non-positive factors", s)
 	}
-	if s.CI > iTiles || s.CJ > jTiles {
-		return fmt.Errorf("plan: split %v exceeds tile grid %dx%d", s, iTiles, jTiles)
+	if s.CI > j.ITiles() || s.CJ > j.JTiles() {
+		return fmt.Errorf("plan: split %v exceeds tile grid %dx%d", s, j.ITiles(), j.JTiles())
 	}
-	if kind == MapKind && s.CK != 1 {
+	if j.Kind == MapKind && s.CK != 1 {
 		return fmt.Errorf("plan: map job split %v must have ck=1", s)
 	}
-	if kind == MulKind && s.CK > kTiles {
-		return fmt.Errorf("plan: split %v exceeds k tiles %d", s, kTiles)
+	if j.MaskLeaf != "" && s.CK != 1 {
+		return fmt.Errorf("plan: masked multiply cannot k-split (split %v)", s)
+	}
+	if s.CK > j.KTiles() {
+		return fmt.Errorf("plan: split %v exceeds k tiles %d", s, j.KTiles())
 	}
 	return nil
 }
@@ -132,7 +136,7 @@ type Job struct {
 	// MaskLeaf, when non-empty, names the sparse pattern leaf of a masked
 	// multiply: the job computes the product only at the pattern's stored
 	// positions and writes a sparse output. Masked jobs cannot k-split
-	// (partial sparse aggregation is not supported) and carry no epilogue.
+	// (Phases) and carry no epilogue.
 	MaskLeaf string
 
 	// Split is the task decomposition; engines and the optimizer may
@@ -206,7 +210,8 @@ func (p *Plan) JobByID(id int) *Job {
 }
 
 // TopoOrder returns the jobs in a valid execution order (they are emitted
-// in dependency order by construction; this verifies and returns them).
+// in dependency order by construction; this verifies and returns them),
+// having checked every job's split.
 func (p *Plan) TopoOrder() ([]*Job, error) {
 	done := map[int]bool{}
 	for _, j := range p.Jobs {
@@ -214,6 +219,9 @@ func (p *Plan) TopoOrder() ([]*Job, error) {
 			if !done[d] {
 				return nil, fmt.Errorf("plan: job %d depends on %d which is not yet executed", j.ID, d)
 			}
+		}
+		if err := j.Split.Validate(j); err != nil {
+			return nil, fmt.Errorf("%s: %w", j, err)
 		}
 		done[j.ID] = true
 	}

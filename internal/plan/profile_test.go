@@ -87,7 +87,7 @@ func oracleTaskProfiles(j *Job) [][]TaskWork {
 	kSpans := PartitionAxis(j.KTiles(), j.Split.CK)
 	singleK := len(kSpans) == 1
 	density := 1.0
-	if ref, ok := bareLeaf(j.LExpr, j.Leaves); ok && ref.Meta.Sparse {
+	if ref, ok := BareLeaf(j.LExpr, j.Leaves); ok && ref.Meta.Sparse {
 		density = ref.Meta.EffDensity()
 	}
 	maskRef, masked := j.Leaves[j.MaskLeaf]

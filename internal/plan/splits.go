@@ -6,9 +6,9 @@ import (
 	"cumulon/internal/lang"
 )
 
-// bareLeaf reports whether e is a single (possibly transposed) leaf
+// BareLeaf reports whether e is a single (possibly transposed) leaf
 // reference and returns its binding.
-func bareLeaf(e lang.Expr, leaves map[string]LeafRef) (LeafRef, bool) {
+func BareLeaf(e lang.Expr, leaves map[string]LeafRef) (LeafRef, bool) {
 	v, ok := e.(lang.Var)
 	if !ok {
 		return LeafRef{}, false
@@ -127,3 +127,24 @@ func axisCandidates(dst []int, n int) []int {
 	}
 	return append(dst, n)
 }
+
+// EstTaskMemBytes estimates the peak per-task memory of a job under its
+// split: the input chunks plus the output chunk a task holds at once. The
+// optimizer uses it to reject splits that overflow the machine's per-slot
+// memory.
+func EstTaskMemBytes(j *Job) int64 {
+	ts := int64(j.Out.TileSize)
+	tileBytes := ts * ts * 8
+	ib := int64(ceilDiv(j.ITiles(), j.Split.CI))
+	jb := int64(ceilDiv(j.JTiles(), j.Split.CJ))
+	if j.Kind == MulKind {
+		kb := int64(ceilDiv(j.KTiles(), j.Split.CK))
+		// One L tile row-strip, one R tile column-strip, and the output
+		// chunk are resident; prologue/epilogue tiles are transient.
+		return (ib*kb + kb*jb + ib*jb) * tileBytes
+	}
+	leaves := int64(len(j.Prog.Refs))
+	return (leaves + 1) * ib * jb * tileBytes
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }

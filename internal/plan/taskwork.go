@@ -1,6 +1,111 @@
 package plan
 
-import "cumulon/internal/store"
+import (
+	"strconv"
+
+	"cumulon/internal/store"
+)
+
+// PhaseKind is what the tasks of a scheduling phase compute.
+type PhaseKind uint8
+
+const (
+	// MapPhase evaluates a Map job's tape over output tiles.
+	MapPhase PhaseKind = iota
+	// MulPhase multiplies over a K chunk: into the job's output, with the
+	// epilogue fused, when the phase has no partials; into partial k
+	// otherwise.
+	MulPhase
+	// MaskedPhase multiplies over the whole K at the mask's stored
+	// positions and writes sparse tiles.
+	MaskedPhase
+	// AggPhase sums a k-split product's partials and applies the epilogue.
+	AggPhase
+)
+
+// Phase is one scheduling phase of a job under its split. Its tasks are the
+// cross product of the I, J and K spans, i outermost and k innermost (Task):
+// the order the engine schedules them in and PhaseProfile.Class lists them.
+type Phase struct {
+	Kind    PhaseKind
+	I, J, K []Span
+	// Partials are a k-split product's dense partial matrices, named
+	// <out>~p<c>: what task k of its MulPhase writes and its AggPhase sums.
+	// nil without a k-split.
+	Partials []store.Meta
+}
+
+// Phases returns the scheduling phases of the job under its split; it alone
+// decides which tasks a job runs. A Map job is one MapPhase. A product is one
+// MulPhase over the split's K chunks, followed, when there is more than one,
+// by the AggPhase that sums their partials. A masked product is one
+// MaskedPhase over the whole K: partial sparse aggregation is not supported,
+// so it cannot k-split (Split.Validate rejects CK > 1).
+func (j *Job) Phases() []Phase {
+	I := PartitionAxis(j.ITiles(), j.Split.CI)
+	J := PartitionAxis(j.JTiles(), j.Split.CJ)
+	switch {
+	case j.Kind != MulKind:
+		return []Phase{{Kind: MapPhase, I: I, J: J, K: []Span{{0, 1}}}}
+	case j.MaskLeaf != "":
+		return []Phase{{Kind: MaskedPhase, I: I, J: J, K: []Span{{0, j.KTiles()}}}}
+	}
+	K := PartitionAxis(j.KTiles(), j.Split.CK)
+	if len(K) == 1 {
+		return []Phase{{Kind: MulPhase, I: I, J: J, K: K}}
+	}
+	partials := partialsOf(j.Out, len(K))
+	return []Phase{
+		{Kind: MulPhase, I: I, J: J, K: K, Partials: partials},
+		{Kind: AggPhase, I: I, J: J, K: []Span{{0, j.KTiles()}}, Partials: partials},
+	}
+}
+
+// partialsOf returns the n partials of out, <out>~p0 … <out>~p<n-1>, dense
+// whatever out is, their names cut from one string: a split sweep profiles
+// hundreds of k-splits.
+func partialsOf(out store.Meta, n int) []store.Meta {
+	b := make([]byte, 0, n*(len(out.Name)+6))
+	for c := range n {
+		b = strconv.AppendInt(append(append(b, out.Name...), "~p"...), int64(c), 10)
+	}
+	names, ps := string(b), make([]store.Meta, n)
+	var digits [20]byte
+	for c := range ps {
+		w := len(out.Name) + 2 + len(strconv.AppendInt(digits[:0], int64(c), 10))
+		ps[c] = out
+		ps[c].Name, ps[c].Sparse, names = names[:w], false, names[w:]
+	}
+	return ps
+}
+
+// Tasks returns the number of tasks in the phase.
+func (ph *Phase) Tasks() int { return len(ph.I) * len(ph.J) * len(ph.K) }
+
+// Task returns the spans of task t of the phase.
+func (ph *Phase) Task(t int) (is, js, ks Span) {
+	nj, nk := len(ph.J), len(ph.K)
+	return ph.I[t/(nj*nk)], ph.J[t/nk%nj], ph.K[t%nk]
+}
+
+// Out returns the matrix task t writes: its K chunk's partial in a MulPhase
+// with partials, the job's output otherwise.
+func (ph *Phase) Out(j *Job, t int) store.Meta {
+	if ph.Kind == MulPhase && ph.Partials != nil {
+		return ph.Partials[t%len(ph.K)]
+	}
+	return j.Out
+}
+
+// Epilogue returns the epilogue tape the phase's tasks apply, nil for none:
+// the job's, fused into the product when there are no partials and applied
+// by the aggregation otherwise, since a partial must stay a raw product.
+func (ph *Phase) Epilogue(j *Job) *TileProgram {
+	if ph.Kind == MulPhase && ph.Partials != nil {
+		return nil
+	}
+	return j.EpiProg
+}
 
 // TaskWork is the exact work profile of one task under a job's split,
 // mirroring what the execution engine will account when it runs the task:
@@ -83,7 +188,7 @@ type Span struct{ Lo, Hi int }
 func (s Span) Len() int { return s.Hi - s.Lo }
 
 // PartitionAxis cuts n tile indices into parts balanced chunks: the spans
-// a split assigns to tasks, for the work profiles here and for the engine.
+// a split assigns to tasks (Phases).
 func PartitionAxis(n, parts int) []Span {
 	if parts > n {
 		parts = n
@@ -153,146 +258,110 @@ func outRegionBytes(meta store.Meta, rows, cols Span) int64 {
 	return regionBytes(LeafRef{Meta: meta}, rows, cols)
 }
 
-// axis is one split axis in class form: a representative span of each
-// shape class, and the class of every span.
+// axis is one split axis in class form: a representative span of each of
+// its ≤ 3 shape classes, and the class of every span.
 type axis struct {
-	reps  []Span
+	reps  [3]Span
+	n     int
 	class []uint8
 }
 
-// unitAxis stands in for the K axis of phases that have none.
-var unitAxis = axis{reps: []Span{{0, 1}}, class: []uint8{0}}
-
-// classesOf groups the spans of an axis by tile count, keeping the last
-// span — the only one that can end in the ragged tile — in a class of its
-// own.
-func classesOf(n, parts int) axis {
-	spans := PartitionAxis(n, parts)
-	a := axis{class: make([]uint8, len(spans))}
+// classesOf groups spans by tile count, keeping the last span — the only one
+// that can end in the ragged tile — in a class of its own. It appends the
+// classes to buf.
+func classesOf(buf []uint8, spans []Span) axis {
+	a := axis{class: buf}
 	for i, s := range spans {
-		c := len(a.reps)
+		c := a.n
 		if i < len(spans)-1 {
-			for k, r := range a.reps {
+			for k, r := range a.reps[:a.n] {
 				if r.Len() == s.Len() {
 					c = k
 					break
 				}
 			}
 		}
-		if c == len(a.reps) {
-			a.reps = append(a.reps, s)
+		if c == a.n {
+			a.reps[a.n] = s
+			a.n++
 		}
-		a.class[i] = uint8(c)
+		a.class = append(a.class, uint8(c))
 	}
 	return a
 }
 
-// classPhase builds the profile of a phase whose tasks are the cross
-// product of the axes' spans (i outermost, k innermost, as the engine
-// loops), evaluating work once per class.
-func classPhase(ai, aj, ak axis, work func(is, js, ks Span) TaskWork) PhaseProfile {
-	nj, nk := len(aj.reps), len(ak.reps)
-	ph := PhaseProfile{
-		Work:  make([]TaskWork, 0, len(ai.reps)*nj*nk),
-		Class: make([]uint8, 0, len(ai.class)*len(aj.class)*len(ak.class)),
+// classPhase builds the profile of a phase, evaluating work once per class
+// and listing the class of every task in task order.
+func classPhase(ph *Phase, work func(is, js, ks Span) TaskWork) PhaseProfile {
+	var buf [64]uint8 // the three axes' classes, when they fit
+	ai := classesOf(buf[:0], ph.I)
+	aj := classesOf(ai.class[len(ai.class):], ph.J)
+	ak := classesOf(aj.class[len(aj.class):], ph.K)
+	pp := PhaseProfile{
+		Work:  make([]TaskWork, 0, ai.n*aj.n*ak.n),
+		Class: make([]uint8, 0, ph.Tasks()),
 	}
-	for _, is := range ai.reps {
-		for _, js := range aj.reps {
-			for _, ks := range ak.reps {
-				ph.Work = append(ph.Work, work(is, js, ks))
+	for _, is := range ai.reps[:ai.n] {
+		for _, js := range aj.reps[:aj.n] {
+			for _, ks := range ak.reps[:ak.n] {
+				pp.Work = append(pp.Work, work(is, js, ks))
 			}
 		}
 	}
 	for _, ci := range ai.class {
 		for _, cj := range aj.class {
 			for _, ck := range ak.class {
-				ph.Class = append(ph.Class, uint8((int(ci)*nj+int(cj))*nk+int(ck)))
+				pp.Class = append(pp.Class, uint8((int(ci)*aj.n+int(cj))*ak.n+int(ck)))
 			}
 		}
 	}
-	return ph
+	return pp
 }
 
-// Profile computes the per-phase work of a job under its current split,
-// mirroring what the execution engine will account when it runs the tasks.
+// Profile computes the per-phase work of a job's Phases under its current
+// split, mirroring what the execution engine will account when it runs the
+// tasks.
 func Profile(j *Job) []PhaseProfile {
-	ai := classesOf(j.ITiles(), j.Split.CI)
-	aj := classesOf(j.JTiles(), j.Split.CJ)
+	phases := j.Phases()
+	out := make([]PhaseProfile, len(phases))
 	ts := j.Out.TileSize
-	if j.Kind != MulKind {
-		ops := int64(j.Prog.Ops())
-		return []PhaseProfile{classPhase(ai, aj, unitAxis, func(is, js, _ Span) TaskWork {
-			extI := extent(is, j.Out.Rows, ts)
-			extJ := extent(js, j.Out.Cols, ts)
-			return TaskWork{
-				Flops:      ops * extI * extJ,
-				ReadBytes:  progRegionBytes(j.Prog, is, js),
-				WriteBytes: outRegionBytes(j.Out, is, js),
-			}
-		})}
-	}
-
-	ak := classesOf(j.KTiles(), j.Split.CK)
-	ck := int64(len(ak.class))
-	singleK := ck == 1
+	// A bare sparse left operand is multiplied at its density, a masked
+	// product only at the pattern's stored positions.
 	density := 1.0
-	if ref, ok := bareLeaf(j.LExpr, j.Leaves); ok && ref.Meta.Sparse {
+	if ref, ok := BareLeaf(j.LExpr, j.Leaves); ok && ref.Meta.Sparse {
 		density = ref.Meta.EffDensity()
 	}
-	// A masked multiply only computes at the pattern's stored positions.
-	maskRef, masked := j.Leaves[j.MaskLeaf]
+	mask, masked := j.Leaves[j.MaskLeaf]
 	if masked {
-		density = maskRef.Meta.EffDensity()
+		density = mask.Meta.EffDensity()
 	}
-	lOps, rOps := int64(j.LProg.Ops()), int64(j.RProg.Ops())
-	var epiOps int64
-	if j.Epilogue != nil {
-		epiOps = int64(j.EpiProg.Ops())
-	}
-	// Partials are dense regardless of the output estimate.
-	partialBytes := func(is, js Span, extI, extJ int64) int64 {
-		return extI*extJ*8 + 16*int64(is.Len())*int64(js.Len())
-	}
-
-	phase1 := classPhase(ai, aj, ak, func(is, js, ks Span) TaskWork {
-		extI := extent(is, j.Out.Rows, ts)
-		extJ := extent(js, j.Out.Cols, ts)
-		extK := extent(ks, j.KSize, ts)
-		tilesI := int64(is.Len())
-		tilesJ := int64(js.Len())
-		w := TaskWork{}
-		w.Flops = int64(2*density*float64(extI)*float64(extK)*float64(extJ)) +
-			lOps*extI*extK*tilesJ + rOps*extK*extJ*tilesI
-		w.ReadBytes = progRegionBytes(j.LProg, is, ks) + progRegionBytes(j.RProg, ks, js)
-		if masked {
-			w.ReadBytes += regionBytes(maskRef, is, js)
-		}
-		if !singleK {
-			w.WriteBytes = partialBytes(is, js, extI, extJ)
+	for p := range phases {
+		ph := &phases[p]
+		ck := int64(len(ph.Partials))
+		out[p] = classPhase(ph, func(is, js, ks Span) TaskWork {
+			extI, extJ := extent(is, j.Out.Rows, ts), extent(js, j.Out.Cols, ts)
+			var w TaskWork
+			switch ph.Kind {
+			case MapPhase:
+				w = TaskWork{Flops: int64(j.Prog.Ops()) * extI * extJ, ReadBytes: progRegionBytes(j.Prog, is, js)}
+			case AggPhase:
+				w = TaskWork{Flops: (ck - 1) * extI * extJ, ReadBytes: ck * outRegionBytes(ph.Partials[0], is, js)}
+			default:
+				extK := extent(ks, j.KSize, ts)
+				w.Flops = int64(2*density*float64(extI)*float64(extK)*float64(extJ)) +
+					int64(j.LProg.Ops())*extI*extK*int64(js.Len()) + int64(j.RProg.Ops())*extK*extJ*int64(is.Len())
+				w.ReadBytes = progRegionBytes(j.LProg, is, ks) + progRegionBytes(j.RProg, ks, js)
+				if masked {
+					w.ReadBytes += regionBytes(mask, is, js)
+				}
+			}
+			if epi := ph.Epilogue(j); epi != nil {
+				w.Flops += int64(epi.Ops()) * extI * extJ
+				w.ReadBytes += progRegionBytes(epi, is, js)
+			}
+			w.WriteBytes = outRegionBytes(ph.Out(j, 0), is, js)
 			return w
-		}
-		w.Flops += epiOps * extI * extJ
-		if j.Epilogue != nil {
-			w.ReadBytes += progRegionBytes(j.EpiProg, is, js)
-		}
-		w.WriteBytes = outRegionBytes(j.Out, is, js)
-		return w
-	})
-	if singleK {
-		return []PhaseProfile{phase1}
+		})
 	}
-	phase2 := classPhase(ai, aj, unitAxis, func(is, js, _ Span) TaskWork {
-		extI := extent(is, j.Out.Rows, ts)
-		extJ := extent(js, j.Out.Cols, ts)
-		w := TaskWork{
-			Flops:      (ck-1)*extI*extJ + epiOps*extI*extJ,
-			ReadBytes:  ck * partialBytes(is, js, extI, extJ),
-			WriteBytes: outRegionBytes(j.Out, is, js),
-		}
-		if j.Epilogue != nil {
-			w.ReadBytes += progRegionBytes(j.EpiProg, is, js)
-		}
-		return w
-	})
-	return []PhaseProfile{phase1, phase2}
+	return out
 }

@@ -42,8 +42,6 @@ output H
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := New(res.Model, cl)
-		p.Coarse = true
-		p.OptimizeSplits(pl, 0)
+		New(res.Model, cl).OptimizeSplits(pl, 0)
 	}
 }

@@ -5,8 +5,9 @@
 // cheap: per-job work comes from the planner's per-task work profiles in
 // class form (plan.Profile, memoized per job and split for the life of the
 // predictor), each class is priced once per deployment, locality comes
-// from the replication geometry, and phase times from list-scheduling the
-// tasks over the slots (or, in coarse mode, the wave approximation).
+// from the replication geometry. A prediction list-schedules every phase's
+// tasks over the slots; a split sweep, which prices thousands of candidates,
+// approximates each phase by waves of its mean task.
 package sim
 
 import (
@@ -28,11 +29,6 @@ type Predictor struct {
 	Cluster     cloud.Cluster
 	Replication int     // DFS replication factor (default 3)
 	JobStartup  float64 // per-job overhead, must match the engine's
-	// Coarse switches phase-time estimation from exact greedy list
-	// scheduling to the wave approximation. The optimizer's split sweeps
-	// use coarse mode (thousands of evaluations); final reporting uses
-	// exact mode.
-	Coarse bool
 	// Rec, when set, receives the predicted timeline of PredictPlan as a
 	// span trace (program span plus one job span per job, at cumulative
 	// offsets), so predictions can be compared structurally against an
@@ -167,18 +163,24 @@ func (p *Predictor) schedulePhase(ph plan.PhaseProfile, residual func() float64)
 func (p *Predictor) PredictJob(j *plan.Job) float64 {
 	total := p.JobStartup
 	for _, ph := range p.profiles.Profile(j) {
-		if p.Coarse {
-			total += p.coarsePhase(ph)
-		} else {
-			total += p.schedulePhase(ph, nil)
-		}
+		total += p.schedulePhase(ph, nil)
 	}
 	return total
 }
 
-// coarsePhase approximates a phase's makespan as full waves of the mean
-// task duration, bounded below by the longest task.
-func (p *Predictor) coarsePhase(ph plan.PhaseProfile) float64 {
+// sweepJob is PredictJob with each phase's makespan approximated by waves:
+// the split sweep's estimate.
+func (p *Predictor) sweepJob(j *plan.Job) float64 {
+	total := p.JobStartup
+	for _, ph := range p.profiles.Profile(j) {
+		total += p.wavePhase(ph)
+	}
+	return total
+}
+
+// wavePhase approximates a phase's makespan as full waves of the mean task
+// duration, bounded below by the longest task.
+func (p *Predictor) wavePhase(ph plan.PhaseProfile) float64 {
 	dur := p.classSeconds(ph)
 	var total, maxDur float64
 	for _, c := range ph.Class {
@@ -221,9 +223,9 @@ func (p *Predictor) PredictPlan(pl *plan.Plan) float64 {
 }
 
 // BestSplit sweeps the split candidates of a job and returns the one with
-// the lowest predicted time whose estimated per-task memory fits in
-// memBytesPerSlot (0 disables the memory constraint). The job's split is
-// left untouched; callers assign the result.
+// the lowest wave-model time (sweepJob) whose estimated per-task memory fits
+// in memBytesPerSlot (0 disables the memory constraint), and that time. The
+// job's split is left untouched; callers assign the result.
 func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, float64) {
 	old := j.Split
 	defer func() { j.Split = old }()
@@ -247,7 +249,7 @@ func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, f
 		if memBytesPerSlot > 0 && mem > memBytesPerSlot {
 			continue
 		}
-		t := p.PredictJob(j)
+		t := p.sweepJob(j)
 		if t < bestTime {
 			bestTime = t
 			best = s
@@ -257,13 +259,14 @@ func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, f
 		// Nothing fits the memory bound: take the smallest-footprint
 		// split (the engine will still run; the model flags the risk).
 		j.Split = fallback
-		return fallback, p.PredictJob(j)
+		return fallback, p.sweepJob(j)
 	}
 	return best, bestTime
 }
 
-// OptimizeSplits assigns the best predicted split to every job and
-// returns the plan's predicted total seconds.
+// OptimizeSplits assigns the best split to every job and returns the
+// plan's total seconds under the wave model; PredictPlan prices the result
+// exactly.
 func (p *Predictor) OptimizeSplits(pl *plan.Plan, memBytesPerSlot int64) float64 {
 	var total float64
 	for _, j := range pl.Jobs {

@@ -102,7 +102,7 @@ func TestBestSplitBeatsWorstSplit(t *testing.T) {
 	j := pl.Jobs[0]
 
 	best, bestTime := p.BestSplit(j, 0)
-	if err := best.Validate(j.ITiles(), j.JTiles(), j.KTiles(), j.Kind); err != nil {
+	if err := best.Validate(j); err != nil {
 		t.Fatal(err)
 	}
 	// The degenerate one-task split must be no better than the optimum.

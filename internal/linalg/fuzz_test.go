@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -146,6 +148,47 @@ func FuzzGemmTB(f *testing.F) {
 		refGemmTB(wantAcc, a, bt)
 		if !gotAcc.Equal(wantAcc) {
 			t.Fatalf("blocked gemmTB accumulate diverges from refGemmTB at %dx%dx%d conf %s", m, k, n, fuzzConfString(cf))
+		}
+	})
+}
+
+// FuzzSetDense holds the selected dense→CSR scan to the portable loop. The
+// first three bytes pick the shape (up to 9 rows, up to 70 columns, so
+// every tail length and several vector groups occur) and the row stride;
+// each element then takes a selector byte — +0, −0, or the raw bits of the
+// next eight payload bytes, cycling — so zeros of both signs, NaN payloads,
+// infinities and subnormals all reach the compaction. Row pointers, column
+// indices and value bits must match.
+func FuzzSetDense(f *testing.F) {
+	f.Add([]byte("setdense differential seed"))
+	f.Add([]byte{0, 69, 3, 2, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 2})
+	f.Add([]byte{8, 3, 0, 0, 1, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		rows, cols := 1+int(data[0])%9, 1+int(data[1])%70
+		stride := cols + int(data[2])%5
+		payload := data[3:]
+		dense := make([]float64, rows*stride)
+		var raw [8]byte
+		for i := range dense {
+			switch sel := payload[i%len(payload)]; sel % 3 {
+			case 0:
+				dense[i] = 0
+			case 1:
+				dense[i] = math.Copysign(0, -1)
+			default:
+				for b := range raw {
+					raw[b] = payload[(i+b+1)%len(payload)]
+				}
+				dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+			}
+		}
+		var got CSRTile
+		got.SetDense(dense, rows, cols, stride)
+		if want := refSetDense(dense, rows, cols, stride); !sameCSR(&got, want) {
+			t.Fatalf("%dx%d stride %d: got %+v, want %+v", rows, cols, stride, got, want)
 		}
 	})
 }

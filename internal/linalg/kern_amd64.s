@@ -12,8 +12,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
-	ANDL $(1<<27 | 1<<28), CX // OSXSAVE and AVX
-	CMPL CX, $(1<<27 | 1<<28)
+	ANDL $(1<<23 | 1<<27 | 1<<28), CX // POPCNT, OSXSAVE and AVX
+	CMPL CX, $(1<<23 | 1<<27 | 1<<28)
 	JNE  done
 	XORL CX, CX
 	XGETBV
@@ -138,5 +138,65 @@ axpytail:
 	JMP    axpytail
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// Lane indices 0..3 as 64-bit integers: the columns of the first group.
+DATA compactLanes<>+0(SB)/8, $0
+DATA compactLanes<>+8(SB)/8, $1
+DATA compactLanes<>+16(SB)/8, $2
+DATA compactLanes<>+24(SB)/8, $3
+GLOBL compactLanes<>(SB), RODATA|NOPTR, $32
+
+// func compactAVX2(row []float64, col []int, val []float64, ahead int) int
+//
+// Branch-free compaction, four columns per step: VCMPPD with NEQ_UQ marks
+// the lanes where v != 0 holds as Go evaluates it (unordered counts as not
+// equal, so a NaN is kept; −0 equals +0, so both zeros are dropped),
+// VMOVMSKPD turns the marks into a 4-bit mask, and compactPerm[mask]
+// drives one VPERMD over the values and one over the column indices,
+// which are stored, all four lanes, at the count kept so far. The count
+// then advances by POPCNT(mask): a lane that is not kept is overwritten
+// by the next store, or lies past the count the caller keeps. Each step
+// first prefetches the same columns of the next row (ahead bytes on):
+// ingest scans a tile's rows a matrix row apart, a stride the hardware
+// prefetchers do not follow, and the scan is bound by memory.
+TEXT ·compactAVX2(SB), NOSPLIT, $0-88
+	MOVQ    row_base+0(FP), SI
+	MOVQ    row_len+8(FP), CX
+	MOVQ    col_base+24(FP), DI
+	MOVQ    val_base+48(FP), R8
+	LEAQ    ·compactPerm(SB), R9
+	MOVQ    ahead+72(FP), R10
+	XORQ    DX, DX                 // entries kept
+	VXORPD  Y0, Y0, Y0
+	VMOVDQU compactLanes<>(SB), Y6 // this group's column indices
+	MOVQ    $4, AX
+	MOVQ    AX, X7
+	VPBROADCASTQ X7, Y7
+	SHRQ    $2, CX
+	JZ      compactdone
+
+compactloop:
+	PREFETCHT0 (SI)(R10*1)
+	VMOVUPD   (SI), Y1
+	VCMPPD    $4, Y0, Y1, Y2 // NEQ_UQ
+	VMOVMSKPD Y2, AX
+	MOVQ      AX, BX
+	SHLQ      $5, BX
+	VMOVDQU   (R9)(BX*1), Y3
+	VPERMD    Y1, Y3, Y4
+	VPERMD    Y6, Y3, Y5
+	VMOVUPD   Y4, (R8)(DX*8)
+	VMOVDQU   Y5, (DI)(DX*8)
+	POPCNTQ   AX, AX
+	ADDQ      AX, DX
+	VPADDQ    Y7, Y6, Y6
+	ADDQ      $32, SI
+	DECQ      CX
+	JNZ       compactloop
+
+compactdone:
+	MOVQ DX, ret+80(FP)
 	VZEROUPPER
 	RET

@@ -16,12 +16,6 @@ type CSRTile struct {
 // NNZ returns the number of stored (structurally nonzero) entries.
 func (s *CSRTile) NNZ() int { return len(s.Val) }
 
-// Bytes reports the serialized payload size estimate: 8 bytes per value,
-// 4 per column index, 4 per row pointer. Used by I/O accounting.
-func (s *CSRTile) Bytes() int64 {
-	return int64(len(s.Val))*12 + int64(len(s.RowPtr))*4
-}
-
 // DenseToCSR converts a dense tile to CSR, dropping exact zeros.
 func DenseToCSR(t *Tile) *CSRTile {
 	s := new(CSRTile)
@@ -39,14 +33,28 @@ func (s *CSRTile) SetDense(data []float64, rows, cols, stride int) {
 	}
 	s.RowPtr, s.ColIdx, s.Val = append(s.RowPtr[:0], 0), s.ColIdx[:0], s.Val[:0]
 	for i := 0; i < rows; i++ {
-		for j, v := range data[i*stride : i*stride+cols] {
-			if v != 0 {
-				s.ColIdx = append(s.ColIdx, j)
-				s.Val = append(s.Val, v)
-			}
-		}
+		s.ColIdx, s.Val = compactRow(s.ColIdx, s.Val, data[i*stride:i*stride+cols], stride)
 		s.RowPtr = append(s.RowPtr, len(s.Val))
 	}
+}
+
+// compactRow appends to col and val the column index and the value of
+// every entry of row for which v != 0 holds — a NaN is kept, ±0 dropped —
+// in ascending column order: SetDense's per-row scan. The next row the
+// caller scans starts stride elements after row; a routine may prefetch
+// it. Like axpy it is selected once: the portable loop here, replaced at
+// package init by the AVX2 compaction where the build and the CPU have it
+// (kern_amd64.go).
+var compactRow = compactRowScalar
+
+func compactRowScalar(col []int, val, row []float64, _ int) ([]int, []float64) {
+	for j, v := range row {
+		if v != 0 {
+			col = append(col, j)
+			val = append(val, v)
+		}
+	}
+	return col, val
 }
 
 // ToDense expands the CSR tile back to dense form.

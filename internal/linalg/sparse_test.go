@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,20 +35,20 @@ func TestCSRRoundTrip(t *testing.T) {
 	}
 }
 
-// forEachAxpy runs body under the portable axpy loop and, where package
-// init selected it, under the AVX2 routine (forEachKernel's twin for the
-// CSR kernels).
-func forEachAxpy(t *testing.T, body func(t *testing.T)) {
+// forEachCSRRoutine runs body under the portable axpy and compactRow loops
+// and, where package init selected them, under the AVX2 routines
+// (forEachKernel's twin for the CSR kernels and the dense→CSR scan).
+func forEachCSRRoutine(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
-	selected := axpy
-	defer func() { axpy = selected }()
-	axpy = axpyScalar
+	selAxpy, selCompact := axpy, compactRow
+	defer func() { axpy, compactRow = selAxpy, selCompact }()
+	axpy, compactRow = axpyScalar, compactRowScalar
 	t.Run("scalar", body)
 	if len(microKernels) == 1 {
-		t.Log("AVX2 arm skipped: this build or CPU has only the scalar axpy")
+		t.Log("AVX2 arm skipped: this build or CPU has only the scalar routines")
 		return
 	}
-	axpy = selected
+	axpy, compactRow = selAxpy, selCompact
 	t.Run("avx2", body)
 }
 
@@ -96,7 +97,7 @@ func TestAxpyMatchesScalar(t *testing.T) {
 // on: from any (−0-free) accumulator the CSR kernels reproduce the naive
 // references on the densified operand bit for bit, under either axpy.
 func TestSpGemmMatchesDense(t *testing.T) {
-	forEachAxpy(t, func(t *testing.T) {
+	forEachCSRRoutine(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 60; trial++ {
 			m, k, n := 1+rng.Intn(64), 1+rng.Intn(64), 1+rng.Intn(40)
@@ -112,7 +113,7 @@ func TestSpGemmMatchesDense(t *testing.T) {
 }
 
 func TestSpGemmTAMatchesDense(t *testing.T) {
-	forEachAxpy(t, func(t *testing.T) {
+	forEachCSRRoutine(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
 		for trial := 0; trial < 60; trial++ {
 			k, m, n := 1+rng.Intn(64), 1+rng.Intn(64), 1+rng.Intn(40)
@@ -184,13 +185,6 @@ func TestSpZipPatternMismatchPanics(t *testing.T) {
 	SpZip(a, b, func(x, y float64) float64 { return x })
 }
 
-func TestCSRBytes(t *testing.T) {
-	s := &CSRTile{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2}, ColIdx: []int{0, 1}, Val: []float64{1, 2}}
-	if s.Bytes() != 2*12+3*4 {
-		t.Fatalf("bytes: got %d", s.Bytes())
-	}
-}
-
 func TestCSRTranspose(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -208,4 +202,119 @@ func TestCSRTransposeInvolution(t *testing.T) {
 	if !s.Transpose().Transpose().ToDense().Equal(s.ToDense()) {
 		t.Fatal("double transpose != original")
 	}
+}
+
+// refSetDense is SetDense with the portable row scan, whatever package init
+// selected: the oracle of the compaction tests.
+func refSetDense(data []float64, rows, cols, stride int) *CSRTile {
+	s := &CSRTile{Rows: rows, Cols: cols, RowPtr: []int{0}}
+	for i := 0; i < rows; i++ {
+		s.ColIdx, s.Val = compactRowScalar(s.ColIdx, s.Val, data[i*stride:i*stride+cols], stride)
+		s.RowPtr = append(s.RowPtr, len(s.Val))
+	}
+	return s
+}
+
+// sameCSR reports whether a and b hold the same shape, row pointers,
+// column indices and value bits (NaN payloads included).
+func sameCSR(a, b *CSRTile) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !slices.Equal(a.RowPtr, b.RowPtr) ||
+		!slices.Equal(a.ColIdx, b.ColIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for p, v := range a.Val {
+		if math.Float64bits(v) != math.Float64bits(b.Val[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSetDenseMatchesScalar holds the selected dense→CSR scan to the
+// portable loop bit for bit: every 4-lane mask, widths that leave every
+// tail length 0–3, row strides beyond the width, NaNs with payloads, −0
+// (dropped, like +0), ±Inf and subnormals (kept), into recycled buffers —
+// and compactRow writes nothing past the capacity it is given.
+func TestSetDenseMatchesScalar(t *testing.T) {
+	nonzero := []float64{
+		1, -1, math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0001),
+		math.Float64frombits(0xfff8_dead_beef_cafe), math.SmallestNonzeroFloat64, -0x1p-1040, math.MaxFloat64, 3,
+	}
+	zero := []float64{0, math.Copysign(0, -1)}
+	forEachCSRRoutine(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		// Every 4-bit lane mask, group g of a row having mask g.
+		masks := make([]float64, 3*64)
+		for i := range masks {
+			if g := i % 64 / 4; g>>(i%4)&1 != 0 {
+				masks[i] = nonzero[rng.Intn(len(nonzero))]
+			} else {
+				masks[i] = zero[rng.Intn(2)]
+			}
+		}
+		check := func(name string, s *CSRTile, data []float64, rows, cols, stride int) {
+			t.Helper()
+			s.SetDense(data, rows, cols, stride)
+			if want := refSetDense(data, rows, cols, stride); !sameCSR(s, want) {
+				t.Fatalf("%s: %dx%d stride %d: got %+v, want %+v", name, rows, cols, stride, s, want)
+			}
+		}
+		var reused CSRTile
+		check("masks", &reused, masks, 3, 64, 64)
+		check("masks shifted by one column", &reused, masks[1:], 2, 63, 64)
+		for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256} {
+			for _, extra := range []int{0, 1, 3, 8} {
+				for _, density := range []float64{0, 0.05, 0.5, 1} {
+					rows, stride := 1+rng.Intn(5), cols+extra
+					data := make([]float64, rows*stride)
+					for i := range data {
+						switch {
+						case rng.Float64() < density:
+							data[i] = nonzero[rng.Intn(len(nonzero))]
+							if rng.Intn(2) == 0 {
+								data[i] = rng.NormFloat64()
+							}
+						default:
+							data[i] = zero[rng.Intn(2)]
+						}
+					}
+					check("fresh", new(CSRTile), data, rows, cols, stride)
+					check("recycled", &reused, data, rows, cols, stride)
+				}
+			}
+		}
+		// compactRow appends within the capacity it is given, even when that
+		// is exactly a row beyond the length, and leaves the prefix alone.
+		const sentinel = -12345
+		for _, w := range []int{1, 3, 4, 5, 8, 255, 256} {
+			row := make([]float64, w)
+			for j := range row {
+				row[j] = nonzero[rng.Intn(len(nonzero))]
+				if rng.Intn(3) == 0 {
+					row[j] = zero[rng.Intn(2)]
+				}
+			}
+			for _, start := range []int{0, 1, 3} {
+				colBuf, valBuf := make([]int, start+w+8), make([]float64, start+w+8)
+				for i := range colBuf {
+					colBuf[i], valBuf[i] = sentinel, sentinel
+				}
+				col, val := compactRow(colBuf[:start:start+w], valBuf[:start:start+w], row, w)
+				wantCol, wantVal := compactRowScalar(nil, nil, row, w)
+				if !slices.Equal(col[start:], wantCol) || len(val) != len(col) || cap(col) != start+w || cap(val) != start+w {
+					t.Fatalf("width %d after %d entries: columns %v, want %v (or the buffer was not reused)", w, start, col[start:], wantCol)
+				}
+				for p, v := range wantVal {
+					if math.Float64bits(val[start+p]) != math.Float64bits(v) {
+						t.Fatalf("width %d: value %d is %#x, want %#x", w, p, math.Float64bits(val[start+p]), math.Float64bits(v))
+					}
+				}
+				for i := range colBuf {
+					if (i < start || i >= start+w) && (colBuf[i] != sentinel || valBuf[i] != sentinel) {
+						t.Fatalf("width %d after %d entries: element %d outside the row's room was written", w, start, i)
+					}
+				}
+			}
+		}
+	})
 }

@@ -67,6 +67,13 @@ func FuzzDecodeSparseTile(f *testing.F) {
 		if uint64(fresh.NNZ()) > uint64(fresh.Rows)*uint64(fresh.Cols) {
 			t.Fatalf("accepted a %dx%d tile with %d entries", fresh.Rows, fresh.Cols, fresh.NNZ())
 		}
+		for i := 0; i < fresh.Rows; i++ {
+			for p := fresh.RowPtr[i] + 1; p < fresh.RowPtr[i+1]; p++ {
+				if fresh.ColIdx[p] <= fresh.ColIdx[p-1] {
+					t.Fatalf("accepted row %d with columns %v, not strictly ascending", i, fresh.ColIdx[fresh.RowPtr[i]:fresh.RowPtr[i+1]])
+				}
+			}
+		}
 		if got := EncodeSparseTile(fresh); !bytes.Equal(got, raw) {
 			t.Fatalf("accepted payload re-encodes differently (%d bytes in, %d out)", len(raw), len(got))
 		}

@@ -15,6 +15,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sync"
+	"unsafe"
 
 	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
@@ -241,17 +242,49 @@ func encodeDense(data []float64, rows, cols, stride int) []byte {
 	binary.LittleEndian.PutUint32(buf[8:], uint32(cols))
 	off := 12
 	for i := 0; i < rows; i++ {
-		for _, v := range data[i*stride : i*stride+cols] {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-			off += 8
-		}
+		putFloats(buf[off:], data[i*stride:i*stride+cols])
+		off += 8 * cols
 	}
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
 	return buf
 }
 
-// getFloats decodes len(dst) little-endian float64 values from src.
+// littleEndian reports whether this host keeps a float64 in memory in the
+// format's byte order, so that a run of them is stored as its bytes.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes is the memory of f as bytes, 8 per value in host order.
+func floatBytes(f []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 8*len(f))
+}
+
+// putFloats encodes src at the start of dst as little-endian float64s: one
+// copy on a little-endian host, the portable loop on any other.
+func putFloats(dst []byte, src []float64) {
+	if littleEndian {
+		copy(dst[:8*len(src)], floatBytes(src))
+		return
+	}
+	putFloatsLoop(dst, src)
+}
+
+func putFloatsLoop(dst []byte, src []float64) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// getFloats decodes len(dst) little-endian float64 values from src, as
+// putFloats encodes them.
 func getFloats(dst []float64, src []byte) {
+	if littleEndian {
+		copy(floatBytes(dst), src[:8*len(dst)])
+		return
+	}
+	getFloatsLoop(dst, src)
+}
+
+func getFloatsLoop(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
@@ -342,17 +375,15 @@ func EncodeSparseTile(t *linalg.CSRTile) []byte {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(c))
 		off += 4
 	}
-	for _, v := range t.Val {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
+	putFloats(buf[off:], t.Val)
+	off += 8 * nnz
 	binary.LittleEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
 	return buf
 }
 
 // DecodeSparseTile deserializes a CSR tile into a fresh tile, verifying
 // the checksum and structural invariants (monotone row pointers, in-range
-// column indices).
+// column indices strictly ascending within each row).
 func DecodeSparseTile(raw []byte) (*linalg.CSRTile, error) {
 	t := new(linalg.CSRTile)
 	if err := DecodeSparseTileInto(t, raw); err != nil {
@@ -404,9 +435,18 @@ func DecodeSparseTileInto(t *linalg.CSRTile, raw []byte) error {
 			return fmt.Errorf("%w: non-monotone row pointers", ErrCorrupt)
 		}
 	}
-	for _, c := range t.ColIdx {
-		if c < 0 || c >= cols {
-			return fmt.Errorf("%w: column index out of range", ErrCorrupt)
+	for i := 0; i < rows; i++ {
+		prev := -1
+		for _, c := range t.ColIdx[t.RowPtr[i]:t.RowPtr[i+1]] {
+			if c < 0 || c >= cols {
+				return fmt.Errorf("%w: column index out of range", ErrCorrupt)
+			}
+			// The CSR kernels' ascending-k chains and the scatter of
+			// ToDense agree only on one entry per position, in order.
+			if c <= prev {
+				return fmt.Errorf("%w: column indices of row %d not ascending", ErrCorrupt, i)
+			}
+			prev = c
 		}
 	}
 	return nil

@@ -91,8 +91,13 @@ func AcquireToken() {
 	budget.mu.Unlock()
 }
 
-// ReleaseToken returns the token taken by AcquireToken.
+// ReleaseToken returns the token taken by AcquireToken or TryAcquireToken.
 func ReleaseToken() { releaseTokens(1) }
+
+// TryAcquireToken takes one token if one is idle right now and reports
+// whether it did; it never waits. A goroutine widens a search onto the
+// budget this way (opt's calibration helpers), so a busy host gets none.
+func TryAcquireToken() bool { return tryAcquire(1) == 1 }
 
 // tryAcquire takes up to n tokens that are idle right now and reports how
 // many it got; it never waits.

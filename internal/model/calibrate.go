@@ -106,9 +106,16 @@ var suiteSplits = [...]int{4, 16, 64}
 // stream is drawn twice. The engines still do all that depends on the
 // machine (scheduling, output placement, accounting, the noise each task
 // draws), so the fitted model is bit-identical to a fresh calibration's.
-// The zero Suite is ready to use; it is not safe for concurrent use (the
-// optimizer keeps one per search).
+//
+// The zero Suite is ready to use and safe for concurrent use. The first
+// calibration at a seed records everything every later one at that seed
+// reads (TestFrozenSuiteServesEveryPair): no phase, load or stream value
+// more, whatever the machine and slots. From then on the suite is only
+// read, and a draw reads its stream's memo without a lock or an
+// allocation; recording, and a draw past the end of a memo, take the
+// suite's lock.
 type Suite struct {
+	mu sync.Mutex
 	// phases holds, per benchmark and split, each phase's task results in
 	// the order the engine asks for them.
 	phases  [][len(suiteSplits)][][]*compute.Result
@@ -130,38 +137,51 @@ type load struct {
 }
 
 // stream is one seed's memoized random stream: out holds, in order, every
-// value drawn from src so far.
+// value drawn from src so far. Both change only under the suite's lock, and
+// out only by appending, so a copy of out read under it stays valid.
 type stream struct {
 	src rand.Source64
 	out []uint64
 }
 
-// at returns the stream's k-th value, drawing from src only past the end of
-// what is memoized.
-func (st *stream) at(k int) uint64 {
-	for len(st.out) <= k {
-		st.out = append(st.out, st.src.Uint64())
-	}
-	return st.out[k]
-}
-
 // cursor reads a stream from position k on: a rand.Source64 whose values are
 // those of rand.NewSource(seed). Each rngSource method advances it one value,
 // and Int63 masks Uint64 exactly as rngSource.Int63 does, so every rand.Rand
-// method returns what it would on a fresh source.
+// method returns what it would on a fresh source. out is the part of the
+// memo the cursor has seen; it reads past it only under the suite's lock.
 type cursor struct {
-	s *stream
-	k int
+	s   *Suite
+	st  *stream
+	out []uint64
+	k   int
 }
 
-func (c *cursor) Uint64() uint64 { c.k++; return c.s.at(c.k - 1) }
+func (c *cursor) Uint64() uint64 {
+	if c.k >= len(c.out) {
+		c.out = c.s.draw(c.st, c.k)
+	}
+	c.k++
+	return c.out[c.k-1]
+}
 
 func (c *cursor) Int63() int64 { return int64(c.Uint64() & (1<<63 - 1)) }
 
 func (c *cursor) Seed(int64) { panic("model: a memoized random stream cannot be reseeded") }
 
+// draw extends st's memo through position k and returns it.
+func (s *Suite) draw(st *stream, k int) []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(st.out) <= k {
+		st.out = append(st.out, st.src.Uint64())
+	}
+	return st.out
+}
+
 // cursor returns a cursor over seed's stream at position k.
 func (s *Suite) cursor(seed int64, k int) *cursor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.streams[seed]
 	if st == nil {
 		if s.streams == nil {
@@ -170,7 +190,7 @@ func (s *Suite) cursor(seed int64, k int) *cursor {
 		st = &stream{src: rand.NewSource(seed).(rand.Source64)}
 		s.streams[seed] = st
 	}
-	return &cursor{s: st, k: k}
+	return &cursor{s: s, st: st, k: k}
 }
 
 // Calibrate runs the micro-benchmark suite on a small instrumented
@@ -215,16 +235,18 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 	if err != nil {
 		return nil, err
 	}
-	if s.phases == nil {
-		s.phases = make([][len(suiteSplits)][][]*compute.Result, len(plans))
-		s.loads = make(map[loadKey]load)
-	}
 	for i, tmpl := range plans {
 		for k, tasks := range suiteSplits {
 			// exec.New's seeds: noise from engineSeed, placement from one past.
 			engineSeed := seed + int64(i*100+tasks)
 			key := loadKey{i, k, seed}
+			s.mu.Lock()
+			if s.phases == nil {
+				s.phases = make([][len(suiteSplits)][][]*compute.Result, len(plans))
+				s.loads = make(map[loadKey]load)
+			}
 			ld, loaded := s.loads[key]
+			s.mu.Unlock()
 			var fs *dfs.FS
 			var placement *cursor
 			if loaded {
@@ -238,7 +260,7 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 				Replication: repl,
 				Seed:        engineSeed,
 				NoiseFactor: 0.08,
-				Backend:     &replay{phases: &s.phases[i][k]},
+				Backend:     &replay{s: s, phases: &s.phases[i][k]},
 			}, fs, rand.New(s.cursor(engineSeed, 0)))
 			if err != nil {
 				return nil, err
@@ -251,7 +273,9 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 						return nil, err
 					}
 				}
+				s.mu.Lock()
 				s.loads[key] = load{fs: fs.Fork(nil), drawn: placement.k}
+				s.mu.Unlock()
 			}
 			m, err := e.Run(pl)
 			if err != nil {
@@ -270,13 +294,16 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 // replay is the compute backend of one suite run. Whatever the machine, the
 // run's engine asks for the same phases in the same order, so its k-th batch
 // is the k-th phase recorded — computed on the sequential backend and
-// recorded if no calibration has run it yet.
+// recorded, under the suite's lock, if no calibration has run it yet.
 type replay struct {
+	s      *Suite
 	phases *[][]*compute.Result
 	next   int
 }
 
 func (r *replay) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
 	if r.next == len(*r.phases) {
 		res := make([]*compute.Result, len(ts))
 		fetch, release := compute.NewSequential().RunBatch(ts)

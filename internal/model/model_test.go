@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cumulon/internal/cloud"
@@ -185,6 +186,88 @@ func TestSuiteLoadsKeyedBySeed(t *testing.T) {
 		if !reflect.DeepEqual(got, fresh) {
 			t.Fatalf("%s/%d seed %d: the suite's calibration differs from a fresh one\nsuite %s\nfresh %s",
 				c.mt.Name, c.slots, c.seed, got.Model, fresh.Model)
+		}
+	}
+}
+
+// recorded counts what the suite holds: stream values drawn, phases and
+// loads recorded.
+func (s *Suite) recorded() (values, phases, loads int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range s.streams {
+		values += len(st.out)
+	}
+	for _, splits := range s.phases {
+		for _, ph := range splits {
+			phases += len(ph)
+		}
+	}
+	return values, phases, len(s.loads)
+}
+
+// TestFrozenSuiteServesEveryPair: once one calibration has run through a
+// suite, calibrating every catalog pair at the same seed draws no stream
+// value, records no phase and adds no load — the suite is only read from
+// then on, which is what lets its draws go without a lock. Four goroutines
+// calibrating every pair at once through it then each fit exactly the model
+// a fresh calibration does.
+func TestFrozenSuiteServesEveryPair(t *testing.T) {
+	type pair struct {
+		mt    cloud.MachineType
+		slots int
+	}
+	var pairs []pair
+	for _, mt := range cloud.Catalog() {
+		for _, s := range []int{1, mt.Cores / 2, mt.Cores, 2 * mt.Cores} {
+			if s >= 1 && (len(pairs) == 0 || pairs[len(pairs)-1] != pair{mt, s}) {
+				pairs = append(pairs, pair{mt, s})
+			}
+		}
+	}
+	for _, seed := range []int64{7, 8} {
+		var suite Suite
+		if _, err := suite.Calibrate(pairs[0].mt, pairs[0].slots, seed, nil); err != nil {
+			t.Fatal(err)
+		}
+		values, phases, loads := suite.recorded()
+		fresh := make([]*CalibrationResult, len(pairs))
+		for i, p := range pairs {
+			if _, err := suite.Calibrate(p.mt, p.slots, seed, nil); err != nil {
+				t.Fatal(err)
+			}
+			if v, ph, l := suite.recorded(); v != values || ph != phases || l != loads {
+				t.Fatalf("seed %d, %s/%d: the suite grew from %d values, %d phases, %d loads to %d, %d, %d",
+					seed, p.mt.Name, p.slots, values, phases, loads, v, ph, l)
+			}
+			var err error
+			if fresh[i], err = Calibrate(p.mt, p.slots, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range pairs {
+					i := (n + g*len(pairs)/4) % len(pairs)
+					got, err := suite.Calibrate(pairs[i].mt, pairs[i].slots, seed, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, fresh[i]) {
+						t.Errorf("seed %d, goroutine %d, %s/%d: a concurrent calibration differs from a fresh one",
+							seed, g, pairs[i].mt.Name, pairs[i].slots)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if v, ph, l := suite.recorded(); v != values || ph != phases || l != loads {
+			t.Fatalf("seed %d: concurrent calibrations grew the suite", seed)
 		}
 	}
 }

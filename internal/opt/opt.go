@@ -16,11 +16,14 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
+	"cumulon/internal/linalg"
 	"cumulon/internal/linalg/tune"
 	"cumulon/internal/model"
 	"cumulon/internal/plan"
@@ -127,7 +130,22 @@ func (r Request) withDefaults() Request {
 	if r.JobStartupSec == 0 {
 		r.JobStartupSec = 6
 	}
+	// A machine type or tile size listed twice would evaluate its grid
+	// points twice.
+	r.Machines = firstOf(r.Machines, func(mt cloud.MachineType) string { return mt.Name })
+	r.TileSizes = firstOf(r.TileSizes, func(ts int) int { return ts })
 	return r
+}
+
+// firstOf returns the first element of xs with each key, in order.
+func firstOf[T any, K comparable](xs []T, key func(T) K) []T {
+	var out []T
+	for _, x := range xs {
+		if !slices.ContainsFunc(out, func(y T) bool { return key(y) == key(x) }) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // Result is the outcome of a search.
@@ -159,13 +177,13 @@ type Optimizer struct {
 	seed int64
 
 	mu      sync.Mutex
-	models  map[string]*model.TaskModel
+	models  map[modelKey]*model.TaskModel
 	profile *tune.Profile
 }
 
 // New creates an optimizer; seed drives calibration determinism.
 func New(seed int64) *Optimizer {
-	return &Optimizer{seed: seed, models: map[string]*model.TaskModel{}}
+	return &Optimizer{seed: seed, models: map[modelKey]*model.TaskModel{}}
 }
 
 // UseKernelProfile attaches a kernel autotuner profile
@@ -181,7 +199,7 @@ func (o *Optimizer) UseKernelProfile(p *tune.Profile) {
 		return
 	}
 	o.profile = p
-	o.models = map[string]*model.TaskModel{}
+	o.models = map[modelKey]*model.TaskModel{}
 }
 
 // ModelFor returns the (cached) calibrated model for a machine type and
@@ -193,12 +211,13 @@ func (o *Optimizer) ModelFor(mt cloud.MachineType, slots int) (*model.TaskModel,
 // modelFor is ModelFor reporting cache hits and misses to the search
 // recorder (the paper's benchmarking phase is the expensive part; the
 // hit rate shows the cache amortizing it across the search grid), and
-// calibrating a miss through the caller's benchmark suite.
+// calibrating a miss through the caller's benchmark suite, which other
+// goroutines may be calibrating through too (model.Suite is safe for that).
 // Calibration runs outside the lock; concurrent misses on the same key
 // may calibrate twice, but both compute the identical seeded model and
 // the second write is a no-op overwrite.
 func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec SearchRecorder, suite *model.Suite) (*model.TaskModel, error) {
-	key := fmt.Sprintf("%s/%d", mt.Name, slots)
+	key := modelKey{mt.Name, slots}
 	o.mu.Lock()
 	if m, ok := o.models[key]; ok {
 		o.mu.Unlock()
@@ -220,6 +239,123 @@ func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec SearchRecorder
 	}
 	o.mu.Unlock()
 	return res.Model, nil
+}
+
+// modelKey names a cached model: machine type and slots.
+type modelKey struct {
+	machine string
+	slots   int
+}
+
+// calibrations are one search's (machine, slots) pairs in enumeration order,
+// calibrated on the compute budget beside the candidate sweep the way
+// compute's pool backend runs a phase's tasks. The search goroutine holds no
+// token. Asked for pair i, it calibrates the lowest pair nobody has started
+// (i itself, or another while a helper has i in flight) and waits only when
+// there is none. Once its first calibration has recorded the suite, it starts
+// a helper per token idle right then; helpers claim pairs in index order and
+// give their token back when none is left. At width 1, or with every token
+// held, the search is the serial one. Only the search goroutine records.
+type calibrations struct {
+	o       *Optimizer
+	suite   *model.Suite
+	pairs   []calPair
+	next    atomic.Int64 // pairs below next are claimed
+	stopped atomic.Bool
+	widened bool // by the search goroutine
+	helpers sync.WaitGroup
+}
+
+type calPair struct {
+	mt     *cloud.MachineType
+	slots  int
+	cached bool // in the model cache when the search began: a hit
+	model  *model.TaskModel
+	err    error
+	done   chan struct{} // closed once model and err are set
+}
+
+// calibrations lists the pairs a search over machines sweeps, taking the
+// model cache's as they are when the search begins.
+func (o *Optimizer) calibrations(machines []cloud.MachineType, suite *model.Suite) *calibrations {
+	c := &calibrations{o: o, suite: suite}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for m := range machines {
+		for _, slots := range slotOptions(machines[m]) {
+			p := calPair{mt: &machines[m], slots: slots, done: make(chan struct{})}
+			if p.model, p.cached = o.models[modelKey{machines[m].Name, slots}]; p.cached {
+				close(p.done)
+			}
+			c.pairs = append(c.pairs, p)
+		}
+	}
+	return c
+}
+
+// model returns pair i's model. Only the search goroutine calls it, in index
+// order.
+func (c *calibrations) model(i int, rec SearchRecorder) (*model.TaskModel, error) {
+	p := &c.pairs[i]
+	counter := CounterModelCacheMisses
+	if p.cached {
+		counter = CounterModelCacheHits
+	}
+	rec.Count(counter, 1)
+	for {
+		select {
+		case <-p.done:
+			return p.model, p.err
+		default:
+		}
+		// Calibrate i, or another pair while a helper has i in flight.
+		j := c.claim()
+		if j < 0 {
+			<-p.done
+			continue
+		}
+		c.run(j)
+		if !c.widened && c.pairs[j].err == nil {
+			// The suite is recorded: widen onto the tokens idle right now.
+			c.widened = true
+			for h := 1; h < linalg.Parallelism() && linalg.TryAcquireToken(); h++ {
+				c.helpers.Add(1)
+				go func() {
+					defer c.helpers.Done()
+					defer linalg.ReleaseToken()
+					for j := c.claim(); j >= 0; j = c.claim() {
+						c.run(j)
+					}
+				}()
+			}
+		}
+	}
+}
+
+// claim claims the lowest pair nobody has started, or returns -1 when there
+// is none or the search is done.
+func (c *calibrations) claim() int {
+	for !c.stopped.Load() {
+		if i := int(c.next.Add(1)) - 1; i >= len(c.pairs) {
+			break
+		} else if !c.pairs[i].cached {
+			return i
+		}
+	}
+	return -1
+}
+
+func (c *calibrations) run(i int) {
+	p := &c.pairs[i]
+	p.model, p.err = c.o.modelFor(*p.mt, p.slots, NopSearch(), c.suite)
+	close(p.done)
+}
+
+// stop ends the claims and waits for the calibrations in flight: no helper
+// outlives the search.
+func (c *calibrations) stop() {
+	c.stopped.Store(true)
+	c.helpers.Wait()
 }
 
 // slotOptions returns the slot configurations to sweep for a machine
@@ -297,52 +433,53 @@ func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *s
 		s.plans[ts] = pl
 	}
 	var out []Deployment
-	for _, mt := range req.Machines {
-		for _, slots := range slotOptions(mt) {
-			tm, err := o.modelFor(mt, slots, rec, &s.suite)
+	cal := o.calibrations(req.Machines, &s.suite)
+	defer cal.stop()
+	for i := range cal.pairs {
+		mt, slots := *cal.pairs[i].mt, cal.pairs[i].slots
+		tm, err := cal.model(i, rec)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, nodes := range nodeSweep(req.MaxNodes) {
+			cluster, err := cloud.NewCluster(mt, nodes, slots)
 			if err != nil {
 				return nil, nil, err
 			}
-			for _, nodes := range nodeSweep(req.MaxNodes) {
-				cluster, err := cloud.NewCluster(mt, nodes, slots)
-				if err != nil {
-					return nil, nil, err
+			for _, ts := range tileSizes {
+				pl, pred := s.plans[ts], s.pred
+				// Counted per candidate, as when each compiled its own plan.
+				if r := pl.Rewrites; r != nil {
+					rec.Count(CounterCSEChains, int64(r.Chains()))
+					rec.Count(CounterCSEFlops, r.FlopsSaved())
 				}
-				for _, ts := range tileSizes {
-					pl, pred := s.plans[ts], s.pred
-					// Counted per candidate, as when each compiled its own plan.
-					if r := pl.Rewrites; r != nil {
-						rec.Count(CounterCSEChains, int64(r.Chains()))
-						rec.Count(CounterCSEFlops, r.FlopsSaved())
-					}
-					pred.Model, pred.Cluster = tm, cluster
-					memPerSlot := int64(mt.MemoryGB * 1e9 * 0.7 / float64(slots))
-					// Sweep splits with the fast wave model, then price the
-					// chosen deployment with the exact scheduler simulation.
-					pred.OptimizeSplits(pl, memPerSlot)
-					secs := pred.PredictPlan(pl)
-					splits := map[int]plan.Split{}
-					for _, j := range pl.Jobs {
-						splits[j.ID] = j.Split
-					}
-					d := Deployment{
-						Cluster:     cluster,
-						TileSize:    ts,
-						Splits:      splits,
-						PredSeconds: secs,
-						Cost:        cloud.Cost(mt, nodes, secs),
-						CostLinear:  cloud.CostLinear(mt, nodes, secs),
-					}
-					if rec.Enabled() {
-						rec.Candidate(Candidate{
-							Seq:         len(out),
-							Deployment:  d,
-							Terms:       pred.PlanTerms(pl),
-							DominatedBy: -1,
-						})
-					}
-					out = append(out, d)
+				pred.Model, pred.Cluster = tm, cluster
+				memPerSlot := int64(mt.MemoryGB * 1e9 * 0.7 / float64(slots))
+				// Sweep splits with the fast wave model, then price the
+				// chosen deployment with the exact scheduler simulation.
+				pred.OptimizeSplits(pl, memPerSlot)
+				secs := pred.PredictPlan(pl)
+				splits := map[int]plan.Split{}
+				for _, j := range pl.Jobs {
+					splits[j.ID] = j.Split
 				}
+				d := Deployment{
+					Cluster:     cluster,
+					TileSize:    ts,
+					Splits:      splits,
+					PredSeconds: secs,
+					Cost:        cloud.Cost(mt, nodes, secs),
+					CostLinear:  cloud.CostLinear(mt, nodes, secs),
+				}
+				if rec.Enabled() {
+					rec.Candidate(Candidate{
+						Seq:         len(out),
+						Deployment:  d,
+						Terms:       pred.PlanTerms(pl),
+						DominatedBy: -1,
+					})
+				}
+				out = append(out, d)
 			}
 		}
 	}
@@ -378,36 +515,14 @@ func (o *Optimizer) MinCostForDeadline(req Request) (*Result, error) {
 	if req.Confidence > 0 && req.Confidence < 1 {
 		return o.minCostConfident(req, s, res, rec)
 	}
-	best, fastest := -1, -1
-	for i := range cands {
-		d := &cands[i]
-		if fastest == -1 || d.PredSeconds < cands[fastest].PredSeconds {
-			fastest = i
-		}
+	return decide(rec, res, func(d *Deployment) PruneReason {
 		if d.PredSeconds > req.DeadlineSec {
-			continue
+			return PruneOverDeadline
 		}
-		if best == -1 || d.Cost < cands[best].Cost ||
-			(d.Cost == cands[best].Cost && d.PredSeconds < cands[best].PredSeconds) {
-			best = i
-		}
-	}
-	win := best
-	if win >= 0 {
-		res.Best, res.Met = &cands[win], true
-	} else if fastest >= 0 {
-		win = fastest
-		res.Best, res.Met = &cands[win], false
-	}
-	if rec.Enabled() {
-		markDecision(rec, res, win, func(d *Deployment) PruneReason {
-			if d.PredSeconds > req.DeadlineSec {
-				return PruneOverDeadline
-			}
-			return PruneNone
-		})
-	}
-	return res, nil
+		return PruneNone
+	}, func(a, b *Deployment) bool {
+		return a.Cost < b.Cost || (a.Cost == b.Cost && a.PredSeconds < b.PredSeconds)
+	}, func(a, b *Deployment) bool { return a.PredSeconds < b.PredSeconds }), nil
 }
 
 // newResult builds a Result with the Pareto analysis of the candidates.
@@ -416,12 +531,31 @@ func newResult(cands []Deployment) *Result {
 	return &Result{Candidates: cands, Frontier: frontier, DominatedBy: dominatedBy}
 }
 
-// markDecision reports every candidate's fate to the search recorder
-// once a winner is decided: constraint violations, Pareto dominance,
-// feasible-but-outranked, and the winner itself (possibly with Met
-// false for unsatisfiable constraints). infeasible classifies a
-// candidate against the search's constraint (PruneNone = feasible).
-func markDecision(rec SearchRecorder, res *Result, win int, infeasible func(*Deployment) PruneReason) {
+// decide makes the best candidate by better that infeasible classifies as
+// feasible (PruneNone) the winner, or, when none is, the closest by closer
+// with Met false. It then reports every candidate's fate to the search
+// recorder: constraint violations, Pareto dominance, feasible-but-outranked,
+// and the winner itself.
+func decide(rec SearchRecorder, res *Result, infeasible func(*Deployment) PruneReason, better, closer func(a, b *Deployment) bool) *Result {
+	win, closest := -1, -1
+	for i := range res.Candidates {
+		d := &res.Candidates[i]
+		if closest == -1 || closer(d, &res.Candidates[closest]) {
+			closest = i
+		}
+		if infeasible(d) == PruneNone && (win == -1 || better(d, &res.Candidates[win])) {
+			win = i
+		}
+	}
+	if res.Met = win >= 0; !res.Met {
+		win = closest
+	}
+	if win >= 0 {
+		res.Best = &res.Candidates[win]
+	}
+	if !rec.Enabled() {
+		return res
+	}
 	for i := range res.Candidates {
 		d := &res.Candidates[i]
 		switch {
@@ -438,6 +572,7 @@ func markDecision(rec SearchRecorder, res *Result, win int, infeasible func(*Dep
 	if win >= 0 {
 		rec.Winner(win, res.Met)
 	}
+	return res
 }
 
 // minCostConfident picks the cheapest candidate whose Confidence-quantile
@@ -554,36 +689,14 @@ func (o *Optimizer) MinTimeForBudget(req Request) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(cands)
-	best, cheapest := -1, -1
-	for i := range cands {
-		d := &cands[i]
-		if cheapest == -1 || d.Cost < cands[cheapest].Cost {
-			cheapest = i
-		}
+	return decide(rec, res, func(d *Deployment) PruneReason {
 		if d.Cost > req.BudgetDollars {
-			continue
+			return PruneOverBudget
 		}
-		if best == -1 || d.PredSeconds < cands[best].PredSeconds ||
-			(d.PredSeconds == cands[best].PredSeconds && d.Cost < cands[best].Cost) {
-			best = i
-		}
-	}
-	win := best
-	if win >= 0 {
-		res.Best, res.Met = &cands[win], true
-	} else if cheapest >= 0 {
-		win = cheapest
-		res.Best, res.Met = &cands[win], false
-	}
-	if rec.Enabled() {
-		markDecision(rec, res, win, func(d *Deployment) PruneReason {
-			if d.Cost > req.BudgetDollars {
-				return PruneOverBudget
-			}
-			return PruneNone
-		})
-	}
-	return res, nil
+		return PruneNone
+	}, func(a, b *Deployment) bool {
+		return a.PredSeconds < b.PredSeconds || (a.PredSeconds == b.PredSeconds && a.Cost < b.Cost)
+	}, func(a, b *Deployment) bool { return a.Cost < b.Cost }), nil
 }
 
 // paretoSplit computes the Pareto frontier of the candidates in (time,

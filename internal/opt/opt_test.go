@@ -318,6 +318,56 @@ func TestTileSizeSweep(t *testing.T) {
 	}
 }
 
+// TestRepeatedTileSizesEvaluatedOnce: a tile size or machine type listed
+// twice is swept once, in the order of its first occurrence, so no grid point
+// appears twice among the candidates, the trace or the frontier.
+func TestRepeatedTileSizesEvaluatedOnce(t *testing.T) {
+	small, _ := cloud.TypeByName("m1.small")
+	for _, c := range []struct {
+		machines    int
+		tiles, want []int
+	}{
+		{1, nil, []int{2048}},
+		{1, []int{1024}, []int{1024}},
+		{1, []int{1024, 1024}, []int{1024}},
+		{1, []int{2048, 1024, 2048, 1024}, []int{2048, 1024}},
+		{3, []int{1024}, []int{1024}},
+	} {
+		req := request(t)
+		req.Machines, req.MaxNodes, req.TileSizes = nil, 2, c.tiles
+		for m := 0; m < c.machines; m++ {
+			req.Machines = append(req.Machines, small)
+		}
+		req.DeadlineSec = 2 * 3600
+		st := NewSearchTrace()
+		req.Search = st
+		res, err := New(1).MinCostForDeadline(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// m1.small sweeps 1 and 2 slots on 1 and 2 nodes.
+		if len(res.Candidates) != 4*len(c.want) {
+			t.Fatalf("%d x m1.small, tiles %v: %d candidates, want %d", c.machines, c.tiles, len(res.Candidates), 4*len(c.want))
+		}
+		for i, d := range res.Candidates {
+			if d.TileSize != c.want[i%len(c.want)] {
+				t.Fatalf("tiles %v: candidate %d has tile %d, want the order %v", c.tiles, i, d.TileSize, c.want)
+			}
+		}
+		if last, _ := st.Last(); len(last.Candidates) != len(res.Candidates) {
+			t.Fatalf("tiles %v: %d traced candidates for %d evaluated", c.tiles, len(last.Candidates), len(res.Candidates))
+		}
+		if hits, misses := st.CounterValue(CounterModelCacheHits), st.CounterValue(CounterModelCacheMisses); hits != 0 || misses != 2 {
+			t.Fatalf("%d x m1.small: %d cache hits and %d misses, want 0 and 2", c.machines, hits, misses)
+		}
+		for i, by := range res.DominatedBy {
+			if d := res.Candidates[i]; by >= 0 && res.Candidates[by].PredSeconds == d.PredSeconds && res.Candidates[by].Cost == d.Cost {
+				t.Fatalf("tiles %v: candidate %d is dominated by its duplicate %d", c.tiles, i, by)
+			}
+		}
+	}
+}
+
 func TestConfidenceDeadline(t *testing.T) {
 	o := New(1)
 	req := request(t)

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
+	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
 )
 
@@ -476,6 +480,101 @@ func TestConcurrentColdSearchesMatchSolo(t *testing.T) {
 	for i := range reqs {
 		if len(solo[i]) == 0 || !bytes.Equal(together[i], solo[i]) {
 			t.Fatalf("search %d: the trace of a concurrent cold search differs from a solo one", i)
+		}
+	}
+}
+
+// TestParallelCalibrationMatchesSerial: a search that calibrates its
+// (machine, slots) pairs on helpers beside the candidate sweep exports, at
+// compute budgets 2 and 4, exactly the search trace, candidates and cache
+// counters it does at budget 1 — cold, and with a seeded subset of the pairs
+// already in the model cache — and leaves no goroutine behind. A budget whose
+// tokens are all held elsewhere gets the serial search, without waiting.
+func TestParallelCalibrationMatchesSerial(t *testing.T) {
+	defer linalg.SetParallelism(linalg.SetParallelism(1))
+	req := request(t)
+	req.Machines, req.MaxNodes, req.DeadlineSec = cloud.Catalog(), 4, 2*3600
+	warm := rand.New(rand.NewSource(3))
+	var prewarmed [][2]int // (machine index, slots)
+	for m, mt := range req.Machines {
+		for _, slots := range slotOptions(mt) {
+			if warm.Intn(2) == 0 {
+				prewarmed = append(prewarmed, [2]int{m, slots})
+			}
+		}
+	}
+	type outcome struct {
+		trace, cands []byte
+		hits, misses int64
+	}
+	search := func(prewarm bool, heldElsewhere int) outcome {
+		for h := 0; h < heldElsewhere; h++ {
+			linalg.AcquireToken()
+			defer linalg.ReleaseToken()
+		}
+		o := New(5)
+		if prewarm {
+			for _, p := range prewarmed {
+				if _, err := o.ModelFor(req.Machines[p[0]], p[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st := NewSearchTrace()
+		r := req
+		r.Search = st
+		before := runtime.NumGoroutine()
+		res, err := o.MinCostForDeadline(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Helpers give their tokens back before they finish, and the search
+		// waits for them: every token not held elsewhere is free again.
+		free := 0
+		for linalg.TryAcquireToken() {
+			free++
+		}
+		for h := 0; h < free; h++ {
+			linalg.ReleaseToken()
+		}
+		if held := linalg.Parallelism() - free; held != heldElsewhere {
+			t.Fatalf("%d tokens held after the search, want %d", held, heldElsewhere)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the search, %d before", runtime.NumGoroutine(), before)
+			}
+		}
+		var out outcome
+		var buf bytes.Buffer
+		if err := st.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out.trace = buf.Bytes()
+		if out.cands, err = json.Marshal(res.Candidates); err != nil {
+			t.Fatal(err)
+		}
+		out.hits, out.misses = st.CounterValue(CounterModelCacheHits), st.CounterValue(CounterModelCacheMisses)
+		return out
+	}
+	for _, prewarm := range []bool{false, true} {
+		linalg.SetParallelism(1)
+		want := search(prewarm, 0)
+		if prewarm && want.hits != int64(len(prewarmed)) {
+			t.Fatalf("pre-warmed search: %d cache hits, want %d", want.hits, len(prewarmed))
+		}
+		for _, c := range []struct {
+			budget, held int
+		}{{2, 0}, {4, 0}, {2, 2}} {
+			linalg.SetParallelism(c.budget)
+			got := search(prewarm, c.held)
+			if !bytes.Equal(got.trace, want.trace) || !bytes.Equal(got.cands, want.cands) {
+				t.Fatalf("budget %d (%d held), prewarm %v: the search differs from the serial one", c.budget, c.held, prewarm)
+			}
+			if got.hits != want.hits || got.misses != want.misses {
+				t.Fatalf("budget %d (%d held), prewarm %v: %d hits and %d misses, want %d and %d",
+					c.budget, c.held, prewarm, got.hits, got.misses, want.hits, want.misses)
+			}
 		}
 	}
 }

@@ -13,17 +13,18 @@ import (
 // the job's private obs.Trace, so the bytes are deterministic for a
 // fixed program/config/seed: the Chrome trace in particular is
 // byte-identical to what `cumulon -trace` writes for the same run.
-// Only the artifacts the submission opted into are non-nil.
+// Only the artifacts the submission opted into are non-nil. The journal
+// records the set as it is (JSON base64-encodes the bytes).
 type artifactSet struct {
-	trace    []byte // Chrome trace-event JSON (chrome://tracing)
-	critpath []byte // critical-path report (text)
-	metrics  []byte // per-run metrics snapshot (Prometheus text)
-	explain  []byte // optimizer EXPLAIN report (text)
+	Trace    []byte `json:"trace,omitempty"`    // Chrome trace-event JSON (chrome://tracing)
+	Critpath []byte `json:"critpath,omitempty"` // critical-path report (text)
+	Metrics  []byte `json:"metrics,omitempty"`  // per-run metrics snapshot (Prometheus text)
+	Explain  []byte `json:"explain,omitempty"`  // optimizer EXPLAIN report (text)
 }
 
 // empty reports whether nothing was retained.
 func (a *artifactSet) empty() bool {
-	return a == nil || (a.trace == nil && a.critpath == nil && a.metrics == nil && a.explain == nil)
+	return a == nil || (a.Trace == nil && a.Critpath == nil && a.Metrics == nil && a.Explain == nil)
 }
 
 // renderArtifacts renders the opted-in artifacts from a finished run's
@@ -31,7 +32,7 @@ func (a *artifactSet) empty() bool {
 // the job: the run itself succeeded, and a readable error is more
 // operable than a 500.
 func renderArtifacts(req SubmitRequest, tr *obs.Trace, explain []byte) *artifactSet {
-	a := &artifactSet{explain: explain}
+	a := &artifactSet{Explain: explain}
 	render := func(what string, write func(io.Writer) error) []byte {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
@@ -40,10 +41,10 @@ func renderArtifacts(req SubmitRequest, tr *obs.Trace, explain []byte) *artifact
 		return buf.Bytes()
 	}
 	if tr != nil && req.Trace {
-		a.trace = render("trace export", tr.WriteChrome)
+		a.Trace = render("trace export", tr.WriteChrome)
 	}
 	if tr != nil && req.Critpath {
-		a.critpath = render("critical-path analysis", func(w io.Writer) error {
+		a.Critpath = render("critical-path analysis", func(w io.Writer) error {
 			cp, err := tr.CriticalPath()
 			if err != nil {
 				return err
@@ -52,7 +53,7 @@ func renderArtifacts(req SubmitRequest, tr *obs.Trace, explain []byte) *artifact
 		})
 	}
 	if tr != nil && req.Metrics {
-		a.metrics = render("metrics snapshot", obs.Snapshot(tr).Write)
+		a.Metrics = render("metrics snapshot", obs.Snapshot(tr).Write)
 	}
 	if a.empty() {
 		return nil

@@ -84,12 +84,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 		lo = 0
 	}
 	for i := n - 1; i >= lo; i-- {
-		j := s.store.jobs[s.store.order[i]]
-		st := j.status
-		if j.state == StateQueued {
-			st.QueueWaitSec = s.now() - j.enqueued
-		}
-		d.Jobs = append(d.Jobs, st)
+		d.Jobs = append(d.Jobs, s.statusOf(s.store.jobs[s.store.order[i]]))
 	}
 	s.mu.Unlock()
 

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"net/http"
+	"slices"
 	"sort"
 
 	"cumulon/internal/core"
@@ -35,6 +37,130 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
 	return s == StateSucceeded || s == StateFailed || s == StateCanceled
+}
+
+// cause names why a job changes state: each is one row of edges.
+type cause uint8
+
+const (
+	causeSubmit    cause = iota // a validated submission enters the queue
+	causeAdmit                  // the scheduler grants the job its nodes
+	causeFinishOK               // the engine run succeeded
+	causeFinishErr              // compile or run failed, or a boot cannot re-derive the job
+	causeCancel                 // a client, or a refused acknowledgement, cancels a queued job
+	causeRecover                // a boot re-queues a job journaled as queued or running
+)
+
+// edges is the job lifecycle: the states a job may leave by each cause and
+// the state that cause leads to. "" is a job not yet submitted.
+var edges = [...]struct {
+	from []JobState
+	to   JobState
+}{
+	causeSubmit:    {[]JobState{""}, StateQueued},
+	causeAdmit:     {[]JobState{StateQueued}, StateRunning},
+	causeFinishOK:  {[]JobState{StateRunning}, StateSucceeded},
+	causeFinishErr: {[]JobState{StateQueued, StateRunning}, StateFailed},
+	causeCancel:    {[]JobState{StateQueued}, StateCanceled},
+	causeRecover:   {[]JobState{StateQueued, StateRunning}, StateQueued},
+}
+
+// transition moves j along the edge c names: it checks the edge, sets the
+// state, emits its event, counts, retains a terminal job's artifacts (tr is
+// the run's trace, if kept), journals the job, then prunes terminal history
+// (after the job's record, so a job pruned by its own finish stays gone on
+// replay). Callers hold s.mu and set the Error or Result the event carries
+// first. An illegal edge is a 409 and changes nothing; journal errors are
+// the persister's to report.
+func (s *Server) transition(j *job, c cause, tr *obs.Trace) error {
+	e := &edges[c]
+	if !slices.Contains(e.from, j.status.State) {
+		return &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is already %s", j.id, j.status.State)}
+	}
+	from := j.status.State
+	j.status.State = e.to
+	switch { // a queued job is exactly one the scheduler holds
+	case e.to == StateQueued:
+		j.enqueued = s.now()
+		j.status.Error, j.status.RunSec, j.status.Result = "", 0, nil
+		s.sched.Push(SchedJob{
+			ID: j.id, Tenant: j.req.Tenant, Priority: j.req.Priority,
+			Nodes: j.req.Nodes, Enqueued: j.enqueued,
+		})
+	case e.to == StateRunning: // Next popped it
+		j.status.QueueWaitSec = s.now() - j.enqueued
+	case from == StateQueued:
+		s.sched.Remove(j.id)
+	}
+	terminal := e.to.Terminal()
+	j.events.append(stateEvent(j.status), terminal)
+	if m := s.mJobs[c]; m != nil {
+		m.Add(1, obs.Label{Key: "tenant", Value: j.req.Tenant})
+	}
+	if terminal {
+		j.artifacts = renderArtifacts(j.req, tr, j.explain)
+		s.retain(j)
+	}
+	if s.persist != nil {
+		s.persist.put(s.store.seq, s.persistedOf(j))
+	}
+	if !terminal {
+		return nil
+	}
+	if removed := s.store.prune(s.cfg.JobHistory); len(removed) > 0 {
+		s.mPruned.Add(float64(len(removed)))
+		if s.persist != nil {
+			for _, id := range removed {
+				s.persist.remove(id)
+			}
+		}
+	}
+	return nil
+}
+
+// stateEvent is the lifecycle event announcing that a job entered
+// st.State; a terminal one closes the job's stream.
+func stateEvent(st JobStatus) JobEvent {
+	switch st.State {
+	case StateQueued:
+		return JobEvent{Type: EvQueued, Nodes: st.Nodes}
+	case StateRunning:
+		return JobEvent{Type: EvAdmitted, Nodes: st.Nodes}
+	case StateSucceeded:
+		ev := JobEvent{Type: EvDone}
+		if r := st.Result; r != nil {
+			ev.VirtualSec, ev.CostDollars = r.TotalSeconds, r.CostDollars
+		}
+		return ev
+	case StateFailed:
+		return JobEvent{Type: EvFailed, Error: st.Error}
+	}
+	return JobEvent{Type: EvCanceled}
+}
+
+// retain registers j's retained artifacts, if any, dropping the oldest set
+// beyond ArtifactHistory. Callers hold s.mu.
+func (s *Server) retain(j *job) {
+	if j.artifacts == nil {
+		return
+	}
+	s.artifactOrder = append(s.artifactOrder, j.id)
+	for len(s.artifactOrder) > s.cfg.ArtifactHistory {
+		if oj, ok := s.store.get(s.artifactOrder[0]); ok {
+			oj.artifacts = nil
+		}
+		s.artifactOrder = s.artifactOrder[1:]
+	}
+}
+
+// statusOf is j's status as a client sees it: a queued job's wait is the
+// live wait so far. Callers hold s.mu.
+func (s *Server) statusOf(j *job) JobStatus {
+	st := j.status
+	if st.State == StateQueued {
+		st.QueueWaitSec = s.now() - j.enqueued
+	}
+	return st
 }
 
 // SubmitRequest is the POST /v1/jobs body: a program in the textual
@@ -209,18 +335,19 @@ func resultFrom(res *core.ExecResult) *JobResult {
 // server lock except prog, dep and events, which are immutable after
 // Submit (the event log has its own lock).
 type job struct {
-	id     string
-	req    SubmitRequest
-	prog   *lang.Program   // parsed at submit; immutable
-	dep    *opt.Deployment // optimizer's choice (nil for fixed clusters)
-	state  JobState
+	id   string
+	req  SubmitRequest
+	prog *lang.Program   // parsed at submit; immutable
+	dep  *opt.Deployment // optimizer's choice (nil for fixed clusters)
+	// status is the client-visible view; only transition sets its State.
 	status JobStatus
 	// enqueued is the admission time on the server clock.
 	enqueued float64
 	// events is the job's lifecycle event stream (never nil).
 	events *eventLog
 	// explain is the rendered optimizer EXPLAIN report (submissions with
-	// Explain set), produced at submit time; immutable.
+	// Explain set), produced at submit time or by a boot's re-search;
+	// immutable.
 	explain []byte
 	// artifacts holds retained post-run artifacts (nil until the job
 	// finishes, and again after artifact-retention eviction).
@@ -240,12 +367,11 @@ type jobStore struct {
 
 func newJobStore() *jobStore { return &jobStore{jobs: map[string]*job{}} }
 
-// add registers a new job and assigns its ID.
+// add registers a new, not yet submitted job and assigns its ID.
 func (s *jobStore) add(req SubmitRequest) *job {
 	s.seq++
 	id := fmt.Sprintf("j-%06d", s.seq)
-	j := &job{id: id, req: req, state: StateQueued}
-	j.status = JobStatus{ID: id, Tenant: req.Tenant, State: StateQueued, Priority: req.Priority}
+	j := &job{id: id, req: req, status: JobStatus{ID: id, Tenant: req.Tenant, Priority: req.Priority, Nodes: req.Nodes}}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	return j
@@ -266,7 +392,7 @@ func (s *jobStore) prune(keep int) []string {
 	}
 	terminal := 0
 	for _, id := range s.order {
-		if s.jobs[id].state.Terminal() {
+		if s.jobs[id].status.State.Terminal() {
 			terminal++
 		}
 	}
@@ -277,7 +403,7 @@ func (s *jobStore) prune(keep int) []string {
 	kept := s.order[:0]
 	for _, id := range s.order {
 		j := s.jobs[id]
-		if terminal > keep && j.state.Terminal() {
+		if terminal > keep && j.status.State.Terminal() {
 			delete(s.jobs, id)
 			terminal--
 			removed = append(removed, id)
@@ -312,7 +438,7 @@ func (s *jobStore) listPage(tenant string, state JobState, after string, limit i
 		if tenant != "" && j.req.Tenant != tenant {
 			continue
 		}
-		if state != "" && j.state != state {
+		if state != "" && j.status.State != state {
 			continue
 		}
 		out = append(out, j.status)

@@ -501,7 +501,7 @@ func TestCrashAtEveryJournalRecordBoundary(t *testing.T) {
 				if rec.Op == "delete" {
 					delete(state, rec.ID)
 				} else {
-					state[rec.Job.ID] = rec.Job.State
+					state[rec.Job.ID] = rec.Job.Status.State
 				}
 			}
 			prefix := bytes.Join(lines[:cut], nil)

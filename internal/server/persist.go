@@ -45,29 +45,20 @@ import (
 // exit (hence Close) wait for the disk. The scheduler's "running" record
 // and retention deletes ride along with the next sync: recovery re-queues
 // queued and running jobs alike, and a lost delete is pruned again at the
-// next completion. A terminal event reaches the job's event stream before
+// next terminal transition. A terminal event reaches the job's event stream before
 // its record is durable; a job seen succeeded and lost to a crash in that
 // window is re-run to the same digests, as a job killed mid-run is.
 
 // persistedJob is one job as the journal and snapshot record it: the
 // normalized request (defaults already applied at admission), the
-// lifecycle state, the client-visible status, and any retained
-// artifacts.
+// client-visible status, which carries the lifecycle state, and any
+// retained artifacts. Records from before the state lived only in the
+// status also carry it at top level; decoding ignores that copy.
 type persistedJob struct {
-	ID        string          `json:"id"`
-	Req       SubmitRequest   `json:"req"`
-	State     JobState        `json:"state"`
-	Status    JobStatus       `json:"status"`
-	Artifacts *persistedFiles `json:"artifacts,omitempty"`
-}
-
-// persistedFiles carries a terminal job's retained artifact bytes
-// (JSON base64-encodes them).
-type persistedFiles struct {
-	Trace    []byte `json:"trace,omitempty"`
-	Critpath []byte `json:"critpath,omitempty"`
-	Metrics  []byte `json:"metrics,omitempty"`
-	Explain  []byte `json:"explain,omitempty"`
+	ID        string        `json:"id"`
+	Req       SubmitRequest `json:"req"`
+	Status    JobStatus     `json:"status"`
+	Artifacts *artifactSet  `json:"artifacts,omitempty"`
 }
 
 // snapshotFile is the full store state at the start of a generation.
@@ -357,23 +348,18 @@ func (p *statePersister) close() {
 
 // persistedOf renders a job for the journal. Callers hold s.mu.
 func (s *Server) persistedOf(j *job) persistedJob {
-	pj := persistedJob{ID: j.id, Req: j.req, State: j.state, Status: j.status}
-	if a := j.artifacts; a != nil {
-		pj.Artifacts = &persistedFiles{
-			Trace: a.trace, Critpath: a.critpath,
-			Metrics: a.metrics, Explain: a.explain,
-		}
-	}
-	return pj
+	return persistedJob{ID: j.id, Req: j.req, Status: j.status, Artifacts: j.artifacts}
 }
 
-// persistJob journals a job's current state and returns the journal's
-// error as the 503 a client sees. Callers hold s.mu.
-func (s *Server) persistJob(j *job) error {
+// journalFailed returns the journal's error, final once set, as the 503 a
+// client sees: every record written since was dropped. Callers hold s.mu.
+func (s *Server) journalFailed() error {
 	if s.persist == nil {
 		return nil
 	}
-	return journalErr(s.persist.put(s.store.seq, s.persistedOf(j)))
+	s.persist.mu.Lock()
+	defer s.persist.mu.Unlock()
+	return journalErr(s.persist.err)
 }
 
 // flushJournal returns once every journal record written so far is on
@@ -398,7 +384,8 @@ func journalErr(err error) error {
 // that was mid-run when the server died is simply queued again, and
 // its execution resumes from the newest program checkpoint it wrote
 // (same program and configuration, so the checkpoint store covers it).
-// Called from New before the scheduler loop starts; no lock needed.
+// Called from New before the scheduler loop starts and before s.persist
+// is set, so nothing is journaled; no lock needed.
 func (s *Server) recover(snap *snapshotFile) {
 	s.store.seq = snap.Seq
 	for i := range snap.Jobs {
@@ -406,42 +393,26 @@ func (s *Server) recover(snap *snapshotFile) {
 		if n, err := strconv.Atoi(strings.TrimPrefix(pj.ID, "j-")); err == nil && n > s.store.seq {
 			s.store.seq = n
 		}
-		j := &job{id: pj.ID, req: pj.Req, state: pj.State, status: pj.Status}
-		j.events = newEventLog(s.cfg.EventBuffer)
+		j := &job{id: pj.ID, req: pj.Req, status: pj.Status, artifacts: pj.Artifacts,
+			events: newEventLog(s.cfg.EventBuffer)}
 		s.store.jobs[j.id] = j
 		s.store.order = append(s.store.order, j.id)
-		if pj.State.Terminal() {
-			if a := pj.Artifacts; a != nil {
-				j.artifacts = &artifactSet{
-					trace: a.Trace, critpath: a.Critpath,
-					metrics: a.Metrics, explain: a.Explain,
-				}
-				s.artifactOrder = append(s.artifactOrder, j.id)
-			}
-			// The pre-crash event stream is gone; close the recovered one
-			// with the terminal outcome so consumers still see completion.
-			switch pj.State {
-			case StateSucceeded:
-				ev := JobEvent{Type: EvDone}
-				if r := pj.Status.Result; r != nil {
-					ev.VirtualSec, ev.CostDollars = r.TotalSeconds, r.CostDollars
-				}
-				j.events.append(ev, true)
-			case StateFailed:
-				j.events.append(JobEvent{Type: EvFailed, Error: pj.Status.Error}, true)
-			case StateCanceled:
-				j.events.append(JobEvent{Type: EvCanceled}, true)
-			}
+		if !j.status.State.Terminal() {
+			s.readmit(j)
 			continue
 		}
-		s.readmit(j)
+		s.retain(j)
+		// The pre-crash event stream is gone; close the recovered one
+		// with the terminal outcome so consumers still see completion.
+		j.events.append(stateEvent(j.status), true)
 	}
 }
 
 // readmit re-queues a recovered non-terminal job: the request was
 // already validated and normalized at its original admission, so only
-// the submit-time derivations (parse, optimizer search) rerun — both
-// deterministic, so an optimizing job gets the same deployment it had.
+// the submit-time derivations (parse, optimizer search, EXPLAIN report)
+// rerun — all deterministic, so an optimizing job gets the same
+// deployment it had. A job they no longer admit fails.
 func (s *Server) readmit(j *job) {
 	prog, err := lang.Parse(j.req.Program)
 	if err == nil {
@@ -449,28 +420,16 @@ func (s *Server) readmit(j *job) {
 	}
 	if err == nil && j.req.Optimize {
 		var met bool
-		j.dep, met, _, err = s.searchDeployment(j.req.Program, s.searchRequest(prog, j.req))
+		j.dep, met, j.explain, _, err = s.search(prog, j.req)
 		if err == nil && !met {
 			err = fmt.Errorf("optimize: constraint no longer satisfiable")
 		}
 	}
 	if err != nil {
-		j.state = StateFailed
-		j.status.State = StateFailed
 		j.status.Error = fmt.Sprintf("recovery: %v", err)
-		j.events.append(JobEvent{Type: EvFailed, Error: j.status.Error}, true)
+		s.transition(j, causeFinishErr, nil)
 		return
 	}
 	j.prog = prog
-	j.state = StateQueued
-	j.status.State = StateQueued
-	j.status.Error = ""
-	j.status.RunSec = 0
-	j.status.Result = nil
-	j.enqueued = s.now()
-	j.events.emit(JobEvent{Type: EvQueued, Nodes: j.req.Nodes})
-	s.sched.Push(SchedJob{
-		ID: j.id, Tenant: j.req.Tenant, Priority: j.req.Priority,
-		Nodes: j.req.Nodes, Enqueued: j.enqueued,
-	})
+	s.transition(j, causeRecover, nil)
 }

@@ -50,16 +50,24 @@ func outputDigests(st JobStatus) []string {
 	return ds
 }
 
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestStatePersisterJournalRecovery exercises the journal layer alone:
 // snapshot + replay round trip, last-write-wins upserts, deletions,
-// torn-tail tolerance, unreadable-snapshot fallback, generation
-// rotation, and the disable() crash hook.
+// records in the older format, torn-tail tolerance, unreadable-snapshot
+// fallback, generation rotation, and the disable() crash hook.
 func TestStatePersisterJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	pjob := func(id string, st JobState) persistedJob {
 		return persistedJob{
 			ID: id, Req: SubmitRequest{Tenant: "t", Program: "W = A * B;"},
-			State:  st,
 			Status: JobStatus{ID: id, Tenant: "t", State: st},
 		}
 	}
@@ -80,13 +88,16 @@ func TestStatePersisterJournalRecovery(t *testing.T) {
 	p.put(3, pjob("j-000003", StateSucceeded)) // upsert: replay keeps the last write
 	p.remove("j-000001")
 	p.close()
-	// A crash mid-append leaves a torn final line; replay must keep
-	// everything before it.
+	// A record as journals carried it before the state lived only in the
+	// status: a top-level "state" beside status.state. It replays like any
+	// upsert. Then a crash mid-append leaves a torn final line; replay must
+	// keep everything before it.
+	const oldFormat = `{"op":"put","seq":3,"job":{"id":"j-000003","req":{"tenant":"t","program":"W = A * B;"},"state":"succeeded","status":{"id":"j-000003","tenant":"t","state":"succeeded","nodes":0,"queue_wait_sec":0,"run_sec":1.5,"plan_cache_hit":false}}}`
 	f, err := os.OpenFile(filepath.Join(dir, journalName(1)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","job":{"id":"j-00`); err != nil {
+	if _, err := f.WriteString(oldFormat + "\n" + `{"op":"put","job":{"id":"j-00`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -105,11 +116,16 @@ func TestStatePersisterJournalRecovery(t *testing.T) {
 	}
 	var ids []string
 	for _, j := range snap2.Jobs {
-		ids = append(ids, j.ID+"/"+string(j.State))
+		ids = append(ids, j.ID+"/"+string(j.Status.State))
 	}
 	want := []string{"j-000002/queued", "j-000003/succeeded"}
 	if !reflect.DeepEqual(ids, want) {
 		t.Fatalf("recovered jobs %v, want %v", ids, want)
+	}
+	same := pjob("j-000003", StateSucceeded)
+	same.Status.RunSec = 1.5
+	if got, want := mustJSON(t, snap2.Jobs[1]), mustJSON(t, same); !bytes.Equal(got, want) {
+		t.Fatalf("old-format record recovered as\n %s\nwant\n %s", got, want)
 	}
 	if err := p2.begin(snap2); err != nil {
 		t.Fatal(err)
@@ -191,7 +207,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	normA := s1.store.jobs[stA.ID].req // normalized request, as journaled
 	var traceA []byte
 	if a := s1.store.jobs[stA.ID].artifacts; a != nil {
-		traceA = append([]byte(nil), a.trace...)
+		traceA = append([]byte(nil), a.Trace...)
 	}
 	s1.mu.Unlock()
 	if len(traceA) == 0 {
@@ -233,9 +249,9 @@ func TestServerRestartRecovery(t *testing.T) {
 		seq int
 		pj  persistedJob
 	}{
-		{4, persistedJob{ID: "j-000004", Req: reqB, State: StateRunning,
+		{4, persistedJob{ID: "j-000004", Req: reqB,
 			Status: JobStatus{ID: "j-000004", Tenant: reqB.Tenant, State: StateRunning, Nodes: reqB.Nodes, QueueWaitSec: 0.25}}},
-		{5, persistedJob{ID: "j-000005", Req: reqE, State: StateQueued,
+		{5, persistedJob{ID: "j-000005", Req: reqE,
 			Status: JobStatus{ID: "j-000005", Tenant: reqE.Tenant, State: StateQueued, Nodes: reqE.Nodes}}},
 	} {
 		rec, err := json.Marshal(journalRecord{Op: "put", Seq: e.seq, Job: &e.pj})
@@ -272,7 +288,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	s2.mu.Lock()
 	var traceA2 []byte
 	if a := s2.store.jobs[stA.ID].artifacts; a != nil {
-		traceA2 = a.trace
+		traceA2 = a.Trace
 	}
 	s2.mu.Unlock()
 	if !bytes.Equal(traceA2, traceA) {

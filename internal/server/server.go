@@ -1,17 +1,10 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/pprof"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,9 +12,7 @@ import (
 	"cumulon/internal/ckpt"
 	"cumulon/internal/cloud"
 	"cumulon/internal/core"
-	"cumulon/internal/lang"
 	"cumulon/internal/obs"
-	"cumulon/internal/opt"
 	"cumulon/internal/plan"
 )
 
@@ -152,12 +143,10 @@ type Server struct {
 	quit chan struct{}
 	wg   sync.WaitGroup // scheduler loop + running jobs
 
-	// Metrics (registry writes are guarded by mu).
+	// Metrics (registry writes are guarded by mu). mJobs counts each
+	// cause's transitions, by tenant; the admit and recover edges count none.
 	reg            *obs.Registry
-	mSubmitted     *obs.Counter
-	mCompleted     *obs.Counter
-	mFailed        *obs.Counter
-	mCanceled      *obs.Counter
+	mJobs          [len(edges)]*obs.Counter
 	mQueueWaitSum  *obs.Counter
 	mQueueWaitMax  *obs.Gauge
 	mQueueWaitHist *obs.Histogram
@@ -225,10 +214,10 @@ func New(cfg Config) (*Server, error) {
 		reg:         obs.NewRegistry(),
 	}
 	r := s.reg
-	s.mSubmitted = r.Counter("cumulond_jobs_submitted_total", "jobs admitted, by tenant")
-	s.mCompleted = r.Counter("cumulond_jobs_completed_total", "jobs finished successfully, by tenant")
-	s.mFailed = r.Counter("cumulond_jobs_failed_total", "jobs that errored, by tenant")
-	s.mCanceled = r.Counter("cumulond_jobs_canceled_total", "jobs canceled while queued, by tenant")
+	s.mJobs[causeSubmit] = r.Counter("cumulond_jobs_submitted_total", "jobs admitted, by tenant")
+	s.mJobs[causeFinishOK] = r.Counter("cumulond_jobs_completed_total", "jobs finished successfully, by tenant")
+	s.mJobs[causeFinishErr] = r.Counter("cumulond_jobs_failed_total", "jobs that errored, by tenant")
+	s.mJobs[causeCancel] = r.Counter("cumulond_jobs_canceled_total", "jobs canceled while queued, by tenant")
 	s.mQueueWaitSum = r.Counter("cumulond_queue_wait_seconds_total", "cumulative admission-to-start wait, by tenant")
 	s.mQueueWaitMax = r.Gauge("cumulond_queue_wait_max_seconds", "largest admission-to-start wait seen, by tenant")
 	s.mQueueWaitHist = r.Histogram("cumulond_queue_wait_seconds", "admission-to-start wait distribution, by tenant",
@@ -335,237 +324,24 @@ func (s *Server) loop() {
 				break
 			}
 			j := s.store.jobs[sj.ID]
-			if j == nil || j.state != StateQueued { // canceled after Push
-				continue
+			if s.transition(j, causeAdmit, nil) != nil {
+				continue // the admit edge refuses a job no longer queued
 			}
-			j.state = StateRunning
-			j.status.State = StateRunning
-			j.status.QueueWaitSec = s.now() - sj.Enqueued
 			s.freeNodes -= sj.Nodes
 			s.running++
-			s.observeStart(j.req.Tenant, j.status.QueueWaitSec)
-			s.persistJob(j)
-			j.events.emit(JobEvent{Type: EvAdmitted, Nodes: sj.Nodes})
+			wait, l := j.status.QueueWaitSec, obs.Label{Key: "tenant", Value: j.req.Tenant}
+			s.mQueueWaitSum.Add(wait, l)
+			s.mQueueWaitHist.Observe(wait)
+			s.tenantHist(j.req.Tenant).queue.Observe(wait)
+			if wait > s.maxWait[j.req.Tenant] {
+				s.maxWait[j.req.Tenant] = wait
+				s.mQueueWaitMax.Set(wait, l)
+			}
 			s.wg.Add(1)
 			go s.runJob(j, sj)
 		}
 		s.mu.Unlock()
 	}
-}
-
-func (s *Server) observeStart(tenant string, wait float64) {
-	l := obs.Label{Key: "tenant", Value: tenant}
-	s.mQueueWaitSum.Add(wait, l)
-	s.mQueueWaitHist.Observe(wait)
-	s.tenantHist(tenant).queue.Observe(wait)
-	if wait > s.maxWait[tenant] {
-		s.maxWait[tenant] = wait
-		s.mQueueWaitMax.Set(wait, l)
-	}
-}
-
-// apiError carries an HTTP status with a message.
-type apiError struct {
-	code int
-	msg  string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) *apiError {
-	return &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-// Submit validates, admits and enqueues a job, returning its status
-// snapshot. It is the programmatic form of POST /v1/jobs. For
-// optimizing jobs the deployment search runs here (cache-fronted), so
-// the job's cluster size is known to the admission controller.
-func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
-	if req.Tenant == "" {
-		return JobStatus{}, badRequest("admission: tenant is required")
-	}
-	if req.Program == "" {
-		return JobStatus{}, badRequest("admission: program is required")
-	}
-	if req.Tile == 0 {
-		req.Tile = 2048
-	}
-	if req.Tile < 0 {
-		return JobStatus{}, badRequest("admission: tile must be positive, got %d", req.Tile)
-	}
-	if req.Density == 0 {
-		req.Density = 0.05
-	}
-	if req.Machine == "" {
-		req.Machine = s.cfg.Machine
-	}
-	if req.Machine != s.cfg.Machine {
-		return JobStatus{}, badRequest("admission: cluster is %s; per-job machine types are not supported", s.cfg.Machine)
-	}
-	if req.Slots == 0 {
-		req.Slots = s.cfg.Slots
-	}
-	if req.Slots < 0 {
-		return JobStatus{}, badRequest("admission: slots must be positive, got %d", req.Slots)
-	}
-	if req.Nodes == 0 {
-		req.Nodes = s.cfg.DefaultJobNodes
-	}
-	if req.Nodes < 0 {
-		return JobStatus{}, badRequest("admission: nodes must be positive, got %d", req.Nodes)
-	}
-	if req.Seed == 0 {
-		req.Seed = s.cfg.Seed
-	}
-	if req.MaxRetries < 0 {
-		return JobStatus{}, badRequest("admission: max_retries must be non-negative, got %d", req.MaxRetries)
-	}
-	if req.CheckpointEvery < 0 {
-		return JobStatus{}, badRequest("admission: checkpoint_every must be non-negative, got %d", req.CheckpointEvery)
-	}
-	if req.Chaos != "" {
-		if _, err := chaos.Parse(req.Chaos); err != nil {
-			return JobStatus{}, badRequest("admission: chaos: %v", err)
-		}
-	}
-	if req.Explain && !req.Optimize {
-		return JobStatus{}, badRequest("admission: explain requires optimize")
-	}
-	prog, err := lang.Parse(req.Program)
-	if err != nil {
-		return JobStatus{}, badRequest("admission: %v", err)
-	}
-	if _, err := prog.Validate(); err != nil {
-		return JobStatus{}, badRequest("admission: %v", err)
-	}
-
-	var dep *opt.Deployment
-	var explain []byte
-	depHit := false
-	if req.Optimize {
-		if req.DeadlineSec > 0 && req.BudgetDollars > 0 {
-			return JobStatus{}, badRequest("admission: specify at most one of deadline_sec and budget_dollars")
-		}
-		if req.DeadlineSec <= 0 && req.BudgetDollars <= 0 {
-			req.DeadlineSec = 24 * 3600
-		}
-		if req.MaxNodes <= 0 || req.MaxNodes > s.cfg.Nodes {
-			req.MaxNodes = s.cfg.Nodes
-		}
-		oreq := s.searchRequest(prog, req)
-		var met bool
-		if req.Explain {
-			// An EXPLAIN report must reflect this submission's search, so
-			// the deployment cache is bypassed and the search runs fresh
-			// with a recorder attached.
-			dep, met, explain, err = s.explainSearch(oreq)
-		} else {
-			dep, met, depHit, err = s.searchDeployment(req.Program, oreq)
-		}
-		if err != nil {
-			return JobStatus{}, badRequest("optimize: %v", err)
-		}
-		if !met {
-			return JobStatus{}, badRequest("optimize: constraint not satisfiable within %d nodes (closest: %s)", req.MaxNodes, dep)
-		}
-		req.Nodes = dep.Cluster.Nodes
-		req.Slots = dep.Cluster.Slots
-	}
-	if req.Nodes > s.cfg.Nodes {
-		return JobStatus{}, badRequest("admission: job wants %d nodes, cluster capacity is %d", req.Nodes, s.cfg.Nodes)
-	}
-
-	j, st, err := s.enqueue(req, prog, dep, explain, depHit)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	// The answer waits for the job's record to be on disk, outside the
-	// lock; the scheduler may already be running the job beside the sync.
-	if err := s.flushJournal(); err != nil {
-		// Not acknowledged, so not run — unless the scheduler started it
-		// during the failed sync: then it finishes as admitted jobs do.
-		s.mu.Lock()
-		if j.state == StateQueued {
-			s.cancelLocked(j)
-		}
-		s.mu.Unlock()
-		return JobStatus{}, err
-	}
-	return st, nil
-}
-
-// enqueue is Submit's locked half: it admits the validated request as a
-// queued job and writes its journal record.
-func (s *Server) enqueue(req SubmitRequest, prog *lang.Program, dep *opt.Deployment, explain []byte, depHit bool) (*job, JobStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, JobStatus{}, &apiError{code: http.StatusServiceUnavailable, msg: "server is shutting down"}
-	}
-	if s.sched.Depth() >= s.cfg.MaxQueue {
-		return nil, JobStatus{}, &apiError{code: http.StatusTooManyRequests,
-			msg: fmt.Sprintf("admission: queue full (%d jobs)", s.cfg.MaxQueue)}
-	}
-	j := s.store.add(req)
-	j.prog = prog
-	j.dep = dep
-	j.explain = explain
-	j.enqueued = s.now()
-	j.status.Nodes = req.Nodes
-	j.status.DeploymentCacheHit = depHit
-	j.events = newEventLog(s.cfg.EventBuffer)
-	j.events.emit(JobEvent{Type: EvQueued, Nodes: req.Nodes})
-	s.sched.Push(SchedJob{
-		ID: j.id, Tenant: req.Tenant, Priority: req.Priority,
-		Nodes: req.Nodes, Enqueued: j.enqueued,
-	})
-	s.mSubmitted.Add(1, obs.Label{Key: "tenant", Value: req.Tenant})
-	if err := s.persistJob(j); err != nil {
-		s.cancelLocked(j) // no record, no run: it never reaches the scheduler
-		return nil, JobStatus{}, err
-	}
-	s.signal()
-	return j, j.status, nil
-}
-
-// searchRequest is the optimizer search an optimizing submission asks
-// for, over the server's one machine type.
-func (s *Server) searchRequest(prog *lang.Program, req SubmitRequest) opt.Request {
-	return opt.Request{
-		Program: prog, PlanCfg: plan.ConfigFor(prog, req.Tile, req.Density),
-		DeadlineSec: req.DeadlineSec, BudgetDollars: req.BudgetDollars,
-		Confidence: req.Confidence, MaxNodes: req.MaxNodes,
-		Machines: []cloud.MachineType{s.machine},
-	}
-}
-
-// explainSearch runs a fresh optimizer search with a SearchTrace
-// attached and renders the EXPLAIN report. The deployment cache is
-// neither consulted nor populated: the report documents this search.
-func (s *Server) explainSearch(oreq opt.Request) (*opt.Deployment, bool, []byte, error) {
-	st := opt.NewSearchTrace()
-	oreq.Search = st
-	res, err := s.sess.Optimizer().Search(oreq)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	var buf bytes.Buffer
-	if err := st.Explain(&buf, 5); err != nil {
-		fmt.Fprintf(&buf, "explain render failed: %v\n", err)
-	}
-	return res.Best, res.Met, buf.Bytes(), nil
-}
-
-// searchDeployment runs the cache-fronted optimizer search; the third
-// result reports whether this call was served from the cache.
-func (s *Server) searchDeployment(source string, oreq opt.Request) (*opt.Deployment, bool, bool, error) {
-	return s.cache.Deployment(Key(source, oreq.PlanCfg), oreq, func() (*opt.Deployment, bool, error) {
-		res, err := s.sess.Optimizer().Search(oreq)
-		if err != nil {
-			return nil, false, err
-		}
-		return res.Best, res.Met, nil
-	})
 }
 
 // execOutcome carries what executeJob learned besides the result.
@@ -588,29 +364,19 @@ func (s *Server) runJob(j *job, sj *SchedJob) {
 	j.status.RunSec = time.Since(started).Seconds()
 	j.status.Cluster = out.cluster
 	j.status.PlanCacheHit = out.planHit
-	l := obs.Label{Key: "tenant", Value: j.req.Tenant}
+	finish := causeFinishOK
 	if err != nil {
-		j.state = StateFailed
-		j.status.State = StateFailed
+		finish = causeFinishErr
 		j.status.Error = err.Error()
-		s.mFailed.Add(1, l)
-		j.events.append(JobEvent{Type: EvFailed, Error: err.Error()}, true)
 	} else {
 		res := out.res
-		j.state = StateSucceeded
-		j.status.State = StateSucceeded
 		j.status.Result = resultFrom(res)
 		service := res.Metrics.TotalSeconds * float64(sj.Nodes) * float64(j.req.Slots)
 		s.sched.Charge(j.req.Tenant, service)
-		s.mCompleted.Add(1, l)
+		l := obs.Label{Key: "tenant", Value: j.req.Tenant}
 		s.mCost.Add(res.CostDollars, l)
 		s.mVirtualSec.Add(res.Metrics.TotalSeconds, l)
 		s.mService.Add(service, l)
-		j.events.append(JobEvent{
-			Type:        EvDone,
-			VirtualSec:  res.Metrics.TotalSeconds,
-			CostDollars: res.CostDollars,
-		}, true)
 	}
 	ts := s.tenantHist(j.req.Tenant)
 	ts.compile.Observe(out.compileSec)
@@ -619,16 +385,7 @@ func (s *Server) runJob(j *job, sj *SchedJob) {
 	s.mCompileHist.Observe(out.compileSec)
 	s.mRunHist.Observe(j.status.RunSec)
 	s.mE2EHist.Observe(j.status.QueueWaitSec + j.status.RunSec)
-	s.retainArtifacts(j, out.trace)
-	s.persistJob(j)
-	if removed := s.store.prune(s.cfg.JobHistory); len(removed) > 0 {
-		s.mPruned.Add(float64(len(removed)))
-		if s.persist != nil {
-			for _, id := range removed {
-				s.persist.remove(id)
-			}
-		}
-	}
+	s.transition(j, finish, out.trace)
 	s.freeNodes += sj.Nodes
 	s.running--
 	s.signal()
@@ -636,24 +393,6 @@ func (s *Server) runJob(j *job, sj *SchedJob) {
 	// The worker outlives its terminal record's sync, so Close, which
 	// waits for the workers, leaves a complete journal.
 	s.flushJournal()
-}
-
-// retainArtifacts renders and stores a terminal job's opted-in
-// artifacts, evicting the oldest retained set beyond the cap. Callers
-// hold s.mu.
-func (s *Server) retainArtifacts(j *job, tr *obs.Trace) {
-	j.artifacts = renderArtifacts(j.req, tr, j.explain)
-	if j.artifacts == nil {
-		return
-	}
-	s.artifactOrder = append(s.artifactOrder, j.id)
-	for len(s.artifactOrder) > s.cfg.ArtifactHistory {
-		old := s.artifactOrder[0]
-		s.artifactOrder = s.artifactOrder[1:]
-		if oj, ok := s.store.get(old); ok {
-			oj.artifacts = nil
-		}
-	}
 }
 
 // executeJob does the cache-fronted compile and the engine run, outside
@@ -743,16 +482,15 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	switch {
 	case !ok:
 		err = &apiError{code: http.StatusNotFound, msg: fmt.Sprintf("no job %s", id)}
-	case j.state == StateRunning:
+	case j.status.State == StateRunning:
 		err = &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is running and cannot be interrupted", id)}
-	case j.state != StateQueued:
-		err = &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job %s is already %s", id, j.state)}
+	default:
+		err = s.transition(j, causeCancel, nil)
 	}
 	if err != nil {
 		s.mu.Unlock()
 		return JobStatus{}, err
 	}
-	s.cancelLocked(j)
 	st := j.status
 	s.mu.Unlock()
 	// The answer waits for the cancel's record, outside the lock.
@@ -762,31 +500,14 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	return st, nil
 }
 
-// cancelLocked moves a queued job to canceled and writes its record.
-// Callers hold s.mu.
-func (s *Server) cancelLocked(j *job) {
-	s.sched.Remove(j.id)
-	j.state = StateCanceled
-	j.status.State = StateCanceled
-	s.mCanceled.Add(1, obs.Label{Key: "tenant", Value: j.req.Tenant})
-	j.events.append(JobEvent{Type: EvCanceled}, true)
-	s.retainArtifacts(j, nil)
-	s.persistJob(j)
-}
-
 // Status returns a job's status snapshot.
 func (s *Server) Status(id string) (JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.store.get(id)
-	if !ok {
-		return JobStatus{}, false
+	if j, ok := s.store.get(id); ok {
+		return s.statusOf(j), true
 	}
-	st := j.status
-	if j.state == StateQueued {
-		st.QueueWaitSec = s.now() - j.enqueued // live wait so far
-	}
-	return st, true
+	return JobStatus{}, false
 }
 
 // TenantStats is the per-tenant slice of /v1/stats.
@@ -840,7 +561,7 @@ func (s *Server) StatsSnapshot() Stats {
 			names = append(names, j.req.Tenant)
 		}
 		t.Submitted++
-		switch j.state {
+		switch j.status.State {
 		case StateSucceeded:
 			t.Completed++
 		case StateFailed:
@@ -852,7 +573,7 @@ func (s *Server) StatsSnapshot() Stats {
 		case StateQueued:
 			t.Queued++
 		}
-		if w := j.status.QueueWaitSec; j.state != StateQueued && w > t.MaxWait {
+		if w := j.status.QueueWaitSec; j.status.State != StateQueued && w > t.MaxWait {
 			t.MaxWait = w
 		}
 	}
@@ -863,185 +584,4 @@ func (s *Server) StatsSnapshot() Stats {
 		st.Tenants = append(st.Tenants, *t)
 	}
 	return st
-}
-
-// maxSubmitBytes bounds a POST /v1/jobs body. Program text, shapes and
-// options fit in a few KiB; an unbounded body would be buffered whole by the
-// JSON decoder.
-const maxSubmitBytes = 1 << 20
-
-// Handler returns the HTTP API:
-//
-//	POST   /v1/jobs           submit (SubmitRequest JSON -> JobStatus)
-//	GET    /v1/jobs           paginated list (?tenant=, ?state=, ?after=, ?limit=)
-//	GET    /v1/jobs/{id}      status
-//	GET    /v1/jobs/{id}/result  terminal result (409 until terminal)
-//	GET    /v1/jobs/{id}/events  lifecycle event stream: long-poll
-//	                          (?since=N, ?wait=sec) or SSE (?stream=sse
-//	                          or Accept: text/event-stream)
-//	GET    /v1/jobs/{id}/trace     retained Chrome trace (opt-in)
-//	GET    /v1/jobs/{id}/critpath  retained critical-path report (opt-in)
-//	GET    /v1/jobs/{id}/metrics   retained metrics snapshot (opt-in)
-//	GET    /v1/jobs/{id}/explain   retained optimizer EXPLAIN (opt-in)
-//	DELETE /v1/jobs/{id}      cancel a queued job
-//	GET    /v1/stats          scheduler/cache/tenant stats (JSON)
-//	GET    /metrics           Prometheus text metrics
-//	GET    /metrics.json      deterministic JSON metrics
-//	GET    /debug/dash        self-contained HTML ops dashboard
-//	GET    /debug/pprof/*     runtime profiles (only with Config.Pprof)
-//	GET    /healthz           liveness
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeErr(w, &apiError{code: http.StatusRequestEntityTooLarge,
-					msg: fmt.Sprintf("request body exceeds the %d-byte limit", maxSubmitBytes)})
-				return
-			}
-			writeErr(w, badRequest("bad request body: %v", err))
-			return
-		}
-		st, err := s.Submit(req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, st)
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		limit := 100
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				writeErr(w, badRequest("limit must be a positive integer, got %q", v))
-				return
-			}
-			limit = n
-		}
-		s.mu.Lock()
-		jobs, next := s.store.listPage(q.Get("tenant"), JobState(q.Get("state")), q.Get("after"), limit)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, JobPage{Jobs: jobs, NextAfter: next})
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		s.handleEvents(w, r)
-	})
-	for _, a := range []string{"trace", "critpath", "metrics", "explain"} {
-		kind := a
-		mux.HandleFunc("GET /v1/jobs/{id}/"+kind, func(w http.ResponseWriter, r *http.Request) {
-			s.handleArtifact(w, r, kind)
-		})
-	}
-	mux.HandleFunc("GET /debug/dash", func(w http.ResponseWriter, r *http.Request) {
-		s.handleDash(w, r)
-	})
-	if s.cfg.Pprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
-	for _, pattern := range []string{"GET /v1/jobs/{id}", "GET /v1/jobs/{id}/result"} {
-		wantTerminal := strings.HasSuffix(pattern, "/result")
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			st, ok := s.Status(r.PathValue("id"))
-			switch {
-			case !ok:
-				writeErr(w, &apiError{code: http.StatusNotFound, msg: "no such job"})
-			case wantTerminal && !st.State.Terminal():
-				writeErr(w, &apiError{code: http.StatusConflict, msg: fmt.Sprintf("job is %s", st.State)})
-			default:
-				writeJSON(w, http.StatusOK, st)
-			}
-		})
-	}
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.Cancel(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.StatsSnapshot())
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.writeMetrics(w, "text/plain; version=0.0.4", s.reg.Write)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		s.writeMetrics(w, "application/json", s.reg.WriteJSON)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
-
-// writeMetrics renders the registry under the locks its writers hold:
-// s.mu, and the journal's write lock for the histograms flush feeds.
-func (s *Server) writeMetrics(w http.ResponseWriter, contentType string, render func(io.Writer) error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refreshGauges()
-	if p := s.persist; p != nil {
-		s.mJournalErrors.Set(float64(p.errs.Load()))
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	w.Header().Set("Content-Type", contentType)
-	render(w)
-}
-
-// refreshGauges sets the point-in-time gauges before a metrics render.
-// Callers hold s.mu.
-func (s *Server) refreshGauges() {
-	cs := s.cache.Stats()
-	s.mCacheHits.Set(float64(cs.PlanHits))
-	s.mCacheMisses.Set(float64(cs.PlanMisses))
-	s.mDepHits.Set(float64(cs.DepHits))
-	s.mDepMisses.Set(float64(cs.DepMisses))
-	s.mRunning.Set(float64(s.running))
-	s.mQueueDepth.Set(float64(s.sched.Depth()))
-	s.mFreeNodes.Set(float64(s.freeNodes))
-	if d := cs.Evictions - s.lastEvictions; d > 0 {
-		s.mEvictions.Add(float64(d))
-		s.lastEvictions = cs.Evictions
-	}
-	// Fair-share debt: a tenant's normalized service above the
-	// best-served tenant's. The scheduler favors low debt, so a large
-	// value means the tenant has been consuming ahead of its share.
-	minNorm := 0.0
-	first := true
-	for tenant := range s.tenantHists {
-		n := s.sched.Service(tenant) / s.sched.Weight(tenant)
-		if first || n < minNorm {
-			minNorm, first = n, false
-		}
-	}
-	for _, tenant := range obs.SortedKeys(s.tenantHists) {
-		n := s.sched.Service(tenant) / s.sched.Weight(tenant)
-		s.mDebt.Set(n-minNorm, obs.Label{Key: "tenant", Value: tenant})
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	if ae, ok := err.(*apiError); ok {
-		code = ae.code
-	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"cumulon/internal/opt"
 )
 
 // sharedResults runs the full suite once for all shape assertions.
@@ -167,6 +169,25 @@ func TestE12OptimizerValue(t *testing.T) {
 	for k, v := range r.Checks {
 		if strings.HasPrefix(k, "saving:") && v < 1 {
 			t.Fatalf("%s: optimizer worse than naive (saving %v)", k, v)
+		}
+	}
+}
+
+// The optimizer's searches behind E10-E12 count the jobs of their candidates
+// that no split fits in a slot's memory share; each runs on its
+// smallest-footprint split instead. They come from the sweep's cap of 8
+// tasks per slot, which keeps small clusters off the fine splits that would
+// fit (ROADMAP item 3a decides what to do about them).
+func TestMemFallbacksPinned(t *testing.T) {
+	for id, want := range map[string]int64{"E10": 608, "E11": 36, "E12": 0} {
+		s := NewSuite(42)
+		st := opt.NewSearchTrace()
+		s.Search = st
+		if _, err := s.RunOne(id, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.CounterValue(opt.CounterMemFallbacks); got != want {
+			t.Errorf("%s: %d jobs fit no split, want %d", id, got, want)
 		}
 	}
 }

@@ -242,9 +242,11 @@ func TestEngineMatchesInterpreterOnRandomPrograms(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
-		if _, err := e.Run(pl); err != nil {
+		m, err := e.Run(pl)
+		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, pl)
 		}
+		checkFootprint(t, pl, m, false)
 		for name, meta := range pl.Outputs {
 			got, err := e.FetchOutput(meta)
 			if err != nil {

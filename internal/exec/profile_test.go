@@ -72,8 +72,11 @@ func doubleCharged(uses []tapeUse) (int64, []string) {
 // the same matrix wherever a task's i-span meets its j-span, and an
 // epilogue that reads a prologue's matrix. There Profile must exceed the
 // engine by exactly the doubly charged tiles; a shared tile anywhere else,
-// or any other difference, fails. It is a model error (ROADMAP item 2): the
-// fix moves predictions, so it is not made here.
+// or any other difference, fails. It is a model error (ROADMAP item 7(ii)):
+// the fix moves predictions, so it is not made here. It also lowers the task
+// footprint (plan.TaskFootprint), which is Profile's bytes: where a case
+// shares nothing, each job's largest task holds exactly its footprint, and
+// elsewhere no task holds more.
 func TestProfileMatchesEngineAccounting(t *testing.T) {
 	const gnmf = `
 input W 26 4
@@ -171,7 +174,26 @@ output H
 			if !reflect.DeepEqual(got, c.wantShared) {
 				t.Errorf("tapes sharing a matrix within a task: %v, want %v", got, c.wantShared)
 			}
+			checkFootprint(t, pl, m, len(c.wantShared) == 0)
 		})
+	}
+}
+
+// checkFootprint asserts that no task of the run read and wrote more bytes
+// than its job's plan.TaskFootprint and, when exact, that each job's largest
+// task holds exactly that many.
+func checkFootprint(t *testing.T, pl *plan.Plan, m *RunMetrics, exact bool) {
+	t.Helper()
+	held := map[int]int64{}
+	for _, r := range m.Tasks {
+		b := r.LocalReadBytes + r.RackReadBytes + r.RemoteReadBytes + r.CacheReadBytes + r.WriteBytes
+		held[r.JobID] = max(held[r.JobID], b)
+	}
+	for _, j := range pl.Jobs {
+		fp := plan.TaskFootprint(plan.Profile(j))
+		if got := held[j.ID]; got > fp || exact && got != fp {
+			t.Errorf("%s: largest task read and wrote %d B, footprint %d B", j, got, fp)
+		}
 	}
 }
 

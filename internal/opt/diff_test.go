@@ -92,19 +92,27 @@ func (p refPredictor) predictJob(j *plan.Job, coarse bool) float64 {
 	return total
 }
 
-// optimizeSplits gives every job its best coarse-predicted split that fits
-// the memory bound (the smallest-footprint split when none does).
-func (p refPredictor) optimizeSplits(pl *plan.Plan, memPerSlot int64) {
+// optimizeSplits gives every job its best coarse-predicted split whose
+// largest task, read plus written bytes, fits the memory bound (the
+// smallest-footprint split when none does), and returns how many jobs fell
+// back.
+func (p refPredictor) optimizeSplits(pl *plan.Plan, memPerSlot int64) int64 {
 	maxTasks := 8 * p.cl.TotalSlots()
 	if maxTasks > 4096 {
 		maxTasks = 4096
 	}
+	var fallbacks int64
 	for _, j := range pl.Jobs {
 		var best, fallback plan.Split
 		bestTime, bestMem := math.Inf(1), int64(math.MaxInt64)
-		for _, s := range plan.SplitCandidates(j, maxTasks) {
+		for _, s := range plan.AppendSplitCandidates(nil, j, maxTasks) {
 			j.Split = s
-			mem := plan.EstTaskMemBytes(j)
+			var mem int64
+			for _, phase := range plan.TaskProfiles(j) {
+				for _, w := range phase {
+					mem = max(mem, w.ReadBytes+w.WriteBytes)
+				}
+			}
 			if mem < bestMem {
 				bestMem, fallback = mem, s
 			}
@@ -117,9 +125,11 @@ func (p refPredictor) optimizeSplits(pl *plan.Plan, memPerSlot int64) {
 		}
 		if math.IsInf(bestTime, 1) {
 			best = fallback
+			fallbacks++
 		}
 		j.Split = best
 	}
+	return fallbacks
 }
 
 func (p refPredictor) predictPlan(pl *plan.Plan) float64 {
@@ -231,7 +241,7 @@ func (r *refSearch) enumerate() []opt.Deployment {
 						r.trace.Count(opt.CounterCSEFlops, rw.FlopsSaved())
 					}
 					p := refPredictor{m: tm, cl: cluster, repl: 3, startup: 6}
-					p.optimizeSplits(pl, int64(mt.MemoryGB*1e9*0.7/float64(slots)))
+					r.trace.Count(opt.CounterMemFallbacks, p.optimizeSplits(pl, int64(mt.MemoryGB*1e9*0.7/float64(slots))))
 					secs := p.predictPlan(pl)
 					splits := map[int]plan.Split{}
 					for _, j := range pl.Jobs {

@@ -26,10 +26,10 @@ func TestColdSearchGolden(t *testing.T) {
 		seed              int64
 		trace, candidates string
 	}{
-		{42, "c941b0e52f6681f2859c1939636e90e14817653b127ea6cf0148c121ab944dfd",
-			"abb3470751d94bb3017bd5119c190a524d1e6ef25d25e6b02e1a1259e2ba7fca"},
-		{7, "1ee9c8bcbe5dc0927e2e3b697bc626ff5c987fd9b7f51bbdd46c2c0dd3d2d593",
-			"8d37ac919d2435a3f4d46b2a96e3b8ffed7c61066502f0cd7c02d3f8eecf2ca4"},
+		{42, "a6d62fd51d3e9d6187c8ed40ccd5adfc05aaea42f799cd8ba453c98ea8105d9a",
+			"d60af45a7c211c83da52d58114daf4d0fb0eaa769cc0a59c7d87a6b141688dde"},
+		{7, "83122676235e1dc999a307a55e4a4410a347543b9daea721cc093b1913f5c7df",
+			"fb80149be3fac8c178211fd944e85dcf732998df6ea3548631b2f623e4b49522"},
 	} {
 		w := workloads.GNMF(100000, 50000, 10, 1, 0.01)
 		st := opt.NewSearchTrace()

@@ -391,7 +391,7 @@ func nodeSweep(maxNodes int) []int {
 // search is what one search derives once and reuses for every candidate:
 // the plan compiled for each swept tile size, the predictor whose profile
 // memo spans them, and the benchmark suite every (machine, slots) pair the
-// model cache misses is calibrated through. OptimizeSplits overwrites every
+// model cache misses is calibrated through. The split sweep overwrites every
 // job's split for each candidate, so one plan serves the whole (machine,
 // slots, nodes) grid.
 type search struct {
@@ -457,7 +457,12 @@ func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *s
 				memPerSlot := int64(mt.MemoryGB * 1e9 * 0.7 / float64(slots))
 				// Sweep splits with the fast wave model, then price the
 				// chosen deployment with the exact scheduler simulation.
-				pred.OptimizeSplits(pl, memPerSlot)
+				for _, j := range pl.Jobs {
+					var fits bool
+					if j.Split, _, fits = pred.BestSplit(j, memPerSlot); !fits {
+						rec.Count(CounterMemFallbacks, 1)
+					}
+				}
 				secs := pred.PredictPlan(pl)
 				splits := map[int]plan.Split{}
 				for _, j := range pl.Jobs {

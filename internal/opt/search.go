@@ -77,6 +77,10 @@ const (
 	CounterCSEChains
 	// CounterCSEFlops counts the flops those eliminations saved.
 	CounterCSEFlops
+	// CounterMemFallbacks counts, over the search's candidates, the jobs no
+	// split of which fits a slot's memory share: each runs on its
+	// smallest-footprint split (sim.(*Predictor).BestSplit).
+	CounterMemFallbacks
 	// NumSearchCounters sizes counter arrays.
 	NumSearchCounters
 )
@@ -95,6 +99,8 @@ func (c SearchCounter) String() string {
 		return "cse_chains"
 	case CounterCSEFlops:
 		return "cse_flops_saved"
+	case CounterMemFallbacks:
+		return "mem_fallback_jobs"
 	}
 	return "?"
 }

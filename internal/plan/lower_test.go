@@ -313,7 +313,7 @@ C = A * B
 output C
 `, Config{TileSize: 4})
 	j := pl.Jobs[0]
-	cands := SplitCandidates(j, 1000)
+	cands := AppendSplitCandidates(nil, j, 1000)
 	if len(cands) < 10 {
 		t.Fatalf("too few candidates: %d", len(cands))
 	}
@@ -336,11 +336,37 @@ output C
 `, Config{TileSize: 4})
 	j := pl.Jobs[0]
 	j.Split = Split{CI: 1, CJ: 1, CK: 1}
-	big := EstTaskMemBytes(j)
+	big := TaskFootprint(Profile(j))
 	j.Split = Split{CI: 4, CJ: 4, CK: 4}
-	small := EstTaskMemBytes(j)
+	small := TaskFootprint(Profile(j))
 	if small >= big {
 		t.Fatalf("mem should shrink with finer splits: %d vs %d", small, big)
+	}
+}
+
+// GNMF's W' * V holds V at its stored size: sparse at 5 % density, its
+// task footprint is below the dense one's.
+func TestTaskFootprintSparseBelowDense(t *testing.T) {
+	footprint := func(v string) int64 {
+		pl := compileSrc(t, "input V 400 300"+v+`
+input W 400 10
+input H 10 300
+H = H .* (W' * V) ./ ((W' * W) * H)
+output H
+`, Config{TileSize: 100, Densities: map[string]float64{"V": 0.05}})
+		pl.AutoSplit(8)
+		for _, j := range pl.Jobs {
+			for _, ref := range j.Leaves {
+				if ref.Meta.Name == "V" {
+					return TaskFootprint(Profile(j))
+				}
+			}
+		}
+		t.Fatal("no job reads V")
+		return 0
+	}
+	if sparse, dense := footprint(" sparse"), footprint(""); sparse >= dense {
+		t.Fatalf("W' * V footprint with V sparse %d B, dense %d B", sparse, dense)
 	}
 }
 
@@ -414,7 +440,7 @@ R = mask(V, W * H)
 output R
 `, Config{TileSize: 4, Densities: map[string]float64{"V": 0.1}})
 	j := pl.Jobs[0]
-	for _, s := range SplitCandidates(j, 1000) {
+	for _, s := range AppendSplitCandidates(nil, j, 1000) {
 		if s.CK != 1 {
 			t.Fatalf("masked job offered k-split %v", s)
 		}

@@ -88,16 +88,11 @@ func factorGrid(it, jt, target int) (int, int) {
 	return ci, cj
 }
 
-// SplitCandidates enumerates the split space for one job, bounded by the
-// job's tile grid and a cap on the number of tasks. The optimizer sweeps
-// these; engines only ever need one. Factors are powers of two plus the
-// grid bounds, which keeps the sweep small while covering the extremes.
-func SplitCandidates(j *Job, maxTasks int) []Split {
-	return AppendSplitCandidates(nil, j, maxTasks)
-}
-
-// AppendSplitCandidates appends SplitCandidates(j, maxTasks) to dst and
-// returns the extended slice, so a sweep that reuses dst allocates nothing.
+// AppendSplitCandidates appends the split space of one job to dst, bounded
+// by the job's tile grid and a cap on the number of tasks, and returns the
+// extended slice, so a sweep that reuses dst allocates nothing. The optimizer
+// sweeps these; engines only ever need one. Factors are powers of two plus
+// the grid bounds, which keeps the sweep small while covering the extremes.
 func AppendSplitCandidates(dst []Split, j *Job, maxTasks int) []Split {
 	var ia, ja, ka [64]int // an axis has <= 63 powers of two below its length, plus the length
 	cis := axisCandidates(ia[:0], j.ITiles())
@@ -126,25 +121,6 @@ func axisCandidates(dst []int, n int) []int {
 		dst = append(dst, v)
 	}
 	return append(dst, n)
-}
-
-// EstTaskMemBytes estimates the peak per-task memory of a job under its
-// split: the input chunks plus the output chunk a task holds at once. The
-// optimizer uses it to reject splits that overflow the machine's per-slot
-// memory.
-func EstTaskMemBytes(j *Job) int64 {
-	ts := int64(j.Out.TileSize)
-	tileBytes := ts * ts * 8
-	ib := int64(ceilDiv(j.ITiles(), j.Split.CI))
-	jb := int64(ceilDiv(j.JTiles(), j.Split.CJ))
-	if j.Kind == MulKind {
-		kb := int64(ceilDiv(j.KTiles(), j.Split.CK))
-		// One L tile row-strip, one R tile column-strip, and the output
-		// chunk are resident; prologue/epilogue tiles are transient.
-		return (ib*kb + kb*jb + ib*jb) * tileBytes
-	}
-	leaves := int64(len(j.Prog.Refs))
-	return (leaves + 1) * ib * jb * tileBytes
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -131,6 +131,20 @@ type PhaseProfile struct {
 	Class []uint8
 }
 
+// TaskFootprint returns the most bytes one task of a job holds, given the
+// job's Profile: its largest class's ReadBytes + WriteBytes. Sparse tiles
+// count at stored size, and every leaf, mask and partial counts; a tile that
+// several of a task's tapes read counts per tape, which only overestimates.
+func TaskFootprint(phases []PhaseProfile) int64 {
+	var peak int64
+	for _, ph := range phases {
+		for _, w := range ph.Work {
+			peak = max(peak, w.ReadBytes+w.WriteBytes)
+		}
+	}
+	return peak
+}
+
 // TaskProfiles enumerates the per-phase, per-task work of a job under its
 // current split, in the same task order the engine constructs. Because
 // chunk sizes are uneven when splits do not divide the tile grid, per-task

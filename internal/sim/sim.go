@@ -168,11 +168,11 @@ func (p *Predictor) PredictJob(j *plan.Job) float64 {
 	return total
 }
 
-// sweepJob is PredictJob with each phase's makespan approximated by waves:
-// the split sweep's estimate.
-func (p *Predictor) sweepJob(j *plan.Job) float64 {
+// sweepJob is PredictJob over a job's profile with each phase's makespan
+// approximated by waves: the split sweep's estimate.
+func (p *Predictor) sweepJob(phases []plan.PhaseProfile) float64 {
 	total := p.JobStartup
-	for _, ph := range p.profiles.Profile(j) {
+	for _, ph := range phases {
 		total += p.wavePhase(ph)
 	}
 	return total
@@ -222,11 +222,12 @@ func (p *Predictor) PredictPlan(pl *plan.Plan) float64 {
 	return total
 }
 
-// BestSplit sweeps the split candidates of a job and returns the one with
-// the lowest wave-model time (sweepJob) whose estimated per-task memory fits
-// in memBytesPerSlot (0 disables the memory constraint), and that time. The
-// job's split is left untouched; callers assign the result.
-func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, float64) {
+// BestSplit returns the split candidate of a job with the lowest wave-model
+// time (sweepJob) whose plan.TaskFootprint fits in memBytesPerSlot (0: no
+// bound), that time and true; when none fits, the smallest-footprint split,
+// its time and false, which only the caller can flag. The job's split is
+// left untouched; callers assign the result.
+func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, float64, bool) {
 	old := j.Split
 	defer func() { j.Split = old }()
 
@@ -235,33 +236,26 @@ func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, f
 		maxTasks = 4096
 	}
 	p.splits = plan.AppendSplitCandidates(p.splits[:0], j, maxTasks)
-	best := plan.Split{}
-	bestTime := math.Inf(1)
-	bestMem := int64(math.MaxInt64)
-	var fallback plan.Split
+	best, bestTime := plan.Split{}, math.Inf(1)
+	fallback, fallbackMem := plan.Split{}, int64(math.MaxInt64)
 	for _, s := range p.splits {
 		j.Split = s
-		mem := plan.EstTaskMemBytes(j)
-		if mem < bestMem {
-			bestMem = mem
-			fallback = s
-		}
-		if memBytesPerSlot > 0 && mem > memBytesPerSlot {
+		phases := p.profiles.Profile(j)
+		if mem := plan.TaskFootprint(phases); memBytesPerSlot > 0 && mem > memBytesPerSlot {
+			if mem < fallbackMem {
+				fallback, fallbackMem = s, mem
+			}
 			continue
 		}
-		t := p.sweepJob(j)
-		if t < bestTime {
-			bestTime = t
-			best = s
+		if t := p.sweepJob(phases); t < bestTime {
+			best, bestTime = s, t
 		}
 	}
 	if math.IsInf(bestTime, 1) {
-		// Nothing fits the memory bound: take the smallest-footprint
-		// split (the engine will still run; the model flags the risk).
 		j.Split = fallback
-		return fallback, p.sweepJob(j)
+		return fallback, p.sweepJob(p.profiles.Profile(j)), false
 	}
-	return best, bestTime
+	return best, bestTime, true
 }
 
 // OptimizeSplits assigns the best split to every job and returns the
@@ -270,7 +264,7 @@ func (p *Predictor) BestSplit(j *plan.Job, memBytesPerSlot int64) (plan.Split, f
 func (p *Predictor) OptimizeSplits(pl *plan.Plan, memBytesPerSlot int64) float64 {
 	var total float64
 	for _, j := range pl.Jobs {
-		s, t := p.BestSplit(j, memBytesPerSlot)
+		s, t, _ := p.BestSplit(j, memBytesPerSlot)
 		j.Split = s
 		total += t
 	}

@@ -101,7 +101,7 @@ func TestBestSplitBeatsWorstSplit(t *testing.T) {
 	pl := compile(t, matmulSrc, 2048)
 	j := pl.Jobs[0]
 
-	best, bestTime := p.BestSplit(j, 0)
+	best, bestTime, _ := p.BestSplit(j, 0)
 	if err := best.Validate(j); err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,27 @@ func TestMemoryConstraintShrinksChunks(t *testing.T) {
 	pl := compile(t, matmulSrc, 2048)
 	j := pl.Jobs[0]
 
-	unbounded, _ := p.BestSplit(j, 0)
+	unbounded, _, _ := p.BestSplit(j, 0)
 	j.Split = unbounded
-	memUnbounded := plan.EstTaskMemBytes(j)
+	memUnbounded := plan.TaskFootprint(plan.Profile(j))
 
 	bound := memUnbounded / 4
-	bounded, _ := p.BestSplit(j, bound)
+	bounded, _, fits := p.BestSplit(j, bound)
 	j.Split = bounded
-	if got := plan.EstTaskMemBytes(j); got > bound {
-		t.Fatalf("memory bound violated: %d > %d (split %v)", got, bound, bounded)
+	if got := plan.TaskFootprint(plan.Profile(j)); !fits || got > bound {
+		t.Fatalf("memory bound violated: %d > %d (split %v, fits %v)", got, bound, bounded, fits)
+	}
+
+	// Below every candidate's footprint, the smallest one is taken and
+	// reported as not fitting.
+	fallback, _, fits := p.BestSplit(j, 1)
+	j.Split = fallback
+	smallest := plan.TaskFootprint(plan.Profile(j))
+	for _, s := range plan.AppendSplitCandidates(nil, j, 8*cluster.TotalSlots()) {
+		j.Split = s
+		if fp := plan.TaskFootprint(plan.Profile(j)); fits || fp < smallest {
+			t.Fatalf("fallback %v (fits %v) holds %d B, candidate %v %d B", fallback, fits, smallest, s, fp)
+		}
 	}
 }
 

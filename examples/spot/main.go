@@ -1,6 +1,8 @@
-// Spot instances: run GNMF's job schedule through the spot-market
-// simulator, sweep bids, and compare the expected bill against on-demand
-// pricing — the deployment question the paper's follow-on work tackles.
+// Spot instances: run GNMF on the engine under spot-market price traces
+// (an eviction kills the program, which resumes from its newest
+// checkpoint), sweep bids, and compare the expected bill against
+// on-demand pricing — the deployment question the paper's follow-on work
+// tackles.
 //
 //	go run ./examples/spot
 package main
@@ -17,36 +19,27 @@ import (
 )
 
 func main() {
-	// First get the real job schedule: run GNMF (virtually) on 16 x
-	// m1.large and collect per-job durations.
+	// First the on-demand baseline: run GNMF (virtually) on 16 x m1.large.
 	sess := core.NewSession(42)
 	wl := workloads.GNMF(200000, 100000, 10, 2, 0.05)
 	mt, err := cloud.TypeByName("m1.large")
-	if err != nil {
-		log.Fatal(err)
-	}
+	check(err)
 	cl, err := cloud.NewCluster(mt, 16, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := sess.Run(wl.Prog, plan.Config{TileSize: 2048, Densities: wl.Densities},
-		core.ExecOptions{Cluster: cl})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var jobSecs []float64
-	for _, j := range res.Metrics.Jobs {
-		jobSecs = append(jobSecs, j.Seconds())
-	}
+	check(err)
+	cfg := plan.Config{TileSize: 2048, Densities: wl.Densities}
+	opts := core.ExecOptions{Cluster: cl}
+	res, err := sess.Run(wl.Prog, cfg, opts)
+	check(err)
 	onDemand := res.CostDollars
 	fmt.Printf("workload: %s, %d jobs, %.1fs on %s\n",
-		wl.Name, len(jobSecs), res.Metrics.TotalSeconds, cl)
+		wl.Name, len(res.Metrics.Jobs), res.Metrics.TotalSeconds, cl)
 	fmt.Printf("on-demand bill: $%.2f\n\n", onDemand)
 
 	// Sweep bids on the spot market.
 	market := spot.DefaultMarket(mt.PricePerHour)
 	horizon := res.Metrics.TotalSeconds * 6
-	best, ok, sweep := spot.OptimizeBid(jobSecs, cl.Nodes, market, 50, 42, horizon, 0.9)
+	best, ok, sweep, err := spot.OptimizeBid(sess, wl.Prog, cfg, opts, market, 50, 42, horizon, 0.9)
+	check(err)
 	fmt.Printf("%-10s %-12s %-16s %s\n", "bid $/h", "finish prob", "expected cost $", "mean evictions")
 	for _, e := range sweep {
 		fmt.Printf("%-10.3f %-12.2f %-16.2f %.2f\n",
@@ -58,4 +51,10 @@ func main() {
 	}
 	fmt.Printf("\nbest bid: $%.3f/h — expected cost $%.2f (%.0f%% of on-demand), finish prob %.0f%%\n",
 		best.Bid, best.ExpectedCost, 100*best.ExpectedCost/onDemand, 100*best.FinishProb)
+}
+
+func check(err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
 }

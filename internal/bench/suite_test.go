@@ -268,7 +268,7 @@ func TestE16MaskedValue(t *testing.T) {
 }
 
 // E17: higher bids raise completion probability; a qualifying bid beats
-// the on-demand bill.
+// the on-demand bill, hour-rounded and per second.
 func TestE17SpotValue(t *testing.T) {
 	r := results(t)["E17"]
 	if check(t, r, "met") != 1 {
@@ -280,6 +280,10 @@ func TestE17SpotValue(t *testing.T) {
 	if check(t, r, "bestCost") >= check(t, r, "onDemand") {
 		t.Fatalf("spot cost %v not below on-demand %v",
 			r.Checks["bestCost"], r.Checks["onDemand"])
+	}
+	if check(t, r, "bestCost") >= check(t, r, "onDemandLinear") {
+		t.Fatalf("spot cost %v not below the per-second on-demand bill %v",
+			r.Checks["bestCost"], r.Checks["onDemandLinear"])
 	}
 }
 

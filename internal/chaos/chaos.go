@@ -64,12 +64,12 @@ type Schedule struct {
 	ReadFaultProb float64
 	// Targets pins additional deterministic faults to specific tasks.
 	Targets []TargetFault
-	// KillProgramAt, when positive, kills the whole program at the first
-	// job released at or after this virtual time: the engine aborts with
-	// a ProgramKilled error instead of starting that job. Paired with
+	// KillProgramAt, when positive, kills the whole program at this
+	// virtual time: no job or checkpoint write that would end later
+	// counts, and the engine returns a ProgramKilled error. Paired with
 	// program-level checkpointing, this is the crash half of crash-resume
-	// testing — a later run resumes from the last checkpoint and must
-	// finish bit-identically to an uninterrupted run.
+	// testing — a later run resumes from the last checkpoint written by
+	// then and must finish bit-identically to an uninterrupted run.
 	KillProgramAt float64
 }
 

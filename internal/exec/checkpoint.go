@@ -12,21 +12,14 @@ import (
 )
 
 // ProgramKilled is the error Run returns when the chaos schedule's
-// kill-program entry fires: the engine aborts deterministically instead
-// of starting the first job released at or after the scheduled time.
-// Everything already checkpointed survives; a later run with Resume set
-// picks up from the last boundary.
-type ProgramKilled struct {
-	// At is the scheduled kill time.
-	At float64
-	// Clock is the virtual time of the aborted job's release.
-	Clock float64
-	// NextJob is the job that was about to start.
-	NextJob int
-}
+// kill-program entry fires. The program is dead from time At on: no job
+// and no checkpoint write that would end after it counts, so only the
+// checkpoints written by then survive, and a later run with Resume set
+// picks up from the newest of them.
+type ProgramKilled struct{ At float64 }
 
 func (e *ProgramKilled) Error() string {
-	return fmt.Sprintf("exec: program killed at %.3fs (scheduled %.3fs, before job %d)", e.Clock, e.At, e.NextJob)
+	return fmt.Sprintf("exec: program killed at %.3fs", e.At)
 }
 
 // ckptPoint is one boundary the run will checkpoint at, keyed in the
@@ -152,7 +145,8 @@ func (e *Engine) boundaryReset(stmt int) {
 // writeCheckpoint persists the program state at a boundary — every
 // matrix materialized by the jobs up to it, with exact block placement —
 // charges the write to the virtual clock as a CatCheckpoint span, and
-// performs the boundary reset. Returns the post-checkpoint clock.
+// performs the boundary reset. Returns the post-checkpoint clock, or
+// ProgramKilled, saving nothing, if the write would end after the kill.
 func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *RunMetrics, prog obs.SpanID) (float64, error) {
 	man := &ckpt.Manifest{
 		FormatVersion:  ckpt.Version,
@@ -214,6 +208,9 @@ func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *R
 	}
 	dur := e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, 0, tileBytes, tileBytes*(repl-1))
 	end := clock + dur
+	if killAt := e.chaos.KillProgramAt(); killAt > 0 && end > killAt {
+		return 0, &ProgramKilled{At: killAt}
+	}
 	man.ClockSec = end
 	if err := man.Seal(); err != nil {
 		return 0, err
@@ -343,10 +340,9 @@ func (e *Engine) restoreCheckpoint(p *plan.Plan, m *RunMetrics) (resumeJob int, 
 	return man.BoundaryJob, man.ClockSec, true, nil
 }
 
-// allSlots builds slot states for every node, dead ones flagged. The
-// resume path uses it instead of liveSlots so that global slot indices
-// match the uninterrupted run's (which built its slots before any node
-// died).
+// allSlots builds slot states for every node, dead ones flagged, so a
+// slot's global index is the same whichever nodes have died — before
+// the run, during it, or before the checkpoint a run resumes from.
 func (e *Engine) allSlots() []*slotState {
 	var slots []*slotState
 	for n := 0; n < e.cfg.Cluster.Nodes; n++ {

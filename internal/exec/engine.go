@@ -313,14 +313,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 			resumeJob, startClock = rj, clock
 		}
 	}
-	var slots []*slotState
-	if resumeJob >= 0 {
-		// Keep every node's slots (dead ones flagged) so global slot
-		// indices match the uninterrupted run's.
-		slots = e.allSlots()
-	} else {
-		slots = e.liveSlots()
-	}
+	slots := e.allSlots()
 	alive := 0
 	for _, s := range slots {
 		if !s.dead {
@@ -351,11 +344,14 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 			}
 		}
 		if killAt > 0 && ready >= killAt {
-			return nil, &ProgramKilled{At: killAt, Clock: ready, NextJob: j.ID}
+			return nil, &ProgramKilled{At: killAt}
 		}
 		end, err := e.runJob(j, ready, slots, m, prog)
 		if err != nil {
 			return nil, fmt.Errorf("exec: %s: %w", j, err)
+		}
+		if killAt > 0 && end > killAt {
+			return nil, &ProgramKilled{At: killAt}
 		}
 		jobEnds[j.ID] = end
 		if end > globalEnd {
@@ -375,20 +371,6 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		e.st.DeleteMatrix(im)
 	}
 	return m, nil
-}
-
-// liveSlots builds the slot states of all live nodes.
-func (e *Engine) liveSlots() []*slotState {
-	var slots []*slotState
-	for n := 0; n < e.cfg.Cluster.Nodes; n++ {
-		if !e.fs.NodeAlive(n) {
-			continue
-		}
-		for s := 0; s < e.cfg.Cluster.Slots; s++ {
-			slots = append(slots, &slotState{node: n})
-		}
-	}
-	return slots
 }
 
 // runJob executes one job that may start at virtual time start, on the

@@ -301,9 +301,76 @@ func diffLines(want, got []string) string {
 	return out
 }
 
-// TestCheckpointKillBeforeAnyJob covers the degenerate kill time: a
-// schedule that kills past the last job release never fires, so the
-// run completes normally.
+// TestKillInsideCheckpointSpanLosesIt pins kill-program's dead-from-t
+// meaning: a kill inside the job a checkpoint saves, or inside the
+// checkpoint write itself, loses that checkpoint, so the resumed run
+// starts from the boundary before it and still finishes bit-identically
+// to an uninterrupted run.
+func TestKillInsideCheckpointSpanLosesIt(t *testing.T) {
+	wl := workloads.GNMF(26, 22, 4, 3, 0.25)
+	tr := obs.NewTrace()
+	oOuts, oM, err := runIterative(t, wl, compute.NewSequential(), nil, nil, false, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cks []obs.Span // checkpoint writes carry JobID -stmt
+	for _, s := range tr.Spans() {
+		if s.Kind == obs.KindJob && s.Attrs.JobID < 0 {
+			cks = append(cks, s)
+		}
+	}
+	sort.Slice(cks, func(a, b int) bool { return cks[a].Start < cks[b].Start })
+	if len(cks) < 2 {
+		t.Fatalf("want two checkpoints, got %d", len(cks))
+	}
+	prev, last := cks[len(cks)-2], cks[len(cks)-1]
+	var saved *exec.JobRecord // the job whose output the last write saves
+	for i := range oM.Jobs {
+		if oM.Jobs[i].EndSec == last.Start {
+			saved = &oM.Jobs[i]
+		}
+	}
+	if saved == nil {
+		t.Fatal("no job ends where the last checkpoint write starts")
+	}
+	for _, c := range []struct {
+		name   string
+		killAt float64
+	}{
+		{"in-job", (saved.StartSec + saved.EndSec) / 2},
+		{"in-write", (last.Start + last.End) / 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cs := ckpt.NewMemStore()
+			_, _, err := runIterative(t, wl, compute.NewSequential(),
+				&chaos.Schedule{KillProgramAt: c.killAt}, cs, false, nil)
+			var pk *exec.ProgramKilled
+			if !errors.As(err, &pk) {
+				t.Fatalf("killed run: want ProgramKilled, got %v", err)
+			}
+			rOuts, rM, err := runIterative(t, wl, compute.NewSequential(), nil, cs, true, nil)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if want := -prev.Attrs.JobID; rM.ResumedFromStmt != want {
+				t.Errorf("kill at %.2fs resumed from stmt %d, want the earlier boundary %d",
+					c.killAt, rM.ResumedFromStmt, want)
+			}
+			if rM.TotalSeconds != oM.TotalSeconds {
+				t.Errorf("total time diverges: oracle %v, resumed %v", oM.TotalSeconds, rM.TotalSeconds)
+			}
+			for name, od := range oOuts {
+				if at := firstBitDiff(od, rOuts[name]); at >= 0 {
+					t.Errorf("output %s not bitwise identical after resume at element %d", name, at)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointKillPastEndCompletes covers the degenerate kill time: a
+// schedule that kills after the program ends never fires, so the run
+// completes normally.
 func TestCheckpointKillPastEndCompletes(t *testing.T) {
 	wl := workloads.PageRank(24, 2, 0.2, 0.85)
 	outs, m, err := runIterative(t, wl, compute.NewSequential(), &chaos.Schedule{KillProgramAt: 1e12}, nil, false, nil)

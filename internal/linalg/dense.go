@@ -23,14 +23,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewDenseFrom wraps data (len rows*cols, row-major) without copying.
-func NewDenseFrom(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("linalg: dense data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Dense{Rows: rows, Cols: cols, Data: data}
-}
-
 // RandomDense returns a rows x cols matrix with entries drawn uniformly
 // from [0, 1) using the given seed. All randomness in this codebase is
 // seeded explicitly so that every test and experiment is reproducible.
@@ -63,15 +55,6 @@ func ConstDense(rows, cols int, v float64) *Dense {
 	d := NewDense(rows, cols)
 	for i := range d.Data {
 		d.Data[i] = v
-	}
-	return d
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Dense {
-	d := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		d.Data[i*n+i] = 1
 	}
 	return d
 }

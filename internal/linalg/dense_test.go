@@ -1,18 +1,36 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// newDenseFrom wraps data (len rows*cols, row-major) without copying.
+func newDenseFrom(rows, cols int, data []float64) *Dense {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("linalg: dense data length %d != %d*%d", len(data), rows, cols))
+	}
+	return &Dense{Rows: rows, Cols: cols, Data: data}
+}
+
+// identity returns the n x n identity matrix.
+func identity(n int) *Dense {
+	d := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		d.Data[i*n+i] = 1
+	}
+	return d
+}
+
 func TestDenseMulIdentity(t *testing.T) {
 	a := RandomDense(7, 7, 42)
-	if !a.Mul(Identity(7)).AlmostEqual(a, 1e-12) {
+	if !a.Mul(identity(7)).AlmostEqual(a, 1e-12) {
 		t.Fatal("A*I != A")
 	}
-	if !Identity(7).Mul(a).AlmostEqual(a, 1e-12) {
+	if !identity(7).Mul(a).AlmostEqual(a, 1e-12) {
 		t.Fatal("I*A != A")
 	}
 }
@@ -32,8 +50,8 @@ func TestDenseAssociativity(t *testing.T) {
 }
 
 func TestDenseElementwise(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewDenseFrom(2, 2, []float64{4, 3, 2, 1})
+	a := newDenseFrom(2, 2, []float64{1, 2, 3, 4})
+	b := newDenseFrom(2, 2, []float64{4, 3, 2, 1})
 	if got := a.Add(b).At(0, 0); got != 5 {
 		t.Fatalf("add: %v", got)
 	}
@@ -116,8 +134,8 @@ func TestRandomDenseDeterminism(t *testing.T) {
 }
 
 func TestMaxAbsDiff(t *testing.T) {
-	a := NewDenseFrom(1, 3, []float64{1, 2, 3})
-	b := NewDenseFrom(1, 3, []float64{1, 5, 3})
+	a := newDenseFrom(1, 3, []float64{1, 2, 3})
+	b := newDenseFrom(1, 3, []float64{1, 5, 3})
 	if got := a.MaxAbsDiff(b); got != 3 {
 		t.Fatalf("maxabsdiff: %v", got)
 	}

@@ -1,26 +1,71 @@
 package spot
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"cumulon/internal/cloud"
+	"cumulon/internal/core"
+	"cumulon/internal/linalg"
+	"cumulon/internal/plan"
+	"cumulon/internal/workloads"
 )
 
 func market() Market { return DefaultMarket(0.24) } // m1.large price
 
-var jobs = []float64{300, 600, 450, 900} // a 4-job program, 37.5 min total
+// fixture is a small materialized GNMF on 4 x m1.large: three
+// iterations, so two checkpoints to resume from, in ≈ 260 virtual
+// seconds (a few market steps).
+type fixture struct {
+	sess *core.Session
+	wl   workloads.Workload
+	cfg  plan.Config
+	opts core.ExecOptions
+}
 
-func TestMarketValidate(t *testing.T) {
-	if err := market().Validate(); err != nil {
+func newFixture(t *testing.T) fixture {
+	t.Helper()
+	mt, err := cloud.TypeByName("m1.large")
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := market()
-	bad.Mean = 1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("mean above on-demand should be invalid")
+	cl, err := cloud.NewCluster(mt, 4, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (Market{}).Validate(); err == nil {
-		t.Fatal("zero market should be invalid")
+	wl := workloads.GNMF(26, 22, 4, 3, 0.25)
+	return fixture{
+		sess: core.NewSession(7),
+		wl:   wl,
+		cfg:  plan.Config{TileSize: 4, Densities: wl.Densities},
+		opts: core.ExecOptions{Cluster: cl, Inputs: wl.RandomInputs(5)},
 	}
+}
+
+func (f fixture) runner() *runner { return newRunner(f.sess, f.wl.Prog, f.cfg, f.opts) }
+
+// uninterrupted is the program run on demand, with the spot runs'
+// checkpoint cadence and never killed.
+func (f fixture) uninterrupted(t *testing.T) *core.ExecResult {
+	t.Helper()
+	opts := f.opts
+	opts.CheckpointEvery = 1
+	res, err := f.sess.Run(f.wl.Prog, f.cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func (f fixture) trial(t *testing.T, r *runner, bid float64, seed int64, horizonSec float64) trial {
+	t.Helper()
+	tr, err := r.trial(market(), bid, seed, horizonSec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestTraceStatistics(t *testing.T) {
@@ -60,59 +105,101 @@ func TestTraceDeterminism(t *testing.T) {
 }
 
 func TestHighBidAlwaysFinishes(t *testing.T) {
-	// Bidding far above any spike means no evictions, and cost below
-	// on-demand (you pay the spot price, not your bid).
+	// Bidding far above any spike means no evictions, the uninterrupted
+	// run's time, and cost below on-demand (you pay the spot price, not
+	// your bid).
+	f := newFixture(t)
 	m := market()
-	o := Simulate(jobs, 8, m, 100*m.OnDemand, 3, 24*3600)
-	if !o.Finished {
+	want := f.uninterrupted(t).Metrics.TotalSeconds
+	tr := f.trial(t, f.runner(), 100*m.OnDemand, 3, 24*3600)
+	if tr.final == nil {
 		t.Fatal("unbeatable bid did not finish")
 	}
-	if o.Evictions != 0 {
-		t.Fatalf("unbeatable bid evicted %d times", o.Evictions)
+	if tr.evictions != 0 {
+		t.Fatalf("unbeatable bid evicted %d times", tr.evictions)
 	}
-	var total float64
-	for _, j := range jobs {
-		total += j
+	if got := tr.final.Metrics.TotalSeconds; got != want {
+		t.Fatalf("no-eviction runtime %v != %v", got, want)
 	}
-	onDemandCost := 8 * m.OnDemand * total / 3600
-	if o.Cost >= onDemandCost {
-		t.Fatalf("spot cost %v above on-demand %v", o.Cost, onDemandCost)
-	}
-	if math.Abs(o.TotalSec-total) > 1 {
-		t.Fatalf("no-eviction runtime %v != %v", o.TotalSec, total)
+	if onDemand := cloud.CostLinear(f.opts.Cluster.Type, f.opts.Cluster.Nodes, want); tr.cost >= onDemand {
+		t.Fatalf("spot cost %v above on-demand %v", tr.cost, onDemand)
 	}
 }
 
 func TestLowBidNeverRuns(t *testing.T) {
-	m := market()
-	o := Simulate(jobs, 8, m, 0.01*m.Mean, 3, 6*3600)
-	if o.Finished || o.Cost > 0 {
-		t.Fatalf("sub-floor bid should never run: %+v", o)
+	f := newFixture(t)
+	r := f.runner()
+	tr := f.trial(t, r, 0.01*market().Mean, 3, 6*3600)
+	if tr.final != nil || tr.cost > 0 || len(r.done) > 0 {
+		t.Fatalf("sub-floor bid should never run: %+v", tr)
 	}
 }
 
-func TestMidBidEvictsAndRetries(t *testing.T) {
-	m := market()
-	// A bid just above the mean gets evicted by noise/spikes on long
-	// programs; aggregate over seeds to avoid flakiness.
-	longJobs := []float64{3600, 3600, 3600, 3600}
-	evictions := 0
+func TestMidBidEvictsAndResumes(t *testing.T) {
+	// A bid just above the mean gets evicted by noise and spikes;
+	// aggregate over seeds to avoid flakiness.
+	f := newFixture(t)
+	r := f.runner()
+	evictions, resumed := 0, 0
 	for seed := int64(0); seed < 20; seed++ {
-		o := Simulate(longJobs, 4, m, m.Mean*1.1, seed, 96*3600)
-		evictions += o.Evictions
-		if o.Finished && o.JobsRun < o.JobsNeeded {
-			t.Fatal("finished with fewer job runs than jobs")
+		tr := f.trial(t, r, market().Mean*1.1, seed, 96*3600)
+		evictions += tr.evictions
+		if tr.final != nil && tr.final.Metrics.ResumedFromStmt > 0 {
+			resumed++
 		}
 	}
 	if evictions == 0 {
 		t.Fatal("a marginal bid never got evicted across 20 traces")
 	}
+	if resumed == 0 {
+		t.Fatal("no evicted trial finished from a checkpoint")
+	}
+}
+
+// TestEvictedTrialMatchesUninterrupted: a trial evicted at least twice,
+// that finishes from a checkpoint, has the outputs of a run that never
+// was evicted.
+func TestEvictedTrialMatchesUninterrupted(t *testing.T) {
+	f := newFixture(t)
+	want := f.uninterrupted(t).Outputs
+	r := f.runner()
+	for seed := int64(0); seed < 100; seed++ {
+		tr := f.trial(t, r, market().Mean*1.1, seed, 96*3600)
+		if tr.final == nil || tr.evictions < 2 || tr.final.Metrics.ResumedFromStmt == 0 {
+			continue
+		}
+		t.Logf("seed %d: %d evictions, finished from stmt %d", seed, tr.evictions, tr.final.Metrics.ResumedFromStmt)
+		for name, d := range want {
+			if digest(tr.final.Outputs[name]) != digest(d) {
+				t.Fatalf("seed %d: output %s after %d evictions differs from the uninterrupted run's",
+					seed, name, tr.evictions)
+			}
+		}
+		return
+	}
+	t.Fatal("no trace evicted a trial twice that then finished from a checkpoint")
+}
+
+func digest(d *linalg.Dense) [sha256.Size]byte {
+	b := make([]byte, 8*len(d.Data))
+	for i, v := range d.Data {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return sha256.Sum256(b)
 }
 
 func TestMonteCarloMonotoneInBid(t *testing.T) {
+	f := newFixture(t)
 	m := market()
-	lo := MonteCarlo(jobs, 8, m, m.Mean*1.05, 40, 9, 12*3600)
-	hi := MonteCarlo(jobs, 8, m, 3*m.OnDemand, 40, 9, 12*3600)
+	horizon := 10 * f.uninterrupted(t).Metrics.TotalSeconds
+	estimate := func(bid float64) Estimate {
+		e, err := MonteCarlo(f.sess, f.wl.Prog, f.cfg, f.opts, m, bid, 40, 9, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	lo, hi := estimate(m.Mean*1.05), estimate(3*m.OnDemand)
 	if hi.FinishProb < lo.FinishProb {
 		t.Fatalf("higher bid lowered finish probability: %v vs %v", hi.FinishProb, lo.FinishProb)
 	}
@@ -122,21 +209,21 @@ func TestMonteCarloMonotoneInBid(t *testing.T) {
 }
 
 func TestOptimizeBid(t *testing.T) {
+	f := newFixture(t)
 	m := market()
-	best, ok, sweep := OptimizeBid(jobs, 8, m, 30, 5, 12*3600, 0.9)
+	sec := f.uninterrupted(t).Metrics.TotalSeconds
+	best, ok, sweep, err := OptimizeBid(f.sess, f.wl.Prog, f.cfg, f.opts, m, 30, 5, 10*sec, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Fatalf("no bid met the target: %+v", sweep)
 	}
 	if best.FinishProb < 0.9 {
 		t.Fatalf("best bid misses target: %+v", best)
 	}
-	var total float64
-	for _, j := range jobs {
-		total += j
-	}
-	onDemandCost := 8 * m.OnDemand * total / 3600
-	if best.ExpectedCost >= onDemandCost {
-		t.Fatalf("spot expected cost %v not below on-demand %v", best.ExpectedCost, onDemandCost)
+	if onDemand := cloud.CostLinear(f.opts.Cluster.Type, f.opts.Cluster.Nodes, sec); best.ExpectedCost >= onDemand {
+		t.Fatalf("spot expected cost %v not below on-demand %v", best.ExpectedCost, onDemand)
 	}
 	if len(sweep) < 5 {
 		t.Fatalf("sweep too small: %d", len(sweep))
@@ -144,9 +231,12 @@ func TestOptimizeBid(t *testing.T) {
 }
 
 func TestOptimizeBidImpossibleTarget(t *testing.T) {
-	m := market()
-	// A one-minute horizon for 37 minutes of work: nothing can finish.
-	_, ok, _ := OptimizeBid(jobs, 8, m, 10, 5, 60, 0.9)
+	f := newFixture(t)
+	// A one-minute horizon for minutes of work: nothing can finish.
+	_, ok, _, err := OptimizeBid(f.sess, f.wl.Prog, f.cfg, f.opts, market(), 10, 5, 60, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ok {
 		t.Fatal("impossible target reported as met")
 	}

@@ -32,3 +32,21 @@ func SetInputHook(f func(kind string, form any, kept bool)) {
 		}
 	}
 }
+
+// MemoHolds counts the phases a memo has recorded and the task results in
+// them.
+func MemoHolds(m *Memo) (phases, tasks int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, j := range m.jobs {
+		for _, byOps := range j.phases {
+			for _, res := range byOps {
+				if res != nil {
+					phases++
+					tasks += len(res)
+				}
+			}
+		}
+	}
+	return phases, tasks
+}

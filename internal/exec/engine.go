@@ -100,9 +100,11 @@ type Config struct {
 	// identical at every width. Virtual runs have no tile math and always
 	// run sequentially. Negative values are rejected.
 	Workers int
-	// Backend overrides the compute backend entirely: model's calibration
-	// suite serves recorded task results through it, and a caller may pin
-	// a specific backend. When set, Workers is ignored.
+	// Backend overrides the compute backend entirely, and a caller may pin
+	// a specific one. A compute.Memo here serves a virtual run the task
+	// results earlier runs of the same compiled plan computed: cumulond's
+	// plan-cache entries and model's calibration suite own one each. When
+	// set, Workers is ignored.
 	Backend compute.Backend
 	// Recorder receives the run's observability spans (program → job →
 	// phase → task, plus per-task kernel events). nil disables recording

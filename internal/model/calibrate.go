@@ -97,15 +97,16 @@ var suiteSplits = [...]int{4, 16, 64}
 // Suite is the benchmark suite's machine-independent work, done once for
 // every (machine type, slots) pair calibrated through it. A virtual task's
 // result — flops, read paths, write sizes — depends only on the plan and the
-// split, so the first calibration to run benchmark b at split s records each
-// scheduling phase's results and later ones replay them through
-// exec.Config.Backend. A benchmark's loaded file system depends only on the
-// seed and the split's inputs (the geometry is fixed: 4 nodes, replication
-// 3, no racks, an external writer), so it is recorded once per (benchmark,
-// split, seed) and later engines start on a fork of it. And no seed's random
-// stream is drawn twice. The engines still do all that depends on the
-// machine (scheduling, output placement, accounting, the noise each task
-// draws), so the fitted model is bit-identical to a fresh calibration's.
+// split, so each (benchmark, split) has a compute.Memo: the first
+// calibration to run it records each phase's results, and later ones are
+// served them through exec.Config.Backend. A benchmark's loaded file system
+// depends only on the seed and the split's inputs (the geometry is fixed: 4
+// nodes, replication 3, no racks, an external writer), so it is recorded
+// once per (benchmark, split, seed) and later engines start on a fork of it.
+// And no seed's random stream is drawn twice. The engines still do all that
+// depends on the machine (scheduling, output placement, accounting, the
+// noise each task draws), so the fitted model is bit-identical to a fresh
+// calibration's.
 //
 // The zero Suite is ready to use and safe for concurrent use. The first
 // calibration at a seed records everything every later one at that seed
@@ -116,9 +117,8 @@ var suiteSplits = [...]int{4, 16, 64}
 // suite's lock.
 type Suite struct {
 	mu sync.Mutex
-	// phases holds, per benchmark and split, each phase's task results in
-	// the order the engine asks for them.
-	phases  [][len(suiteSplits)][][]*compute.Result
+	// memos holds, per benchmark and split, the memo its runs share.
+	memos   [][len(suiteSplits)]compute.Memo
 	streams map[int64]*stream
 	loads   map[loadKey]load
 }
@@ -241,8 +241,8 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 			engineSeed := seed + int64(i*100+tasks)
 			key := loadKey{i, k, seed}
 			s.mu.Lock()
-			if s.phases == nil {
-				s.phases = make([][len(suiteSplits)][][]*compute.Result, len(plans))
+			if s.memos == nil {
+				s.memos = make([][len(suiteSplits)]compute.Memo, len(plans))
 				s.loads = make(map[loadKey]load)
 			}
 			ld, loaded := s.loads[key]
@@ -260,7 +260,7 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 				Replication: repl,
 				Seed:        engineSeed,
 				NoiseFactor: 0.08,
-				Backend:     &replay{s: s, phases: &s.phases[i][k]},
+				Backend:     &s.memos[i][k],
 			}, fs, rand.New(s.cursor(engineSeed, 0)))
 			if err != nil {
 				return nil, err
@@ -289,36 +289,6 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 		return nil, err
 	}
 	return &CalibrationResult{Machine: mt, Slots: slots, Model: tm, Obs: obs, KernelSpeedup: speedup}, nil
-}
-
-// replay is the compute backend of one suite run. Whatever the machine, the
-// run's engine asks for the same phases in the same order, so its k-th batch
-// is the k-th phase recorded — computed on the sequential backend and
-// recorded, under the suite's lock, if no calibration has run it yet.
-type replay struct {
-	s      *Suite
-	phases *[][]*compute.Result
-	next   int
-}
-
-func (r *replay) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	if r.next == len(*r.phases) {
-		res := make([]*compute.Result, len(ts))
-		fetch, release := compute.NewSequential().RunBatch(ts)
-		defer release()
-		for i := range ts {
-			var err error
-			if res[i], err = fetch(i); err != nil {
-				return func(int) (*compute.Result, error) { return nil, err }, func() {}
-			}
-		}
-		*r.phases = append(*r.phases, res)
-	}
-	res := (*r.phases)[r.next]
-	r.next++
-	return func(i int) (*compute.Result, error) { return res[i], nil }, func() {}
 }
 
 // ObsFromTasks converts engine task records into model observations,

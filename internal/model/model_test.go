@@ -190,20 +190,21 @@ func TestSuiteLoadsKeyedBySeed(t *testing.T) {
 	}
 }
 
-// recorded counts what the suite holds: stream values drawn, phases and
+// recorded counts what the suite holds: stream values drawn, the bytes its
+// memos' recorded phases retain (every phase records more than none), and
 // loads recorded.
-func (s *Suite) recorded() (values, phases, loads int) {
+func (s *Suite) recorded() (values int, phaseBytes int64, loads int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, st := range s.streams {
 		values += len(st.out)
 	}
-	for _, splits := range s.phases {
-		for _, ph := range splits {
-			phases += len(ph)
+	for i := range s.memos {
+		for k := range s.memos[i] {
+			phaseBytes += s.memos[i][k].Bytes()
 		}
 	}
-	return values, phases, len(s.loads)
+	return values, phaseBytes, len(s.loads)
 }
 
 // TestFrozenSuiteServesEveryPair: once one calibration has run through a
@@ -231,13 +232,16 @@ func TestFrozenSuiteServesEveryPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		values, phases, loads := suite.recorded()
+		if phases == 0 {
+			t.Fatalf("seed %d: the first calibration recorded no phase", seed)
+		}
 		fresh := make([]*CalibrationResult, len(pairs))
 		for i, p := range pairs {
 			if _, err := suite.Calibrate(p.mt, p.slots, seed, nil); err != nil {
 				t.Fatal(err)
 			}
 			if v, ph, l := suite.recorded(); v != values || ph != phases || l != loads {
-				t.Fatalf("seed %d, %s/%d: the suite grew from %d values, %d phases, %d loads to %d, %d, %d",
+				t.Fatalf("seed %d, %s/%d: the suite grew from %d values, %d phase bytes, %d loads to %d, %d, %d",
 					seed, p.mt.Name, p.slots, values, phases, loads, v, ph, l)
 			}
 			var err error

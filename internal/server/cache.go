@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"cumulon/internal/compute"
 	"cumulon/internal/lang"
 	"cumulon/internal/obs"
 	"cumulon/internal/opt"
@@ -22,7 +23,8 @@ import (
 //
 // Cached plans are immutable templates: Compile returns the shared
 // *plan.Plan, and executors must Clone it before applying splits (see
-// plan.Clone). Cached deployments are returned as value copies.
+// plan.Clone). Each carries the compute.Memo its virtual runs share, which
+// goes with the entry. Cached deployments are returned as value copies.
 //
 // The cache is safe for concurrent use and single-flight per key: when
 // N jobs miss on the same key at once, one compiles and the rest wait
@@ -47,16 +49,26 @@ type PlanCache struct {
 	evictions          int64 // entries dropped by the LRU bound
 }
 
-// cacheEntry is one compiled plan (prog, plan) or one optimizer decision
-// (dep, met), filled once by the first caller to miss on its key.
+// cacheEntry is one compiled plan (tmpl, memo) or one optimizer decision
+// (dep, met), filled once by the first caller to miss on its key; the memo
+// fills as the plan's clones run.
 type cacheEntry struct {
 	once sync.Once
 	used int64 // last access tick (guarded by PlanCache.mu)
-	prog *lang.Program
-	plan *plan.Plan
+	tmpl Template
+	memo compute.Memo
 	dep  opt.Deployment
 	met  bool
 	err  error
+}
+
+// Template is a cached compiled program: the parsed program, the plan
+// template, and the memo of virtual task results every run of the plan's
+// clones shares (it holds one split per job; see compute.Memo).
+type Template struct {
+	Prog *lang.Program
+	Plan *plan.Plan
+	Memo *compute.Memo
 }
 
 // NewPlanCache returns an empty cache holding at most maxEntries
@@ -125,14 +137,13 @@ func depKey(planKey string, req opt.Request) string {
 	}, "|")
 }
 
-// Compile returns the parsed program and compiled plan template for the
-// source under cfg, computing and caching them on first use. The
-// returned plan is shared and must be treated as read-only (Clone
-// before applying splits). The third return is the cache key, reusable
-// with Deployment; the fourth reports whether this call found the entry
-// already present (the caller's own hit, not a counter another job may
-// bump).
-func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *plan.Plan, string, bool, error) {
+// Compile returns the template for the source under cfg, computing and
+// caching it on first use. Its plan is shared and must be treated as
+// read-only (Clone before applying splits). The second return is the cache
+// key, reusable with Deployment; the third reports whether this call found
+// the entry already present (the caller's own hit, not a counter another
+// job may bump).
+func (c *PlanCache) Compile(source string, cfg plan.Config) (Template, string, bool, error) {
 	key := Key(source, cfg)
 	e, hit := c.lookup(key, &c.hits, &c.misses)
 	e.once.Do(func() {
@@ -146,12 +157,12 @@ func (c *PlanCache) Compile(source string, cfg plan.Config) (*lang.Program, *pla
 			e.err = err
 			return
 		}
-		e.prog, e.plan = prog, pl
+		e.tmpl = Template{Prog: prog, Plan: pl, Memo: &e.memo}
 	})
 	if e.err != nil {
-		return nil, nil, key, hit, e.err
+		return Template{}, key, hit, e.err
 	}
-	return e.prog, e.plan, key, hit, nil
+	return e.tmpl, key, hit, nil
 }
 
 // Deployment returns the optimizer's winner for the request, running
@@ -186,16 +197,22 @@ type CacheStats struct {
 	DepMisses  int64 `json:"deployment_misses"`
 	Entries    int   `json:"entries"`
 	Evictions  int64 `json:"evictions"`
+	// TraceBytes is what the cached plans' memos retain.
+	TraceBytes int64 `json:"trace_bytes"`
 }
 
-// Stats snapshots the hit/miss counters.
+// Stats snapshots the hit/miss counters and the memos' size.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	st := CacheStats{
 		PlanHits: c.hits, PlanMisses: c.misses,
 		DepHits: c.depHits, DepMisses: c.depMisses,
 		Entries:   len(c.entries),
 		Evictions: c.evictions,
 	}
+	for _, e := range c.entries {
+		st.TraceBytes += e.memo.Bytes()
+	}
+	return st
 }

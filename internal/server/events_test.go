@@ -157,20 +157,30 @@ func TestEventStreamSSEMatchesLongPoll(t *testing.T) {
 }
 
 // TestEventStreamDeterministic: two fresh servers with the same config
-// and the same submission produce byte-identical event streams.
+// and the same submission produce byte-identical event streams. On each, a
+// resubmission runs warm — the cached plan's memo serves every task's trace
+// — and its stream is the cold job's byte for byte but for the cache
+// verdict.
 func TestEventStreamDeterministic(t *testing.T) {
 	req := SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Nodes: 4, Seed: 11,
 		Chaos: "seed=7,kill=1@3.5", MaxRetries: 8}
 	streams := make([][]byte, 2)
 	for i := range streams {
 		_, ts := newTestServer(t, Config{Nodes: 8})
-		st := submit(t, ts.URL, req)
-		fin := await(t, ts.URL, st.ID)
-		if fin.State != StateSucceeded {
-			t.Fatalf("run %d failed: %s", i, fin.Error)
+		_, streams[i] = runJob(t, ts.URL, req)
+		filled := traceBytes(t, ts.URL)
+		_, warm := runJob(t, ts.URL, req)
+		if got := traceBytes(t, ts.URL); got != filled || filled == 0 {
+			t.Fatalf("run %d: the warm job moved the memo from %d to %d bytes", i, filled, got)
 		}
-		page := fetchEvents(t, ts.URL, st.ID)
-		streams[i], _ = json.Marshal(page.Events)
+		verdict := []byte(`"type":"` + EvPlanCacheHit + `"`)
+		if bytes.Count(warm, verdict) != 1 {
+			t.Fatalf("run %d: the resubmission was not a plan-cache hit", i)
+		}
+		warm = bytes.Replace(warm, verdict, []byte(`"type":"`+EvPlanCacheMiss+`"`), 1)
+		if !bytes.Equal(warm, streams[i]) {
+			t.Fatalf("run %d: the warm job's event stream differs from the cold one's:\ncold: %s\nwarm: %s", i, streams[i], warm)
+		}
 	}
 	if !bytes.Equal(streams[0], streams[1]) {
 		t.Fatalf("event streams differ across identical runs:\nA: %s\nB: %s", streams[0], streams[1])
@@ -440,7 +450,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	cfg := testCfg()
 	srcs := []string{gnmfSource(), gnmfSource() + "\n# v2", gnmfSource() + "\n# v3"}
 	for _, src := range srcs {
-		if _, _, _, _, err := c.Compile(src, cfg); err != nil {
+		if _, _, _, err := c.Compile(src, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,7 +460,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 	// The oldest entry (srcs[0]) was evicted: recompiling misses.
 	before := c.Stats().PlanMisses
-	if _, _, _, _, err := c.Compile(srcs[0], cfg); err != nil {
+	if _, _, _, err := c.Compile(srcs[0], cfg); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().PlanMisses != before+1 {
@@ -458,7 +468,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 	// srcs[2] is still cached: hits.
 	beforeHits := c.Stats().PlanHits
-	if _, _, _, _, err := c.Compile(srcs[2], cfg); err != nil {
+	if _, _, _, err := c.Compile(srcs[2], cfg); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().PlanHits != beforeHits+1 {

@@ -189,6 +189,7 @@ func (s *Server) refreshGauges() {
 	s.mRunning.Set(float64(s.running))
 	s.mQueueDepth.Set(float64(s.sched.Depth()))
 	s.mFreeNodes.Set(float64(s.freeNodes))
+	s.mTraceBytes.Set(float64(cs.TraceBytes))
 	if d := cs.Evictions - s.lastEvictions; d > 0 {
 		s.mEvictions.Add(float64(d))
 		s.lastEvictions = cs.Evictions

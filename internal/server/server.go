@@ -165,6 +165,7 @@ type Server struct {
 	mE2EHist       *obs.Histogram
 	mDebt          *obs.Gauge
 	mEvictions     *obs.Counter
+	mTraceBytes    *obs.Gauge
 	mPruned        *obs.Counter
 	mJournalErrors *obs.Gauge
 }
@@ -240,6 +241,7 @@ func New(cfg Config) (*Server, error) {
 	s.mFreeNodes = r.Gauge("cumulond_nodes_free", "unallocated nodes of the shared cluster")
 	s.mDebt = r.Gauge("cumulond_fair_share_debt", "normalized service above the best-served tenant (service/weight minus the minimum), by tenant")
 	s.mEvictions = r.Counter("cumulond_plan_cache_evictions_total", "plan/deployment cache entries evicted by the LRU bound")
+	s.mTraceBytes = r.Gauge("cumulond_plan_cache_trace_bytes", "bytes of virtual task results the cached plans' memos retain")
 	s.mPruned = r.Counter("cumulond_jobs_pruned_total", "terminal jobs removed by job-history retention")
 	s.mJournalErrors = r.Gauge("cumulond_journal_errors_total", "journal records dropped and flushes refused since the journal's first write or sync error, which is final")
 
@@ -406,7 +408,7 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 	cfg := plan.ConfigFor(j.prog, req.Tile, req.Density)
 	j.events.emit(JobEvent{Type: EvCompiling})
 	compileStart := time.Now()
-	prog, tmpl, _, planHit, err := s.cache.Compile(req.Program, cfg)
+	tmpl, _, planHit, err := s.cache.Compile(req.Program, cfg)
 	out.compileSec = time.Since(compileStart).Seconds()
 	if err != nil {
 		return out, err
@@ -418,7 +420,7 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 		j.events.emit(JobEvent{Type: EvPlanCacheMiss})
 	}
 
-	pl := tmpl.Clone()
+	pl := tmpl.Plan.Clone()
 	var cluster cloud.Cluster
 	if j.dep != nil {
 		cluster = j.dep.Cluster
@@ -467,7 +469,11 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 		opts.Chaos = sched
 	}
 	if req.Materialize {
-		opts.Inputs = core.RandomInputs(prog, cfg, req.Seed)
+		opts.Inputs = core.RandomInputs(tmpl.Prog, cfg, req.Seed)
+	} else {
+		// A virtual run replays the phases an earlier run of the template
+		// computed at the same splits, and records the rest for the next.
+		opts.Backend = tmpl.Memo
 	}
 	j.events.emit(JobEvent{Type: EvRunning, Cluster: out.cluster, Nodes: cluster.Nodes})
 	out.res, err = s.sess.ExecutePlan(pl, cluster, opts)

@@ -4,33 +4,15 @@ import (
 	"html/template"
 	"net/http"
 	"strconv"
-
-	"cumulon/internal/obs"
 )
 
-// dashData is the template input for /debug/dash, assembled under s.mu.
+// dashData is the template input for /debug/dash: the server's stats,
+// each tenant's nonempty e2e histogram and the newest jobs, all read under
+// one hold of s.mu.
 type dashData struct {
-	UptimeSec  float64
-	Machine    string
-	Capacity   int
-	FreeNodes  int
-	Running    int
-	QueueDepth int
-	Cache      CacheStats
-	Pruned     int64
-	Tenants    []dashTenant
-	Jobs       []JobStatus
-}
-
-type dashTenant struct {
-	Tenant             string
-	Weight             float64
-	Service            float64
-	Debt               float64
-	QueueP50, QueueP95 float64
-	E2EP50, E2EP95     float64
-	E2EP99             float64
-	Buckets            []dashBucket
+	Stats
+	Bars map[string][]dashBucket // by tenant
+	Jobs []JobStatus
 }
 
 // dashBucket is one bar of a tenant's e2e latency histogram (non-cumulative).
@@ -43,47 +25,16 @@ type dashBucket struct {
 // handleDash renders the self-contained ops dashboard: no external
 // assets, no JavaScript — plain HTML with inline CSS bars and a meta
 // refresh, so it works from curl, air-gapped hosts and CI alike. The
-// numbers are the same ones /metrics.json serves.
+// numbers are the ones /v1/stats and /metrics.json serve.
 func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	d := dashData{
-		UptimeSec: s.now(), Machine: s.cfg.Machine,
-		Capacity: s.cfg.Nodes, FreeNodes: s.freeNodes,
-		Running: s.running, QueueDepth: s.sched.Depth(),
-		Cache:  s.cache.Stats(),
-		Pruned: s.store.pruned,
-	}
-	minNorm := 0.0
-	first := true
-	for tenant := range s.tenantHists {
-		n := s.sched.Service(tenant) / s.sched.Weight(tenant)
-		if first || n < minNorm {
-			minNorm, first = n, false
+	d := dashData{Stats: s.stats(), Bars: map[string][]dashBucket{}}
+	for tenant, ts := range s.tenantHists {
+		if bars := dashBuckets(ts); bars != nil {
+			d.Bars[tenant] = bars
 		}
 	}
-	for _, tenant := range obs.SortedKeys(s.tenantHists) {
-		ts := s.tenantHists[tenant]
-		dt := dashTenant{
-			Tenant:   tenant,
-			Weight:   s.sched.Weight(tenant),
-			Service:  s.sched.Service(tenant),
-			Debt:     s.sched.Service(tenant)/s.sched.Weight(tenant) - minNorm,
-			QueueP50: ts.queue.Quantile(0.5),
-			QueueP95: ts.queue.Quantile(0.95),
-			E2EP50:   ts.e2e.Quantile(0.5),
-			E2EP95:   ts.e2e.Quantile(0.95),
-			E2EP99:   ts.e2e.Quantile(0.99),
-			Buckets:  dashBuckets(ts),
-		}
-		d.Tenants = append(d.Tenants, dt)
-	}
-	// Recent jobs, newest first.
-	n := len(s.store.order)
-	lo := n - 20
-	if lo < 0 {
-		lo = 0
-	}
-	for i := n - 1; i >= lo; i-- {
+	for i := len(s.store.order) - 1; i >= 0 && len(d.Jobs) < 20; i-- {
 		d.Jobs = append(d.Jobs, s.statusOf(s.store.jobs[s.store.order[i]]))
 	}
 	s.mu.Unlock()
@@ -146,7 +97,7 @@ small{color:#888}
 <h1>cumulond &middot; {{.Machine}} &middot; {{printf "%.0f" .UptimeSec}}s up</h1>
 <p>nodes {{.FreeNodes}}/{{.Capacity}} free &middot; running {{.Running}} &middot; queued {{.QueueDepth}}
 &middot; cache {{.Cache.Entries}} entries ({{.Cache.PlanHits}}+{{.Cache.DepHits}} hits, {{.Cache.Evictions}} evicted)
-&middot; {{.Pruned}} jobs pruned</p>
+&middot; {{.JobsPruned}} jobs pruned</p>
 <h2>tenants</h2>
 <table><tr><th>tenant</th><th>weight</th><th>service</th><th>debt</th>
 <th>queue p50</th><th>queue p95</th><th>e2e p50</th><th>e2e p95</th><th>e2e p99</th></tr>
@@ -155,12 +106,12 @@ small{color:#888}
 <td>{{printf "%.3fs" .QueueP50}}</td><td>{{printf "%.3fs" .QueueP95}}</td>
 <td>{{printf "%.3fs" .E2EP50}}</td><td>{{printf "%.3fs" .E2EP95}}</td><td>{{printf "%.3fs" .E2EP99}}</td></tr>
 {{end}}</table>
-{{range .Tenants}}{{if .Buckets}}
-<h2>e2e latency &middot; {{.Tenant}}</h2>
-<table>{{range .Buckets}}<tr><td>&le; {{.Label}}s</td>
+{{range $tenant, $bars := .Bars}}
+<h2>e2e latency &middot; {{$tenant}}</h2>
+<table>{{range $bars}}<tr><td>&le; {{.Label}}s</td>
 <td style="text-align:left;border:none;min-width:20em"><span class="bar" style="width:{{printf "%.0f" .Pct}}%"></span> {{.Count}}</td></tr>
 {{end}}</table>
-{{end}}{{end}}
+{{end}}
 <h2>recent jobs</h2>
 <table><tr><th>id</th><th>tenant</th><th>state</th><th>nodes</th><th>queue s</th><th>run s</th><th>cluster</th></tr>
 {{range .Jobs}}<tr><td>{{.ID}}</td><td>{{.Tenant}}</td><td class="{{.State}}">{{.State}}</td>

@@ -149,7 +149,10 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.StatsSnapshot())
+		s.mu.Lock()
+		st := s.stats()
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.writeMetrics(w, "text/plain; version=0.0.4", s.reg.Write)
@@ -178,36 +181,27 @@ func (s *Server) writeMetrics(w http.ResponseWriter, contentType string, render 
 	render(w)
 }
 
-// refreshGauges sets the point-in-time gauges before a metrics render.
-// Callers hold s.mu.
+// refreshGauges sets the point-in-time gauges from the server's stats
+// before a metrics render. Callers hold s.mu.
 func (s *Server) refreshGauges() {
-	cs := s.cache.Stats()
+	st := s.stats()
+	cs := st.Cache
 	s.mCacheHits.Set(float64(cs.PlanHits))
 	s.mCacheMisses.Set(float64(cs.PlanMisses))
 	s.mDepHits.Set(float64(cs.DepHits))
 	s.mDepMisses.Set(float64(cs.DepMisses))
-	s.mRunning.Set(float64(s.running))
-	s.mQueueDepth.Set(float64(s.sched.Depth()))
-	s.mFreeNodes.Set(float64(s.freeNodes))
+	s.mRunning.Set(float64(st.Running))
+	s.mQueueDepth.Set(float64(st.QueueDepth))
+	s.mFreeNodes.Set(float64(st.FreeNodes))
 	s.mTraceBytes.Set(float64(cs.TraceBytes))
 	if d := cs.Evictions - s.lastEvictions; d > 0 {
 		s.mEvictions.Add(float64(d))
 		s.lastEvictions = cs.Evictions
 	}
-	// Fair-share debt: a tenant's normalized service above the
-	// best-served tenant's. The scheduler favors low debt, so a large
-	// value means the tenant has been consuming ahead of its share.
-	minNorm := 0.0
-	first := true
-	for tenant := range s.tenantHists {
-		n := s.sched.Service(tenant) / s.sched.Weight(tenant)
-		if first || n < minNorm {
-			minNorm, first = n, false
-		}
-	}
-	for _, tenant := range obs.SortedKeys(s.tenantHists) {
-		n := s.sched.Service(tenant) / s.sched.Weight(tenant)
-		s.mDebt.Set(n-minNorm, obs.Label{Key: "tenant", Value: tenant})
+	for _, t := range st.Tenants {
+		l := obs.Label{Key: "tenant", Value: t.Tenant}
+		s.mDebt.Set(t.Debt, l)
+		s.mQueueWaitMax.Set(t.MaxWait, l)
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"cumulon/internal/obs"
 	"cumulon/internal/workloads"
 )
 
@@ -216,9 +214,9 @@ type TenantReport struct {
 	// saturation. Comparable when all tenants keep the cluster busy.
 	ServiceShare float64 `json:"service_share"`
 	WeightShare  float64 `json:"weight_share"`
-	// E2E latency quantiles (seconds) from the server's per-tenant
-	// cumulond_e2e_seconds histogram, so CI can assert SLOs on the same
-	// numbers /metrics serves.
+	// E2E latency quantiles (seconds) as the tenant's /v1/stats row
+	// reports them from its cumulond_e2e_seconds histogram, so CI can
+	// assert SLOs on the numbers the server serves.
 	P50Sec float64 `json:"e2e_p50_sec"`
 	P95Sec float64 `json:"e2e_p95_sec"`
 	P99Sec float64 `json:"e2e_p99_sec"`
@@ -275,31 +273,24 @@ func RunLoad(baseURL string, spec *LoadSpec) (*LoadReport, error) {
 	rep.Cache = stats.Cache
 
 	var totalService, totalWeight float64
-	serviceOf := map[string]float64{}
-	weightOf := map[string]float64{}
+	row := map[string]TenantStats{}
 	for _, ts := range stats.Tenants {
-		serviceOf[ts.Tenant] = ts.Service
-		weightOf[ts.Tenant] = ts.Weight
+		row[ts.Tenant] = ts
 		totalService += ts.Service
 		totalWeight += ts.Weight
 	}
 	reports, starved, allCompleted := aggregateOutcomes(outcomes, spec.MaxWaitSec)
 	rep.Starved = starved
 	rep.AllCompleted = allCompleted
-	quantiles, err := fetchE2EQuantiles(client, baseURL)
-	if err != nil {
-		return nil, err
-	}
 	for _, tr := range reports {
+		ts := row[tr.Tenant]
 		if totalService > 0 {
-			tr.ServiceShare = serviceOf[tr.Tenant] / totalService
+			tr.ServiceShare = ts.Service / totalService
 		}
 		if totalWeight > 0 {
-			tr.WeightShare = weightOf[tr.Tenant] / totalWeight
+			tr.WeightShare = ts.Weight / totalWeight
 		}
-		if q, ok := quantiles[tr.Tenant]; ok {
-			tr.P50Sec, tr.P95Sec, tr.P99Sec = q[0], q[1], q[2]
-		}
+		tr.P50Sec, tr.P95Sec, tr.P99Sec = ts.E2EP50, ts.E2EP95, ts.E2EP99
 		rep.Tenants = append(rep.Tenants, *tr)
 	}
 	return rep, nil
@@ -349,67 +340,6 @@ func aggregateOutcomes(outcomes []JobOutcome, maxWaitSec float64) (reports []*Te
 		reports = append(reports, tr)
 	}
 	return reports, starved, allCompleted
-}
-
-// fetchE2EQuantiles reads /metrics.json and computes each tenant's
-// p50/p95/p99 from the cumulond_e2e_seconds histogram series — the same
-// interpolation the server's dashboard uses (obs.QuantileFromBuckets).
-func fetchE2EQuantiles(client *http.Client, baseURL string) (map[string][3]float64, error) {
-	var dump struct {
-		Metrics []struct {
-			Name   string `json:"name"`
-			Series []struct {
-				Labels  string `json:"labels"`
-				Buckets []struct {
-					LE         string `json:"le"`
-					Cumulative uint64 `json:"cumulative"`
-				} `json:"buckets"`
-			} `json:"series"`
-		} `json:"metrics"`
-	}
-	if err := getJSON(client, baseURL+"/metrics.json", &dump); err != nil {
-		return nil, err
-	}
-	out := map[string][3]float64{}
-	for _, m := range dump.Metrics {
-		if m.Name != "cumulond_e2e_seconds" {
-			continue
-		}
-		for _, s := range m.Series {
-			tenant, ok := tenantOfLabels(s.Labels)
-			if !ok {
-				continue
-			}
-			bounds := make([]float64, 0, len(s.Buckets))
-			cum := make([]uint64, 0, len(s.Buckets))
-			for _, b := range s.Buckets {
-				if b.LE != "+Inf" {
-					v, err := strconv.ParseFloat(b.LE, 64)
-					if err != nil {
-						return nil, fmt.Errorf("metrics.json: bad bucket bound %q: %w", b.LE, err)
-					}
-					bounds = append(bounds, v)
-				}
-				cum = append(cum, b.Cumulative)
-			}
-			out[tenant] = [3]float64{
-				obs.QuantileFromBuckets(bounds, cum, 0.50),
-				obs.QuantileFromBuckets(bounds, cum, 0.95),
-				obs.QuantileFromBuckets(bounds, cum, 0.99),
-			}
-		}
-	}
-	return out, nil
-}
-
-// tenantOfLabels extracts the tenant from a label string like
-// `{tenant="acme"}`.
-func tenantOfLabels(labels string) (string, bool) {
-	const prefix = `{tenant="`
-	if !strings.HasPrefix(labels, prefix) || !strings.HasSuffix(labels, `"}`) {
-		return "", false
-	}
-	return labels[len(prefix) : len(labels)-2], true
 }
 
 // pickMix draws one mix entry by weight.

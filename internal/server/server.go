@@ -2,9 +2,9 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -128,7 +128,6 @@ type Server struct {
 	persist   *statePersister
 	ckptStore ckpt.Store
 
-	maxWait map[string]float64 // per-tenant max queue wait seen
 	// artifactOrder lists jobs with retained artifacts, oldest first;
 	// beyond cfg.ArtifactHistory the oldest set is dropped.
 	artifactOrder []string
@@ -208,7 +207,6 @@ func New(cfg Config) (*Server, error) {
 		store:       newJobStore(),
 		sched:       NewFairScheduler(cfg.Sched),
 		freeNodes:   cfg.Nodes,
-		maxWait:     map[string]float64{},
 		tenantHists: map[string]*tenantSeries{},
 		wake:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
@@ -220,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 	s.mJobs[causeFinishErr] = r.Counter("cumulond_jobs_failed_total", "jobs that errored, by tenant")
 	s.mJobs[causeCancel] = r.Counter("cumulond_jobs_canceled_total", "jobs canceled while queued, by tenant")
 	s.mQueueWaitSum = r.Counter("cumulond_queue_wait_seconds_total", "cumulative admission-to-start wait, by tenant")
-	s.mQueueWaitMax = r.Gauge("cumulond_queue_wait_max_seconds", "largest admission-to-start wait seen, by tenant")
+	s.mQueueWaitMax = r.Gauge("cumulond_queue_wait_max_seconds", "largest admission-to-start wait among retained jobs, by tenant")
 	s.mQueueWaitHist = r.Histogram("cumulond_queue_wait_seconds", "admission-to-start wait distribution, by tenant",
 		obs.LatencyBuckets)
 	s.mCompileHist = r.Histogram("cumulond_compile_seconds", "plan compile wall time (cache hits are ~0), by tenant",
@@ -335,10 +333,6 @@ func (s *Server) loop() {
 			s.mQueueWaitSum.Add(wait, l)
 			s.mQueueWaitHist.Observe(wait)
 			s.tenantHist(j.req.Tenant).queue.Observe(wait)
-			if wait > s.maxWait[j.req.Tenant] {
-				s.maxWait[j.req.Tenant] = wait
-				s.mQueueWaitMax.Set(wait, l)
-			}
 			s.wg.Add(1)
 			go s.runJob(j, sj)
 		}
@@ -516,11 +510,19 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 	return JobStatus{}, false
 }
 
-// TenantStats is the per-tenant slice of /v1/stats.
+// TenantStats is one tenant's row of the server's stats: /v1/stats serves
+// it, the dashboard's tenant table renders it and the per-tenant gauges are
+// set from it.
 type TenantStats struct {
-	Tenant    string  `json:"tenant"`
-	Weight    float64 `json:"weight"`
-	Service   float64 `json:"service_slot_seconds"`
+	Tenant  string  `json:"tenant"`
+	Weight  float64 `json:"weight"`
+	Service float64 `json:"service_slot_seconds"`
+	// Debt is the fair-share debt: the tenant's normalized service
+	// (service/weight) above the best-served row's. The scheduler favors
+	// low debt, so a large value means the tenant has been consuming ahead
+	// of its share.
+	Debt float64 `json:"fair_share_debt"`
+	// Job counts by state, and the largest wait, over retained jobs.
 	Submitted int     `json:"submitted"`
 	Completed int     `json:"completed"`
 	Failed    int     `json:"failed"`
@@ -528,6 +530,13 @@ type TenantStats struct {
 	Running   int     `json:"running"`
 	Queued    int     `json:"queued"`
 	MaxWait   float64 `json:"max_queue_wait_sec"`
+	// Quantiles (seconds) of the tenant's cumulond_queue_wait_seconds and
+	// cumulond_e2e_seconds histograms since the server started.
+	QueueP50 float64 `json:"queue_p50_sec"`
+	QueueP95 float64 `json:"queue_p95_sec"`
+	E2EP50   float64 `json:"e2e_p50_sec"`
+	E2EP95   float64 `json:"e2e_p95_sec"`
+	E2EP99   float64 `json:"e2e_p99_sec"`
 }
 
 // Stats is the GET /v1/stats payload.
@@ -539,33 +548,46 @@ type Stats struct {
 	Running    int           `json:"running"`
 	QueueDepth int           `json:"queue_depth"`
 	Cache      CacheStats    `json:"cache"`
+	JobsPruned int64         `json:"jobs_pruned"`
 	Tenants    []TenantStats `json:"tenants"`
 }
 
-// StatsSnapshot assembles the live stats.
-func (s *Server) StatsSnapshot() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// stats assembles the server's point-in-time view, the one source of
+// /v1/stats, /debug/dash and the /metrics gauges. It has one row per tenant
+// with a retained job or a latency series, sorted by tenant; a retained
+// job's tenant gets its series here, so a row, once shown, stays for the
+// server's life, as its gauge series do. Callers hold s.mu.
+func (s *Server) stats() Stats {
+	for _, id := range s.store.order {
+		s.tenantHist(s.store.jobs[id].req.Tenant)
+	}
+	names := obs.SortedKeys(s.tenantHists)
 	st := Stats{
 		UptimeSec: s.now(), Machine: s.cfg.Machine,
 		Capacity: s.cfg.Nodes, FreeNodes: s.freeNodes,
 		Running: s.running, QueueDepth: s.sched.Depth(),
-		Cache:   s.cache.Stats(),
-		Tenants: []TenantStats{},
+		Cache: s.cache.Stats(), JobsPruned: s.store.pruned,
+		Tenants: make([]TenantStats, len(names)),
 	}
-	byTenant := map[string]*TenantStats{}
-	var names []string
+	row := make(map[string]*TenantStats, len(names))
+	minNorm := math.Inf(1)
+	for i, n := range names {
+		ts, t := s.tenantHists[n], &st.Tenants[i]
+		*t = TenantStats{
+			Tenant: n, Weight: s.sched.Weight(n), Service: s.sched.Service(n),
+			QueueP50: ts.queue.Quantile(0.5), QueueP95: ts.queue.Quantile(0.95),
+			E2EP50: ts.e2e.Quantile(0.5), E2EP95: ts.e2e.Quantile(0.95), E2EP99: ts.e2e.Quantile(0.99),
+		}
+		t.Debt = t.Service / t.Weight // less the smallest, below
+		minNorm = min(minNorm, t.Debt)
+		row[n] = t
+	}
+	for i := range st.Tenants {
+		st.Tenants[i].Debt -= minNorm
+	}
 	for _, id := range s.store.order {
 		j := s.store.jobs[id]
-		t := byTenant[j.req.Tenant]
-		if t == nil {
-			t = &TenantStats{
-				Tenant: j.req.Tenant,
-				Weight: s.sched.Weight(j.req.Tenant),
-			}
-			byTenant[j.req.Tenant] = t
-			names = append(names, j.req.Tenant)
-		}
+		t := row[j.req.Tenant]
 		t.Submitted++
 		switch j.status.State {
 		case StateSucceeded:
@@ -582,12 +604,6 @@ func (s *Server) StatsSnapshot() Stats {
 		if w := j.status.QueueWaitSec; j.status.State != StateQueued && w > t.MaxWait {
 			t.MaxWait = w
 		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t := byTenant[n]
-		t.Service = s.sched.Service(n)
-		st.Tenants = append(st.Tenants, *t)
 	}
 	return st
 }

@@ -406,10 +406,11 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 
 // TestServerAcceptance3x4 is the issue's acceptance run: 3 tenants × 4
 // clients through the load generator against an in-process server. All
-// jobs complete, nobody starves, per-tenant metrics exist, and the plan
+// jobs complete, nobody starves, per-tenant metrics exist, the report's
+// e2e quantiles are the ones the server's histograms give, and the plan
 // cache hits on repeated programs.
 func TestServerAcceptance3x4(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		Nodes: 8,
 		Sched: SchedConfig{Weights: map[string]float64{"analytics": 2}},
 	})
@@ -444,7 +445,13 @@ func TestServerAcceptance3x4(t *testing.T) {
 	if len(rep.Tenants) != 3 {
 		t.Fatalf("report covers %d tenants, want 3", len(rep.Tenants))
 	}
+	oracle := e2eQuantiles(t, s)
 	for _, tr := range rep.Tenants {
+		got := [3]float64{tr.P50Sec, tr.P95Sec, tr.P99Sec}
+		if got[0] <= 0 || got != oracle[tr.Tenant] {
+			t.Fatalf("tenant %s: e2e p50/p95/p99 %v, want > 0 and the /metrics.json histogram's %v",
+				tr.Tenant, got, oracle[tr.Tenant])
+		}
 		if tr.Submitted != 8 || tr.Completed != 8 {
 			t.Fatalf("tenant %s: %d submitted, %d completed, want 8/8", tr.Tenant, tr.Submitted, tr.Completed)
 		}

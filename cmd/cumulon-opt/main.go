@@ -66,6 +66,9 @@ func run(args []string) error {
 	if (*deadline <= 0) == (*budget <= 0) {
 		return fmt.Errorf("specify exactly one of -deadline or -budget")
 	}
+	if err := plan.CheckDensity(*density); err != nil {
+		return fmt.Errorf("-density: %v", err)
+	}
 	// Validate the chaos spec before the (expensive) search so a typo
 	// fails fast.
 	if _, err := chaos.Parse(*chaosSpec); err != nil {

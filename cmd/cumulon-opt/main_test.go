@@ -35,6 +35,8 @@ func TestRunBadInputs(t *testing.T) {
 		{"chaos bad kill", []string{"-f", prog, "-deadline", "60", "-chaos", "kill=x@y"}, "chaos"},
 		{"chaos bad rate", []string{"-f", prog, "-deadline", "60", "-chaos", "readfault=-1"}, "chaos"},
 		{"non-numeric deadline", []string{"-f", prog, "-deadline", "soon"}, "invalid value"},
+		{"negative density", []string{"-f", prog, "-deadline", "60", "-density", "-1"}, "density must be in (0, 1]"},
+		{"density above one", []string{"-f", prog, "-deadline", "60", "-density", "1e300"}, "density must be in (0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -107,11 +107,23 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if *kernelPar > 0 {
-		linalg.SetParallelism(*kernelPar)
-	}
 	if !*optimize && (*explain || *searchTrace != "" || *frontierOut != "") {
 		return fmt.Errorf("-explain, -searchtrace and -frontier require -optimize")
+	}
+	if *optimize && *deadline > 0 && *budget > 0 {
+		return fmt.Errorf("specify at most one of -deadline and -budget")
+	}
+	if *resume && *checkpoint <= 0 {
+		return fmt.Errorf("-resume requires -checkpoint N (the cadence is part of the checkpoint identity)")
+	}
+	if *checkpoint > 0 && *stateDir == "" {
+		return fmt.Errorf("-checkpoint/-resume require -state-dir")
+	}
+	if err := plan.CheckDensity(*density); err != nil {
+		return fmt.Errorf("-density: %v", err)
+	}
+	if *kernelPar > 0 {
+		linalg.SetParallelism(*kernelPar)
 	}
 
 	sched, err := chaos.Parse(*chaosSpec)
@@ -159,9 +171,6 @@ func run(args []string) error {
 		st  *opt.SearchTrace
 	)
 	if *optimize {
-		if *deadline > 0 && *budget > 0 {
-			return fmt.Errorf("specify at most one of -deadline and -budget")
-		}
 		if *deadline <= 0 && *budget <= 0 {
 			// A loose default deadline: effectively "cheapest overall".
 			*deadline = 24 * 3600
@@ -208,13 +217,7 @@ func run(args []string) error {
 	}
 
 	opts := core.ExecOptions{Cluster: cluster, Workers: *workers, Chaos: sched, MaxTaskRetries: *maxRetries}
-	if *resume && *checkpoint <= 0 {
-		return fmt.Errorf("-resume requires -checkpoint N (the cadence is part of the checkpoint identity)")
-	}
 	if *checkpoint > 0 {
-		if *stateDir == "" {
-			return fmt.Errorf("-checkpoint/-resume require -state-dir")
-		}
 		cs, err := ckpt.NewDirStore(*stateDir)
 		if err != nil {
 			return err

@@ -23,6 +23,12 @@ func writeProg(t *testing.T) string {
 // one-line error, never panic and never succeed.
 func TestRunBadInputs(t *testing.T) {
 	prog := writeProg(t)
+	// Flag combinations are checked before the program is read: on an
+	// unparseable file they still report themselves, not the parse error.
+	garbled := filepath.Join(t.TempDir(), "garbled.cm")
+	if err := os.WriteFile(garbled, []byte("this is not a program\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -42,6 +48,13 @@ func TestRunBadInputs(t *testing.T) {
 		{"non-numeric nodes", []string{"-f", prog, "-nodes", "many"}, "invalid value"},
 		{"negative workers", []string{"-f", prog, "-materialize", "-workers", "-3"}, "-workers must be >= 0"},
 		{"negative workers, virtual run", []string{"-f", prog, "-workers", "-1"}, "-workers must be >= 0"},
+		{"resume without checkpoint", []string{"-f", garbled, "-optimize", "-resume"}, "-resume requires -checkpoint"},
+		{"checkpoint without state dir", []string{"-f", garbled, "-checkpoint", "1"}, "require -state-dir"},
+		{"deadline and budget, garbled program", []string{"-f", garbled, "-optimize", "-deadline", "60", "-budget", "5"}, "at most one"},
+		{"zero density", []string{"-f", prog, "-density", "0"}, "density must be in (0, 1]"},
+		{"negative density", []string{"-f", prog, "-density", "-1"}, "density must be in (0, 1]"},
+		{"density above one", []string{"-f", prog, "-density", "2"}, "density must be in (0, 1]"},
+		{"NaN density", []string{"-f", prog, "-density", "NaN"}, "density must be in (0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

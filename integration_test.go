@@ -49,7 +49,7 @@ func variants(t *testing.T) []engineVariant {
 			return exec.Config{Cluster: cl, Materialize: true, Seed: 2, Replication: 1}
 		}},
 		{"racked", func(cl cloud.Cluster) exec.Config {
-			return exec.Config{Cluster: cl, Materialize: true, Seed: 3, RackSize: 2, CrossRackPenalty: exec.Float(3)}
+			return exec.Config{Cluster: cl, Materialize: true, Seed: 3, RackSize: 2, CrossRackPenalty: 3}
 		}},
 		{"overlap", func(cl cloud.Cluster) exec.Config {
 			return exec.Config{Cluster: cl, Materialize: true, Seed: 4, OverlapJobs: true}

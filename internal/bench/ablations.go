@@ -276,7 +276,7 @@ func (s *Suite) E18Locality() (*Result, error) {
 			Seed:             s.Seed,
 			Replication:      v.repl,
 			RackSize:         v.rackSize,
-			CrossRackPenalty: exec.Float(v.penalty),
+			CrossRackPenalty: v.penalty,
 		})
 		if err != nil {
 			return nil, err

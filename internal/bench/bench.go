@@ -108,10 +108,9 @@ type Suite struct {
 	// obs.Trace for its -trace/-metrics flags). nil disables recording.
 	Recorder obs.Recorder
 	// Search, when set, receives candidate-level telemetry from every
-	// optimizer search the suite performs (the bench binary points it at
-	// an opt.SearchTrace for its -searchtrace flag). nil disables
-	// recording.
-	Search opt.SearchRecorder
+	// optimizer search the suite performs (the bench binary's -searchtrace
+	// flag). nil disables recording.
+	Search *opt.SearchTrace
 	// Chaos, when set, injects the fault schedule into every engine run
 	// the suite performs (the bench binary's -chaos flag). Experiments
 	// that construct their own fault scenarios (E20) ignore it.

@@ -20,6 +20,13 @@ import (
 // the unit of virtual time; all comparisons are ratio-driven.
 const flopsPerECU = 2.0e8
 
+// JobStartupSec is the fixed overhead of every Cumulon job (job setup,
+// scheduling round trips), which the engine charges and the simulator prices.
+const JobStartupSec = 6.0
+
+// DefaultReplication is the DFS replication factor (HDFS's 3).
+const DefaultReplication = 3
+
 // MachineType describes one purchasable instance type.
 type MachineType struct {
 	Name         string

@@ -23,6 +23,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"cumulon/internal/cloud"
 )
 
 // Common errors returned by the file system.
@@ -37,7 +39,7 @@ var (
 // Config controls file system geometry.
 type Config struct {
 	Nodes       int   // number of datanodes
-	Replication int   // replicas per block (HDFS default 3)
+	Replication int   // replicas per block (default cloud.DefaultReplication)
 	BlockSize   int64 // block size in bytes (HDFS-like, default 64 MiB)
 	Seed        int64 // seed for placement randomness
 	// RackSize groups nodes into racks of this many nodes (node n lives
@@ -51,7 +53,7 @@ type Config struct {
 
 // DefaultConfig mirrors a small 2013-era Hadoop deployment.
 func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, Replication: 3, BlockSize: 64 << 20, Seed: 1}
+	return Config{Nodes: nodes, Replication: cloud.DefaultReplication, BlockSize: 64 << 20, Seed: 1}
 }
 
 type block struct {
@@ -146,7 +148,7 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 		panic("dfs: need at least one node")
 	}
 	if cfg.Replication <= 0 {
-		cfg.Replication = 3
+		cfg.Replication = cloud.DefaultReplication
 	}
 	if cfg.Replication > cfg.Nodes {
 		cfg.Replication = cfg.Nodes
@@ -849,17 +851,6 @@ func (fs *FS) Stats(node int) IOStats {
 		return fs.total
 	}
 	return fs.stats[node]
-}
-
-// ResetStats zeroes all I/O counters, keeping file contents. Experiments
-// use this between measurement phases.
-func (fs *FS) ResetStats() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for i := range fs.stats {
-		fs.stats[i] = IOStats{}
-	}
-	fs.total = IOStats{}
 }
 
 // FileCount returns the number of stored files.

@@ -578,3 +578,14 @@ func TestKillNodeLostBlocksCounted(t *testing.T) {
 		t.Fatalf("report: %+v", rep)
 	}
 }
+
+// ResetStats zeroes all I/O counters, keeping file contents, so a test
+// measures one phase of its run.
+func (fs *FS) ResetStats() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for i := range fs.stats {
+		fs.stats[i] = IOStats{}
+	}
+	fs.total = IOStats{}
+}

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
 	"cumulon/internal/chaos"
+	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
@@ -158,77 +160,61 @@ func TestBackendTraceExportsIdentical(t *testing.T) {
 	}
 }
 
-// TestConfigZeroValueOverrides covers the pointer-or-default semantics of
-// JobStartupSec and CrossRackPenalty: nil selects the documented defaults,
-// while Float(0) is an honored explicit zero, not "unset".
+// TestConfigZeroValueOverrides covers CrossRackPenalty's default: 0
+// selects 2 on a racked cluster and 1 on a flat one.
 func TestConfigZeroValueOverrides(t *testing.T) {
-	d := Config{}.withDefaults()
-	if *d.JobStartupSec != 6 {
-		t.Fatalf("default JobStartupSec = %g, want 6", *d.JobStartupSec)
+	if d := (Config{}).withDefaults(); d.CrossRackPenalty != 1 {
+		t.Fatalf("default CrossRackPenalty (no racks) = %g, want 1", d.CrossRackPenalty)
 	}
-	if *d.CrossRackPenalty != 1 {
-		t.Fatalf("default CrossRackPenalty (no racks) = %g, want 1", *d.CrossRackPenalty)
-	}
-	r := Config{RackSize: 2}.withDefaults()
-	if *r.CrossRackPenalty != 2 {
-		t.Fatalf("default CrossRackPenalty (racked) = %g, want 2", *r.CrossRackPenalty)
-	}
-	z := Config{JobStartupSec: Float(0), CrossRackPenalty: Float(0), RackSize: 2}.withDefaults()
-	if *z.JobStartupSec != 0 {
-		t.Fatalf("explicit JobStartupSec = %g, want 0", *z.JobStartupSec)
-	}
-	if *z.CrossRackPenalty != 0 {
-		t.Fatalf("explicit CrossRackPenalty = %g, want 0", *z.CrossRackPenalty)
+	if r := (Config{RackSize: 2}).withDefaults(); r.CrossRackPenalty != 2 {
+		t.Fatalf("default CrossRackPenalty (racked) = %g, want 2", r.CrossRackPenalty)
 	}
 }
 
-// TestZeroJobStartupShortensRun is the behavioral half: an explicit zero
-// startup must actually remove the per-job overhead from the timeline.
-func TestZeroJobStartupShortensRun(t *testing.T) {
-	run := func(startup *float64) *RunMetrics {
-		e, err := New(Config{
-			Cluster:       testCluster(t, 3, 2),
-			Seed:          7,
-			JobStartupSec: startup,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := lang.Parse(`
+// TestJobStartupPrecedesEachJob: every job's first task starts exactly
+// cloud.JobStartupSec after the job is released, the overhead the
+// simulator prices.
+func TestJobStartupPrecedesEachJob(t *testing.T) {
+	e, err := New(Config{Cluster: testCluster(t, 3, 2), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Parse(`
 input A 16 16
 input B 16 16
 C = A * B
 D = C * B
 output D
 `)
-		if err != nil {
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Compile(prog, plan.Config{TileSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.AutoSplit(6)
+	for _, in := range pl.Inputs {
+		if err := e.LoadVirtual(in); err != nil {
 			t.Fatal(err)
 		}
-		pl, err := plan.Compile(prog, plan.Config{TileSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.AutoSplit(6)
-		for _, in := range pl.Inputs {
-			if err := e.LoadVirtual(in); err != nil {
-				t.Fatal(err)
+	}
+	m, err := e.Run(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Jobs) < 2 {
+		t.Fatalf("want a multi-job plan, got %d jobs", len(m.Jobs))
+	}
+	for _, j := range m.Jobs {
+		first := math.Inf(1)
+		for _, tr := range m.Tasks {
+			if tr.JobID == j.JobID {
+				first = math.Min(first, tr.StartSec)
 			}
 		}
-		m, err := e.Run(pl)
-		if err != nil {
-			t.Fatal(err)
+		if want := j.StartSec + cloud.JobStartupSec; first != want {
+			t.Fatalf("job %d released at %gs: first task at %gs, want %gs", j.JobID, j.StartSec, first, want)
 		}
-		return m
-	}
-	def := run(nil)
-	zero := run(Float(0))
-	if len(def.Jobs) < 2 {
-		t.Fatalf("want a multi-job plan, got %d jobs", len(def.Jobs))
-	}
-	diff := def.TotalSeconds - zero.TotalSeconds
-	want := 6 * float64(len(def.Jobs))
-	if diff < want-1e-6 || diff > want+1e-6 {
-		t.Fatalf("removing job startup saved %.6fs over %d jobs, want %.6fs",
-			diff, len(def.Jobs), want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
+	"cumulon/internal/cloud"
 	"cumulon/internal/obs"
 	"cumulon/internal/plan"
 	"cumulon/internal/store"
@@ -85,9 +86,9 @@ func (e *Engine) configHash(p *plan.Plan) string {
 		"type=%s nodes=%d slots=%d repl=%d mat=%t interp=false seed=%d noise=%g jobstartup=%g retries=%d backoff=%g rack=%d xrack=%g cache=%g spec=%t tile=%d every=%d chaos=%q targets=%v",
 		e.cfg.Cluster.Type.Name, e.cfg.Cluster.Nodes, e.cfg.Cluster.Slots,
 		e.cfg.Replication, e.cfg.Materialize,
-		e.cfg.Seed, e.cfg.NoiseFactor, e.jobStartupSec,
-		e.maxTaskRetries, e.retryBackoffSec,
-		e.cfg.RackSize, e.crossRackPenalty, e.cfg.CacheFraction,
+		e.cfg.Seed, e.cfg.NoiseFactor, cloud.JobStartupSec,
+		e.cfg.MaxTaskRetries, retryBackoffSec,
+		e.cfg.RackSize, e.cfg.CrossRackPenalty, e.cfg.CacheFraction,
 		e.cfg.Speculation, p.TileSize, e.cfg.CheckpointEvery,
 		sanitizeChaos(e.cfg.Chaos).String(), sanitizeTargets(e.cfg.Chaos),
 	)
@@ -202,11 +203,7 @@ func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *R
 	// The checkpoint streams every tile back to durable storage; model it
 	// as one cluster-wide write of the checkpointed bytes at replication
 	// cost, serialized on the global clock (it is a barrier).
-	repl := int64(e.cfg.Replication)
-	if n := int64(e.cfg.Cluster.Nodes); repl > n {
-		repl = n
-	}
-	dur := e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, 0, tileBytes, tileBytes*(repl-1))
+	dur := e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, 0, tileBytes, tileBytes*(e.repl-1))
 	end := clock + dur
 	if killAt := e.chaos.KillProgramAt(); killAt > 0 && end > killAt {
 		return 0, &ProgramKilled{At: killAt}
@@ -220,22 +217,24 @@ func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *R
 			return 0, fmt.Errorf("exec: checkpoint@s%d: %w", pt.b.Stmt, err)
 		}
 	}
-	if e.rec.Enabled() {
-		// Negative JobID keeps checkpoint spans out of the real jobs' ID
-		// space for the critical-path and timeline consumers.
+	if e.rec != obs.Nop() {
 		name := fmt.Sprintf("checkpoint@s%d", pt.b.Stmt)
 		js := e.rec.Start(obs.KindJob, name, prog, clock)
-		e.rec.SetAttrs(js, obs.Attrs{JobID: -pt.b.Stmt})
 		ps := e.rec.Start(obs.KindPhase, name+"/p0", js, clock)
-		e.rec.SetAttrs(ps, obs.Attrs{JobID: -pt.b.Stmt, Phase: 0})
-		ts := e.rec.Start(obs.KindTask, name+"/t0", ps, clock)
-		var b obs.Breakdown
-		b[obs.CatCheckpoint] = dur
-		e.rec.SetAttrs(ts, obs.Attrs{
-			JobID: -pt.b.Stmt, Phase: 0, Index: 0, Node: -1, Slot: -1,
-			WriteBytes: tileBytes, Breakdown: b,
-		})
-		e.rec.End(ts, end)
+		if e.rec.Enabled() {
+			// Negative JobID keeps checkpoint spans out of the real jobs'
+			// ID space for the critical-path and timeline consumers.
+			e.rec.SetAttrs(js, obs.Attrs{JobID: -pt.b.Stmt})
+			e.rec.SetAttrs(ps, obs.Attrs{JobID: -pt.b.Stmt, Phase: 0})
+			ts := e.rec.Start(obs.KindTask, name+"/t0", ps, clock)
+			var b obs.Breakdown
+			b[obs.CatCheckpoint] = dur
+			e.rec.SetAttrs(ts, obs.Attrs{
+				JobID: -pt.b.Stmt, Phase: 0, Index: 0, Node: -1, Slot: -1,
+				WriteBytes: tileBytes, Breakdown: b,
+			})
+			e.rec.End(ts, end)
+		}
 		e.rec.End(ps, end)
 		e.rec.End(js, end)
 	}

@@ -31,7 +31,8 @@ import (
 // Config configures an engine instance.
 type Config struct {
 	Cluster cloud.Cluster
-	// Replication is the DFS replication factor (default 3).
+	// Replication is the DFS replication factor (default
+	// cloud.DefaultReplication), capped at the node count.
 	Replication int
 	// Materialize selects real tile computation. Off, tiles are virtual:
 	// placement, accounting and timing are identical but no payloads move.
@@ -45,10 +46,6 @@ type Config struct {
 	// NoiseFactor scales multiplicative task-duration noise (stragglers,
 	// JVM jitter). 0 disables. Typical: 0.08.
 	NoiseFactor float64
-	// JobStartupSec is the fixed per-job overhead (job setup, scheduling
-	// round trips). nil selects the Hadoop-era default of 6 s; point at 0
-	// (exec.Float(0)) for a zero-overhead job launcher.
-	JobStartupSec *float64
 	// Chaos injects a deterministic fault schedule into the run: node
 	// crashes at virtual times, per-attempt task fault probabilities,
 	// targeted faults and transient read errors (see package chaos). nil
@@ -59,19 +56,13 @@ type Config struct {
 	// another node before the job fails terminally. 0 selects the Hadoop
 	// default of 3; negative disables retries entirely.
 	MaxTaskRetries int
-	// RetryBackoffSec is the base of the exponential backoff charged
-	// before retry r (base * 2^(r-1) virtual seconds, on top of the failed
-	// attempt's startup cost). nil selects 2 s; exec.Float(0) retries
-	// immediately.
-	RetryBackoffSec *float64
 	// RackSize groups datanodes into racks (see dfs.Config.RackSize);
 	// zero means a single rack.
 	RackSize int
 	// CrossRackPenalty multiplies the network cost of cross-rack bytes,
-	// modeling oversubscribed rack uplinks. nil defaults to 2 when racks
-	// are configured, 1 otherwise; exec.Float(0) makes cross-rack bytes
-	// free (an idealized non-blocking core).
-	CrossRackPenalty *float64
+	// modeling oversubscribed rack uplinks. 0 selects 2 when racks are
+	// configured, 1 otherwise.
+	CrossRackPenalty float64
 	// CacheFraction, when positive, dedicates that fraction of each
 	// node's memory to an LRU tile cache: tiles a node has already read
 	// are served from memory (Cumulon's memory-caching setting). Off by
@@ -133,16 +124,13 @@ type Config struct {
 	Resume bool
 }
 
-// Float returns a pointer to v, for the Config fields where an explicit
-// zero is meaningful and must be distinguishable from "use the default".
-func Float(v float64) *float64 { return &v }
+// retryBackoffSec is the base of the backoff charged before retry r:
+// base * 2^(r-1) virtual seconds, on top of the failed attempt's startup.
+const retryBackoffSec = 2.0
 
 func (c Config) withDefaults() Config {
 	if c.Replication == 0 {
-		c.Replication = 3
-	}
-	if c.JobStartupSec == nil {
-		c.JobStartupSec = Float(6)
+		c.Replication = cloud.DefaultReplication
 	}
 	if c.MaxTaskRetries == 0 {
 		c.MaxTaskRetries = 3
@@ -150,14 +138,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxTaskRetries < 0 {
 		c.MaxTaskRetries = 0
 	}
-	if c.RetryBackoffSec == nil {
-		c.RetryBackoffSec = Float(2)
-	}
-	if c.CrossRackPenalty == nil {
+	if c.CrossRackPenalty == 0 {
+		c.CrossRackPenalty = 1
 		if c.RackSize > 0 {
-			c.CrossRackPenalty = Float(2)
-		} else {
-			c.CrossRackPenalty = Float(1)
+			c.CrossRackPenalty = 2
 		}
 	}
 	return c
@@ -170,19 +154,18 @@ type Engine struct {
 	st     *store.Store
 	rng    *rand.Rand
 	caches []*nodeCache // per-node tile caches (nil when disabled)
-	// Resolved scalar config (the Config fields are pointers so that an
-	// explicit zero survives withDefaults).
-	jobStartupSec    float64
-	crossRackPenalty float64
-	maxTaskRetries   int
-	retryBackoffSec  float64
-	chaos            *chaos.Injector
+	// repl is the replicas each written block gets: the file system's
+	// replication, which dfs caps at the node count.
+	repl  int64
+	chaos *chaos.Injector
 	// backend computes the tile math; env is the environment its tasks
 	// capture, with the decoded inputs a materialized run's tasks share. The
 	// engine itself only replays traces.
 	backend compute.Backend
 	env     compute.Env
-	rec     obs.Recorder
+	// rec gets job, phase and checkpoint spans and retried and crash
+	// events unless it is obs.Nop(); the rest only when it is Enabled.
+	rec obs.Recorder
 	// progHash and cfgHash identify the (program, configuration) pair a
 	// checkpoint belongs to; set per Run when checkpointing is active.
 	progHash, cfgHash string
@@ -233,18 +216,15 @@ func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 		env.Src = compute.NewInputs(fs)
 	}
 	return &Engine{
-		cfg:              cfg,
-		fs:               fs,
-		st:               store.New(fs),
-		rng:              rng,
-		jobStartupSec:    *cfg.JobStartupSec,
-		crossRackPenalty: *cfg.CrossRackPenalty,
-		maxTaskRetries:   cfg.MaxTaskRetries,
-		retryBackoffSec:  *cfg.RetryBackoffSec,
-		chaos:            chaos.NewInjector(cfg.Chaos),
-		backend:          backend,
-		env:              env,
-		rec:              rec,
+		cfg:     cfg,
+		fs:      fs,
+		st:      store.New(fs),
+		rng:     rng,
+		repl:    int64(fs.Replication()),
+		chaos:   chaos.NewInjector(cfg.Chaos),
+		backend: backend,
+		env:     env,
+		rec:     rec,
 	}, nil
 }
 
@@ -378,12 +358,14 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 // runJob executes one job that may start at virtual time start, on the
 // shared slot pool, and returns the job's end time.
 func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMetrics, prog obs.SpanID) (float64, error) {
-	jobStart := start + e.jobStartupSec
+	jobStart := start + cloud.JobStartupSec
 	phases, cleanup := e.buildTasks(j)
 	jspan := obs.NoSpan
-	if e.rec.Enabled() {
+	if e.rec != obs.Nop() {
 		jspan = e.rec.Start(obs.KindJob, j.Name, prog, start)
-		e.rec.SetAttrs(jspan, obs.Attrs{JobID: j.ID, Deps: j.Deps})
+		if e.rec.Enabled() {
+			e.rec.SetAttrs(jspan, obs.Attrs{JobID: j.ID, Deps: j.Deps})
+		}
 	}
 	clock := jobStart
 	nTasks := 0
@@ -432,9 +414,11 @@ type slotState struct {
 // Returns the phase end time.
 func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float64, slots []*slotState, m *RunMetrics, jspan obs.SpanID) (float64, error) {
 	pspan := obs.NoSpan
-	if e.rec.Enabled() {
+	if e.rec != obs.Nop() {
 		pspan = e.rec.Start(obs.KindPhase, fmt.Sprintf("j%d/p%d", jobID, phase), jspan, notBefore)
-		e.rec.SetAttrs(pspan, obs.Attrs{JobID: jobID, Phase: phase})
+		if e.rec.Enabled() {
+			e.rec.SetAttrs(pspan, obs.Attrs{JobID: jobID, Phase: phase})
+		}
 	}
 	// Hand the phase's compute work to the backend up front: a pool's
 	// helpers start on the tile math now, while the scheduler below
@@ -521,10 +505,15 @@ func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float6
 	// Task spans are recorded only now, after speculation has rewritten any
 	// straggler's finish time and node, so the trace reflects the final
 	// schedule. Placements are in scheduling order, keeping the export
-	// deterministic.
-	if e.rec.Enabled() {
+	// deterministic. Without task spans, a retried task is an event of its
+	// phase.
+	if e.rec != obs.Nop() {
 		for _, p := range placements {
-			e.recordTaskSpan(pspan, m.Tasks[p.taskIdx], p.res, notBefore)
+			if r := m.Tasks[p.taskIdx]; e.rec.Enabled() {
+				e.recordTaskSpan(pspan, r, p.res, notBefore)
+			} else if r.Retries > 0 {
+				e.rec.Event(pspan, r.retriedEvent(), r.StartSec-r.RecoverySec)
+			}
 		}
 		e.rec.End(pspan, end)
 	}
@@ -565,7 +554,7 @@ func (e *Engine) recordTaskSpan(pspan obs.SpanID, rec TaskRecord, res *compute.R
 		Breakdown:   b,
 	})
 	if rec.Retries > 0 {
-		e.rec.Event(id, fmt.Sprintf("retried x%d (+%.2fs recovery)", rec.Retries, rec.RecoverySec), firstStart)
+		e.rec.Event(id, rec.retriedEvent(), firstStart)
 	}
 	if res != nil {
 		for _, k := range res.Kernels {
@@ -575,19 +564,20 @@ func (e *Engine) recordTaskSpan(pspan obs.SpanID, rec TaskRecord, res *compute.R
 	e.rec.End(id, rec.StartSec+rec.Seconds)
 }
 
+// retriedEvent names the event of a task that ran after failed attempts.
+func (r TaskRecord) retriedEvent() string {
+	return fmt.Sprintf("retried x%d (+%.2fs recovery)", r.Retries, r.RecoverySec)
+}
+
 // taskBreakdown attributes a task's noise-free duration to time
 // categories, mirroring baseTaskSeconds: the disk component splits
 // between local reads and writes by bytes, the network component between
 // rack reads, penalty-weighted remote reads and replica write streams.
 func (e *Engine) taskBreakdown(rec TaskRecord) obs.Breakdown {
-	repl := int64(e.cfg.Replication)
-	if n := int64(e.cfg.Cluster.Nodes); repl > n {
-		repl = n
-	}
 	disk := rec.LocalReadBytes + rec.WriteBytes
 	rackW := float64(rec.RackReadBytes)
-	remoteW := float64(int64(float64(rec.RemoteReadBytes) * e.crossRackPenalty))
-	writeW := float64(rec.WriteBytes * (repl - 1))
+	remoteW := float64(int64(float64(rec.RemoteReadBytes) * e.cfg.CrossRackPenalty))
+	writeW := float64(rec.WriteBytes * (e.repl - 1))
 	net := int64(rackW + remoteW + writeW)
 	startup, cpu, diskSec, netSec := e.cfg.Cluster.Type.TaskBreakdown(e.cfg.Cluster.Slots, rec.Flops, disk, net)
 	var b obs.Breakdown
@@ -726,12 +716,12 @@ func (e *Engine) executeWithRetry(jobID, phase, index int, slot *slotState, slot
 			}
 		}
 		if err != nil {
-			if retries >= e.maxTaskRetries {
+			if retries >= e.cfg.MaxTaskRetries {
 				return fail(err)
 			}
 			// Charge the failed attempt's startup plus backoff, then move
 			// to another node.
-			penalty := e.cfg.Cluster.Type.StartupSec + e.retryBackoffSec*float64(uint(1)<<uint(retries))
+			penalty := e.cfg.Cluster.Type.StartupSec + retryBackoffSec*float64(uint(1)<<uint(retries))
 			startAt += penalty
 			recovery += penalty
 			retries++
@@ -801,7 +791,7 @@ func (e *Engine) fireCrash(c chaos.NodeCrash, slots []*slotState, m *RunMetrics,
 	m.NodeCrashes++
 	m.RereplicatedBytes += rep.BytesMoved
 	m.BlocksLost += rep.BlocksLost
-	if e.rec.Enabled() {
+	if e.rec != obs.Nop() {
 		at := c.At
 		if at < notBefore {
 			at = notBefore
@@ -814,13 +804,9 @@ func (e *Engine) fireCrash(c chaos.NodeCrash, slots []*slotState, m *RunMetrics,
 // baseTaskSeconds converts a task's work profile into noise-free virtual
 // seconds on the configured machine type.
 func (e *Engine) baseTaskSeconds(w work) float64 {
-	repl := int64(e.cfg.Replication)
-	if n := int64(e.cfg.Cluster.Nodes); repl > n {
-		repl = n
-	}
 	disk := w.localBytes + w.writeBytes
-	net := w.rackBytes + int64(float64(w.remoteBytes)*e.crossRackPenalty) +
-		w.writeBytes*(repl-1)
+	net := w.rackBytes + int64(float64(w.remoteBytes)*e.cfg.CrossRackPenalty) +
+		w.writeBytes*(e.repl-1)
 	return e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, w.flops, disk, net)
 }
 

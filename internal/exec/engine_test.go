@@ -448,40 +448,31 @@ func TestEngineRetryBudgetConfigurable(t *testing.T) {
 }
 
 func TestEngineRetryBackoffCharged(t *testing.T) {
-	// One fault with backoff base 10 vs base 0: the delta in the retried
-	// task's recovery time must be exactly the backoff (startup is charged
-	// in both runs).
-	run := func(backoff float64) *RunMetrics {
-		e, err := New(Config{
-			Cluster:         testCluster(t, 3, 2),
-			Materialize:     true,
-			Seed:            1,
-			RetryBackoffSec: Float(backoff),
-			Chaos: &chaos.Schedule{Targets: []chaos.TargetFault{
-				{Job: 0, Phase: 0, Index: 0, Attempts: 2},
-			}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, m, _ := runProgram(t, e, "input A 8 8\nB = A .* A\noutput B",
-			plan.Config{}, map[string]*linalg.Dense{"A": linalg.RandomDense(8, 8, 1)}, 6)
-		return m
+	// Two failed attempts each charge the machine's task startup plus the
+	// exponential backoff: 2*StartupSec + retryBackoffSec*(2^0 + 2^1).
+	cluster := testCluster(t, 3, 2)
+	e, err := New(Config{
+		Cluster:     cluster,
+		Materialize: true,
+		Seed:        1,
+		Chaos: &chaos.Schedule{Targets: []chaos.TargetFault{
+			{Job: 0, Phase: 0, Index: 0, Attempts: 2},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	slow, fast := run(10), run(0)
-	var slowRec, fastRec float64
-	for _, tr := range slow.Tasks {
-		slowRec += tr.RecoverySec
+	_, m, _ := runProgram(t, e, "input A 8 8\nB = A .* A\noutput B",
+		plan.Config{}, map[string]*linalg.Dense{"A": linalg.RandomDense(8, 8, 1)}, 6)
+	var recovery float64
+	for _, tr := range m.Tasks {
+		recovery += tr.RecoverySec
 	}
-	for _, tr := range fast.Tasks {
-		fastRec += tr.RecoverySec
+	if want := 2*cluster.Type.StartupSec + 3*retryBackoffSec; math.Abs(recovery-want) > 1e-9 {
+		t.Fatalf("recovery = %.3fs, want %.3fs (two startups, backoff %g+%g)", recovery, want, retryBackoffSec, 2*retryBackoffSec)
 	}
-	// Two failed attempts: backoff 10*2^0 + 10*2^1 = 30 extra seconds.
-	if diff := slowRec - fastRec; diff < 30-1e-9 || diff > 30+1e-9 {
-		t.Fatalf("backoff delta = %.3fs, want 30s (exponential 10+20)", diff)
-	}
-	if slow.TotalRetries != 2 || fast.TotalRetries != 2 {
-		t.Fatalf("retries: slow %d fast %d, want 2", slow.TotalRetries, fast.TotalRetries)
+	if m.TotalRetries != 2 {
+		t.Fatalf("retries: %d, want 2", m.TotalRetries)
 	}
 }
 
@@ -891,7 +882,7 @@ output C
 			Cluster:          testCluster(t, 16, 2),
 			Seed:             6,
 			RackSize:         rackSize,
-			CrossRackPenalty: Float(penalty),
+			CrossRackPenalty: penalty,
 		})
 		if err != nil {
 			t.Fatal(err)

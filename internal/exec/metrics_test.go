@@ -106,3 +106,22 @@ func TestAddTaskAggregates(t *testing.T) {
 		t.Fatalf("len(Tasks) = %d", len(m.Tasks))
 	}
 }
+
+// Utilization returns the fraction of slot-time spent running tasks:
+// total task seconds divided by (makespan x totalSlots). Low utilization
+// signals poor splits (too few tasks) or job-barrier slack. Only tests
+// measure it.
+func (m *RunMetrics) Utilization(totalSlots int) float64 {
+	if m.TotalSeconds <= 0 || totalSlots <= 0 {
+		return 0
+	}
+	var busy float64
+	for _, t := range m.Tasks {
+		busy += t.Seconds
+	}
+	u := busy / (m.TotalSeconds * float64(totalSlots))
+	if u > 1 {
+		u = 1
+	}
+	return u
+}

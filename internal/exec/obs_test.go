@@ -57,6 +57,6 @@ func TestTraceCriticalPathCoversRun(t *testing.T) {
 		t.Fatal("GNMF critical path attributes no compute time")
 	}
 	if cp.Categories[obs.CatStartup] <= 0 {
-		t.Fatal("critical path attributes no job startup despite JobStartupSec default")
+		t.Fatal("critical path attributes no job startup despite cloud.JobStartupSec")
 	}
 }

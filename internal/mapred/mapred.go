@@ -59,34 +59,38 @@ func (s Strategy) String() string {
 	}
 }
 
-// Config configures the baseline engine.
-type Config struct {
-	Cluster     cloud.Cluster
-	Replication int // DFS replication (default 3)
-	// JobStartupSec is the fixed overhead per MapReduce job: JVM launch,
-	// job setup/teardown, scheduler round trips. Hadoop-era default: 15 s
-	// (higher than Cumulon's lean job launcher).
-	JobStartupSec float64
-	// BlockSize is the matrix block edge (SystemML-style blocking).
-	BlockSize int
-	// SplitMB is the input split size that determines map counts.
-	SplitMB int
-	// LocalityFraction is the fraction of map input read node-locally
+// The Hadoop-era MapReduce execution style the baseline prices: properties
+// of record-oriented processing, not of the hardware the engines share.
+const (
+	// jobStartupSec is the fixed overhead per MapReduce job: JVM launch,
+	// job setup/teardown, scheduler round trips. Higher than Cumulon's
+	// lean job launcher (cloud.JobStartupSec).
+	jobStartupSec = 15.0
+	// splitBytes is the input split size that determines map counts.
+	splitBytes = 64 << 20
+	// localityFraction is the fraction of map input read node-locally
 	// (Hadoop with delay scheduling typically achieves 0.8-0.95).
-	LocalityFraction float64
-	// MergeFactor models the extra disk passes of the shuffle sort/merge.
-	MergeFactor float64
-	// SerdeMBps is the per-slot throughput of record
+	localityFraction = 0.85
+	// mergeFactor models the extra disk passes of the shuffle sort/merge.
+	mergeFactor = 1.5
+	// serdeMBps is the per-slot throughput of record
 	// serialization/deserialization. MapReduce moves matrix blocks as
 	// key-value records through sort buffers; this CPU cost is a large
 	// part of why array-native engines beat Hadoop-based ones.
-	SerdeMBps float64
-	// CPUEfficiency discounts the machine's flop rate for the arithmetic
+	serdeMBps = 150.0
+	// cpuEfficiency discounts the machine's flop rate for the arithmetic
 	// done inside MR tasks (boxed records, per-block virtual dispatch, JVM
 	// copies), relative to Cumulon's array-native kernels. Hadoop-era
 	// linear-algebra systems typically realized about half the raw rate.
-	CPUEfficiency float64
-	Strategy      Strategy
+	cpuEfficiency = 0.5
+)
+
+// Config configures the baseline engine.
+type Config struct {
+	Cluster cloud.Cluster
+	// BlockSize is the matrix block edge, SystemML-style (0 selects 1000).
+	BlockSize int
+	Strategy  Strategy
 	// Materialize computes real values operator-at-a-time (for result
 	// equivalence tests). Timing is unaffected.
 	Materialize bool
@@ -104,34 +108,6 @@ type Config struct {
 	// map/shuffle/reduce phases — enough for the critical-path analyzer
 	// and the predicted-vs-actual differ. nil disables recording.
 	Recorder obs.Recorder
-}
-
-func (c Config) withDefaults() Config {
-	if c.Replication == 0 {
-		c.Replication = 3
-	}
-	if c.JobStartupSec == 0 {
-		c.JobStartupSec = 15
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 1000
-	}
-	if c.SplitMB == 0 {
-		c.SplitMB = 64
-	}
-	if c.LocalityFraction == 0 {
-		c.LocalityFraction = 0.85
-	}
-	if c.MergeFactor == 0 {
-		c.MergeFactor = 1.5
-	}
-	if c.SerdeMBps == 0 {
-		c.SerdeMBps = 150
-	}
-	if c.CPUEfficiency == 0 {
-		c.CPUEfficiency = 0.5
-	}
-	return c
 }
 
 // JobRecord describes one executed MapReduce job.
@@ -194,7 +170,9 @@ type Engine struct {
 
 // New creates a baseline engine.
 func New(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
+	if cfg.BlockSize == 0 {
+		cfg.BlockSize = 1000
+	}
 	if cfg.Cluster.Nodes <= 0 || cfg.Cluster.Slots <= 0 {
 		return nil, fmt.Errorf("mapred: invalid cluster %+v", cfg.Cluster)
 	}
@@ -384,7 +362,6 @@ func (e *Engine) emitJob(m *RunMetrics, label, op string, inputBytes, shuffleByt
 		liveNodes = 1
 	}
 	totalSlots := liveNodes * c.Cluster.Slots
-	splitBytes := int64(c.SplitMB) << 20
 	maps := int(ceilDiv64(inputBytes, splitBytes))
 	if maps < 1 {
 		maps = 1
@@ -399,12 +376,12 @@ func (e *Engine) emitJob(m *RunMetrics, label, op string, inputBytes, shuffleByt
 
 	// Map phase: read input (mostly local), compute, spill shuffle output.
 	mapWaves := math.Ceil(float64(maps) / float64(totalSlots))
-	localIn := int64(float64(inputBytes) * c.LocalityFraction)
+	localIn := int64(float64(inputBytes) * localityFraction)
 	remoteIn := inputBytes - localIn
 	// Record-oriented processing discounts the flop rate and charges
 	// serialization per byte that crosses a task boundary.
-	effFlops := int64(float64(flops) / c.CPUEfficiency)
-	serdeRate := c.SerdeMBps * 1e6
+	effFlops := int64(float64(flops) / cpuEfficiency)
+	serdeRate := serdeMBps * 1e6
 	mapFlops, redFlops := effFlops, int64(0)
 	if hasReduce {
 		// The arithmetic happens at the reducers for shuffle jobs.
@@ -435,7 +412,7 @@ func (e *Engine) emitJob(m *RunMetrics, label, op string, inputBytes, shuffleByt
 	if shuffleBytes > 0 {
 		netAgg := float64(liveNodes) * mt.NetMBps * 1e6
 		diskAgg := float64(liveNodes) * mt.DiskMBps * 1e6
-		shufflePhase = float64(shuffleBytes)/netAgg + c.MergeFactor*float64(shuffleBytes)/diskAgg
+		shufflePhase = float64(shuffleBytes)/netAgg + mergeFactor*float64(shuffleBytes)/diskAgg
 	}
 
 	// Reduce phase: read merged runs, compute, write output with
@@ -445,10 +422,7 @@ func (e *Engine) emitJob(m *RunMetrics, label, op string, inputBytes, shuffleByt
 	if hasReduce {
 		writer = reduces
 	}
-	repl := int64(c.Replication)
-	if n := int64(liveNodes); repl > n {
-		repl = n
-	}
+	repl := int64(min(cloud.DefaultReplication, liveNodes))
 	if hasReduce {
 		perReduce := mt.TaskSeconds(c.Cluster.Slots,
 			redFlops/int64(reduces),
@@ -475,13 +449,13 @@ func (e *Engine) emitJob(m *RunMetrics, label, op string, inputBytes, shuffleByt
 		}
 	}
 
-	secs := c.JobStartupSec + mapPhase + shufflePhase + reducePhase + recSec
+	secs := jobStartupSec + mapPhase + shufflePhase + reducePhase + recSec
 	if c.NoiseFactor > 0 {
 		secs *= 1 + c.NoiseFactor*e.rng.ExpFloat64()
 	}
 	if e.rec.Enabled() {
 		e.recordJobSpans(jobID, label, op, m.TotalSeconds, secs,
-			c.JobStartupSec, mapPhase, shufflePhase, reducePhase, recSec)
+			jobStartupSec, mapPhase, shufflePhase, reducePhase, recSec)
 	}
 	m.Jobs = append(m.Jobs, JobRecord{
 		Name: label, Op: op,

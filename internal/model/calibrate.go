@@ -227,10 +227,6 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 		return nil, err
 	}
 	var obs []Obs
-	repl := 3
-	if repl > cluster.Nodes {
-		repl = cluster.Nodes
-	}
 	plans, err := benchmarkPlans()
 	if err != nil {
 		return nil, err
@@ -253,11 +249,10 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 				fs = ld.fs.Fork(rand.New(s.cursor(engineSeed+1, ld.drawn)))
 			} else {
 				placement = s.cursor(engineSeed+1, 0)
-				fs = dfs.NewOn(dfs.Config{Nodes: cluster.Nodes, Replication: repl}, rand.New(placement))
+				fs = dfs.NewOn(dfs.Config{Nodes: cluster.Nodes}, rand.New(placement))
 			}
 			e, err := exec.NewOn(exec.Config{
 				Cluster:     cluster,
-				Replication: repl,
 				Seed:        engineSeed,
 				NoiseFactor: 0.08,
 				Backend:     &s.memos[i][k],
@@ -281,7 +276,7 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 			if err != nil {
 				return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
 			}
-			obs = append(obs, ObsFromTasks(m.Tasks, repl)...)
+			obs = append(obs, ObsFromTasks(m.Tasks)...)
 		}
 	}
 	tm, err := Fit(obs)
@@ -293,14 +288,15 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 
 // ObsFromTasks converts engine task records into model observations,
 // folding write traffic into the disk and network features the same way
-// the engine's duration function does.
-func ObsFromTasks(tasks []exec.TaskRecord, replication int) []Obs {
+// the engine's duration function does, on a cluster of at least
+// cloud.DefaultReplication nodes.
+func ObsFromTasks(tasks []exec.TaskRecord) []Obs {
 	out := make([]Obs, 0, len(tasks))
 	for _, t := range tasks {
 		out = append(out, Obs{
 			Flops:     t.Flops,
 			DiskBytes: t.LocalReadBytes + t.WriteBytes,
-			NetBytes:  t.RackReadBytes + t.RemoteReadBytes + t.WriteBytes*int64(replication-1),
+			NetBytes:  t.RackReadBytes + t.RemoteReadBytes + t.WriteBytes*(cloud.DefaultReplication-1),
 			Seconds:   t.Seconds,
 		})
 	}

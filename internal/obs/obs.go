@@ -187,8 +187,10 @@ type Attrs struct {
 // goroutine at a time per recorder in the engines, but implementations
 // are expected to be safe for concurrent use anyway (Trace is).
 type Recorder interface {
-	// Enabled reports whether recording has any effect. Hot paths guard
-	// attribute construction (names, breakdowns) behind this.
+	// Enabled reports whether the recorder wants attributes, task spans
+	// and kernel events; hot paths guard their construction behind it.
+	// The Cumulon engine sends job, phase and checkpoint spans and its
+	// retry and crash events to any recorder but Nop, enabled or not.
 	Enabled() bool
 	// Start opens a span at virtual time start and returns its id.
 	Start(kind Kind, name string, parent SpanID, start float64) SpanID

@@ -98,10 +98,6 @@ type Request struct {
 	// TileSizes optionally sweeps the storage tile size as part of the
 	// search; empty means use PlanCfg.TileSize only.
 	TileSizes []int
-	// Replication is the DFS replication factor (default 3).
-	Replication int
-	// JobStartupSec must match the target engine's (default 6).
-	JobStartupSec float64
 	// Confidence, when in (0, 1), makes MinCostForDeadline promise the
 	// deadline probabilistically: a candidate is feasible only if the
 	// Confidence-quantile of its Monte Carlo completion-time distribution
@@ -112,9 +108,8 @@ type Request struct {
 	Trials int
 	// Search receives candidate-level telemetry of the search: every grid
 	// point evaluated, its model-term breakdown, why it was pruned, and
-	// the winner (see SearchRecorder). nil disables recording at zero
-	// cost.
-	Search SearchRecorder
+	// the winner. nil disables recording at zero cost.
+	Search *SearchTrace
 }
 
 func (r Request) withDefaults() Request {
@@ -123,12 +118,6 @@ func (r Request) withDefaults() Request {
 	}
 	if r.MaxNodes == 0 {
 		r.MaxNodes = 64
-	}
-	if r.Replication == 0 {
-		r.Replication = 3
-	}
-	if r.JobStartupSec == 0 {
-		r.JobStartupSec = 6
 	}
 	// A machine type or tile size listed twice would evaluate its grid
 	// points twice.
@@ -171,7 +160,7 @@ type Result struct {
 // state shared between searches and it is mutex-guarded, so many
 // goroutines (the job server's workers) can run searches on one
 // Optimizer and share its calibrations. Each concurrent search should
-// supply its own SearchRecorder when it wants telemetry — a shared
+// supply its own SearchTrace when it wants telemetry — a shared
 // SearchTrace interleaves candidates from concurrent searches.
 type Optimizer struct {
 	seed int64
@@ -205,7 +194,7 @@ func (o *Optimizer) UseKernelProfile(p *tune.Profile) {
 // ModelFor returns the (cached) calibrated model for a machine type and
 // slot configuration.
 func (o *Optimizer) ModelFor(mt cloud.MachineType, slots int) (*model.TaskModel, error) {
-	return o.modelFor(mt, slots, NopSearch(), new(model.Suite))
+	return o.modelFor(mt, slots, nil, new(model.Suite))
 }
 
 // modelFor is ModelFor reporting cache hits and misses to the search
@@ -216,7 +205,7 @@ func (o *Optimizer) ModelFor(mt cloud.MachineType, slots int) (*model.TaskModel,
 // Calibration runs outside the lock; concurrent misses on the same key
 // may calibrate twice, but both compute the identical seeded model and
 // the second write is a no-op overwrite.
-func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec SearchRecorder, suite *model.Suite) (*model.TaskModel, error) {
+func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec *SearchTrace, suite *model.Suite) (*model.TaskModel, error) {
 	key := modelKey{mt.Name, slots}
 	o.mu.Lock()
 	if m, ok := o.models[key]; ok {
@@ -295,7 +284,7 @@ func (o *Optimizer) calibrations(machines []cloud.MachineType, suite *model.Suit
 
 // model returns pair i's model. Only the search goroutine calls it, in index
 // order.
-func (c *calibrations) model(i int, rec SearchRecorder) (*model.TaskModel, error) {
+func (c *calibrations) model(i int, rec *SearchTrace) (*model.TaskModel, error) {
 	p := &c.pairs[i]
 	counter := CounterModelCacheMisses
 	if p.cached {
@@ -347,7 +336,7 @@ func (c *calibrations) claim() int {
 
 func (c *calibrations) run(i int) {
 	p := &c.pairs[i]
-	p.model, p.err = c.o.modelFor(*p.mt, p.slots, NopSearch(), c.suite)
+	p.model, p.err = c.o.modelFor(*p.mt, p.slots, nil, c.suite)
 	close(p.done)
 }
 
@@ -405,13 +394,13 @@ type search struct {
 // the simulator for each. When req.Search is set, every grid point is
 // reported to it with its model-term breakdown.
 func (o *Optimizer) Enumerate(req Request) ([]Deployment, error) {
-	cands, _, err := o.enumerate(req.withDefaults(), searchOrNop(req.Search))
+	cands, _, err := o.enumerate(req.withDefaults(), req.Search)
 	return cands, err
 }
 
 // enumerate is Enumerate on a request with defaults applied; it also
 // returns the search's shared state for the confidence re-simulation.
-func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *search, error) {
+func (o *Optimizer) enumerate(req Request, rec *SearchTrace) ([]Deployment, *search, error) {
 	if _, err := req.Program.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -421,7 +410,7 @@ func (o *Optimizer) enumerate(req Request, rec SearchRecorder) ([]Deployment, *s
 	}
 	s := &search{
 		plans: map[int]*plan.Plan{},
-		pred:  &sim.Predictor{Replication: req.Replication, JobStartup: req.JobStartupSec},
+		pred:  &sim.Predictor{},
 	}
 	for _, ts := range tileSizes {
 		cfg := req.PlanCfg
@@ -506,7 +495,7 @@ func (o *Optimizer) Search(req Request) (*Result, error) {
 // fastest deployment found.
 func (o *Optimizer) MinCostForDeadline(req Request) (*Result, error) {
 	req = req.withDefaults()
-	rec := searchOrNop(req.Search)
+	rec := req.Search
 	if req.DeadlineSec <= 0 {
 		return nil, fmt.Errorf("opt: deadline must be positive")
 	}
@@ -541,7 +530,7 @@ func newResult(cands []Deployment) *Result {
 // with Met false. It then reports every candidate's fate to the search
 // recorder: constraint violations, Pareto dominance, feasible-but-outranked,
 // and the winner itself.
-func decide(rec SearchRecorder, res *Result, infeasible func(*Deployment) PruneReason, better, closer func(a, b *Deployment) bool) *Result {
+func decide(rec *SearchTrace, res *Result, infeasible func(*Deployment) PruneReason, better, closer func(a, b *Deployment) bool) *Result {
 	win, closest := -1, -1
 	for i := range res.Candidates {
 		d := &res.Candidates[i]
@@ -557,9 +546,6 @@ func decide(rec SearchRecorder, res *Result, infeasible func(*Deployment) PruneR
 	}
 	if win >= 0 {
 		res.Best = &res.Candidates[win]
-	}
-	if !rec.Enabled() {
-		return res
 	}
 	for i := range res.Candidates {
 		d := &res.Candidates[i]
@@ -584,7 +570,7 @@ func decide(rec SearchRecorder, res *Result, infeasible func(*Deployment) PruneR
 // completion time (by Monte Carlo over the model's residual distribution)
 // meets the deadline. Candidates are verified lazily in cost order, so
 // the expensive simulation only touches the frontier.
-func (o *Optimizer) minCostConfident(req Request, s *search, res *Result, rec SearchRecorder) (*Result, error) {
+func (o *Optimizer) minCostConfident(req Request, s *search, res *Result, rec *SearchTrace) (*Result, error) {
 	trials := req.Trials
 	if trials <= 0 {
 		trials = 30
@@ -636,29 +622,27 @@ func (o *Optimizer) minCostConfident(req Request, s *search, res *Result, rec Se
 	if win < 0 && fastest >= 0 {
 		res.Best, res.Met = &res.Candidates[fastest], false
 	}
-	if rec.Enabled() {
-		for i := range res.Candidates {
-			d := &res.Candidates[i]
-			switch {
-			case i == win:
-				// Attach the promised quantile to the winner's record
-				// (PruneNone leaves it unrejected).
-				rec.Prune(i, PruneNone, -1, winQ)
-			case rejected[i] > 0:
-				rec.Prune(i, PruneConfidence, -1, rejected[i])
-			case d.PredSeconds > req.DeadlineSec:
-				rec.Prune(i, PruneOverDeadline, -1, 0)
-			case res.DominatedBy[i] >= 0:
-				rec.Prune(i, PruneDominated, res.DominatedBy[i], 0)
-			default:
-				rec.Prune(i, PruneOutranked, -1, 0)
-			}
+	for i := range res.Candidates {
+		d := &res.Candidates[i]
+		switch {
+		case i == win:
+			// Attach the promised quantile to the winner's record
+			// (PruneNone leaves it unrejected).
+			rec.Prune(i, PruneNone, -1, winQ)
+		case rejected[i] > 0:
+			rec.Prune(i, PruneConfidence, -1, rejected[i])
+		case d.PredSeconds > req.DeadlineSec:
+			rec.Prune(i, PruneOverDeadline, -1, 0)
+		case res.DominatedBy[i] >= 0:
+			rec.Prune(i, PruneDominated, res.DominatedBy[i], 0)
+		default:
+			rec.Prune(i, PruneOutranked, -1, 0)
 		}
-		if win >= 0 {
-			rec.Winner(win, true)
-		} else if fastest >= 0 {
-			rec.Winner(fastest, false)
-		}
+	}
+	if win >= 0 {
+		rec.Winner(win, true)
+	} else if fastest >= 0 {
+		rec.Winner(fastest, false)
 	}
 	return res, nil
 }
@@ -666,7 +650,7 @@ func (o *Optimizer) minCostConfident(req Request, s *search, res *Result, rec Se
 // confQuantile applies the candidate's splits to the search's plan for its
 // tile size and simulates the completion-time quantile at the request's
 // confidence.
-func (o *Optimizer) confQuantile(req Request, s *search, d *Deployment, trials int, rec SearchRecorder) (float64, error) {
+func (o *Optimizer) confQuantile(req Request, s *search, d *Deployment, trials int, rec *SearchTrace) (float64, error) {
 	pl := s.plans[d.TileSize]
 	if err := d.Apply(pl); err != nil {
 		return 0, err
@@ -683,7 +667,7 @@ func (o *Optimizer) confQuantile(req Request, s *search, d *Deployment, trials i
 // budget. If none exists, Met is false and Best is the cheapest.
 func (o *Optimizer) MinTimeForBudget(req Request) (*Result, error) {
 	req = req.withDefaults()
-	rec := searchOrNop(req.Search)
+	rec := req.Search
 	if req.BudgetDollars <= 0 {
 		return nil, fmt.Errorf("opt: budget must be positive")
 	}

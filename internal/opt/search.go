@@ -128,55 +128,6 @@ type Candidate struct {
 	Winner bool
 }
 
-// SearchRecorder receives candidate-level telemetry from the optimizer.
-// The search calls it from a single goroutine; implementations must be
-// safe for concurrent use anyway (SearchTrace is). The zero-cost default
-// is NopSearch; hot paths guard all Candidate construction behind
-// Enabled.
-type SearchRecorder interface {
-	// Enabled reports whether recording has any effect.
-	Enabled() bool
-	// Begin opens one constrained search. objective is "min-cost-deadline"
-	// or "min-time-budget"; constraint is the deadline in seconds or the
-	// budget in dollars; confidence is 0 for point estimates.
-	Begin(objective string, constraint, confidence float64)
-	// Candidate records one evaluated grid point. The caller assigns Seq.
-	Candidate(c Candidate)
-	// Prune marks candidate seq as rejected. dominatedBy is the Seq of a
-	// dominating candidate (PruneDominated) or -1; quantileSec is the
-	// simulated quantile (PruneConfidence) or 0.
-	Prune(seq int, reason PruneReason, dominatedBy int, quantileSec float64)
-	// Winner marks candidate seq as the search's answer; met reports
-	// whether it satisfies the constraint.
-	Winner(seq int, met bool)
-	// Count bumps a scalar search counter by n.
-	Count(c SearchCounter, n int64)
-}
-
-// nopSearch is the zero-cost disabled recorder.
-type nopSearch struct{}
-
-// NopSearch returns the no-op SearchRecorder: Enabled is false and every
-// method is an empty shell, so an unobserved search performs no
-// telemetry work at all.
-func NopSearch() SearchRecorder { return nopSearch{} }
-
-func (nopSearch) Enabled() bool                        { return false }
-func (nopSearch) Begin(string, float64, float64)       {}
-func (nopSearch) Candidate(Candidate)                  {}
-func (nopSearch) Prune(int, PruneReason, int, float64) {}
-func (nopSearch) Winner(int, bool)                     {}
-func (nopSearch) Count(SearchCounter, int64)           {}
-
-// searchOrNop returns r, or the no-op recorder when r is nil, so Request
-// can leave the field unset.
-func searchOrNop(r SearchRecorder) SearchRecorder {
-	if r == nil {
-		return NopSearch()
-	}
-	return r
-}
-
 // SearchRecord is one recorded search: its objective, its candidates in
 // evaluation order, and its outcome.
 type SearchRecord struct {
@@ -193,10 +144,12 @@ type SearchRecord struct {
 	Candidates []Candidate
 }
 
-// SearchTrace is the buffered SearchRecorder: it accumulates every
-// search of an optimizer session (counters are cumulative across
-// searches) and exports JSON/CSV traces, EXPLAIN reports, Pareto
-// frontier renderings and a metrics snapshot.
+// SearchTrace receives candidate-level telemetry from the optimizer and is
+// safe for concurrent use: it accumulates every search of an optimizer
+// session (counters are cumulative across searches) and exports JSON/CSV
+// traces, EXPLAIN reports, Pareto frontier renderings and a metrics
+// snapshot. A nil *SearchTrace records nothing at zero cost; hot paths guard
+// Candidate construction behind Enabled.
 type SearchTrace struct {
 	mu       sync.Mutex
 	searches []*SearchRecord
@@ -206,11 +159,15 @@ type SearchTrace struct {
 // NewSearchTrace returns an empty search trace.
 func NewSearchTrace() *SearchTrace { return &SearchTrace{} }
 
-// Enabled reports true: a SearchTrace always records.
-func (t *SearchTrace) Enabled() bool { return true }
+// Enabled reports whether t records: false only for a nil trace.
+func (t *SearchTrace) Enabled() bool { return t != nil }
 
-// Begin opens a new search record.
+// Begin opens a "min-cost-deadline" (constraint in seconds) or
+// "min-time-budget" (dollars) search; confidence is 0 for point estimates.
 func (t *SearchTrace) Begin(objective string, constraint, confidence float64) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.searches = append(t.searches, &SearchRecord{
@@ -231,6 +188,9 @@ func (t *SearchTrace) current() *SearchRecord {
 
 // Candidate appends one evaluated grid point to the current search.
 func (t *SearchTrace) Candidate(c Candidate) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.current()
@@ -241,7 +201,12 @@ func (t *SearchTrace) Candidate(c Candidate) {
 }
 
 // Prune marks candidate seq of the current search as rejected.
+// dominatedBy is the Seq of a dominating candidate (PruneDominated) or -1;
+// quantileSec is the simulated quantile (PruneConfidence) or 0.
 func (t *SearchTrace) Prune(seq int, reason PruneReason, dominatedBy int, quantileSec float64) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.current()
@@ -258,6 +223,9 @@ func (t *SearchTrace) Prune(seq int, reason PruneReason, dominatedBy int, quanti
 
 // Winner marks candidate seq of the current search as its answer.
 func (t *SearchTrace) Winner(seq int, met bool) {
+	if t == nil {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.current()
@@ -269,27 +237,31 @@ func (t *SearchTrace) Winner(seq int, met bool) {
 	s.Candidates[seq].Winner = true
 }
 
-// Count bumps a scalar counter.
+// Count bumps a scalar search counter by n.
 func (t *SearchTrace) Count(c SearchCounter, n int64) {
+	if t == nil || c >= NumSearchCounters {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c < NumSearchCounters {
-		t.counters[c] += n
-	}
+	t.counters[c] += n
 }
 
 // CounterValue reads one scalar counter.
 func (t *SearchTrace) CounterValue(c SearchCounter) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c >= NumSearchCounters {
+	if t == nil || c >= NumSearchCounters {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.counters[c]
 }
 
 // Searches returns copies of the recorded searches in recording order.
 func (t *SearchTrace) Searches() []SearchRecord {
+	if t == nil {
+		return nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]SearchRecord, len(t.searches))

@@ -15,16 +15,18 @@ import (
 	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
+	"cumulon/internal/obs"
 	"cumulon/internal/plan"
 )
 
-// The disabled recorder must be free: search hot loops call it
-// unconditionally, so any allocation here taxes every unobserved search.
+// The disabled recorder, a nil *SearchTrace, must be free: search hot
+// loops call it unconditionally, so any allocation here taxes every
+// unobserved search.
 func TestNopSearchZeroAllocs(t *testing.T) {
-	rec := searchOrNop(nil)
+	var rec *SearchTrace
 	allocs := testing.AllocsPerRun(1000, func() {
 		if rec.Enabled() {
-			t.Fatal("nop recorder claims to be enabled")
+			t.Fatal("nil search trace claims to be enabled")
 		}
 		rec.Begin("min-cost-deadline", 3600, 0.9)
 		rec.Candidate(Candidate{})
@@ -33,20 +35,45 @@ func TestNopSearchZeroAllocs(t *testing.T) {
 		rec.Count(CounterSimTrials, 30)
 	})
 	if allocs != 0 {
-		t.Fatalf("nop SearchRecorder allocates: %v allocs/op", allocs)
+		t.Fatalf("nil SearchTrace allocates: %v allocs/op", allocs)
 	}
+}
+
+// TestNilSearchTraceReads: every method of a nil *SearchTrace is safe —
+// the readers and exporters see an empty trace.
+func TestNilSearchTraceReads(t *testing.T) {
+	var st *SearchTrace
+	if st.Searches() != nil || st.CounterValue(CounterSearches) != 0 {
+		t.Fatal("nil trace reads back records")
+	}
+	if _, ok := st.Last(); ok {
+		t.Fatal("nil trace has a last search")
+	}
+	var buf bytes.Buffer
+	if err := st.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st.Explain(&buf, 3)
+	st.WriteFrontierSVG(&buf)
+	st.MetricsInto(obs.NewRegistry())
 }
 
 // BenchmarkNopSearch is CI's 0 allocs/op guard for the disabled recorder
 // (run with -benchmem; see .github/workflows/ci.yml).
 func BenchmarkNopSearch(b *testing.B) {
-	rec := searchOrNop(nil)
+	var rec *SearchTrace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if rec.Enabled() {
 			b.Fatal("enabled")
 		}
+		rec.Begin("min-cost-deadline", 3600, 0.9)
 		rec.Candidate(Candidate{Seq: i})
+		rec.Prune(i, PruneDominated, 1, 0)
+		rec.Winner(i, true)
 		rec.Count(CounterModelCacheHits, 1)
 	}
 }

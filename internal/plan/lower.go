@@ -39,6 +39,15 @@ func ConfigFor(p *lang.Program, tileSize int, density float64) Config {
 	return cfg
 }
 
+// CheckDensity is the entry points' rule for a sparse-input density: it
+// lies in (0, 1]. Compile plans a missing or other entry as dense.
+func CheckDensity(d float64) error {
+	if !(d > 0 && d <= 1) {
+		return fmt.Errorf("density must be in (0, 1], got %g", d)
+	}
+	return nil
+}
+
 // Compile lowers a validated program to a physical plan. Each statement
 // becomes one or more jobs: nested matrix products materialize into
 // temporary matrices, element-wise operators fuse into their consumers.

@@ -32,6 +32,9 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	if req.Density == 0 {
 		req.Density = 0.05
 	}
+	if err := plan.CheckDensity(req.Density); err != nil {
+		return JobStatus{}, badRequest("admission: %v", err)
+	}
 	if req.Machine == "" {
 		req.Machine = s.cfg.Machine
 	}

@@ -135,14 +135,16 @@ func (l *eventLog) since(since int) (evs []JobEvent, next int, done, gone bool, 
 // obs.Trace, or the no-op recorder when tracing is off). It returns the
 // inner recorder's span ids so the retained trace is exactly what a
 // direct run with that recorder would produce; the event stream only
-// needs Start/Event payloads. Engine recording happens from one
-// goroutine, so no extra locking is needed beyond the log's own.
+// needs Start/Event payloads, which the engine sends to any recorder but
+// obs.Nop(), so Enabled is the inner recorder's: an untraced job builds no
+// task spans. Engine recording happens from one goroutine, so no extra
+// locking is needed beyond the log's own.
 type runRecorder struct {
 	inner obs.Recorder
 	log   *eventLog
 }
 
-func (r *runRecorder) Enabled() bool { return true }
+func (r *runRecorder) Enabled() bool { return r.inner.Enabled() }
 
 func (r *runRecorder) Start(kind obs.Kind, name string, parent obs.SpanID, start float64) obs.SpanID {
 	switch kind {

@@ -199,6 +199,29 @@ func TestEventStreamDeterministic(t *testing.T) {
 	}
 }
 
+// TestEventStreamTracedOrNot: an untraced job records no task spans, yet
+// streams exactly the events a traced one does — job and phase starts,
+// retries and crashes are the engine's structural calls, which go to any
+// recorder but obs.Nop().
+func TestEventStreamTracedOrNot(t *testing.T) {
+	req := SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Nodes: 4, Seed: 11,
+		Chaos: "seed=7,kill=1@3.5,taskfault=0.1", MaxRetries: 8}
+	streams := make([][]byte, 2)
+	for i, trace := range []bool{false, true} {
+		req.Trace = trace
+		_, ts := newTestServer(t, Config{Nodes: 8})
+		_, streams[i] = runJob(t, ts.URL, req)
+	}
+	if !bytes.Equal(streams[0], streams[1]) {
+		t.Fatalf("untraced and traced streams differ:\nuntraced: %s\ntraced:   %s", streams[0], streams[1])
+	}
+	for _, ty := range []EventType{EvJobStart, EvPhaseStart, EvRetry, EvCrash} {
+		if !bytes.Contains(streams[0], []byte(`"type":"`+ty+`"`)) {
+			t.Fatalf("untraced stream has no %s event: %s", ty, streams[0])
+		}
+	}
+}
+
 // TestEventBufferEviction410: a tiny ring buffer evicts the stream
 // head; resuming below the retained window is 410 Gone with a usable
 // resume cursor.

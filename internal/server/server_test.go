@@ -227,6 +227,29 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectsDensityOutOfRange: a density outside (0, 1] is
+// refused at admission with a one-line error, so it never reaches the plan
+// cache, where each raw value would compile the same plan into an entry of
+// its own. Density 0 is unset and takes the default.
+func TestAdmissionRejectsDensityOutOfRange(t *testing.T) {
+	s, ts := newTestServer(t, Config{Nodes: 8})
+	for _, d := range []float64{-1, 2, 1e300} {
+		_, err := s.Submit(SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Nodes: 4, Density: d})
+		if err == nil || !strings.Contains(err.Error(), "density must be in (0, 1]") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("density %g: error %v, want a one-line density refusal", d, err)
+		}
+	}
+	for _, d := range []float64{0, 1} {
+		st := submit(t, ts.URL, SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Nodes: 4, Density: d})
+		if fin := await(t, ts.URL, st.ID); fin.State != StateSucceeded {
+			t.Fatalf("density %g: %s %s", d, fin.State, fin.Error)
+		}
+	}
+	if n := s.cache.Stats().Entries; n != 2 {
+		t.Fatalf("plan cache holds %d entries, want 2 (densities 0.05 and 1)", n)
+	}
+}
+
 // TestServerCancel: queued jobs cancel; running, terminal and unknown
 // jobs refuse.
 func TestServerCancel(t *testing.T) {

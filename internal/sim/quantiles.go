@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"cumulon/internal/cloud"
 	"cumulon/internal/plan"
 )
 
@@ -47,7 +48,7 @@ func (p *Predictor) planSamples(pl *plan.Plan, trials int, seed int64) []float64
 	for t := 0; t < trials; t++ {
 		total := 0.0
 		for _, j := range pl.Jobs {
-			total += p.JobStartup
+			total += cloud.JobStartupSec
 			for _, ph := range p.profiles.Profile(j) {
 				total += p.schedulePhase(ph, residual)
 			}

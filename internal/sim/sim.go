@@ -25,10 +25,8 @@ import (
 // reassigning Model and Cluster — and derives each profile once. A
 // Predictor is not safe for concurrent use.
 type Predictor struct {
-	Model       *model.TaskModel
-	Cluster     cloud.Cluster
-	Replication int     // DFS replication factor (default 3)
-	JobStartup  float64 // per-job overhead, must match the engine's
+	Model   *model.TaskModel
+	Cluster cloud.Cluster
 	// Rec, when set, receives the predicted timeline of PredictPlan as a
 	// span trace (program span plus one job span per job, at cumulative
 	// offsets), so predictions can be compared structurally against an
@@ -41,21 +39,13 @@ type Predictor struct {
 	splits   []plan.Split // scratch: BestSplit's candidates
 }
 
-// New constructs a predictor with engine-matching defaults.
+// New constructs a predictor for a deployment.
 func New(m *model.TaskModel, cluster cloud.Cluster) *Predictor {
-	return &Predictor{Model: m, Cluster: cluster, Replication: 3, JobStartup: 6}
+	return &Predictor{Model: m, Cluster: cluster}
 }
 
-func (p *Predictor) replication() int {
-	r := p.Replication
-	if r <= 0 {
-		r = 3
-	}
-	if r > p.Cluster.Nodes {
-		r = p.Cluster.Nodes
-	}
-	return r
-}
+// replication is the engine's default replication on the cluster.
+func (p *Predictor) replication() int { return min(cloud.DefaultReplication, p.Cluster.Nodes) }
 
 // localFraction estimates how much of a task's read bytes are served from
 // a local replica: each block has R replicas over n nodes, plus a small
@@ -161,7 +151,7 @@ func (p *Predictor) schedulePhase(ph plan.PhaseProfile, residual func() float64)
 // task-by-task over the cluster's slots, so uneven chunk sizes and partial
 // waves are captured.
 func (p *Predictor) PredictJob(j *plan.Job) float64 {
-	total := p.JobStartup
+	total := cloud.JobStartupSec
 	for _, ph := range p.profiles.Profile(j) {
 		total += p.schedulePhase(ph, nil)
 	}
@@ -171,7 +161,7 @@ func (p *Predictor) PredictJob(j *plan.Job) float64 {
 // sweepJob is PredictJob over a job's profile with each phase's makespan
 // approximated by waves: the split sweep's estimate.
 func (p *Predictor) sweepJob(phases []plan.PhaseProfile) float64 {
-	total := p.JobStartup
+	total := cloud.JobStartupSec
 	for _, ph := range phases {
 		total += p.wavePhase(ph)
 	}

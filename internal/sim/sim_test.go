@@ -167,10 +167,13 @@ func TestPredictJobIncludesStartup(t *testing.T) {
 	tm, mt := calibrated(t, "m1.large", 2)
 	cluster, _ := cloud.NewCluster(mt, 2, 2)
 	p := New(tm, cluster)
-	p.JobStartup = 100
 	pl := compile(t, "input A 64 64\nB = A\noutput B", 32)
-	if got := p.PredictJob(pl.Jobs[0]); got < 100 {
-		t.Fatalf("startup not included: %v", got)
+	phases := 0.0
+	for _, ph := range p.profiles.Profile(pl.Jobs[0]) {
+		phases += p.schedulePhase(ph, nil)
+	}
+	if got, want := p.PredictJob(pl.Jobs[0]), cloud.JobStartupSec+phases; got != want {
+		t.Fatalf("PredictJob = %v, want startup %v + phases %v", got, cloud.JobStartupSec, phases)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "cumulon/internal/plan"
+import (
+	"cumulon/internal/cloud"
+	"cumulon/internal/plan"
+)
 
 // Terms decomposes a plan-time prediction into the task model's additive
 // terms, expressed as per-slot seconds: the summed task-seconds of each
@@ -54,7 +57,7 @@ func (p *Predictor) PlanTerms(pl *plan.Plan) Terms {
 	slots := float64(p.Cluster.TotalSlots())
 	var t Terms
 	for _, j := range pl.Jobs {
-		t.StartupSec += p.JobStartup
+		t.StartupSec += cloud.JobStartupSec
 		for _, ph := range p.profiles.Profile(j) {
 			// Each class's per-slot terms, priced once.
 			class := make([]Terms, len(ph.Work))

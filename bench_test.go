@@ -26,7 +26,7 @@ func runExp(b *testing.B, id string, metric string, unit string) {
 	b.Helper()
 	s := bench.NewSuite(42)
 	for i := 0; i < b.N; i++ {
-		res, err := s.RunOne(id, io.Discard)
+		res, err := s.RunOneFormat(id, io.Discard, "text")
 		if err != nil {
 			b.Fatal(err)
 		}

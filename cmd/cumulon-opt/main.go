@@ -69,6 +69,9 @@ func run(args []string) error {
 	if err := plan.CheckDensity(*density); err != nil {
 		return fmt.Errorf("-density: %v", err)
 	}
+	if err := opt.CheckConfidence(*confidence); err != nil {
+		return fmt.Errorf("-confidence: %v", err)
+	}
 	// Validate the chaos spec before the (expensive) search so a typo
 	// fails fast.
 	if _, err := chaos.Parse(*chaosSpec); err != nil {

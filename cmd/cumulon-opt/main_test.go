@@ -37,6 +37,10 @@ func TestRunBadInputs(t *testing.T) {
 		{"non-numeric deadline", []string{"-f", prog, "-deadline", "soon"}, "invalid value"},
 		{"negative density", []string{"-f", prog, "-deadline", "60", "-density", "-1"}, "density must be in (0, 1]"},
 		{"density above one", []string{"-f", prog, "-deadline", "60", "-density", "1e300"}, "density must be in (0, 1]"},
+		{"negative confidence", []string{"-f", prog, "-deadline", "60", "-confidence", "-5"}, "confidence must be 0 or in (0, 1)"},
+		{"confidence one", []string{"-f", prog, "-deadline", "60", "-confidence", "1"}, "confidence must be 0 or in (0, 1)"},
+		{"confidence as a percentage", []string{"-f", prog, "-deadline", "600", "-confidence", "95"}, "confidence must be 0 or in (0, 1)"},
+		{"NaN confidence", []string{"-f", prog, "-deadline", "60", "-confidence", "NaN"}, "confidence must be 0 or in (0, 1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

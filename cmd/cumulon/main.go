@@ -122,6 +122,9 @@ func run(args []string) error {
 	if err := plan.CheckDensity(*density); err != nil {
 		return fmt.Errorf("-density: %v", err)
 	}
+	if err := opt.CheckConfidence(*confidence); err != nil {
+		return fmt.Errorf("-confidence: %v", err)
+	}
 	if *kernelPar > 0 {
 		linalg.SetParallelism(*kernelPar)
 	}

@@ -55,6 +55,10 @@ func TestRunBadInputs(t *testing.T) {
 		{"negative density", []string{"-f", prog, "-density", "-1"}, "density must be in (0, 1]"},
 		{"density above one", []string{"-f", prog, "-density", "2"}, "density must be in (0, 1]"},
 		{"NaN density", []string{"-f", prog, "-density", "NaN"}, "density must be in (0, 1]"},
+		{"negative confidence", []string{"-f", prog, "-optimize", "-confidence", "-5"}, "confidence must be 0 or in (0, 1)"},
+		{"confidence one", []string{"-f", prog, "-optimize", "-confidence", "1"}, "confidence must be 0 or in (0, 1)"},
+		{"confidence as a percentage", []string{"-f", prog, "-optimize", "-confidence", "95"}, "confidence must be 0 or in (0, 1)"},
+		{"NaN confidence", []string{"-f", prog, "-optimize", "-confidence", "NaN"}, "confidence must be 0 or in (0, 1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

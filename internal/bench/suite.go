@@ -39,26 +39,6 @@ func All() []Experiment {
 	}
 }
 
-// RunAll executes every experiment, rendering each table to w. It stops
-// at the first failure.
-func (s *Suite) RunAll(w io.Writer) (map[string]*Result, error) {
-	out := map[string]*Result{}
-	for _, e := range All() {
-		res, err := e.Run(s)
-		if err != nil {
-			return out, fmt.Errorf("bench: %s: %w", e.ID, err)
-		}
-		res.Table.Render(w)
-		out[e.ID] = res
-	}
-	return out, nil
-}
-
-// RunOne executes a single experiment by id.
-func (s *Suite) RunOne(id string, w io.Writer) (*Result, error) {
-	return s.RunOneFormat(id, w, "text")
-}
-
 // RunOneFormat executes a single experiment, rendering its table in the
 // requested format ("text", "markdown" or "csv").
 func (s *Suite) RunOneFormat(id string, w io.Writer, format string) (*Result, error) {

@@ -17,11 +17,14 @@ func results(t *testing.T) map[string]*Result {
 	t.Helper()
 	if sharedResults == nil {
 		s := NewSuite(42)
-		res, err := s.RunAll(io.Discard)
-		if err != nil {
-			t.Fatal(err)
+		sharedResults = map[string]*Result{}
+		for _, e := range All() {
+			res, err := e.Run(s)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			sharedResults[e.ID] = res
 		}
-		sharedResults = res
 	}
 	return sharedResults
 }
@@ -183,7 +186,7 @@ func TestMemFallbacksPinned(t *testing.T) {
 		s := NewSuite(42)
 		st := opt.NewSearchTrace()
 		s.Search = st
-		if _, err := s.RunOne(id, io.Discard); err != nil {
+		if _, err := s.RunOneFormat(id, io.Discard, "text"); err != nil {
 			t.Fatal(err)
 		}
 		if got := st.CounterValue(opt.CounterMemFallbacks); got != want {
@@ -194,7 +197,7 @@ func TestMemFallbacksPinned(t *testing.T) {
 
 func TestRunOneUnknown(t *testing.T) {
 	s := NewSuite(1)
-	if _, err := s.RunOne("E99", io.Discard); err == nil {
+	if _, err := s.RunOneFormat("E99", io.Discard, "text"); err == nil {
 		t.Fatal("want unknown-experiment error")
 	}
 }

@@ -111,7 +111,9 @@ func TestRunBatchErrorAndMemoization(t *testing.T) {
 func TestPoolReuseZeroes(t *testing.T) {
 	for try := 0; try < 100; try++ {
 		tl := newTile(4, 4, false)
-		tl.Fill(42)
+		for i := range tl.Data {
+			tl.Data[i] = 42
+		}
 		buf := &tl.Data[0]
 		freeTile(tl)
 		got := newTile(3, 3, true)

@@ -12,6 +12,9 @@ const (
 
 func SetPoolMode(m PoolMode) PoolMode { return setPoolMode(m) }
 
+// setPoolMode installs m and returns the mode it replaced.
+func setPoolMode(m poolMode) poolMode { return poolMode(poolModeNow.Swap(int32(m))) }
+
 // SetInputHook installs f (nil removes it) to see every decoded form a run's
 // Inputs keep — kind "dense", "csr" or "transpose" — as they keep it and, kept
 // false, as they recycle it. Set it only while no engine runs.

@@ -145,7 +145,9 @@ func fetchDense(t *testing.T, src mapSource, m store.Meta) *linalg.Dense {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetTile(ti, tj, m.TileSize, tile)
+			for i := 0; i < tile.Rows; i++ {
+				copy(d.Data[(ti*m.TileSize+i)*d.Cols+tj*m.TileSize:], tile.Data[i*tile.Cols:(i+1)*tile.Cols])
+			}
 		}
 	}
 	return d

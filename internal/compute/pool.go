@@ -35,9 +35,6 @@ const (
 
 var poolModeNow atomic.Int32
 
-// setPoolMode installs m and returns the mode it replaced.
-func setPoolMode(m poolMode) poolMode { return poolMode(poolModeNow.Swap(int32(m))) }
-
 // pooled takes a buffer from p, or nothing when the pools are off.
 func pooled(p *sync.Pool) any {
 	if poolMode(poolModeNow.Load()) == poolOff {

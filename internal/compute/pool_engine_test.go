@@ -9,6 +9,7 @@ import (
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
+	"cumulon/internal/core"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
@@ -82,7 +83,7 @@ func poolCases() []poolCase {
 			name: "gnmf-kl",
 			src:  kl.Prog.String(),
 			cfg:  plan.Config{Densities: kl.Densities},
-			data: kl.RandomInputs(34),
+			data: core.RandomInputs(kl.Prog, plan.Config{Densities: kl.Densities}, 34),
 		},
 		{
 			name:  "gnmf-chaos-retry",

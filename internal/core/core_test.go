@@ -29,7 +29,7 @@ func cluster(t *testing.T, name string, nodes, slots int) cloud.Cluster {
 func TestSessionRunMaterialized(t *testing.T) {
 	s := core.NewSession(1)
 	wl := workloads.GNMF(24, 18, 3, 1, 0.4)
-	data := wl.RandomInputs(3)
+	data := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 3)
 	res, err := s.Run(wl.Prog, plan.Config{TileSize: 4, Densities: wl.Densities},
 		core.ExecOptions{Cluster: cluster(t, "m1.large", 4, 2), Inputs: data})
 	if err != nil {

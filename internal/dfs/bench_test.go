@@ -36,7 +36,8 @@ func BenchmarkDeleteMatrix(b *testing.B) {
 				b.StartTimer()
 				fs.DeletePrefix("/matrix/C/")
 			}
-			if got := fs.FileCount(); got != others {
+			b.StopTimer()
+			if got := len(fs.List("")); got != others {
 				b.Fatalf("%d files left, want %d", got, others)
 			}
 		})

@@ -253,9 +253,6 @@ func (fs *FS) markDead(node int) {
 	fs.live = live
 }
 
-// Nodes returns the number of datanodes (live or dead).
-func (fs *FS) Nodes() int { return fs.cfg.Nodes }
-
 // RackOf returns the rack id of a node (0 for single-rack clusters and
 // external clients).
 func (fs *FS) RackOf(node int) int {
@@ -508,26 +505,13 @@ func (f *file) contents() []byte {
 	return out
 }
 
-// Read returns the file contents as seen by readerNode, recording read
-// bytes per block by distance class. readerNode < 0 means an external
-// client (all reads count as remote, attributed to the cluster total
-// only). The returned bytes are a read-only view of the stored file (see
-// Write): they stay valid and unchanged whatever happens to the file
-// system afterwards, and the caller must not modify them.
-func (fs *FS) Read(path string, readerNode int) ([]byte, error) {
-	data, _, err := fs.ReadTracked(path, readerNode)
-	return data, err
-}
-
-// ReadTracked is Read plus a report of how the returned bytes split by
-// distance from the reader.
-func (fs *FS) ReadTracked(path string, readerNode int) ([]byte, ReadSplit, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.read(fs.at(path), readerNode)
-}
-
-// read is ReadTracked of slot s. Caller holds the lock.
+// read returns the contents of slot s as seen by readerNode, recording read
+// bytes per block by distance class, and how they split by distance from
+// the reader. readerNode < 0 means an external client (all reads count as
+// remote, attributed to the cluster total only). The returned bytes are a
+// read-only view of the stored file (see Write): they stay valid and
+// unchanged whatever happens to the file system afterwards, and the caller
+// must not modify them. Caller holds the lock.
 func (fs *FS) read(s slot, readerNode int) ([]byte, ReadSplit, error) {
 	f, err := s.find()
 	if err != nil {
@@ -549,8 +533,8 @@ func (fs *FS) read(s slot, readerNode int) ([]byte, ReadSplit, error) {
 // engine separately replays the read for placement and byte accounting;
 // splitting the two is what lets tile math run on worker goroutines while
 // the accounting stays deterministic. Blocks whose every replica is dead
-// are unavailable, exactly as for Read, and the returned bytes are the
-// same read-only view Read returns.
+// are unavailable, exactly as for Batch.Read, and the returned bytes are the
+// same read-only view Batch.Read returns.
 func (fs *FS) Peek(path string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -851,17 +835,6 @@ func (fs *FS) Stats(node int) IOStats {
 		return fs.total
 	}
 	return fs.stats[node]
-}
-
-// FileCount returns the number of stored files.
-func (fs *FS) FileCount() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n := 0
-	for _, d := range fs.dirs {
-		n += d.len()
-	}
-	return n
 }
 
 // liveReplicas returns the block's replicas on live nodes: the stored list

@@ -17,7 +17,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := fs.Write("/a", data, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/a", 1)
+	got, _, err := fs.readTracked("/a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 	if err := fs.Write("/a", data, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Read("/a", 2); err != nil {
+	if _, _, err := fs.readTracked("/a", 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Stats(2).LocalReadBytes; got != 1000 {
 		t.Fatalf("local read bytes: %d", got)
 	}
-	if _, err := fs.Read("/a", 3); err != nil {
+	if _, _, err := fs.readTracked("/a", 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Stats(3).RemoteReadBytes; got != 1000 {
@@ -97,7 +97,7 @@ func TestDuplicateWriteFails(t *testing.T) {
 
 func TestReadMissing(t *testing.T) {
 	fs := New(DefaultConfig(3))
-	if _, err := fs.Read("/nope", 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := fs.readTracked("/nope", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestKillNodeReReplicates(t *testing.T) {
 			t.Fatal("dead node still listed as replica")
 		}
 	}
-	if _, err := fs.Read("/a", 4); err != nil {
+	if _, _, err := fs.readTracked("/a", 4); err != nil {
 		t.Fatalf("read after recovery: %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestAllReplicasDeadUnavailable(t *testing.T) {
 	}
 	// Reading from any node fails: reader nodes themselves are dead, and
 	// an external client sees no live replicas.
-	if _, err := fs.Read("/a", -1); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := fs.readTracked("/a", -1); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestMultiBlockFiles(t *testing.T) {
 	if err := fs.Write("/big", data, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/big", 3)
+	got, _, err := fs.readTracked("/big", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestEmptyFile(t *testing.T) {
 	if err := fs.Write("/empty", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Read("/empty", 1)
+	got, _, err := fs.readTracked("/empty", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := fs.Write(path, data, int(reader)%6); err != nil {
 			return false
 		}
-		got, err := fs.Read(path, (int(reader)+1)%6)
+		got, _, err := fs.readTracked(path, (int(reader)+1)%6)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -249,7 +249,7 @@ func TestConcurrentAccess(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := fs.Read(p, (g+i)%8); err != nil {
+				if _, _, err := fs.readTracked(p, (g+i)%8); err != nil {
 					errs <- err
 					return
 				}
@@ -261,8 +261,8 @@ func TestConcurrentAccess(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if fs.FileCount() != 160 {
-		t.Fatalf("file count: %d", fs.FileCount())
+	if len(fs.List("")) != 160 {
+		t.Fatalf("file count: %d", len(fs.List("")))
 	}
 }
 
@@ -287,7 +287,7 @@ func TestVirtualFiles(t *testing.T) {
 	if err != nil || sz != 250 {
 		t.Fatalf("size %d err %v", sz, err)
 	}
-	if _, err := fs.Read("/v", 0); !errors.Is(err, ErrVirtual) {
+	if _, _, err := fs.readTracked("/v", 0); !errors.Is(err, ErrVirtual) {
 		t.Fatalf("want ErrVirtual, got %v", err)
 	}
 	sp, err := fs.ReadAccount("/v", 1)
@@ -429,7 +429,7 @@ func TestExternalWriterPastClusterTreatedAsClient(t *testing.T) {
 	if err := fs.WriteVirtual("/extv", 100, 100); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := fs.Read("/ext", 1); err != nil || len(got) != 100 {
+	if got, _, err := fs.readTracked("/ext", 1); err != nil || len(got) != 100 {
 		t.Fatalf("read: %d bytes, err %v", len(got), err)
 	}
 }
@@ -450,9 +450,9 @@ func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 		if err != nil || sp != (ReadSplit{Remote: 40}) {
 			t.Fatalf("ReadAccount by node 4 of 4: %+v, err %v", sp, err)
 		}
-		data, sp, err := fs.ReadTracked("/real", 100)
+		data, sp, err := fs.readTracked("/real", 100)
 		if err != nil || len(data) != 100 || sp != (ReadSplit{Remote: 100}) {
-			t.Fatalf("ReadTracked by node 100 of 4: %d bytes, %+v, err %v", len(data), sp, err)
+			t.Fatalf("read by node 100 of 4: %d bytes, %+v, err %v", len(data), sp, err)
 		}
 		if got := fs.Stats(-1); got != (IOStats{RemoteReadBytes: 140}) {
 			t.Fatalf("cluster total %+v, want 140 remote bytes only", got)
@@ -588,4 +588,12 @@ func (fs *FS) ResetStats() {
 		fs.stats[i] = IOStats{}
 	}
 	fs.total = IOStats{}
+}
+
+// readTracked reads path as readerNode sees it, with the read accounted:
+// the path-keyed face of Batch.Read, which production reads tiles through.
+func (fs *FS) readTracked(path string, readerNode int) ([]byte, ReadSplit, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.read(fs.at(path), readerNode)
 }

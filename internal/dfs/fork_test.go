@@ -39,8 +39,8 @@ func streamAt(seed int64, n int) *rand.Rand {
 func forkLoad(t testing.TB, fs *FS, tag string) {
 	for i := 0; i < 24; i++ {
 		path := fmt.Sprintf("/%s/m%d/%d_0", tag, i%4, i)
-		writer := i % (fs.Nodes() + 1)
-		if writer == fs.Nodes() || !fs.NodeAlive(writer) {
+		writer := i % (fs.cfg.Nodes + 1)
+		if writer == fs.cfg.Nodes || !fs.NodeAlive(writer) {
 			writer = -1
 		}
 		var err error
@@ -103,12 +103,12 @@ func exists(fs *FS, path string) bool {
 // path order, and every node's liveness and counters, plus the total.
 func forkView(fs *FS) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d files\n", fs.FileCount())
+	fmt.Fprintf(&b, "%d files\n", len(fs.List("")))
 	for _, p := range fs.List("") {
 		reps, _ := fs.BlockReplicas(p)
 		fmt.Fprintf(&b, "%s %v first %d\n", p, reps, firstReplicaNode(fs, p))
 	}
-	for n := -1; n < fs.Nodes(); n++ {
+	for n := -1; n < fs.cfg.Nodes; n++ {
 		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))
 	}
 	return b.String()
@@ -206,7 +206,7 @@ func TestForksConcurrent(t *testing.T) {
 					t.Errorf("read %s: %v", p, err)
 				}
 			}
-			fs.KillNode((g + round) % fs.Nodes())
+			fs.KillNode((g + round) % fs.cfg.Nodes)
 			fs.Delete(fmt.Sprintf("/in/m%d/%d_0", g, 4+g))
 			fs.DeletePrefix(fmt.Sprintf("/g%d-%d/m1/", g, round))
 		}

@@ -36,11 +36,11 @@ func nsPath(rng *rand.Rand) string {
 func nsWrite(fs *FS, path string, turn int) error {
 	switch turn % 3 {
 	case 0:
-		return fs.Write(path, []byte(path), turn%fs.Nodes())
+		return fs.Write(path, []byte(path), turn%fs.cfg.Nodes)
 	case 1:
 		return fs.WriteVirtual(path, int64(10+turn%90), -1)
 	default:
-		return fs.WritePlaced(path, nil, int64(10+turn%50), [][]int{{turn % fs.Nodes()}})
+		return fs.WritePlaced(path, nil, int64(10+turn%50), [][]int{{turn % fs.cfg.Nodes}})
 	}
 }
 
@@ -97,7 +97,7 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 					oracle[p] = true
 				}
 			}
-			if got := fs.FileCount(); got != len(oracle) {
+			if got := len(fs.List("")); got != len(oracle) {
 				t.Fatalf("seed %d step %d: FileCount %d, oracle holds %d", seed, step, got, len(oracle))
 			}
 			prefix := nsPref[rng.Intn(len(nsPref))]
@@ -140,7 +140,7 @@ func namespaceKillScript(cfg Config) []byte {
 	narrow := []string{"/matrix/C/", "/matrix/C#1~p0/", "/matrix/CC/", "/matrix/C/sub/", "/w/",
 		"/matrix/C#1~p", "/matrix/C/s", "/matrix/C/1", "/matrix/CC/0_", "/matrix/C#1~p1/10_1", "1", "C"}
 	dump := func(stage string) {
-		fmt.Fprintf(&out, "-- %s: %d files\n", stage, fs.FileCount())
+		fmt.Fprintf(&out, "-- %s: %d files\n", stage, len(fs.List("")))
 		for _, p := range fs.List("") {
 			reps, _ := fs.BlockReplicas(p)
 			fmt.Fprintf(&out, "  %s %v\n", p, reps)

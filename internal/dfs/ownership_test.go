@@ -34,15 +34,11 @@ func TestWriteOwnsPayloadAndReadsAreClippedViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		read, err := fs.Read(path, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tracked, sp, err := fs.ReadTracked(path, 0)
+		read, sp, err := fs.readTracked(path, 0)
 		if err != nil || sp.Total() != 100 {
-			t.Fatalf("ReadTracked: %v, split %+v", err, sp)
+			t.Fatalf("read: %v, split %+v", err, sp)
 		}
-		for name, got := range map[string][]byte{"Peek": peeked, "Read": read, "ReadTracked": tracked} {
+		for name, got := range map[string][]byte{"Peek": peeked, "read": read} {
 			if &got[0] != &data[0] {
 				t.Errorf("%s(%s) copied a single-block file", name, path)
 			}
@@ -72,7 +68,7 @@ func TestMultiBlockFileRoundTripsThroughEveryRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		read, err := fs.Read(path, 3)
+		read, _, err := fs.readTracked(path, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +196,7 @@ func TestHeldBytesSurviveFileSystemChanges(t *testing.T) {
 	if !bytes.Equal(held, want) {
 		t.Fatal("bytes held by a reader changed under re-replication, deletes and a reseed")
 	}
-	again, err := fs.Read("/t/0", 1)
+	again, _, err := fs.readTracked("/t/0", 1)
 	if err != nil || !bytes.Equal(again, want) {
 		t.Fatalf("file content changed: %v", err)
 	}

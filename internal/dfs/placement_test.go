@@ -69,7 +69,7 @@ func placementScript(cfg Config) []byte {
 			for _, reader := range []int{i % n, (i + 3) % n, -1} {
 				_, err := fs.ReadAccount(fmt.Sprintf("/%s/virt%d", tag, i), reader)
 				check("read", err)
-				_, _, err = fs.ReadTracked(fmt.Sprintf("/%s/real%d", tag, i), reader)
+				_, _, err = fs.readTracked(fmt.Sprintf("/%s/real%d", tag, i), reader)
 				check("readt", err)
 			}
 		}

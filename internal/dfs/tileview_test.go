@@ -82,7 +82,7 @@ func (d *tvDriver) do() {
 	a := tvAddr(path)
 	byTile := a != nil && rng.Intn(2) == 0
 	twin := path + "\x00"
-	node := rng.Intn(d.s.Nodes()+1) - 1
+	node := rng.Intn(d.s.cfg.Nodes+1) - 1
 	var op string
 	switch k := rng.Intn(20); {
 	case k < 4:
@@ -110,7 +110,7 @@ func (d *tvDriver) do() {
 		}
 		d.same(op, es, d.w.WriteVirtual(twin, size, node))
 	case k < 10:
-		reps := [][]int{{rng.Intn(d.s.Nodes())}, {rng.Intn(d.s.Nodes()), rng.Intn(d.s.Nodes())}}
+		reps := [][]int{{rng.Intn(d.s.cfg.Nodes)}, {rng.Intn(d.s.cfg.Nodes), rng.Intn(d.s.cfg.Nodes)}}
 		op = fmt.Sprintf("WritePlaced %q %v", path, reps)
 		d.same(op, d.s.WritePlaced(path, nil, 70, reps), d.w.WritePlaced(twin, nil, 70, reps))
 	case k < 13:
@@ -140,19 +140,19 @@ func (d *tvDriver) do() {
 			b.Done()
 		} else {
 			ss, es = d.s.ReadAccount(path, node)
-			data, er = d.s.Read(path, node)
+			data, _, er = d.s.readTracked(path, node)
 		}
 		sw, ew := d.w.ReadAccount(twin, node)
-		dw, erw := d.w.Read(twin, node)
+		dw, _, erw := d.w.readTracked(twin, node)
 		d.same(op+" ReadAccount", es, ew)
 		d.same(op+" Read", er, erw)
 		if ss != sw || string(data) != string(dw) {
 			d.fail("%s: subject %+v %q, twin %+v %q", op, ss, data, sw, dw)
 		}
 	default:
-		n := rng.Intn(d.s.Nodes())
+		n := rng.Intn(d.s.cfg.Nodes)
 		op = fmt.Sprintf("KillNode %d", n)
-		if live := d.s.live; len(live) > d.s.Nodes()/2 {
+		if live := d.s.live; len(live) > d.s.cfg.Nodes/2 {
 			if rs, rw := d.s.KillNode(n), d.w.KillNode(n); rs != rw {
 				d.fail("%s: subject %+v, twin %+v", op, rs, rw)
 			}
@@ -196,13 +196,13 @@ func (d *tvDriver) check() {
 // first live replica, then every node's counters.
 func tvView(fs *FS) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d files\n", fs.FileCount())
+	fmt.Fprintf(&b, "%d files\n", len(fs.List("")))
 	for _, p := range fs.List("") {
 		size, _ := fs.Size(p)
 		reps, _ := fs.BlockReplicas(p)
 		fmt.Fprintf(&b, "%s %d %v first %d\n", p, size, reps, firstReplicaNode(fs, p))
 	}
-	for n := -1; n < fs.Nodes(); n++ {
+	for n := -1; n < fs.cfg.Nodes; n++ {
 		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))
 	}
 	return b.String()

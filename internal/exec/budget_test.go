@@ -10,6 +10,7 @@ import (
 	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
 	"cumulon/internal/compute"
+	"cumulon/internal/core"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
@@ -59,7 +60,7 @@ func observeRun(t *testing.T, wl workloads.Workload, workers int, be compute.Bac
 		t.Fatal(err)
 	}
 	pl.AutoSplit(8)
-	data := wl.RandomInputs(5)
+	data := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 5)
 	for _, in := range pl.Inputs {
 		if err := e.LoadDense(in, data[in.Name]); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
+	"cumulon/internal/core"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
@@ -226,7 +227,7 @@ func TestMemoRecordsOnlyFinishedVirtualPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := wl.RandomInputs(3)
+	data := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 3)
 	run := func(cfg exec.Config) (map[string]*linalg.Dense, *exec.RunMetrics, error) {
 		e, err := exec.New(cfg)
 		if err != nil {

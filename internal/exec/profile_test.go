@@ -141,9 +141,10 @@ output H
 				t.Fatal(err)
 			}
 			profiles := map[int][]plan.PhaseProfile{}
+			jobs := map[int]*plan.Job{}
 			tasks := 0
 			for _, j := range pl.Jobs {
-				profiles[j.ID] = plan.Profile(j)
+				profiles[j.ID], jobs[j.ID] = plan.Profile(j), j
 				for _, ph := range profiles[j.ID] {
 					tasks += len(ph.Class)
 				}
@@ -153,7 +154,7 @@ output H
 			}
 			shared := map[string]bool{}
 			for _, r := range m.Tasks {
-				j := pl.JobByID(r.JobID)
+				j := jobs[r.JobID]
 				ph := profiles[r.JobID][r.Phase]
 				want := ph.Work[ph.Class[r.Index]]
 				double, labels := doubleCharged(taskTapes(j, r.Phase, r.Index))

@@ -15,6 +15,7 @@ import (
 	"cumulon/internal/ckpt"
 	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
+	"cumulon/internal/core"
 	"cumulon/internal/exec"
 	"cumulon/internal/linalg"
 	"cumulon/internal/obs"
@@ -65,7 +66,7 @@ func runIterative(t *testing.T, wl workloads.Workload, be compute.Backend, sched
 		t.Fatal(err)
 	}
 	pl.AutoSplit(8)
-	data := wl.RandomInputs(5)
+	data := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 5)
 	for _, in := range pl.Inputs {
 		if err := e.LoadDense(in, data[in.Name]); err != nil {
 			t.Fatal(err)

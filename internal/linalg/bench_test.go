@@ -38,10 +38,10 @@ func benchGemmArms(b *testing.B, m, k, n int, ta, tb bool, naive func(c, a, x *T
 	rng := rand.New(rand.NewSource(1))
 	a, x := randTile(rng, m, k), randTile(rng, k, n)
 	if ta {
-		a = Transpose(a)
+		a = transpose(a)
 	}
 	if tb {
-		x = Transpose(x)
+		x = transpose(x)
 	}
 	c := NewTile(m, n)
 	flops := GemmFlops(m, k, n)
@@ -234,6 +234,6 @@ func BenchmarkTranspose256(b *testing.B) {
 	t := benchTile(256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Transpose(t)
+		transpose(t)
 	}
 }

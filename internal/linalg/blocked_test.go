@@ -91,21 +91,21 @@ func testBlockedGemmEdgeShapes(t *testing.T, kern *microKern) {
 		a := zeroableTile(rng, s.m, s.k)
 		b := zeroableTile(rng, s.k, s.n)
 		got := zeroableTile(rng, s.m, s.n)
-		want := got.Clone()
+		want := got.clone()
 		gemmBlocked(cf, got, a, b, false, false, nil)
 		refGemm(want, a, b)
 		assertExact(t, got, want, "gemm "+got.String())
 
 		at := zeroableTile(rng, s.k, s.m)
 		gotTA := zeroableTile(rng, s.m, s.n)
-		wantTA := gotTA.Clone()
+		wantTA := gotTA.clone()
 		gemmBlocked(cf, gotTA, at, b, true, false, nil)
 		refGemmTA(wantTA, at, b)
 		assertExact(t, gotTA, wantTA, "gemmTA")
 
 		bt := zeroableTile(rng, s.n, s.k)
 		gotTB := zeroableTile(rng, s.m, s.n)
-		wantTB := gotTB.Clone()
+		wantTB := gotTB.clone()
 		gemmBlocked(cf, gotTB, a, bt, false, true, nil)
 		refGemmTB(wantTB, a, bt)
 		assertExact(t, gotTB, wantTB, "gemmTB")
@@ -128,21 +128,21 @@ func testBlockedGemmRandomized(t *testing.T, kern *microKern) {
 		a, b := randTile(rng, m, k), randTile(rng, k, n)
 
 		got := randTile(rng, m, n)
-		want := got.Clone()
+		want := got.clone()
 		gemmBlocked(cf, got, a, b, false, false, nil)
 		refGemm(want, a, b)
 		assertExact(t, got, want, "gemm")
 
-		at := Transpose(a)
+		at := transpose(a)
 		gotTA := randTile(rng, m, n)
-		wantTA := gotTA.Clone()
+		wantTA := gotTA.clone()
 		gemmBlocked(cf, gotTA, at, b, true, false, nil)
 		refGemmTA(wantTA, at, b)
 		assertExact(t, gotTA, wantTA, "gemmTA")
 
-		bt := Transpose(b)
+		bt := transpose(b)
 		gotTB := randTile(rng, m, n)
-		wantTB := gotTB.Clone()
+		wantTB := gotTB.clone()
 		gemmBlocked(cf, gotTB, a, bt, false, true, nil)
 		refGemmTB(wantTB, a, bt)
 		// Nonzero accumulator included: since the refGemmTB accumulation
@@ -197,8 +197,8 @@ func testGemmAccumulationOrderAcrossKBlocks(t *testing.T, kern *microKern) {
 	m, k, n := 12, 200, 10
 	a, b := randTile(rng, m, k), randTile(rng, k, n)
 	want := randTile(rng, m, n)
-	one := want.Clone()
-	many := want.Clone()
+	one := want.clone()
+	many := want.clone()
 	refGemm(want, a, b)
 	gemmBlocked(blockConf{mc: 64, kc: 512, nc: 64, kern: kern}, one, a, b, false, false, nil) // single k block
 	gemmBlocked(kernConf(kern, 2, 3, 2), many, a, b, false, false, nil)                       // 67 k blocks

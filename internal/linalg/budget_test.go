@@ -50,7 +50,7 @@ func watchMath(t *testing.T, meet int) *mathWatch {
 func bigGemmTasks(n int) []compute.Task {
 	const dim = 260 // 2·260³ ≈ 35 Mflop
 	a, b := linalg.RandomDense(dim, dim, 1), linalg.RandomDense(dim, dim, 2)
-	at, bt := linalg.NewTileFrom(dim, dim, a.Data), linalg.NewTileFrom(dim, dim, b.Data)
+	at, bt := &linalg.Tile{Rows: dim, Cols: dim, Data: a.Data}, &linalg.Tile{Rows: dim, Cols: dim, Data: b.Data}
 	ts := make([]compute.Task, n)
 	for i := range ts {
 		ts[i] = compute.Task{Fn: func(*compute.Ctx, *compute.Task) error {

@@ -62,16 +62,6 @@ func ConstDense(rows, cols int, v float64) *Dense {
 // At returns element (i, j).
 func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 
-// Set assigns element (i, j).
-func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (d *Dense) Clone() *Dense {
-	c := NewDense(d.Rows, d.Cols)
-	copy(c.Data, d.Data)
-	return c
-}
-
 // Mul returns d * o.
 func (d *Dense) Mul(o *Dense) *Dense {
 	if d.Cols != o.Rows {
@@ -123,15 +113,6 @@ func (d *Dense) T() *Dense {
 	return out
 }
 
-// Sum returns the sum over all elements.
-func (d *Dense) Sum() float64 {
-	var s float64
-	for _, v := range d.Data {
-		s += v
-	}
-	return s
-}
-
 // FrobeniusNorm returns sqrt(sum of squares), used for convergence checks.
 func (d *Dense) FrobeniusNorm() float64 {
 	var s float64
@@ -179,14 +160,6 @@ func (d *Dense) TileAt(ti, tj, ts int) *Tile {
 		copy(t.Data[i*cols:(i+1)*cols], d.Data[(r0+i)*d.Cols+c0:(r0+i)*d.Cols+c0+cols])
 	}
 	return t
-}
-
-// SetTile writes tile t at tile-coordinates (ti, tj) for tile size ts.
-func (d *Dense) SetTile(ti, tj, ts int, t *Tile) {
-	r0, c0 := ti*ts, tj*ts
-	for i := 0; i < t.Rows; i++ {
-		copy(d.Data[(r0+i)*d.Cols+c0:(r0+i)*d.Cols+c0+t.Cols], t.Data[i*t.Cols:(i+1)*t.Cols])
-	}
 }
 
 func (d *Dense) zip(o *Dense, f func(x, y float64) float64) *Dense {

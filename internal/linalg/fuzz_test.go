@@ -75,7 +75,7 @@ func FuzzGemm(f *testing.F) {
 		a := fuzzTile(m, k, data[fuzzHeader:], 1)
 		b := fuzzTile(k, n, data[fuzzHeader:], 2)
 		got := fuzzTile(m, n, data[fuzzHeader:], 3)
-		want := got.Clone()
+		want := got.clone()
 		gemmBlocked(cf, got, a, b, false, false, nil)
 		refGemm(want, a, b)
 		if !got.Equal(want) {
@@ -105,7 +105,7 @@ func FuzzGemmTA(f *testing.F) {
 		at := fuzzTile(k, m, data[fuzzHeader:], 4) // A is stored transposed: k x m
 		b := fuzzTile(k, n, data[fuzzHeader:], 5)
 		got := fuzzTile(m, n, data[fuzzHeader:], 6)
-		want := got.Clone()
+		want := got.clone()
 		gemmBlocked(cf, got, at, b, true, false, nil)
 		refGemmTA(want, at, b)
 		if !got.Equal(want) {
@@ -143,7 +143,7 @@ func FuzzGemmTB(f *testing.F) {
 		// paths fold terms into the loaded C element ascending-k, so the
 		// TB branch is held to bit equality here too.
 		gotAcc := fuzzTile(m, n, data[fuzzHeader:], 9)
-		wantAcc := gotAcc.Clone()
+		wantAcc := gotAcc.clone()
 		gemmBlocked(cf, gotAcc, a, bt, false, true, nil)
 		refGemmTB(wantAcc, a, bt)
 		if !gotAcc.Equal(wantAcc) {

@@ -59,8 +59,8 @@ func TestKernelTileInvariants(t *testing.T) {
 // product, handing it the stored operands and the matching reference.
 func gemmModes(a, b *Tile, body func(name string, la, lb *Tile, ta, tb bool, ref func(c, a, b *Tile))) {
 	body("gemm", a, b, false, false, refGemm)
-	body("gemmTA", Transpose(a), b, true, false, refGemmTA)
-	body("gemmTB", a, Transpose(b), false, true, refGemmTB)
+	body("gemmTA", transpose(a), b, true, false, refGemmTA)
+	body("gemmTB", a, transpose(b), false, true, refGemmTB)
 }
 
 // TestKernelFringeShapes walks the edges of the 4×8 tile — one column
@@ -75,7 +75,7 @@ func TestKernelFringeShapes(t *testing.T) {
 					a, b := randTile(rng, m, 37), randTile(rng, 37, n)
 					c0 := randTile(rng, m, n)
 					gemmModes(a, b, func(name string, la, lb *Tile, ta, tb bool, ref func(c, a, b *Tile)) {
-						got, want := c0.Clone(), c0.Clone()
+						got, want := c0.clone(), c0.clone()
 						gemmBlockedSeq(cf, got, la, lb, ta, tb, nil)
 						ref(want, la, lb)
 						assertExact(t, got, want, fmt.Sprintf("%s %dx37x%d mc=%d", name, m, n, cf.mc))
@@ -132,7 +132,7 @@ func TestKernelSpecialValues(t *testing.T) {
 			m, k, n := 1+rng.Intn(20), 1+rng.Intn(12), 1+rng.Intn(20)
 			a, b := specialTile(rng, m, k), specialTile(rng, k, n)
 			got := specialTile(rng, m, n)
-			want := got.Clone()
+			want := got.clone()
 			gemmBlockedSeq(kernConf(kern, 1+rng.Intn(2), 1+rng.Intn(5), 1+rng.Intn(2)), got, a, b, false, false, nil)
 			plainGemm(want, a, b)
 			nans := 0
@@ -169,7 +169,7 @@ func TestKernelUnalignedData(t *testing.T) {
 			return &Tile{Rows: src.Rows, Cols: src.Cols, Data: buf[off:]}
 		}
 		a, b, c0 := randTile(rng, 21, 19), randTile(rng, 19, 27), randTile(rng, 21, 27)
-		want := c0.Clone()
+		want := c0.clone()
 		refGemm(want, a, b)
 		for off := 0; off < 4; off++ {
 			got := offset(c0, off)

@@ -175,13 +175,6 @@ func GemmHooked(c, a, b *Tile, ta, tb bool, epi EpilogueFn) {
 	}
 }
 
-// Transpose returns a new tile holding tᵀ.
-func Transpose(t *Tile) *Tile {
-	out := NewTile(t.Cols, t.Rows)
-	TransposeInto(out, t)
-	return out
-}
-
 // TransposeInto overwrites every element of out, a t.Cols x t.Rows tile,
 // with tᵀ.
 func TransposeInto(out, t *Tile) {
@@ -226,15 +219,6 @@ func Map(t *Tile, f func(x float64) float64) *Tile {
 // Scale returns s * t in a fresh tile.
 func Scale(t *Tile, s float64) *Tile {
 	return Map(t, func(x float64) float64 { return s * x })
-}
-
-// Sum returns the sum of all elements of the tile.
-func Sum(t *Tile) float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
 }
 
 // GemmFlops returns the floating-point operation count of a GEMM with the

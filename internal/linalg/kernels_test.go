@@ -15,9 +15,9 @@ func naiveGemm(a, b *Tile) *Tile {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for p := 0; p < a.Cols; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += a.at(i, p) * b.at(p, j)
 			}
-			c.Set(i, j, s)
+			c.set(i, j, s)
 		}
 	}
 	return c
@@ -39,7 +39,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 		got := NewTile(m, n)
 		Gemm(got, a, b)
 		want := naiveGemm(a, b)
-		if !got.AlmostEqual(want, 1e-12) {
+		if !got.almostEqual(want, 1e-12) {
 			t.Fatalf("trial %d (%d,%d,%d): gemm mismatch", trial, m, k, n)
 		}
 	}
@@ -49,11 +49,11 @@ func TestGemmAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a, b := randTile(rng, 5, 7), randTile(rng, 7, 3)
 	c := randTile(rng, 5, 3)
-	base := c.Clone()
+	base := c.clone()
 	Gemm(c, a, b)
 	want := naiveGemm(a, b)
 	AddInto(want, base)
-	if !c.AlmostEqual(want, 1e-12) {
+	if !c.almostEqual(want, 1e-12) {
 		t.Fatal("gemm must accumulate into c, not overwrite it")
 	}
 }
@@ -65,8 +65,8 @@ func TestGemmTAMatchesExplicitTranspose(t *testing.T) {
 		a, b := randTile(rng, k, m), randTile(rng, k, n)
 		got := NewTile(m, n)
 		GemmTA(got, a, b)
-		want := naiveGemm(Transpose(a), b)
-		if !got.AlmostEqual(want, 1e-12) {
+		want := naiveGemm(transpose(a), b)
+		if !got.almostEqual(want, 1e-12) {
 			t.Fatalf("trial %d: gemmTA mismatch", trial)
 		}
 	}
@@ -79,8 +79,8 @@ func TestGemmTBMatchesExplicitTranspose(t *testing.T) {
 		a, b := randTile(rng, m, k), randTile(rng, n, k)
 		got := NewTile(m, n)
 		GemmTB(got, a, b)
-		want := naiveGemm(a, Transpose(b))
-		if !got.AlmostEqual(want, 1e-12) {
+		want := naiveGemm(a, transpose(b))
+		if !got.almostEqual(want, 1e-12) {
 			t.Fatalf("trial %d: gemmTB mismatch", trial)
 		}
 	}
@@ -99,7 +99,7 @@ func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tl := randTile(rng, 1+rng.Intn(20), 1+rng.Intn(20))
-		return Transpose(Transpose(tl)).Equal(tl)
+		return transpose(transpose(tl)).Equal(tl)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestGemmTransposeIdentity(t *testing.T) {
 		ab := NewTile(m, n)
 		Gemm(ab, a, b)
 		btat := NewTile(n, m)
-		Gemm(btat, Transpose(b), Transpose(a))
-		return Transpose(ab).AlmostEqual(btat, 1e-10)
+		Gemm(btat, transpose(b), transpose(a))
+		return transpose(ab).almostEqual(btat, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -124,22 +124,22 @@ func TestGemmTransposeIdentity(t *testing.T) {
 }
 
 func TestMapZipScale(t *testing.T) {
-	a := NewTileFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewTileFrom(2, 2, []float64{10, 20, 30, 40})
+	a := &Tile{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	b := &Tile{Rows: 2, Cols: 2, Data: []float64{10, 20, 30, 40}}
 	sum := Zip(a, b, func(x, y float64) float64 { return x + y })
-	if sum.At(1, 1) != 44 {
-		t.Fatalf("zip add: got %v", sum.At(1, 1))
+	if sum.at(1, 1) != 44 {
+		t.Fatalf("zip add: got %v", sum.at(1, 1))
 	}
 	sq := Map(a, func(x float64) float64 { return x * x })
-	if sq.At(1, 0) != 9 {
-		t.Fatalf("map square: got %v", sq.At(1, 0))
+	if sq.at(1, 0) != 9 {
+		t.Fatalf("map square: got %v", sq.at(1, 0))
 	}
 	sc := Scale(a, 3)
-	if sc.At(0, 1) != 6 {
-		t.Fatalf("scale: got %v", sc.At(0, 1))
+	if sc.at(0, 1) != 6 {
+		t.Fatalf("scale: got %v", sc.at(0, 1))
 	}
-	if Sum(a) != 10 {
-		t.Fatalf("sum: got %v", Sum(a))
+	if sumTile(a) != 10 {
+		t.Fatalf("sum: got %v", sumTile(a))
 	}
 }
 
@@ -173,10 +173,49 @@ func TestClose(t *testing.T) {
 }
 
 func TestTileCloneIndependence(t *testing.T) {
-	a := NewTileFrom(1, 2, []float64{1, 2})
-	b := a.Clone()
-	b.Set(0, 0, 99)
-	if a.At(0, 0) != 1 {
+	a := &Tile{Rows: 1, Cols: 2, Data: []float64{1, 2}}
+	b := a.clone()
+	b.set(0, 0, 99)
+	if a.at(0, 0) != 1 {
 		t.Fatal("clone must not alias original data")
 	}
+}
+
+// transpose returns a new tile holding tᵀ.
+func transpose(t *Tile) *Tile {
+	out := NewTile(t.Cols, t.Rows)
+	TransposeInto(out, t)
+	return out
+}
+
+// sumTile returns the sum of all elements of t.
+func sumTile(t *Tile) float64 {
+	var s float64
+	for _, v := range t.Data {
+		s += v
+	}
+	return s
+}
+
+func (t *Tile) at(i, j int) float64 { return t.Data[i*t.Cols+j] }
+
+func (t *Tile) set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
+
+// clone returns a deep copy of t.
+func (t *Tile) clone() *Tile {
+	return &Tile{Rows: t.Rows, Cols: t.Cols, Data: append([]float64(nil), t.Data...)}
+}
+
+// almostEqual reports whether two tiles have identical shape and elements
+// within absolute-or-relative tolerance tol.
+func (t *Tile) almostEqual(o *Tile, tol float64) bool {
+	if t.Rows != o.Rows || t.Cols != o.Cols {
+		return false
+	}
+	for i, v := range t.Data {
+		if !Close(v, o.Data[i], tol) {
+			return false
+		}
+	}
+	return true
 }

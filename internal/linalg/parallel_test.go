@@ -33,7 +33,7 @@ func testParallelGemmBitIdentical(t *testing.T, kern *microKern) {
 		m, k, n := 1+rng.Intn(60), 1+rng.Intn(60), 1+rng.Intn(60)
 		cf := kernConf(kern, 1+rng.Intn(3), 1+rng.Intn(16), 1+rng.Intn(5))
 		a, b := randTile(rng, m, k), randTile(rng, k, n)
-		at, bt := Transpose(a), Transpose(b)
+		at, bt := transpose(a), transpose(b)
 		c0 := randTile(rng, m, n)
 
 		for _, mode := range []struct {
@@ -45,15 +45,15 @@ func testParallelGemmBitIdentical(t *testing.T, kern *microKern) {
 			{"gemmTA", at, b, true, false},
 			{"gemmTB", a, bt, false, true},
 		} {
-			want := c0.Clone()
+			want := c0.clone()
 			gemmBlockedSeq(cf, want, mode.la, mode.lb, mode.ta, mode.tb, nil)
 			// Every kernel's sequential result is also the scalar
 			// kernel's: the two are interchangeable bit for bit.
-			scalar := c0.Clone()
+			scalar := c0.clone()
 			gemmBlockedSeq(kernConf(&kernScalar, 2, cf.kc, 3), scalar, mode.la, mode.lb, mode.ta, mode.tb, nil)
 			assertExact(t, want, scalar, fmt.Sprintf("trial %d %s vs scalar kernel", trial, mode.name))
 			for _, w := range parallelWorkerCounts {
-				got := c0.Clone()
+				got := c0.clone()
 				gemmBlockedParallel(cf, got, mode.la, mode.lb, mode.ta, mode.tb, nil, w)
 				assertExact(t, got, want, fmt.Sprintf("trial %d %s w=%d", trial, mode.name, w))
 			}
@@ -89,7 +89,7 @@ func testParallelGemmHookedBitIdentical(t *testing.T, kern *microKern) {
 			}
 		}
 
-		want := c0.Clone()
+		want := c0.clone()
 		wantVisits := make([]int32, m*n)
 		gemmBlockedSeq(cf, want, a, b, false, false, epiFor(want, wantVisits))
 		for i, v := range wantVisits {
@@ -98,7 +98,7 @@ func testParallelGemmHookedBitIdentical(t *testing.T, kern *microKern) {
 			}
 		}
 		for _, w := range parallelWorkerCounts {
-			got := c0.Clone()
+			got := c0.clone()
 			visits := make([]int32, m*n)
 			gemmBlockedParallel(cf, got, a, b, false, false, epiFor(got, visits), w)
 			for i, v := range visits {

@@ -104,7 +104,7 @@ func TestSpGemmMatchesDense(t *testing.T) {
 			s := randSparse(rng, m, k, 0.3)
 			b := randTile(rng, k, n)
 			got := randTile(rng, m, n)
-			want := got.Clone()
+			want := got.clone()
 			SpGemmDense(got, s, b)
 			refGemm(want, s.ToDense(), b)
 			assertExact(t, got, want, fmt.Sprintf("spgemm trial %d (%dx%dx%d)", trial, m, k, n))
@@ -120,7 +120,7 @@ func TestSpGemmTAMatchesDense(t *testing.T) {
 			s := randSparse(rng, k, m, 0.3)
 			b := randTile(rng, k, n)
 			got := randTile(rng, m, n)
-			want := got.Clone()
+			want := got.clone()
 			SpGemmDenseTA(got, s, b)
 			refGemmTA(want, s.ToDense(), b)
 			assertExact(t, got, want, fmt.Sprintf("spgemmTA trial %d (%dx%dx%d)", trial, m, k, n))
@@ -142,11 +142,11 @@ func TestMaskedGemm(t *testing.T) {
 		maskDense := mask.ToDense()
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				if maskDense.At(i, j) != 0 {
-					if !Close(dense.At(i, j), full.At(i, j), 1e-12) {
+				if maskDense.at(i, j) != 0 {
+					if !Close(dense.at(i, j), full.at(i, j), 1e-12) {
 						t.Fatalf("masked value mismatch at (%d,%d)", i, j)
 					}
-				} else if dense.At(i, j) != 0 {
+				} else if dense.at(i, j) != 0 {
 					t.Fatalf("unmasked position (%d,%d) is nonzero", i, j)
 				}
 			}
@@ -165,7 +165,7 @@ func TestSpZip(t *testing.T) {
 	sum := SpZip(a, b, func(x, y float64) float64 { return x + y })
 	want := a.ToDense()
 	AddInto(want, b.ToDense())
-	if !sum.ToDense().AlmostEqual(want, 1e-12) {
+	if !sum.ToDense().almostEqual(want, 1e-12) {
 		t.Fatal("spzip sum mismatch")
 	}
 }
@@ -189,7 +189,7 @@ func TestCSRTranspose(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randSparse(rng, 1+rng.Intn(12), 1+rng.Intn(12), 0.4)
-		return s.Transpose().ToDense().Equal(Transpose(s.ToDense()))
+		return s.Transpose().ToDense().Equal(transpose(s.ToDense()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

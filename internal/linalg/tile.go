@@ -30,39 +30,10 @@ func NewTile(rows, cols int) *Tile {
 	return &Tile{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewTileFrom returns a tile wrapping the given backing slice. The slice is
-// used directly (not copied); len(data) must equal rows*cols.
-func NewTileFrom(rows, cols int, data []float64) *Tile {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("linalg: tile data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Tile{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the element at row i, column j.
-func (t *Tile) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (t *Tile) Set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
-
-// Clone returns a deep copy of the tile.
-func (t *Tile) Clone() *Tile {
-	d := make([]float64, len(t.Data))
-	copy(d, t.Data)
-	return &Tile{Rows: t.Rows, Cols: t.Cols, Data: d}
-}
-
 // Zero resets every element to 0 in place.
 func (t *Tile) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v in place.
-func (t *Tile) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
 	}
 }
 
@@ -73,20 +44,6 @@ func (t *Tile) Equal(o *Tile) bool {
 	}
 	for i, v := range t.Data {
 		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AlmostEqual reports whether two tiles have identical shape and elements
-// within absolute-or-relative tolerance tol.
-func (t *Tile) AlmostEqual(o *Tile, tol float64) bool {
-	if t.Rows != o.Rows || t.Cols != o.Cols {
-		return false
-	}
-	for i, v := range t.Data {
-		if !Close(v, o.Data[i], tol) {
 			return false
 		}
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -105,23 +104,4 @@ func relErr(pred, actual float64) float64 {
 		return math.Inf(1)
 	}
 	return (pred - actual) / actual
-}
-
-// Write renders the relative-error table.
-func (d *Diff) Write(w io.Writer) error {
-	fmt.Fprintf(w, "predicted vs actual (per job):\n")
-	fmt.Fprintf(w, "  %4s %-28s %12s %12s %9s\n", "job", "name", "actual s", "predicted s", "rel err")
-	for _, r := range d.Rows {
-		switch {
-		case r.MissingActual:
-			fmt.Fprintf(w, "  %4d %-28s %12s %12.1f %9s\n", r.JobID, r.Name, "-", r.PredictedSec, "n/a")
-		case r.MissingPredicted:
-			fmt.Fprintf(w, "  %4d %-28s %12.1f %12s %9s\n", r.JobID, r.Name, r.ActualSec, "-", "n/a")
-		default:
-			fmt.Fprintf(w, "  %4d %-28s %12.1f %12.1f %+8.1f%%\n", r.JobID, r.Name, r.ActualSec, r.PredictedSec, 100*r.RelErr)
-		}
-	}
-	_, err := fmt.Fprintf(w, "  %4s %-28s %12.1f %12.1f %+8.1f%%  (worst job %.1f%%)\n",
-		"", "program", d.ProgramActual, d.ProgramPredicted, 100*d.ProgramRelErr, 100*d.WorstJobRelErr)
-	return err
 }

@@ -169,8 +169,8 @@ func TestHistSeriesQuantile(t *testing.T) {
 	if q := s.Quantile(0.75); math.Abs(q-1.5) > 1e-9 {
 		t.Fatalf("p75 = %v, want 1.5", q)
 	}
-	if s.Count() != 20 || math.Abs(s.Sum()-20) > 1e-9 {
-		t.Fatalf("count/sum = %d/%v, want 20/20", s.Count(), s.Sum())
+	if s.n != 20 || math.Abs(s.sum-20) > 1e-9 {
+		t.Fatalf("count/sum = %d/%v, want 20/20", s.n, s.sum)
 	}
 }
 

@@ -124,12 +124,6 @@ func (s *HistSeries) Observe(v float64) {
 	s.counts[len(s.bounds)]++
 }
 
-// Count returns the number of recorded samples.
-func (s *HistSeries) Count() uint64 { return s.n }
-
-// Sum returns the sum of recorded samples.
-func (s *HistSeries) Sum() float64 { return s.sum }
-
 // Buckets returns the bucket upper bounds and a copy of the
 // per-bucket (non-cumulative) counts; the extra last count is the +Inf
 // bucket.

@@ -79,11 +79,7 @@ func TestTraceRecords(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	j, err := tr.Span(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Parent != prog || j.End != 12 || j.Attrs.JobID != 4 {
+	if j := spans[job-1]; j.Parent != prog || j.End != 12 || j.Attrs.JobID != 4 {
 		t.Fatalf("job span %+v", j)
 	}
 	evs := tr.Events()

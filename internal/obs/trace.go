@@ -104,16 +104,6 @@ func (t *Trace) SpansOf(kind Kind) []Span {
 	return out
 }
 
-// Span returns the span with the given id.
-func (t *Trace) Span(id SpanID) (Span, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id <= 0 || int(id) > len(t.spans) {
-		return Span{}, fmt.Errorf("obs: no span %d", id)
-	}
-	return t.spans[id-1], nil
-}
-
 // Program returns the unique program span of the trace. Analyses that
 // need a single execution (critical path) use this.
 func (t *Trace) Program() (Span, error) {

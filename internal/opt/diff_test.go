@@ -423,7 +423,8 @@ func TestConcurrentSearchesAndClones(t *testing.T) {
 	predict := func() float64 {
 		pl, p := tmpl.Clone(), sim.New(tm, cl)
 		p.OptimizeSplits(pl, 0)
-		return p.PredictPlan(pl) + p.PredictPlanQuantile(pl, 5, 1, 0.9) + p.PlanTerms(pl).Total()
+		tr := p.PlanTerms(pl)
+		return p.PredictPlan(pl) + p.PredictPlanQuantile(pl, 5, 1, 0.9) + tr.ComputeSec + tr.LocalSec + tr.RackSec + tr.RemoteSec + tr.StartupSec
 	}
 	wantPred := predict()
 

@@ -102,7 +102,8 @@ type Request struct {
 	// deadline probabilistically: a candidate is feasible only if the
 	// Confidence-quantile of its Monte Carlo completion-time distribution
 	// meets the deadline, not just its point estimate. Costs extra
-	// simulation for the candidates near the frontier.
+	// simulation for the candidates near the frontier. 0 asks for the point
+	// estimate; CheckConfidence refuses anything else.
 	Confidence float64
 	// Trials is the Monte Carlo sample count for Confidence (default 30).
 	Trials int
@@ -110,6 +111,15 @@ type Request struct {
 	// point evaluated, its model-term breakdown, why it was pruned, and
 	// the winner. nil disables recording at zero cost.
 	Search *SearchTrace
+}
+
+// CheckConfidence is the rule for Request.Confidence: 0 (the point
+// estimate) or a quantile in (0, 1).
+func CheckConfidence(c float64) error {
+	if !(c >= 0 && c < 1) {
+		return fmt.Errorf("confidence must be 0 or in (0, 1), got %g", c)
+	}
+	return nil
 }
 
 func (r Request) withDefaults() Request {
@@ -499,6 +509,9 @@ func (o *Optimizer) MinCostForDeadline(req Request) (*Result, error) {
 	if req.DeadlineSec <= 0 {
 		return nil, fmt.Errorf("opt: deadline must be positive")
 	}
+	if err := CheckConfidence(req.Confidence); err != nil {
+		return nil, fmt.Errorf("opt: %v", err)
+	}
 	rec.Begin("min-cost-deadline", req.DeadlineSec, req.Confidence)
 	rec.Count(CounterSearches, 1)
 	cands, s, err := o.enumerate(req, rec)
@@ -506,7 +519,7 @@ func (o *Optimizer) MinCostForDeadline(req Request) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(cands)
-	if req.Confidence > 0 && req.Confidence < 1 {
+	if req.Confidence > 0 {
 		return o.minCostConfident(req, s, res, rec)
 	}
 	return decide(rec, res, func(d *Deployment) PruneReason {

@@ -17,6 +17,7 @@ import (
 	"cumulon/internal/linalg"
 	"cumulon/internal/obs"
 	"cumulon/internal/plan"
+	"cumulon/internal/sim"
 )
 
 // The disabled recorder, a nil *SearchTrace, must be free: search hot
@@ -120,7 +121,7 @@ func TestSearchTraceRecordsSearch(t *testing.T) {
 		if c.Seq != i {
 			t.Fatalf("candidate %d has seq %d", i, c.Seq)
 		}
-		if c.Terms.Total() <= 0 {
+		if c.Terms == (sim.Terms{}) {
 			t.Fatalf("candidate %d has no term breakdown: %+v", i, c.Terms)
 		}
 		if i == s.WinnerSeq {

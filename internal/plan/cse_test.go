@@ -3,6 +3,7 @@ package plan_test
 import (
 	"testing"
 
+	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/plan"
 	"cumulon/internal/workloads"
@@ -107,7 +108,7 @@ func TestCSEPreservesSemantics(t *testing.T) {
 	if w.Prog.String() != before {
 		t.Fatal("plan.CSE mutated its input program")
 	}
-	in := w.RandomInputs(7)
+	in := core.RandomInputs(w.Prog, plan.Config{Densities: w.Densities}, 7)
 	want, err := lang.Interpret(w.Prog, in)
 	if err != nil {
 		t.Fatal(err)

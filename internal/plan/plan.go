@@ -60,14 +60,6 @@ type LeafRef struct {
 	Transposed bool
 }
 
-// Shape returns the logical shape of the leaf as seen by the job.
-func (l LeafRef) Shape() (rows, cols int) {
-	if l.Transposed {
-		return l.Meta.Cols, l.Meta.Rows
-	}
-	return l.Meta.Rows, l.Meta.Cols
-}
-
 // Split describes how a job's work is partitioned into tasks. For a Mul
 // job computing an (I × J × K)-tile product cube, the cube is cut into
 // CI × CJ × CK chunks, one task each. For a Map job over an (I × J) output
@@ -197,16 +189,6 @@ type Boundary struct {
 	Stmt int
 	// LastJob is the highest job ID completed at the boundary.
 	LastJob int
-}
-
-// JobByID returns the job with the given id, or nil.
-func (p *Plan) JobByID(id int) *Job {
-	for _, j := range p.Jobs {
-		if j.ID == id {
-			return j
-		}
-	}
-	return nil
 }
 
 // TopoOrder returns the jobs in a valid execution order (they are emitted

@@ -35,6 +35,9 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	if err := plan.CheckDensity(req.Density); err != nil {
 		return JobStatus{}, badRequest("admission: %v", err)
 	}
+	if err := opt.CheckConfidence(req.Confidence); err != nil {
+		return JobStatus{}, badRequest("admission: %v", err)
+	}
 	if req.Machine == "" {
 		req.Machine = s.cfg.Machine
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -227,16 +228,30 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-// TestAdmissionRejectsDensityOutOfRange: a density outside (0, 1] is
-// refused at admission with a one-line error, so it never reaches the plan
-// cache, where each raw value would compile the same plan into an entry of
-// its own. Density 0 is unset and takes the default.
+// TestAdmissionRejectsDensityOutOfRange: a density outside (0, 1], or a
+// confidence outside [0, 1), is refused at admission with a one-line error,
+// so it never reaches the plan or deployment cache, where each raw value
+// would search or compile the same thing into an entry of its own. Density
+// 0 is unset and takes the default; confidence 0 is the point estimate.
 func TestAdmissionRejectsDensityOutOfRange(t *testing.T) {
 	s, ts := newTestServer(t, Config{Nodes: 8})
-	for _, d := range []float64{-1, 2, 1e300} {
-		_, err := s.Submit(SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Nodes: 4, Density: d})
-		if err == nil || !strings.Contains(err.Error(), "density must be in (0, 1]") || strings.Contains(err.Error(), "\n") {
-			t.Fatalf("density %g: error %v, want a one-line density refusal", d, err)
+	for _, tc := range []struct {
+		density, confidence float64
+		want                string
+	}{
+		{-1, 0, "density must be in (0, 1]"},
+		{2, 0, "density must be in (0, 1]"},
+		{1e300, 0, "density must be in (0, 1]"},
+		{math.NaN(), 0, "density must be in (0, 1]"},
+		{0, -5, "confidence must be 0 or in (0, 1)"},
+		{0, 1, "confidence must be 0 or in (0, 1)"},
+		{0, 95, "confidence must be 0 or in (0, 1)"},
+		{0, math.NaN(), "confidence must be 0 or in (0, 1)"},
+	} {
+		_, err := s.Submit(SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Nodes: 4,
+			Density: tc.density, Confidence: tc.confidence, DeadlineSec: 600})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("density %g, confidence %g: error %v, want a one-line %q refusal", tc.density, tc.confidence, err, tc.want)
 		}
 	}
 	for _, d := range []float64{0, 1} {

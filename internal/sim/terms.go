@@ -33,11 +33,6 @@ type Terms struct {
 	StartupSec float64 `json:"startup_sec"`
 }
 
-// Total returns the summed seconds across terms.
-func (t Terms) Total() float64 {
-	return t.ComputeSec + t.LocalSec + t.RackSec + t.RemoteSec + t.StartupSec
-}
-
 // Sub returns the element-wise difference t - o.
 func (t Terms) Sub(o Terms) Terms {
 	return Terms{

@@ -32,7 +32,7 @@ func TestPlanTermsDecomposition(t *testing.T) {
 	}
 
 	pred := p.PredictPlan(pl)
-	total := terms.Total()
+	total := terms.ComputeSec + terms.LocalSec + terms.RackSec + terms.RemoteSec + terms.StartupSec
 	if total <= 0 || total > pred+1e-6 {
 		t.Fatalf("terms total %.2f must lower-bound prediction %.2f", total, pred)
 	}

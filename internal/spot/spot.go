@@ -195,12 +195,6 @@ type Estimate struct {
 	MeanEvicts   float64
 }
 
-// MonteCarlo estimates the outcome distribution for a bid over n trials,
-// each running the program on opts.Cluster under its own price trace.
-func MonteCarlo(sess *core.Session, prog *lang.Program, cfg plan.Config, opts core.ExecOptions, market Market, bid float64, n int, seed int64, horizonSec float64) (Estimate, error) {
-	return newRunner(sess, prog, cfg, opts).monteCarlo(market, bid, n, seed, horizonSec)
-}
-
 func (r *runner) monteCarlo(market Market, bid float64, n int, seed int64, horizonSec float64) (Estimate, error) {
 	if n <= 0 {
 		n = 1

@@ -40,7 +40,7 @@ func newFixture(t *testing.T) fixture {
 		sess: core.NewSession(7),
 		wl:   wl,
 		cfg:  plan.Config{TileSize: 4, Densities: wl.Densities},
-		opts: core.ExecOptions{Cluster: cl, Inputs: wl.RandomInputs(5)},
+		opts: core.ExecOptions{Cluster: cl, Inputs: core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 5)},
 	}
 }
 
@@ -193,7 +193,7 @@ func TestMonteCarloMonotoneInBid(t *testing.T) {
 	m := market()
 	horizon := 10 * f.uninterrupted(t).Metrics.TotalSeconds
 	estimate := func(bid float64) Estimate {
-		e, err := MonteCarlo(f.sess, f.wl.Prog, f.cfg, f.opts, m, bid, 40, 9, horizon)
+		e, err := newRunner(f.sess, f.wl.Prog, f.cfg, f.opts).monteCarlo(m, bid, 40, 9, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

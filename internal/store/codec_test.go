@@ -143,7 +143,9 @@ func TestDecodeIntoMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	into := linalg.NewTile(9, 9)
-	into.Fill(-7)
+	for i := range into.Data {
+		into.Data[i] = -7
+	}
 	buf := &into.Data[0]
 	if err := DecodeTileInto(into, raw); err != nil {
 		t.Fatal(err)
@@ -219,9 +221,9 @@ func TestCodecBytesPinned(t *testing.T) {
 		raw  []byte
 		want string
 	}{
-		{"dense 1x1", EncodeTile(linalg.NewTileFrom(1, 1, []float64{math.Pi})), "f84845eb89f20f4b8502cbd855ce6640ba671fd536c60d246086b5131b78d29b"},
-		{"dense specials 4x6", EncodeTile(linalg.NewTileFrom(4, 6, specials)), "e612cfebb4194be77331f31143a4b2b086305f670b64fb9f09bcd2db89f0233c"},
-		{"dense specials 1x24", EncodeTile(linalg.NewTileFrom(1, 24, specials)), "ceca74d2d1822e683ebbab42e6dd3892d540e7df8817669e4a63bc05aef293bd"},
+		{"dense 1x1", EncodeTile(&linalg.Tile{Rows: 1, Cols: 1, Data: []float64{math.Pi}}), "f84845eb89f20f4b8502cbd855ce6640ba671fd536c60d246086b5131b78d29b"},
+		{"dense specials 4x6", EncodeTile(&linalg.Tile{Rows: 4, Cols: 6, Data: specials}), "e612cfebb4194be77331f31143a4b2b086305f670b64fb9f09bcd2db89f0233c"},
+		{"dense specials 1x24", EncodeTile(&linalg.Tile{Rows: 1, Cols: 24, Data: specials}), "ceca74d2d1822e683ebbab42e6dd3892d540e7df8817669e4a63bc05aef293bd"},
 		{"dense region 37x29 stride 41", encodeDense(grid, 37, 29, stride), "61c1a5c31a243267b5c0c6515cb1d6c8a11f57572a731dee3b55f47e53123442"},
 		{"dense region 7x11 at (3,5) stride 41", encodeDense(grid[3*stride+5:], 7, 11, stride), "ba9d604e0747d6c6e999b0af0b5aecbd558276b3caa2f640971e2299a4d57b88"},
 		{"dense region 40x41 whole grid", encodeDense(grid, 40, stride, stride), "5a3dfe848e47da1b41640a6c870e76b04358ca6ce3e7535aac4f4d95aa073711"},
@@ -271,7 +273,7 @@ func TestSaveDenseStoresTileEncodings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(EncodeTile(linalg.NewTileFrom(11, 9, back.Data)), EncodeTile(linalg.NewTileFrom(11, 9, d.Data))) {
+		if !bytes.Equal(EncodeTile(&linalg.Tile{Rows: 11, Cols: 9, Data: back.Data}), EncodeTile(&linalg.Tile{Rows: 11, Cols: 9, Data: d.Data})) {
 			t.Fatalf("sparse=%v: LoadDense did not reproduce the matrix bit for bit", sparse)
 		}
 	}

@@ -17,11 +17,13 @@ import (
 // payloads included. Seeds are committed under testdata/fuzz.
 
 func FuzzDecodeTile(f *testing.F) {
-	f.Add(EncodeTile(linalg.NewTileFrom(2, 3, []float64{1, -2, 0, 4.5, 1e300, -0.0})))
+	f.Add(EncodeTile(&linalg.Tile{Rows: 2, Cols: 3, Data: []float64{1, -2, 0, 4.5, 1e300, -0.0}}))
 	f.Add(overflowDense())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dirty := linalg.NewTile(3, 3)
-		dirty.Fill(-7)
+		for i := range dirty.Data {
+			dirty.Data[i] = -7
+		}
 		before := *dirty
 		err := DecodeTileInto(dirty, raw)
 		fresh, freshErr := DecodeTile(raw)
@@ -47,7 +49,7 @@ func FuzzDecodeTile(f *testing.F) {
 }
 
 func FuzzDecodeSparseTile(f *testing.F) {
-	f.Add(EncodeSparseTile(linalg.DenseToCSR(linalg.NewTileFrom(2, 3, []float64{1, 0, 0, 0, -2, 3}))))
+	f.Add(EncodeSparseTile(linalg.DenseToCSR(&linalg.Tile{Rows: 2, Cols: 3, Data: []float64{1, 0, 0, 0, -2, 3}})))
 	f.Add(sealed(header(magicSparse, 1<<32-1, 1<<32-1, 1<<32-1)))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dirty := &linalg.CSRTile{RowPtr: []int{-1, -1, -1}, ColIdx: []int{-1, -1}, Val: []float64{-7, -7}}

@@ -27,7 +27,8 @@ func ingestAndFetch(t *testing.T, budget int, m Meta, d *linalg.Dense) ingested 
 	defer linalg.SetParallelism(linalg.SetParallelism(budget))
 	// Small blocks and racks: a tile spans several blocks, each placed by
 	// its own draws from the placement stream.
-	fs := dfs.New(dfs.Config{Nodes: 6, Replication: 3, BlockSize: 96, Seed: 9, RackSize: 2})
+	const nodes = 6
+	fs := dfs.New(dfs.Config{Nodes: nodes, Replication: 3, BlockSize: 96, Seed: 9, RackSize: 2})
 	s := New(fs)
 	if err := s.SaveDense(m, d, 1); err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ func ingestAndFetch(t *testing.T, budget int, m Meta, d *linalg.Dense) ingested 
 		}
 		got.payloads, got.replicas = append(got.payloads, raw), append(got.replicas, reps)
 	}
-	for node := 0; node < fs.Nodes(); node++ {
+	for node := 0; node < nodes; node++ {
 		got.stats = append(got.stats, fs.Stats(node))
 	}
 	got.stats = append(got.stats, fs.Stats(-1))

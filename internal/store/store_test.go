@@ -94,7 +94,7 @@ func TestSparseTileCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeDetectsCorruption(t *testing.T) {
-	tile := linalg.NewTileFrom(2, 2, []float64{1, 2, 3, 4})
+	tile := &linalg.Tile{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	raw := EncodeTile(tile)
 	raw[14] ^= 0xFF // flip a payload bit
 	if _, err := DecodeTile(raw); !errors.Is(err, ErrCorrupt) {
@@ -103,7 +103,7 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 }
 
 func TestDecodeDetectsTruncation(t *testing.T) {
-	tile := linalg.NewTileFrom(2, 2, []float64{1, 2, 3, 4})
+	tile := &linalg.Tile{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	raw := EncodeTile(tile)
 	if _, err := DecodeTile(raw[:len(raw)-5]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
@@ -111,7 +111,7 @@ func TestDecodeDetectsTruncation(t *testing.T) {
 }
 
 func TestDecodeBadMagic(t *testing.T) {
-	tile := linalg.NewTileFrom(1, 1, []float64{1})
+	tile := &linalg.Tile{Rows: 1, Cols: 1, Data: []float64{1}}
 	raw := EncodeTile(tile)
 	raw[0] = 0
 	if _, err := DecodeTile(raw); !errors.Is(err, ErrBadMagic) {
@@ -125,7 +125,7 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestDenseMagicRejectedBySparseDecoder(t *testing.T) {
-	tile := linalg.NewTileFrom(1, 2, []float64{1, 2})
+	tile := &linalg.Tile{Rows: 1, Cols: 2, Data: []float64{1, 2}}
 	if _, err := DecodeSparseTile(EncodeTile(tile)); err == nil {
 		t.Fatal("sparse decoder accepted a dense tile")
 	}
@@ -145,8 +145,8 @@ func TestSaveLoadDense(t *testing.T) {
 	if !got.AlmostEqual(want, 0) {
 		t.Fatal("save/load round trip mismatch")
 	}
-	if s.FS.FileCount() != m.TileRows()*m.TileCols() {
-		t.Fatalf("tile count: %d", s.FS.FileCount())
+	if len(s.FS.List("")) != m.TileRows()*m.TileCols() {
+		t.Fatalf("tile count: %d", len(s.FS.List("")))
 	}
 }
 
@@ -181,8 +181,8 @@ func TestDeleteMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.DeleteMatrix(m)
-	if s.FS.FileCount() != 0 {
-		t.Fatalf("tiles left after delete: %d", s.FS.FileCount())
+	if len(s.FS.List("")) != 0 {
+		t.Fatalf("tiles left after delete: %d", len(s.FS.List("")))
 	}
 }
 
@@ -191,7 +191,7 @@ func TestDeleteMatrix(t *testing.T) {
 func TestReadWriteSingleTiles(t *testing.T) {
 	s := newStore(3)
 	m := Meta{Name: "B", Rows: 6, Cols: 6, TileSize: 3}
-	tile := linalg.NewTileFrom(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	tile := &linalg.Tile{Rows: 3, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}}
 	b := s.FS.Batch()
 	err := b.Write(m.Tile(1, 0), EncodeTile(tile), 2)
 	raw, rerr := b.Read(m.Tile(1, 0), 0)
@@ -200,7 +200,7 @@ func TestReadWriteSingleTiles(t *testing.T) {
 	if err != nil || rerr != nil {
 		t.Fatal(err, rerr)
 	}
-	byPath, err := s.FS.Read("/matrix/B/1_0", 0)
+	byPath, err := s.FS.Peek("/matrix/B/1_0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func gnmfReference(v, w, h *linalg.Dense) (*linalg.Dense, *linalg.Dense) {
 
 func TestGNMFMatchesReferenceUpdate(t *testing.T) {
 	wl := GNMF(20, 15, 4, 1, 0.3)
-	data := wl.RandomInputs(5)
+	data := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 5)
 	out, err := lang.Interpret(wl.Prog, data)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestGNMFReducesReconstructionError(t *testing.T) {
 	frob := func(v, w, h *linalg.Dense) float64 { return v.Sub(w.Mul(h)).FrobeniusNorm() }
 	wl1 := GNMF(30, 25, 4, 1, 0.5)
 	wl8 := GNMF(30, 25, 4, 8, 0.5)
-	data := wl1.RandomInputs(7)
+	data := core.RandomInputs(wl1.Prog, plan.Config{Densities: wl1.Densities}, 7)
 	before := frob(data["V"], data["W"], data["H"])
 	out1, err := lang.Interpret(wl1.Prog, data)
 	if err != nil {
@@ -138,7 +138,7 @@ func TestMatMulChainStructure(t *testing.T) {
 
 func TestRandomInputsDensity(t *testing.T) {
 	wl := GNMF(100, 100, 5, 1, 0.1)
-	data := wl.RandomInputs(9)
+	data := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 9)
 	nnz := 0
 	for _, x := range data["V"].Data {
 		if x != 0 {
@@ -174,10 +174,10 @@ func TestPageRankConverges(t *testing.T) {
 	n := 60
 	p, x := linalg.NewDense(n, n), linalg.NewDense(n, 1)
 	for j := 0; j < n; j++ {
-		p.Set((j+1)%n, j, 0.5)
-		p.Set(0, j, p.At(0, j)+0.5)
+		p.Data[(j+1)%n*n+j] = 0.5
+		p.Data[j] += 0.5
 	}
-	x.Set(0, 0, 1)
+	x.Data[0] = 1
 	inputs := map[string]*linalg.Dense{"P": p, "x": x, "v": linalg.ConstDense(n, 1, 1/float64(n))}
 	wl20 := PageRank(n, 20, 0.1, 0.85)
 	out20, err := lang.Interpret(wl20.Prog, inputs)
@@ -186,8 +186,12 @@ func TestPageRankConverges(t *testing.T) {
 	}
 	x20 := out20["x"]
 	// A probability vector...
-	if math.Abs(x20.Sum()-1) > 1e-6 {
-		t.Fatalf("rank vector sums to %v", x20.Sum())
+	sum := 0.0
+	for _, v := range x20.Data {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-6 {
+		t.Fatalf("rank vector sums to %v", sum)
 	}
 	// ...that is a fixed point: one more iteration barely moves it.
 	wl21 := PageRank(n, 21, 0.1, 0.85)
@@ -202,7 +206,7 @@ func TestPageRankConverges(t *testing.T) {
 
 func TestPageRankOnEngine(t *testing.T) {
 	wl := PageRank(40, 5, 0.15, 0.85)
-	inputs := wl.RandomInputs(9)
+	inputs := core.RandomInputs(wl.Prog, plan.Config{Densities: wl.Densities}, 9)
 	sess := core.NewSession(3)
 	mt, _ := cloud.TypeByName("m1.large")
 	cl, _ := cloud.NewCluster(mt, 3, 2)

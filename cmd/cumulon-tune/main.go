@@ -1,15 +1,15 @@
 // Command cumulon-tune benchmarks the blocked-GEMM kernel tier on the
 // current host, sweeping cache-blocking shapes (mc/kc/nc) and parallel
 // worker counts, and writes the resulting profile as JSON. The profile
-// has two consumers: cumulon/cumulon-bench install it into the kernels
-// (best shape + worker bound), and cumulon-opt feeds its measured
+// has two consumers: cumulon-bench -autotune installs it into the kernels
+// (best shape + worker bound), and cumulon -optimize feeds its measured
 // speedup into deployment-model calibration (-kernel-profile).
 //
 // Usage:
 //
 //	cumulon-tune -out profile.json
 //	cumulon-tune -quick -size 256 -out -        # fast sweep to stdout
-//	cumulon-opt -f prog.cm -deadline 3600 -kernel-profile profile.json
+//	cumulon -f prog.cm -optimize -deadline 3600 -kernel-profile profile.json
 package main
 
 import (

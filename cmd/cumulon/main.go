@@ -1,5 +1,9 @@
 // Command cumulon compiles and runs a matrix program on a simulated cloud
-// cluster, reporting the plan, per-job timings and the bill.
+// cluster, reporting the plan, per-job timings and the bill. With -optimize
+// the cost-based optimizer first picks the deployment (machine type, nodes,
+// slots and splits) that meets a deadline at least cost, or a budget in
+// least time, reports it with its splits and the time/cost frontier, and
+// runs it.
 //
 // Programs use the textual syntax of package lang, e.g.:
 //
@@ -11,11 +15,15 @@
 //	output W
 //	output H
 //
+// The flags that describe the run spell a server.SubmitRequest, read by
+// the same rules cumulond applies to a POST /v1/jobs body.
+//
 // Usage:
 //
 //	cumulon -f prog.cm -machine c1.medium -nodes 16 -slots 2
 //	cumulon -f prog.cm -materialize      # small programs: compute real values
-//	cumulon -f prog.cm -optimize -explain # let the optimizer pick the cluster
+//	cumulon -f prog.cm -optimize -deadline 3600 -explain
+//	cumulon -f prog.cm -optimize -budget 25 -max-nodes 32
 //	echo 'input A 4096 4096 ...' | cumulon
 package main
 
@@ -27,144 +35,164 @@ import (
 	"os"
 	"strings"
 
-	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
 	"cumulon/internal/cloud"
 	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
+	"cumulon/internal/linalg/tune"
 	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
 	"cumulon/internal/server"
 )
 
+// site is what cumulon's requests take for the fields their flags leave
+// unset, as cumulond's Config is for its requests: an 8-node m1.large
+// cluster with 2 slots per node, seed 42, and at most 64 nodes run or
+// searched.
+var site = server.Config{Machine: "m1.large", Nodes: 64, DefaultJobNodes: 8, Slots: 2, Seed: 42}
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cumulon:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// invocation is one parsed command line: the normalized request its flags
+// spell, and the flags that are cumulon's own.
+type invocation struct {
+	req                                            server.SubmitRequest
+	file, stateDir, kernelProfile                  string
+	traceOut, metricsOut, timelineOut, searchTrace string
+	frontierOut                                    string
+	workers, kernelPar                             int
+	showPlan, asJSON, dot, critpath, resume        bool
+}
+
+func parseArgs(args []string) (*invocation, error) {
+	// The flags' defaults are the table's: a zero request, normalized.
+	def := server.SubmitRequest{Optimize: true}
+	if err := def.Normalize(site); err != nil {
+		return nil, err
+	}
+	var in invocation
+	r := &in.req
 	fs := flag.NewFlagSet("cumulon", flag.ContinueOnError)
-	file := fs.String("f", "", "program file (default: stdin)")
-	machine := fs.String("machine", "m1.large", "machine type")
-	nodes := fs.Int("nodes", 8, "cluster size")
-	slots := fs.Int("slots", 2, "task slots per node")
-	tile := fs.Int("tile", 2048, "tile size in elements")
-	density := fs.Float64("density", 0.05, "assumed density of sparse inputs")
-	materialize := fs.Bool("materialize", false,
+	fs.StringVar(&in.file, "f", "", "program file (default: stdin)")
+	fs.StringVar(&r.Machine, "machine", def.Machine, "machine type")
+	fs.IntVar(&r.Nodes, "nodes", def.Nodes, fmt.Sprintf("cluster size (at most %d)", site.Nodes))
+	fs.IntVar(&r.Slots, "slots", def.Slots, "task slots per node")
+	fs.IntVar(&r.Tile, "tile", def.Tile, "tile size in elements")
+	fs.Float64Var(&r.Density, "density", def.Density, "assumed density of sparse inputs")
+	fs.BoolVar(&r.Materialize, "materialize", false,
 		"compute real values on random inputs (small programs only) and print output stats")
-	seed := fs.Int64("seed", 42, "seed for data, placement and noise")
-	workers := fs.Int("workers", 0,
+	fs.Int64Var(&r.Seed, "seed", def.Seed, "seed for data, placement, noise and calibration")
+	fs.IntVar(&in.workers, "workers", 0,
 		"tasks computed at once with -materialize (0 = the host's compute budget, 1 = sequential; results are identical)")
-	kernelPar := fs.Int("kernel-par", 0,
+	fs.IntVar(&in.kernelPar, "kernel-par", 0,
 		"size of the host's compute budget: goroutines doing tile math at once, tasks and parallel GEMM together (0 = GOMAXPROCS; results are identical)")
-	showPlan := fs.Bool("plan", true, "print the compiled physical plan")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text")
-	dot := fs.Bool("dot", false, "emit the plan DAG in Graphviz DOT and exit")
-	traceOut := fs.String("trace", "",
+	fs.BoolVar(&in.showPlan, "plan", true, "print the compiled physical plan and what the CSE pass rewrote")
+	fs.BoolVar(&in.asJSON, "json", false, "emit machine-readable JSON instead of text")
+	fs.BoolVar(&in.dot, "dot", false, "emit the plan DAG in Graphviz DOT and exit")
+	fs.StringVar(&in.traceOut, "trace", "",
 		"write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto; \"-\" for stdout)")
-	metricsOut := fs.String("metrics", "",
+	fs.StringVar(&in.metricsOut, "metrics", "",
 		"write a Prometheus-style text metrics snapshot of the run to this file (\"-\" for stdout)")
-	timelineOut := fs.String("timeline", "",
+	fs.StringVar(&in.timelineOut, "timeline", "",
 		"write the per-task timeline CSV to this file (\"-\" for stdout)")
-	critpath := fs.Bool("critpath", false, "print the critical-path analysis of the run")
-	optimize := fs.Bool("optimize", false,
+	fs.BoolVar(&in.critpath, "critpath", false, "print the critical-path analysis of the run")
+	fs.BoolVar(&r.Optimize, "optimize", false,
 		"let the optimizer choose the deployment (machine type, nodes, slots, splits) instead of -machine/-nodes/-slots")
-	deadline := fs.Float64("deadline", 0,
-		"with -optimize: deadline in seconds to minimize cost under (default 24h when no -budget is given)")
-	budget := fs.Float64("budget", 0, "with -optimize: budget in dollars to minimize time under")
-	confidence := fs.Float64("confidence", 0,
+	fs.Float64Var(&r.DeadlineSec, "deadline", 0, fmt.Sprintf(
+		"with -optimize: deadline in seconds to minimize cost under (%gs when no -budget is given)", def.DeadlineSec))
+	fs.Float64Var(&r.BudgetDollars, "budget", 0, "with -optimize: budget in dollars to minimize time under")
+	fs.Float64Var(&r.Confidence, "confidence", 0,
 		"with -optimize -deadline: promise the deadline at this probability (e.g. 0.95) instead of in expectation")
-	maxNodes := fs.Int("max-nodes", 64, "with -optimize: largest cluster size to consider")
-	explain := fs.Bool("explain", false,
+	fs.IntVar(&r.MaxNodes, "max-nodes", 0, fmt.Sprintf(
+		"with -optimize: largest cluster size to consider (0 = %d, the most it takes)", def.MaxNodes))
+	fs.BoolVar(&r.Explain, "explain", false,
 		"with -optimize: print an EXPLAIN report of the search (winner vs nearest rivals, per-term deltas, prune reasons)")
-	searchTrace := fs.String("searchtrace", "",
+	fs.StringVar(&in.searchTrace, "searchtrace", "",
 		"with -optimize: write the candidate-level search trace to this file (JSON, or CSV when the path ends in .csv; \"-\" for stdout)")
-	frontierOut := fs.String("frontier", "",
+	fs.StringVar(&in.frontierOut, "frontier", "",
 		"with -optimize: write the time/cost Pareto frontier as SVG to this file (\"-\" for stdout)")
-	chaosSpec := fs.String("chaos", "",
+	fs.StringVar(&in.kernelProfile, "kernel-profile", "",
+		"with -optimize: kernel autotuner profile (JSON from cumulon-tune); its measured speedup scales each machine's effective throughput during calibration")
+	fs.StringVar(&r.Chaos, "chaos", "",
 		"inject a deterministic fault schedule, e.g. \"seed=7,kill=3@120,taskfault=0.02,readfault=0.01\" (kill=NODE@SECONDS repeats)")
-	maxRetries := fs.Int("max-retries", 0,
+	fs.IntVar(&r.MaxRetries, "max-retries", 0,
 		"per-task retry budget under faults (0 = default of 3, negative = no retries)")
-	checkpoint := fs.Int("checkpoint", 0,
+	fs.IntVar(&r.CheckpointEvery, "checkpoint", 0,
 		"checkpoint the program at every Nth iteration boundary into -state-dir (0 = off)")
-	resume := fs.Bool("resume", false,
+	fs.BoolVar(&in.resume, "resume", false,
 		"resume from the newest valid checkpoint in -state-dir instead of recomputing finished iterations")
-	stateDir := fs.String("state-dir", "",
+	fs.StringVar(&in.stateDir, "state-dir", "",
 		"directory holding program checkpoints for -checkpoint/-resume")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+		return nil, fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	if *asJSON {
-		*showPlan = false
+	if in.asJSON {
+		in.showPlan = false
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	if in.workers < 0 {
+		return nil, fmt.Errorf("-workers must be >= 0, got %d", in.workers)
 	}
-	if !*optimize && (*explain || *searchTrace != "" || *frontierOut != "") {
-		return fmt.Errorf("-explain, -searchtrace and -frontier require -optimize")
+	if !r.Optimize && (in.searchTrace != "" || in.frontierOut != "" || in.kernelProfile != "") {
+		return nil, fmt.Errorf("-searchtrace, -frontier and -kernel-profile require -optimize")
 	}
-	if *optimize && *deadline > 0 && *budget > 0 {
-		return fmt.Errorf("specify at most one of -deadline and -budget")
+	if in.resume && r.CheckpointEvery <= 0 {
+		return nil, fmt.Errorf("-resume requires -checkpoint N (the cadence is part of the checkpoint identity)")
 	}
-	if *resume && *checkpoint <= 0 {
-		return fmt.Errorf("-resume requires -checkpoint N (the cadence is part of the checkpoint identity)")
+	if r.CheckpointEvery > 0 && in.stateDir == "" {
+		return nil, fmt.Errorf("-checkpoint/-resume require -state-dir")
 	}
-	if *checkpoint > 0 && *stateDir == "" {
-		return fmt.Errorf("-checkpoint/-resume require -state-dir")
+	if err := r.Normalize(site); err != nil {
+		return nil, err
 	}
-	if err := plan.CheckDensity(*density); err != nil {
-		return fmt.Errorf("-density: %v", err)
-	}
-	if err := opt.CheckConfidence(*confidence); err != nil {
-		return fmt.Errorf("-confidence: %v", err)
-	}
-	if *kernelPar > 0 {
-		linalg.SetParallelism(*kernelPar)
-	}
+	return &in, nil
+}
 
-	sched, err := chaos.Parse(*chaosSpec)
+func run(args []string, w io.Writer) error {
+	in, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-
-	prog, err := lang.ParseFile(*file)
+	req := &in.req
+	if in.kernelPar > 0 {
+		linalg.SetParallelism(in.kernelPar)
+	}
+	prog, err := lang.ParseFile(in.file)
 	if err != nil {
 		return err
 	}
-	mt, err := cloud.TypeByName(*machine)
+	mt, err := cloud.TypeByName(req.Machine)
 	if err != nil {
 		return err
 	}
-	cluster, err := cloud.NewCluster(mt, *nodes, *slots)
+	cluster, err := cloud.NewCluster(mt, req.Nodes, req.Slots)
 	if err != nil {
 		return err
 	}
-	cfg := plan.ConfigFor(prog, *tile, *density)
-
-	sess := core.NewSession(*seed)
-	if *dot {
-		pl, err := sess.Compile(prog, cfg)
-		if err != nil {
-			return err
-		}
+	cfg := plan.ConfigFor(prog, req.Tile, req.Density)
+	sess := core.NewSession(req.Seed)
+	pl, err := sess.Compile(prog, cfg)
+	if err != nil {
+		return err
+	}
+	if in.dot {
 		pl.AutoSplit(cluster.TotalSlots())
-		fmt.Print(pl.ToDOT())
+		fmt.Fprint(w, pl.ToDOT())
 		return nil
 	}
-	if *showPlan {
-		pl, err := sess.Compile(prog, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(pl)
-		fmt.Println()
+	if in.showPlan {
+		fmt.Fprint(w, pl)
+		writeRewrites(w, pl.Rewrites)
+		fmt.Fprintln(w)
 	}
 
 	// With -optimize, search the deployment space first and execute what
@@ -173,67 +201,26 @@ func run(args []string) error {
 		dep *opt.Deployment
 		st  *opt.SearchTrace
 	)
-	if *optimize {
-		if *deadline <= 0 && *budget <= 0 {
-			// A loose default deadline: effectively "cheapest overall".
-			*deadline = 24 * 3600
-		}
-		st = opt.NewSearchTrace()
-		req := opt.Request{
-			Program:       prog,
-			PlanCfg:       cfg,
-			DeadlineSec:   *deadline,
-			BudgetDollars: *budget,
-			Confidence:    *confidence,
-			MaxNodes:      *maxNodes,
-			Search:        st,
-		}
-		sres, err := sess.Optimizer().Search(req)
-		if err != nil {
+	if req.Optimize {
+		if dep, st, err = search(w, in, sess, prog, pl); err != nil {
 			return err
-		}
-		dep = sres.Best
-		if !*asJSON {
-			verdict := "optimizer chose"
-			if !sres.Met {
-				verdict = "constraint NOT satisfiable; closest is"
-			}
-			fmt.Printf("%s: %s\n\n", verdict, dep)
-		}
-		if *explain {
-			if err := st.Explain(os.Stdout, 5); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if *searchTrace != "" {
-			if err := st.WriteFile(*searchTrace); err != nil {
-				return err
-			}
-		}
-		if *frontierOut != "" {
-			if err := obs.WriteFile(*frontierOut, st.WriteFrontierSVG); err != nil {
-				return err
-			}
 		}
 		cluster = dep.Cluster
 	}
 
-	opts := core.ExecOptions{Cluster: cluster, Workers: *workers, Chaos: sched, MaxTaskRetries: *maxRetries}
-	if *checkpoint > 0 {
-		cs, err := ckpt.NewDirStore(*stateDir)
-		if err != nil {
+	opts, err := req.ExecOptions(prog, cluster)
+	if err != nil {
+		return err
+	}
+	opts.Workers = in.workers
+	if req.CheckpointEvery > 0 {
+		if opts.CheckpointStore, err = ckpt.NewDirStore(in.stateDir); err != nil {
 			return err
 		}
-		opts.CheckpointEvery = *checkpoint
-		opts.CheckpointStore = cs
-		opts.Resume = *resume
-	}
-	if *materialize {
-		opts.Inputs = core.RandomInputs(prog, cfg, *seed)
+		opts.Resume = in.resume
 	}
 	var tr *obs.Trace
-	if *traceOut != "" || *metricsOut != "" || *critpath {
+	if in.traceOut != "" || in.metricsOut != "" || in.critpath {
 		tr = obs.NewTrace()
 		opts.Recorder = tr
 	}
@@ -247,75 +234,149 @@ func run(args []string) error {
 		return err
 	}
 
-	if *timelineOut != "" {
-		if err := obs.WriteFile(*timelineOut, res.Metrics.TimelineCSV); err != nil {
+	if in.timelineOut != "" {
+		if err := obs.WriteFile(in.timelineOut, res.Metrics.TimelineCSV); err != nil {
 			return err
 		}
 	}
-	if *traceOut != "" {
-		if err := obs.WriteFile(*traceOut, tr.WriteChrome); err != nil {
+	if in.traceOut != "" {
+		if err := obs.WriteFile(in.traceOut, tr.WriteChrome); err != nil {
 			return err
 		}
 	}
-	if *metricsOut != "" {
-		if err := obs.WriteFile(*metricsOut, func(w io.Writer) error {
+	if in.metricsOut != "" {
+		if err := obs.WriteFile(in.metricsOut, func(mw io.Writer) error {
 			reg := obs.Snapshot(tr)
 			if st != nil {
 				// Fold the optimizer's search counters into the same snapshot.
 				st.MetricsInto(reg)
 			}
-			return reg.Write(w)
+			return reg.Write(mw)
 		}); err != nil {
 			return err
 		}
 	}
-	if *critpath {
+	if in.critpath {
 		cp, err := tr.CriticalPath()
 		if err != nil {
 			return err
 		}
-		if err := cp.Write(os.Stdout); err != nil {
+		if err := cp.Write(w); err != nil {
 			return err
 		}
 	}
 
-	if *asJSON {
-		return emitJSON(cluster, res)
+	if in.asJSON {
+		return emitJSON(w, cluster, res)
 	}
 
-	fmt.Printf("cluster: %s\n", cluster)
-	fmt.Printf("jobs:\n")
+	fmt.Fprintf(w, "cluster: %s\n", cluster)
+	fmt.Fprintf(w, "jobs:\n")
 	for _, j := range res.Metrics.Jobs {
-		fmt.Printf("  %-24s %-4s %4d tasks  %8.1fs\n", j.Name, j.Kind, j.Tasks, j.Seconds())
+		fmt.Fprintf(w, "  %-24s %-4s %4d tasks  %8.1fs\n", j.Name, j.Kind, j.Tasks, j.Seconds())
 	}
-	fmt.Printf("total time: %.1fs (%.2fh)\n", res.Metrics.TotalSeconds, res.Metrics.TotalSeconds/3600)
-	fmt.Printf("total work: %.1f Gflops, %.2f GB read, %.2f GB written\n",
+	fmt.Fprintf(w, "total time: %.1fs (%.2fh)\n", res.Metrics.TotalSeconds, res.Metrics.TotalSeconds/3600)
+	fmt.Fprintf(w, "total work: %.1f Gflops, %.2f GB read, %.2f GB written\n",
 		float64(res.Metrics.TotalFlops)/1e9,
 		float64(res.Metrics.TotalReadBytes)/1e9,
 		float64(res.Metrics.TotalWriteBytes)/1e9)
 	if m := res.Metrics; m.NodeCrashes > 0 || m.TotalRetries > 0 {
-		fmt.Printf("recovery: %d node crash(es), %d task retries, %.1fs lost, %.2f GB re-replicated, %d blocks lost\n",
+		fmt.Fprintf(w, "recovery: %d node crash(es), %d task retries, %.1fs lost, %.2f GB re-replicated, %d blocks lost\n",
 			m.NodeCrashes, m.TotalRetries, m.RecoverySeconds,
 			float64(m.RereplicatedBytes)/1e9, m.BlocksLost)
 	}
 	if m := res.Metrics; m.Checkpoints > 0 || m.ResumedFromStmt > 0 {
-		fmt.Printf("checkpoint: %d written (%.2f GB, %.1fs overhead)", m.Checkpoints,
+		fmt.Fprintf(w, "checkpoint: %d written (%.2f GB, %.1fs overhead)", m.Checkpoints,
 			float64(m.CheckpointBytes)/1e9, m.CheckpointSeconds)
 		if m.ResumedFromStmt > 0 {
-			fmt.Printf("; resumed from stmt %d, %d jobs skipped", m.ResumedFromStmt, m.ResumeSkippedJobs)
+			fmt.Fprintf(w, "; resumed from stmt %d, %d jobs skipped", m.ResumedFromStmt, m.ResumeSkippedJobs)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("bill: $%.2f\n", res.CostDollars)
+	fmt.Fprintf(w, "bill: $%.2f\n", res.CostDollars)
 	for _, o := range server.DigestOutputs(res.Outputs) {
-		fmt.Printf("output %s: %dx%d, frobenius %.4g, sha256 %s\n",
+		fmt.Fprintf(w, "output %s: %dx%d, frobenius %.4g, sha256 %s\n",
 			o.Name, o.Rows, o.Cols, o.Frobenius, o.SHA256)
 	}
 	return nil
 }
 
-// emitJSON writes a machine-readable run report to stdout.
-func emitJSON(cluster cloud.Cluster, res *core.ExecResult) error {
+// search runs the optimizer over the whole catalog and, in text mode,
+// reports the winner with its per-job splits and the time/cost frontier.
+func search(w io.Writer, in *invocation, sess *core.Session, prog *lang.Program, pl *plan.Plan) (*opt.Deployment, *opt.SearchTrace, error) {
+	o := sess.Optimizer()
+	if in.kernelProfile != "" {
+		prof, err := tune.LoadFile(in.kernelProfile)
+		if err != nil {
+			return nil, nil, err
+		}
+		o.UseKernelProfile(prof)
+		if !in.asJSON {
+			s := prof.Best.Shape
+			fmt.Fprintf(w, "kernel profile: %s (speedup %.2fx, best mc=%d kc=%d nc=%d w=%d)\n",
+				in.kernelProfile, prof.Speedup(), s.MC, s.KC, s.NC, prof.Best.Workers)
+		}
+	}
+	st := opt.NewSearchTrace()
+	oreq := in.req.SearchRequest(prog)
+	oreq.Search = st
+	sres, err := o.Search(oreq)
+	if err != nil {
+		return nil, nil, err
+	}
+	dep := sres.Best
+	if !in.asJSON {
+		verdict := "optimizer chose"
+		if !sres.Met {
+			verdict = "constraint NOT satisfiable; closest is"
+		}
+		fmt.Fprintf(w, "%s: %s\n", verdict, dep)
+		for _, j := range pl.Jobs {
+			fmt.Fprintf(w, "  job %d %-24s %v\n", j.ID, j.Name, dep.Splits[j.ID])
+		}
+		fmt.Fprintf(w, "\ntime/cost frontier (%d candidates evaluated):\n", len(sres.Candidates))
+		fmt.Fprintf(w, "  %-26s %12s %10s\n", "deployment", "time (s)", "cost ($)")
+		for _, d := range sres.Frontier {
+			fmt.Fprintf(w, "  %-26s %12.1f %10.2f\n", d.Cluster, d.PredSeconds, d.Cost)
+		}
+		fmt.Fprintln(w)
+	}
+	if in.req.Explain {
+		if err := st.Explain(w, 5); err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintln(w)
+	}
+	if in.searchTrace != "" {
+		if err := st.WriteFile(in.searchTrace); err != nil {
+			return nil, nil, err
+		}
+	}
+	if in.frontierOut != "" {
+		if err := obs.WriteFile(in.frontierOut, st.WriteFrontierSVG); err != nil {
+			return nil, nil, err
+		}
+	}
+	return dep, st, nil
+}
+
+// writeRewrites reports what the cross-statement CSE/hoisting pass
+// eliminated from the program; a search counts the same as cse_chains and
+// cse_flops_saved.
+func writeRewrites(w io.Writer, r *plan.RewriteReport) {
+	if r == nil {
+		fmt.Fprintln(w, "rewrites: none (no repeated matrix-product chains)")
+		return
+	}
+	fmt.Fprintf(w, "rewrites: %d chain(s) eliminated, %d flops/eval saved\n", r.Chains(), r.FlopsSaved())
+	for _, e := range r.Entries {
+		fmt.Fprintf(w, "  cse %s: %s (%d occurrences, %d flops/eval saved)\n",
+			e.Temp, e.Expr, e.Occurrences, e.FlopsSaved)
+	}
+}
+
+// emitJSON writes a machine-readable run report.
+func emitJSON(w io.Writer, cluster cloud.Cluster, res *core.ExecResult) error {
 	type jobOut struct {
 		Name    string  `json:"name"`
 		Kind    string  `json:"kind"`
@@ -367,7 +428,7 @@ func emitJSON(cluster cloud.Cluster, res *core.ExecResult) error {
 	for _, j := range res.Metrics.Jobs {
 		report.Jobs = append(report.Jobs, jobOut{Name: j.Name, Kind: j.Kind, Tasks: j.Tasks, Seconds: j.Seconds()})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(report)
 }

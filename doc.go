@@ -17,8 +17,9 @@
 //   - workloads — GNMF, RSVD, regression, product chains
 //   - bench     — the experiment harness regenerating the evaluation
 //
-// Entry points: cmd/cumulon (run programs), cmd/cumulon-opt (deployment
-// optimizer), cmd/cumulon-bench (regenerate the evaluation). See README.md
+// Entry points: cmd/cumulon (run programs; -optimize lets the deployment
+// optimizer pick the cluster first), cmd/cumulon-bench (regenerate the
+// evaluation), cmd/cumulond (the multi-tenant job service). See README.md
 // for a tour, DESIGN.md for the architecture and the experiment index, and
 // EXPERIMENTS.md for reproduction results.
 package cumulon

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cumulon/internal/compute"
+	"cumulon/internal/core"
 	"cumulon/internal/exec"
 	"cumulon/internal/plan"
 	"cumulon/internal/workloads"
@@ -47,7 +48,8 @@ func (b *traceBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, 
 // TestOpTracesPinned pins the rendered op trace of every task the engine
 // runs — virtually for GNMF, GNMF-KL, RSVD and PageRank at two tile sizes
 // each, materialized for a small GNMF — to its sha256, recorded before tile
-// addresses replaced formatted paths in the trace. AutoSplit k-splits the
+// addresses replaced formatted paths in the trace; the materialized case's
+// since its inputs come from core.RandomInputs. AutoSplit k-splits the
 // skinny products, so aggregation tasks and their partial matrices are in
 // the traces too.
 func TestOpTracesPinned(t *testing.T) {
@@ -65,7 +67,7 @@ func TestOpTracesPinned(t *testing.T) {
 		{workloads.RSVD(5000, 3000, 20, 2), 2048, false, "82676427f10bd7762f5f0d017e70dbac2ddac289327e5dc2b375f0ca0f1d8709"},
 		{workloads.PageRank(8000, 3, 0.01, 0.85), 1024, false, "7adf6ed54e320b9499195094427445582f062a3beccb7396d3b372d1be2f62e2"},
 		{workloads.PageRank(8000, 3, 0.01, 0.85), 4096, false, "b18012bc46ab4724be239d54db9f9dff25bb3d13da3fd6c7b7e762f58558aa80"},
-		{workloads.GNMF(40, 30, 4, 2, 0.3), 8, true, "ae5b4abee7d04cb3978b997c8eda6ae5e769683d41dbd892954a3c8894e36774"},
+		{workloads.GNMF(40, 30, 4, 2, 0.3), 8, true, "56f1a77b7ccc1288706b1bf77c459c50033fc0264862a48725b3938c2345b33b"},
 	}
 	kSplits := 0
 	for _, c := range cases {
@@ -85,7 +87,7 @@ func TestOpTracesPinned(t *testing.T) {
 				kSplits++
 			}
 		}
-		data := c.wl.RandomInputs(3)
+		data := core.RandomInputs(c.wl.Prog, plan.Config{Densities: c.wl.Densities}, 3)
 		for _, in := range pl.Inputs {
 			if c.materialize {
 				err = e.LoadDense(in, data[in.Name])

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/cloud"
+	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
@@ -23,55 +25,11 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	if req.Program == "" {
 		return JobStatus{}, badRequest("admission: program is required")
 	}
-	if req.Tile == 0 {
-		req.Tile = 2048
-	}
-	if req.Tile < 0 {
-		return JobStatus{}, badRequest("admission: tile must be positive, got %d", req.Tile)
-	}
-	if req.Density == 0 {
-		req.Density = 0.05
-	}
-	if err := plan.CheckDensity(req.Density); err != nil {
+	if err := req.Normalize(s.cfg); err != nil {
 		return JobStatus{}, badRequest("admission: %v", err)
-	}
-	if err := opt.CheckConfidence(req.Confidence); err != nil {
-		return JobStatus{}, badRequest("admission: %v", err)
-	}
-	if req.Machine == "" {
-		req.Machine = s.cfg.Machine
 	}
 	if req.Machine != s.cfg.Machine {
 		return JobStatus{}, badRequest("admission: cluster is %s; per-job machine types are not supported", s.cfg.Machine)
-	}
-	if req.Slots == 0 {
-		req.Slots = s.cfg.Slots
-	}
-	if req.Slots < 0 {
-		return JobStatus{}, badRequest("admission: slots must be positive, got %d", req.Slots)
-	}
-	if req.Nodes == 0 {
-		req.Nodes = s.cfg.DefaultJobNodes
-	}
-	if req.Nodes < 0 {
-		return JobStatus{}, badRequest("admission: nodes must be positive, got %d", req.Nodes)
-	}
-	if req.Seed == 0 {
-		req.Seed = s.cfg.Seed
-	}
-	if req.MaxRetries < 0 {
-		return JobStatus{}, badRequest("admission: max_retries must be non-negative, got %d", req.MaxRetries)
-	}
-	if req.CheckpointEvery < 0 {
-		return JobStatus{}, badRequest("admission: checkpoint_every must be non-negative, got %d", req.CheckpointEvery)
-	}
-	if req.Chaos != "" {
-		if _, err := chaos.Parse(req.Chaos); err != nil {
-			return JobStatus{}, badRequest("admission: chaos: %v", err)
-		}
-	}
-	if req.Explain && !req.Optimize {
-		return JobStatus{}, badRequest("admission: explain requires optimize")
 	}
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
@@ -85,15 +43,6 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	var explain []byte
 	depHit := false
 	if req.Optimize {
-		if req.DeadlineSec > 0 && req.BudgetDollars > 0 {
-			return JobStatus{}, badRequest("admission: specify at most one of deadline_sec and budget_dollars")
-		}
-		if req.DeadlineSec <= 0 && req.BudgetDollars <= 0 {
-			req.DeadlineSec = 24 * 3600
-		}
-		if req.MaxNodes <= 0 || req.MaxNodes > s.cfg.Nodes {
-			req.MaxNodes = s.cfg.Nodes
-		}
 		var met bool
 		dep, met, explain, depHit, err = s.search(prog, req)
 		if err != nil {
@@ -104,9 +53,6 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 		}
 		req.Nodes = dep.Cluster.Nodes
 		req.Slots = dep.Cluster.Slots
-	}
-	if req.Nodes > s.cfg.Nodes {
-		return JobStatus{}, badRequest("admission: job wants %d nodes, cluster capacity is %d", req.Nodes, s.cfg.Nodes)
 	}
 
 	j, st, err := s.enqueue(req, prog, dep, explain, depHit)
@@ -159,12 +105,8 @@ func (s *Server) enqueue(req SubmitRequest, prog *lang.Program, dep *opt.Deploym
 // asks for an EXPLAIN report, whose search runs fresh with a recorder and
 // neither reads nor fills the cache, so the report documents this search.
 func (s *Server) search(prog *lang.Program, req SubmitRequest) (dep *opt.Deployment, met bool, explain []byte, hit bool, err error) {
-	oreq := opt.Request{
-		Program: prog, PlanCfg: plan.ConfigFor(prog, req.Tile, req.Density),
-		DeadlineSec: req.DeadlineSec, BudgetDollars: req.BudgetDollars,
-		Confidence: req.Confidence, MaxNodes: req.MaxNodes,
-		Machines: []cloud.MachineType{s.machine},
-	}
+	oreq := req.SearchRequest(prog)
+	oreq.Machines = []cloud.MachineType{s.machine}
 	if !req.Explain {
 		dep, met, hit, err = s.cache.Deployment(Key(req.Program, oreq.PlanCfg), oreq, func() (*opt.Deployment, bool, error) {
 			res, err := s.sess.Optimizer().Search(oreq)
@@ -186,4 +128,114 @@ func (s *Server) search(prog *lang.Program, req SubmitRequest) (dep *opt.Deploym
 		fmt.Fprintf(&buf, "explain render failed: %v\n", err)
 	}
 	return res.Best, res.Met, buf.Bytes(), false, nil
+}
+
+// Normalize is the one reading of a request: it fills each unset field from
+// site and applies each field's rule as the field's comment states it.
+// cumulond's Submit, cumulon's flags and cumulon-load's specs all run it, so
+// a request means the same thing whichever way it arrives. site is
+// cumulond's Config or cumulon's own; a zero site field fills nothing, and a
+// zero site.Nodes bounds nothing (a load spec knows no site). A valid
+// request without a chaos spec is normalized without allocating.
+func (r *SubmitRequest) Normalize(site Config) error {
+	if r.Tile < 0 {
+		return fmt.Errorf("tile must be positive, got %d", r.Tile)
+	}
+	if r.Tile == 0 {
+		r.Tile = 2048
+	}
+	if r.Density == 0 {
+		r.Density = 0.05
+	}
+	if err := plan.CheckDensity(r.Density); err != nil {
+		return err
+	}
+	if r.Machine == "" {
+		r.Machine = site.Machine
+	}
+	if r.Slots < 0 {
+		return fmt.Errorf("slots must be positive, got %d", r.Slots)
+	}
+	if r.Slots == 0 {
+		r.Slots = site.Slots
+	}
+	if r.Nodes < 0 {
+		return fmt.Errorf("nodes must be positive, got %d", r.Nodes)
+	}
+	if r.Nodes == 0 {
+		r.Nodes = site.DefaultJobNodes
+	}
+	if !r.Optimize && site.Nodes > 0 && r.Nodes > site.Nodes {
+		return fmt.Errorf("job wants %d nodes, cluster capacity is %d", r.Nodes, site.Nodes)
+	}
+	if r.Seed == 0 {
+		r.Seed = site.Seed
+	}
+	if r.CheckpointEvery < 0 {
+		return fmt.Errorf("checkpoint_every must be non-negative, got %d", r.CheckpointEvery)
+	}
+	if r.Chaos != "" {
+		if _, err := chaos.Parse(r.Chaos); err != nil {
+			return fmt.Errorf("chaos: %v", err)
+		}
+	}
+	if r.Explain && !r.Optimize {
+		return errors.New("explain requires optimize")
+	}
+	if !(r.DeadlineSec >= 0 && r.BudgetDollars >= 0) {
+		return fmt.Errorf("deadline_sec and budget_dollars must be non-negative, got %g and %g", r.DeadlineSec, r.BudgetDollars)
+	}
+	if r.DeadlineSec > 0 && r.BudgetDollars > 0 {
+		return errors.New("specify at most one of deadline_sec and budget_dollars")
+	}
+	if r.Optimize && r.DeadlineSec == 0 && r.BudgetDollars == 0 {
+		r.DeadlineSec = 24 * 3600
+	}
+	if err := opt.CheckConfidence(r.Confidence); err != nil {
+		return err
+	}
+	if r.Confidence > 0 && r.DeadlineSec == 0 {
+		return fmt.Errorf("confidence %g needs a deadline: a budget search minimizes expected time", r.Confidence)
+	}
+	if r.MaxNodes < 0 {
+		return fmt.Errorf("max_nodes must be non-negative, got %d", r.MaxNodes)
+	}
+	if r.Optimize && (r.MaxNodes == 0 || site.Nodes > 0 && r.MaxNodes > site.Nodes) {
+		r.MaxNodes = site.Nodes
+	}
+	return nil
+}
+
+// SearchRequest is the optimizer's problem for a normalized optimizing
+// request. cumulond restricts it to its one machine type; cumulon searches
+// the whole catalog.
+func (r *SubmitRequest) SearchRequest(prog *lang.Program) opt.Request {
+	return opt.Request{
+		Program: prog, PlanCfg: plan.ConfigFor(prog, r.Tile, r.Density),
+		DeadlineSec: r.DeadlineSec, BudgetDollars: r.BudgetDollars,
+		Confidence: r.Confidence, MaxNodes: r.MaxNodes,
+	}
+}
+
+// ExecOptions maps a normalized request onto the engine's options for a run
+// on cluster: the one mapping that cumulond's executeJob and cumulon both
+// run. The cluster is the optimizer's choice, or Machine × Nodes × Slots as
+// the caller resolved it; a materialized run draws its inputs with
+// core.RandomInputs at Seed. What is not the request's stays with each
+// caller: cumulond adds its workers, trace memo, checkpoint store and
+// recorder, cumulon its workers, state directory and trace.
+func (r *SubmitRequest) ExecOptions(prog *lang.Program, cluster cloud.Cluster) (core.ExecOptions, error) {
+	opts := core.ExecOptions{Cluster: cluster, Seed: r.Seed, MaxTaskRetries: r.MaxRetries, CheckpointEvery: r.CheckpointEvery}
+	if r.Chaos != "" {
+		// A fresh schedule per run keeps its consumption state private.
+		sched, err := chaos.Parse(r.Chaos)
+		if err != nil {
+			return opts, err
+		}
+		opts.Chaos = sched
+	}
+	if r.Materialize {
+		opts.Inputs = core.RandomInputs(prog, plan.ConfigFor(prog, r.Tile, r.Density), r.Seed)
+	}
+	return opts, nil
 }

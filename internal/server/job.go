@@ -163,38 +163,47 @@ func (s *Server) statusOf(j *job) JobStatus {
 	return st
 }
 
-// SubmitRequest is the POST /v1/jobs body: a program in the textual
-// syntax plus the tenant, urgency and execution knobs.
+// SubmitRequest is the POST /v1/jobs body, and the one request document:
+// cumulon's flags spell the same fields. Each field's comment states its
+// rule once; Normalize applies them, filling an unset field from the site
+// (cumulond's Config, or cumulon's fixed site) and refusing a value out of
+// range with a one-line error.
 type SubmitRequest struct {
 	// Tenant names the submitting principal; fair share is accounted per
-	// tenant. Required.
+	// tenant. Required by cumulond.
 	Tenant string `json:"tenant"`
-	// Program is the source text (package lang syntax). Required.
+	// Program is the source text (package lang syntax). Required by
+	// cumulond.
 	Program string `json:"program"`
 	// Priority raises scheduling urgency (default 0, higher is sooner).
 	Priority float64 `json:"priority,omitempty"`
 
-	// Tile is the storage tile size (default 2048).
+	// Tile is the storage tile size: 0 takes 2048, a negative value is
+	// refused.
 	Tile int `json:"tile,omitempty"`
-	// Density estimates the nonzero fraction of sparse inputs
-	// (default 0.05).
+	// Density estimates the nonzero fraction of sparse inputs: 0 takes
+	// 0.05, a value outside (0, 1] is refused.
 	Density float64 `json:"density,omitempty"`
 
-	// Machine/Nodes/Slots pick the job's cluster inside the server's
-	// shared capacity (defaults: the server's machine type, 4 nodes, the
-	// server's slots). Ignored when Optimize is set and the search picks
-	// the cluster.
+	// Machine, Nodes and Slots pick the job's cluster. Empty or 0 takes the
+	// site's machine type, its default job size and its slots per node; a
+	// negative count is refused. cumulond runs only its own machine type,
+	// and without Optimize refuses more Nodes than its capacity. With
+	// Optimize the search picks nodes and slots.
 	Machine string `json:"machine,omitempty"`
 	Nodes   int    `json:"nodes,omitempty"`
 	Slots   int    `json:"slots,omitempty"`
 
 	// Optimize lets the cost-based optimizer choose the deployment.
-	// DeadlineSec minimizes cost under a deadline (default when neither
-	// constraint is set: 24h); BudgetDollars minimizes time under a
-	// budget; Confidence promises the deadline probabilistically.
-	// MaxNodes caps the search (and is itself capped by the server's
-	// capacity). The search result is cached by program hash × config ×
-	// constraint.
+	// DeadlineSec minimizes cost under a deadline, BudgetDollars time
+	// under a budget: a negative value is refused, so is setting both,
+	// and with Optimize and neither set the deadline is 24h. Confidence
+	// promises the deadline at that probability: 0 is the point estimate,
+	// a value outside [0, 1) is refused, and so is a nonzero one without
+	// a deadline. MaxNodes caps the search: a negative value is refused,
+	// and with Optimize 0 or a value above the site's node capacity takes
+	// that capacity. The search result is cached by program hash ×
+	// config × constraint.
 	Optimize      bool    `json:"optimize,omitempty"`
 	DeadlineSec   float64 `json:"deadline_sec,omitempty"`
 	BudgetDollars float64 `json:"budget_dollars,omitempty"`
@@ -205,32 +214,35 @@ type SubmitRequest struct {
 	// (seeded by Seed) and exposes output digests; off, the run is
 	// virtual (timing and cost only).
 	Materialize bool `json:"materialize,omitempty"`
-	// Seed drives data generation, placement and noise (default: the
-	// server's seed).
+	// Seed drives data generation, placement and noise: 0 takes the
+	// site's seed.
 	Seed int64 `json:"seed,omitempty"`
 
 	// Trace retains the job's Chrome trace (GET /v1/jobs/{id}/trace),
 	// byte-identical to `cumulon -trace` for the same
 	// program/config/seed. Critpath retains the critical-path report and
 	// Metrics the per-run metrics snapshot (Prometheus text). Explain
-	// retains the optimizer's EXPLAIN report and requires Optimize; it
-	// forces a fresh search (the deployment cache is bypassed) so the
-	// report reflects this submission.
+	// retains the optimizer's EXPLAIN report and is refused without
+	// Optimize; it forces a fresh search (the deployment cache is
+	// bypassed) so the report reflects this submission.
 	Trace    bool `json:"trace,omitempty"`
 	Critpath bool `json:"critpath,omitempty"`
 	Metrics  bool `json:"metrics,omitempty"`
 	Explain  bool `json:"explain,omitempty"`
 
 	// Chaos injects a deterministic fault schedule into the run
-	// (internal/chaos spec syntax, e.g. "kill:node=3@t=10"); retry and
-	// crash recovery show up in the job's event stream. MaxRetries
-	// bounds per-task retry attempts under faults (0 = engine default).
+	// (internal/chaos spec syntax, e.g. "seed=7,kill=1@3.5"); a spec
+	// chaos.Parse refuses is refused. Retry and crash recovery show up in
+	// the job's event stream. MaxRetries bounds per-task retry attempts
+	// under faults: 0 takes the engine's default of 3, and a negative
+	// value means no retries.
 	Chaos      string `json:"chaos,omitempty"`
 	MaxRetries int    `json:"max_retries,omitempty"`
 
 	// CheckpointEvery, when positive, checkpoints the program at every
-	// Nth iteration boundary into the server's checkpoint store
-	// (durable under Config.StateDir) and resumes from the newest valid
+	// Nth iteration boundary into the site's checkpoint store (cumulond's
+	// is durable under Config.StateDir, cumulon's is -state-dir); a
+	// negative value is refused. cumulond resumes from the newest valid
 	// checkpoint when the job is re-executed — e.g. re-admitted after a
 	// server restart. Results are bit-identical either way.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`

@@ -123,7 +123,13 @@ func ParseLoadSpec(data []byte) (*LoadSpec, error) {
 			return nil, fmt.Errorf("load spec: tenant %s has an empty mix", t.Name)
 		}
 		for j := range t.Mix {
-			if _, err := t.Mix[j].buildProgram(); err != nil {
+			// The server's rules, without its defaults: an entry that every
+			// submission would get refused fails here, once.
+			req, err := t.Mix[j].submitRequest(t.Name, t.Priority)
+			if err == nil {
+				err = req.Normalize(Config{})
+			}
+			if err != nil {
 				return nil, fmt.Errorf("load spec: tenant %s mix[%d]: %w", t.Name, j, err)
 			}
 		}
@@ -131,13 +137,9 @@ func ParseLoadSpec(data []byte) (*LoadSpec, error) {
 	return &spec, nil
 }
 
-// buildProgram renders the mix entry to program source plus a density
-// hint for its sparse inputs.
+// buildProgram renders the mix entry to program source. Density is the
+// request's planning hint, not part of the text.
 func (lj LoadJob) buildProgram() (string, error) {
-	density := lj.Density
-	if density <= 0 {
-		density = 0.05
-	}
 	alpha := lj.Alpha
 	if alpha <= 0 {
 		alpha = 0.85
@@ -149,15 +151,15 @@ func (lj LoadJob) buildProgram() (string, error) {
 		}
 		return lj.Source, nil
 	case "gnmf":
-		return workloads.GNMF(pickInt(lj.M, 48), pickInt(lj.N, 36), pickInt(lj.R, 4), pickInt(lj.Iters, 1), density).Prog.String(), nil
+		return workloads.GNMF(pickInt(lj.M, 48), pickInt(lj.N, 36), pickInt(lj.R, 4), pickInt(lj.Iters, 1), lj.Density).Prog.String(), nil
 	case "gnmfkl":
-		return workloads.GNMFKL(pickInt(lj.M, 48), pickInt(lj.N, 36), pickInt(lj.R, 4), pickInt(lj.Iters, 1), density).Prog.String(), nil
+		return workloads.GNMFKL(pickInt(lj.M, 48), pickInt(lj.N, 36), pickInt(lj.R, 4), pickInt(lj.Iters, 1), lj.Density).Prog.String(), nil
 	case "rsvd":
 		return workloads.RSVD(pickInt(lj.M, 64), pickInt(lj.N, 48), pickInt(lj.K, 8), pickInt(lj.Power, 1)).Prog.String(), nil
 	case "regression":
 		return workloads.Regression(pickInt(lj.M, 64), pickInt(lj.N, 16), pickInt(lj.Iters, 2), 0.01).Prog.String(), nil
 	case "pagerank":
-		return workloads.PageRank(pickInt(lj.N, 64), pickInt(lj.Iters, 2), density, alpha).Prog.String(), nil
+		return workloads.PageRank(pickInt(lj.N, 64), pickInt(lj.Iters, 2), lj.Density, alpha).Prog.String(), nil
 	case "matmul":
 		return workloads.MatMul(pickInt(lj.M, 64), pickInt(lj.K, 48), pickInt(lj.N, 64)).Prog.String(), nil
 	default:
@@ -171,9 +173,12 @@ func (lj LoadJob) submitRequest(tenant string, priority float64) (SubmitRequest,
 	if err != nil {
 		return SubmitRequest{}, err
 	}
+	if lj.Tile == 0 {
+		lj.Tile = 16 // the built-ins are small
+	}
 	return SubmitRequest{
 		Tenant: tenant, Program: src, Priority: priority,
-		Tile: pickInt(lj.Tile, 16), Density: lj.Density,
+		Tile: lj.Tile, Density: lj.Density,
 		Nodes: lj.Nodes, Slots: lj.Slots,
 		Materialize: lj.Materialize, Seed: lj.Seed,
 		Optimize: lj.Optimize, DeadlineSec: lj.DeadlineSec, BudgetDollars: lj.BudgetDollars,

@@ -81,3 +81,32 @@ func TestLoadReportHealthDistinguishesCanceled(t *testing.T) {
 		t.Fatalf("failed job not reported as failure: %v", err)
 	}
 }
+
+// TestParseLoadSpecAppliesRequestRules: a mix entry that the server's
+// request table refuses fails the spec at load, naming its tenant and
+// entry, instead of failing every submission at runtime; a valid entry's
+// zero fields stay for the server to fill.
+func TestParseLoadSpecAppliesRequestRules(t *testing.T) {
+	for _, tc := range []struct{ entry, want string }{
+		{`{"workload": "gnmf", "density": 2}`, "density must be in (0, 1]"},
+		{`{"workload": "gnmf", "nodes": -3}`, "nodes must be positive"},
+		{`{"workload": "gnmf", "slots": -1}`, "slots must be positive"},
+		{`{"workload": "gnmf", "tile": -4}`, "tile must be positive"},
+		{`{"workload": "gnmf", "optimize": true, "deadline_sec": -5}`, "must be non-negative"},
+		{`{"workload": "gnmf", "optimize": true, "deadline_sec": 60, "budget_dollars": 1}`, "at most one"},
+	} {
+		spec := `{"seed": 1, "tenants": [{"name": "a", "mix": [` + tc.entry + `]}]}`
+		_, err := ParseLoadSpec([]byte(spec))
+		if err == nil || !strings.Contains(err.Error(), "tenant a mix[0]: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want tenant a mix[0]: ...%s", tc.entry, err, tc.want)
+		}
+	}
+	spec, err := ParseLoadSpec([]byte(`{"seed": 1, "tenants": [{"name": "a", "mix": [{"workload": "gnmf", "nodes": 64}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := spec.Tenants[0].Mix[0].submitRequest("a", 0)
+	if err != nil || req.Tile != 16 || req.Density != 0 || req.Nodes != 64 {
+		t.Fatalf("submitted %+v, %v: want tile 16, density and the rest unset", req, err)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
 	"cumulon/internal/cloud"
 	"cumulon/internal/core"
@@ -430,41 +429,28 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 		pl.AutoSplit(cluster.TotalSlots())
 		out.cluster = cluster.String()
 	}
+	opts, err := req.ExecOptions(j.prog, cluster)
+	if err != nil {
+		return out, err
+	}
 
 	var inner obs.Recorder = obs.Nop()
 	if req.Trace || req.Critpath || req.Metrics {
 		out.trace = obs.NewTrace()
 		inner = out.trace
 	}
-	opts := core.ExecOptions{
-		Cluster:        cluster,
-		Seed:           req.Seed,
-		Workers:        s.cfg.Workers,
-		Recorder:       &runRecorder{inner: inner, log: j.events},
-		MaxTaskRetries: req.MaxRetries,
-	}
+	opts.Workers = s.cfg.Workers
+	opts.Recorder = &runRecorder{inner: inner, log: j.events}
 	if req.CheckpointEvery > 0 {
 		// Checkpointing jobs always run with Resume: a first execution
 		// finds no checkpoint and runs from scratch; a re-execution (a
 		// job re-admitted after a server crash, or an identical
 		// resubmission) fast-forwards past the jobs its newest valid
 		// checkpoint covers, bit-identically.
-		opts.CheckpointEvery = req.CheckpointEvery
 		opts.CheckpointStore = s.ckptStore
 		opts.Resume = true
 	}
-	if req.Chaos != "" {
-		// Validated at admission; a fresh schedule per run keeps any
-		// consumption state private to this job.
-		sched, err := chaos.Parse(req.Chaos)
-		if err != nil {
-			return out, err
-		}
-		opts.Chaos = sched
-	}
-	if req.Materialize {
-		opts.Inputs = core.RandomInputs(tmpl.Prog, cfg, req.Seed)
-	} else {
+	if !req.Materialize {
 		// A virtual run replays the phases an earlier run of the template
 		// computed at the same splits, and records the rest for the next.
 		opts.Backend = tmpl.Memo

@@ -11,10 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cumulon/internal/cloud"
-	"cumulon/internal/core"
-	"cumulon/internal/plan"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -120,60 +116,8 @@ func TestServerSubmitAndResult(t *testing.T) {
 	}
 }
 
-// TestServerBitIdenticalToCLIPath: the server's materialized run must
-// produce byte-for-byte the same outputs as running the same program
-// directly through core.Session with core.RandomInputs — the path
-// cmd/cumulon takes.
-func TestServerBitIdenticalToCLIPath(t *testing.T) {
-	const seed = 11
-	src := gnmfSource()
-	cfg := plan.Config{TileSize: 4, Densities: map[string]float64{"V": 0.4}}
-
-	// Direct path (what `cumulon -workload gnmf -materialize` does).
-	sess := core.NewSession(seed)
-	pl, err := sess.CompileString(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, err := cloud.TypeByName("m1.large")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster, err := cloud.NewCluster(mt, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.AutoSplit(cluster.TotalSlots())
-	prog := pl.Program
-	res, err := sess.ExecutePlan(pl, cluster, core.ExecOptions{
-		Cluster: cluster, Seed: seed,
-		Inputs: core.RandomInputs(prog, cfg, seed),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := DigestOutputs(res.Outputs)
-
-	// Server path.
-	_, ts := newTestServer(t, Config{Nodes: 8})
-	fin := await(t, ts.URL, submit(t, ts.URL, SubmitRequest{
-		Tenant: "acme", Program: src,
-		Tile: 4, Density: 0.4, Nodes: 4, Slots: 2, Materialize: true, Seed: seed,
-	}).ID)
-	if fin.State != StateSucceeded {
-		t.Fatalf("server run failed: %s", fin.Error)
-	}
-	if len(fin.Result.Outputs) != len(direct) {
-		t.Fatalf("output count: server %d, direct %d", len(fin.Result.Outputs), len(direct))
-	}
-	for i, o := range fin.Result.Outputs {
-		if o.SHA256 != direct[i].SHA256 {
-			t.Fatalf("output %s differs: server %s, direct %s", o.Name, o.SHA256, direct[i].SHA256)
-		}
-	}
-}
-
-// TestServerValidation walks the 4xx admission paths.
+// TestServerValidation walks the 4xx admission paths, and admits what the
+// request table admits.
 func TestServerValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Nodes: 8})
 	cases := []struct {
@@ -191,6 +135,18 @@ func TestServerValidation(t *testing.T) {
 		{"wrong machine", SubmitRequest{Tenant: "a", Program: gnmfSource(), Machine: "c1.xlarge"}, 400},
 		{"deadline and budget", SubmitRequest{Tenant: "a", Program: gnmfSource(),
 			Optimize: true, DeadlineSec: 60, BudgetDollars: 1}, 400},
+		{"negative deadline", SubmitRequest{Tenant: "a", Program: gnmfSource(), Optimize: true, DeadlineSec: -5}, 400},
+		{"negative budget", SubmitRequest{Tenant: "a", Program: gnmfSource(), Optimize: true, BudgetDollars: -5}, 400},
+		{"confidence under a budget", SubmitRequest{Tenant: "a", Program: gnmfSource(),
+			Optimize: true, BudgetDollars: 1, Confidence: 0.9}, 400},
+		{"negative max nodes", SubmitRequest{Tenant: "a", Program: gnmfSource(), Optimize: true, MaxNodes: -3}, 400},
+		{"negative checkpoint", SubmitRequest{Tenant: "a", Program: gnmfSource(), CheckpointEvery: -2}, 400},
+		{"negative tile", SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: -4}, 400},
+		{"negative slots", SubmitRequest{Tenant: "a", Program: gnmfSource(), Slots: -1}, 400},
+		{"explain without optimize", SubmitRequest{Tenant: "a", Program: gnmfSource(), Explain: true}, 400},
+		{"bad chaos", SubmitRequest{Tenant: "a", Program: gnmfSource(), Chaos: "taskfault=2.5"}, 400},
+		// A negative retry budget means no retries, as in cumulon.
+		{"no retries", SubmitRequest{Tenant: "a", Program: gnmfSource(), Tile: 4, Density: 0.4, Nodes: 4, MaxRetries: -1}, 202},
 		// A 2 MiB body: refused once the decoder has read maxSubmitBytes,
 		// whatever it holds.
 		{"oversized body", SubmitRequest{Tenant: "a", Program: strings.Repeat("# padding\n", 2<<20/10)}, 413},
@@ -206,6 +162,9 @@ func TestServerValidation(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != tc.code {
 				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.code, body)
+			}
+			if tc.code == http.StatusAccepted {
+				return
 			}
 			var e struct {
 				Error string `json:"error"`

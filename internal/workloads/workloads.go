@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"cumulon/internal/lang"
-	"cumulon/internal/linalg"
 )
 
 // Workload bundles a program with its planner hints and a human label.
@@ -195,28 +194,6 @@ func MatMul(m, k, n int) Workload {
 		Outputs: []string{"C"},
 	}
 	return Workload{Name: p.Name, Prog: p}
-}
-
-// RandomInputs generates deterministic input data for the workload's
-// declared inputs. Entries are positive (shifted uniform), which keeps
-// GNMF's multiplicative updates and element-wise divisions well behaved;
-// sparse inputs honor the workload's density hints.
-func (w Workload) RandomInputs(seed int64) map[string]*linalg.Dense {
-	data := map[string]*linalg.Dense{}
-	for i, in := range w.Prog.Inputs {
-		s := seed + int64(i)*101
-		if in.Sparse {
-			d := w.Densities[in.Name]
-			if d <= 0 || d > 1 {
-				d = 0.05
-			}
-			data[in.Name] = linalg.RandomSparseDense(in.Rows, in.Cols, d, s)
-		} else {
-			data[in.Name] = linalg.RandomDense(in.Rows, in.Cols, s).
-				Map(func(x float64) float64 { return x + 0.1 })
-		}
-	}
-	return data
 }
 
 func assign(name, src string) lang.Assign {

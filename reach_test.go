@@ -35,11 +35,10 @@ var reachAllowlist = map[string]string{
 	"linalg.Scale":  "the scaling reference that compute/oracle_test.go checks the engine's tile ops against",
 	"linalg.Zip":    "the element-wise binary reference that compute/oracle_test.go checks the engine's tile ops against",
 
-	"linalg.(*Dense).AlmostEqual":     "the tolerance comparison the engine, interpreter, baseline and store tests of twelve packages check results with",
-	"linalg.Close":                    "AlmostEqual's element rule; lang's tests compare single elements with it",
-	"linalg.ConstDense":               "constant inputs for four packages' tests and core's runnable example, whose printed output go test checks",
-	"dfs.(*FS).Delete":                "the path-keyed single-file delete: engine and store tests replace a stored tile with a corrupt copy through it (files are write-once), dfs tests drive the namespace with it",
-	"workloads.Workload.RandomInputs": "TestOpTracesPinned's materialized GNMF case pins the sha256 of tiles drawn with its per-input seed stride (101, core.RandomInputs uses 7)",
+	"linalg.(*Dense).AlmostEqual": "the tolerance comparison the engine, interpreter, baseline and store tests of twelve packages check results with",
+	"linalg.Close":                "AlmostEqual's element rule; lang's tests compare single elements with it",
+	"linalg.ConstDense":           "constant inputs for four packages' tests and core's runnable example, whose printed output go test checks",
+	"dfs.(*FS).Delete":            "the path-keyed single-file delete: engine and store tests replace a stored tile with a corrupt copy through it (files are write-once), dfs tests drive the namespace with it",
 }
 
 // isReachRoot reports whether main and init of the package at path are

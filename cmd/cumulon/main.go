@@ -139,6 +139,9 @@ func parseArgs(args []string) (*invocation, error) {
 	if in.asJSON {
 		in.showPlan = false
 	}
+	if in.asJSON && (r.Explain || in.critpath) {
+		return nil, fmt.Errorf("-json prints one JSON document; -explain and -critpath print text reports beside it")
+	}
 	if in.workers < 0 {
 		return nil, fmt.Errorf("-workers must be >= 0, got %d", in.workers)
 	}

@@ -32,6 +32,20 @@ func writeProg(t *testing.T) string {
 	return path
 }
 
+// writeProfile drops a kernel autotuner profile with a 1.5x speedup in a
+// temp file.
+func writeProfile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.json")
+	if err := os.WriteFile(path, []byte(`{"version": 1, "kernel": "scalar-4x2",
+		"best": {"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 2, "mflops": 150},
+		"baseline": {"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 1, "mflops": 100},
+		"points": [{"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 1, "mflops": 100}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestRunBadInputs: malformed flags and flag combinations, and every value
 // the request table refuses, must return a one-line error, never panic and
 // never succeed.
@@ -53,6 +67,9 @@ func TestRunBadInputs(t *testing.T) {
 		{"missing file", []string{"-f", filepath.Join(t.TempDir(), "absent.cm")}, "no such file"},
 		{"bad machine", []string{"-f", prog, "-machine", "q9.mega"}, "unknown machine type"},
 		{"explain without optimize", []string{"-f", prog, "-explain"}, "explain requires optimize"},
+		{"json with explain", []string{"-f", prog, "-optimize", "-explain", "-json"}, "-json prints one JSON document"},
+		{"json with critpath", []string{"-f", prog, "-critpath", "-json"}, "-json prints one JSON document"},
+		{"json with critpath, optimized", []string{"-f", garbled, "-optimize", "-critpath", "-json"}, "-json prints one JSON document"},
 		{"searchtrace without optimize", []string{"-f", prog, "-searchtrace", "-"}, "require -optimize"},
 		{"kernel profile without optimize", []string{"-f", prog, "-kernel-profile", "p.json"}, "require -optimize"},
 		{"missing kernel profile", []string{"-f", prog, "-optimize", "-kernel-profile", filepath.Join(t.TempDir(), "absent.json")}, "no such file"},
@@ -105,6 +122,31 @@ func TestRunBadInputs(t *testing.T) {
 	}
 }
 
+// TestJSONReportIsJSON: with -json, what cumulon prints is one JSON document,
+// with and without -optimize, whatever else is asked for that reports on
+// stdout in text mode (the plan, a kernel profile).
+func TestJSONReportIsJSON(t *testing.T) {
+	prog := writeProg(t)
+	profile := writeProfile(t)
+	for _, flags := range [][]string{
+		{"-tile", "4", "-nodes", "2"},
+		{"-tile", "4", "-nodes", "2", "-plan", "-materialize"},
+		{"-tile", "4", "-optimize", "-deadline", "3600", "-max-nodes", "2"},
+		{"-tile", "4", "-optimize", "-budget", "5", "-max-nodes", "2", "-plan", "-kernel-profile", profile},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-f", prog, "-json"}, flags...), &out); err != nil {
+			t.Fatalf("%v: %v", flags, err)
+		}
+		var report struct {
+			Cluster string `json:"cluster"`
+		}
+		if err := json.Unmarshal(out.Bytes(), &report); err != nil || report.Cluster == "" {
+			t.Fatalf("%v: -json printed no JSON report (%v):\n%s", flags, err, out.String())
+		}
+	}
+}
+
 // TestFlagDefaults: a zero or absent value takes the table's default, as it
 // does in a cumulond body. -optimize with no constraint searches under a
 // 24h deadline, and -max-nodes 0 searches up to the site's 64 nodes.
@@ -137,13 +179,7 @@ func TestOptimizeReport(t *testing.T) {
 	if err := os.WriteFile(prog, []byte(workloads.GNMFKL(40, 30, 4, 1, 0.3).Prog.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	profile := filepath.Join(dir, "profile.json")
-	if err := os.WriteFile(profile, []byte(`{"version": 1, "kernel": "scalar-4x2",
-		"best": {"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 2, "mflops": 150},
-		"baseline": {"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 1, "mflops": 100},
-		"points": [{"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 1, "mflops": 100}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	profile := writeProfile(t)
 	var out bytes.Buffer
 	if err := run([]string{"-f", prog, "-tile", "8", "-optimize", "-deadline", "3600", "-max-nodes", "4",
 		"-kernel-profile", profile}, &out); err != nil {
@@ -161,7 +197,9 @@ func TestOptimizeReport(t *testing.T) {
 // the same request as a cumulond body normalize to one SubmitRequest, map
 // to the same engine options, and run to the same output digests and total
 // seconds. cumulon searches the whole catalog and cumulond its one machine
-// type, so the optimized request names the machine the search picks.
+// type, so the optimized request names the machine the search picks; and
+// cumulond searches with the site's seed whatever the request's (see
+// server.SubmitRequest.Seed), so that row keeps the default seed.
 func TestServerBitIdenticalToCLIPath(t *testing.T) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "gnmf.cm")

@@ -40,7 +40,7 @@ func (s *Suite) E07TaskModelAccuracy() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		holdout := model.ObsFromTasks(res.Metrics.Tasks)
+		holdout := model.AppendObs(nil, res.Metrics.Tasks)
 		mre := model.MeanRelError(cal.Model, holdout)
 		r.Table.AddRow(name, d0(slots), d0(cal.Model.N), d0(len(holdout)), f3(mre))
 		r.Checks["mre:"+name] = mre

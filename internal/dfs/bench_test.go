@@ -5,18 +5,28 @@ import (
 	"testing"
 )
 
-// BenchmarkDeleteMatrix times dropping one 64-tile matrix (DeletePrefix of
-// its directory, as store.DeleteMatrix issues it) from a namespace that
-// also holds 1 k or 64 k unrelated virtual files in 64 other directories.
-// The cost must follow the matrix, not the namespace: CI fails if the 64 k
-// case takes more than 8x the 1 k case per delete (a scan of every file
-// takes 64x). Writing the matrix back is untimed.
+// BenchmarkDeleteMatrix times dropping one 64-tile matrix (DeleteMatrix, as
+// the engine issues it) from a namespace that also holds unrelated virtual
+// files: 1 k or 64 k of them in 64 other directories, and 4 k of them in 64
+// or in 4 096 other directories. The cost must follow the matrix, not the
+// namespace: CI fails if either larger case takes more than 8x its smaller
+// one per delete (a scan of every file takes 64x on the first pair, a scan
+// of every directory name 44x on the second). Writing the matrix back is
+// untimed.
 func BenchmarkDeleteMatrix(b *testing.B) {
-	for _, others := range []int{1 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("others=%d", others), func(b *testing.B) {
+	for _, arm := range []struct {
+		name        string
+		files, dirs int
+	}{
+		{"others=1024", 1 << 10, 64},
+		{"others=65536", 64 << 10, 64},
+		{"dirs=64", 4 << 10, 64},
+		{"dirs=4096", 4 << 10, 4 << 10},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			fs := New(Config{Nodes: 8, Replication: 3, Seed: 1})
-			for i := 0; i < others; i++ {
-				if err := fs.WriteVirtual(fmt.Sprintf("/matrix/M%d/%d_0", i%64, i/64), 100, -1); err != nil {
+			for i := 0; i < arm.files; i++ {
+				if err := fs.WriteVirtual(fmt.Sprintf("/matrix/M%d/%d_0", i%arm.dirs, i/arm.dirs), 100, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,11 +44,11 @@ func BenchmarkDeleteMatrix(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				fs.DeletePrefix("/matrix/C/")
+				fs.DeleteMatrix("C")
 			}
 			b.StopTimer()
-			if got := len(fs.List("")); got != others {
-				b.Fatalf("%d files left, want %d", got, others)
+			if got := len(fs.List("")); got != arm.files {
+				b.Fatalf("%d files left, want %d", got, arm.files)
 			}
 		})
 	}

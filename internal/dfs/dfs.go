@@ -115,9 +115,9 @@ type FS struct {
 	rng *rand.Rand
 	// dirs is the namespace: every file in the index of its directory (the
 	// path through its last '/'; a matrix's tiles share one), and no
-	// directory without a file. A point lookup allocates nothing; a prefix
-	// operation visits the directory names and the files of the one
-	// directory the prefix may end inside, never the rest of the namespace.
+	// directory without a file. A point lookup allocates nothing, a matrix
+	// drop at most its key; a prefix operation visits the directory names and
+	// the files of the one directory the prefix may end inside.
 	dirs  map[string]*dir
 	dead  []bool    // per node
 	live  []int     // live node ids, ascending; rebuilt by markDead only
@@ -594,26 +594,6 @@ func (fs *FS) Delete(path string) {
 	fs.drop(fs.at(path))
 }
 
-// DeletePrefix removes every file whose path starts with prefix. A
-// directory whose name does — a matrix, for the prefix the store deletes
-// it by — is dropped whole, its files unvisited; a prefix that ends inside
-// a base name is matched against the files of that one directory.
-func (fs *FS) DeletePrefix(prefix string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	inside := dirOf(prefix)
-	for dir, d := range fs.dirs {
-		switch {
-		case strings.HasPrefix(dir, prefix):
-			delete(fs.dirs, dir)
-		case dir == inside:
-			for _, s := range d.under(prefix) {
-				fs.drop(s)
-			}
-		}
-	}
-}
-
 // List returns all paths with the given prefix, sorted.
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
@@ -629,7 +609,7 @@ func (fs *FS) List(prefix string) []string {
 // sort.Strings order of the paths, whatever directories they are in — the
 // order every whole-namespace operation that draws from the placement
 // stream or keeps a running tally must use (KillNode's re-replication does
-// both). It visits what DeletePrefix does. Caller holds the lock.
+// both). Caller holds the lock.
 func (fs *FS) sorted(prefix string) []slot {
 	var out []slot
 	inside := dirOf(prefix)

@@ -55,12 +55,13 @@ func forkLoad(t testing.TB, fs *FS, tag string) {
 	}
 }
 
-// loaded returns a file system of cfg with forkLoad's "in" batch on it and
-// how many values placing it drew from the placement stream.
+// loaded returns a file system of cfg with forkLoad's "matrix" batch on it —
+// four matrices, m0 to m3 — and how many values placing it drew from the
+// placement stream.
 func loaded(t testing.TB, cfg Config) (*FS, int) {
 	src := &countingSource{Source64: rand.NewSource(cfg.Seed).(rand.Source64)}
 	fs := NewOn(cfg, rand.New(src))
-	forkLoad(t, fs, "in")
+	forkLoad(t, fs, "matrix")
 	return fs, src.n
 }
 
@@ -139,7 +140,7 @@ func TestForkPlacesLaterWritesAlike(t *testing.T) {
 		src, drawn := loaded(t, cfg)
 		fork := src.Fork(streamAt(cfg.Seed, drawn))
 		never := New(cfg)
-		forkLoad(t, never, "in")
+		forkLoad(t, never, "matrix")
 		for _, fs := range []*FS{src, fork, never} {
 			later(fs)
 		}
@@ -162,10 +163,11 @@ func TestForkIsolation(t *testing.T) {
 		do   func(fs *FS) error
 	}{
 		{"KillNode", func(fs *FS) error { fs.KillNode(0); return nil }},
-		{"WritePlaced", func(fs *FS) error { return fs.WritePlaced("/in/m0/new", nil, 100, [][]int{{1}, {2, 3}}) }},
-		{"Write", func(fs *FS) error { return fs.Write("/in/m1/new", make([]byte, 90), 1) }},
-		{"Delete", func(fs *FS) error { fs.Delete("/in/m2/2_0"); return nil }},
-		{"DeletePrefix", func(fs *FS) error { fs.DeletePrefix("/in/m3/"); fs.DeletePrefix("/in/m1/1"); return nil }},
+		{"WritePlaced", func(fs *FS) error { return fs.WritePlaced("/matrix/m0/new", nil, 100, [][]int{{1}, {2, 3}}) }},
+		{"Write", func(fs *FS) error { return fs.Write("/matrix/m1/new", make([]byte, 90), 1) }},
+		{"Delete", func(fs *FS) error { fs.Delete("/matrix/m2/2_0"); return nil }},
+		{"DeletePrefix", func(fs *FS) error { fs.DeletePrefix("/matrix/m3/"); fs.DeletePrefix("/matrix/m1/1"); return nil }},
+		{"DeleteMatrix", func(fs *FS) error { fs.DeleteMatrix("m2"); return nil }},
 		{"ResetStats", func(fs *FS) error { fs.ResetStats(); return nil }},
 	}
 	for _, cfg := range forkConfigs {
@@ -201,14 +203,15 @@ func TestForksConcurrent(t *testing.T) {
 	script := func(fs *FS, g int) {
 		for round := 0; round < 3; round++ {
 			forkLoad(t, fs, fmt.Sprintf("g%d-%d", g, round))
-			for _, p := range fs.List("/in/") {
+			for _, p := range fs.List("/matrix/") {
 				if _, err := fs.ReadAccount(p, round); err != nil && round == 0 {
 					t.Errorf("read %s: %v", p, err)
 				}
 			}
 			fs.KillNode((g + round) % fs.cfg.Nodes)
-			fs.Delete(fmt.Sprintf("/in/m%d/%d_0", g, 4+g))
+			fs.Delete(fmt.Sprintf("/matrix/m%d/%d_0", g, 4+g))
 			fs.DeletePrefix(fmt.Sprintf("/g%d-%d/m1/", g, round))
+			fs.DeleteMatrix(fmt.Sprintf("m%d", (g+round)%4))
 		}
 	}
 	for _, cfg := range forkConfigs {

@@ -26,7 +26,30 @@ var (
 		"",
 		"/nope/", "/matrix/D", "/matrix/C/2", "x",
 	}
+	// nsMatrices names the matrices of nsDirs, and one with no directory.
+	nsMatrices = []string{"C", "C#1~p0", "C#1~p1", "CC", "D"}
 )
+
+// DeletePrefix removes every file whose path starts with prefix: the
+// namespace tests' prefix operation, and the oracle DeleteMatrix is held to.
+// A directory whose name does is dropped whole, its files unvisited; a
+// prefix that ends inside a base name is matched against the files of that
+// one directory.
+func (fs *FS) DeletePrefix(prefix string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	inside := dirOf(prefix)
+	for dir, d := range fs.dirs {
+		switch {
+		case strings.HasPrefix(dir, prefix):
+			delete(fs.dirs, dir)
+		case dir == inside:
+			for _, s := range d.under(prefix) {
+				fs.drop(s)
+			}
+		}
+	}
+}
 
 func nsPath(rng *rand.Rand) string {
 	return nsDirs[rng.Intn(len(nsDirs))] + nsBase[rng.Intn(len(nsBase))]
@@ -45,8 +68,8 @@ func nsWrite(fs *FS, path string, turn int) error {
 }
 
 // TestNamespaceMatchesFlatOracle runs seeded random histories of writes,
-// deletes and prefix deletes against a flat map of paths kept here, and
-// holds List, FileCount and what exists to it after every step.
+// deletes, matrix drops and prefix deletes against a flat map of paths kept
+// here, and holds List, FileCount and what exists to it after every step.
 func TestNamespaceMatchesFlatOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,7 +86,7 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 			return out
 		}
 		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 5:
 				p := nsPath(rng)
 				err := nsWrite(fs, p, step)
@@ -83,16 +106,32 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 					oracle[p] = true
 				}
 			default:
-				prefix := nsPref[rng.Intn(len(nsPref))]
-				gone := under(prefix)
-				fs.DeletePrefix(prefix)
+				// A matrix's drop takes its directory's files and nothing
+				// else: not a longer name's, not a nested directory's.
+				var gone []string
+				var what string
+				if op < 9 {
+					name := nsMatrices[rng.Intn(len(nsMatrices))]
+					what = fmt.Sprintf("DeleteMatrix(%q)", name)
+					for _, p := range under(MatrixRoot + name + "/") {
+						if dirOf(p) == MatrixRoot+name+"/" {
+							gone = append(gone, p)
+						}
+					}
+					fs.DeleteMatrix(name)
+				} else {
+					prefix := nsPref[rng.Intn(len(nsPref))]
+					what = fmt.Sprintf("DeletePrefix(%q)", prefix)
+					gone = under(prefix)
+					fs.DeletePrefix(prefix)
+				}
 				for _, p := range gone {
 					delete(oracle, p)
 				}
 				if len(gone) > 0 {
 					p := gone[rng.Intn(len(gone))]
 					if err := nsWrite(fs, p, step); err != nil {
-						t.Fatalf("seed %d step %d: re-create %q after DeletePrefix(%q): %v", seed, step, p, prefix, err)
+						t.Fatalf("seed %d step %d: re-create %q after %s: %v", seed, step, p, what, err)
 					}
 					oracle[p] = true
 				}
@@ -125,6 +164,18 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 			t.Fatalf("seed %d: final List\n got  %v\n want %v", seed, got, want)
 		}
 	}
+}
+
+// A matrix name with a '/' would make the matrix's directory a parent of
+// another's, which a drop by key would not take: it is a bug, and panics.
+func TestDeleteMatrixRefusesNestedName(t *testing.T) {
+	fs := New(Config{Nodes: 2})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DeleteMatrix(\"C/sub\") did not panic")
+		}
+	}()
+	fs.DeleteMatrix("C/sub")
 }
 
 // namespaceKillScript interleaves writes with deletes of every kind, kills

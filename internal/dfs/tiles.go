@@ -124,11 +124,16 @@ func (s slot) set(f *file) {
 		return
 	}
 	ti, tj := int(s.k.ti), int(s.k.tj)
-	for len(d.tiles) <= ti {
-		d.tiles = append(d.tiles, nil)
+	if ti >= len(d.tiles) {
+		d.tiles = append(d.tiles, make([][]*file, ti+1-len(d.tiles))...)
 	}
-	for len(d.tiles[ti]) <= tj {
-		d.tiles[ti] = append(d.tiles[ti], nil)
+	// A row that must grow takes the widest row's width at once.
+	if row := d.tiles[ti]; tj >= len(row) {
+		w := tj + 1
+		for _, r := range d.tiles {
+			w = max(w, len(r))
+		}
+		d.tiles[ti] = append(row, make([]*file, w-len(row))...)
 	}
 	if old := d.tiles[ti][tj]; old == nil && f != nil {
 		d.nt++
@@ -243,6 +248,18 @@ func (b *Batch) Delete(a TileAddr) { b.fs.drop(b.at(a)) }
 // FirstReplicaNode returns the lowest-numbered live node holding a replica
 // of the tile at a, or -1: the engine's locality hint for a task.
 func (b *Batch) FirstReplicaNode(a TileAddr) int { return b.fs.firstReplica(b.at(a).file()) }
+
+// DeleteMatrix removes every file in the named matrix's directory with one
+// map delete. A matrix name has no '/', so the directory has no subdirectory
+// that a prefix delete would also take.
+func (fs *FS) DeleteMatrix(matrix string) {
+	if strings.Contains(matrix, "/") {
+		panic("dfs: matrix name " + strconv.Quote(matrix) + " contains '/'")
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	delete(fs.dirs, MatrixRoot+matrix+"/")
+}
 
 // PeekTile is Peek of the tile at a, for compute tasks on any goroutine.
 func (fs *FS) PeekTile(a TileAddr) ([]byte, error) {

@@ -28,6 +28,7 @@ var (
 		"", "/", "/matrix/", "/matrix/W", "/matrix/W/", "/matrix/W/1", "/matrix/W/1_1", "/matrix/W/10",
 		"/matrix/W/0", "/matrix/W#", "/matrix/W/sub/", "/matrix/WW/1_", "/w/", "1", "1_2",
 	}
+	tvMatrices = []string{"W", "W#1~p0", "WW", "X"}
 )
 
 // tvAddr returns the tile address whose rendering path is, or nil.
@@ -123,11 +124,17 @@ func (d *tvDriver) do() {
 			d.s.Delete(path)
 		}
 		d.w.Delete(twin)
-	case k < 14:
+	case k < 14 && rng.Intn(2) == 0:
 		prefix := tvPref[rng.Intn(len(tvPref))]
 		op = fmt.Sprintf("DeletePrefix %q", prefix)
 		d.s.DeletePrefix(prefix)
 		d.w.DeletePrefix(prefix)
+	case k < 14:
+		// The twin's files are in the subject's directories.
+		name := tvMatrices[rng.Intn(len(tvMatrices))]
+		op = fmt.Sprintf("DeleteMatrix %q", name)
+		d.s.DeleteMatrix(name)
+		d.w.DeleteMatrix(name)
 	case k < 18:
 		op = fmt.Sprintf("read %q tile=%v node %d", path, byTile, node)
 		var ss ReadSplit

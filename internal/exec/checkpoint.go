@@ -343,12 +343,12 @@ func (e *Engine) restoreCheckpoint(p *plan.Plan, m *RunMetrics) (resumeJob int, 
 // slot's global index is the same whichever nodes have died — before
 // the run, during it, or before the checkpoint a run resumes from.
 func (e *Engine) allSlots() []*slotState {
-	var slots []*slotState
-	for n := 0; n < e.cfg.Cluster.Nodes; n++ {
-		dead := !e.fs.NodeAlive(n)
-		for s := 0; s < e.cfg.Cluster.Slots; s++ {
-			slots = append(slots, &slotState{node: n, dead: dead})
-		}
+	states := make([]slotState, e.cfg.Cluster.Nodes*e.cfg.Cluster.Slots)
+	slots := make([]*slotState, len(states))
+	for i := range states {
+		n := i / e.cfg.Cluster.Slots
+		states[i] = slotState{node: n, dead: !e.fs.NodeAlive(n)}
+		slots[i] = &states[i]
 	}
 	return slots
 }

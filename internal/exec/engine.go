@@ -277,10 +277,10 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		return nil, err
 	}
 	// Overwrite semantics for re-runs; caches cannot carry stale tiles
-	// across runs. Each delete costs the tiles of that matrix (none, on a
-	// first run) and a look at the directory names, never the namespace.
+	// across runs. Each delete is one map delete of the matrix's directory,
+	// whatever else the file system holds.
 	for _, j := range jobs {
-		e.st.DeleteMatrix(j.Out)
+		e.fs.DeleteMatrix(j.Out.Name)
 	}
 	e.resetCaches()
 	m := &RunMetrics{}
@@ -348,9 +348,9 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	}
 	m.TotalSeconds = globalEnd
 	e.rec.End(prog, globalEnd)
-	// One directory dropped per intermediate: O(its tiles), as above.
+	// One directory dropped per intermediate, as above.
 	for _, im := range p.Intermediates() {
-		e.st.DeleteMatrix(im)
+		e.fs.DeleteMatrix(im.Name)
 	}
 	return m, nil
 }
@@ -382,10 +382,10 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 	}
 	e.rec.End(jspan, clock)
 	// The k-split partials go as soon as they are summed, decoded forms and
-	// all (no task runs between jobs); dropping one is O(its tiles) whatever
-	// else the file system holds.
+	// all (no task runs between jobs); dropping one is one map delete
+	// whatever else the file system holds.
 	for _, c := range cleanup {
-		e.st.DeleteMatrix(c)
+		e.fs.DeleteMatrix(c.Name)
 		e.env.Src.Drop(c.Name)
 	}
 	m.Jobs = append(m.Jobs, JobRecord{
@@ -430,7 +430,12 @@ func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float6
 	// computing.
 	fetch, release := e.backend.RunBatch(ph.tasks)
 	defer release()
-	placements := make([]specPlacement, 0, len(ph.tasks))
+	// Only speculation and a recorder read where the phase's tasks ran.
+	var placements []specPlacement
+	placed := e.cfg.Speculation || e.rec != obs.Nop()
+	if placed {
+		placements = make([]specPlacement, 0, len(ph.tasks))
+	}
 	pending := make([]int, len(ph.tasks)) // task indices, oldest first
 	for i := range pending {
 		pending[i] = i
@@ -494,7 +499,9 @@ func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float6
 		if err != nil {
 			return 0, err
 		}
-		placements = append(placements, specPlacement{taskIdx: len(m.Tasks) - 1, base: base, slot: slot, res: res})
+		if placed {
+			placements = append(placements, specPlacement{taskIdx: len(m.Tasks) - 1, base: base, slot: slot, res: res})
+		}
 		if rec.StartSec+rec.Seconds > end {
 			end = rec.StartSec + rec.Seconds
 		}
@@ -610,9 +617,6 @@ type specPlacement struct {
 // straggler is detectable (at the median finish time); the earlier
 // finisher wins and the loser is killed. Returns the new phase end.
 func (e *Engine) speculate(placements []specPlacement, slots []*slotState, m *RunMetrics, end float64) float64 {
-	if len(placements) == 0 {
-		return end
-	}
 	finishes := make([]float64, len(placements))
 	for i, p := range placements {
 		rec := &m.Tasks[p.taskIdx]

@@ -226,11 +226,14 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 	if err != nil {
 		return nil, err
 	}
-	var obs []Obs
 	plans, err := benchmarkPlans()
 	if err != nil {
 		return nil, err
 	}
+	// The runs' task records are kept, so the observations are built once,
+	// at their final length, in (benchmark, split, task) order.
+	runs := make([][]exec.TaskRecord, 0, len(plans)*len(suiteSplits))
+	n := 0
 	for i, tmpl := range plans {
 		for k, tasks := range suiteSplits {
 			// exec.New's seeds: noise from engineSeed, placement from one past.
@@ -276,8 +279,13 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 			if err != nil {
 				return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
 			}
-			obs = append(obs, ObsFromTasks(m.Tasks)...)
+			runs = append(runs, m.Tasks)
+			n += len(m.Tasks)
 		}
+	}
+	obs := make([]Obs, 0, n)
+	for _, tasks := range runs {
+		obs = AppendObs(obs, tasks)
 	}
 	tm, err := Fit(obs)
 	if err != nil {
@@ -286,19 +294,18 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 	return &CalibrationResult{Machine: mt, Slots: slots, Model: tm, Obs: obs, KernelSpeedup: speedup}, nil
 }
 
-// ObsFromTasks converts engine task records into model observations,
+// AppendObs appends to dst the model observations of engine task records,
 // folding write traffic into the disk and network features the same way
 // the engine's duration function does, on a cluster of at least
 // cloud.DefaultReplication nodes.
-func ObsFromTasks(tasks []exec.TaskRecord) []Obs {
-	out := make([]Obs, 0, len(tasks))
+func AppendObs(dst []Obs, tasks []exec.TaskRecord) []Obs {
 	for _, t := range tasks {
-		out = append(out, Obs{
+		dst = append(dst, Obs{
 			Flops:     t.Flops,
 			DiskBytes: t.LocalReadBytes + t.WriteBytes,
 			NetBytes:  t.RackReadBytes + t.RemoteReadBytes + t.WriteBytes*(cloud.DefaultReplication-1),
 			Seconds:   t.Seconds,
 		})
 	}
-	return out
+	return dst
 }

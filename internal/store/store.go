@@ -117,13 +117,6 @@ type Store struct {
 // New returns a Store over fs.
 func New(fs *dfs.FS) *Store { return &Store{FS: fs} }
 
-// DeleteMatrix removes every tile of the matrix. Used to garbage-collect
-// intermediates between jobs; the prefix is the matrix's directory, which
-// the file system drops whole.
-func (s *Store) DeleteMatrix(m Meta) {
-	s.FS.DeletePrefix(MatrixPrefix(m.Name))
-}
-
 // region returns the slice of d that starts at tile (ti, tj) of m, and the
 // tile's shape; rows of the tile are d.Cols apart in it.
 func region(m Meta, d *linalg.Dense, ti, tj int) (data []float64, rows, cols int) {

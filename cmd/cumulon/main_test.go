@@ -70,6 +70,12 @@ func TestRunBadInputs(t *testing.T) {
 		{"json with explain", []string{"-f", prog, "-optimize", "-explain", "-json"}, "-json prints one JSON document"},
 		{"json with critpath", []string{"-f", prog, "-critpath", "-json"}, "-json prints one JSON document"},
 		{"json with critpath, optimized", []string{"-f", garbled, "-optimize", "-critpath", "-json"}, "-json prints one JSON document"},
+		{"json with dot", []string{"-f", prog, "-dot", "-json"}, "-dot prints the plan DAG"},
+		{"json with trace to stdout", []string{"-f", garbled, "-json", "-trace", "-"}, "-trace - writes another"},
+		{"json with metrics to stdout", []string{"-f", prog, "-json", "-metrics", "-"}, "-metrics - writes another"},
+		{"json with timeline to stdout", []string{"-f", prog, "-json", "-timeline", "-"}, "-timeline - writes another"},
+		{"json with searchtrace to stdout", []string{"-f", prog, "-optimize", "-json", "-searchtrace", "-"}, "-searchtrace - writes another"},
+		{"json with frontier to stdout", []string{"-f", garbled, "-optimize", "-json", "-frontier", "-"}, "-frontier - writes another"},
 		{"searchtrace without optimize", []string{"-f", prog, "-searchtrace", "-"}, "require -optimize"},
 		{"kernel profile without optimize", []string{"-f", prog, "-kernel-profile", "p.json"}, "require -optimize"},
 		{"missing kernel profile", []string{"-f", prog, "-optimize", "-kernel-profile", filepath.Join(t.TempDir(), "absent.json")}, "no such file"},

@@ -53,3 +53,35 @@ func BenchmarkDeleteMatrix(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWriteVirtual times a single-block virtual tile write by address
+// into an existing matrix directory, as an engine task's trace replays one:
+// one Batch hold writes a 64×64 grid, emptied untimed for the next pass. A
+// tile outside that grid keeps the directory alive throughout, so it is
+// never dropped and made again. The write is a cell of the directory's grid:
+// CI gates it at 0 allocs/op.
+func BenchmarkWriteVirtual(b *testing.B) {
+	const side = 64
+	tile := func(i int) TileAddr { return TileAddr{Matrix: "C", TI: int32(i / side), TJ: int32(i % side)} }
+	fs := New(Config{Nodes: 8, Replication: 3, Seed: 1})
+	bt := fs.Batch()
+	defer bt.Done()
+	if err := bt.WriteVirtual(tile(side*side), 100, -1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := n % (side * side)
+		if i == 0 && n > 0 {
+			b.StopTimer()
+			for j := 0; j < side*side; j++ {
+				bt.Delete(tile(j))
+			}
+			b.StartTimer()
+		}
+		if err := bt.WriteVirtual(tile(i), 100, n%8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

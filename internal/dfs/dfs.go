@@ -19,10 +19,14 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"cumulon/internal/cloud"
 )
@@ -56,44 +60,92 @@ func DefaultConfig(nodes int) Config {
 	return Config{Nodes: nodes, Replication: cloud.DefaultReplication, BlockSize: 64 << 20, Seed: 1}
 }
 
+// cell is one file, held by value in its directory in 24 bytes: its size,
+// its payload (nil when virtual) and its first block's replicas. A file of
+// several blocks, or whose one block has a replica list rep cannot hold —
+// more than three, or a node id past 16 bits — spills: its blocks go to a
+// list of their own, and p points to that list instead.
+type cell struct {
+	p    unsafe.Pointer // the payload's first byte, or the spilled *[]block
+	size int64
+	rep  [3]uint16
+	nrep uint8
+	kind uint8 // isReal or isVirtual, and spilled; 0 for a vacant cell
+}
+
+const (
+	isReal uint8 = 1 << iota
+	isVirtual
+	spilled
+)
+
+func (c *cell) vacant() bool  { return c.kind == 0 }
+func (c *cell) virtual() bool { return c.kind&isVirtual != 0 }
+
+// spill returns a spilled file's blocks, nil for a file kept inline.
+func (c *cell) spill() []block {
+	if c.kind&spilled == 0 {
+		return nil
+	}
+	return *(*[]block)(c.p)
+}
+
+func (c *cell) nblocks() int {
+	if bs := c.spill(); bs != nil {
+		return len(bs)
+	}
+	return 1
+}
+
+// replicas returns the size and replica list of c's block i, an inline
+// block's list copied to buf.
+func (c *cell) replicas(i int, buf *[3]int32) (int64, []int32) {
+	if bs := c.spill(); bs != nil {
+		return bs[i].size, bs[i].replicas
+	}
+	for j, r := range c.rep[:c.nrep] {
+		buf[j] = int32(r)
+	}
+	return c.size, buf[:c.nrep]
+}
+
+// inline stores reps in c.rep, if it can hold them, and reports whether it
+// did.
+func (c *cell) inline(reps []int32) bool {
+	if len(reps) > len(c.rep) || slices.ContainsFunc(reps, func(r int32) bool { return r > math.MaxUint16 }) {
+		return false
+	}
+	for i, r := range reps {
+		c.rep[i] = uint16(r)
+	}
+	c.nrep = uint8(len(reps))
+	return true
+}
+
+// payload returns an inline file's bytes, nil for a virtual one.
+func (c *cell) payload() []byte {
+	if c.p == nil {
+		return nil
+	}
+	return unsafe.Slice((*byte)(c.p), c.size)
+}
+
+// setBlocks stores bs as c's blocks: inline when there is one whose
+// replicas rep can hold, and otherwise bs itself, which c then owns.
+func (c *cell) setBlocks(bs []block) {
+	c.kind &^= spilled
+	if len(bs) == 1 && c.inline(bs[0].replicas) {
+		c.p = unsafe.Pointer(unsafe.SliceData(bs[0].data))
+		return
+	}
+	c.p, c.nrep, c.kind = unsafe.Pointer(&bs), 0, c.kind|spilled
+}
+
+// block is one block of a spilled file.
 type block struct {
 	data     []byte // nil for virtual blocks
 	size     int64
-	replicas []int // datanode ids holding this block
-}
-
-type file struct {
-	blocks  []block
-	size    int64
-	virtual bool
-	one     [1]block // backing array of blocks for a single-block file
-	rep     [3]int   // backing array of the first block's replica list
-}
-
-// newFile returns an empty file whose first block, and up to three of its
-// replicas, need no allocation of their own.
-func newFile(size int64, virtual bool) *file {
-	f := &file{size: size, virtual: virtual}
-	f.blocks = f.one[:0]
-	return f
-}
-
-// clone returns a copy of f with a block list of its own. The copy shares
-// the payloads and replica lists, which nothing changes in place.
-func (f *file) clone() *file {
-	c := &file{size: f.size, virtual: f.virtual}
-	c.blocks = append(c.one[:0], f.blocks...)
-	return c
-}
-
-// replicaBuf returns an empty list with room for the next block's n
-// replicas: the file's own array for its first block when they fit, a new
-// one otherwise, so no two blocks share a backing array.
-func (f *file) replicaBuf(n int) []int {
-	if len(f.blocks) == 0 && n <= len(f.rep) {
-		return f.rep[:0]
-	}
-	return make([]int, 0, n)
+	replicas []int32 // datanode ids holding this block
 }
 
 // IOStats aggregates byte counters; one instance exists per node plus one
@@ -124,13 +176,9 @@ type FS struct {
 	stats []IOStats // per node
 	total IOStats
 	// used and cands are the scratch of fillReplicaTargets, so placing a
-	// block allocates at most its replica list (nothing for a file's first).
+	// block allocates at most its replica list (nothing for an inline one).
 	used  []bool
 	cands []int
-	// forked is set once this file system has been forked or is a fork:
-	// its files may then be shared with another, and KillNode copies a file
-	// before changing its replica lists.
-	forked bool
 	// batch is the tile-keyed face Batch hands out under the lock.
 	batch Batch
 }
@@ -175,23 +223,24 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 
 // Fork returns a file system with fs's namespace, node states and I/O
 // counters that places every later write from rng; from then on the two are
-// independent. They share the files themselves — a written file is
-// immutable, and KillNode copies a shared one before re-replicating it — so
-// a fork costs the namespace maps, not the blocks. Given rng at the position
-// fs's own stream has reached, the fork places later writes exactly as fs
-// would. A nil rng makes a snapshot that is only forked, never written.
+// independent. They share the directories themselves, copy-on-write: a
+// shared directory is never changed again, and the first write, delete or
+// re-replication either side makes in it copies it first — so a fork costs
+// the directory map, not the tiles. Given rng at the position fs's own
+// stream has reached, the fork places later writes exactly as fs would. A
+// nil rng makes a snapshot that is only forked, never written.
 func (fs *FS) Fork(rng *rand.Rand) *FS {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	for _, d := range fs.dirs {
+		if !d.shared { // a shared one is written by no one
+			d.shared = true
+		}
+	}
 	f := NewOn(fs.cfg, rng)
-	f.live = append(f.live[:0], fs.live...)
+	f.dirs, f.live, f.total = maps.Clone(fs.dirs), append(f.live[:0], fs.live...), fs.total
 	copy(f.dead, fs.dead)
 	copy(f.stats, fs.stats)
-	f.total = fs.total
-	for p, d := range fs.dirs {
-		f.dirs[p] = d.clone()
-	}
-	fs.forked, f.forked = true, true
 	return f
 }
 
@@ -215,27 +264,46 @@ func (fs *FS) at(path string) slot {
 	return s
 }
 
-// lookup returns the file stored under path, or nil. Caller holds the lock.
-func (fs *FS) lookup(path string) *file { return fs.at(path).file() }
+// lookup returns the file stored under path, a vacant cell if there is
+// none. Caller holds the lock.
+func (fs *FS) lookup(path string) cell { return fs.at(path).get() }
 
-// put stores f in slot s, making its directory when it has none. Caller
-// holds the lock.
-func (fs *FS) put(s slot, f *file) {
-	if s.d == nil {
-		s.d = &dir{path: s.dir}
-		fs.dirs[s.dir] = s.d
+// own makes the directory of slot s, which exists, this file system's own to
+// change: one a fork shares is replaced by a copy. A slot resolved before an
+// earlier change copied it finds the copy. Caller holds the lock.
+func (fs *FS) own(s *slot) {
+	if !s.d.shared {
+		return
 	}
-	s.set(f)
+	if d := fs.dirs[s.d.path]; d != s.d {
+		s.d = d
+		return
+	}
+	s.d = s.d.copy()
+	fs.dirs[s.d.path] = s.d
+	fs.batch.forget()
+}
+
+// put stores c in slot s, making its directory when it has none. Caller
+// holds the lock.
+func (fs *FS) put(s slot, c cell) {
+	if s.d == nil {
+		s.d = &dir{path: s.dirPath()}
+		fs.dirs[s.d.path] = s.d
+	}
+	fs.own(&s)
+	s.set(c)
 }
 
 // drop removes the file in slot s, if any, and its directory with its last
 // file. Caller holds the lock.
 func (fs *FS) drop(s slot) {
-	if s.file() == nil {
+	if c := s.get(); c.vacant() {
 		return
 	}
-	if s.set(nil); s.d.len() == 0 {
-		delete(fs.dirs, s.dir)
+	fs.own(&s)
+	if s.set(cell{}); s.d.len() == 0 {
+		delete(fs.dirs, s.d.path)
 		fs.batch.forget()
 	}
 }
@@ -295,8 +363,8 @@ func (fs *FS) WriteVirtual(path string, size int64, writerNode int) error {
 // write stores in slot s, which must be vacant — files are write-once — a
 // file of size bytes: data's, or none for a virtual one. Caller holds the
 // lock.
-func (fs *FS) write(s slot, data []byte, size int64, virtual bool, writerNode int) error {
-	if s.file() != nil {
+func (fs *FS) write(s slot, data []byte, size int64, virt bool, writerNode int) error {
+	if c := s.get(); !c.vacant() {
 		return fmt.Errorf("%w: %s", ErrExists, s.pathname())
 	}
 	if fs.isDead(writerNode) {
@@ -305,27 +373,42 @@ func (fs *FS) write(s slot, data []byte, size int64, virtual bool, writerNode in
 	if size < 0 {
 		return fmt.Errorf("dfs: negative size %d for %s", size, s.pathname())
 	}
-	f := newFile(size, virtual)
+	c := cell{size: size, kind: isReal}
+	if virt {
+		c.kind = isVirtual
+	}
+	if size <= fs.cfg.BlockSize && fs.cfg.Replication <= len(c.rep) && fs.cfg.Nodes <= math.MaxUint16+1 {
+		// One block, whose replicas c.rep holds.
+		var buf [3]int32
+		reps := fs.placeReplicas(buf[:0], writerNode)
+		fs.accountWrite(size, reps)
+		c.inline(reps)
+		c.p = unsafe.Pointer(unsafe.SliceData(data))
+		fs.put(s, c)
+		return nil
+	}
+	var bs []block
 	for off := int64(0); off == 0 || off < size; off += fs.cfg.BlockSize {
 		end := min(off+fs.cfg.BlockSize, size)
-		b := block{size: end - off, replicas: fs.placeReplicas(f.replicaBuf(fs.cfg.Replication), writerNode)}
-		if !virtual {
+		b := block{size: end - off, replicas: fs.placeReplicas(make([]int32, 0, fs.cfg.Replication), writerNode)}
+		if !virt {
 			b.data = data[off:end:end]
 		}
-		f.blocks = append(f.blocks, b)
-		fs.accountWrite(b)
+		bs = append(bs, b)
+		fs.accountWrite(b.size, b.replicas)
 	}
-	fs.put(s, f)
+	c.setBlocks(bs)
+	fs.put(s, c)
 	return nil
 }
 
-func (fs *FS) accountWrite(b block) {
-	primary := b.replicas[0]
-	fs.stats[primary].WrittenBytes += b.size
-	fs.total.WrittenBytes += b.size
-	for _, r := range b.replicas[1:] {
-		fs.stats[r].ReplicationBytes += b.size
-		fs.total.ReplicationBytes += b.size
+func (fs *FS) accountWrite(size int64, replicas []int32) {
+	primary := replicas[0]
+	fs.stats[primary].WrittenBytes += size
+	fs.total.WrittenBytes += size
+	for _, r := range replicas[1:] {
+		fs.stats[r].ReplicationBytes += size
+		fs.total.ReplicationBytes += size
 	}
 }
 
@@ -342,33 +425,40 @@ type ReadSplit struct {
 // Total returns the total bytes of the read.
 func (r ReadSplit) Total() int64 { return r.Local + r.RackLocal + r.Remote }
 
-// classify determines the read class of a block for readerNode (-1 for an
-// external client) and accounts it; caller holds the lock.
-func (fs *FS) classify(b *block, live []int, readerNode int, sp *ReadSplit) {
-	for _, r := range live {
-		if r == readerNode {
-			sp.Local += b.size
-			fs.stats[readerNode].LocalReadBytes += b.size
-			fs.total.LocalReadBytes += b.size
-			return
+// classify determines the read class of a block of size bytes for
+// readerNode (-1 for an external client) from its replicas on live nodes and
+// accounts it, or reports false, accounting nothing, when it has none;
+// caller holds the lock.
+func (fs *FS) classify(size int64, replicas []int32, readerNode int, sp *ReadSplit) bool {
+	live, rackLocal := false, false
+	for _, r := range replicas {
+		switch {
+		case fs.dead[r]:
+			continue
+		case int(r) == readerNode:
+			sp.Local += size
+			fs.stats[readerNode].LocalReadBytes += size
+			fs.total.LocalReadBytes += size
+			return true
 		}
+		live = true
+		rackLocal = rackLocal || fs.cfg.RackSize > 0 && readerNode >= 0 && fs.RackOf(int(r)) == fs.RackOf(readerNode)
 	}
-	if fs.cfg.RackSize > 0 && readerNode >= 0 {
-		rack := fs.RackOf(readerNode)
-		for _, r := range live {
-			if fs.RackOf(r) == rack {
-				sp.RackLocal += b.size
-				fs.stats[readerNode].RackLocalReadBytes += b.size
-				fs.total.RackLocalReadBytes += b.size
-				return
-			}
+	switch {
+	case !live:
+		return false
+	case rackLocal:
+		sp.RackLocal += size
+		fs.stats[readerNode].RackLocalReadBytes += size
+		fs.total.RackLocalReadBytes += size
+	default:
+		sp.Remote += size
+		if readerNode >= 0 {
+			fs.stats[readerNode].RemoteReadBytes += size
 		}
+		fs.total.RemoteReadBytes += size
 	}
-	sp.Remote += b.size
-	if readerNode >= 0 {
-		fs.stats[readerNode].RemoteReadBytes += b.size
-	}
-	fs.total.RemoteReadBytes += b.size
+	return true
 }
 
 // ReadAccount performs the placement, locality and byte accounting of a
@@ -383,11 +473,11 @@ func (fs *FS) ReadAccount(path string, readerNode int) (ReadSplit, error) {
 }
 
 // find returns the file in slot s or ErrNotFound.
-func (s *slot) find() (*file, error) {
-	if f := s.file(); f != nil {
-		return f, nil
+func (s *slot) find() (cell, error) {
+	if c := s.get(); !c.vacant() {
+		return c, nil
 	}
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, s.pathname())
+	return cell{}, fmt.Errorf("%w: %s", ErrNotFound, s.pathname())
 }
 
 // readAccount classifies and accounts a read of every block of the file in
@@ -397,7 +487,7 @@ func (s *slot) find() (*file, error) {
 // lock.
 func (fs *FS) readAccount(s *slot, readerNode int) (ReadSplit, error) {
 	var sp ReadSplit
-	f, err := s.find()
+	c, err := s.find()
 	if err != nil {
 		return sp, err
 	}
@@ -407,13 +497,11 @@ func (fs *FS) readAccount(s *slot, readerNode int) (ReadSplit, error) {
 	if fs.isDead(readerNode) {
 		return sp, fmt.Errorf("%w: %d", ErrDeadNode, readerNode)
 	}
-	for i := range f.blocks {
-		b := &f.blocks[i]
-		live := fs.liveReplicas(b)
-		if len(live) == 0 {
+	var buf [3]int32
+	for i := range c.nblocks() {
+		if size, reps := c.replicas(i, &buf); !fs.classify(size, reps, readerNode, &sp) {
 			return sp, fmt.Errorf("%w: %s", ErrUnavailable, s.pathname())
 		}
-		fs.classify(b, live, readerNode, &sp)
 	}
 	return sp, nil
 }
@@ -427,7 +515,7 @@ func (fs *FS) readAccount(s *slot, readerNode int) (ReadSplit, error) {
 // uploader addressed by a stale topology — is an external client: all
 // replicas are placed randomly. The list is appended to replicas, which
 // must be empty.
-func (fs *FS) placeReplicas(replicas []int, writerNode int) []int {
+func (fs *FS) placeReplicas(replicas []int32, writerNode int) []int32 {
 	if len(fs.live) == 0 {
 		panic("dfs: no live nodes")
 	}
@@ -436,7 +524,7 @@ func (fs *FS) placeReplicas(replicas []int, writerNode int) []int {
 		want = len(fs.live)
 	}
 	if writerNode >= 0 && writerNode < fs.cfg.Nodes && !fs.dead[writerNode] {
-		replicas = append(replicas, writerNode)
+		replicas = append(replicas, int32(writerNode))
 	}
 	return fs.fillReplicaTargets(replicas, want)
 }
@@ -450,7 +538,7 @@ func (fs *FS) placeReplicas(replicas []int, writerNode int) []int {
 // nodes not yet holding the block, ascending — are shuffled once per call,
 // whatever want is: the draw sequence of the placement stream is part of
 // every golden trace. Caller holds the lock.
-func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
+func (fs *FS) fillReplicaTargets(replicas []int32, want int) []int32 {
 	used := fs.used
 	clear(used)
 	for _, r := range replicas {
@@ -469,7 +557,7 @@ func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
 	pick := func(rack int, on bool) bool {
 		for _, n := range cands {
 			if !used[n] && (rack < 0 || (fs.RackOf(n) == rack) == on) {
-				replicas = append(replicas, n)
+				replicas = append(replicas, int32(n))
 				used[n] = true
 				return true
 			}
@@ -479,10 +567,10 @@ func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
 	if fs.cfg.RackSize > 0 && len(replicas) > 0 {
 		// Second replica off the first's rack, third on the second's rack;
 		// either falls back to any node.
-		if len(replicas) < want && !pick(fs.RackOf(replicas[0]), false) {
+		if len(replicas) < want && !pick(fs.RackOf(int(replicas[0])), false) {
 			pick(-1, true)
 		}
-		if len(replicas) >= 2 && len(replicas) < want && !pick(fs.RackOf(replicas[1]), true) {
+		if len(replicas) >= 2 && len(replicas) < want && !pick(fs.RackOf(int(replicas[1])), true) {
 			pick(-1, true)
 		}
 	}
@@ -494,13 +582,17 @@ func (fs *FS) fillReplicaTargets(replicas []int, want int) []int {
 // contents returns the file's bytes: the stored block itself for a
 // single-block file (a read-only view, capacity clipped to its length),
 // a fresh concatenation for a multi-block one.
-func (f *file) contents() []byte {
-	if len(f.blocks) == 1 {
-		return f.blocks[0].data
+func (c *cell) contents() []byte {
+	bs := c.spill()
+	switch {
+	case bs == nil:
+		return c.payload()
+	case len(bs) == 1:
+		return bs[0].data
 	}
-	out := make([]byte, 0, f.size)
-	for i := range f.blocks {
-		out = append(out, f.blocks[i].data...)
+	out := make([]byte, 0, c.size)
+	for _, b := range bs {
+		out = append(out, b.data...)
 	}
 	return out
 }
@@ -513,18 +605,18 @@ func (f *file) contents() []byte {
 // unchanged whatever happens to the file system afterwards, and the caller
 // must not modify them. Caller holds the lock.
 func (fs *FS) read(s slot, readerNode int) ([]byte, ReadSplit, error) {
-	f, err := s.find()
+	c, err := s.find()
 	if err != nil {
 		return nil, ReadSplit{}, err
 	}
-	if f.virtual {
+	if c.virtual() {
 		return nil, ReadSplit{}, fmt.Errorf("%w: %s", ErrVirtual, s.pathname())
 	}
 	sp, err := fs.readAccount(&s, readerNode)
 	if err != nil {
 		return nil, sp, err
 	}
-	return f.contents(), sp, nil
+	return c.contents(), sp, nil
 }
 
 // Peek returns the file contents without performing any read accounting,
@@ -543,31 +635,34 @@ func (fs *FS) Peek(path string) ([]byte, error) {
 
 // peek is Peek of slot s. Caller holds the lock.
 func (fs *FS) peek(s slot) ([]byte, error) {
-	f, err := s.find()
+	c, err := s.find()
 	if err != nil {
 		return nil, err
 	}
-	if f.virtual {
+	if c.virtual() {
 		return nil, fmt.Errorf("%w: %s", ErrVirtual, s.pathname())
 	}
-	for i := range f.blocks {
-		if len(fs.liveReplicas(&f.blocks[i])) == 0 {
+	var buf [3]int32
+	for i := range c.nblocks() {
+		if _, reps := c.replicas(i, &buf); !slices.ContainsFunc(reps, func(r int32) bool { return !fs.dead[r] }) {
 			return nil, fmt.Errorf("%w: %s", ErrUnavailable, s.pathname())
 		}
 	}
-	return f.contents(), nil
+	return c.contents(), nil
 }
 
 // firstReplica returns the lowest-numbered live node holding a replica of
-// some block of f, or -1 when f is nil or has no live replica. Caller holds
-// the lock.
-func (fs *FS) firstReplica(f *file) int {
+// some block of c, or -1 when c is vacant or has no live replica. Caller
+// holds the lock.
+func (fs *FS) firstReplica(c cell) int {
 	first := -1
-	if f != nil {
-		for i := range f.blocks {
-			for _, r := range f.blocks[i].replicas {
-				if !fs.dead[r] && (first < 0 || r < first) {
-					first = r
+	var buf [3]int32
+	if !c.vacant() {
+		for i := range c.nblocks() {
+			_, reps := c.replicas(i, &buf)
+			for _, r := range reps {
+				if !fs.dead[r] && (first < 0 || int(r) < first) {
+					first = int(r)
 				}
 			}
 		}
@@ -579,11 +674,11 @@ func (fs *FS) firstReplica(f *file) int {
 func (fs *FS) Size(path string) (int64, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := fs.lookup(path)
-	if f == nil {
+	c := fs.lookup(path)
+	if c.vacant() {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	return f.size, nil
+	return c.size, nil
 }
 
 // Delete removes a file. Deleting a missing file is not an error, matching
@@ -639,8 +734,7 @@ type RecoveryReport struct {
 // (rack-local or remote by topology) as well as the replication write on
 // the receiver. Blocks whose every replica was on dead nodes become
 // unavailable. Files are processed in sorted path order so the recovery
-// traffic is deterministic for a given placement history. On a forked file
-// system a file that lost a replica is copied first: a fork may share it.
+// traffic is deterministic for a given placement history.
 func (fs *FS) KillNode(node int) RecoveryReport {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -649,59 +743,58 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 		return rep
 	}
 	fs.markDead(node)
-	liveNodes := len(fs.live)
+	want := min(fs.cfg.Replication, len(fs.live))
+	var buf [3]int32
 	for _, s := range fs.sorted("") {
-		f := s.file()
-		owned := !fs.forked
-		for i := range f.blocks {
-			b := &f.blocks[i]
-			lost := false
-			for _, r := range b.replicas {
-				if r == node {
-					lost = true
-					break
-				}
-			}
-			if !lost {
+		c := s.get()
+		var bs []block // the file's blocks, once one of them changes
+		for i := range c.nblocks() {
+			size, reps := c.replicas(i, &buf)
+			if !slices.Contains(reps, int32(node)) {
 				continue
 			}
-			if !owned {
-				f, owned = f.clone(), true
-				s.set(f)
-				b = &f.blocks[i]
+			live := make([]int32, 0, max(len(reps), want))
+			for _, r := range reps {
+				if !fs.dead[r] {
+					live = append(live, r)
+				}
 			}
-			live := fs.liveReplicas(b)
 			if len(live) == 0 {
 				rep.BlocksLost++
 				continue
 			}
-			want := fs.cfg.Replication
-			if want > liveNodes {
-				want = liveNodes
+			grown := live
+			if len(live) < want {
+				grown = fs.fillReplicaTargets(live, want)
 			}
-			if len(live) >= want {
-				b.replicas = live
-				continue
-			}
-			grown := fs.fillReplicaTargets(append([]int(nil), live...), want)
 			if len(grown) > len(live) {
 				rep.BlocksRecovered++
 			}
 			for _, dst := range grown[len(live):] {
 				src := live[fs.rng.Intn(len(live))]
-				if fs.cfg.RackSize > 0 && fs.RackOf(src) == fs.RackOf(dst) {
-					fs.stats[src].RackLocalReadBytes += b.size
-					fs.total.RackLocalReadBytes += b.size
+				if fs.cfg.RackSize > 0 && fs.RackOf(int(src)) == fs.RackOf(int(dst)) {
+					fs.stats[src].RackLocalReadBytes += size
+					fs.total.RackLocalReadBytes += size
 				} else {
-					fs.stats[src].RemoteReadBytes += b.size
-					fs.total.RemoteReadBytes += b.size
+					fs.stats[src].RemoteReadBytes += size
+					fs.total.RemoteReadBytes += size
 				}
-				fs.stats[dst].ReplicationBytes += b.size
-				fs.total.ReplicationBytes += b.size
+				fs.stats[dst].ReplicationBytes += size
+				fs.total.ReplicationBytes += size
 				rep.ReplicasAdded++
-				rep.BytesMoved += b.size
+				rep.BytesMoved += size
 			}
-			b.replicas = grown
+			if bs == nil { // a copy: a spilled list may be a fork's too
+				if bs = slices.Clone(c.spill()); bs == nil {
+					bs = []block{{data: c.payload(), size: c.size}}
+				}
+			}
+			bs[i].replicas = grown
+		}
+		if bs != nil {
+			c.setBlocks(bs)
+			fs.own(&s)
+			s.set(c)
 		}
 	}
 	return rep
@@ -736,13 +829,18 @@ func (fs *FS) MarkDead(node int) {
 func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f := fs.lookup(path)
-	if f == nil {
+	c := fs.lookup(path)
+	if c.vacant() {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	out := make([][]int, len(f.blocks))
-	for i := range f.blocks {
-		out[i] = append([]int(nil), f.blocks[i].replicas...)
+	out := make([][]int, c.nblocks())
+	var buf [3]int32
+	for i := range out {
+		_, reps := c.replicas(i, &buf)
+		out[i] = make([]int, len(reps))
+		for j, r := range reps {
+			out[i][j] = int(r)
+		}
 	}
 	return out, nil
 }
@@ -758,7 +856,7 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	s := fs.at(path)
-	if s.file() != nil {
+	if c := s.get(); !c.vacant() {
 		return fmt.Errorf("%w: %s", ErrExists, path)
 	}
 	if data != nil {
@@ -774,28 +872,30 @@ func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int
 	if len(replicas) != nBlocks {
 		return fmt.Errorf("dfs: %s wants %d block replica lists, got %d", path, nBlocks, len(replicas))
 	}
-	f := newFile(size, data == nil)
-	for i := 0; i < nBlocks; i++ {
+	bs := make([]block, nBlocks)
+	for i := range bs {
 		if len(replicas[i]) == 0 {
 			return fmt.Errorf("dfs: %s block %d has no replicas", path, i)
 		}
-		for _, r := range replicas[i] {
+		off := int64(i) * fs.cfg.BlockSize
+		end := min(off+fs.cfg.BlockSize, size)
+		bs[i] = block{size: end - off, replicas: make([]int32, len(replicas[i]))}
+		for j, r := range replicas[i] {
 			if r < 0 || r >= fs.cfg.Nodes {
 				return fmt.Errorf("dfs: %s block %d replica on unknown node %d", path, i, r)
 			}
+			bs[i].replicas[j] = int32(r)
 		}
-		off := int64(i) * fs.cfg.BlockSize
-		end := off + fs.cfg.BlockSize
-		if end > size {
-			end = size
-		}
-		b := block{size: end - off, replicas: append(f.replicaBuf(len(replicas[i])), replicas[i]...)}
 		if data != nil {
-			b.data = data[off:end:end]
+			bs[i].data = data[off:end:end]
 		}
-		f.blocks = append(f.blocks, b)
 	}
-	fs.put(s, f)
+	c := cell{size: size, kind: isReal}
+	if data == nil {
+		c.kind = isVirtual
+	}
+	c.setBlocks(bs)
+	fs.put(s, c)
 	return nil
 }
 
@@ -815,19 +915,4 @@ func (fs *FS) Stats(node int) IOStats {
 		return fs.total
 	}
 	return fs.stats[node]
-}
-
-// liveReplicas returns the block's replicas on live nodes: the stored list
-// itself (read-only) while no node is dead, a filtered copy otherwise.
-func (fs *FS) liveReplicas(b *block) []int {
-	if len(fs.live) == fs.cfg.Nodes {
-		return b.replicas
-	}
-	var out []int
-	for _, r := range b.replicas {
-		if !fs.dead[r] {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -596,4 +597,34 @@ func (fs *FS) readTracked(path string, readerNode int) ([]byte, ReadSplit, error
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.read(fs.at(path), readerNode)
+}
+
+// TestNodeIDsPastSixteenBits: a cell holds replica ids of up to 16 bits; a
+// file with a replica past them spills, and reads, locates and recovers as
+// any other.
+func TestNodeIDsPastSixteenBits(t *testing.T) {
+	top := 1<<16 + 7
+	fs := New(Config{Nodes: top + 1, Replication: 3, Seed: 1})
+	if err := fs.WriteVirtual("/matrix/m/0_0", 10, top); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WritePlaced("/matrix/m/0_1", nil, 10, [][]int{{top, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if reps, err := fs.BlockReplicas("/matrix/m/0_0"); err != nil || len(reps[0]) != 3 || reps[0][0] != top {
+		t.Fatalf("written from node %d: %v, %v", top, reps, err)
+	}
+	if sp, err := fs.ReadAccount("/matrix/m/0_1", top); err != nil || sp.Local != 10 {
+		t.Fatalf("read on node %d: %+v, %v", top, sp, err)
+	}
+	fs.KillNode(top)
+	reps, err := fs.BlockReplicas("/matrix/m/0_1")
+	if err != nil || len(reps[0]) != 3 || reps[0][0] != 1 || slices.Contains(reps[0], top) {
+		t.Fatalf("after node %d died: %v, %v", top, reps, err)
+	}
+	b := fs.Batch()
+	defer b.Done()
+	if n := b.FirstReplicaNode(TileAddr{Matrix: "m", TJ: 1}); n != slices.Min(reps[0]) {
+		t.Fatalf("FirstReplicaNode %d, replicas %v", n, reps[0])
+	}
 }

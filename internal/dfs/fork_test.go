@@ -156,7 +156,8 @@ func TestForkPlacesLaterWritesAlike(t *testing.T) {
 
 // TestForkIsolation: no operation on either side of a fork changes anything
 // the other side reports — KillNode least of all, since it rewrites the
-// replica lists of files the two share.
+// replica lists of files the two share — and when both sides change the
+// directories they share, each ends as a copy only it changed does.
 func TestForkIsolation(t *testing.T) {
 	ops := []struct {
 		name string
@@ -165,7 +166,19 @@ func TestForkIsolation(t *testing.T) {
 		{"KillNode", func(fs *FS) error { fs.KillNode(0); return nil }},
 		{"WritePlaced", func(fs *FS) error { return fs.WritePlaced("/matrix/m0/new", nil, 100, [][]int{{1}, {2, 3}}) }},
 		{"Write", func(fs *FS) error { return fs.Write("/matrix/m1/new", make([]byte, 90), 1) }},
+		{"Write tile", func(fs *FS) error { return fs.Write("/matrix/m1/1_1", make([]byte, 40), 2) }},
+		{"WriteVirtual tile", func(fs *FS) error {
+			b := fs.Batch()
+			defer b.Done()
+			return b.WriteVirtual(TileAddr{Matrix: "m3", TI: 21, TJ: 1}, 30, 3)
+		}},
 		{"Delete", func(fs *FS) error { fs.Delete("/matrix/m2/2_0"); return nil }},
+		{"Delete tile", func(fs *FS) error {
+			b := fs.Batch()
+			defer b.Done()
+			b.Delete(TileAddr{Matrix: "m0", TI: 4})
+			return nil
+		}},
 		{"DeletePrefix", func(fs *FS) error { fs.DeletePrefix("/matrix/m3/"); fs.DeletePrefix("/matrix/m1/1"); return nil }},
 		{"DeleteMatrix", func(fs *FS) error { fs.DeleteMatrix("m2"); return nil }},
 		{"ResetStats", func(fs *FS) error { fs.ResetStats(); return nil }},
@@ -190,6 +203,32 @@ func TestForkIsolation(t *testing.T) {
 					t.Fatalf("%+v: %s on the %s changed the other side\nbefore\n%s\nafter\n%s",
 						cfg, op.name, map[bool]string{false: "source", true: "fork"}[onFork], before, after)
 				}
+			}
+		}
+		// Both sides: the source runs one op, then the fork the next, then the
+		// source the one after; each is held to a copy that ran its own alone.
+		for i := range ops {
+			mine, theirs, again := ops[i], ops[(i+1)%len(ops)], ops[(i+2)%len(ops)]
+			src, _ := loaded(t, cfg)
+			fork := src.Fork(rand.New(rand.NewSource(1)))
+			srcAlone, _ := loaded(t, cfg)
+			forkSrc, _ := loaded(t, cfg)
+			forkAlone := forkSrc.Fork(rand.New(rand.NewSource(1)))
+			for _, step := range []struct {
+				op  func(*FS) error
+				fss []*FS
+			}{{mine.do, []*FS{src, srcAlone}}, {theirs.do, []*FS{fork, forkAlone}}, {again.do, []*FS{src, srcAlone}}} {
+				for _, fs := range step.fss {
+					if err := step.op(fs); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := forkView(src), forkView(srcAlone); got != want {
+				t.Fatalf("%+v: %s, %s on the fork, %s: the source\n%s\nwant\n%s", cfg, mine.name, theirs.name, again.name, got, want)
+			}
+			if got, want := forkView(fork), forkView(forkAlone); got != want {
+				t.Fatalf("%+v: %s, %s on the fork, %s: the fork\n%s\nwant\n%s", cfg, mine.name, theirs.name, again.name, got, want)
 			}
 		}
 	}

@@ -81,8 +81,8 @@ func TestMultiBlockFileRoundTripsThroughEveryRead(t *testing.T) {
 	}
 }
 
-// TestReplicaListsNeverAlias: a block's replica list — a file's first
-// block's in the file's own array — is its alone. A caller may change a list
+// TestReplicaListsNeverAlias: a block's replica list — inline in its file's
+// cell, or in an array of its own — is its alone. A caller may change a list
 // it handed to WritePlaced or got from BlockReplicas, KillNode may rewrite
 // the lists of the blocks it re-replicates, and later writes may place new
 // ones, and no other block's placement moves.
@@ -107,12 +107,14 @@ func TestReplicaListsNeverAlias(t *testing.T) {
 	}
 	verify := func(stage string) {
 		t.Helper()
-		owner := map[*int]string{}
+		owner := map[*int32]string{}
 		for p, want := range placed {
 			if got, err := fs.BlockReplicas(p); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s moved %s: %v, placed %v (%v)", stage, p, got, want, err)
 			}
-			for b, blk := range fs.lookup(p).blocks {
+			c := fs.lookup(p)
+			for b, blk := range c.spill() { // an inline list is in its cell
+
 				arr := &blk.replicas[:1][0]
 				if o, ok := owner[arr]; ok {
 					t.Fatalf("%s left %s block %d storing its replica list in %s's array", stage, p, b, o)

@@ -158,18 +158,21 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestPlacementAllocations bounds what the hot accounting calls allocate:
-// reads and the locality lookup nothing while no node is dead, a
-// single-block virtual write into an existing directory one allocation
-// whatever the cluster size: its file, which holds the block and its
-// replica list (the map's growth averages below one).
+// reads and the locality lookup nothing, before and after a node dies, and a
+// single-block write — Write or WriteVirtual, of a tile or another file —
+// into an existing directory nothing whatever the cluster size: the file is
+// a cell held by value in its directory's grid or map, whose growth averages
+// below one allocation a write.
 func TestPlacementAllocations(t *testing.T) {
 	const runs = 500
 	payload := make([]byte, 100)
-	writeAllocs := func(nodes int, virtual bool) float64 {
+	writeAllocs := func(nodes int, virtual, tile bool) float64 {
 		fs := New(Config{Nodes: nodes, Replication: 3, Seed: 1, RackSize: 4})
 		paths := make([]string, runs+1) // AllocsPerRun makes one warm-up call
 		for i := range paths {
-			paths[i] = fmt.Sprintf("/w/%d", i)
+			if paths[i] = fmt.Sprintf("/w/%d", i); tile {
+				paths[i] = fmt.Sprintf("/matrix/w/%d_%d", i/32, i%32)
+			}
 		}
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
@@ -186,35 +189,47 @@ func TestPlacementAllocations(t *testing.T) {
 		})
 	}
 	for _, virtual := range []bool{true, false} {
-		if small, large := writeAllocs(4, virtual), writeAllocs(64, virtual); small != 1 || large != 1 {
-			t.Errorf("single-block write (virtual %v): %v allocs on 4 nodes, %v on 64; want 1", virtual, small, large)
+		for _, tile := range []bool{true, false} {
+			if small, large := writeAllocs(4, virtual, tile), writeAllocs(64, virtual, tile); small != 0 || large != 0 {
+				t.Errorf("single-block write (virtual %v, tile %v): %v allocs on 4 nodes, %v on 64; want 0", virtual, tile, small, large)
+			}
 		}
 	}
 
 	fs := New(Config{Nodes: 8, Replication: 3, BlockSize: 64, Seed: 1, RackSize: 4})
-	if err := fs.WriteVirtual("/multi", 300, 2); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(runs, func() {
-		if _, err := fs.ReadAccount("/multi", 5); err != nil {
+	for _, p := range []string{"/multi", "/matrix/multi/0_0"} {
+		if err := fs.WriteVirtual(p, 300, 2); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("ReadAccount allocates %v times per call with no dead node", n)
 	}
-	if err := fs.WriteVirtual("/matrix/multi/0_0", 300, 2); err != nil {
+	if err := fs.WriteVirtual("/matrix/multi/0_1", 50, 2); err != nil {
 		t.Fatal(err)
 	}
-	b := fs.Batch()
-	defer b.Done()
-	if n := testing.AllocsPerRun(runs, func() {
-		if b.FirstReplicaNode(TileAddr{Matrix: "multi"}) < 0 {
-			t.Fatal("no replica")
+	for _, stage := range []string{"with no dead node", "after KillNode"} {
+		if stage == "after KillNode" && fs.KillNode(2).ReplicasAdded == 0 {
+			t.Fatal("killing the writer re-replicated nothing; the test exercises nothing")
 		}
-		if _, err := b.ReadAccount(TileAddr{Matrix: "multi"}, 5); err != nil {
-			t.Fatal(err)
+		if n := testing.AllocsPerRun(runs, func() {
+			if _, err := fs.ReadAccount("/multi", 5); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("ReadAccount allocates %v times per call %s", n, stage)
 		}
-	}); n != 0 {
-		t.Errorf("FirstReplicaNode and ReadAccount by address allocate %v times per call", n)
+		b := fs.Batch()
+		if n := testing.AllocsPerRun(runs, func() {
+			for tj := int32(0); tj < 2; tj++ {
+				a := TileAddr{Matrix: "multi", TJ: tj}
+				if b.FirstReplicaNode(a) < 0 {
+					t.Fatal("no replica")
+				}
+				if _, err := b.ReadAccount(a, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); n != 0 {
+			t.Errorf("FirstReplicaNode and ReadAccount by address allocate %v times per call %s", n, stage)
+		}
+		b.Done()
 	}
 }

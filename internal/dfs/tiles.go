@@ -66,81 +66,134 @@ func parseCoord(s string) (int32, bool) {
 }
 
 // dir is one directory: its tiles — files with a canonical base name — in a
-// grid, tiles[ti][tj], whose rows grow on demand; every other file in a map.
+// grid, every other file in a map, each file a cell held by value. Row ti of
+// the grid is the span rows[ti] of cells, one array all rows are cut from, so
+// it grows geometrically, by append, and a write into an existing directory
+// allocates nothing once the grid has room. A row that must grow takes at
+// once the width of the widest tile column written: in place when it ends
+// the array, and otherwise at the end, with at least twice its width, its old
+// cells left vacant.
+//
+// A directory a fork shares is never changed again: the first change either
+// side makes copies it (FS.own).
 type dir struct {
-	path  string // through the trailing '/'
-	tiles [][]*file
-	nt    int              // tiles in the grid
-	files map[string]*file // by full path
+	path   string // through the trailing '/'
+	cells  []cell
+	rows   []span
+	files  map[string]cell // by full path
+	nt     int32           // tiles in the grid
+	wide   int16           // the widest tile column written, plus one
+	shared bool
 }
 
-func (d *dir) len() int { return d.nt + len(d.files) }
+// span is a grid row: n cells from cells[off].
+type span struct{ off, n int32 }
 
-// clone copies d for a fork: its grid rows are cut from one new array, each
-// capped so that growing it copies.
-func (d *dir) clone() *dir {
-	c := &dir{path: d.path, tiles: make([][]*file, 0, len(d.tiles)), nt: d.nt, files: maps.Clone(d.files)}
-	cells := slices.Concat(d.tiles...)
-	for _, row := range d.tiles {
-		c.tiles, cells = append(c.tiles, cells[:len(row):len(row)]), cells[len(row):]
-	}
-	return c
+func (d *dir) len() int { return int(d.nt) + len(d.files) }
+
+// copy returns a directory of d's files that shares nothing with d but the
+// payloads and spilled block lists, which nothing changes in place.
+func (d *dir) copy() *dir {
+	c := *d
+	c.cells, c.rows, c.files, c.shared = slices.Clone(d.cells), slices.Clone(d.rows), maps.Clone(d.files), false
+	return &c
 }
 
-// slot is where a file is, or would go: its directory's path and index (nil
-// while the directory has no file), and its key there — a tile's coordinates
-// or another file's path. A tile's path is rendered on demand.
-type slot struct {
-	dir  string
-	d    *dir
-	tile bool
-	k    tileKey
-	path string
-}
-
-func (s slot) file() *file {
-	switch {
-	case s.d == nil:
-		return nil
-	case !s.tile:
-		return s.d.files[s.path]
-	case int(s.k.ti) < len(s.d.tiles) && int(s.k.tj) < len(s.d.tiles[s.k.ti]):
-		return s.d.tiles[s.k.ti][s.k.tj]
+// cell returns the grid's cell k, or nil while the grid has none.
+func (d *dir) cell(k tileKey) *cell {
+	if int(k.ti) < len(d.rows) {
+		if r := d.rows[k.ti]; k.tj < r.n {
+			return &d.cells[r.off+k.tj]
+		}
 	}
 	return nil
 }
 
-// set stores f in s, whose directory exists, or removes s's file for nil.
-func (s slot) set(f *file) {
+// grow grows the grid to hold cell k, which it does not, and returns it.
+func (d *dir) grow(k tileKey) *cell {
+	d.wide = max(d.wide, int16(k.tj+1))
+	if int(k.ti) >= len(d.rows) {
+		d.rows = append(d.rows, make([]span, int(k.ti)+1-len(d.rows))...)
+	}
+	r := &d.rows[k.ti]
+	w, end := int32(d.wide), int32(len(d.cells))
+	if r.n == 0 || r.off+r.n != end {
+		// A new row, or one that does not end the array, goes to its end.
+		w = max(w, min(2*r.n, maxGrid))
+		d.cells = append(d.cells, d.cells[r.off:r.off+r.n]...)
+		clear(d.cells[r.off : r.off+r.n])
+		r.off = end
+	}
+	d.cells = append(d.cells, make([]cell, w-(int32(len(d.cells))-r.off))...)
+	r.n = w
+	return &d.cells[r.off+k.tj]
+}
+
+// slot is where a file is, or would go: its directory (nil while it has no
+// file) and its key there — a tile's coordinates or another file's path. A
+// slot resolved from a path knows its directory's path; one resolved from a
+// tile address knows the matrix, and renders paths on demand.
+type slot struct {
+	d      *dir
+	dir    string // from a path
+	matrix string // from an address
+	tile   bool
+	k      tileKey
+	path   string
+}
+
+// get returns the file in s, a vacant cell if there is none.
+func (s slot) get() cell {
+	switch {
+	case s.d == nil:
+		return cell{}
+	case !s.tile:
+		return s.d.files[s.path]
+	}
+	if c := s.d.cell(s.k); c != nil {
+		return *c
+	}
+	return cell{}
+}
+
+// set stores c in s, whose directory exists and is this file system's own,
+// or removes s's file for a vacant c.
+func (s slot) set(c cell) {
 	d := s.d
 	if !s.tile {
-		if f == nil {
+		if c.vacant() {
 			delete(d.files, s.path)
 		} else if d.files == nil {
-			d.files = map[string]*file{s.path: f}
+			d.files = map[string]cell{s.path: c}
 		} else {
-			d.files[s.path] = f
+			d.files[s.path] = c
 		}
 		return
 	}
-	ti, tj := int(s.k.ti), int(s.k.tj)
-	if ti >= len(d.tiles) {
-		d.tiles = append(d.tiles, make([][]*file, ti+1-len(d.tiles))...)
+	p := d.cell(s.k)
+	if p == nil && c.vacant() {
+		return
 	}
-	// A row that must grow takes the widest row's width at once.
-	if row := d.tiles[ti]; tj >= len(row) {
-		w := tj + 1
-		for _, r := range d.tiles {
-			w = max(w, len(r))
-		}
-		d.tiles[ti] = append(row, make([]*file, w-len(row))...)
+	if p == nil {
+		p = d.grow(s.k)
 	}
-	if old := d.tiles[ti][tj]; old == nil && f != nil {
+	if p.vacant() && !c.vacant() {
 		d.nt++
-	} else if old != nil && f == nil {
+	} else if !p.vacant() && c.vacant() {
 		d.nt--
 	}
-	d.tiles[ti][tj] = f
+	*p = c
+}
+
+// dirPath returns the path of s's directory.
+func (s *slot) dirPath() string {
+	switch {
+	case s.d != nil:
+		return s.d.path
+	case s.tile && s.path == "":
+		return MatrixRoot + s.matrix + "/"
+	}
+	return s.dir
 }
 
 func (s *slot) pathname() string {
@@ -148,7 +201,7 @@ func (s *slot) pathname() string {
 		return s.path
 	}
 	var buf [64]byte
-	return string(appendTileName(append(buf[:0], s.dir...), s.k))
+	return string(appendTileName(append(buf[:0], s.dirPath()...), s.k))
 }
 
 // under returns the slots of d's files whose paths start with prefix, each
@@ -157,15 +210,15 @@ func (d *dir) under(prefix string) []slot {
 	var out []slot
 	for p := range d.files {
 		if strings.HasPrefix(p, prefix) {
-			out = append(out, slot{dir: d.path, d: d, path: p})
+			out = append(out, slot{d: d, path: p})
 		}
 	}
-	for ti, row := range d.tiles {
-		for tj, f := range row {
-			if f == nil {
+	for ti, r := range d.rows {
+		for tj := int32(0); tj < r.n; tj++ {
+			if d.cells[r.off+tj].vacant() {
 				continue
 			}
-			s := slot{dir: d.path, d: d, tile: true, k: tileKey{int32(ti), int32(tj)}}
+			s := slot{d: d, tile: true, k: tileKey{int32(ti), tj}}
 			if s.path = s.pathname(); strings.HasPrefix(s.path, prefix) {
 				out = append(out, s)
 			}
@@ -195,7 +248,8 @@ func (fs *FS) Batch() *Batch {
 // Done unlocks the file system; b must not be used after it.
 func (b *Batch) Done() { b.fs.mu.Unlock() }
 
-// forget drops the batch's lookups, for a new hold or a dropped directory.
+// forget drops the batch's lookups, for a new hold or a directory dropped
+// or replaced by its copy.
 func (b *Batch) forget() {
 	clear(b.seen)
 	b.seen = b.seen[:0]
@@ -207,19 +261,16 @@ func (b *Batch) at(a TileAddr) slot {
 	if !inGrid(a.TI) || !inGrid(a.TJ) {
 		return b.fs.at(a.Path())
 	}
-	s := slot{tile: true, k: tileKey{a.TI, a.TJ}}
+	s := slot{matrix: a.Matrix, tile: true, k: tileKey{a.TI, a.TJ}}
 	for _, d := range b.seen {
 		if d.path[len(MatrixRoot):len(d.path)-1] == a.Matrix {
-			s.dir, s.d = d.path, d
+			s.d = d
 			return s
 		}
 	}
 	var buf [64]byte
 	dir := append(append(append(buf[:0], MatrixRoot...), a.Matrix...), '/')
-	if s.d = b.fs.dirs[string(dir)]; s.d == nil {
-		s.dir = string(dir)
-	} else {
-		s.dir = s.d.path
+	if s.d = b.fs.dirs[string(dir)]; s.d != nil {
 		b.seen = append(b.seen, s.d)
 	}
 	return s
@@ -247,7 +298,7 @@ func (b *Batch) Delete(a TileAddr) { b.fs.drop(b.at(a)) }
 
 // FirstReplicaNode returns the lowest-numbered live node holding a replica
 // of the tile at a, or -1: the engine's locality hint for a task.
-func (b *Batch) FirstReplicaNode(a TileAddr) int { return b.fs.firstReplica(b.at(a).file()) }
+func (b *Batch) FirstReplicaNode(a TileAddr) int { return b.fs.firstReplica(b.at(a).get()) }
 
 // DeleteMatrix removes every file in the named matrix's directory with one
 // map delete. A matrix name has no '/', so the directory has no subdirectory

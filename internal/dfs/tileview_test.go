@@ -169,6 +169,52 @@ func (d *tvDriver) do() {
 	d.check()
 }
 
+// churnTiles changes the first matrix directory that holds a tile, on
+// subject and twin alike: a tile written by address and one by path into
+// vacant cells of that tile's row, the tile deleted, a live node killed and
+// the matrix dropped.
+func (d *tvDriver) churnTiles() {
+	d.t.Helper()
+	var a *TileAddr
+	for _, p := range d.s.List(MatrixRoot) {
+		if a = tvAddr(p); a != nil {
+			break
+		}
+	}
+	if a == nil {
+		d.fail("no matrix directory holds a tile")
+	}
+	vacant := func() TileAddr {
+		c := *a
+		for exists(d.s, c.Path()) {
+			c.TJ++
+		}
+		return c
+	}
+	d.log = append(d.log, fmt.Sprintf("churn %+v", *a))
+	w := vacant()
+	b := d.s.Batch()
+	es := b.WriteVirtual(w, 40, -1)
+	b.Done()
+	d.same("churn WriteVirtual", es, d.w.WriteVirtual(w.Path()+"\x00", 40, -1))
+	p := vacant().Path()
+	d.same("churn Write", d.s.Write(p, []byte(p), -1), d.w.Write(p+"\x00", []byte(p), -1))
+	b = d.s.Batch()
+	b.Delete(*a)
+	b.Done()
+	d.w.Delete(a.Path() + "\x00")
+	if len(d.s.live) > 1 {
+		n := d.s.live[0]
+		if rs, rw := d.s.KillNode(n), d.w.KillNode(n); rs != rw {
+			d.fail("churn KillNode %d: subject %+v, twin %+v", n, rs, rw)
+		}
+	}
+	d.check()
+	d.s.DeleteMatrix(a.Matrix)
+	d.w.DeleteMatrix(a.Matrix)
+	d.check()
+}
+
 // check compares everything the two report, tile addresses included.
 func (d *tvDriver) check() {
 	d.t.Helper()
@@ -193,7 +239,7 @@ func (d *tvDriver) check() {
 		if a == nil {
 			continue
 		}
-		if got, want := b.FirstReplicaNode(*a), d.s.firstReplica(e.file()); got != want {
+		if got, want := b.FirstReplicaNode(*a), d.s.firstReplica(e.get()); got != want {
 			d.fail("%s: FirstReplicaNode by address %d, by path %d", e.path, got, want)
 		}
 	}
@@ -266,24 +312,55 @@ func TestNonCanonicalNamesAreNotTiles(t *testing.T) {
 	}
 }
 
+// TestEdgeNameGrowsGridByOneRow: a canonical name at the grid's edge —
+// 4095_0 or 0_4095 — grows its directory's grid by at most one row: maxGrid
+// cells, and as many entries of the row index, in a directory of one tile
+// and after the other edge name.
+func TestEdgeNameGrowsGridByOneRow(t *testing.T) {
+	for _, order := range [][]string{{"4095_0", "0_4095"}, {"0_4095", "4095_0"}} {
+		fs := New(Config{Nodes: 3})
+		if err := fs.WriteVirtual("/matrix/m/0_0", 10, 0); err != nil {
+			t.Fatal(err)
+		}
+		d := fs.dirs["/matrix/m/"]
+		for _, base := range order {
+			cells, rows := len(d.cells), len(d.rows)
+			if err := fs.WriteVirtual("/matrix/m/"+base, 10, 0); err != nil {
+				t.Fatal(err)
+			}
+			if cells, rows = len(d.cells)-cells, len(d.rows)-rows; cells > maxGrid || rows > maxGrid {
+				t.Errorf("writing %s after %v grew the grid by %d cells and %d rows, more than one row of %d", base, order, cells, rows, maxGrid)
+			}
+		}
+	}
+}
+
 // TestTileAndPathViewsAgreeAcrossForks forks one loaded subject (and its
 // twin) twice and drives the two forks from two goroutines, each against its
-// own twin, then requires the source unchanged. CI runs it under -race, ten
-// times over.
+// own twin, starting inside a directory that held tiles at fork time, then
+// requires the source unchanged; then changes the source the same way and
+// requires both forks unchanged. CI runs it under -race, ten times over.
 func TestTileAndPathViewsAgreeAcrossForks(t *testing.T) {
 	for _, cfg := range tvConfigs {
 		d := &tvDriver{t: t, rng: rand.New(rand.NewSource(3)), s: New(cfg), w: New(cfg)}
 		for i := 0; i < 150; i++ {
 			d.do()
 		}
+		// Whatever the history left, a matrix directory holds tiles.
+		for _, a := range []TileAddr{{Matrix: "X"}, {Matrix: "X", TJ: 1}, {Matrix: "X", TI: 1}} {
+			d.same("WriteVirtual", d.s.WriteVirtual(a.Path(), 50, -1), d.w.WriteVirtual(a.Path()+"\x00", 50, -1))
+		}
 		before := tvView(d.s)
+		forks := make([]*tvDriver, 2)
 		var wg sync.WaitGroup
-		for g := int64(0); g < 2; g++ {
-			f := &tvDriver{t: t, rng: rand.New(rand.NewSource(10 + g)),
-				s: d.s.Fork(rand.New(rand.NewSource(g))), w: d.w.Fork(rand.New(rand.NewSource(g)))}
+		for g := range forks {
+			f := &tvDriver{t: t, rng: rand.New(rand.NewSource(10 + int64(g))),
+				s: d.s.Fork(rand.New(rand.NewSource(int64(g)))), w: d.w.Fork(rand.New(rand.NewSource(int64(g))))}
+			forks[g] = f
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				f.churnTiles()
 				for i := 0; i < 150; i++ {
 					f.do()
 				}
@@ -292,6 +369,13 @@ func TestTileAndPathViewsAgreeAcrossForks(t *testing.T) {
 		wg.Wait()
 		if tvView(d.s) != before {
 			t.Fatalf("%+v: driving the forks changed their source", cfg)
+		}
+		views := []string{tvView(forks[0].s), tvView(forks[1].s)}
+		d.churnTiles()
+		for g, f := range forks {
+			if tvView(f.s) != views[g] {
+				t.Fatalf("%+v: changing the source changed fork %d", cfg, g)
+			}
 		}
 	}
 }

@@ -167,9 +167,10 @@ type FS struct {
 	rng *rand.Rand
 	// dirs is the namespace: every file in the index of its directory (the
 	// path through its last '/'; a matrix's tiles share one), and no
-	// directory without a file. A point lookup allocates nothing, a matrix
-	// drop at most its key; a prefix operation visits the directory names and
-	// the files of the one directory the prefix may end inside.
+	// directory without a file but a declared matrix's before its first
+	// (Batch.Declare). A point lookup allocates nothing, a matrix drop at
+	// most its key; a prefix operation visits the directory names and the
+	// files of the one directory the prefix may end inside.
 	dirs  map[string]*dir
 	dead  []bool    // per node
 	live  []int     // live node ids, ascending; rebuilt by markDead only

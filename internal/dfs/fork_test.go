@@ -3,6 +3,7 @@ package dfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -181,6 +182,8 @@ func TestForkIsolation(t *testing.T) {
 		}},
 		{"DeletePrefix", func(fs *FS) error { fs.DeletePrefix("/matrix/m3/"); fs.DeletePrefix("/matrix/m1/1"); return nil }},
 		{"DeleteMatrix", func(fs *FS) error { fs.DeleteMatrix("m2"); return nil }},
+		{"Declare and write", func(fs *FS) error { return declareAndWrite(fs, "d") }},
+		{"Declare shared and write", func(fs *FS) error { return declareAndWrite(fs, "m1") }},
 		{"ResetStats", func(fs *FS) error { fs.ResetStats(); return nil }},
 	}
 	for _, cfg := range forkConfigs {
@@ -230,6 +233,65 @@ func TestForkIsolation(t *testing.T) {
 			if got, want := forkView(fork), forkView(forkAlone); got != want {
 				t.Fatalf("%+v: %s, %s on the fork, %s: the fork\n%s\nwant\n%s", cfg, mine.name, theirs.name, again.name, got, want)
 			}
+		}
+	}
+}
+
+// declareAndWrite declares the matrix at a 3×2 grid and writes its tile
+// (2, 1) by address.
+func declareAndWrite(fs *FS, matrix string) error {
+	b := fs.Batch()
+	defer b.Done()
+	b.Declare(matrix, 3, 2)
+	return b.WriteVirtual(TileAddr{Matrix: matrix, TI: 2, TJ: 1}, 60, 1)
+}
+
+// TestForkSharesDeclaredDirectory: a fork shares a declared directory, files
+// or none, as it does any other; declaring it again on either side changes
+// nothing; the first write into it copies it, grid and all, so the write
+// grows nothing and the other side still holds no file there; and dropping
+// it on one side leaves the other's.
+func TestForkSharesDeclaredDirectory(t *testing.T) {
+	for _, cfg := range forkConfigs {
+		src, _ := loaded(t, cfg)
+		m0 := src.dirs["/matrix/m0/"]
+		cells := len(m0.cells)
+		b := src.Batch()
+		b.Declare("d", 3, 4)
+		b.Declare("m0", 9, 9)
+		b.Done()
+		declared := src.dirs["/matrix/d/"]
+		if declared == nil || len(declared.cells) != 12 || declared.len() != 0 {
+			t.Fatalf("%+v: declaring a new matrix made %+v", cfg, declared)
+		}
+		if src.dirs["/matrix/m0/"] != m0 || len(m0.cells) != cells {
+			t.Fatalf("%+v: declaring the existing m0 changed its directory", cfg)
+		}
+		fork := src.Fork(rand.New(rand.NewSource(1)))
+		for _, fs := range []*FS{fork, src} {
+			b := fs.Batch()
+			b.Declare("d", 5, 5)
+			b.Done()
+			if fs.dirs["/matrix/d/"] != declared || !declared.shared {
+				t.Fatalf("%+v: the declared directory is not the one both sides share", cfg)
+			}
+		}
+		before := forkView(src)
+		b = fork.Batch()
+		err := b.WriteVirtual(TileAddr{Matrix: "d", TI: 2, TJ: 3}, 70, 2)
+		b.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := fork.dirs["/matrix/d/"]; d == declared || len(d.cells) != 12 || !slices.Equal(d.rows, declared.rows) {
+			t.Fatalf("%+v: writing the shared declared directory on the fork did not copy its grid alone", cfg)
+		}
+		if forkView(src) != before || declared.len() != 0 || len(declared.cells) != 12 {
+			t.Fatalf("%+v: writing the fork's declared directory changed the source", cfg)
+		}
+		src.DeleteMatrix("d")
+		if src.dirs["/matrix/d/"] != nil || !exists(fork, "/matrix/d/2_3") {
+			t.Fatalf("%+v: dropping the source's declared directory dropped the fork's", cfg)
 		}
 	}
 }

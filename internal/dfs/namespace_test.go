@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -67,14 +68,43 @@ func nsWrite(fs *FS, path string, turn int) error {
 	}
 }
 
+// nsDeclare declares a matrix of nsMatrices with a random grid — now and
+// then one past maxGrid, which Declare refuses — and returns its directory
+// and the grid's cell count.
+func nsDeclare(fs *FS, rng *rand.Rand) (dir string, cells int) {
+	name := nsMatrices[rng.Intn(len(nsMatrices))]
+	rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
+	if rng.Intn(8) == 0 {
+		rows = maxGrid + 1
+	}
+	b := fs.Batch()
+	b.Declare(name, rows, cols)
+	b.Done()
+	if rows > maxGrid {
+		return "", 0
+	}
+	return MatrixRoot + name + "/", rows * cols
+}
+
 // TestNamespaceMatchesFlatOracle runs seeded random histories of writes,
-// deletes, matrix drops and prefix deletes against a flat map of paths kept
-// here, and holds List, FileCount and what exists to it after every step.
+// deletes, matrix declarations, matrix drops and prefix deletes against a
+// flat map of paths kept here, and holds List, FileCount, what exists and the
+// directories held to it after every step. A declared directory holds no file
+// until one is written into it: nothing lists, sizes or peeks a file there,
+// DeleteMatrix and a prefix delete that takes it drop it, and declaring a
+// directory that exists changes nothing.
 func TestNamespaceMatchesFlatOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := New(Config{Nodes: 5, Replication: 2, BlockSize: 64, Seed: seed})
 		oracle := map[string]bool{}
+		// declared holds the grid size of each declared directory no file
+		// has been written into since.
+		declared := map[string]int{}
+		write := func(p string, turn int) error {
+			delete(declared, dirOf(p))
+			return nsWrite(fs, p, turn)
+		}
 		under := func(prefix string) []string {
 			var out []string
 			for p := range oracle {
@@ -86,10 +116,23 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 			return out
 		}
 		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(12); {
+			switch op := rng.Intn(13); {
+			case op == 12:
+				held, cells := maps.Clone(fs.dirs), map[string]int{}
+				for dir, d := range held {
+					cells[dir] = len(d.cells)
+				}
+				if dir, n := nsDeclare(fs, rng); dir != "" && held[dir] == nil {
+					declared[dir] = n
+				}
+				for dir, d := range held {
+					if fs.dirs[dir] != d || len(d.cells) != cells[dir] {
+						t.Fatalf("seed %d step %d: declaring changed the existing directory %q", seed, step, dir)
+					}
+				}
 			case op < 5:
 				p := nsPath(rng)
-				err := nsWrite(fs, p, step)
+				err := write(p, step)
 				if oracle[p] != errors.Is(err, ErrExists) || (!oracle[p] && err != nil) {
 					t.Fatalf("seed %d step %d: write %q (present %v): %v", seed, step, p, oracle[p], err)
 				}
@@ -100,7 +143,7 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 				delete(oracle, p)
 				// A deleted path is free again.
 				if rng.Intn(2) == 0 {
-					if err := nsWrite(fs, p, step); err != nil {
+					if err := write(p, step); err != nil {
 						t.Fatalf("seed %d step %d: re-create %q: %v", seed, step, p, err)
 					}
 					oracle[p] = true
@@ -119,18 +162,24 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 						}
 					}
 					fs.DeleteMatrix(name)
+					delete(declared, MatrixRoot+name+"/")
 				} else {
 					prefix := nsPref[rng.Intn(len(nsPref))]
 					what = fmt.Sprintf("DeletePrefix(%q)", prefix)
 					gone = under(prefix)
 					fs.DeletePrefix(prefix)
+					for dir := range declared {
+						if strings.HasPrefix(dir, prefix) {
+							delete(declared, dir)
+						}
+					}
 				}
 				for _, p := range gone {
 					delete(oracle, p)
 				}
 				if len(gone) > 0 {
 					p := gone[rng.Intn(len(gone))]
-					if err := nsWrite(fs, p, step); err != nil {
+					if err := write(p, step); err != nil {
 						t.Fatalf("seed %d step %d: re-create %q after %s: %v", seed, step, p, what, err)
 					}
 					oracle[p] = true
@@ -145,17 +194,28 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 			}
 			if p := nsPath(rng); exists(fs, p) != oracle[p] {
 				t.Fatalf("seed %d step %d: Exists(%q) = %v", seed, step, p, !oracle[p])
+			} else if _, err := fs.Peek(p); !oracle[p] && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("seed %d step %d: Peek(%q) of no file: %v", seed, step, p, err)
 			}
-			// No directory outlives its last file.
+			if got := len(fs.sorted("")); got != len(oracle) {
+				t.Fatalf("seed %d step %d: the sorted walk visits %d files, oracle holds %d", seed, step, got, len(oracle))
+			}
+			// No directory outlives its last file, and a declared one holds
+			// its whole grid until a file is written into it.
 			live := map[string]bool{}
 			for p := range oracle {
 				live[dirOf(p)] = true
 			}
+			for dir := range declared {
+				live[dir] = true
+			}
 			if len(fs.dirs) != len(live) {
-				t.Fatalf("seed %d step %d: %d directories held for %d with files", seed, step, len(fs.dirs), len(live))
+				t.Fatalf("seed %d step %d: %d directories held for %d with files or declared", seed, step, len(fs.dirs), len(live))
 			}
 			for dir, d := range fs.dirs {
-				if d.len() == 0 {
+				if n, ok := declared[dir]; ok && (d.len() != 0 || len(d.cells) != n) {
+					t.Fatalf("seed %d step %d: declared directory %q holds %d files in %d cells, want none in %d", seed, step, dir, d.len(), len(d.cells), n)
+				} else if !ok && d.len() == 0 {
 					t.Fatalf("seed %d step %d: directory %q is empty", seed, step, dir)
 				}
 			}

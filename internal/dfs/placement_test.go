@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -231,5 +233,49 @@ func TestPlacementAllocations(t *testing.T) {
 			t.Errorf("FirstReplicaNode and ReadAccount by address allocate %v times per call %s", n, stage)
 		}
 		b.Done()
+	}
+}
+
+// TestDeclaredGridWritesAllocateNothing: once a matrix is declared, writing
+// every tile of its grid, in a random order and through both write calls,
+// allocates nothing and grows nothing: the grid holds exactly rows × cols
+// cells before and after.
+func TestDeclaredGridWritesAllocateNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	payload := make([]byte, 100)
+	for _, g := range []struct{ rows, cols int }{{1, 1}, {7, 5}, {3, 40}, {64, 64}} {
+		fs := New(Config{Nodes: 8, Replication: 3, Seed: 1, RackSize: 4})
+		addrs := make([]TileAddr, 0, g.rows*g.cols)
+		for ti := range g.rows {
+			for tj := range g.cols {
+				addrs = append(addrs, TileAddr{Matrix: "m", TI: int32(ti), TJ: int32(tj)})
+			}
+		}
+		rand.New(rand.NewSource(int64(len(addrs)))).Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
+		b := fs.Batch()
+		b.Declare("m", g.rows, g.cols)
+		d := fs.dirs["/matrix/m/"]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, a := range addrs {
+			var err error
+			if i%2 == 0 {
+				err = b.WriteVirtual(a, 100, i%8)
+			} else {
+				err = b.Write(a, payload, i%8)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b.Done()
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%dx%d: writing the declared grid allocated %d times", g.rows, g.cols, n)
+		}
+		if fs.dirs["/matrix/m/"] != d || len(d.cells) != len(addrs) || cap(d.cells) != len(addrs) || int(d.nt) != len(addrs) || len(d.rows) != g.rows {
+			t.Errorf("%dx%d: %d tiles in %d cells (capacity %d) and %d rows; want %d in exactly as many",
+				g.rows, g.cols, d.nt, len(d.cells), cap(d.cells), len(d.rows), len(addrs))
+		}
 	}
 }

@@ -67,12 +67,11 @@ func parseCoord(s string) (int32, bool) {
 
 // dir is one directory: its tiles — files with a canonical base name — in a
 // grid, every other file in a map, each file a cell held by value. Row ti of
-// the grid is the span rows[ti] of cells, one array all rows are cut from, so
-// it grows geometrically, by append, and a write into an existing directory
-// allocates nothing once the grid has room. A row that must grow takes at
-// once the width of the widest tile column written: in place when it ends
-// the array, and otherwise at the end, with at least twice its width, its old
-// cells left vacant.
+// the grid is the span rows[ti] of cells, one array all rows are cut from. A
+// matrix the engine writes is declared at its grid (Batch.Declare), so its
+// writes never grow it; a path-keyed write past the grid grows it by append:
+// the row grows in place when it ends the array, and otherwise moves to the
+// end, with at least twice its width, its old cells left vacant.
 //
 // A directory a fork shares is never changed again: the first change either
 // side makes copies it (FS.own).
@@ -82,7 +81,6 @@ type dir struct {
 	rows   []span
 	files  map[string]cell // by full path
 	nt     int32           // tiles in the grid
-	wide   int16           // the widest tile column written, plus one
 	shared bool
 }
 
@@ -111,12 +109,11 @@ func (d *dir) cell(k tileKey) *cell {
 
 // grow grows the grid to hold cell k, which it does not, and returns it.
 func (d *dir) grow(k tileKey) *cell {
-	d.wide = max(d.wide, int16(k.tj+1))
 	if int(k.ti) >= len(d.rows) {
 		d.rows = append(d.rows, make([]span, int(k.ti)+1-len(d.rows))...)
 	}
 	r := &d.rows[k.ti]
-	w, end := int32(d.wide), int32(len(d.cells))
+	w, end := k.tj+1, int32(len(d.cells))
 	if r.n == 0 || r.off+r.n != end {
 		// A new row, or one that does not end the array, goes to its end.
 		w = max(w, min(2*r.n, maxGrid))
@@ -124,7 +121,11 @@ func (d *dir) grow(k tileKey) *cell {
 		clear(d.cells[r.off : r.off+r.n])
 		r.off = end
 	}
-	d.cells = append(d.cells, make([]cell, w-(int32(len(d.cells))-r.off))...)
+	// Grow and clear rather than append a made slice, which the race
+	// detector's build allocates on every call.
+	old := len(d.cells)
+	d.cells = slices.Grow(d.cells, int(r.off+w)-old)[:r.off+w]
+	clear(d.cells[old:])
 	r.n = w
 	return &d.cells[r.off+k.tj]
 }
@@ -274,6 +275,27 @@ func (b *Batch) at(a TileAddr) slot {
 		b.seen = append(b.seen, s.d)
 	}
 	return s
+}
+
+// Declare makes the named matrix's directory with its whole tile grid, rows
+// × cols vacant cells in one array, so that writing its tiles grows nothing:
+// the engine declares every matrix it writes at the grid its plan fixes. It
+// does nothing when the directory exists, a fork's shared one included, or
+// the grid is past maxGrid. A declared directory holds no file until a tile
+// is written: nothing lists, sizes or reads it, and it goes with its last
+// file or by DeleteMatrix.
+func (b *Batch) Declare(matrix string, rows, cols int) {
+	var buf [64]byte
+	path := append(append(append(buf[:0], MatrixRoot...), matrix...), '/')
+	if rows <= 0 || cols <= 0 || rows > maxGrid || cols > maxGrid || b.fs.dirs[string(path)] != nil {
+		return
+	}
+	d := &dir{path: string(path), cells: make([]cell, rows*cols), rows: make([]span, rows)}
+	for ti := range d.rows {
+		d.rows[ti] = span{int32(ti * cols), int32(cols)}
+	}
+	b.fs.dirs[d.path] = d
+	b.seen = append(b.seen, d)
 }
 
 func (b *Batch) Write(a TileAddr, data []byte, node int) error {

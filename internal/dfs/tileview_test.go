@@ -85,7 +85,17 @@ func (d *tvDriver) do() {
 	twin := path + "\x00"
 	node := rng.Intn(d.s.cfg.Nodes+1) - 1
 	var op string
-	switch k := rng.Intn(20); {
+	switch k := rng.Intn(21); {
+	case k == 20:
+		// The subject alone: its twin holds every file in a map, so the two
+		// agree only while a declared directory stays out of sight.
+		name := tvMatrices[rng.Intn(len(tvMatrices))]
+		rows, cols := 1+rng.Intn(13), 1+rng.Intn(13)
+		if rng.Intn(6) == 0 {
+			cols = maxGrid + 1
+		}
+		op = fmt.Sprintf("Declare %q %dx%d", name, rows, cols)
+		d.declare(name, rows, cols)
 	case k < 4:
 		data := []byte(path)
 		op = fmt.Sprintf("Write %q tile=%v node %d", path, byTile, node)
@@ -167,6 +177,32 @@ func (d *tvDriver) do() {
 	}
 	d.log = append(d.log, op)
 	d.check()
+}
+
+// declare declares a matrix on the subject and requires the directory it
+// finds to be left alone — the same one, its grid and its files unchanged —
+// and the one it makes to hold exactly the declared grid and no file.
+func (d *tvDriver) declare(name string, rows, cols int) {
+	d.t.Helper()
+	path := MatrixRoot + name + "/"
+	held := d.s.dirs[path]
+	var was dir
+	if held != nil {
+		was = *held
+	}
+	b := d.s.Batch()
+	b.Declare(name, rows, cols)
+	b.Done()
+	got := d.s.dirs[path]
+	switch {
+	case held != nil && (got != held || len(got.cells) != len(was.cells) || len(got.rows) != len(was.rows) ||
+		got.nt != was.nt || len(got.files) != len(was.files) || got.shared != was.shared):
+		d.fail("Declare %q %dx%d changed the existing directory", name, rows, cols)
+	case held == nil && cols > maxGrid && got != nil:
+		d.fail("Declare %q %dx%d past the grid made a directory", name, rows, cols)
+	case held == nil && cols <= maxGrid && (got == nil || len(got.cells) != rows*cols || len(got.rows) != rows || got.len() != 0):
+		d.fail("Declare %q %dx%d made %+v", name, rows, cols, got)
+	}
 }
 
 // churnTiles changes the first matrix directory that holds a tile, on
@@ -267,11 +303,12 @@ var tvConfigs = []Config{
 }
 
 // TestTileAndPathViewsAgree drives random histories of path-keyed and
-// tile-keyed writes, reads, deletes, prefix deletes and node deaths, forking
-// subject and twin alike now and then, and holds the subject to its
-// all-ordinary twin after every step: the two faces see the same files, List
-// and KillNode visit tiles in sort.Strings order of their paths (10_0 before
-// 1_0), and no non-canonical name (01_2, 1_2x, 1_2_3) is ever a tile.
+// tile-keyed writes, reads, deletes, prefix deletes, node deaths and matrix
+// declarations, forking subject and twin alike now and then, and holds the
+// subject to its all-ordinary twin after every step: the two faces see the
+// same files, List and KillNode visit tiles in sort.Strings order of their
+// paths (10_0 before 1_0), no non-canonical name (01_2, 1_2x, 1_2_3) is ever
+// a tile, and a declared directory shows in nothing either reports.
 func TestTileAndPathViewsAgree(t *testing.T) {
 	for _, cfg := range tvConfigs {
 		for seed := int64(1); seed <= 6; seed++ {

@@ -311,6 +311,15 @@ func (e *Engine) restoreCheckpoint(p *plan.Plan, m *RunMetrics) (resumeJob int, 
 		}
 		e.fs.MarkDead(n)
 	}
+	// The manifest's matrices are the skipped jobs' outputs: each is declared
+	// at its grid before its tiles are placed back.
+	b := e.fs.Batch()
+	for _, j := range p.Jobs {
+		if j.ID <= man.BoundaryJob {
+			j.Out.Declare(b)
+		}
+	}
+	b.Done()
 	for _, mx := range man.Matrices {
 		for _, t := range mx.Tiles {
 			var data []byte

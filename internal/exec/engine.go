@@ -15,7 +15,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
@@ -248,6 +247,7 @@ func (e *Engine) FetchOutput(meta store.Meta) (*linalg.Dense, error) {
 func (e *Engine) LoadVirtual(meta store.Meta) error {
 	b := e.fs.Batch()
 	defer b.Done()
+	meta.Declare(b)
 	for ti := 0; ti < meta.TileRows(); ti++ {
 		for tj := 0; tj < meta.TileCols(); tj++ {
 			if err := b.WriteVirtual(meta.Tile(ti, tj), meta.EstTileBytes(ti, tj), -1); err != nil {
@@ -295,6 +295,18 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 			resumeJob, startClock = rj, clock
 		}
 	}
+	// Each job's phases are built once, here, and the task records sized
+	// once, from the tasks of every job that runs.
+	phases, nTasks := make([][]plan.Phase, len(jobs)), 0
+	for i, j := range jobs {
+		if j.ID > resumeJob {
+			phases[i] = j.Phases()
+			for p := range phases[i] {
+				nTasks += phases[i][p].Tasks()
+			}
+		}
+	}
+	m.Jobs, m.Tasks = make([]JobRecord, 0, len(jobs)), make([]TaskRecord, 0, nTasks)
 	slots := e.allSlots()
 	alive := 0
 	for _, s := range slots {
@@ -309,7 +321,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	prog := e.rec.Start(obs.KindProgram, "program", obs.NoSpan, 0)
 	jobEnds := map[int]float64{}
 	globalEnd := startClock
-	for _, j := range jobs {
+	for i, j := range jobs {
 		if j.ID <= resumeJob {
 			jobEnds[j.ID] = startClock
 			continue
@@ -328,7 +340,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		if killAt > 0 && ready >= killAt {
 			return nil, &ProgramKilled{At: killAt}
 		}
-		end, err := e.runJob(j, ready, slots, m, prog)
+		end, err := e.runJob(j, phases[i], ready, slots, m, prog)
 		if err != nil {
 			return nil, fmt.Errorf("exec: %s: %w", j, err)
 		}
@@ -355,11 +367,11 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	return m, nil
 }
 
-// runJob executes one job that may start at virtual time start, on the
-// shared slot pool, and returns the job's end time.
-func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMetrics, prog obs.SpanID) (float64, error) {
+// runJob executes one job under its phases, which may start at virtual time
+// start, on the shared slot pool, and returns the job's end time.
+func (e *Engine) runJob(j *plan.Job, phases []plan.Phase, start float64, slots []*slotState, m *RunMetrics, prog obs.SpanID) (float64, error) {
 	jobStart := start + cloud.JobStartupSec
-	phases, cleanup := e.buildTasks(j)
+	tasks := e.buildTasks(j, phases)
 	jspan := obs.NoSpan
 	if e.rec != obs.Nop() {
 		jspan = e.rec.Start(obs.KindJob, j.Name, prog, start)
@@ -369,11 +381,8 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 	}
 	clock := jobStart
 	nTasks := 0
-	for _, ph := range phases {
+	for phase, ph := range tasks {
 		nTasks += len(ph.tasks)
-	}
-	m.Tasks = slices.Grow(m.Tasks, nTasks)
-	for phase, ph := range phases {
 		end, err := e.schedulePhase(j.ID, phase, ph, clock, slots, m, jspan)
 		if err != nil {
 			return 0, err
@@ -384,7 +393,7 @@ func (e *Engine) runJob(j *plan.Job, start float64, slots []*slotState, m *RunMe
 	// The k-split partials go as soon as they are summed, decoded forms and
 	// all (no task runs between jobs); dropping one is one map delete
 	// whatever else the file system holds.
-	for _, c := range cleanup {
+	for _, c := range phases[0].Partials {
 		e.fs.DeleteMatrix(c.Name)
 		e.env.Src.Drop(c.Name)
 	}

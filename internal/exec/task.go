@@ -4,7 +4,6 @@ import (
 	"cumulon/internal/compute"
 	"cumulon/internal/dfs"
 	"cumulon/internal/plan"
-	"cumulon/internal/store"
 )
 
 // work is the resource profile a task accumulated while running.
@@ -26,14 +25,18 @@ type phaseTasks struct {
 	hints []int
 }
 
-// buildTasks constructs the phases of a job, plus the temporary matrices to
-// delete once the job finishes: its k-split partials. The hints look their
-// tiles up in one hold of the file system, before any task runs.
-func (e *Engine) buildTasks(j *plan.Job) ([]phaseTasks, []store.Meta) {
-	phases := j.Phases()
+// buildTasks constructs the tasks of a job's phases and declares the
+// matrices they write, its output and any k-split partials, at their grids.
+// The hints look their tiles up in the same hold of the file system, before
+// any task runs.
+func (e *Engine) buildTasks(j *plan.Job, phases []plan.Phase) []phaseTasks {
 	out := make([]phaseTasks, len(phases))
 	b := e.fs.Batch()
 	defer b.Done()
+	j.Out.Declare(b)
+	for _, pm := range phases[0].Partials {
+		pm.Declare(b)
+	}
 	for p := range phases {
 		ph := &phases[p]
 		out[p] = phaseTasks{tasks: compute.PhaseTasks(e.env, j, ph), hints: make([]int, ph.Tasks())}
@@ -41,7 +44,7 @@ func (e *Engine) buildTasks(j *plan.Job) ([]phaseTasks, []store.Meta) {
 			out[p].hints[t] = hint(b, j, ph, t)
 		}
 	}
-	return out, phases[0].Partials
+	return out
 }
 
 // hint returns the locality hint of task t of phase ph: the first live node

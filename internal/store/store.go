@@ -71,6 +71,10 @@ func (m Meta) Tile(ti, tj int) dfs.TileAddr {
 	return dfs.TileAddr{Matrix: m.Name, TI: int32(ti), TJ: int32(tj)}
 }
 
+// Declare makes the matrix's DFS directory at its tile grid in b, so that
+// writing its tiles grows nothing (dfs.Batch.Declare).
+func (m Meta) Declare(b *dfs.Batch) { b.Declare(m.Name, m.TileRows(), m.TileCols()) }
+
 // MatrixPrefix returns the DFS path prefix under which every tile of
 // the named matrix lives.
 func MatrixPrefix(name string) string { return dfs.MatrixRoot + name + "/" }
@@ -155,6 +159,7 @@ func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 	})
 	b := s.FS.Batch()
 	defer b.Done()
+	m.Declare(b)
 	for i, raw := range raws {
 		if err := b.Write(m.Tile(i/tileCols, i%tileCols), raw, node); err != nil {
 			return err

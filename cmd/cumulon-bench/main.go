@@ -18,7 +18,6 @@ import (
 	"cumulon/internal/bench"
 	"cumulon/internal/chaos"
 	"cumulon/internal/linalg"
-	"cumulon/internal/linalg/tune"
 	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 )
@@ -26,14 +25,12 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id to run (default: all)")
 	seed := flag.Int64("seed", 42, "reproduction seed")
-	quiet := flag.Bool("q", false, "suppress per-experiment timing")
+	quiet := flag.Bool("q", false, "suppress the kernel header line and per-experiment timing")
 	format := flag.String("format", "text", "table format: text, markdown, or csv")
 	workers := flag.Int("workers", 0,
 		"tasks computed at once in materialized runs (0 = the host's compute budget, 1 = sequential; results are identical)")
 	kernelPar := flag.Int("kernel-par", 0,
 		"size of the host's compute budget: goroutines doing tile math at once (0 = GOMAXPROCS; results are identical)")
-	autotune := flag.Bool("autotune", false,
-		"sweep blocking shapes and worker counts on this host (internal/linalg/tune) and install the best before running experiments")
 	traceOut := flag.String("trace", "",
 		"write a Chrome trace-event JSON of the benchmarked engine runs to this file")
 	metricsOut := flag.String("metrics", "",
@@ -57,19 +54,10 @@ func main() {
 	if *kernelPar > 0 {
 		linalg.SetParallelism(*kernelPar)
 	}
-	if *autotune {
-		prof, err := tune.Sweep(tune.Options{Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := prof.Apply(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("autotune: best mc=%d kc=%d nc=%d workers=%d (%.1f MFLOP/s, %.2fx over sequential)\n\n",
-			prof.Best.Shape.MC, prof.Best.Shape.KC, prof.Best.Shape.NC,
-			prof.Best.Workers, prof.Best.MFlops, prof.Speedup())
+	if !*quiet {
+		// Wall-clock timings depend on which micro-kernel init selected
+		// and on the budget; the tables do not.
+		fmt.Printf("kernel %s, compute budget %d\n\n", linalg.KernelName(), linalg.Parallelism())
 	}
 
 	s := bench.NewSuite(*seed)

@@ -40,7 +40,6 @@ import (
 	"cumulon/internal/core"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
-	"cumulon/internal/linalg/tune"
 	"cumulon/internal/obs"
 	"cumulon/internal/opt"
 	"cumulon/internal/plan"
@@ -64,7 +63,7 @@ func main() {
 // spell, and the flags that are cumulon's own.
 type invocation struct {
 	req                                            server.SubmitRequest
-	file, stateDir, kernelProfile                  string
+	file, stateDir                                 string
 	traceOut, metricsOut, timelineOut, searchTrace string
 	frontierOut                                    string
 	workers, kernelPar                             int
@@ -88,7 +87,7 @@ func parseArgs(args []string) (*invocation, error) {
 	fs.Float64Var(&r.Density, "density", def.Density, "assumed density of sparse inputs")
 	fs.BoolVar(&r.Materialize, "materialize", false,
 		"compute real values on random inputs (small programs only) and print output stats")
-	fs.Int64Var(&r.Seed, "seed", def.Seed, "seed for data, placement, noise and calibration")
+	fs.Int64Var(&r.Seed, "seed", def.Seed, "seed for data, placement and noise")
 	fs.IntVar(&in.workers, "workers", 0,
 		"tasks computed at once with -materialize (0 = the host's compute budget, 1 = sequential; results are identical)")
 	fs.IntVar(&in.kernelPar, "kernel-par", 0,
@@ -118,8 +117,6 @@ func parseArgs(args []string) (*invocation, error) {
 		"with -optimize: write the candidate-level search trace to this file (JSON, or CSV when the path ends in .csv; \"-\" for stdout)")
 	fs.StringVar(&in.frontierOut, "frontier", "",
 		"with -optimize: write the time/cost Pareto frontier as SVG to this file (\"-\" for stdout)")
-	fs.StringVar(&in.kernelProfile, "kernel-profile", "",
-		"with -optimize: kernel autotuner profile (JSON from cumulon-tune); its measured speedup scales each machine's effective throughput during calibration")
 	fs.StringVar(&r.Chaos, "chaos", "",
 		"inject a deterministic fault schedule, e.g. \"seed=7,kill=3@120,taskfault=0.02,readfault=0.01\" (kill=NODE@SECONDS repeats)")
 	fs.IntVar(&r.MaxRetries, "max-retries", 0,
@@ -154,8 +151,8 @@ func parseArgs(args []string) (*invocation, error) {
 	if in.workers < 0 {
 		return nil, fmt.Errorf("-workers must be >= 0, got %d", in.workers)
 	}
-	if !r.Optimize && (in.searchTrace != "" || in.frontierOut != "" || in.kernelProfile != "") {
-		return nil, fmt.Errorf("-searchtrace, -frontier and -kernel-profile require -optimize")
+	if !r.Optimize && (in.searchTrace != "" || in.frontierOut != "") {
+		return nil, fmt.Errorf("-searchtrace and -frontier require -optimize")
 	}
 	if in.resume && r.CheckpointEvery <= 0 {
 		return nil, fmt.Errorf("-resume requires -checkpoint N (the cadence is part of the checkpoint identity)")
@@ -191,7 +188,9 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	cfg := plan.ConfigFor(prog, req.Tile, req.Density)
-	sess := core.NewSession(req.Seed)
+	// The session's optimizer calibrates with the site's seed, as cumulond's
+	// does; the request's seed reaches the run through ExecOptions.
+	sess := core.NewSession(site.Seed)
 	pl, err := sess.Compile(prog, cfg)
 	if err != nil {
 		return err
@@ -317,18 +316,6 @@ func run(args []string, w io.Writer) error {
 // reports the winner with its per-job splits and the time/cost frontier.
 func search(w io.Writer, in *invocation, sess *core.Session, prog *lang.Program, pl *plan.Plan) (*opt.Deployment, *opt.SearchTrace, error) {
 	o := sess.Optimizer()
-	if in.kernelProfile != "" {
-		prof, err := tune.LoadFile(in.kernelProfile)
-		if err != nil {
-			return nil, nil, err
-		}
-		o.UseKernelProfile(prof)
-		if !in.asJSON {
-			s := prof.Best.Shape
-			fmt.Fprintf(w, "kernel profile: %s (speedup %.2fx, best mc=%d kc=%d nc=%d w=%d)\n",
-				in.kernelProfile, prof.Speedup(), s.MC, s.KC, s.NC, prof.Best.Workers)
-		}
-	}
 	st := opt.NewSearchTrace()
 	oreq := in.req.SearchRequest(prog)
 	oreq.Search = st

@@ -32,20 +32,6 @@ func writeProg(t *testing.T) string {
 	return path
 }
 
-// writeProfile drops a kernel autotuner profile with a 1.5x speedup in a
-// temp file.
-func writeProfile(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := os.WriteFile(path, []byte(`{"version": 1, "kernel": "scalar-4x2",
-		"best": {"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 2, "mflops": 150},
-		"baseline": {"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 1, "mflops": 100},
-		"points": [{"shape": {"mc": 64, "kc": 64, "nc": 64}, "workers": 1, "mflops": 100}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 // TestRunBadInputs: malformed flags and flag combinations, and every value
 // the request table refuses, must return a one-line error, never panic and
 // never succeed.
@@ -63,6 +49,7 @@ func TestRunBadInputs(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"removed kernel profile flag", []string{"-f", prog, "-optimize", "-kernel-profile", "p.json"}, "flag provided but not defined"},
 		{"positional args", []string{prog}, "unexpected arguments"},
 		{"missing file", []string{"-f", filepath.Join(t.TempDir(), "absent.cm")}, "no such file"},
 		{"bad machine", []string{"-f", prog, "-machine", "q9.mega"}, "unknown machine type"},
@@ -77,8 +64,7 @@ func TestRunBadInputs(t *testing.T) {
 		{"json with searchtrace to stdout", []string{"-f", prog, "-optimize", "-json", "-searchtrace", "-"}, "-searchtrace - writes another"},
 		{"json with frontier to stdout", []string{"-f", garbled, "-optimize", "-json", "-frontier", "-"}, "-frontier - writes another"},
 		{"searchtrace without optimize", []string{"-f", prog, "-searchtrace", "-"}, "require -optimize"},
-		{"kernel profile without optimize", []string{"-f", prog, "-kernel-profile", "p.json"}, "require -optimize"},
-		{"missing kernel profile", []string{"-f", prog, "-optimize", "-kernel-profile", filepath.Join(t.TempDir(), "absent.json")}, "no such file"},
+		{"frontier without optimize", []string{"-f", prog, "-frontier", "f.svg"}, "require -optimize"},
 		{"deadline and budget", []string{"-f", prog, "-optimize", "-deadline", "60", "-budget", "5"}, "at most one"},
 		{"deadline and budget without optimize", []string{"-f", prog, "-deadline", "60", "-budget", "5"}, "at most one"},
 		{"negative deadline", []string{"-f", prog, "-optimize", "-deadline", "-5"}, "must be non-negative"},
@@ -130,15 +116,14 @@ func TestRunBadInputs(t *testing.T) {
 
 // TestJSONReportIsJSON: with -json, what cumulon prints is one JSON document,
 // with and without -optimize, whatever else is asked for that reports on
-// stdout in text mode (the plan, a kernel profile).
+// stdout in text mode (the plan).
 func TestJSONReportIsJSON(t *testing.T) {
 	prog := writeProg(t)
-	profile := writeProfile(t)
 	for _, flags := range [][]string{
 		{"-tile", "4", "-nodes", "2"},
 		{"-tile", "4", "-nodes", "2", "-plan", "-materialize"},
 		{"-tile", "4", "-optimize", "-deadline", "3600", "-max-nodes", "2"},
-		{"-tile", "4", "-optimize", "-budget", "5", "-max-nodes", "2", "-plan", "-kernel-profile", profile},
+		{"-tile", "4", "-optimize", "-budget", "5", "-max-nodes", "2", "-plan"},
 	} {
 		var out bytes.Buffer
 		if err := run(append([]string{"-f", prog, "-json"}, flags...), &out); err != nil {
@@ -177,24 +162,45 @@ func TestRunSmallProgram(t *testing.T) {
 }
 
 // TestOptimizeReport: cumulon -optimize reports the winner with its splits
-// and the time/cost frontier, -plan the CSE rewrites, and -kernel-profile
-// names the profile it loaded.
+// and the time/cost frontier, and -plan the CSE rewrites.
 func TestOptimizeReport(t *testing.T) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "kl.cm")
 	if err := os.WriteFile(prog, []byte(workloads.GNMFKL(40, 30, 4, 1, 0.3).Prog.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	profile := writeProfile(t)
 	var out bytes.Buffer
-	if err := run([]string{"-f", prog, "-tile", "8", "-optimize", "-deadline", "3600", "-max-nodes", "4",
-		"-kernel-profile", profile}, &out); err != nil {
+	if err := run([]string{"-f", prog, "-tile", "8", "-optimize", "-deadline", "3600", "-max-nodes", "4"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"kernel profile: " + profile, "rewrites: 1 chain(s) eliminated", "  cse ",
+	for _, want := range []string{"rewrites: 1 chain(s) eliminated", "  cse ",
 		"optimizer chose: ", "  job 0 ", "time/cost frontier (", "total time: "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestOptimizeSearchIgnoresRequestSeed: -seed drives the run's data,
+// placement and noise, but the search calibrates with the site's seed, so
+// the winner and its predicted time do not move with it.
+func TestOptimizeSearchIgnoresRequestSeed(t *testing.T) {
+	prog := writeProg(t)
+	var first string
+	for _, seed := range []string{"42", "7", "1234"} {
+		var out bytes.Buffer
+		if err := run([]string{"-f", prog, "-tile", "4", "-optimize", "-deadline", "3600", "-max-nodes", "4",
+			"-explain", "-seed", seed}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := predictedLine(out.Bytes())
+		if got == "" {
+			t.Fatalf("-seed %s: no predicted line in:\n%s", seed, out.String())
+		}
+		if first == "" {
+			first = got
+		} else if got != first {
+			t.Fatalf("-seed %s predicts %q, the default seed %q", seed, got, first)
 		}
 	}
 }
@@ -203,9 +209,10 @@ func TestOptimizeReport(t *testing.T) {
 // the same request as a cumulond body normalize to one SubmitRequest, map
 // to the same engine options, and run to the same output digests and total
 // seconds. cumulon searches the whole catalog and cumulond its one machine
-// type, so the optimized request names the machine the search picks; and
-// cumulond searches with the site's seed whatever the request's (see
-// server.SubmitRequest.Seed), so that row keeps the default seed.
+// type, so the optimized requests name the machine the search picks. Both
+// search with the site's seed whatever the request's (see
+// server.SubmitRequest.Seed), so an optimized row at another seed predicts
+// the same winner time on both paths and runs it with the request's seed.
 func TestServerBitIdenticalToCLIPath(t *testing.T) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "gnmf.cm")
@@ -229,6 +236,10 @@ func TestServerBitIdenticalToCLIPath(t *testing.T) {
 			server.SubmitRequest{Tile: 4, Density: 0.4, Nodes: 4, Materialize: true, Seed: 11}, ""},
 		{"optimized under a deadline", []string{"-machine", "m1.small", "-tile", "4", "-density", "0.4", "-optimize", "-deadline", "3600", "-max-nodes", "4"},
 			server.SubmitRequest{Machine: "m1.small", Tile: 4, Density: 0.4, Optimize: true, DeadlineSec: 3600, MaxNodes: 4}, "m1.small"},
+		{"optimized at another seed", []string{"-machine", "m1.small", "-tile", "4", "-density", "0.4", "-optimize", "-deadline", "3600", "-max-nodes", "4",
+			"-materialize", "-seed", "7"},
+			server.SubmitRequest{Machine: "m1.small", Tile: 4, Density: 0.4, Optimize: true, DeadlineSec: 3600, MaxNodes: 4,
+				Materialize: true, Seed: 7}, "m1.small"},
 		{"checkpointing under chaos", []string{"-tile", "4", "-density", "0.4", "-nodes", "4", "-materialize", "-seed", "7",
 			"-checkpoint", "1", "-state-dir", filepath.Join(dir, "ckpt"), "-chaos", "seed=7,kill=1@3.5", "-max-retries", "8"},
 			server.SubmitRequest{Tile: 4, Density: 0.4, Nodes: 4, Materialize: true, Seed: 7,
@@ -269,10 +280,22 @@ func TestServerBitIdenticalToCLIPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			body := tc.body
-			body.Tenant, body.Program = "acme", src
-			fin := serverRun(t, cfg, body)
+			body.Tenant, body.Program, body.Explain = "acme", src, body.Optimize
+			fin, explain := serverRun(t, cfg, body)
 			if fin.State != server.StateSucceeded {
 				t.Fatalf("server run %s: %s", fin.State, fin.Error)
+			}
+			if body.Optimize {
+				// The winner's predicted time comes from the calibrated
+				// models, so it differs when the paths search with
+				// different seeds even where the winner does not.
+				var text bytes.Buffer
+				if err := run(append(args, "-explain"), &text); err != nil {
+					t.Fatal(err)
+				}
+				if a, b := predictedLine(explain), predictedLine(text.Bytes()); a == "" || a != b {
+					t.Fatalf("server's winner %q, cumulon's %q", a, b)
+				}
 			}
 			if fin.Cluster != cli.Cluster || fin.Result.TotalSeconds != cli.TotalSeconds {
 				t.Fatalf("server ran %s for %gs, cumulon %s for %gs", fin.Cluster, fin.Result.TotalSeconds, cli.Cluster, cli.TotalSeconds)
@@ -305,9 +328,20 @@ func execFields(t *testing.T, req *server.SubmitRequest, prog *lang.Program) str
 		o.Cluster, o.Seed, o.MaxTaskRetries, o.CheckpointEvery, o.Chaos, server.DigestOutputs(o.Inputs))
 }
 
+// predictedLine returns the winner's "predicted" line of an EXPLAIN report.
+func predictedLine(report []byte) string {
+	for _, l := range strings.Split(string(report), "\n") {
+		if strings.HasPrefix(l, "    predicted ") {
+			return l
+		}
+	}
+	return ""
+}
+
 // serverRun submits body as a POST /v1/jobs body to a fresh cumulond with
-// cfg and returns the job's terminal status.
-func serverRun(t *testing.T, cfg server.Config, body server.SubmitRequest) server.JobStatus {
+// cfg and returns the job's terminal status and, when body asks for one,
+// its EXPLAIN report.
+func serverRun(t *testing.T, cfg server.Config, body server.SubmitRequest) (server.JobStatus, []byte) {
 	t.Helper()
 	s, err := server.New(cfg)
 	if err != nil {
@@ -344,5 +378,17 @@ func serverRun(t *testing.T, cfg server.Config, body server.SubmitRequest) serve
 			t.Fatal(err)
 		}
 	}
-	return st
+	if !body.Explain {
+		return st, nil
+	}
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/explain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	explain, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: %d %v", resp.StatusCode, err)
+	}
+	return st, explain
 }

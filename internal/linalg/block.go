@@ -84,11 +84,6 @@ var microKernels = []*microKern{&kernScalar}
 // stack tile fringe sub-blocks are computed in.
 const maxTile = 4 * 8
 
-// BlockQuantum is a multiple of every micro-kernel's mr and nr: a block
-// shape whose MC and NC are multiples of it is legal whichever kernel the
-// host selected.
-const BlockQuantum = 8
-
 // blockedMinFlops is the dispatch cutoff: below ~64³ multiply-adds the
 // packing overhead (m·k + k·n extra copies) is not repaid and the naive
 // loops win, so the public kernels fall back to refGemm*. Each dimension

@@ -39,6 +39,11 @@ func TestUseBlockedDispatchTable(t *testing.T) {
 	}
 }
 
+// BlockQuantum is a multiple of every micro-kernel's mr and nr: a block
+// shape whose mc and nc are multiples of it is legal whichever kernel the
+// host selected.
+const BlockQuantum = 8
+
 // TestKernelTileInvariants: the constants sized for "every kernel" hold
 // for every kernel.
 func TestKernelTileInvariants(t *testing.T) {
@@ -50,9 +55,22 @@ func TestKernelTileInvariants(t *testing.T) {
 			t.Errorf("%s tile %dx%d exceeds maxTile %d", kern.name, kern.mr, kern.nr, maxTile)
 		}
 	}
-	if err := BlockDefaults().Validate(); err != nil {
-		t.Fatalf("built-in blocking is illegal under the selected kernel: %v", err)
-	}
+}
+
+// TestDefaultBlockingLegalUnderEveryKernel: the built-in blocking is legal
+// under each kernel as the process's selected one, and KernelName names
+// it.
+func TestDefaultBlockingLegalUnderEveryKernel(t *testing.T) {
+	forEachActiveKernel(t, func(t *testing.T, kern *microKern) {
+		cf := defaultBlockConf
+		if cf.kern != kern || cf.mc <= 0 || cf.mc%kern.mr != 0 || cf.nc <= 0 || cf.nc%kern.nr != 0 || cf.kc <= 0 {
+			t.Fatalf("built-in blocking mc=%d kc=%d nc=%d is illegal under %s's %dx%d tile",
+				cf.mc, cf.kc, cf.nc, kern.name, kern.mr, kern.nr)
+		}
+		if KernelName() != kern.name {
+			t.Fatalf("KernelName() = %q with %s active", KernelName(), kern.name)
+		}
+	})
 }
 
 // gemmModes runs body for C += A·B, AᵀB and ABᵀ on the same logical

@@ -31,6 +31,26 @@ func randTile(rng *rand.Rand, rows, cols int) *Tile {
 	return t
 }
 
+// Zero resets every element to 0 in place.
+func (t *Tile) Zero() {
+	for i := range t.Data {
+		t.Data[i] = 0
+	}
+}
+
+// Equal reports whether two tiles have identical shape and elements.
+func (t *Tile) Equal(o *Tile) bool {
+	if t.Rows != o.Rows || t.Cols != o.Cols {
+		return false
+	}
+	for i, v := range t.Data {
+		if v != o.Data[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestGemmMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,7 +54,7 @@ func init() { budget.freed.L = &budget.mu }
 // previous one. n <= 0 restores the default (GOMAXPROCS at the time of
 // use). The budget is process-wide — it is a property of the host, not of
 // one engine — so a process sets it once at start (the CLIs' -kernel-par
-// flags, tune.Profile.Apply) and engines never touch it. Results are
+// flags) and engines never touch it. Results are
 // bit-identical at every setting; only wall-clock changes.
 func SetParallelism(n int) int {
 	prev := int(parallelism.Swap(int32(max(n, 0))))
@@ -235,80 +234,7 @@ func gemmBlockedParallel(cf blockConf, c, a, b *Tile, ta, tb bool, epi EpilogueF
 	})
 }
 
-// BlockShape is the exported cache-blocking configuration of the blocked
-// GEMM driver, as swept and persisted by the autotuner (package tune).
-// MC must be a positive multiple of the active micro-kernel's row count,
-// NC of its column count (multiples of BlockQuantum satisfy every
-// kernel), and KC positive.
-type BlockShape struct {
-	MC int `json:"mc"`
-	KC int `json:"kc"`
-	NC int `json:"nc"`
-}
-
 // KernelName names the micro-kernel this process selected at init
 // ("avx2-4x8" or "scalar-4x2"). Results are bit-identical under either;
 // the name only labels measurements, which are not.
 func KernelName() string { return defaultBlockConf.kern.name }
-
-// Validate reports whether the shape is legal for the active micro-kernel.
-func (s BlockShape) Validate() error {
-	kern := defaultBlockConf.kern
-	if s.MC <= 0 || s.MC%kern.mr != 0 {
-		return fmt.Errorf("linalg: block MC %d must be a positive multiple of %d (kernel %s)", s.MC, kern.mr, kern.name)
-	}
-	if s.NC <= 0 || s.NC%kern.nr != 0 {
-		return fmt.Errorf("linalg: block NC %d must be a positive multiple of %d (kernel %s)", s.NC, kern.nr, kern.name)
-	}
-	if s.KC <= 0 {
-		return fmt.Errorf("linalg: block KC %d must be positive", s.KC)
-	}
-	return nil
-}
-
-// conf is the driver configuration for a validated shape under the
-// active micro-kernel.
-func (s BlockShape) conf() blockConf {
-	return blockConf{mc: s.MC, kc: s.KC, nc: s.NC, kern: defaultBlockConf.kern}
-}
-
-// BlockDefaults returns the blocking configuration the public kernels
-// currently dispatch with.
-func BlockDefaults() BlockShape {
-	cf := defaultBlockConf
-	return BlockShape{MC: cf.mc, KC: cf.kc, NC: cf.nc}
-}
-
-// SetBlockDefaults installs a tuned blocking configuration for all
-// subsequent public-kernel dispatches and returns the previous one.
-// Like SetParallelism it is process-wide; results are bit-identical for
-// any legal shape (the accumulation order does not depend on blocking).
-func SetBlockDefaults(s BlockShape) (BlockShape, error) {
-	if err := s.Validate(); err != nil {
-		return BlockDefaults(), err
-	}
-	prev := BlockDefaults()
-	defaultBlockConf = s.conf()
-	return prev, nil
-}
-
-// GemmBlockedWith computes C += A·B through the blocked driver under an
-// explicit blocking shape and worker count, bypassing the size cutoff and
-// the process-wide parallelism bound. It exists for the autotuner, which
-// must measure exactly the configuration it is scoring; production code
-// uses the public kernels. workers <= 1 runs the sequential driver.
-func GemmBlockedWith(s BlockShape, workers int, c, a, b *Tile) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		return fmt.Errorf("linalg: gemm shape mismatch %v * %v -> %v", a, b, c)
-	}
-	cf := s.conf()
-	if workers > 1 {
-		gemmBlockedParallel(cf, c, a, b, false, false, nil, workers)
-		return nil
-	}
-	gemmBlockedSeq(cf, c, a, b, false, false, nil)
-	return nil
-}

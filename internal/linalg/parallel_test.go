@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +21,9 @@ var parallelWorkerCounts = []int{1, 2, 4, 8}
 
 // TestParallelGemmBitIdentical compares gemmBlockedParallel against
 // gemmBlockedSeq over random shapes and shrunken block configurations
-// that force many (jc, ic) cells per call, for every transpose mode.
+// that force many (jc, ic) cells per call, for every transpose mode, and
+// both against the built-in blocking: the block shape is a speed choice
+// only.
 func TestParallelGemmBitIdentical(t *testing.T) {
 	forEachKernel(t, testParallelGemmBitIdentical)
 }
@@ -52,6 +53,9 @@ func testParallelGemmBitIdentical(t *testing.T, kern *microKern) {
 			scalar := c0.clone()
 			gemmBlockedSeq(kernConf(&kernScalar, 2, cf.kc, 3), scalar, mode.la, mode.lb, mode.ta, mode.tb, nil)
 			assertExact(t, want, scalar, fmt.Sprintf("trial %d %s vs scalar kernel", trial, mode.name))
+			builtin := c0.clone()
+			gemmBlockedSeq(prodConf(kern), builtin, mode.la, mode.lb, mode.ta, mode.tb, nil)
+			assertExact(t, want, builtin, fmt.Sprintf("trial %d %s vs built-in blocking", trial, mode.name))
 			for _, w := range parallelWorkerCounts {
 				got := c0.clone()
 				gemmBlockedParallel(cf, got, mode.la, mode.lb, mode.ta, mode.tb, nil, w)
@@ -178,8 +182,8 @@ func TestSetParallelism(t *testing.T) {
 
 // forEachActiveKernel is forEachKernel with each kernel also installed as
 // the process's selected one (what init would have chosen on another
-// host), so the exported surface — Validate, GemmBlockedWith, the public
-// kernels — is exercised under each. Not parallel-safe, like the setters
+// host), so the exported surface — the public kernels, KernelName — is
+// exercised under each. Not parallel-safe, like the setters
 // it sits beside.
 func forEachActiveKernel(t *testing.T, body func(t *testing.T, kern *microKern)) {
 	t.Helper()
@@ -191,76 +195,37 @@ func forEachActiveKernel(t *testing.T, body func(t *testing.T, kern *microKern))
 	})
 }
 
-// TestGemmBlockedWith covers the autotuner's measuring hook: explicit
-// shapes and worker counts must agree with the reference, and illegal
-// shapes must be rejected rather than mis-packed — with an error that
-// names the active kernel and the multiple it needs.
-func TestGemmBlockedWith(t *testing.T) {
-	forEachActiveKernel(t, testGemmBlockedWith)
-}
-
-func testGemmBlockedWith(t *testing.T, kern *microKern) {
-	rng := rand.New(rand.NewSource(24))
-	a, b := randTile(rng, 40, 30), randTile(rng, 30, 20)
-	want := NewTile(40, 20)
-	refGemm(want, a, b)
-	legal := BlockShape{MC: 2 * kern.mr, KC: 7, NC: 3 * kern.nr}
-	for _, w := range parallelWorkerCounts {
-		got := NewTile(40, 20)
-		if err := GemmBlockedWith(legal, w, got, a, b); err != nil {
-			t.Fatal(err)
+// TestBlockShapeIsSpeedOnly: a non-default block shape — one register
+// tile, a ragged one that divides none of the product's axes, one on the
+// BlockQuantum grid — gives the default blocking's result bit-for-bit at
+// 1, 2 and 4 workers, for every transpose mode, accumulating into a
+// nonzero C.
+func TestBlockShapeIsSpeedOnly(t *testing.T) {
+	forEachActiveKernel(t, func(t *testing.T, kern *microKern) {
+		for _, shape := range []struct {
+			name string
+			cf   blockConf
+		}{
+			{"one_tile", kernConf(kern, 1, 1, 1)},
+			{"ragged", kernConf(kern, 3, 7, 5)},
+			{"quantum_grid", blockConf{mc: BlockQuantum, kc: 13, nc: 2 * BlockQuantum, kern: kern}},
+		} {
+			t.Run(shape.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(24))
+				a, b := randTile(rng, 45, 29), randTile(rng, 29, 37)
+				c0 := randTile(rng, 45, 37)
+				gemmModes(a, b, func(name string, la, lb *Tile, ta, tb bool, _ func(c, a, b *Tile)) {
+					want := c0.clone()
+					gemmBlockedSeq(defaultBlockConf, want, la, lb, ta, tb, nil)
+					for _, w := range []int{1, 2, 4} {
+						got := c0.clone()
+						gemmBlockedParallel(shape.cf, got, la, lb, ta, tb, nil, w)
+						assertExact(t, got, want, fmt.Sprintf("%s mc=%d kc=%d nc=%d w=%d", name, shape.cf.mc, shape.cf.kc, shape.cf.nc, w))
+					}
+				})
+			})
 		}
-		assertExact(t, got, want, fmt.Sprintf("GemmBlockedWith w=%d", w))
-	}
-	for _, bad := range []struct {
-		shape BlockShape
-		need  string
-	}{
-		{BlockShape{MC: 2*kern.mr - 1, KC: 4, NC: 3 * kern.nr}, fmt.Sprintf("multiple of %d (kernel %s)", kern.mr, kern.name)},
-		{BlockShape{MC: 2 * kern.mr, KC: 4, NC: 3*kern.nr - 1}, fmt.Sprintf("multiple of %d (kernel %s)", kern.nr, kern.name)},
-	} {
-		err := GemmBlockedWith(bad.shape, 1, NewTile(40, 20), a, b)
-		if err == nil || !strings.Contains(err.Error(), bad.need) {
-			t.Fatalf("GemmBlockedWith(%+v) = %v, want an error saying %q", bad.shape, err, bad.need)
-		}
-	}
-	if err := GemmBlockedWith(legal, 1, NewTile(40, 21), a, b); err == nil {
-		t.Fatal("GemmBlockedWith accepted a shape mismatch")
-	}
-	// A shape on the BlockQuantum grid is legal whichever kernel is active.
-	if err := (BlockShape{MC: BlockQuantum, KC: 1, NC: BlockQuantum}).Validate(); err != nil {
-		t.Fatalf("BlockQuantum shape rejected under %s: %v", kern.name, err)
-	}
-	if KernelName() != kern.name {
-		t.Fatalf("KernelName() = %q with %s active", KernelName(), kern.name)
-	}
-}
-
-// TestSetBlockDefaults verifies the tuned-shape installer: legal shapes
-// take effect process-wide (and results stay bit-identical), illegal
-// ones are rejected leaving the previous configuration in place.
-func TestSetBlockDefaults(t *testing.T) {
-	orig := BlockDefaults()
-	defer SetBlockDefaults(orig)
-	if _, err := SetBlockDefaults(BlockShape{MC: 32, KC: 64, NC: 128}); err != nil {
-		t.Fatal(err)
-	}
-	if got := BlockDefaults(); got != (BlockShape{MC: 32, KC: 64, NC: 128}) {
-		t.Fatalf("BlockDefaults = %+v after install", got)
-	}
-	rng := rand.New(rand.NewSource(25))
-	n := 96
-	a, b := randTile(rng, n, n), randTile(rng, n, n)
-	got, want := NewTile(n, n), NewTile(n, n)
-	Gemm(got, a, b)
-	refGemm(want, a, b)
-	assertExact(t, got, want, "gemm under tuned blocking")
-	if _, err := SetBlockDefaults(BlockShape{MC: 0, KC: 1, NC: 2}); err == nil {
-		t.Fatal("SetBlockDefaults accepted an illegal shape")
-	}
-	if got := BlockDefaults(); got != (BlockShape{MC: 32, KC: 64, NC: 128}) {
-		t.Fatalf("failed install clobbered the configuration: %+v", got)
-	}
+	})
 }
 
 // TestParallelGemmScratchPooled asserts the per-worker scratch keeps the

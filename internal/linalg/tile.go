@@ -30,26 +30,6 @@ func NewTile(rows, cols int) *Tile {
 	return &Tile{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Zero resets every element to 0 in place.
-func (t *Tile) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
-// Equal reports whether two tiles have identical shape and elements.
-func (t *Tile) Equal(o *Tile) bool {
-	if t.Rows != o.Rows || t.Cols != o.Cols {
-		return false
-	}
-	for i, v := range t.Data {
-		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Close reports whether a and b are equal within absolute-or-relative
 // tolerance tol. NaNs compare equal to NaNs so that oracle comparisons of
 // programs with undefined regions remain meaningful.

@@ -10,7 +10,6 @@ import (
 	"cumulon/internal/dfs"
 	"cumulon/internal/exec"
 	"cumulon/internal/lang"
-	"cumulon/internal/linalg/tune"
 	"cumulon/internal/plan"
 )
 
@@ -84,10 +83,6 @@ type CalibrationResult struct {
 	Slots   int
 	Model   *TaskModel
 	Obs     []Obs
-	// KernelSpeedup is the autotuner speedup folded into the machine's
-	// effective throughput before calibration (1 when no profile was
-	// supplied).
-	KernelSpeedup float64
 }
 
 // suiteSplits are the task counts every benchmark runs at: several splits
@@ -199,29 +194,11 @@ func (s *Suite) cursor(seed int64, k int) *cursor {
 // machine's hardware profile with straggler noise, which is exactly what
 // the fitted model must capture. It computes a suite of its own.
 func Calibrate(mt cloud.MachineType, slots int, seed int64) (*CalibrationResult, error) {
-	return new(Suite).Calibrate(mt, slots, seed, nil)
+	return new(Suite).Calibrate(mt, slots, seed)
 }
 
-// Calibrate is the package-level Calibrate through the suite, with an
-// optional kernel autotuner profile (internal/linalg/tune). The profile's
-// measured parallel speedup scales the machine's effective compute
-// throughput (ECU) before the suite runs, so the fitted flops coefficient —
-// and every optimizer estimate derived from it — reflects what the tuned
-// kernel tier delivers rather than the catalog's sequential rating. The
-// speedup is clamped to [1, cores]: a profile cannot make a machine slower,
-// and no fan-out beats its core count.
-func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tune.Profile) (*CalibrationResult, error) {
-	speedup := 1.0
-	if prof != nil {
-		speedup = prof.Speedup()
-		if limit := float64(mt.Cores); limit >= 1 && speedup > limit {
-			speedup = limit
-		}
-		if speedup < 1 {
-			speedup = 1
-		}
-		mt.ECU *= speedup
-	}
+// Calibrate is the package-level Calibrate through the suite.
+func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*CalibrationResult, error) {
 	cluster, err := cloud.NewCluster(mt, 4, slots)
 	if err != nil {
 		return nil, err
@@ -291,7 +268,7 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64, prof *tun
 	if err != nil {
 		return nil, err
 	}
-	return &CalibrationResult{Machine: mt, Slots: slots, Model: tm, Obs: obs, KernelSpeedup: speedup}, nil
+	return &CalibrationResult{Machine: mt, Slots: slots, Model: tm, Obs: obs}, nil
 }
 
 // AppendObs appends to dst the model observations of engine task records,

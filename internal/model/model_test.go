@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"cumulon/internal/cloud"
-	"cumulon/internal/linalg"
-	"cumulon/internal/linalg/tune"
 )
 
 // synthObs generates observations from known coefficients plus noise.
@@ -110,10 +108,9 @@ func TestCalibrateProducesAccurateModel(t *testing.T) {
 
 // TestSuiteReplayMatchesFreshCalibration: a calibration that replays the
 // suite another calibration recorded fits exactly the model a fresh one
-// does — observations, coefficients, residuals and kernel speedup alike —
-// for every (machine type, slots) pair the optimizer sweeps, with and
-// without a kernel profile, whichever pair records and in whichever order
-// the rest replay.
+// does — observations, coefficients and residuals alike — for every
+// (machine type, slots) pair the optimizer sweeps, whichever pair records
+// and in whichever order the rest replay.
 func TestSuiteReplayMatchesFreshCalibration(t *testing.T) {
 	type pair struct {
 		mt    cloud.MachineType
@@ -127,35 +124,27 @@ func TestSuiteReplayMatchesFreshCalibration(t *testing.T) {
 			}
 		}
 	}
-	speedup2 := &tune.Profile{
-		Version:  tune.ProfileVersion,
-		Best:     tune.Point{Shape: linalg.BlockDefaults(), Workers: 2, MFlops: 200},
-		Baseline: tune.Point{Shape: linalg.BlockDefaults(), Workers: 1, MFlops: 100},
-		Points:   []tune.Point{{}},
+	fresh := make([]*CalibrationResult, len(pairs))
+	for i, p := range pairs {
+		var err error
+		if fresh[i], err = new(Suite).Calibrate(p.mt, p.slots, 7); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, prof := range []*tune.Profile{nil, speedup2} {
-		fresh := make([]*CalibrationResult, len(pairs))
-		for i, p := range pairs {
-			var err error
-			if fresh[i], err = new(Suite).Calibrate(p.mt, p.slots, 7, prof); err != nil {
+	for _, reverse := range []bool{false, true} {
+		var suite Suite
+		for n := range pairs {
+			i := n
+			if reverse {
+				i = len(pairs) - 1 - n
+			}
+			got, err := suite.Calibrate(pairs[i].mt, pairs[i].slots, 7)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, reverse := range []bool{false, true} {
-			var suite Suite
-			for n := range pairs {
-				i := n
-				if reverse {
-					i = len(pairs) - 1 - n
-				}
-				got, err := suite.Calibrate(pairs[i].mt, pairs[i].slots, 7, prof)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, fresh[i]) {
-					t.Fatalf("%s/%d (profile %v, reverse %v): the replayed calibration differs from a fresh one\nreplayed %s\nfresh    %s",
-						pairs[i].mt.Name, pairs[i].slots, prof != nil, reverse, got.Model, fresh[i].Model)
-				}
+			if !reflect.DeepEqual(got, fresh[i]) {
+				t.Fatalf("%s/%d (reverse %v): the replayed calibration differs from a fresh one\nreplayed %s\nfresh    %s",
+					pairs[i].mt.Name, pairs[i].slots, reverse, got.Model, fresh[i].Model)
 			}
 		}
 	}
@@ -175,7 +164,7 @@ func TestSuiteLoadsKeyedBySeed(t *testing.T) {
 		slots int
 		seed  int64
 	}{{small, 1, 7}, {big, 4, 8}, {big, 8, 7}, {small, 1, 8}} {
-		got, err := suite.Calibrate(c.mt, c.slots, c.seed, nil)
+		got, err := suite.Calibrate(c.mt, c.slots, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +217,7 @@ func TestFrozenSuiteServesEveryPair(t *testing.T) {
 	}
 	for _, seed := range []int64{7, 8} {
 		var suite Suite
-		if _, err := suite.Calibrate(pairs[0].mt, pairs[0].slots, seed, nil); err != nil {
+		if _, err := suite.Calibrate(pairs[0].mt, pairs[0].slots, seed); err != nil {
 			t.Fatal(err)
 		}
 		values, phases, loads := suite.recorded()
@@ -237,7 +226,7 @@ func TestFrozenSuiteServesEveryPair(t *testing.T) {
 		}
 		fresh := make([]*CalibrationResult, len(pairs))
 		for i, p := range pairs {
-			if _, err := suite.Calibrate(p.mt, p.slots, seed, nil); err != nil {
+			if _, err := suite.Calibrate(p.mt, p.slots, seed); err != nil {
 				t.Fatal(err)
 			}
 			if v, ph, l := suite.recorded(); v != values || ph != phases || l != loads {
@@ -256,7 +245,7 @@ func TestFrozenSuiteServesEveryPair(t *testing.T) {
 				defer wg.Done()
 				for n := range pairs {
 					i := (n + g*len(pairs)/4) % len(pairs)
-					got, err := suite.Calibrate(pairs[i].mt, pairs[i].slots, seed, nil)
+					got, err := suite.Calibrate(pairs[i].mt, pairs[i].slots, seed)
 					if err != nil {
 						t.Error(err)
 						return
@@ -273,51 +262,6 @@ func TestFrozenSuiteServesEveryPair(t *testing.T) {
 		if v, ph, l := suite.recorded(); v != values || ph != phases || l != loads {
 			t.Fatalf("seed %d: concurrent calibrations grew the suite", seed)
 		}
-	}
-}
-
-// TestCalibrateWithProfileScalesFlops: an autotuner profile reporting a
-// 2x kernel speedup should roughly halve the fitted flops coefficient
-// (the machine computes twice as fast; I/O terms are untouched), and the
-// speedup must clamp to the machine's core count.
-func TestCalibrateWithProfileScalesFlops(t *testing.T) {
-	mt, err := cloud.TypeByName("c1.medium") // 2 cores
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Calibrate(mt, 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := &tune.Profile{
-		Version:  tune.ProfileVersion,
-		Best:     tune.Point{Shape: linalg.BlockDefaults(), Workers: 2, MFlops: 200},
-		Baseline: tune.Point{Shape: linalg.BlockDefaults(), Workers: 1, MFlops: 100},
-		Points:   []tune.Point{{}},
-	}
-	tuned, err := new(Suite).Calibrate(mt, 2, 42, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.KernelSpeedup != 2 {
-		t.Fatalf("KernelSpeedup = %v, want 2", tuned.KernelSpeedup)
-	}
-	if base.KernelSpeedup != 1 {
-		t.Fatalf("profile-less KernelSpeedup = %v, want 1", base.KernelSpeedup)
-	}
-	ratio := tuned.Model.BFlops / base.Model.BFlops
-	if ratio < 0.4 || ratio > 0.65 {
-		t.Fatalf("BFlops ratio tuned/base = %v, want ~0.5 (base %v, tuned %v)",
-			ratio, base.Model.BFlops, tuned.Model.BFlops)
-	}
-	// A profile claiming more speedup than the machine has cores clamps.
-	prof.Best.MFlops = 1600 // 16x claim on a 2-core type
-	clamped, err := new(Suite).Calibrate(mt, 2, 42, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped.KernelSpeedup != 2 {
-		t.Fatalf("KernelSpeedup = %v, want clamp to 2 cores", clamped.KernelSpeedup)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
-	"cumulon/internal/linalg/tune"
 	"cumulon/internal/model"
 	"cumulon/internal/plan"
 	"cumulon/internal/sim"
@@ -175,30 +174,13 @@ type Result struct {
 type Optimizer struct {
 	seed int64
 
-	mu      sync.Mutex
-	models  map[modelKey]*model.TaskModel
-	profile *tune.Profile
+	mu     sync.Mutex
+	models map[modelKey]*model.TaskModel
 }
 
 // New creates an optimizer; seed drives calibration determinism.
 func New(seed int64) *Optimizer {
 	return &Optimizer{seed: seed, models: map[modelKey]*model.TaskModel{}}
-}
-
-// UseKernelProfile attaches a kernel autotuner profile
-// (internal/linalg/tune) to every subsequent calibration: the measured
-// parallel speedup scales each machine type's effective throughput, so
-// search estimates track the tuned kernel tier. Passing nil reverts to
-// catalog throughput. Cached models calibrated under a different
-// profile are discarded.
-func (o *Optimizer) UseKernelProfile(p *tune.Profile) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.profile == p {
-		return
-	}
-	o.profile = p
-	o.models = map[modelKey]*model.TaskModel{}
 }
 
 // ModelFor returns the (cached) calibrated model for a machine type and
@@ -223,19 +205,14 @@ func (o *Optimizer) modelFor(mt cloud.MachineType, slots int, rec *SearchTrace, 
 		rec.Count(CounterModelCacheHits, 1)
 		return m, nil
 	}
-	prof := o.profile
 	o.mu.Unlock()
 	rec.Count(CounterModelCacheMisses, 1)
-	res, err := suite.Calibrate(mt, slots, o.seed, prof)
+	res, err := suite.Calibrate(mt, slots, o.seed)
 	if err != nil {
 		return nil, err
 	}
 	o.mu.Lock()
-	// A concurrent UseKernelProfile invalidates this calibration: drop it
-	// rather than poisoning the fresh cache.
-	if o.profile == prof {
-		o.models[key] = res.Model
-	}
+	o.models[key] = res.Model
 	o.mu.Unlock()
 	return res.Model, nil
 }

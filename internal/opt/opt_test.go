@@ -5,8 +5,6 @@ import (
 
 	"cumulon/internal/cloud"
 	"cumulon/internal/lang"
-	"cumulon/internal/linalg"
-	"cumulon/internal/linalg/tune"
 	"cumulon/internal/plan"
 )
 
@@ -238,47 +236,6 @@ func TestModelCacheReuse(t *testing.T) {
 	}
 	if m1 != m2 {
 		t.Fatal("model not cached")
-	}
-}
-
-// TestUseKernelProfile: attaching an autotuner profile must invalidate
-// cached calibrations and yield a faster flops coefficient; detaching it
-// restores catalog-throughput models.
-func TestUseKernelProfile(t *testing.T) {
-	o := New(1)
-	// 2 cores: room for the 1.5x profile speedup below the core clamp.
-	mt, _ := cloud.TypeByName("c1.medium")
-	base, err := o.ModelFor(mt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := &tune.Profile{
-		Version:  tune.ProfileVersion,
-		Best:     tune.Point{Shape: linalg.BlockDefaults(), Workers: 1, MFlops: 150},
-		Baseline: tune.Point{Shape: linalg.BlockDefaults(), Workers: 1, MFlops: 100},
-		Points:   []tune.Point{{}},
-	}
-	o.UseKernelProfile(prof)
-	tuned, err := o.ModelFor(mt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned == base {
-		t.Fatal("UseKernelProfile did not invalidate the model cache")
-	}
-	if tuned.BFlops >= base.BFlops {
-		t.Fatalf("tuned BFlops %v not faster than base %v", tuned.BFlops, base.BFlops)
-	}
-	o.UseKernelProfile(nil)
-	plain, err := o.ModelFor(mt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain == tuned {
-		t.Fatal("detaching the profile did not invalidate the cache")
-	}
-	if plain.BFlops != base.BFlops {
-		t.Fatalf("detached BFlops %v, want catalog %v", plain.BFlops, base.BFlops)
 	}
 }
 

@@ -215,8 +215,9 @@ type SubmitRequest struct {
 	// virtual (timing and cost only).
 	Materialize bool `json:"materialize,omitempty"`
 	// Seed drives data generation, placement and noise: 0 takes the
-	// site's seed; an optimizing request is searched with the site's seed,
-	// and its winner runs with this one.
+	// site's seed. An optimizing request is searched with the site's seed
+	// by cumulond and `cumulon -optimize` alike, so both predict the same
+	// winner, and the winner runs with this one.
 	Seed int64 `json:"seed,omitempty"`
 
 	// Trace retains the job's Chrome trace (GET /v1/jobs/{id}/trace),

@@ -9,10 +9,16 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cumulon/internal/linalg"
 )
+
+// sameTile reports whether two tiles have identical shape and elements.
+func sameTile(a, b *linalg.Tile) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.Data, b.Data)
+}
 
 // sealed appends the CRC32 of payload, making it a well-formed container
 // whatever its header says.
@@ -150,14 +156,14 @@ func TestDecodeIntoMatchesFresh(t *testing.T) {
 	if err := DecodeTileInto(into, raw); err != nil {
 		t.Fatal(err)
 	}
-	if !into.Equal(fresh) || !fresh.Equal(src) {
+	if !sameTile(into, fresh) || !sameTile(fresh, src) {
 		t.Fatal("dense decode-into differs from decode-fresh")
 	}
 	if &into.Data[0] != buf || len(into.Data) != 35 {
 		t.Fatal("dense decode-into did not reuse the destination buffer")
 	}
 	small := linalg.NewTile(2, 2)
-	if err := DecodeTileInto(small, raw); err != nil || !small.Equal(src) {
+	if err := DecodeTileInto(small, raw); err != nil || !sameTile(small, src) {
 		t.Fatalf("dense decode into a short buffer: %v", err)
 	}
 	if n := testing.AllocsPerRun(20, func() { _ = DecodeTileInto(into, raw) }); n != 0 {
@@ -178,7 +184,7 @@ func TestDecodeIntoMatchesFresh(t *testing.T) {
 	if !bytes.Equal(EncodeSparseTile(intoSp), rawSparse) || !bytes.Equal(EncodeSparseTile(freshSp), rawSparse) {
 		t.Fatal("sparse decode-into differs from decode-fresh")
 	}
-	if !intoSp.ToDense().Equal(src) {
+	if !sameTile(intoSp.ToDense(), src) {
 		t.Fatal("sparse decode-into lost entries")
 	}
 	if n := testing.AllocsPerRun(20, func() { _ = DecodeSparseTileInto(intoSp, rawSparse) }); n != 0 {

@@ -68,7 +68,7 @@ func TestTileCodecRoundTrip(t *testing.T) {
 			tile.Data[i] = rng.NormFloat64()
 		}
 		got, err := DecodeTile(EncodeTile(tile))
-		return err == nil && got.Equal(tile)
+		return err == nil && sameTile(got, tile)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSparseTileCodecRoundTrip(t *testing.T) {
 		}
 		s := linalg.DenseToCSR(tile)
 		got, err := DecodeSparseTile(EncodeSparseTile(s))
-		return err == nil && got.ToDense().Equal(tile)
+		return err == nil && sameTile(got.ToDense(), tile)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestReadWriteSingleTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, raw := range [][]byte{raw, byPath} {
-		if got, err := DecodeTile(raw); err != nil || !got.Equal(tile) {
+		if got, err := DecodeTile(raw); err != nil || !sameTile(got, tile) {
 			t.Fatalf("tile mismatch (%v)", err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -158,6 +159,59 @@ func TestFlagDefaults(t *testing.T) {
 func TestRunSmallProgram(t *testing.T) {
 	if err := run([]string{"-f", writeProg(t), "-tile", "4", "-nodes", "2", "-plan=false"}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestResumesOldCheckpoints resumes testdata/resume-gnmf/state, the
+// -state-dir commit ee0959d wrote for CI's kill/resume GNMF (-tile 4
+// -checkpoint 1, killed at 260 s of 517 s), and requires the outputs of
+// that commit's never-killed run, oracle.txt. A checkpoint an older binary
+// wrote must keep resuming, as TestConfigHashReadsOldCheckpoints requires of
+// its identity.
+func TestResumesOldCheckpoints(t *testing.T) {
+	dir := filepath.Join("testdata", "resume-gnmf")
+	// A resumed run checkpoints on into its state directory: resume a copy.
+	stored, state := filepath.Join(dir, "state"), t.TempDir()
+	err := filepath.WalkDir(stored, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(stored, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(state, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(state, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "oracle.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-f", filepath.Join(dir, "gnmf.cm"), "-nodes", "4", "-tile", "4", "-materialize", "-density", "0.4",
+		"-checkpoint", "1", "-state-dir", state, "-resume", "-plan=false"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "resumed from stmt 4, 16 jobs skipped") {
+		t.Fatalf("the run did not resume from the stored checkpoint:\n%s", out.String())
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if strings.HasPrefix(line, "output ") {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != string(want) {
+		t.Fatalf("resumed outputs\n%s\nwant\n%s", got.String(), want)
 	}
 }
 

@@ -26,9 +26,9 @@ const (
 	// evalChunk is the vectorization width of the tape executor: operand
 	// chunks of this many elements stream through the stack buffers.
 	evalChunk = 256
-	// maxFastStack bounds the operand-stack depth of the chunked fast
-	// path; deeper programs (beyond 8 pending operands, i.e. pathological
-	// nesting) fall back to a scalar evaluator.
+	// maxFastStack is the operand-stack depth whose buffers live on the
+	// executor's stack; a deeper program (beyond 8 pending operands, i.e.
+	// pathological nesting) takes one heap buffer of its depth instead.
 	maxFastStack = 8
 )
 
@@ -52,112 +52,91 @@ func runTileProgramRegion(p *plan.TileProgram, dst []float64, leaves [][]float64
 	}
 }
 
-// runProgramSpan evaluates p over dst[lo:hi]. The fast path keeps the
-// operand stack in fixed chunk buffers; leaf and mm pushes are aliases
-// into the source slices (no copy), and operator results reuse the buffer
-// at their resulting stack position, so a chunk's evaluation touches each
-// input element exactly once.
+// runProgramSpan evaluates p over dst[lo:hi]. The operand stack is one
+// chunk buffer per stack position — fixed arrays up to maxFastStack, one
+// heap buffer of p.MaxStack chunks beyond — and a source per position: leaf
+// and mm pushes are aliases into the source slices (no copy), and operator
+// results reuse the buffer at their resulting stack position, so a chunk's
+// evaluation touches each input element exactly once. A position's source
+// is a number — a leaf slot, fromMM or fromBuf — not a slice: a slice of the
+// fixed buffers stored in a stack that may be on the heap would move them to
+// the heap too.
 func runProgramSpan(p *plan.TileProgram, dst []float64, leaves [][]float64, mm []float64, lo, hi int) {
+	const fromMM, fromBuf = -1, -2 // a source: a leaf slot, mm or the buffer
+	var fixed [maxFastStack][evalChunk]float64
+	var fixedSrc [maxFastStack]int
+	buf, src := fixed[:], fixedSrc[:]
 	if p.MaxStack > maxFastStack {
-		runProgramSpanDeep(p, dst, leaves, mm, lo, hi)
-		return
+		buf, src = make([][evalChunk]float64, p.MaxStack), make([]int, p.MaxStack)
 	}
-	var buf [maxFastStack][evalChunk]float64
-	var st [maxFastStack][]float64
 	for base := lo; base < hi; base += evalChunk {
-		end := base + evalChunk
-		if end > hi {
-			end = hi
-		}
+		end := min(base+evalChunk, hi)
 		n := end - base
+		// at returns the chunk of the operand at stack position sp, sliced
+		// to n in one place so that the loops below index it unchecked.
+		at := func(sp int) []float64 {
+			x := buf[sp][:]
+			switch s := src[sp]; s {
+			case fromBuf:
+			case fromMM:
+				x = mm[base:end]
+			default:
+				x = leaves[s][base:end]
+			}
+			return x[:n]
+		}
 		sp := 0
 		for _, ins := range p.Code {
 			switch ins.Op {
 			case plan.TileLeaf:
-				st[sp] = leaves[ins.Arg][base:end]
+				src[sp] = ins.Arg
 				sp++
 			case plan.TileMM:
-				st[sp] = mm[base:end]
+				src[sp] = fromMM
 				sp++
 			case plan.TileAdd:
-				a, b, out := st[sp-2][:n], st[sp-1][:n], buf[sp-2][:n]
+				a, b, out := at(sp-2), at(sp-1), buf[sp-2][:n]
 				for i, av := range a {
 					out[i] = av + b[i]
 				}
-				st[sp-2] = out
+				src[sp-2] = fromBuf
 				sp--
 			case plan.TileSub:
-				a, b, out := st[sp-2][:n], st[sp-1][:n], buf[sp-2][:n]
+				a, b, out := at(sp-2), at(sp-1), buf[sp-2][:n]
 				for i, av := range a {
 					out[i] = av - b[i]
 				}
-				st[sp-2] = out
+				src[sp-2] = fromBuf
 				sp--
 			case plan.TileMul:
-				a, b, out := st[sp-2][:n], st[sp-1][:n], buf[sp-2][:n]
+				a, b, out := at(sp-2), at(sp-1), buf[sp-2][:n]
 				for i, av := range a {
 					out[i] = av * b[i]
 				}
-				st[sp-2] = out
+				src[sp-2] = fromBuf
 				sp--
 			case plan.TileDiv:
-				a, b, out := st[sp-2][:n], st[sp-1][:n], buf[sp-2][:n]
+				a, b, out := at(sp-2), at(sp-1), buf[sp-2][:n]
 				for i, av := range a {
 					out[i] = av / b[i]
 				}
-				st[sp-2] = out
+				src[sp-2] = fromBuf
 				sp--
 			case plan.TileScale:
-				a, out, s := st[sp-1][:n], buf[sp-1][:n], ins.Scale
+				a, out, s := at(sp-1), buf[sp-1][:n], ins.Scale
 				for i, av := range a {
 					out[i] = s * av
 				}
-				st[sp-1] = out
+				src[sp-1] = fromBuf
 			case plan.TileApply:
-				a, out, fn := st[sp-1][:n], buf[sp-1][:n], lang.FuncTable[ins.Arg]
+				a, out, fn := at(sp-1), buf[sp-1][:n], lang.FuncTable[ins.Arg]
 				for i, av := range a {
 					out[i] = fn(av)
 				}
-				st[sp-1] = out
+				src[sp-1] = fromBuf
 			}
 		}
-		copy(dst[base:end], st[0])
-	}
-}
-
-// runProgramSpanDeep is the scalar fallback for programs whose operand
-// stack exceeds the fast path's fixed buffers.
-func runProgramSpanDeep(p *plan.TileProgram, dst []float64, leaves [][]float64, mm []float64, lo, hi int) {
-	stk := make([]float64, p.MaxStack)
-	for i := lo; i < hi; i++ {
-		sp := 0
-		for _, ins := range p.Code {
-			switch ins.Op {
-			case plan.TileLeaf:
-				stk[sp] = leaves[ins.Arg][i]
-				sp++
-			case plan.TileMM:
-				stk[sp] = mm[i]
-				sp++
-			case plan.TileAdd:
-				stk[sp-2] += stk[sp-1]
-				sp--
-			case plan.TileSub:
-				stk[sp-2] -= stk[sp-1]
-				sp--
-			case plan.TileMul:
-				stk[sp-2] *= stk[sp-1]
-				sp--
-			case plan.TileDiv:
-				stk[sp-2] /= stk[sp-1]
-				sp--
-			case plan.TileScale:
-				stk[sp-1] = ins.Scale * stk[sp-1]
-			case plan.TileApply:
-				stk[sp-1] = lang.FuncTable[ins.Arg](stk[sp-1])
-			}
-		}
-		dst[i] = stk[0]
+		copy(dst[base:end], at(0))
 	}
 }
 

@@ -403,6 +403,50 @@ func TestCompiledTasksMatchInterpreter(t *testing.T) {
 	}
 }
 
+// TestDeepTapesMatchTreeWalker: tapes that need more operand buffers than
+// the fixed ones (MaxStack > maxFastStack) — a map, and a product's
+// prologue and epilogue — run on the one chunked evaluator, bit for bit
+// what the tree-walker computes.
+func TestDeepTapesMatchTreeWalker(t *testing.T) {
+	const deep = "A + (B .* (A - (B ./ (A + (2 * B - (A .* (B + (A - (B .* (A + sqrt(B .* A)))))))))))"
+	epi := strings.NewReplacer("A", "D", "B", "E").Replace(deep)
+	c := diffCase{
+		src: "input A 9 7\ninput B 9 7\ninput C 7 5\ninput D 5 5\ninput E 5 5\n" +
+			"X = " + deep + "\nY = (" + deep + ") * C\nZ = (Y' * Y) .* (" + epi + ")\noutput X\noutput Y\noutput Z\n",
+		data: map[string]*linalg.Dense{
+			"A": shifted(linalg.RandomDense(9, 7, 61)),
+			"B": shifted(linalg.RandomDense(9, 7, 62)),
+			"C": linalg.RandomDense(7, 5, 63),
+			"D": shifted(linalg.RandomDense(5, 5, 64)),
+			"E": shifted(linalg.RandomDense(5, 5, 65)),
+		},
+	}
+	for _, ts := range []int{4, 16} {
+		prog, pl := c.compile(t, ts)
+		tapes := 0
+		for _, j := range pl.Jobs {
+			for _, p := range []*plan.TileProgram{j.Prog, j.LProg, j.RProg, j.EpiProg} {
+				if p != nil && p.MaxStack > maxFastStack {
+					tapes++
+				}
+			}
+		}
+		if tapes < 3 {
+			t.Fatalf("ts=%d: %d tapes deeper than %d; the case exercises too little", ts, tapes, maxFastStack)
+		}
+		want, err := lang.Interpret(prog, c.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := runPlanDual(t, pl, c.data, false, false)
+		for name, m := range pl.Outputs {
+			if got := fetchDense(t, src, m); !got.AlmostEqual(want[name], 1e-9) {
+				t.Fatalf("ts=%d: output %s off oracle by %g", ts, name, got.MaxAbsDiff(want[name]))
+			}
+		}
+	}
+}
+
 // TestCompiledTasksVirtual repeats the differential check in virtual
 // mode, where only traces, sizes and flop counts exist.
 func TestCompiledTasksVirtual(t *testing.T) {

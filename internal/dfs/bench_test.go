@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// BenchmarkDeleteMatrix times dropping one 64-tile matrix (DeleteMatrix, as
-// the engine issues it) from a namespace that also holds unrelated virtual
-// files: 1 k or 64 k of them in 64 other directories, and 4 k of them in 64
-// or in 4 096 other directories. The cost must follow the matrix, not the
-// namespace: CI fails if either larger case takes more than 8x its smaller
-// one per delete (a scan of every file takes 64x on the first pair, a scan
-// of every directory name 44x on the second). Writing the matrix back is
-// untimed.
+// BenchmarkDeleteMatrix times dropping one declared 8×8-tile matrix
+// (DeleteMatrix, as the engine issues it) from a namespace that also holds
+// unrelated virtual files: 1 k or 64 k of them in 64 other directories, and
+// 4 k of them in 64 or in 4 096 other directories. The cost must follow the
+// matrix, not the namespace: CI fails if either larger case takes more than
+// 8x its smaller one per delete (a scan of every file takes 64x on the
+// first pair, a scan of every directory name 44x on the second). Declaring
+// and writing the matrix back is untimed.
 func BenchmarkDeleteMatrix(b *testing.B) {
 	for _, arm := range []struct {
 		name        string
@@ -30,19 +30,18 @@ func BenchmarkDeleteMatrix(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			tiles := make([]string, 64)
-			for i := range tiles {
-				tiles[i] = fmt.Sprintf("/matrix/C/%d_%d", i/8, i%8)
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				b.StopTimer()
-				for _, p := range tiles {
-					if err := fs.WriteVirtual(p, 100, -1); err != nil {
+				bt := fs.Batch()
+				bt.Declare("C", 8, 8)
+				for i := range 64 {
+					if err := bt.WriteVirtual(TileAddr{Matrix: "C", TI: int32(i / 8), TJ: int32(i % 8)}, 100, -1); err != nil {
 						b.Fatal(err)
 					}
 				}
+				bt.Done()
 				b.StartTimer()
 				fs.DeleteMatrix("C")
 			}

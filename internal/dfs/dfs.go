@@ -167,10 +167,10 @@ type FS struct {
 	rng *rand.Rand
 	// dirs is the namespace: every file in the index of its directory (the
 	// path through its last '/'; a matrix's tiles share one), and no
-	// directory without a file but a declared matrix's before its first
-	// (Batch.Declare). A point lookup allocates nothing, a matrix drop at
-	// most its key; a prefix operation visits the directory names and the
-	// files of the one directory the prefix may end inside.
+	// directory without a file but a declared matrix's (Batch.Declare),
+	// which stays until DeleteMatrix. A point lookup allocates nothing, a
+	// matrix drop at most its key; a prefix operation visits the directory
+	// names and the files of the one directory the prefix may end inside.
 	dirs  map[string]*dir
 	dead  []bool    // per node
 	live  []int     // live node ids, ascending; rebuilt by markDead only
@@ -257,17 +257,9 @@ func dirOf(path string) string {
 	return path[:strings.LastIndexByte(path, '/')+1]
 }
 
-// at resolves path to its slot. Caller holds the lock.
-func (fs *FS) at(path string) slot {
-	s := slot{dir: dirOf(path), path: path}
-	s.k, s.tile = parseTileName(path[len(s.dir):])
-	s.d = fs.dirs[s.dir]
-	return s
-}
-
-// lookup returns the file stored under path, a vacant cell if there is
-// none. Caller holds the lock.
-func (fs *FS) lookup(path string) cell { return fs.at(path).get() }
+// at resolves path to its slot: an ordinary file's, whatever the path looks
+// like, never a tile's. Caller holds the lock.
+func (fs *FS) at(path string) slot { return slot{d: fs.dirs[dirOf(path)], path: path} }
 
 // own makes the directory of slot s, which exists, this file system's own to
 // change: one a fork shares is replaced by a copy. A slot resolved before an
@@ -285,25 +277,25 @@ func (fs *FS) own(s *slot) {
 	fs.batch.forget()
 }
 
-// put stores c in slot s, making its directory when it has none. Caller
-// holds the lock.
+// put stores c in slot s, making an ordinary file's directory when it has
+// none. Caller holds the lock.
 func (fs *FS) put(s slot, c cell) {
 	if s.d == nil {
-		s.d = &dir{path: s.dirPath()}
+		s.d = &dir{path: dirOf(s.path)}
 		fs.dirs[s.d.path] = s.d
 	}
 	fs.own(&s)
 	s.set(c)
 }
 
-// drop removes the file in slot s, if any, and its directory with its last
-// file. Caller holds the lock.
+// drop removes the file in slot s, if any, and with its last file a
+// directory that has no grid. Caller holds the lock.
 func (fs *FS) drop(s slot) {
 	if c := s.get(); c.vacant() {
 		return
 	}
 	fs.own(&s)
-	if s.set(cell{}); s.d.len() == 0 {
+	if s.set(cell{}); s.d.len() == 0 && s.d.cells == nil {
 		delete(fs.dirs, s.d.path)
 		fs.batch.forget()
 	}
@@ -671,25 +663,6 @@ func (fs *FS) firstReplica(c cell) int {
 	return first
 }
 
-// Size returns the byte size of the file.
-func (fs *FS) Size(path string) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	c := fs.lookup(path)
-	if c.vacant() {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return c.size, nil
-}
-
-// Delete removes a file. Deleting a missing file is not an error, matching
-// the idempotent delete semantics engines rely on during retries.
-func (fs *FS) Delete(path string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.drop(fs.at(path))
-}
-
 // List returns all paths with the given prefix, sorted.
 func (fs *FS) List(prefix string) []string {
 	fs.mu.Lock()
@@ -824,16 +797,9 @@ func (fs *FS) MarkDead(node int) {
 	}
 }
 
-// BlockReplicas returns the replica node lists of the file's blocks, in
-// block order (live and dead replicas alike). Checkpoint manifests
-// record these so restore can reproduce placement exactly.
-func (fs *FS) BlockReplicas(path string) ([][]int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	c := fs.lookup(path)
-	if c.vacant() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
+// replicaLists returns fresh copies of the replica lists of c's blocks, in
+// block order.
+func (c *cell) replicaLists() [][]int {
 	out := make([][]int, c.nblocks())
 	var buf [3]int32
 	for i := range out {
@@ -843,47 +809,38 @@ func (fs *FS) BlockReplicas(path string) ([][]int, error) {
 			out[i][j] = int(r)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// WritePlaced stores data under path with the given per-block replica
-// lists, bypassing placement randomness and write accounting: it is
-// pure bookkeeping, the restore half of checkpointing, reconstructing a
-// file exactly where the checkpointed run had it. data may be nil for a
-// virtual file of the given size. The replica lists must cover
-// ceil(size/BlockSize) blocks (minimum one) and be non-empty. Like Write,
-// it takes ownership of data: the payload is immutable from here on.
-func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	s := fs.at(path)
+// writePlaced is Batch.WritePlaced of slot s. Caller holds the lock.
+func (fs *FS) writePlaced(s slot, data []byte, size int64, replicas [][]int) error {
 	if c := s.get(); !c.vacant() {
-		return fmt.Errorf("%w: %s", ErrExists, path)
+		return fmt.Errorf("%w: %s", ErrExists, s.pathname())
 	}
 	if data != nil {
 		size = int64(len(data))
 	}
 	if size < 0 {
-		return fmt.Errorf("dfs: negative size %d for %s", size, path)
+		return fmt.Errorf("dfs: negative size %d for %s", size, s.pathname())
 	}
 	nBlocks := int((size + fs.cfg.BlockSize - 1) / fs.cfg.BlockSize)
 	if nBlocks == 0 {
 		nBlocks = 1
 	}
 	if len(replicas) != nBlocks {
-		return fmt.Errorf("dfs: %s wants %d block replica lists, got %d", path, nBlocks, len(replicas))
+		return fmt.Errorf("dfs: %s wants %d block replica lists, got %d", s.pathname(), nBlocks, len(replicas))
 	}
 	bs := make([]block, nBlocks)
 	for i := range bs {
 		if len(replicas[i]) == 0 {
-			return fmt.Errorf("dfs: %s block %d has no replicas", path, i)
+			return fmt.Errorf("dfs: %s block %d has no replicas", s.pathname(), i)
 		}
 		off := int64(i) * fs.cfg.BlockSize
 		end := min(off+fs.cfg.BlockSize, size)
 		bs[i] = block{size: end - off, replicas: make([]int32, len(replicas[i]))}
 		for j, r := range replicas[i] {
 			if r < 0 || r >= fs.cfg.Nodes {
-				return fmt.Errorf("dfs: %s block %d replica on unknown node %d", path, i, r)
+				return fmt.Errorf("dfs: %s block %d replica on unknown node %d", s.pathname(), i, r)
 			}
 			bs[i].replicas[j] = int32(r)
 		}

@@ -599,6 +599,46 @@ func (fs *FS) readTracked(path string, readerNode int) ([]byte, ReadSplit, error
 	return fs.read(fs.at(path), readerNode)
 }
 
+// The path-keyed faces of the tile-keyed calls nothing in production makes
+// by path: the tests drive ordinary files through them.
+
+// Size returns the byte size of the file.
+func (fs *FS) Size(path string) (int64, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	c := fs.at(path).get()
+	if c.vacant() {
+		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return c.size, nil
+}
+
+// BlockReplicas returns the replica node lists of the file's blocks, in
+// block order (live and dead replicas alike).
+func (fs *FS) BlockReplicas(path string) ([][]int, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	c := fs.at(path).get()
+	if c.vacant() {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+	}
+	return c.replicaLists(), nil
+}
+
+// Delete removes a file; deleting a missing file is not an error.
+func (fs *FS) Delete(path string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.drop(fs.at(path))
+}
+
+// WritePlaced is Batch.WritePlaced of the file at path.
+func (fs *FS) WritePlaced(path string, data []byte, size int64, replicas [][]int) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.writePlaced(fs.at(path), data, size, replicas)
+}
+
 // TestNodeIDsPastSixteenBits: a cell holds replica ids of up to 16 bits; a
 // file with a replica past them spills, and reads, locates and recovers as
 // any other.

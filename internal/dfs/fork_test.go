@@ -3,7 +3,6 @@ package dfs
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,9 +44,21 @@ func forkLoad(t testing.TB, fs *FS, tag string) {
 			writer = -1
 		}
 		var err error
-		if i%2 == 0 {
+		switch {
+		case tag == "matrix":
+			// Tile (i, 0) of one of four matrices declared 24 × 1.
+			a := TileAddr{Matrix: fmt.Sprintf("m%d", i%4), TI: int32(i)}
+			b := fs.Batch()
+			b.Declare(a.Matrix, 24, 1)
+			if i%2 == 0 {
+				err = b.Write(a, make([]byte, 20+i*9), writer)
+			} else {
+				err = b.WriteVirtual(a, int64(30+i*11), writer)
+			}
+			b.Done()
+		case i%2 == 0:
 			err = fs.Write(path, make([]byte, 20+i*9), writer)
-		} else {
+		default:
 			err = fs.WriteVirtual(path, int64(30+i*11), writer)
 		}
 		if err != nil {
@@ -71,7 +82,7 @@ func loaded(t testing.TB, cfg Config) (*FS, int) {
 func firstReplicaNode(fs *FS, path string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.firstReplica(fs.lookup(path))
+	return fs.firstReplica(fs.at(path).get())
 }
 
 // replicaNodes returns the live nodes that hold at least one block replica
@@ -94,22 +105,34 @@ func replicaNodes(fs *FS, path string) ([]int, error) {
 	return nodes, err
 }
 
-// exists reports whether a file is stored at path.
+// exists reports whether an ordinary file is stored at path.
 func exists(fs *FS, path string) bool {
 	_, err := fs.Size(path)
 	return err == nil
 }
 
-// forkView is everything a file system reports about its files and nodes:
-// the file count, each file's block replicas and first live replica node in
-// path order, and every node's liveness and counters, plus the total.
+// tileExists reports whether a tile is stored at a.
+func tileExists(fs *FS, a TileAddr) bool {
+	b := fs.Batch()
+	defer b.Done()
+	_, _, ok := b.Placement(a)
+	return ok
+}
+
+// forkView is everything a file system reports about its files and nodes,
+// tiles and ordinary files alike: the file count, each file's size, block
+// replicas and first live replica node in path order, and every node's
+// liveness and counters, plus the total.
 func forkView(fs *FS) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d files\n", len(fs.List("")))
-	for _, p := range fs.List("") {
-		reps, _ := fs.BlockReplicas(p)
-		fmt.Fprintf(&b, "%s %v first %d\n", p, reps, firstReplicaNode(fs, p))
+	fs.mu.Lock()
+	files := fs.sorted("")
+	fmt.Fprintf(&b, "%d files\n", len(files))
+	for _, s := range files {
+		c := s.get()
+		fmt.Fprintf(&b, "%s %d %v first %d\n", s.path, c.size, c.replicaLists(), fs.firstReplica(c))
 	}
+	fs.mu.Unlock()
 	for n := -1; n < fs.cfg.Nodes; n++ {
 		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))
 	}
@@ -167,14 +190,23 @@ func TestForkIsolation(t *testing.T) {
 		{"KillNode", func(fs *FS) error { fs.KillNode(0); return nil }},
 		{"WritePlaced", func(fs *FS) error { return fs.WritePlaced("/matrix/m0/new", nil, 100, [][]int{{1}, {2, 3}}) }},
 		{"Write", func(fs *FS) error { return fs.Write("/matrix/m1/new", make([]byte, 90), 1) }},
-		{"Write tile", func(fs *FS) error { return fs.Write("/matrix/m1/1_1", make([]byte, 40), 2) }},
-		{"WriteVirtual tile", func(fs *FS) error {
+		{"Write tile", func(fs *FS) error {
+			b := fs.Batch()
+			defer b.Done()
+			return b.Write(TileAddr{Matrix: "m1", TI: 3}, make([]byte, 40), 2)
+		}},
+		{"WriteVirtual off the grid", func(fs *FS) error {
 			b := fs.Batch()
 			defer b.Done()
 			return b.WriteVirtual(TileAddr{Matrix: "m3", TI: 21, TJ: 1}, 30, 3)
 		}},
-		{"Delete", func(fs *FS) error { fs.Delete("/matrix/m2/2_0"); return nil }},
-		{"Delete tile", func(fs *FS) error {
+		{"Delete m2's tile", func(fs *FS) error {
+			b := fs.Batch()
+			defer b.Done()
+			b.Delete(TileAddr{Matrix: "m2", TI: 2})
+			return nil
+		}},
+		{"Delete m0's tile", func(fs *FS) error {
 			b := fs.Batch()
 			defer b.Done()
 			b.Delete(TileAddr{Matrix: "m0", TI: 4})
@@ -283,14 +315,14 @@ func TestForkSharesDeclaredDirectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := fork.dirs["/matrix/d/"]; d == declared || len(d.cells) != 12 || !slices.Equal(d.rows, declared.rows) {
+		if d := fork.dirs["/matrix/d/"]; d == declared || len(d.cells) != 12 || d.cols != declared.cols {
 			t.Fatalf("%+v: writing the shared declared directory on the fork did not copy its grid alone", cfg)
 		}
 		if forkView(src) != before || declared.len() != 0 || len(declared.cells) != 12 {
 			t.Fatalf("%+v: writing the fork's declared directory changed the source", cfg)
 		}
 		src.DeleteMatrix("d")
-		if src.dirs["/matrix/d/"] != nil || !exists(fork, "/matrix/d/2_3") {
+		if src.dirs["/matrix/d/"] != nil || !tileExists(fork, TileAddr{Matrix: "d", TI: 2, TJ: 3}) {
 			t.Fatalf("%+v: dropping the source's declared directory dropped the fork's", cfg)
 		}
 	}
@@ -304,13 +336,17 @@ func TestForksConcurrent(t *testing.T) {
 	script := func(fs *FS, g int) {
 		for round := 0; round < 3; round++ {
 			forkLoad(t, fs, fmt.Sprintf("g%d-%d", g, round))
-			for _, p := range fs.List("/matrix/") {
-				if _, err := fs.ReadAccount(p, round); err != nil && round == 0 {
-					t.Errorf("read %s: %v", p, err)
+			b := fs.Batch()
+			for _, s := range fs.sorted(MatrixRoot) {
+				if _, err := b.ReadAccount(*tvAddr(s.path), round); err != nil && round == 0 {
+					t.Errorf("read %s: %v", s.path, err)
 				}
 			}
+			b.Done()
 			fs.KillNode((g + round) % fs.cfg.Nodes)
-			fs.Delete(fmt.Sprintf("/matrix/m%d/%d_0", g, 4+g))
+			b = fs.Batch()
+			b.Delete(TileAddr{Matrix: fmt.Sprintf("m%d", g), TI: int32(4 + g)})
+			b.Done()
 			fs.DeletePrefix(fmt.Sprintf("/g%d-%d/m1/", g, round))
 			fs.DeleteMatrix(fmt.Sprintf("m%d", (g+round)%4))
 		}

@@ -89,22 +89,20 @@ func nsDeclare(fs *FS, rng *rand.Rand) (dir string, cells int) {
 // TestNamespaceMatchesFlatOracle runs seeded random histories of writes,
 // deletes, matrix declarations, matrix drops and prefix deletes against a
 // flat map of paths kept here, and holds List, FileCount, what exists and the
-// directories held to it after every step. A declared directory holds no file
-// until one is written into it: nothing lists, sizes or peeks a file there,
-// DeleteMatrix and a prefix delete that takes it drop it, and declaring a
-// directory that exists changes nothing.
+// directories held to it after every step. A path names an ordinary file
+// whatever its base name, so a declared directory's grid stays vacant: the
+// directory holds the files written into it by path beside it, nothing
+// lists, sizes or peeks a file it does not hold, it stays until DeleteMatrix
+// or a prefix delete takes it, and declaring a directory that exists changes
+// nothing.
 func TestNamespaceMatchesFlatOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := New(Config{Nodes: 5, Replication: 2, BlockSize: 64, Seed: seed})
 		oracle := map[string]bool{}
-		// declared holds the grid size of each declared directory no file
-		// has been written into since.
+		// declared holds the grid size of each declared directory.
 		declared := map[string]int{}
-		write := func(p string, turn int) error {
-			delete(declared, dirOf(p))
-			return nsWrite(fs, p, turn)
-		}
+		write := func(p string, turn int) error { return nsWrite(fs, p, turn) }
 		under := func(prefix string) []string {
 			var out []string
 			for p := range oracle {
@@ -200,8 +198,8 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 			if got := len(fs.sorted("")); got != len(oracle) {
 				t.Fatalf("seed %d step %d: the sorted walk visits %d files, oracle holds %d", seed, step, got, len(oracle))
 			}
-			// No directory outlives its last file, and a declared one holds
-			// its whole grid until a file is written into it.
+			// No directory outlives its last file but a declared one, which
+			// holds its whole grid and no tile.
 			live := map[string]bool{}
 			for p := range oracle {
 				live[dirOf(p)] = true
@@ -213,10 +211,10 @@ func TestNamespaceMatchesFlatOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d directories held for %d with files or declared", seed, step, len(fs.dirs), len(live))
 			}
 			for dir, d := range fs.dirs {
-				if n, ok := declared[dir]; ok && (d.len() != 0 || len(d.cells) != n) {
-					t.Fatalf("seed %d step %d: declared directory %q holds %d files in %d cells, want none in %d", seed, step, dir, d.len(), len(d.cells), n)
-				} else if !ok && d.len() == 0 {
-					t.Fatalf("seed %d step %d: directory %q is empty", seed, step, dir)
+				if n, ok := declared[dir]; ok && (d.nt != 0 || len(d.cells) != n) {
+					t.Fatalf("seed %d step %d: declared directory %q holds %d tiles in %d cells, want none in %d", seed, step, dir, d.nt, len(d.cells), n)
+				} else if !ok && (d.len() == 0 || d.cells != nil) {
+					t.Fatalf("seed %d step %d: directory %q holds %d files and %d cells", seed, step, dir, d.len(), len(d.cells))
 				}
 			}
 		}

@@ -112,7 +112,7 @@ func TestReplicaListsNeverAlias(t *testing.T) {
 			if got, err := fs.BlockReplicas(p); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s moved %s: %v, placed %v (%v)", stage, p, got, want, err)
 			}
-			c := fs.lookup(p)
+			c := fs.at(p).get()
 			for b, blk := range c.spill() { // an inline list is in its cell
 
 				arr := &blk.replicas[:1][0]

@@ -161,27 +161,37 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestPlacementAllocations bounds what the hot accounting calls allocate:
 // reads and the locality lookup nothing, before and after a node dies, and a
-// single-block write — Write or WriteVirtual, of a tile or another file —
-// into an existing directory nothing whatever the cluster size: the file is
-// a cell held by value in its directory's grid or map, whose growth averages
-// below one allocation a write.
+// single-block write — Write or WriteVirtual, of a tile of a declared matrix
+// or of another file — into an existing directory nothing whatever the
+// cluster size: the file is a cell held by value in its directory's grid or
+// map, whose growth averages below one allocation a write.
 func TestPlacementAllocations(t *testing.T) {
 	const runs = 500
 	payload := make([]byte, 100)
 	writeAllocs := func(nodes int, virtual, tile bool) float64 {
 		fs := New(Config{Nodes: nodes, Replication: 3, Seed: 1, RackSize: 4})
-		paths := make([]string, runs+1) // AllocsPerRun makes one warm-up call
+		b := fs.Batch()
+		b.Declare("w", (runs+32)/32, 32) // AllocsPerRun makes one warm-up call
+		b.Done()
+		paths := make([]string, runs+1)
 		for i := range paths {
-			if paths[i] = fmt.Sprintf("/w/%d", i); tile {
-				paths[i] = fmt.Sprintf("/matrix/w/%d_%d", i/32, i%32)
-			}
+			paths[i] = fmt.Sprintf("/w/%d", i)
 		}
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
 			var err error
-			if virtual {
+			switch a := (TileAddr{Matrix: "w", TI: int32(i / 32), TJ: int32(i % 32)}); {
+			case tile:
+				b := fs.Batch()
+				if virtual {
+					err = b.WriteVirtual(a, 100, i%nodes)
+				} else {
+					err = b.Write(a, payload, i%nodes)
+				}
+				b.Done()
+			case virtual:
 				err = fs.WriteVirtual(paths[i], 100, i%nodes)
-			} else {
+			default:
 				err = fs.Write(paths[i], payload, i%nodes)
 			}
 			if err != nil {
@@ -199,14 +209,17 @@ func TestPlacementAllocations(t *testing.T) {
 	}
 
 	fs := New(Config{Nodes: 8, Replication: 3, BlockSize: 64, Seed: 1, RackSize: 4})
-	for _, p := range []string{"/multi", "/matrix/multi/0_0"} {
-		if err := fs.WriteVirtual(p, 300, 2); err != nil {
+	if err := fs.WriteVirtual("/multi", 300, 2); err != nil {
+		t.Fatal(err)
+	}
+	b := fs.Batch()
+	b.Declare("multi", 1, 2)
+	for tj, size := range []int64{300, 50} {
+		if err := b.WriteVirtual(TileAddr{Matrix: "multi", TJ: int32(tj)}, size, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.WriteVirtual("/matrix/multi/0_1", 50, 2); err != nil {
-		t.Fatal(err)
-	}
+	b.Done()
 	for _, stage := range []string{"with no dead node", "after KillNode"} {
 		if stage == "after KillNode" && fs.KillNode(2).ReplicasAdded == 0 {
 			t.Fatal("killing the writer re-replicated nothing; the test exercises nothing")
@@ -273,9 +286,9 @@ func TestDeclaredGridWritesAllocateNothing(t *testing.T) {
 		if n := after.Mallocs - before.Mallocs; n != 0 {
 			t.Errorf("%dx%d: writing the declared grid allocated %d times", g.rows, g.cols, n)
 		}
-		if fs.dirs["/matrix/m/"] != d || len(d.cells) != len(addrs) || cap(d.cells) != len(addrs) || int(d.nt) != len(addrs) || len(d.rows) != g.rows {
-			t.Errorf("%dx%d: %d tiles in %d cells (capacity %d) and %d rows; want %d in exactly as many",
-				g.rows, g.cols, d.nt, len(d.cells), cap(d.cells), len(d.rows), len(addrs))
+		if fs.dirs["/matrix/m/"] != d || len(d.cells) != len(addrs) || cap(d.cells) != len(addrs) || int(d.nt) != len(addrs) || int(d.cols) != g.cols {
+			t.Errorf("%dx%d: %d tiles in %d cells (capacity %d) of %d columns; want %d in exactly as many",
+				g.rows, g.cols, d.nt, len(d.cells), cap(d.cells), d.cols, len(addrs))
 		}
 	}
 }

@@ -10,14 +10,16 @@ import (
 	"testing"
 )
 
-// The tile-view tests hold the two faces of one namespace to each other. A
-// subject file system takes every operation through the path-keyed calls or,
-// where the name is a tile address, the tile-keyed ones, by turn. Its twin
-// takes the same operations through the path-keyed calls on the path with a
-// NUL byte appended: a name no canonical tile has, that sorts wherever the
-// path does. So the twin holds every file as an ordinary one, and it must
-// report exactly what the subject does — the same files in the same order,
-// sizes, replica lists, counters, errors and recovery reports.
+// The tile-view tests hold a declared grid's tiles to ordinary files. A
+// subject file system takes every operation on a name that some tile
+// address renders by that address, and every other by path. Its twin takes
+// the same operations by path on the name with a NUL byte appended: a name
+// no address renders, that sorts wherever the name does. So the twin holds
+// every file as an ordinary one, while the subject holds a declared
+// matrix's tiles in its grid and an address off the grid as the ordinary
+// file at its path; and the subject must report exactly what the twin does
+// — the same files in the same order, sizes, replica lists, counters,
+// errors and recovery reports.
 var (
 	tvDirs = []string{"/matrix/W/", "/matrix/W#1~p0/", "/matrix/WW/", "/matrix/W/sub/", "/w/", ""}
 	tvBase = []string{
@@ -74,6 +76,13 @@ func (d *tvDriver) same(op string, es, ew error) {
 	d.fail("%s: subject %v, twin %v", op, es, ew)
 }
 
+// batch runs f on the subject's tile-keyed face.
+func (d *tvDriver) batch(f func(b *Batch)) {
+	b := d.s.Batch()
+	defer b.Done()
+	f(b)
+}
+
 // do applies one random operation.
 func (d *tvDriver) do() {
 	d.t.Helper()
@@ -81,7 +90,6 @@ func (d *tvDriver) do() {
 	rng := d.rng
 	path := tvDirs[rng.Intn(len(tvDirs))] + tvBase[rng.Intn(len(tvBase))]
 	a := tvAddr(path)
-	byTile := a != nil && rng.Intn(2) == 0
 	twin := path + "\x00"
 	node := rng.Intn(d.s.cfg.Nodes+1) - 1
 	var op string
@@ -98,24 +106,20 @@ func (d *tvDriver) do() {
 		d.declare(name, rows, cols)
 	case k < 4:
 		data := []byte(path)
-		op = fmt.Sprintf("Write %q tile=%v node %d", path, byTile, node)
+		op = fmt.Sprintf("Write %q node %d", path, node)
 		var es error
-		if byTile {
-			b := d.s.Batch()
-			es = b.Write(*a, data, node)
-			b.Done()
+		if a != nil {
+			d.batch(func(b *Batch) { es = b.Write(*a, data, node) })
 		} else {
 			es = d.s.Write(path, data, node)
 		}
 		d.same(op, es, d.w.Write(twin, data, node))
 	case k < 8:
 		size := int64(rng.Intn(200))
-		op = fmt.Sprintf("WriteVirtual %q %d tile=%v node %d", path, size, byTile, node)
+		op = fmt.Sprintf("WriteVirtual %q %d node %d", path, size, node)
 		var es error
-		if byTile {
-			b := d.s.Batch()
-			es = b.WriteVirtual(*a, size, node)
-			b.Done()
+		if a != nil {
+			d.batch(func(b *Batch) { es = b.WriteVirtual(*a, size, node) })
 		} else {
 			es = d.s.WriteVirtual(path, size, node)
 		}
@@ -123,13 +127,17 @@ func (d *tvDriver) do() {
 	case k < 10:
 		reps := [][]int{{rng.Intn(d.s.cfg.Nodes)}, {rng.Intn(d.s.cfg.Nodes), rng.Intn(d.s.cfg.Nodes)}}
 		op = fmt.Sprintf("WritePlaced %q %v", path, reps)
-		d.same(op, d.s.WritePlaced(path, nil, 70, reps), d.w.WritePlaced(twin, nil, 70, reps))
+		var es error
+		if a != nil {
+			d.batch(func(b *Batch) { es = b.WritePlaced(*a, nil, 70, reps) })
+		} else {
+			es = d.s.WritePlaced(path, nil, 70, reps)
+		}
+		d.same(op, es, d.w.WritePlaced(twin, nil, 70, reps))
 	case k < 13:
-		op = fmt.Sprintf("Delete %q tile=%v", path, byTile)
-		if byTile {
-			b := d.s.Batch()
-			b.Delete(*a)
-			b.Done()
+		op = fmt.Sprintf("Delete %q", path)
+		if a != nil {
+			d.batch(func(b *Batch) { b.Delete(*a) })
 		} else {
 			d.s.Delete(path)
 		}
@@ -146,25 +154,29 @@ func (d *tvDriver) do() {
 		d.s.DeleteMatrix(name)
 		d.w.DeleteMatrix(name)
 	case k < 18:
-		op = fmt.Sprintf("read %q tile=%v node %d", path, byTile, node)
+		op = fmt.Sprintf("read %q node %d", path, node)
 		var ss ReadSplit
-		var data []byte
-		var es, er error
-		if byTile {
-			b := d.s.Batch()
-			ss, es = b.ReadAccount(*a, node)
-			data, er = b.Read(*a, node)
-			b.Done()
+		var data, peeked []byte
+		var es, er, ep error
+		if a != nil {
+			d.batch(func(b *Batch) {
+				ss, es = b.ReadAccount(*a, node)
+				data, er = b.Read(*a, node)
+				peeked, ep = b.Peek(*a)
+			})
 		} else {
 			ss, es = d.s.ReadAccount(path, node)
 			data, _, er = d.s.readTracked(path, node)
+			peeked, ep = d.s.Peek(path)
 		}
 		sw, ew := d.w.ReadAccount(twin, node)
 		dw, _, erw := d.w.readTracked(twin, node)
+		pw, epw := d.w.Peek(twin)
 		d.same(op+" ReadAccount", es, ew)
 		d.same(op+" Read", er, erw)
-		if ss != sw || string(data) != string(dw) {
-			d.fail("%s: subject %+v %q, twin %+v %q", op, ss, data, sw, dw)
+		d.same(op+" Peek", ep, epw)
+		if ss != sw || string(data) != string(dw) || string(peeked) != string(pw) {
+			d.fail("%s: subject %+v %q %q, twin %+v %q %q", op, ss, data, peeked, sw, dw, pw)
 		}
 	default:
 		n := rng.Intn(d.s.cfg.Nodes)
@@ -190,54 +202,54 @@ func (d *tvDriver) declare(name string, rows, cols int) {
 	if held != nil {
 		was = *held
 	}
-	b := d.s.Batch()
-	b.Declare(name, rows, cols)
-	b.Done()
+	d.batch(func(b *Batch) { b.Declare(name, rows, cols) })
 	got := d.s.dirs[path]
 	switch {
-	case held != nil && (got != held || len(got.cells) != len(was.cells) || len(got.rows) != len(was.rows) ||
+	case held != nil && (got != held || len(got.cells) != len(was.cells) || got.cols != was.cols ||
 		got.nt != was.nt || len(got.files) != len(was.files) || got.shared != was.shared):
 		d.fail("Declare %q %dx%d changed the existing directory", name, rows, cols)
 	case held == nil && cols > maxGrid && got != nil:
 		d.fail("Declare %q %dx%d past the grid made a directory", name, rows, cols)
-	case held == nil && cols <= maxGrid && (got == nil || len(got.cells) != rows*cols || len(got.rows) != rows || got.len() != 0):
+	case held == nil && cols <= maxGrid && (got == nil || len(got.cells) != rows*cols || int(got.cols) != cols || got.len() != 0):
 		d.fail("Declare %q %dx%d made %+v", name, rows, cols, got)
 	}
 }
 
-// churnTiles changes the first matrix directory that holds a tile, on
-// subject and twin alike: a tile written by address and one by path into
-// vacant cells of that tile's row, the tile deleted, a live node killed and
-// the matrix dropped.
+// churnTiles changes the directory of the first tile held in a grid, on
+// subject and twin alike: two tiles written by address after it in its row
+// — into the grid's vacant cells, or past it as ordinary files — the tile
+// deleted, a live node killed and the matrix dropped.
 func (d *tvDriver) churnTiles() {
 	d.t.Helper()
 	var a *TileAddr
-	for _, p := range d.s.List(MatrixRoot) {
-		if a = tvAddr(p); a != nil {
+	d.s.mu.Lock()
+	for _, s := range d.s.sorted(MatrixRoot) {
+		if s.tile {
+			a = &TileAddr{Matrix: s.d.path[len(MatrixRoot) : len(s.d.path)-1], TI: s.k.ti, TJ: s.k.tj}
 			break
 		}
 	}
+	d.s.mu.Unlock()
 	if a == nil {
-		d.fail("no matrix directory holds a tile")
+		d.fail("no grid holds a tile")
 	}
 	vacant := func() TileAddr {
 		c := *a
-		for exists(d.s, c.Path()) {
+		for tileExists(d.s, c) {
 			c.TJ++
 		}
 		return c
 	}
 	d.log = append(d.log, fmt.Sprintf("churn %+v", *a))
 	w := vacant()
-	b := d.s.Batch()
-	es := b.WriteVirtual(w, 40, -1)
-	b.Done()
+	var es error
+	d.batch(func(b *Batch) { es = b.WriteVirtual(w, 40, -1) })
 	d.same("churn WriteVirtual", es, d.w.WriteVirtual(w.Path()+"\x00", 40, -1))
-	p := vacant().Path()
-	d.same("churn Write", d.s.Write(p, []byte(p), -1), d.w.Write(p+"\x00", []byte(p), -1))
-	b = d.s.Batch()
-	b.Delete(*a)
-	b.Done()
+	w = vacant()
+	p := w.Path()
+	d.batch(func(b *Batch) { es = b.Write(w, []byte(p), -1) })
+	d.same("churn Write", es, d.w.Write(p+"\x00", []byte(p), -1))
+	d.batch(func(b *Batch) { b.Delete(*a) })
 	d.w.Delete(a.Path() + "\x00")
 	if len(d.s.live) > 1 {
 		n := d.s.live[0]
@@ -251,10 +263,11 @@ func (d *tvDriver) churnTiles() {
 	d.check()
 }
 
-// check compares everything the two report, tile addresses included.
+// check compares everything the two report, and requires every file an
+// address renders to be the one that address finds.
 func (d *tvDriver) check() {
 	d.t.Helper()
-	if vs, vw := tvView(d.s), strings.ReplaceAll(tvView(d.w), "\x00", ""); vs != vw {
+	if vs, vw := forkView(d.s), strings.ReplaceAll(forkView(d.w), "\x00", ""); vs != vw {
 		d.fail("views differ\nsubject\n%s\ntwin\n%s", vs, vw)
 	}
 	prefix := tvPref[d.rng.Intn(len(tvPref))]
@@ -267,7 +280,6 @@ func (d *tvDriver) check() {
 			d.fail("List(%q): subject %q, twin %q", prefix, ls, lw)
 		}
 	}
-	// Every file a tile address names is found by that address.
 	b := d.s.Batch()
 	defer b.Done()
 	for _, e := range d.s.sorted("") {
@@ -275,26 +287,13 @@ func (d *tvDriver) check() {
 		if a == nil {
 			continue
 		}
-		if got, want := b.FirstReplicaNode(*a), d.s.firstReplica(e.get()); got != want {
-			d.fail("%s: FirstReplicaNode by address %d, by path %d", e.path, got, want)
+		c := e.get()
+		size, reps, ok := b.Placement(*a)
+		if !ok || size != c.size || fmt.Sprint(reps) != fmt.Sprint(c.replicaLists()) || b.FirstReplicaNode(*a) != d.s.firstReplica(c) {
+			d.fail("%s: by address %v %d %v first %d, stored %d %v first %d",
+				e.path, ok, size, reps, b.FirstReplicaNode(*a), c.size, c.replicaLists(), d.s.firstReplica(c))
 		}
 	}
-}
-
-// tvView renders every file in List order with its size, replica lists and
-// first live replica, then every node's counters.
-func tvView(fs *FS) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d files\n", len(fs.List("")))
-	for _, p := range fs.List("") {
-		size, _ := fs.Size(p)
-		reps, _ := fs.BlockReplicas(p)
-		fmt.Fprintf(&b, "%s %d %v first %d\n", p, size, reps, firstReplicaNode(fs, p))
-	}
-	for n := -1; n < fs.cfg.Nodes; n++ {
-		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))
-	}
-	return b.String()
 }
 
 var tvConfigs = []Config{
@@ -302,14 +301,15 @@ var tvConfigs = []Config{
 	{Nodes: 8, Replication: 3, BlockSize: 48, Seed: 9, RackSize: 4},
 }
 
-// TestTileAndPathViewsAgree drives random histories of path-keyed and
-// tile-keyed writes, reads, deletes, prefix deletes, node deaths and matrix
-// declarations, forking subject and twin alike now and then, and holds the
-// subject to its all-ordinary twin after every step: the two faces see the
-// same files, List and KillNode visit tiles in sort.Strings order of their
-// paths (10_0 before 1_0), no non-canonical name (01_2, 1_2x, 1_2_3) is ever
-// a tile, and a declared directory shows in nothing either reports.
-func TestTileAndPathViewsAgree(t *testing.T) {
+// TestTilesAgreeWithOrdinaryFiles drives random histories of writes, reads,
+// deletes, prefix deletes, node deaths and matrix declarations, by address
+// wherever a name is a tile's, forking subject and twin alike now and then,
+// and holds the subject to its all-ordinary twin after every step: a grid's
+// tiles and the ordinary files beside them are listed and re-replicated in
+// sort.Strings order of their paths (10_0 before 1_0), an address off its
+// matrix's grid is the file at its path, and a declared directory shows in
+// nothing either reports.
+func TestTilesAgreeWithOrdinaryFiles(t *testing.T) {
 	for _, cfg := range tvConfigs {
 		for seed := int64(1); seed <= 6; seed++ {
 			d := &tvDriver{t: t, rng: rand.New(rand.NewSource(seed)), s: New(cfg), w: New(cfg)}
@@ -325,69 +325,25 @@ func TestTileAndPathViewsAgree(t *testing.T) {
 	}
 }
 
-// TestNonCanonicalNamesAreNotTiles: a file whose base name only looks like a
-// tile's is no tile address's file, in a matrix directory or anywhere.
-func TestNonCanonicalNamesAreNotTiles(t *testing.T) {
-	fs := New(Config{Nodes: 3, Replication: 2, Seed: 1})
-	for _, base := range []string{"01_2", "1_02", "1_2x", "x1_2", "1_2_3", "+1_2", "1__2", "1_", "_2", "4096_0"} {
-		if err := fs.WriteVirtual("/matrix/W/"+base, 10, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := fs.Batch()
-	defer b.Done()
-	for ti := int32(0); ti < 12; ti++ {
-		for tj := int32(0); tj < 12; tj++ {
-			if _, err := b.ReadAccount(TileAddr{Matrix: "W", TI: ti, TJ: tj}, 0); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("tile (%d, %d) of W reads %v: a non-canonical name aliases it", ti, tj, err)
-			}
-		}
-	}
-	// An address off the grid is its path's ordinary file.
-	if _, err := b.ReadAccount(TileAddr{Matrix: "W", TI: 4096, TJ: 0}, 0); err != nil {
-		t.Fatalf("tile (4096, 0) of W: %v", err)
-	}
-}
-
-// TestEdgeNameGrowsGridByOneRow: a canonical name at the grid's edge —
-// 4095_0 or 0_4095 — grows its directory's grid by at most one row: maxGrid
-// cells, and as many entries of the row index, in a directory of one tile
-// and after the other edge name.
-func TestEdgeNameGrowsGridByOneRow(t *testing.T) {
-	for _, order := range [][]string{{"4095_0", "0_4095"}, {"0_4095", "4095_0"}} {
-		fs := New(Config{Nodes: 3})
-		if err := fs.WriteVirtual("/matrix/m/0_0", 10, 0); err != nil {
-			t.Fatal(err)
-		}
-		d := fs.dirs["/matrix/m/"]
-		for _, base := range order {
-			cells, rows := len(d.cells), len(d.rows)
-			if err := fs.WriteVirtual("/matrix/m/"+base, 10, 0); err != nil {
-				t.Fatal(err)
-			}
-			if cells, rows = len(d.cells)-cells, len(d.rows)-rows; cells > maxGrid || rows > maxGrid {
-				t.Errorf("writing %s after %v grew the grid by %d cells and %d rows, more than one row of %d", base, order, cells, rows, maxGrid)
-			}
-		}
-	}
-}
-
-// TestTileAndPathViewsAgreeAcrossForks forks one loaded subject (and its
-// twin) twice and drives the two forks from two goroutines, each against its
-// own twin, starting inside a directory that held tiles at fork time, then
-// requires the source unchanged; then changes the source the same way and
-// requires both forks unchanged. CI runs it under -race, ten times over.
-func TestTileAndPathViewsAgreeAcrossForks(t *testing.T) {
+// TestTilesAgreeWithOrdinaryFilesAcrossForks forks one loaded subject (and
+// its twin) twice and drives the two forks from two goroutines, each
+// against its own twin, starting inside a grid that held tiles at fork time,
+// then requires the source unchanged; then changes the source the same way
+// and requires both forks unchanged. CI runs it under -race, ten times over.
+func TestTilesAgreeWithOrdinaryFilesAcrossForks(t *testing.T) {
 	for _, cfg := range tvConfigs {
 		d := &tvDriver{t: t, rng: rand.New(rand.NewSource(3)), s: New(cfg), w: New(cfg)}
 		for i := 0; i < 150; i++ {
 			d.do()
 		}
-		// Whatever the history left, a matrix directory holds tiles.
-		for _, a := range []TileAddr{{Matrix: "X"}, {Matrix: "X", TJ: 1}, {Matrix: "X", TI: 1}} {
-			d.same("WriteVirtual", d.s.WriteVirtual(a.Path(), 50, -1), d.w.WriteVirtual(a.Path()+"\x00", 50, -1))
+		// Whatever the history left, a grid holds tiles.
+		d.batch(func(b *Batch) { b.Declare("F", 2, 2) })
+		for _, a := range []TileAddr{{Matrix: "F"}, {Matrix: "F", TJ: 1}, {Matrix: "F", TI: 1}} {
+			var es error
+			d.batch(func(b *Batch) { es = b.WriteVirtual(a, 50, -1) })
+			d.same("WriteVirtual", es, d.w.WriteVirtual(a.Path()+"\x00", 50, -1))
 		}
-		before := tvView(d.s)
+		before := forkView(d.s)
 		forks := make([]*tvDriver, 2)
 		var wg sync.WaitGroup
 		for g := range forks {
@@ -404,15 +360,72 @@ func TestTileAndPathViewsAgreeAcrossForks(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if tvView(d.s) != before {
+		if forkView(d.s) != before {
 			t.Fatalf("%+v: driving the forks changed their source", cfg)
 		}
-		views := []string{tvView(forks[0].s), tvView(forks[1].s)}
+		views := []string{forkView(forks[0].s), forkView(forks[1].s)}
 		d.churnTiles()
 		for g, f := range forks {
-			if tvView(f.s) != views[g] {
+			if forkView(f.s) != views[g] {
 				t.Fatalf("%+v: changing the source changed fork %d", cfg, g)
 			}
 		}
+	}
+}
+
+// TestPathsNeverNameTiles: a tile has one name, its address. Every
+// path-keyed call in a declared matrix's directory names an ordinary file,
+// whether its base name is a tile's (0_0, 11_11) or only looks like one
+// (01_2, 1_2x): none fills a cell of the grid or is found by an address in
+// it, and a tile written by address is found by no path. An address off the
+// grid — past its rows or columns, negative, of a grid Declare refused, of
+// a matrix never declared — is the ordinary file at its path.
+func TestPathsNeverNameTiles(t *testing.T) {
+	fs := New(Config{Nodes: 3, Replication: 2, Seed: 1})
+	b := fs.Batch()
+	b.Declare("W", 12, 12)
+	b.Declare("G", 1, maxGrid+1)
+	b.Done()
+	d := fs.dirs["/matrix/W/"]
+	for _, base := range []string{"0_0", "11_11", "3_4", "01_2", "1_02", "1_2x", "x1_2", "1_2_3", "+1_2", "1__2", "1_", "_2"} {
+		if err := fs.WriteVirtual("/matrix/W/"+base, 10, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.nt != 0 || fs.dirs["/matrix/W/"] != d || len(d.cells) != 144 {
+		t.Fatalf("path-keyed writes filled %d cells of W's grid", d.nt)
+	}
+	b = fs.Batch()
+	for ti := int32(0); ti < 12; ti++ {
+		for tj := int32(0); tj < 12; tj++ {
+			if _, err := b.ReadAccount(TileAddr{Matrix: "W", TI: ti, TJ: tj}, 0); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("tile (%d, %d) of W reads %v: a path named it", ti, tj, err)
+			}
+		}
+	}
+	if err := b.Write(TileAddr{Matrix: "W", TI: 3, TJ: 4}, []byte("tile"), 1); err != nil {
+		t.Fatalf("tile (3, 4) of W beside the file /matrix/W/3_4: %v", err)
+	}
+	b.Done()
+	if got, err := fs.Peek("/matrix/W/3_4"); !errors.Is(err, ErrVirtual) {
+		t.Fatalf("the path /matrix/W/3_4 reads %q, %v: the tile at its name, not the virtual file", got, err)
+	}
+	off := []TileAddr{
+		{Matrix: "W", TI: 12}, {Matrix: "W", TJ: 12}, {Matrix: "W", TI: -1}, {Matrix: "W", TI: maxGrid},
+		{Matrix: "G"}, {Matrix: "U", TI: 2, TJ: 5},
+	}
+	for i, a := range off {
+		b := fs.Batch()
+		err := b.Write(a, []byte{byte(i)}, 2)
+		b.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fs.Peek(a.Path()); err != nil || len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("%+v, off its grid, is not the file at %s: %v, %v", a, a.Path(), got, err)
+		}
+	}
+	if d.nt != 1 || len(d.cells) != 144 || fs.dirs["/matrix/G/"].cells != nil || fs.dirs["/matrix/U/"].cells != nil {
+		t.Fatalf("writes off the grid made or filled a cell: W holds %d tiles in %d cells", d.nt, len(d.cells))
 	}
 }

@@ -3,10 +3,14 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
 	"cumulon/internal/cloud"
+	"cumulon/internal/dfs"
 	"cumulon/internal/obs"
 	"cumulon/internal/plan"
 	"cumulon/internal/store"
@@ -159,41 +163,9 @@ func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *R
 		ChaosDelivered: e.chaos.Delivered(),
 	}
 	payloads := map[string][]byte{}
-	var tileBytes int64
-	for _, j := range p.Jobs {
-		if j.ID > pt.b.LastJob {
-			continue
-		}
-		mx := ckpt.Matrix{
-			Name: j.Out.Name, Rows: j.Out.Rows, Cols: j.Out.Cols,
-			TileSize: j.Out.TileSize, Sparse: j.Out.Sparse, Density: j.Out.Density,
-		}
-		paths := e.fs.List(store.MatrixPrefix(j.Out.Name))
-		if len(paths) == 0 {
-			return 0, fmt.Errorf("exec: checkpoint@s%d: matrix %s has no tiles", pt.b.Stmt, j.Out.Name)
-		}
-		for _, path := range paths {
-			size, err := e.fs.Size(path)
-			if err != nil {
-				return 0, fmt.Errorf("exec: checkpoint@s%d: %w", pt.b.Stmt, err)
-			}
-			reps, err := e.fs.BlockReplicas(path)
-			if err != nil {
-				return 0, fmt.Errorf("exec: checkpoint@s%d: %w", pt.b.Stmt, err)
-			}
-			t := ckpt.Tile{Path: path, Bytes: size, Replicas: reps}
-			if e.cfg.Materialize {
-				data, err := e.fs.Peek(path)
-				if err != nil {
-					return 0, fmt.Errorf("exec: checkpoint@s%d: %w", pt.b.Stmt, err)
-				}
-				t.Digest = ckpt.HashBytes(data)
-				payloads[t.Digest] = data
-			}
-			tileBytes += size
-			mx.Tiles = append(mx.Tiles, t)
-		}
-		man.Matrices = append(man.Matrices, mx)
+	tileBytes, err := e.checkpointTiles(p, pt, man, payloads)
+	if err != nil {
+		return 0, fmt.Errorf("exec: checkpoint@s%d: %w", pt.b.Stmt, err)
 	}
 	for n := 0; n < e.cfg.Cluster.Nodes; n++ {
 		if !e.fs.NodeAlive(n) {
@@ -243,6 +215,53 @@ func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *R
 	m.CheckpointSeconds += dur
 	e.boundaryReset(pt.b.Stmt)
 	return end, nil
+}
+
+// checkpointTiles appends to man every matrix the jobs up to pt's boundary
+// wrote, each tile with its exact placement, and, in a materialized run,
+// its payload to payloads by digest. It walks each matrix's grid by address
+// in one hold of the file system and lists the tiles in sort.Strings order
+// of their paths, the order of every manifest written before. It returns
+// the bytes the tiles hold.
+func (e *Engine) checkpointTiles(p *plan.Plan, pt ckptPoint, man *ckpt.Manifest, payloads map[string][]byte) (int64, error) {
+	b := e.fs.Batch()
+	defer b.Done()
+	var tileBytes int64
+	for _, j := range p.Jobs {
+		if j.ID > pt.b.LastJob {
+			continue
+		}
+		mx := ckpt.Matrix{
+			Name: j.Out.Name, Rows: j.Out.Rows, Cols: j.Out.Cols,
+			TileSize: j.Out.TileSize, Sparse: j.Out.Sparse, Density: j.Out.Density,
+		}
+		for ti := range j.Out.TileRows() {
+			for tj := range j.Out.TileCols() {
+				a := j.Out.Tile(ti, tj)
+				size, reps, ok := b.Placement(a)
+				if !ok {
+					continue
+				}
+				t := ckpt.Tile{Path: a.Path(), Bytes: size, Replicas: reps}
+				if e.cfg.Materialize {
+					data, err := b.Peek(a)
+					if err != nil {
+						return 0, err
+					}
+					t.Digest = ckpt.HashBytes(data)
+					payloads[t.Digest] = data
+				}
+				tileBytes += size
+				mx.Tiles = append(mx.Tiles, t)
+			}
+		}
+		if len(mx.Tiles) == 0 {
+			return 0, fmt.Errorf("matrix %s has no tiles", j.Out.Name)
+		}
+		slices.SortFunc(mx.Tiles, func(x, y ckpt.Tile) int { return strings.Compare(x.Path, y.Path) })
+		man.Matrices = append(man.Matrices, mx)
+	}
+	return tileBytes, nil
 }
 
 // restoreCheckpoint loads the newest valid checkpoint for this
@@ -311,31 +330,8 @@ func (e *Engine) restoreCheckpoint(p *plan.Plan, m *RunMetrics) (resumeJob int, 
 		}
 		e.fs.MarkDead(n)
 	}
-	// The manifest's matrices are the skipped jobs' outputs: each is declared
-	// at its grid before its tiles are placed back.
-	b := e.fs.Batch()
-	for _, j := range p.Jobs {
-		if j.ID <= man.BoundaryJob {
-			j.Out.Declare(b)
-		}
-	}
-	b.Done()
-	for _, mx := range man.Matrices {
-		for _, t := range mx.Tiles {
-			var data []byte
-			if e.cfg.Materialize {
-				if t.Digest == "" {
-					return 0, 0, false, fmt.Errorf("exec: resume: tile %s has no payload (checkpoint from a virtual run)", t.Path)
-				}
-				data = c.Payloads[t.Digest]
-				if data == nil {
-					return 0, 0, false, fmt.Errorf("exec: resume: missing payload for %s", t.Path)
-				}
-			}
-			if err := e.fs.WritePlaced(t.Path, data, t.Bytes, t.Replicas); err != nil {
-				return 0, 0, false, fmt.Errorf("exec: resume: %w", err)
-			}
-		}
+	if err := e.restoreTiles(p, c); err != nil {
+		return 0, 0, false, fmt.Errorf("exec: resume: %w", err)
 	}
 	e.chaos.SkipDelivered(man.ChaosDelivered)
 	e.boundaryReset(man.Stmt)
@@ -346,6 +342,59 @@ func (e *Engine) restoreCheckpoint(p *plan.Plan, m *RunMetrics) (resumeJob int, 
 		}
 	}
 	return man.BoundaryJob, man.ClockSec, true, nil
+}
+
+// restoreTiles places c's tiles back where the checkpointed run had them,
+// in one hold of the file system. The manifest's matrices are the skipped
+// jobs' outputs: each is declared at its grid, and each tile goes to the cell
+// of that grid its path names; a tile whose path names no cell of its own
+// matrix's grid is refused.
+func (e *Engine) restoreTiles(p *plan.Plan, c *ckpt.Checkpoint) error {
+	b := e.fs.Batch()
+	defer b.Done()
+	metas := map[string]store.Meta{}
+	for _, j := range p.Jobs {
+		if j.ID <= c.Manifest.BoundaryJob {
+			j.Out.Declare(b)
+			metas[j.Out.Name] = j.Out
+		}
+	}
+	for _, mx := range c.Manifest.Matrices {
+		for _, t := range mx.Tiles {
+			a, ok := tileAt(metas[mx.Name], t.Path)
+			if !ok {
+				return fmt.Errorf("tile %s is not a tile of matrix %s", t.Path, mx.Name)
+			}
+			var data []byte
+			if e.cfg.Materialize {
+				if t.Digest == "" {
+					return fmt.Errorf("tile %s has no payload (checkpoint from a virtual run)", t.Path)
+				}
+				if data = c.Payloads[t.Digest]; data == nil {
+					return fmt.Errorf("missing payload for %s", t.Path)
+				}
+			}
+			if err := b.WritePlaced(a, data, t.Bytes, t.Replicas); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// tileAt returns the address of the tile of m's grid whose path is path,
+// and false when path names none: the text of a manifest back to the one
+// name a tile has.
+func tileAt(m store.Meta, path string) (dfs.TileAddr, bool) {
+	name, ok := strings.CutPrefix(path, dfs.MatrixRoot+m.Name+"/")
+	r, c, ok2 := strings.Cut(name, "_")
+	ti, err := strconv.Atoi(r)
+	tj, err2 := strconv.Atoi(c)
+	if !ok || !ok2 || err != nil || err2 != nil || ti < 0 || ti >= m.TileRows() || tj < 0 || tj >= m.TileCols() {
+		return dfs.TileAddr{}, false
+	}
+	a := m.Tile(ti, tj)
+	return a, a.Path() == path
 }
 
 // allSlots builds slot states for every node, dead ones flagged, so a

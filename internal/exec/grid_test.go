@@ -25,13 +25,14 @@ output W
 output H
 `
 
-// gridGrowths returns how many allocations dfs's grid growth (dir.grow) has
-// made since the process began, as the memory profile saw them once two
-// collections publish the latest. At runtime.MemProfileRate 1 it sees each
-// one, and a write that grows a grid allocates there: the first into a
-// matrix never declared, whose directory starts with no cells, and any past
-// a declared grid, whose cells fill their array exactly.
-func gridGrowths() int64 {
+// offGridOps returns how many allocations dfs has made resolving a tile
+// address off its matrix's declared grid (dfs.offGrid) since the process
+// began, as the memory profile saw them once two collections publish the
+// latest. At runtime.MemProfileRate 1 it sees each one, and every operation
+// on such an address allocates there, rendering the path of the ordinary
+// file it stands for: a write into a matrix never declared, or past its
+// grid, above all.
+func offGridOps() int64 {
 	runtime.GC()
 	runtime.GC()
 	n, _ := runtime.MemProfile(nil, true)
@@ -48,7 +49,7 @@ func gridGrowths() int64 {
 		frames := runtime.CallersFrames(recs[i].Stack())
 		for {
 			f, more := frames.Next()
-			if f.Function == "cumulon/internal/dfs.(*dir).grow" {
+			if f.Function == "cumulon/internal/dfs.offGrid" {
 				total += recs[i].AllocObjects
 				break
 			}
@@ -60,15 +61,15 @@ func gridGrowths() int64 {
 	return total
 }
 
-// checkBookkeeping requires run to grow no grid — the engine declares every
-// matrix it writes, inputs included, at its grid — and its task records to
-// be allocated once, at their final length.
+// checkBookkeeping requires run to reach no tile off its matrix's grid —
+// the engine declares every matrix it writes, inputs included, at its grid
+// — and its task records to be allocated once, at their final length.
 func checkBookkeeping(t *testing.T, what string, run func() *RunMetrics) {
 	t.Helper()
-	before := gridGrowths()
+	before := offGridOps()
 	m := run()
-	if n := gridGrowths() - before; n != 0 {
-		t.Errorf("%s: writes grew a matrix directory's grid %d times", what, n)
+	if n := offGridOps() - before; n != 0 {
+		t.Errorf("%s: %d tile operations fell off their matrices' grids", what, n)
 	}
 	if len(m.Jobs) < 2 || len(m.Tasks) == 0 || m.TotalRetries != 0 || m.SpeculativeTasks != 0 {
 		t.Fatalf("%s: %d jobs, %d tasks, %d retries, %d speculative: not a multi-job run without retries or speculation",
@@ -82,17 +83,20 @@ func checkBookkeeping(t *testing.T, what string, run func() *RunMetrics) {
 // TestRunsDeclareTheirGrids holds four runs to checkBookkeeping: a virtual
 // paper-scale GNMF whose products k-split, a materialized sparse GNMF, a
 // checkpointed iterative GNMF, and a run resumed from its last checkpoint,
-// whose restored matrices are written by path. It first requires the memory
-// profile to see the grid a path-keyed write into an undeclared matrix grows.
+// whose restored tiles are placed by address. It first requires the memory
+// profile to see a tile write into an undeclared matrix fall off the grid.
 func TestRunsDeclareTheirGrids(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	before := gridGrowths()
-	if err := dfs.New(dfs.DefaultConfig(2)).Write(dfs.MatrixRoot+"probe/0_0", []byte{1}, 0); err != nil {
+	before := offGridOps()
+	b := dfs.New(dfs.DefaultConfig(2)).Batch()
+	err := b.Write(dfs.TileAddr{Matrix: "probe"}, []byte{1}, 0)
+	b.Done()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if gridGrowths() == before {
-		t.Fatal("the memory profile saw no grid grow for a write into an undeclared matrix")
+	if offGridOps() == before {
+		t.Fatal("the memory profile saw no tile write into an undeclared matrix fall off the grid")
 	}
 	t.Run("virtual k-split", func(t *testing.T) {
 		prog, err := lang.Parse(gnmfBenchSrc)

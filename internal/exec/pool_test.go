@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -47,22 +46,36 @@ func TestCorruptTileFailsTaskThroughPooledDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Stored payloads are immutable, so corruption is a new file.
-		path := store.MatrixPrefix("V") + "1_1"
-		raw, err := e.FS().Peek(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := append([]byte(nil), raw...)
-		bad[len(bad)/2] ^= 0x40
-		e.FS().Delete(path)
-		if err := e.FS().Write(path, bad, -1); err != nil {
-			t.Fatal(err)
-		}
+		flipTile(t, e.FS(), dfs.TileAddr{Matrix: "V", TI: 1, TJ: 1})
 		if _, err := e.Run(pl); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("sparse=%v: run over a corrupted tile returned %v, want store.ErrCorrupt", sparse, err)
 		}
 	}
+}
+
+// replaceTile stores data as the tile at a in place of the one there: stored
+// payloads are immutable, so a corrupt tile is a new file.
+func replaceTile(t *testing.T, fs *dfs.FS, a dfs.TileAddr, data []byte) {
+	t.Helper()
+	b := fs.Batch()
+	defer b.Done()
+	b.Delete(a)
+	if err := b.Write(a, data, -1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipTile replaces the tile at a by a copy with one bit of its middle byte
+// flipped.
+func flipTile(t *testing.T, fs *dfs.FS, a dfs.TileAddr) {
+	t.Helper()
+	raw, err := fs.PeekTile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), raw...)
+	bad[len(bad)/2] ^= 0x40
+	replaceTile(t, fs, a, bad)
 }
 
 // afterFirstTask is a backend whose tasks call then once, as the first of
@@ -104,7 +117,7 @@ func TestInPlaceCorruptionFailsSharedRead(t *testing.T) {
 		var e *Engine
 		be := &afterFirstTask{Backend: compute.NewSequential(), then: func() {
 			for tj := 0; tj < 3; tj++ {
-				raw, err := e.FS().Peek(store.MatrixPrefix("A") + fmt.Sprintf("0_%d", tj))
+				raw, err := e.FS().PeekTile(dfs.TileAddr{Matrix: "A", TJ: int32(tj)})
 				if err != nil {
 					t.Error(err)
 					return
@@ -165,12 +178,9 @@ func TestMisshapenDenseTileFailsTask(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			path := store.MatrixPrefix("V") + "1_1"
-			e.FS().Delete(path)
-			if err := e.FS().Write(path, store.EncodeTile(linalg.RandomDense(2, 8, 4).TileAt(0, 0, 8)), -1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Run(pl); err == nil || !strings.Contains(err.Error(), "tile "+path+" is stored 2x8, want 4x4") {
+			a := dfs.TileAddr{Matrix: "V", TI: 1, TJ: 1}
+			replaceTile(t, e.FS(), a, store.EncodeTile(linalg.RandomDense(2, 8, 4).TileAt(0, 0, 8)))
+			if _, err := e.Run(pl); err == nil || !strings.Contains(err.Error(), "tile "+a.Path()+" is stored 2x8, want 4x4") {
 				t.Errorf("%s (backend %T): run over a misshapen tile returned %v, want the stored-shape mismatch", stmt, be, err)
 			}
 		}
@@ -192,23 +202,23 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 		{Write: true, Tile: dfs.TileAddr{Matrix: "X", TI: 0, TJ: 0}, Data: first},
 		{Write: true, Tile: dfs.TileAddr{Matrix: "X", TI: 0, TJ: 1}, Data: second},
 	}}
-	if err := e.FS().Write("/matrix/X/0_1", []byte("in the way"), 0); err != nil {
-		t.Fatal(err)
-	}
+	replaceTile(t, e.FS(), res.Ops[1].Tile, []byte("in the way"))
 	if _, err := e.applyResult(res, 1); err == nil {
-		t.Fatal("replay over an existing path succeeded")
+		t.Fatal("replay over an existing tile succeeded")
 	}
-	if _, err := e.FS().Size("/matrix/X/0_0"); err == nil {
+	if _, err := e.FS().PeekTile(res.Ops[0].Tile); !errors.Is(err, dfs.ErrNotFound) {
 		t.Fatal("the failed attempt's partial write was not rolled back")
 	}
-	e.FS().Delete("/matrix/X/0_1")
+	b := e.FS().Batch()
+	b.Delete(res.Ops[1].Tile)
+	b.Done()
 	if _, err := e.applyResult(res, 2); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	for path, want := range map[string][]byte{"/matrix/X/0_0": wantFirst, "/matrix/X/0_1": wantSecond} {
-		got, err := e.FS().Peek(path)
+	for i, want := range [][]byte{wantFirst, wantSecond} {
+		got, err := e.FS().PeekTile(res.Ops[i].Tile)
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s after retry: %v, bytes equal %v", path, err, bytes.Equal(got, want))
+			t.Fatalf("%+v after retry: %v, bytes equal %v", res.Ops[i].Tile, err, bytes.Equal(got, want))
 		}
 	}
 	if !bytes.Equal(first, wantFirst) || !bytes.Equal(second, wantSecond) {
@@ -270,17 +280,7 @@ func TestAbandonedPhaseStopsComputing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := store.MatrixPrefix("V") + "0_0"
-	raw, err := e.FS().Peek(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0x40
-	e.FS().Delete(path)
-	if err := e.FS().Write(path, bad, -1); err != nil {
-		t.Fatal(err)
-	}
+	flipTile(t, e.FS(), dfs.TileAddr{Matrix: "V"})
 
 	before := runtime.NumGoroutine()
 	_, err = e.Run(pl)

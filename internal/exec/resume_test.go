@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"cumulon/internal/chaos"
@@ -16,6 +18,7 @@ import (
 	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
 	"cumulon/internal/core"
+	"cumulon/internal/dfs"
 	"cumulon/internal/exec"
 	"cumulon/internal/linalg"
 	"cumulon/internal/obs"
@@ -364,6 +367,69 @@ func TestKillInsideCheckpointSpanLosesIt(t *testing.T) {
 				if at := firstBitDiff(od, rOuts[name]); at >= 0 {
 					t.Errorf("output %s not bitwise identical after resume at element %d", name, at)
 				}
+			}
+		})
+	}
+}
+
+// resealStore is a MemStore whose Latest hands out a copy of the newest
+// checkpoint with edit applied to its manifest's matrices, resealed: a
+// manifest that passes every check a store makes.
+type resealStore struct {
+	*ckpt.MemStore
+	edit func(ms []ckpt.Matrix)
+}
+
+func (s resealStore) Latest(prog, cfg string) (*ckpt.Checkpoint, error) {
+	c, err := s.MemStore.Latest(prog, cfg)
+	if c == nil || err != nil {
+		return c, err
+	}
+	ms := slices.Clone(c.Manifest.Matrices)
+	for i := range ms {
+		ms[i].Tiles = slices.Clone(ms[i].Tiles)
+	}
+	s.edit(ms)
+	c.Manifest.Matrices = ms
+	return c, c.Manifest.Seal()
+}
+
+// TestResumeRefusesStrayTiles: a resumed run puts each manifest tile back
+// in a cell of its own matrix's grid, so a resealed manifest whose tile path
+// names another matrix's tile, an ordinary file, a cell past the grid or a
+// name that only looks like a tile's is refused, naming the tile and the
+// matrix, before any job runs.
+func TestResumeRefusesStrayTiles(t *testing.T) {
+	wl := workloads.GNMF(26, 22, 4, 3, 0.25)
+	for _, c := range []struct {
+		name string
+		path func(ms []ckpt.Matrix) string // the new path of ms[0]'s first tile
+	}{
+		{"another matrix", func(ms []ckpt.Matrix) string {
+			// Swapped with the other's, so no path is there twice.
+			p := ms[1].Tiles[0].Path
+			ms[1].Tiles[0].Path = ms[0].Tiles[0].Path
+			return p
+		}},
+		{"ordinary file", func([]ckpt.Matrix) string { return "/elsewhere/0_0" }},
+		{"past the grid", func(ms []ckpt.Matrix) string { return dfs.MatrixRoot + ms[0].Name + "/0_99" }},
+		{"non-canonical name", func(ms []ckpt.Matrix) string { return dfs.MatrixRoot + ms[0].Name + "/00_0" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var want string
+			cs := resealStore{MemStore: ckpt.NewMemStore(), edit: func(ms []ckpt.Matrix) {
+				p := c.path(ms)
+				ms[0].Tiles[0].Path = p
+				want = fmt.Sprintf("tile %s is not a tile of matrix %s", p, ms[0].Name)
+			}}
+			if _, m, err := runIterative(t, wl, compute.NewSequential(), nil, cs, false, nil); err != nil {
+				t.Fatal(err)
+			} else if m.Checkpoints == 0 {
+				t.Fatal("the run wrote no checkpoint")
+			}
+			_, _, err := runIterative(t, wl, compute.NewSequential(), nil, cs, true, nil)
+			if err == nil || want == "" || !strings.Contains(err.Error(), want) {
+				t.Fatalf("resume from the edited manifest returned %v, want %q", err, want)
 			}
 		})
 	}

@@ -54,9 +54,9 @@ var LatencyBuckets = LogBuckets(-5, 3, 3)
 // of the last nonempty finite bucket without relying on the +Inf
 // fallback. Returns 0 for an empty histogram; a rank held by the +Inf
 // bucket returns the largest finite bound. HistSeries.Quantile shares
-// this exact computation, so clients consuming /metrics.json (the load
-// generator's SLO report) agree with the server's own quantiles at
-// every boundary.
+// this exact computation: cumulond's /v1/stats quantiles, which the load
+// generator's SLO report reads, come from it, and a client that computes
+// them from the /metrics.json buckets agrees with them at every boundary.
 func QuantileFromBuckets(bounds []float64, cumulative []uint64, q float64) float64 {
 	if len(cumulative) == 0 || len(cumulative) != len(bounds)+1 {
 		return 0

@@ -32,11 +32,9 @@ type SchedJob struct {
 // SchedConfig tunes the fair-share scheduler.
 type SchedConfig struct {
 	// Weights maps tenant name to fair-share weight; tenants absent from
-	// the map get DefaultWeight. A tenant with weight 2 is entitled to
-	// twice the service of a tenant with weight 1 under contention.
+	// the map weigh 1. A tenant with weight 2 is entitled to twice the
+	// service of a tenant with weight 1 under contention.
 	Weights map[string]float64
-	// DefaultWeight is the weight of unlisted tenants (default 1).
-	DefaultWeight float64
 	// AgingRate is the service-units-per-second a waiting job's rank
 	// improves by (default 1). Aging guarantees starvation-freedom: any
 	// fixed service deficit is eventually outweighed by waiting.
@@ -53,9 +51,6 @@ type SchedConfig struct {
 }
 
 func (c SchedConfig) withDefaults() SchedConfig {
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
 	if c.AgingRate <= 0 {
 		c.AgingRate = 1
 	}
@@ -96,12 +91,13 @@ func NewFairScheduler(cfg SchedConfig) *FairScheduler {
 	return &FairScheduler{cfg: cfg.withDefaults(), service: map[string]float64{}}
 }
 
-// Weight returns the tenant's configured fair-share weight.
+// Weight returns the tenant's configured fair-share weight, 1 when it has
+// none.
 func (f *FairScheduler) Weight(tenant string) float64 {
 	if w, ok := f.cfg.Weights[tenant]; ok && w > 0 {
 		return w
 	}
-	return f.cfg.DefaultWeight
+	return 1
 }
 
 // Push enqueues a job. The job's Enqueued time must be on the same

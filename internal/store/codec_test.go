@@ -266,7 +266,7 @@ func TestSaveDenseStoresTileEncodings(t *testing.T) {
 				if sparse {
 					want = EncodeSparseTile(linalg.DenseToCSR(tile))
 				}
-				got, err := s.FS.Peek(m.Tile(ti, tj).Path())
+				got, err := s.FS.PeekTile(m.Tile(ti, tj))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,15 +295,12 @@ func TestLoadDenseRejectsMisshapenTile(t *testing.T) {
 		if err := s.SaveDense(m, linalg.RandomDense(6, 6, 1), -1); err != nil {
 			t.Fatal(err)
 		}
-		s.FS.Delete(m.Tile(1, 1).Path())
 		wrong := linalg.RandomDense(4, 4, 2).TileAt(0, 0, 4) // the fringe tile is 2x2
 		raw := EncodeTile(wrong)
 		if sparse {
 			raw = EncodeSparseTile(linalg.DenseToCSR(wrong))
 		}
-		if err := s.FS.Write(m.Tile(1, 1).Path(), raw, -1); err != nil {
-			t.Fatal(err)
-		}
+		replaceTile(t, s.FS, m.Tile(1, 1), raw)
 		if _, err := s.LoadDense(m, -1); err == nil {
 			t.Fatalf("sparse=%v: LoadDense accepted a 4x4 tile where the meta says 2x2", sparse)
 		}

@@ -38,18 +38,20 @@ func ingestAndFetch(t *testing.T, budget int, m Meta, d *linalg.Dense) ingested 
 	if got.back, err = s.LoadDense(m, 4); err != nil {
 		t.Fatal(err)
 	}
-	got.paths = fs.List(MatrixPrefix(m.Name))
-	for _, p := range got.paths {
-		raw, err := fs.Peek(p)
-		if err != nil {
-			t.Fatal(err)
+	b := fs.Batch()
+	for ti := range m.TileRows() {
+		for tj := range m.TileCols() {
+			a := m.Tile(ti, tj)
+			raw, err := b.Peek(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, reps, _ := b.Placement(a)
+			got.paths = append(got.paths, a.Path())
+			got.payloads, got.replicas = append(got.payloads, raw), append(got.replicas, reps)
 		}
-		reps, err := fs.BlockReplicas(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.payloads, got.replicas = append(got.payloads, raw), append(got.replicas, reps)
 	}
+	b.Done()
 	for node := 0; node < nodes; node++ {
 		got.stats = append(got.stats, fs.Stats(node))
 	}
@@ -113,19 +115,16 @@ func TestParallelLoadReportsFirstBadTile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tile (1,2) gets another tile's shape, tile (3,0) a flipped byte.
-	for path, bad := range map[string][]byte{
-		m.Tile(1, 2).Path(): EncodeTile(linalg.NewTile(3, 8)),
-		m.Tile(3, 0).Path(): func() []byte {
-			raw, _ := s.FS.Peek(m.Tile(3, 0).Path())
+	for a, bad := range map[dfs.TileAddr][]byte{
+		m.Tile(1, 2): EncodeTile(linalg.NewTile(3, 8)),
+		m.Tile(3, 0): func() []byte {
+			raw, _ := s.FS.PeekTile(m.Tile(3, 0))
 			raw = append([]byte(nil), raw...)
 			raw[20] ^= 1
 			return raw
 		}(),
 	} {
-		s.FS.Delete(path)
-		if err := s.FS.Write(path, bad, -1); err != nil {
-			t.Fatal(err)
-		}
+		replaceTile(t, s.FS, a, bad)
 	}
 	for i := 0; i < 20; i++ {
 		_, err := s.LoadDense(m, -1)

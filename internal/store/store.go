@@ -64,20 +64,16 @@ func (m Meta) TileShape(ti, tj int) (rows, cols int) {
 	return rows, cols
 }
 
-// Tile returns the DFS address of tile (ti, tj) of the matrix. Tiles are
-// read, written and located by address; Path renders the file's path,
-// MatrixPrefix(m.Name) + "<ti>_<tj>".
+// Tile returns the DFS address of tile (ti, tj) of the matrix, the one name
+// the tile has: it is read, written and located by address, and Path renders
+// the address as text, dfs.MatrixRoot + m.Name + "/<ti>_<tj>".
 func (m Meta) Tile(ti, tj int) dfs.TileAddr {
 	return dfs.TileAddr{Matrix: m.Name, TI: int32(ti), TJ: int32(tj)}
 }
 
-// Declare makes the matrix's DFS directory at its tile grid in b, so that
-// writing its tiles grows nothing (dfs.Batch.Declare).
+// Declare makes the matrix's DFS directory at its tile grid in b: the cells
+// its tiles are written into (dfs.Batch.Declare).
 func (m Meta) Declare(b *dfs.Batch) { b.Declare(m.Name, m.TileRows(), m.TileCols()) }
-
-// MatrixPrefix returns the DFS path prefix under which every tile of
-// the named matrix lives.
-func MatrixPrefix(name string) string { return dfs.MatrixRoot + name + "/" }
 
 // EffDensity returns the density used for size estimation: the declared
 // density for sparse matrices (defaulting to 1 when unset), 1 for dense.

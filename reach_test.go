@@ -38,7 +38,7 @@ var reachAllowlist = map[string]string{
 	"linalg.(*Dense).AlmostEqual": "the tolerance comparison the engine, interpreter, baseline and store tests of twelve packages check results with",
 	"linalg.Close":                "AlmostEqual's element rule; lang's tests compare single elements with it",
 	"linalg.ConstDense":           "constant inputs for four packages' tests and core's runnable example, whose printed output go test checks",
-	"dfs.(*FS).Delete":            "the path-keyed single-file delete: engine and store tests replace a stored tile with a corrupt copy through it (files are write-once), dfs tests drive the namespace with it",
+	"dfs.(*FS).List":              "the namespace listing: dfs tests hold it to an oracle, engine and store tests check with it what a run or a matrix drop leaves behind",
 }
 
 // isReachRoot reports whether main and init of the package at path are

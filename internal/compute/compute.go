@@ -53,8 +53,8 @@ type Env struct {
 
 // Op is one recorded I/O operation of a task, in program order. The engine
 // replays ops sequentially to perform read accounting and DFS writes. An op
-// names its tile by address in both modes: recording and replaying one
-// formats no path.
+// names its tile by address in both modes, its matrix by number: recording
+// and replaying one formats no path and looks no name up.
 type Op struct {
 	// Write distinguishes output writes from input reads.
 	Write bool

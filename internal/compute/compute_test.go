@@ -132,10 +132,11 @@ func TestPoolReuseZeroes(t *testing.T) {
 	t.Fatal("the pool never reused a released buffer")
 }
 
-// TestOpIs64Bytes: a trace op carries a tile address in place of a path,
-// and a virtual run allocates its traces by the op.
-func TestOpIs64Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Op{}); n > 64 {
-		t.Fatalf("compute.Op is %d bytes, want at most 64", n)
+// TestOpIs48Bytes: a trace op carries a tile address of three integers in
+// place of a path or a matrix name, and a virtual run allocates its traces by
+// the op.
+func TestOpIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 48 {
+		t.Fatalf("compute.Op is %d bytes, want at most 48", n)
 	}
 }

@@ -110,8 +110,8 @@ func (c *Ctx) traceRead(addr dfs.TileAddr, sparse bool) {
 
 // readVirtual records a read in virtual mode, once per tile per task.
 func (c *Ctx) readVirtual(meta store.Meta, ti, tj int) {
-	if c.seen.add(meta.Name, ti, tj) {
-		c.traceRead(meta.Tile(ti, tj), false)
+	if a := meta.Tile(ti, tj); c.seen.add(a) {
+		c.traceRead(a, false)
 	}
 }
 

@@ -94,7 +94,7 @@ func decodeInput(meta store.Meta, ti, tj int, raw []byte) (*input, error) {
 		gotRows, gotCols = e.dense.Rows, e.dense.Cols
 	}
 	if err == nil && (gotRows != rows || gotCols != cols) {
-		err = fmt.Errorf("tile %s is stored %dx%d, want %dx%d", meta.Tile(ti, tj).Path(), gotRows, gotCols, rows, cols)
+		err = fmt.Errorf("tile %s is stored %dx%d, want %dx%d", meta.TilePath(ti, tj), gotRows, gotCols, rows, cols)
 	}
 	if err != nil {
 		e.recycle()
@@ -132,16 +132,16 @@ func (in *Inputs) transposed(e *input) *linalg.Tile {
 	return tt
 }
 
-// Drop recycles the decoded tiles of the named matrix, or of every matrix
-// for "". The caller makes sure no task runs.
-func (in *Inputs) Drop(matrix string) {
+// Drop recycles the decoded tiles of matrix number matrix, or of every
+// matrix for a negative number. The caller makes sure no task runs.
+func (in *Inputs) Drop(matrix int32) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for a, e := range in.tiles {
-		if matrix == "" || a.Matrix == matrix {
+		if matrix < 0 || a.Matrix == matrix {
 			delete(in.tiles, a)
 			if inputHook != nil {
 				inputHook(e, false)

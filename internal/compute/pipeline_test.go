@@ -19,7 +19,7 @@ type mapSource map[dfs.TileAddr][]byte
 func (s mapSource) PeekTile(a dfs.TileAddr) ([]byte, error) {
 	b, ok := s[a]
 	if !ok {
-		return nil, fmt.Errorf("mapSource: no tile at %s", a.Path())
+		return nil, fmt.Errorf("mapSource: no tile at %+v", a)
 	}
 	return b, nil
 }
@@ -515,10 +515,14 @@ func TestMulSparseRightSteadyState(t *testing.T) {
 		freeTile(acc)
 	}
 	run()
-	if _, csr := c.sparse[csrKey{dfs.TileAddr{Matrix: "V"}, true}]; !csr || len(c.sparse) != 1 {
+	tile0 := map[string]dfs.TileAddr{}
+	for _, ref := range j.Leaves {
+		tile0[ref.Meta.Name] = ref.Meta.Tile(0, 0)
+	}
+	if _, csr := c.sparse[csrKey{tile0["V"], true}]; !csr || len(c.sparse) != 1 {
 		t.Fatalf("V was not read once, as CSR in the dense format: %v", c.sparse)
 	}
-	if _, densified := c.dense[dfs.TileAddr{Matrix: "V"}]; densified || c.dense[dfs.TileAddr{Matrix: "W"}].tt != nil {
+	if _, densified := c.dense[tile0["V"]]; densified || c.dense[tile0["W"]].tt != nil {
 		t.Fatalf("a sparse-right product densified or copied an operand: %v", c.dense)
 	}
 	if raceEnabled {

@@ -1,29 +1,30 @@
 package compute
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"cumulon/internal/dfs"
+)
 
 // readSet is the set of tiles a virtual task has traced a read of: an
-// open-addressed table of (matrix, ti, tj) keys, each stamped with the
-// generation that inserted it. Emptying the set is one increment — older
-// stamps read as free slots — so a recycled set costs a task nothing that
-// grows with what earlier tasks put in it, and a lookup hashes two integers
-// and a small matrix id, not a name.
+// open-addressed table of tile addresses, each stamped with the generation
+// that inserted it. Emptying the set is one increment — older stamps read as
+// free slots — so a recycled set costs a task nothing that grows with what
+// earlier tasks put in it, and a lookup hashes the address's three integers.
 type readSet struct {
-	names []string   // matrices read this generation; a slot's mat indexes it
 	slots []readSlot // linear probing; len is a power of two, at most half full
 	n     int        // slots of the current generation
 	gen   uint32     // never 0: a zero slot is free in every generation
 }
 
 type readSlot struct {
-	ti, tj   int
-	mat, gen uint32
+	a   dfs.TileAddr
+	gen uint32
 }
 
 // reset empties the set and makes room for n tiles.
 func (s *readSet) reset(n int) {
-	clear(s.names)
-	s.names, s.n = s.names[:0], 0
+	s.n = 0
 	if s.gen++; s.gen == 0 { // wrapped: the oldest stamps would read as live again
 		clear(s.slots)
 		s.gen = 1
@@ -33,16 +34,8 @@ func (s *readSet) reset(n int) {
 	}
 }
 
-// add inserts tile (ti, tj) of the named matrix and reports whether it was
-// absent.
-func (s *readSet) add(name string, ti, tj int) bool {
-	mat := 0
-	for mat < len(s.names) && s.names[mat] != name {
-		mat++
-	}
-	if mat == len(s.names) {
-		s.names = append(s.names, name)
-	}
+// add inserts tile address a and reports whether it was absent.
+func (s *readSet) add(a dfs.TileAddr) bool {
 	if 2*(s.n+1) > len(s.slots) {
 		old := s.slots
 		s.slots, s.n = make([]readSlot, 2*len(old)), 0
@@ -52,13 +45,13 @@ func (s *readSet) add(name string, ti, tj int) bool {
 			}
 		}
 	}
-	return s.insert(readSlot{ti, tj, uint32(mat), s.gen})
+	return s.insert(readSlot{a, s.gen})
 }
 
 // insert puts e in the first free slot of its probe sequence, unless the
 // sequence holds its key already.
 func (s *readSet) insert(e readSlot) bool {
-	h := uint64(e.ti)*0x9E3779B97F4A7C15 + uint64(e.tj)*0xC2B2AE3D27D4EB4F + uint64(e.mat)*0x165667B19E3779F9
+	h := uint64(e.a.TI)*0x9E3779B97F4A7C15 + uint64(e.a.TJ)*0xC2B2AE3D27D4EB4F + uint64(e.a.Matrix)*0x165667B19E3779F9
 	mask := len(s.slots) - 1
 	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
 		switch at := &s.slots[i]; {
@@ -73,9 +66,9 @@ func (s *readSet) insert(e readSlot) bool {
 }
 
 // poison stamps every slot with the outgoing generation, so that whatever
-// the set ever held — and tile (0, 0) of the first matrix, in the slots it
-// never used — reads as seen until the next reset outdates it: a reader of
-// stale marks drops reads from its trace.
+// the set ever held — and tile (0, 0) of matrix 0, in the slots it never
+// used — reads as seen until the next reset outdates it: a reader of stale
+// marks drops reads from its trace.
 func (s *readSet) poison() {
 	for i := range s.slots {
 		s.slots[i].gen = s.gen

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cumulon/internal/dfs"
 	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
 	"cumulon/internal/store"
@@ -94,13 +95,13 @@ func TestVirtualTasksUnderEveryPoolMode(t *testing.T) {
 // through its decoded-tile caches, a virtual one once through the read
 // set, so a virtual trace is the materialized one with each tile's repeat
 // reads dropped — same tiles, same order, writes included. Tiles compare
-// by their rendered paths, the names the two modes' files have in the DFS.
+// by their addresses, the one name the two modes' files have in the DFS.
 func TestVirtualReadsMatchMaterialized(t *testing.T) {
-	paths := func(r *Result) []string {
-		seen := map[string]bool{}
-		var out []string
+	paths := func(r *Result) []dfs.TileAddr {
+		seen := map[dfs.TileAddr]bool{}
+		var out []dfs.TileAddr
 		for _, op := range r.Ops {
-			p := op.Tile.Path()
+			p := op.Tile
 			if !op.Write && seen[p] {
 				continue
 			}
@@ -133,7 +134,6 @@ func TestVirtualReadsMatchMaterialized(t *testing.T) {
 // are right, absent and too small — against a Go map.
 func TestReadSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	names := []string{"V", "W", "H", "C#1~p0", "C#1~p1"}
 	s := new(readSet)
 	s.gen = math.MaxUint32 - 20
 	for task := 0; task < 60; task++ {
@@ -142,17 +142,13 @@ func TestReadSetMatchesMap(t *testing.T) {
 		if s.gen == 0 {
 			t.Fatal("generation 0 is live: every untouched slot reads as seen")
 		}
-		type key struct {
-			name   string
-			ti, tj int
-		}
-		oracle := map[key]bool{}
+		oracle := map[dfs.TileAddr]bool{}
 		for i := 0; i < reads; i++ {
-			k := key{names[rng.Intn(len(names))], rng.Intn(12), rng.Intn(12)}
+			k := dfs.TileAddr{Matrix: int32(rng.Intn(5)), TI: int32(rng.Intn(12)), TJ: int32(rng.Intn(12))}
 			if task%7 == 0 {
-				k.ti, k.tj = k.ti<<40, -k.tj // nothing about a key is packed into fewer bits
+				k.TI, k.TJ = k.TI<<27, -k.TJ // nothing about a key is packed into fewer bits
 			}
-			if added := s.add(k.name, k.ti, k.tj); added == oracle[k] {
+			if added := s.add(k); added == oracle[k] {
 				t.Fatalf("task %d: add(%v) = %v with the key present: %v", task, k, added, oracle[k])
 			}
 			oracle[k] = true

@@ -35,9 +35,9 @@ func BenchmarkDeleteMatrix(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				b.StopTimer()
 				bt := fs.Batch()
-				bt.Declare("C", 8, 8)
+				bt.Declare(0, "C", 8, 8)
 				for i := range 64 {
-					if err := bt.WriteVirtual(TileAddr{Matrix: "C", TI: int32(i / 8), TJ: int32(i % 8)}, 100, -1); err != nil {
+					if err := bt.WriteVirtual(TileAddr{Matrix: 0, TI: int32(i / 8), TJ: int32(i % 8)}, 100, -1); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -61,11 +61,11 @@ func BenchmarkDeleteMatrix(b *testing.B) {
 // CI gates it at 0 allocs/op.
 func BenchmarkWriteVirtual(b *testing.B) {
 	const side = 64
-	tile := func(i int) TileAddr { return TileAddr{Matrix: "C", TI: int32(i / side), TJ: int32(i % side)} }
+	tile := func(i int) TileAddr { return TileAddr{Matrix: 0, TI: int32(i / side), TJ: int32(i % side)} }
 	fs := New(Config{Nodes: 8, Replication: 3, Seed: 1})
 	bt := fs.Batch()
 	defer bt.Done()
-	bt.Declare("C", side+1, side)
+	bt.Declare(0, "C", side+1, side)
 	if err := bt.WriteVirtual(tile(side*side), 100, -1); err != nil {
 		b.Fatal(err)
 	}

@@ -180,6 +180,11 @@ type FS struct {
 	// block allocates at most its replica list (nothing for an inline one).
 	used  []bool
 	cands []int
+	// tab binds matrix numbers, which tile addresses carry, to matrices:
+	// tab[n] is the name and declared directory of the matrix n is bound to
+	// (Batch.Bind, Batch.Declare). Whatever replaces or drops a directory
+	// here updates its entries: own and DeleteMatrix.
+	tab []binding
 	// batch is the tile-keyed face Batch hands out under the lock.
 	batch Batch
 }
@@ -222,12 +227,13 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 	return fs
 }
 
-// Fork returns a file system with fs's namespace, node states and I/O
-// counters that places every later write from rng; from then on the two are
-// independent. They share the directories themselves, copy-on-write: a
-// shared directory is never changed again, and the first write, delete or
-// re-replication either side makes in it copies it first — so a fork costs
-// the directory map, not the tiles. Given rng at the position fs's own
+// Fork returns a file system with fs's namespace, matrix bindings, node
+// states and I/O counters that places every later write from rng; from then
+// on the two are independent. They share the directories themselves,
+// copy-on-write: a shared directory is never changed again, and the first
+// write, delete or re-replication either side makes in it copies it first,
+// and points that side's bindings at the copy — so a fork costs the
+// directory map and the binding table, not the tiles. Given rng at the position fs's own
 // stream has reached, the fork places later writes exactly as fs would. A
 // nil rng makes a snapshot that is only forked, never written.
 func (fs *FS) Fork(rng *rand.Rand) *FS {
@@ -240,6 +246,7 @@ func (fs *FS) Fork(rng *rand.Rand) *FS {
 	}
 	f := NewOn(fs.cfg, rng)
 	f.dirs, f.live, f.total = maps.Clone(fs.dirs), append(f.live[:0], fs.live...), fs.total
+	f.tab = slices.Clone(fs.tab)
 	copy(f.dead, fs.dead)
 	copy(f.stats, fs.stats)
 	return f
@@ -272,9 +279,20 @@ func (fs *FS) own(s *slot) {
 		s.d = d
 		return
 	}
-	s.d = s.d.copy()
+	old := s.d
+	s.d = old.copy()
 	fs.dirs[s.d.path] = s.d
-	fs.batch.forget()
+	fs.rebind(old, s.d)
+}
+
+// rebind points every binding of directory old at d instead: old's copy, or
+// nil for a dropped directory. Caller holds the lock.
+func (fs *FS) rebind(old, d *dir) {
+	for i := range fs.tab {
+		if fs.tab[i].d == old {
+			fs.tab[i].d = d
+		}
+	}
 }
 
 // put stores c in slot s, making an ordinary file's directory when it has
@@ -296,8 +314,7 @@ func (fs *FS) drop(s slot) {
 	}
 	fs.own(&s)
 	if s.set(cell{}); s.d.len() == 0 && s.d.cells == nil {
-		delete(fs.dirs, s.d.path)
-		fs.batch.forget()
+		delete(fs.dirs, s.d.path) // no binding holds a directory without a grid
 	}
 }
 

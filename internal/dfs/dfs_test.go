@@ -470,9 +470,13 @@ func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 // and unavailable files.
 func TestFirstReplicaNodeMatchesReplicaNodes(t *testing.T) {
 	fs := New(Config{Nodes: 6, Replication: 2, BlockSize: 32, Seed: 4})
-	tile := func(i int) TileAddr { return TileAddr{Matrix: "f", TI: int32(i)} }
+	tile := func(i int) TileAddr { return TileAddr{Matrix: 0, TI: int32(i)} }
+	path := func(i int) string { return TilePath("f", int32(i), 0) }
+	b := fs.Batch()
+	b.Bind(0, "f") // never declared: its addresses are the ordinary files at their paths
+	b.Done()
 	for i := 0; i < 20; i++ {
-		if err := fs.WriteVirtual(tile(i).Path(), int64(20+i*9), i%6); err != nil {
+		if err := fs.WriteVirtual(path(i), int64(20+i*9), i%6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,7 +484,7 @@ func TestFirstReplicaNodeMatchesReplicaNodes(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 21; i++ { // tile 20 does not exist
 			want := -1
-			if nodes, err := replicaNodes(fs, tile(i).Path()); err == nil && len(nodes) > 0 {
+			if nodes, err := replicaNodes(fs, path(i)); err == nil && len(nodes) > 0 {
 				want = nodes[0]
 			}
 			b := fs.Batch()
@@ -664,7 +668,8 @@ func TestNodeIDsPastSixteenBits(t *testing.T) {
 	}
 	b := fs.Batch()
 	defer b.Done()
-	if n := b.FirstReplicaNode(TileAddr{Matrix: "m", TJ: 1}); n != slices.Min(reps[0]) {
+	b.Bind(0, "m")
+	if n := b.FirstReplicaNode(TileAddr{Matrix: 0, TJ: 1}); n != slices.Min(reps[0]) {
 		t.Fatalf("FirstReplicaNode %d, replicas %v", n, reps[0])
 	}
 }

@@ -47,9 +47,10 @@ func forkLoad(t testing.TB, fs *FS, tag string) {
 		switch {
 		case tag == "matrix":
 			// Tile (i, 0) of one of four matrices declared 24 × 1.
-			a := TileAddr{Matrix: fmt.Sprintf("m%d", i%4), TI: int32(i)}
+			m := fmt.Sprintf("m%d", i%4)
+			a := testTile(m, int32(i), 0)
 			b := fs.Batch()
-			b.Declare(a.Matrix, 24, 1)
+			b.Declare(a.Matrix, m, 24, 1)
 			if i%2 == 0 {
 				err = b.Write(a, make([]byte, 20+i*9), writer)
 			} else {
@@ -193,23 +194,23 @@ func TestForkIsolation(t *testing.T) {
 		{"Write tile", func(fs *FS) error {
 			b := fs.Batch()
 			defer b.Done()
-			return b.Write(TileAddr{Matrix: "m1", TI: 3}, make([]byte, 40), 2)
+			return b.Write(testTile("m1", 3, 0), make([]byte, 40), 2)
 		}},
 		{"WriteVirtual off the grid", func(fs *FS) error {
 			b := fs.Batch()
 			defer b.Done()
-			return b.WriteVirtual(TileAddr{Matrix: "m3", TI: 21, TJ: 1}, 30, 3)
+			return b.WriteVirtual(testTile("m3", 21, 1), 30, 3)
 		}},
 		{"Delete m2's tile", func(fs *FS) error {
 			b := fs.Batch()
 			defer b.Done()
-			b.Delete(TileAddr{Matrix: "m2", TI: 2})
+			b.Delete(testTile("m2", 2, 0))
 			return nil
 		}},
 		{"Delete m0's tile", func(fs *FS) error {
 			b := fs.Batch()
 			defer b.Done()
-			b.Delete(TileAddr{Matrix: "m0", TI: 4})
+			b.Delete(testTile("m0", 4, 0))
 			return nil
 		}},
 		{"DeletePrefix", func(fs *FS) error { fs.DeletePrefix("/matrix/m3/"); fs.DeletePrefix("/matrix/m1/1"); return nil }},
@@ -274,8 +275,8 @@ func TestForkIsolation(t *testing.T) {
 func declareAndWrite(fs *FS, matrix string) error {
 	b := fs.Batch()
 	defer b.Done()
-	b.Declare(matrix, 3, 2)
-	return b.WriteVirtual(TileAddr{Matrix: matrix, TI: 2, TJ: 1}, 60, 1)
+	b.Declare(testNum(matrix), matrix, 3, 2)
+	return b.WriteVirtual(testTile(matrix, 2, 1), 60, 1)
 }
 
 // TestForkSharesDeclaredDirectory: a fork shares a declared directory, files
@@ -289,8 +290,8 @@ func TestForkSharesDeclaredDirectory(t *testing.T) {
 		m0 := src.dirs["/matrix/m0/"]
 		cells := len(m0.cells)
 		b := src.Batch()
-		b.Declare("d", 3, 4)
-		b.Declare("m0", 9, 9)
+		b.Declare(testNum("d"), "d", 3, 4)
+		b.Declare(testNum("m0"), "m0", 9, 9)
 		b.Done()
 		declared := src.dirs["/matrix/d/"]
 		if declared == nil || len(declared.cells) != 12 || declared.len() != 0 {
@@ -302,7 +303,7 @@ func TestForkSharesDeclaredDirectory(t *testing.T) {
 		fork := src.Fork(rand.New(rand.NewSource(1)))
 		for _, fs := range []*FS{fork, src} {
 			b := fs.Batch()
-			b.Declare("d", 5, 5)
+			b.Declare(testNum("d"), "d", 5, 5)
 			b.Done()
 			if fs.dirs["/matrix/d/"] != declared || !declared.shared {
 				t.Fatalf("%+v: the declared directory is not the one both sides share", cfg)
@@ -310,7 +311,7 @@ func TestForkSharesDeclaredDirectory(t *testing.T) {
 		}
 		before := forkView(src)
 		b = fork.Batch()
-		err := b.WriteVirtual(TileAddr{Matrix: "d", TI: 2, TJ: 3}, 70, 2)
+		err := b.WriteVirtual(testTile("d", 2, 3), 70, 2)
 		b.Done()
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +323,7 @@ func TestForkSharesDeclaredDirectory(t *testing.T) {
 			t.Fatalf("%+v: writing the fork's declared directory changed the source", cfg)
 		}
 		src.DeleteMatrix("d")
-		if src.dirs["/matrix/d/"] != nil || !tileExists(fork, TileAddr{Matrix: "d", TI: 2, TJ: 3}) {
+		if src.dirs["/matrix/d/"] != nil || !tileExists(fork, testTile("d", 2, 3)) {
 			t.Fatalf("%+v: dropping the source's declared directory dropped the fork's", cfg)
 		}
 	}
@@ -338,14 +339,14 @@ func TestForksConcurrent(t *testing.T) {
 			forkLoad(t, fs, fmt.Sprintf("g%d-%d", g, round))
 			b := fs.Batch()
 			for _, s := range fs.sorted(MatrixRoot) {
-				if _, err := b.ReadAccount(*tvAddr(s.path), round); err != nil && round == 0 {
+				if _, err := b.ReadAccount(*testAddr(s.path), round); err != nil && round == 0 {
 					t.Errorf("read %s: %v", s.path, err)
 				}
 			}
 			b.Done()
 			fs.KillNode((g + round) % fs.cfg.Nodes)
 			b = fs.Batch()
-			b.Delete(TileAddr{Matrix: fmt.Sprintf("m%d", g), TI: int32(4 + g)})
+			b.Delete(testTile(fmt.Sprintf("m%d", g), int32(4+g), 0))
 			b.Done()
 			fs.DeletePrefix(fmt.Sprintf("/g%d-%d/m1/", g, round))
 			fs.DeleteMatrix(fmt.Sprintf("m%d", (g+round)%4))

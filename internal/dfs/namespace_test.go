@@ -44,6 +44,7 @@ func (fs *FS) DeletePrefix(prefix string) {
 		switch {
 		case strings.HasPrefix(dir, prefix):
 			delete(fs.dirs, dir)
+			fs.rebind(d, nil)
 		case dir == inside:
 			for _, s := range d.under(prefix) {
 				fs.drop(s)
@@ -78,7 +79,7 @@ func nsDeclare(fs *FS, rng *rand.Rand) (dir string, cells int) {
 		rows = maxGrid + 1
 	}
 	b := fs.Batch()
-	b.Declare(name, rows, cols)
+	b.Declare(int32(slices.Index(nsMatrices, name)), name, rows, cols)
 	b.Done()
 	if rows > maxGrid {
 		return "", 0

@@ -171,7 +171,7 @@ func TestPlacementAllocations(t *testing.T) {
 	writeAllocs := func(nodes int, virtual, tile bool) float64 {
 		fs := New(Config{Nodes: nodes, Replication: 3, Seed: 1, RackSize: 4})
 		b := fs.Batch()
-		b.Declare("w", (runs+32)/32, 32) // AllocsPerRun makes one warm-up call
+		b.Declare(0, "w", (runs+32)/32, 32) // AllocsPerRun makes one warm-up call
 		b.Done()
 		paths := make([]string, runs+1)
 		for i := range paths {
@@ -180,7 +180,7 @@ func TestPlacementAllocations(t *testing.T) {
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
 			var err error
-			switch a := (TileAddr{Matrix: "w", TI: int32(i / 32), TJ: int32(i % 32)}); {
+			switch a := (TileAddr{Matrix: 0, TI: int32(i / 32), TJ: int32(i % 32)}); {
 			case tile:
 				b := fs.Batch()
 				if virtual {
@@ -213,9 +213,9 @@ func TestPlacementAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := fs.Batch()
-	b.Declare("multi", 1, 2)
+	b.Declare(0, "multi", 1, 2)
 	for tj, size := range []int64{300, 50} {
-		if err := b.WriteVirtual(TileAddr{Matrix: "multi", TJ: int32(tj)}, size, 2); err != nil {
+		if err := b.WriteVirtual(TileAddr{Matrix: 0, TJ: int32(tj)}, size, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestPlacementAllocations(t *testing.T) {
 		b := fs.Batch()
 		if n := testing.AllocsPerRun(runs, func() {
 			for tj := int32(0); tj < 2; tj++ {
-				a := TileAddr{Matrix: "multi", TJ: tj}
+				a := TileAddr{Matrix: 0, TJ: tj}
 				if b.FirstReplicaNode(a) < 0 {
 					t.Fatal("no replica")
 				}
@@ -261,12 +261,12 @@ func TestDeclaredGridWritesAllocateNothing(t *testing.T) {
 		addrs := make([]TileAddr, 0, g.rows*g.cols)
 		for ti := range g.rows {
 			for tj := range g.cols {
-				addrs = append(addrs, TileAddr{Matrix: "m", TI: int32(ti), TJ: int32(tj)})
+				addrs = append(addrs, TileAddr{Matrix: 0, TI: int32(ti), TJ: int32(tj)})
 			}
 		}
 		rand.New(rand.NewSource(int64(len(addrs)))).Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
 		b := fs.Batch()
-		b.Declare("m", g.rows, g.cols)
+		b.Declare(0, "m", g.rows, g.cols)
 		d := fs.dirs["/matrix/m/"]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

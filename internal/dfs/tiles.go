@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"strconv"
@@ -11,21 +12,23 @@ import (
 // renders as the path MatrixRoot + m + "/<ti>_<tj>".
 const MatrixRoot = "/matrix/"
 
-// TileAddr addresses tile (TI, TJ) of the matrix named Matrix. A tile has
-// this one name: the engine reads, writes and locates tiles by address only,
-// and no path-keyed call reaches a tile. Path renders the address as text for
-// the edges (listings, checkpoint manifests, error messages) and names the
-// ordinary file an address off its matrix's declared grid stands for.
+// TileAddr addresses tile (TI, TJ) of the matrix numbered Matrix: the number
+// its plan gives it (plan.Compile), which the file system binds to the
+// matrix's name and directory (Batch.Bind, Batch.Declare). A tile has this one
+// name: the engine reads, writes and locates tiles by address only, and no
+// path-keyed call reaches a tile. An address is three integers, so keeping,
+// hashing or comparing one touches no string.
 type TileAddr struct {
-	Matrix string
-	TI, TJ int32
+	Matrix, TI, TJ int32
 }
 
-// Path renders the address's path in a stack buffer: one allocation.
-func (a TileAddr) Path() string {
+// TilePath renders the path of tile (ti, tj) of the named matrix in a stack
+// buffer: one allocation. Paths are text for the edges (listings, checkpoint
+// manifests, error messages), and the ordinary file an address off its
+// matrix's declared grid stands for.
+func TilePath(matrix string, ti, tj int32) string {
 	var buf [64]byte
-	b := append(append(append(buf[:0], MatrixRoot...), a.Matrix...), '/')
-	return string(appendTileName(b, tileKey{a.TI, a.TJ}))
+	return string(appendTileName(appendMatrixDir(buf[:0], matrix), tileKey{ti, tj}))
 }
 
 type tileKey struct{ ti, tj int32 }
@@ -151,78 +154,107 @@ func (d *dir) under(prefix string) []slot {
 // Batch is the file system's tile-keyed face, held by one goroutine for a
 // run of operations — the engine replays a task's trace in one, loads a
 // matrix in one: FS.Batch locks, Done unlocks, and nothing else may call the
-// file system in between. A batch looks each matrix's directory up once;
-// every other step indexes its grid. Each call is the path-keyed call of the
-// same name on the tile at the address.
-type Batch struct {
-	fs   *FS
-	seen []*dir // matrix directories looked up during this hold
+// file system in between. An address finds its matrix's directory in the
+// file system's binding by number, and its tile in the directory's grid by
+// index: no name is looked up. Each call is the path-keyed call of the same
+// name on the tile at the address.
+type Batch struct{ fs *FS }
+
+// binding is what a matrix number stands for: the matrix's name, and its
+// declared directory, nil while it has none.
+type binding struct {
+	name string
+	d    *dir
 }
 
 // Batch locks the file system and returns its tile-keyed face.
 func (fs *FS) Batch() *Batch {
 	fs.mu.Lock()
-	fs.batch.forget()
 	return &fs.batch
 }
 
 // Done unlocks the file system; b must not be used after it.
 func (b *Batch) Done() { b.fs.mu.Unlock() }
 
-// forget drops the batch's lookups, for a new hold or a directory dropped
-// or replaced by its copy.
-func (b *Batch) forget() {
-	clear(b.seen)
-	b.seen = b.seen[:0]
+// Bind binds matrix number num to the named matrix: every later address of
+// num names that matrix's tiles, until num is bound again. It looks the
+// matrix's directory up once; a run binds each matrix of its plan so, and no
+// tile operation looks a name up again.
+func (b *Batch) Bind(num int32, matrix string) { b.Declare(num, matrix, 0, 0) }
+
+// Grow makes room for matrix numbers below n, so that binding them
+// allocates nothing: a run makes room for all its plan's numbers at once.
+func (b *Batch) Grow(n int) {
+	if fs := b.fs; n > len(fs.tab) {
+		fs.tab = slices.Grow(fs.tab, n-len(fs.tab))
+	}
+}
+
+// appendMatrixDir appends the path of the named matrix's directory to b:
+// looked up as string(appendMatrixDir(buf[:0], m)) with buf on the stack, a
+// directory lookup allocates nothing.
+func appendMatrixDir(b []byte, matrix string) []byte {
+	return append(append(append(b, MatrixRoot...), matrix...), '/')
 }
 
 // at resolves a to its cell of its matrix's declared grid, or, for an
 // address off that grid — a coordinate outside it, a grid past maxGrid, a
 // matrix never declared — to offGrid's ordinary file.
 func (b *Batch) at(a TileAddr) slot {
-	d := b.dir(a.Matrix)
-	if k := (tileKey{a.TI, a.TJ}); d != nil && d.cell(k) != nil {
-		return slot{d: d, tile: true, k: k}
-	}
-	return offGrid(d, a)
-}
-
-// dir returns the named matrix's directory, nil while it has none, looking
-// each one up in the file system once per hold.
-func (b *Batch) dir(matrix string) *dir {
-	for _, d := range b.seen {
-		if d.path[len(MatrixRoot):len(d.path)-1] == matrix {
-			return d
+	if tab := b.fs.tab; uint32(a.Matrix) < uint32(len(tab)) {
+		if d, k := tab[a.Matrix].d, (tileKey{a.TI, a.TJ}); d != nil && d.cell(k) != nil {
+			return slot{d: d, tile: true, k: k}
 		}
 	}
-	var buf [64]byte
-	path := append(append(append(buf[:0], MatrixRoot...), matrix...), '/')
-	d := b.fs.dirs[string(path)]
-	if d != nil {
-		b.seen = append(b.seen, d)
+	return b.fs.offGrid(a)
+}
+
+// bound returns the binding of matrix number num, which must be bound.
+func (fs *FS) bound(num int32) *binding {
+	if uint32(num) >= uint32(len(fs.tab)) || fs.tab[num].name == "" {
+		panic(fmt.Sprintf("dfs: matrix number %d is not bound", num))
 	}
-	return d
+	return &fs.tab[num]
 }
 
 // offGrid resolves an address off its matrix's grid to the ordinary file its
-// path names, in d, its matrix's directory if there is one. Rendering the
-// path is the one allocation a tile operation can make.
-func offGrid(d *dir, a TileAddr) slot { return slot{d: d, path: a.Path()} }
+// path names. Rendering the path is the one allocation a tile operation can
+// make, and looking its directory up the one name lookup.
+func (fs *FS) offGrid(a TileAddr) slot {
+	return fs.at(TilePath(fs.bound(a.Matrix).name, a.TI, a.TJ))
+}
 
-// Declare makes the named matrix's directory with its whole tile grid, rows
-// × cols vacant cells in one array: the engine declares every matrix it
-// writes at the grid its plan fixes, and no other call makes a grid. It does
-// nothing when the directory exists, a fork's shared one included, or the
-// grid is past maxGrid. A declared directory holds no file until a tile is
-// written: nothing lists, sizes or reads it. It stays, with its grid, until
+// Path renders the path of the tile at a, for the edges that name a tile in
+// text (the engine's chaos read-fault hash).
+func (fs *FS) Path(a TileAddr) string {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return TilePath(fs.bound(a.Matrix).name, a.TI, a.TJ)
+}
+
+// Declare binds matrix number num to the named matrix, as Bind does, and
+// makes the matrix's directory with its whole tile grid, rows × cols vacant
+// cells in one array: the engine declares every matrix it writes at the grid
+// its plan fixes, and no other call makes a grid. It makes nothing when the
+// directory exists, a fork's shared one included, or the grid is empty or
+// past maxGrid. A declared directory holds no file until a tile is written:
+// nothing lists, sizes or reads it. It stays, with its grid, until
 // DeleteMatrix drops the matrix.
-func (b *Batch) Declare(matrix string, rows, cols int) {
-	if rows <= 0 || cols <= 0 || rows > maxGrid || cols > maxGrid || b.dir(matrix) != nil {
-		return
+func (b *Batch) Declare(num int32, matrix string, rows, cols int) {
+	fs := b.fs
+	var buf [64]byte
+	d := fs.dirs[string(appendMatrixDir(buf[:0], matrix))]
+	if d == nil && rows > 0 && cols > 0 && rows <= maxGrid && cols <= maxGrid {
+		d = &dir{path: MatrixRoot + matrix + "/", cells: make([]cell, rows*cols), cols: int32(cols)}
+		fs.dirs[d.path] = d
 	}
-	d := &dir{path: MatrixRoot + matrix + "/", cells: make([]cell, rows*cols), cols: int32(cols)}
-	b.fs.dirs[d.path] = d
-	b.seen = append(b.seen, d)
+	if int(num) >= len(fs.tab) {
+		fs.tab = append(fs.tab, make([]binding, int(num)+1-len(fs.tab))...)
+	}
+	if d != nil && d.cells == nil {
+		d = nil // only a declared directory has a grid to index
+	}
+	fs.tab[num] = binding{matrix, d}
 }
 
 func (b *Batch) Write(a TileAddr, data []byte, node int) error {
@@ -275,15 +307,20 @@ func (b *Batch) WritePlaced(a TileAddr, data []byte, size int64, replicas [][]in
 func (b *Batch) FirstReplicaNode(a TileAddr) int { return b.fs.firstReplica(b.at(a).get()) }
 
 // DeleteMatrix removes the named matrix's directory, its grid and every file
-// in it, with one map delete. A matrix name has no '/', so the directory has
-// no subdirectory that a prefix delete would also take.
+// in it, with one map delete; a number bound to the matrix stays bound to it,
+// without a grid until one is declared. A matrix name has no '/', so the
+// directory has no subdirectory that a prefix delete would also take.
 func (fs *FS) DeleteMatrix(matrix string) {
 	if strings.Contains(matrix, "/") {
 		panic("dfs: matrix name " + strconv.Quote(matrix) + " contains '/'")
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	delete(fs.dirs, MatrixRoot+matrix+"/")
+	path := MatrixRoot + matrix + "/"
+	if d := fs.dirs[path]; d != nil {
+		delete(fs.dirs, path)
+		fs.rebind(d, nil)
+	}
 }
 
 // PeekTile is Batch.Peek for compute tasks on any goroutine.

@@ -33,21 +33,6 @@ var (
 	tvMatrices = []string{"W", "W#1~p0", "WW", "X"}
 )
 
-// tvAddr returns the tile address whose rendering path is, or nil.
-func tvAddr(path string) *TileAddr {
-	d := dirOf(path)
-	m, ok := strings.CutPrefix(d, MatrixRoot)
-	var ti, tj int
-	if _, err := fmt.Sscanf(path[len(d):], "%d_%d", &ti, &tj); !ok || m == "" || err != nil {
-		return nil
-	}
-	m = m[:len(m)-1]
-	if a := (TileAddr{Matrix: m, TI: int32(ti), TJ: int32(tj)}); a.Path() == path {
-		return &a
-	}
-	return nil // 01_2, 1_2x, 1_2_3: no address renders to these
-}
-
 // tvDriver applies random operations to a subject and its twin.
 type tvDriver struct {
 	t    testing.TB
@@ -89,7 +74,7 @@ func (d *tvDriver) do() {
 	d.step++
 	rng := d.rng
 	path := tvDirs[rng.Intn(len(tvDirs))] + tvBase[rng.Intn(len(tvBase))]
-	a := tvAddr(path)
+	a := testAddr(path)
 	twin := path + "\x00"
 	node := rng.Intn(d.s.cfg.Nodes+1) - 1
 	var op string
@@ -202,7 +187,7 @@ func (d *tvDriver) declare(name string, rows, cols int) {
 	if held != nil {
 		was = *held
 	}
-	d.batch(func(b *Batch) { b.Declare(name, rows, cols) })
+	d.batch(func(b *Batch) { b.Declare(testNum(name), name, rows, cols) })
 	got := d.s.dirs[path]
 	switch {
 	case held != nil && (got != held || len(got.cells) != len(was.cells) || got.cols != was.cols ||
@@ -225,7 +210,7 @@ func (d *tvDriver) churnTiles() {
 	d.s.mu.Lock()
 	for _, s := range d.s.sorted(MatrixRoot) {
 		if s.tile {
-			a = &TileAddr{Matrix: s.d.path[len(MatrixRoot) : len(s.d.path)-1], TI: s.k.ti, TJ: s.k.tj}
+			a = &TileAddr{Matrix: testNum(s.d.path[len(MatrixRoot) : len(s.d.path)-1]), TI: s.k.ti, TJ: s.k.tj}
 			break
 		}
 	}
@@ -244,13 +229,13 @@ func (d *tvDriver) churnTiles() {
 	w := vacant()
 	var es error
 	d.batch(func(b *Batch) { es = b.WriteVirtual(w, 40, -1) })
-	d.same("churn WriteVirtual", es, d.w.WriteVirtual(w.Path()+"\x00", 40, -1))
+	d.same("churn WriteVirtual", es, d.w.WriteVirtual(testPath(w)+"\x00", 40, -1))
 	w = vacant()
-	p := w.Path()
+	p := testPath(w)
 	d.batch(func(b *Batch) { es = b.Write(w, []byte(p), -1) })
 	d.same("churn Write", es, d.w.Write(p+"\x00", []byte(p), -1))
 	d.batch(func(b *Batch) { b.Delete(*a) })
-	d.w.Delete(a.Path() + "\x00")
+	d.w.Delete(testPath(*a) + "\x00")
 	if len(d.s.live) > 1 {
 		n := d.s.live[0]
 		if rs, rw := d.s.KillNode(n), d.w.KillNode(n); rs != rw {
@@ -258,8 +243,8 @@ func (d *tvDriver) churnTiles() {
 		}
 	}
 	d.check()
-	d.s.DeleteMatrix(a.Matrix)
-	d.w.DeleteMatrix(a.Matrix)
+	d.s.DeleteMatrix(testMatrices[a.Matrix])
+	d.w.DeleteMatrix(testMatrices[a.Matrix])
 	d.check()
 }
 
@@ -283,7 +268,7 @@ func (d *tvDriver) check() {
 	b := d.s.Batch()
 	defer b.Done()
 	for _, e := range d.s.sorted("") {
-		a := tvAddr(e.path)
+		a := testAddr(e.path)
 		if a == nil {
 			continue
 		}
@@ -312,7 +297,7 @@ var tvConfigs = []Config{
 func TestTilesAgreeWithOrdinaryFiles(t *testing.T) {
 	for _, cfg := range tvConfigs {
 		for seed := int64(1); seed <= 6; seed++ {
-			d := &tvDriver{t: t, rng: rand.New(rand.NewSource(seed)), s: New(cfg), w: New(cfg)}
+			d := &tvDriver{t: t, rng: rand.New(rand.NewSource(seed)), s: bindTest(New(cfg)), w: New(cfg)}
 			for i := 0; i < 300; i++ {
 				if i%100 == 99 {
 					fork := d.rng.Int63()
@@ -332,16 +317,16 @@ func TestTilesAgreeWithOrdinaryFiles(t *testing.T) {
 // and requires both forks unchanged. CI runs it under -race, ten times over.
 func TestTilesAgreeWithOrdinaryFilesAcrossForks(t *testing.T) {
 	for _, cfg := range tvConfigs {
-		d := &tvDriver{t: t, rng: rand.New(rand.NewSource(3)), s: New(cfg), w: New(cfg)}
+		d := &tvDriver{t: t, rng: rand.New(rand.NewSource(3)), s: bindTest(New(cfg)), w: New(cfg)}
 		for i := 0; i < 150; i++ {
 			d.do()
 		}
 		// Whatever the history left, a grid holds tiles.
-		d.batch(func(b *Batch) { b.Declare("F", 2, 2) })
-		for _, a := range []TileAddr{{Matrix: "F"}, {Matrix: "F", TJ: 1}, {Matrix: "F", TI: 1}} {
+		d.batch(func(b *Batch) { b.Declare(testNum("F"), "F", 2, 2) })
+		for _, a := range []TileAddr{testTile("F", 0, 0), testTile("F", 0, 1), testTile("F", 1, 0)} {
 			var es error
 			d.batch(func(b *Batch) { es = b.WriteVirtual(a, 50, -1) })
-			d.same("WriteVirtual", es, d.w.WriteVirtual(a.Path()+"\x00", 50, -1))
+			d.same("WriteVirtual", es, d.w.WriteVirtual(testPath(a)+"\x00", 50, -1))
 		}
 		before := forkView(d.s)
 		forks := make([]*tvDriver, 2)
@@ -381,10 +366,10 @@ func TestTilesAgreeWithOrdinaryFilesAcrossForks(t *testing.T) {
 // grid — past its rows or columns, negative, of a grid Declare refused, of
 // a matrix never declared — is the ordinary file at its path.
 func TestPathsNeverNameTiles(t *testing.T) {
-	fs := New(Config{Nodes: 3, Replication: 2, Seed: 1})
+	fs := bindTest(New(Config{Nodes: 3, Replication: 2, Seed: 1}))
 	b := fs.Batch()
-	b.Declare("W", 12, 12)
-	b.Declare("G", 1, maxGrid+1)
+	b.Declare(testNum("W"), "W", 12, 12)
+	b.Declare(testNum("G"), "G", 1, maxGrid+1)
 	b.Done()
 	d := fs.dirs["/matrix/W/"]
 	for _, base := range []string{"0_0", "11_11", "3_4", "01_2", "1_02", "1_2x", "x1_2", "1_2_3", "+1_2", "1__2", "1_", "_2"} {
@@ -398,12 +383,12 @@ func TestPathsNeverNameTiles(t *testing.T) {
 	b = fs.Batch()
 	for ti := int32(0); ti < 12; ti++ {
 		for tj := int32(0); tj < 12; tj++ {
-			if _, err := b.ReadAccount(TileAddr{Matrix: "W", TI: ti, TJ: tj}, 0); !errors.Is(err, ErrNotFound) {
+			if _, err := b.ReadAccount(testTile("W", ti, tj), 0); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("tile (%d, %d) of W reads %v: a path named it", ti, tj, err)
 			}
 		}
 	}
-	if err := b.Write(TileAddr{Matrix: "W", TI: 3, TJ: 4}, []byte("tile"), 1); err != nil {
+	if err := b.Write(testTile("W", 3, 4), []byte("tile"), 1); err != nil {
 		t.Fatalf("tile (3, 4) of W beside the file /matrix/W/3_4: %v", err)
 	}
 	b.Done()
@@ -411,8 +396,8 @@ func TestPathsNeverNameTiles(t *testing.T) {
 		t.Fatalf("the path /matrix/W/3_4 reads %q, %v: the tile at its name, not the virtual file", got, err)
 	}
 	off := []TileAddr{
-		{Matrix: "W", TI: 12}, {Matrix: "W", TJ: 12}, {Matrix: "W", TI: -1}, {Matrix: "W", TI: maxGrid},
-		{Matrix: "G"}, {Matrix: "U", TI: 2, TJ: 5},
+		testTile("W", 12, 0), testTile("W", 0, 12), testTile("W", -1, 0), testTile("W", maxGrid, 0),
+		testTile("G", 0, 0), testTile("U", 2, 5),
 	}
 	for i, a := range off {
 		b := fs.Batch()
@@ -421,8 +406,8 @@ func TestPathsNeverNameTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := fs.Peek(a.Path()); err != nil || len(got) != 1 || got[0] != byte(i) {
-			t.Fatalf("%+v, off its grid, is not the file at %s: %v, %v", a, a.Path(), got, err)
+		if got, err := fs.Peek(testPath(a)); err != nil || len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("%+v, off its grid, is not the file at %s: %v, %v", a, testPath(a), got, err)
 		}
 	}
 	if d.nt != 1 || len(d.cells) != 144 || fs.dirs["/matrix/G/"].cells != nil || fs.dirs["/matrix/U/"].cells != nil {

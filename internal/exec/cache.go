@@ -60,7 +60,21 @@ func (c *nodeCache) put(tile dfs.TileAddr, size int64, hasDense, hasSparse bool)
 func (c *nodeCache) drop(el *list.Element) {
 	e := c.lru.Remove(el).(*cacheEntry)
 	c.used -= e.size
-	delete(c.entries, e.tile)
+	if c.entries[e.tile] == el {
+		delete(c.entries, e.tile)
+	}
+}
+
+// forgetFrom makes the entries of matrix numbers from first up unreachable:
+// a dropped job's k-split partials, whose numbers the next k-split job's
+// partials take. They keep their bytes and their place in the LRU until
+// evicted, as a dropped matrix's entries always did, but serve no read.
+func (c *nodeCache) forgetFrom(first int32) {
+	for tile := range c.entries {
+		if tile.Matrix >= first {
+			delete(c.entries, tile)
+		}
+	}
 }
 
 // resetCaches builds fresh per-node caches for a run.

@@ -242,7 +242,7 @@ func (e *Engine) checkpointTiles(p *plan.Plan, pt ckptPoint, man *ckpt.Manifest,
 				if !ok {
 					continue
 				}
-				t := ckpt.Tile{Path: a.Path(), Bytes: size, Replicas: reps}
+				t := ckpt.Tile{Path: j.Out.TilePath(ti, tj), Bytes: size, Replicas: reps}
 				if e.cfg.Materialize {
 					data, err := b.Peek(a)
 					if err != nil {
@@ -393,8 +393,7 @@ func tileAt(m store.Meta, path string) (dfs.TileAddr, bool) {
 	if !ok || !ok2 || err != nil || err2 != nil || ti < 0 || ti >= m.TileRows() || tj < 0 || tj >= m.TileCols() {
 		return dfs.TileAddr{}, false
 	}
-	a := m.Tile(ti, tj)
-	return a, a.Path() == path
+	return m.Tile(ti, tj), m.TilePath(ti, tj) == path
 }
 
 // allSlots builds slot states for every node, dead ones flagged, so a

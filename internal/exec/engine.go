@@ -265,7 +265,7 @@ func (e *Engine) LoadVirtual(meta store.Meta) error {
 func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	// However the run ends, no task runs once it returns: every decoded
 	// input goes back to the pools, so the next run starts with none.
-	defer e.env.Src.Drop("")
+	defer e.env.Src.Drop(-1)
 	// A plan that cannot run — a bad split anywhere — fails here, before any
 	// task runs or any file is written.
 	jobs, err := p.TopoOrder()
@@ -307,6 +307,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		}
 	}
 	m.Jobs, m.Tasks = make([]JobRecord, 0, len(jobs)), make([]TaskRecord, 0, nTasks)
+	e.bind(p, phases)
 	slots := e.allSlots()
 	alive := 0
 	for _, s := range slots {
@@ -367,6 +368,25 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	return m, nil
 }
 
+// bind binds the plan's matrix numbers to their names in the file system,
+// one directory lookup each, with room for the numbers of the k-split
+// partials the phases write: from here on the run finds every matrix by
+// number.
+func (e *Engine) bind(p *plan.Plan, phases [][]plan.Phase) {
+	n := 0
+	for _, ph := range phases {
+		if len(ph) > 0 {
+			n = max(n, len(ph[0].Partials))
+		}
+	}
+	b := e.fs.Batch()
+	b.Grow(len(p.Names) + n)
+	for num, name := range p.Names {
+		b.Bind(int32(num), name)
+	}
+	b.Done()
+}
+
 // runJob executes one job under its phases, which may start at virtual time
 // start, on the shared slot pool, and returns the job's end time.
 func (e *Engine) runJob(j *plan.Job, phases []plan.Phase, start float64, slots []*slotState, m *RunMetrics, prog obs.SpanID) (float64, error) {
@@ -392,10 +412,17 @@ func (e *Engine) runJob(j *plan.Job, phases []plan.Phase, start float64, slots [
 	e.rec.End(jspan, clock)
 	// The k-split partials go as soon as they are summed, decoded forms and
 	// all (no task runs between jobs); dropping one is one map delete
-	// whatever else the file system holds.
+	// whatever else the file system holds. Their numbers name the next
+	// k-split job's partials, so no cache entry of theirs may serve a read
+	// again.
 	for _, c := range phases[0].Partials {
 		e.fs.DeleteMatrix(c.Name)
-		e.env.Src.Drop(c.Name)
+		e.env.Src.Drop(c.Num)
+	}
+	if ps := phases[0].Partials; ps != nil {
+		for _, c := range e.caches {
+			c.forgetFrom(ps[0].Num)
+		}
 	}
 	m.Jobs = append(m.Jobs, JobRecord{
 		JobID:    j.ID,
@@ -769,7 +796,7 @@ func (e *Engine) executeWithRetry(jobID, phase, index int, slot *slotState, slot
 func (e *Engine) firstReadPath(res *compute.Result) string {
 	for i := 0; e.cfg.Chaos != nil && e.cfg.Chaos.ReadFaultProb > 0 && i < len(res.Ops); i++ {
 		if !res.Ops[i].Write {
-			return res.Ops[i].Tile.Path()
+			return e.fs.Path(res.Ops[i].Tile)
 		}
 	}
 	return ""

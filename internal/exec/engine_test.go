@@ -1220,9 +1220,28 @@ output X
 	}
 }
 
+// TestNodeCacheForgetKeepsBytes: a forgotten entry — a dropped job's
+// k-split partial, whose number the next job's partial takes — serves no
+// read, but keeps its bytes and its place in the LRU until evicted, and
+// evicting it leaves the newer entry at its address alone.
+func TestNodeCacheForgetKeepsBytes(t *testing.T) {
+	c := newNodeCache(100)
+	in, part := dfs.TileAddr{Matrix: 0}, dfs.TileAddr{Matrix: 5}
+	c.put(part, 40, false, false)
+	c.forgetFrom(5)
+	if _, ok := c.get(part); ok || c.used != 40 || c.lru.Len() != 1 {
+		t.Fatalf("forgotten entry: hit %v, %d bytes in %d entries", ok, c.used, c.lru.Len())
+	}
+	c.put(part, 20, false, false) // the next job's partial
+	c.put(in, 50, false, false)   // evicts the forgotten entry, the oldest
+	if _, ok := c.get(part); !ok || c.used != 70 || c.lru.Len() != 2 {
+		t.Fatalf("evicting the forgotten entry: newer entry hit %v, %d bytes in %d entries", ok, c.used, c.lru.Len())
+	}
+}
+
 func TestNodeCacheLRUEviction(t *testing.T) {
 	c := newNodeCache(100)
-	tile := map[string]dfs.TileAddr{"a": {Matrix: "A"}, "b": {Matrix: "A", TI: 1}, "c": {Matrix: "C", TJ: 1}, "huge": {Matrix: "H"}}
+	tile := map[string]dfs.TileAddr{"a": {Matrix: 0}, "b": {Matrix: 0, TI: 1}, "c": {Matrix: 2, TJ: 1}, "huge": {Matrix: 7}}
 	c.put(tile["a"], 40, false, false)
 	c.put(tile["b"], 40, false, false)
 	if _, ok := c.get(tile["a"]); !ok {

@@ -26,7 +26,7 @@ output H
 `
 
 // offGridOps returns how many allocations dfs has made resolving a tile
-// address off its matrix's declared grid (dfs.offGrid) since the process
+// address off its matrix's declared grid (dfs.FS.offGrid) since the process
 // began, as the memory profile saw them once two collections publish the
 // latest. At runtime.MemProfileRate 1 it sees each one, and every operation
 // on such an address allocates there, rendering the path of the ordinary
@@ -49,7 +49,7 @@ func offGridOps() int64 {
 		frames := runtime.CallersFrames(recs[i].Stack())
 		for {
 			f, more := frames.Next()
-			if f.Function == "cumulon/internal/dfs.offGrid" {
+			if f.Function == "cumulon/internal/dfs.(*FS).offGrid" {
 				total += recs[i].AllocObjects
 				break
 			}
@@ -90,7 +90,8 @@ func TestRunsDeclareTheirGrids(t *testing.T) {
 	runtime.MemProfileRate = 1
 	before := offGridOps()
 	b := dfs.New(dfs.DefaultConfig(2)).Batch()
-	err := b.Write(dfs.TileAddr{Matrix: "probe"}, []byte{1}, 0)
+	b.Bind(0, "probe")
+	err := b.Write(dfs.TileAddr{Matrix: 0}, []byte{1}, 0)
 	b.Done()
 	if err != nil {
 		t.Fatal(err)

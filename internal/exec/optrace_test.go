@@ -9,6 +9,7 @@ import (
 
 	"cumulon/internal/compute"
 	"cumulon/internal/core"
+	"cumulon/internal/dfs"
 	"cumulon/internal/exec"
 	"cumulon/internal/plan"
 	"cumulon/internal/workloads"
@@ -16,14 +17,28 @@ import (
 
 // traceBackend is a backend that renders every result the engine fetches,
 // in the order the engine fetches them: each op's kind, format, tile path
-// and size or payload digest, and the task's flops.
+// and size or payload digest, and the task's flops. A tile's path is
+// rendered from its matrix's name in the plan the tasks come from: a plan
+// matrix's by its number, a k-split partial's from its phase's partials.
 type traceBackend struct {
 	compute.Backend
+	pl  *plan.Plan
 	out bytes.Buffer
 }
 
 func (b *traceBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
 	fetch, release := b.Backend.RunBatch(ts)
+	name := func(num int32) string {
+		if int(num) < len(b.pl.Names) {
+			return b.pl.Names[num]
+		}
+		for _, p := range ts[0].Phase.Partials {
+			if p.Num == num {
+				return p.Name
+			}
+		}
+		panic(fmt.Sprintf("matrix number %d names nothing in the plan", num))
+	}
 	return func(i int) (*compute.Result, error) {
 		res, err := fetch(i)
 		if err != nil {
@@ -35,7 +50,7 @@ func (b *traceBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, 
 			if op.Write {
 				kind = "W"
 			}
-			fmt.Fprintf(&b.out, "%s %v %s %d", kind, op.Sparse, op.Tile.Path(), op.Size)
+			fmt.Fprintf(&b.out, "%s %v %s %d", kind, op.Sparse, dfs.TilePath(name(op.Tile.Matrix), op.Tile.TI, op.Tile.TJ), op.Size)
 			if op.Data != nil {
 				fmt.Fprintf(&b.out, " %x", sha256.Sum256(op.Data))
 			}
@@ -82,6 +97,7 @@ func TestOpTracesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl.AutoSplit(8)
+		be.pl = pl
 		for _, j := range pl.Jobs {
 			if j.Split.CK > 1 {
 				kSplits++

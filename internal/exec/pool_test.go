@@ -46,11 +46,21 @@ func TestCorruptTileFailsTaskThroughPooledDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		flipTile(t, e.FS(), dfs.TileAddr{Matrix: "V", TI: 1, TJ: 1})
+		flipTile(t, e.FS(), inputTile(pl, "V", 1, 1))
 		if _, err := e.Run(pl); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("sparse=%v: run over a corrupted tile returned %v, want store.ErrCorrupt", sparse, err)
 		}
 	}
+}
+
+// inputTile returns the address of tile (ti, tj) of pl's input name.
+func inputTile(pl *plan.Plan, name string, ti, tj int) dfs.TileAddr {
+	for _, in := range pl.Inputs {
+		if in.Name == name {
+			return in.Tile(ti, tj)
+		}
+	}
+	panic("no input " + name)
 }
 
 // replaceTile stores data as the tile at a in place of the one there: stored
@@ -117,7 +127,7 @@ func TestInPlaceCorruptionFailsSharedRead(t *testing.T) {
 		var e *Engine
 		be := &afterFirstTask{Backend: compute.NewSequential(), then: func() {
 			for tj := 0; tj < 3; tj++ {
-				raw, err := e.FS().PeekTile(dfs.TileAddr{Matrix: "A", TJ: int32(tj)})
+				raw, err := e.FS().PeekTile(dfs.TileAddr{Matrix: 0, TJ: int32(tj)}) // A is input 0
 				if err != nil {
 					t.Error(err)
 					return
@@ -178,9 +188,8 @@ func TestMisshapenDenseTileFailsTask(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			a := dfs.TileAddr{Matrix: "V", TI: 1, TJ: 1}
-			replaceTile(t, e.FS(), a, store.EncodeTile(linalg.RandomDense(2, 8, 4).TileAt(0, 0, 8)))
-			if _, err := e.Run(pl); err == nil || !strings.Contains(err.Error(), "tile "+a.Path()+" is stored 2x8, want 4x4") {
+			replaceTile(t, e.FS(), inputTile(pl, "V", 1, 1), store.EncodeTile(linalg.RandomDense(2, 8, 4).TileAt(0, 0, 8)))
+			if _, err := e.Run(pl); err == nil || !strings.Contains(err.Error(), "tile /matrix/V/1_1 is stored 2x8, want 4x4") {
 				t.Errorf("%s (backend %T): run over a misshapen tile returned %v, want the stored-shape mismatch", stmt, be, err)
 			}
 		}
@@ -198,9 +207,13 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	first := store.EncodeTile(linalg.RandomDense(4, 4, 1).TileAt(0, 0, 4))
 	second := store.EncodeTile(linalg.RandomDense(4, 4, 2).TileAt(0, 0, 4))
 	wantFirst, wantSecond := append([]byte(nil), first...), append([]byte(nil), second...)
+	x := store.Meta{Name: "X", Rows: 4, Cols: 8, TileSize: 4}
+	b := e.FS().Batch()
+	b.Bind(x.Num, x.Name)
+	b.Done()
 	res := &compute.Result{Ops: []compute.Op{
-		{Write: true, Tile: dfs.TileAddr{Matrix: "X", TI: 0, TJ: 0}, Data: first},
-		{Write: true, Tile: dfs.TileAddr{Matrix: "X", TI: 0, TJ: 1}, Data: second},
+		{Write: true, Tile: x.Tile(0, 0), Data: first},
+		{Write: true, Tile: x.Tile(0, 1), Data: second},
 	}}
 	replaceTile(t, e.FS(), res.Ops[1].Tile, []byte("in the way"))
 	if _, err := e.applyResult(res, 1); err == nil {
@@ -209,7 +222,7 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	if _, err := e.FS().PeekTile(res.Ops[0].Tile); !errors.Is(err, dfs.ErrNotFound) {
 		t.Fatal("the failed attempt's partial write was not rolled back")
 	}
-	b := e.FS().Batch()
+	b = e.FS().Batch()
 	b.Delete(res.Ops[1].Tile)
 	b.Done()
 	if _, err := e.applyResult(res, 2); err != nil {
@@ -280,7 +293,7 @@ func TestAbandonedPhaseStopsComputing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flipTile(t, e.FS(), dfs.TileAddr{Matrix: "V"})
+	flipTile(t, e.FS(), inputTile(pl, "V", 0, 0))
 
 	before := runtime.NumGoroutine()
 	_, err = e.Run(pl)

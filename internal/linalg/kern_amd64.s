@@ -61,6 +61,9 @@ TEXT ·gemmKernelAVX2(SB), NOSPLIT, $0-88
 	VMOVUPD (R11), Y6
 	VMOVUPD 32(R11), Y7
 
+	// Each hot loop head sits at 0 mod 64 whatever is linked before it
+	// (CI checks the built perf binary): its speed does not depend on layout.
+	PCALIGN $64
 loop:
 	VMOVUPD      (DI), Y8
 	VMOVUPD      32(DI), Y9
@@ -117,6 +120,7 @@ TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 	SHRQ         $2, CX
 	JZ           axpytail
 
+	PCALIGN $64
 axpyloop:
 	VMULPD  (SI), Y0, Y1
 	VADDPD  (DI), Y1, Y1
@@ -177,6 +181,7 @@ TEXT ·compactAVX2(SB), NOSPLIT, $0-88
 	SHRQ    $2, CX
 	JZ      compactdone
 
+	PCALIGN $64
 compactloop:
 	PREFETCHT0 (SI)(R10*1)
 	VMOVUPD   (SI), Y1

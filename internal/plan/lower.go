@@ -86,6 +86,7 @@ func Compile(p *lang.Program, cfg Config) (*Plan, error) {
 				m.Density = 1
 			}
 		}
+		l.number(&m)
 		l.metaEnv[in.Name] = m
 		l.plan.Inputs = append(l.plan.Inputs, m)
 	}
@@ -104,6 +105,13 @@ func Compile(p *lang.Program, cfg Config) (*Plan, error) {
 		l.plan.Outputs[o] = l.metaEnv[o]
 	}
 	l.plan.Rewrites = rewrites
+	// A k-split product's partial c takes number len(Names) + c whatever its
+	// job: a job's partials exist only while it runs, so no two matrices
+	// that exist at once share a number, and a partial's number is the same
+	// in every clone, whatever the splits.
+	for _, j := range l.plan.Jobs {
+		j.partials = int32(len(l.plan.Names))
+	}
 	// Compile the fused element-wise pipelines last: lowerMask mutates
 	// jobs after they are added, so the tapes must only be built once
 	// every job has its final shape.
@@ -130,8 +138,18 @@ func (l *lowerer) shapeEnv() map[string]lang.Shape {
 	return env
 }
 
+// newMeta returns the meta of a matrix a job is to write, numbered.
 func (l *lowerer) newMeta(name string, rows, cols int) store.Meta {
-	return store.Meta{Name: name, Rows: rows, Cols: cols, TileSize: l.cfg.TileSize}
+	m := store.Meta{Name: name, Rows: rows, Cols: cols, TileSize: l.cfg.TileSize}
+	l.number(&m)
+	return m
+}
+
+// number gives m, an input or a job's output, the plan's next matrix
+// number, which every copy of the meta carries: its index in Names.
+func (l *lowerer) number(m *store.Meta) {
+	m.Num = int32(len(l.plan.Names))
+	l.plan.Names = append(l.plan.Names, m.Name)
 }
 
 func (l *lowerer) tmpMeta(rows, cols int) store.Meta {
@@ -167,7 +185,6 @@ func (l *lowerer) lowerAssign(si int, st lang.Assign) error {
 		return err
 	}
 	l.versions[st.Name]++
-	outMeta := l.newMeta(fmt.Sprintf("%s#%d", st.Name, l.versions[st.Name]), sh.Rows, sh.Cols)
 	label := fmt.Sprintf("s%d/%s", si, st.Name)
 
 	if root, ok := e.(lang.Mask); ok {
@@ -176,6 +193,7 @@ func (l *lowerer) lowerAssign(si int, st lang.Assign) error {
 		}
 		return nil
 	}
+	outMeta := l.newMeta(fmt.Sprintf("%s#%d", st.Name, l.versions[st.Name]), sh.Rows, sh.Cols)
 	if hasMask(e) {
 		return fmt.Errorf("plan: statement %d: mask(...) is only supported as the whole right-hand side", si)
 	}

@@ -140,6 +140,10 @@ type Job struct {
 
 	// KSize is the shared (inner) dimension of a Mul job in elements.
 	KSize int
+
+	// partials is the number of the job's first k-split partial, the same
+	// for every job (Compile).
+	partials int32
 }
 
 // ITiles returns the output tile-grid row count.
@@ -171,6 +175,10 @@ type Plan struct {
 	Inputs []store.Meta
 	// Outputs maps each program output variable to its final stored matrix.
 	Outputs map[string]store.Meta
+	// Names lists the plan's matrices by number: Names[m.Num] is m.Name for
+	// every stored matrix the plan names but the k-split partials, which
+	// take the numbers from len(Names) up (Phase.Partials). Clones share it.
+	Names []string
 	// Rewrites reports what the cross-statement CSE/hoisting pass removed
 	// from the program before lowering (nil when the pass was disabled or
 	// found nothing).

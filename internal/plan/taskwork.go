@@ -30,8 +30,8 @@ type Phase struct {
 	Kind    PhaseKind
 	I, J, K []Span
 	// Partials are a k-split product's dense partial matrices, named
-	// <out>~p<c>: what task k of its MulPhase writes and its AggPhase sums.
-	// nil without a k-split.
+	// <out>~p<c> and numbered from len(Plan.Names) up: what task k of its
+	// MulPhase writes and its AggPhase sums. nil without a k-split.
 	Partials []store.Meta
 }
 
@@ -54,17 +54,17 @@ func (j *Job) Phases() []Phase {
 	if len(K) == 1 {
 		return []Phase{{Kind: MulPhase, I: I, J: J, K: K}}
 	}
-	partials := partialsOf(j.Out, len(K))
+	partials := partialsOf(j.Out, j.partials, len(K))
 	return []Phase{
 		{Kind: MulPhase, I: I, J: J, K: K, Partials: partials},
 		{Kind: AggPhase, I: I, J: J, K: []Span{{0, j.KTiles()}}, Partials: partials},
 	}
 }
 
-// partialsOf returns the n partials of out, <out>~p0 … <out>~p<n-1>, dense
-// whatever out is, their names cut from one string: a split sweep profiles
-// hundreds of k-splits.
-func partialsOf(out store.Meta, n int) []store.Meta {
+// partialsOf returns the n partials of out, <out>~p0 … <out>~p<n-1>,
+// numbered from first, dense whatever out is, their names cut from one
+// string: a split sweep profiles hundreds of k-splits.
+func partialsOf(out store.Meta, first int32, n int) []store.Meta {
 	b := make([]byte, 0, n*(len(out.Name)+6))
 	for c := range n {
 		b = strconv.AppendInt(append(append(b, out.Name...), "~p"...), int64(c), 10)
@@ -75,6 +75,7 @@ func partialsOf(out store.Meta, n int) []store.Meta {
 		w := len(out.Name) + 2 + len(strconv.AppendInt(digits[:0], int64(c), 10))
 		ps[c] = out
 		ps[c].Name, ps[c].Sparse, names = names[:w], false, names[w:]
+		ps[c].Num = first + int32(c)
 	}
 	return ps
 }

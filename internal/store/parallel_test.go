@@ -47,7 +47,7 @@ func ingestAndFetch(t *testing.T, budget int, m Meta, d *linalg.Dense) ingested 
 				t.Fatal(err)
 			}
 			_, reps, _ := b.Placement(a)
-			got.paths = append(got.paths, a.Path())
+			got.paths = append(got.paths, m.TilePath(ti, tj))
 			got.payloads, got.replicas = append(got.payloads, raw), append(got.replicas, reps)
 		}
 	}

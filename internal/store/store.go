@@ -39,6 +39,10 @@ type Meta struct {
 	Rows, Cols int
 	TileSize   int
 	Sparse     bool
+	// Num is the matrix's number in its plan (plan.Compile): what its tile
+	// addresses carry in place of Name, once a file system binds it (Bind,
+	// Declare).
+	Num int32
 	// Density estimates the nonzero fraction of a sparse matrix; it feeds
 	// I/O size estimation in the cost models. Zero or out-of-range values
 	// are treated as 1 (fully dense). Dense matrices ignore it.
@@ -65,15 +69,19 @@ func (m Meta) TileShape(ti, tj int) (rows, cols int) {
 }
 
 // Tile returns the DFS address of tile (ti, tj) of the matrix, the one name
-// the tile has: it is read, written and located by address, and Path renders
-// the address as text, dfs.MatrixRoot + m.Name + "/<ti>_<tj>".
+// the tile has: it is read, written and located by address, the matrix by
+// its number.
 func (m Meta) Tile(ti, tj int) dfs.TileAddr {
-	return dfs.TileAddr{Matrix: m.Name, TI: int32(ti), TJ: int32(tj)}
+	return dfs.TileAddr{Matrix: m.Num, TI: int32(ti), TJ: int32(tj)}
 }
 
-// Declare makes the matrix's DFS directory at its tile grid in b: the cells
-// its tiles are written into (dfs.Batch.Declare).
-func (m Meta) Declare(b *dfs.Batch) { b.Declare(m.Name, m.TileRows(), m.TileCols()) }
+// TilePath renders the path of tile (ti, tj) of the matrix, dfs.MatrixRoot +
+// m.Name + "/<ti>_<tj>": its name as text, for the edges.
+func (m Meta) TilePath(ti, tj int) string { return dfs.TilePath(m.Name, int32(ti), int32(tj)) }
+
+// Declare binds the matrix's number to it in b and makes its DFS directory
+// at its tile grid: the cells its tiles are written into (dfs.Batch.Declare).
+func (m Meta) Declare(b *dfs.Batch) { b.Declare(m.Num, m.Name, m.TileRows(), m.TileCols()) }
 
 // EffDensity returns the density used for size estimation: the declared
 // density for sparse matrices (defaulting to 1 when unset), 1 for dense.
@@ -171,6 +179,7 @@ func (s *Store) LoadDense(m Meta, node int) (*linalg.Dense, error) {
 	tileCols := m.TileCols()
 	raws := make([][]byte, m.TileRows()*tileCols)
 	b := s.FS.Batch()
+	b.Bind(m.Num, m.Name)
 	var err error
 	for i := 0; i < len(raws) && err == nil; i++ {
 		raws[i], err = b.Read(m.Tile(i/tileCols, i%tileCols), node)

@@ -29,11 +29,11 @@ func TestMetaGeometry(t *testing.T) {
 	}
 }
 
-// A tile address's path is the DFS naming convention every listing and
+// A tile's path is the DFS naming convention every listing and
 // checkpoint manifest depends on; it is built by hand rather than with fmt,
 // so the format is pinned here.
 func TestTilePathFormat(t *testing.T) {
-	long := "a-matrix-name-longer-than-the-sixty-four-byte-stack-buffer-of-Path~p12"
+	long := "a-matrix-name-longer-than-the-sixty-four-byte-stack-buffer-of-TilePath~p12"
 	cases := []struct {
 		name   string
 		ti, tj int
@@ -48,12 +48,12 @@ func TestTilePathFormat(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := Meta{Name: c.name}
-		if got := m.Tile(c.ti, c.tj).Path(); got != c.want {
-			t.Errorf("Tile(%d, %d).Path() of %q = %q, want %q", c.ti, c.tj, c.name, got, c.want)
+		if got := m.TilePath(c.ti, c.tj); got != c.want {
+			t.Errorf("TilePath(%d, %d) of %q = %q, want %q", c.ti, c.tj, c.name, got, c.want)
 		}
 	}
 	m := Meta{Name: "W#12"}
-	if n := testing.AllocsPerRun(100, func() { tilePathSink = m.Tile(31, 407).Path() }); n > 1 {
+	if n := testing.AllocsPerRun(100, func() { tilePathSink = m.TilePath(31, 407) }); n > 1 {
 		t.Errorf("Path allocates %v times per call, want at most 1", n)
 	}
 }

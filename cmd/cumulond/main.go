@@ -26,51 +26,44 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	// The flags spell a server.Config; their defaults are its own, a zero
+	// Config's once normalized.
+	cfg := server.Config{}.WithDefaults()
 	fs := flag.NewFlagSet("cumulond", flag.ContinueOnError)
 	fs.SetOutput(out)
 	addr := fs.String("addr", "127.0.0.1:8470", "listen address (use :0 for a random port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (for scripts that use -addr :0)")
-	machine := fs.String("machine", "m1.large", "machine type of the shared simulated cluster")
-	nodes := fs.Int("nodes", 16, "node capacity of the shared cluster")
-	slots := fs.Int("slots", 2, "default task slots per node")
-	seed := fs.Int64("seed", 42, "default seed for jobs that do not supply one")
-	workers := fs.Int("workers", 0, "tasks a materialized job computes at once (0 = the host's compute budget, shared by all jobs; 1 = sequential)")
+	fs.StringVar(&cfg.Machine, "machine", cfg.Machine, "machine type of the shared simulated cluster")
+	fs.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "node capacity of the shared cluster")
+	fs.IntVar(&cfg.Slots, "slots", cfg.Slots, "default task slots per node")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "default seed for jobs that do not supply one")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "tasks a materialized job computes at once (0 = the host's compute budget, shared by all jobs; 1 = sequential)")
 	weights := fs.String("weights", "", "fair-share weights as tenant=w pairs, e.g. \"analytics=3,adhoc=1\"")
-	aging := fs.Float64("aging", 1, "service units per second a waiting job's rank improves by")
-	boost := fs.Float64("priority-boost", 100, "service units of head start per priority point")
-	reserve := fs.Float64("reserve-after", 60, "seconds before a wide job blocks backfilling (starvation bound)")
-	maxQueue := fs.Int("max-queue", 1024, "admission queue bound (429 beyond it)")
-	cacheSize := fs.Int("cache-size", 256, "plan+deployment cache entry bound (LRU eviction beyond it)")
-	jobHistory := fs.Int("job-history", 512, "terminal jobs retained before the oldest are pruned")
-	artifactHistory := fs.Int("artifact-history", 64, "finished jobs that keep retained trace/critpath/metrics/explain artifacts")
-	eventBuffer := fs.Int("event-buffer", 4096, "per-job event ring-buffer size")
-	stateDir := fs.String("state-dir", "", "durable state directory: job-store journal plus program checkpoints; a restarted server recovers its job history and resumes in-flight jobs")
-	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.Float64Var(&cfg.Sched.AgingRate, "aging", cfg.Sched.AgingRate, "service units per second a waiting job's rank improves by")
+	fs.Float64Var(&cfg.Sched.PriorityBoost, "priority-boost", cfg.Sched.PriorityBoost, "service units of head start per priority point")
+	fs.Float64Var(&cfg.Sched.ReserveAfterSec, "reserve-after", cfg.Sched.ReserveAfterSec, "seconds before a wide job blocks backfilling (starvation bound)")
+	fs.IntVar(&cfg.MaxQueue, "max-queue", cfg.MaxQueue, "admission queue bound (429 beyond it)")
+	fs.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "plan+deployment cache entry bound (LRU eviction beyond it)")
+	fs.IntVar(&cfg.JobHistory, "job-history", cfg.JobHistory, "terminal jobs retained before the oldest are pruned")
+	fs.IntVar(&cfg.ArtifactHistory, "artifact-history", cfg.ArtifactHistory, "finished jobs that keep retained trace/critpath/metrics/explain artifacts")
+	fs.IntVar(&cfg.EventBuffer, "event-buffer", cfg.EventBuffer, "per-job event ring-buffer size")
+	fs.StringVar(&cfg.StateDir, "state-dir", cfg.StateDir, "durable state directory: job-store journal plus program checkpoints; a restarted server recovers its job history and resumes in-flight jobs")
+	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "mount net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	if *workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	if cfg.Workers < 0 {
+		return fmt.Errorf("-workers must be >= 0, got %d", cfg.Workers)
 	}
-	w, err := parseWeights(*weights)
-	if err != nil {
+	var err error
+	if cfg.Sched.Weights, err = parseWeights(*weights); err != nil {
 		return err
 	}
 
-	srv, err := server.New(server.Config{
-		Machine: *machine, Nodes: *nodes, Slots: *slots,
-		Seed: *seed, Workers: *workers, MaxQueue: *maxQueue,
-		CacheSize: *cacheSize, JobHistory: *jobHistory,
-		ArtifactHistory: *artifactHistory, EventBuffer: *eventBuffer,
-		Pprof: *pprofFlag, StateDir: *stateDir,
-		Sched: server.SchedConfig{
-			Weights: w, AgingRate: *aging,
-			PriorityBoost: *boost, ReserveAfterSec: *reserve,
-		},
-	})
+	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -87,7 +80,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "cumulond listening on http://%s (machine %s, %d nodes, seed %d)\n",
-		bound, *machine, *nodes, *seed)
+		bound, cfg.Machine, cfg.Nodes, cfg.Seed)
 	// Bound how long a client may take to send a request. No WriteTimeout:
 	// SSE streams and long-polls are legitimately long responses.
 	hs := &http.Server{

@@ -372,11 +372,10 @@ func (s *Suite) E20FaultRecovery() (*Result, error) {
 				return nil, err
 			}
 		}
-		before := eng.FS().Stats(-1).ReplicationBytes
+		var rerepl int64
 		for n := 0; n < dead; n++ {
-			eng.FS().KillNode(n)
+			rerepl += eng.FS().KillNode(n).BytesMoved
 		}
-		rerepl := eng.FS().Stats(-1).ReplicationBytes - before
 		m, err := eng.Run(pl)
 		completed := err == nil
 		secs := 0.0

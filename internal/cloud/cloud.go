@@ -59,6 +59,16 @@ func (m MachineType) TaskSeconds(slots int, flops, localBytes, netBytes int64) f
 	return startup + cpu + disk + net
 }
 
+// DiskNet folds a task's bytes into the two traffic features TaskSeconds
+// takes: local reads and writes load the local disk; rack-local reads,
+// remote reads weighted by the cross-rack penalty, and the repl−1 replica
+// streams of every written byte load the network. The engine's durations
+// and their breakdown, the model's observations and the simulator's
+// predictions all fold a task's bytes here.
+func DiskNet(local, rack, remote, write int64, penalty float64, repl int64) (disk, net int64) {
+	return local + write, rack + int64(float64(remote)*penalty) + write*(repl-1)
+}
+
 // TaskBreakdown returns the additive components of TaskSeconds — fixed
 // startup, CPU time, local-disk time and network time — so observability
 // and the critical-path analyzer can attribute where a task's virtual

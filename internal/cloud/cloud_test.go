@@ -151,3 +151,29 @@ func TestFasterMachineFasterTasks(t *testing.T) {
 		t.Fatal("c1.xlarge should beat m1.small on the same task")
 	}
 }
+
+// DiskNet: local reads and writes load the disk; rack-local reads load the
+// network as they are, remote reads weighted by the cross-rack penalty, and
+// each written byte adds one network stream per extra replica.
+func TestDiskNet(t *testing.T) {
+	cases := []struct {
+		name                       string
+		local, rack, remote, write int64
+		penalty                    float64
+		repl                       int64
+		disk, net                  int64
+	}{
+		{"local reads only", 700, 0, 0, 0, 2, 3, 700, 0},
+		{"rack reads ignore the penalty", 0, 100, 0, 0, 2, 3, 0, 100},
+		{"remote reads carry the penalty", 0, 0, 100, 0, 1.5, 3, 0, 150},
+		{"writes stream repl-1 copies", 0, 0, 0, 10, 1, 3, 10, 20},
+		{"a single replica stays local", 0, 0, 0, 10, 1, 1, 10, 0},
+		{"all at once", 5, 7, 11, 13, 2, 2, 18, 7 + 22 + 13},
+	}
+	for _, c := range cases {
+		disk, net := DiskNet(c.local, c.rack, c.remote, c.write, c.penalty, c.repl)
+		if disk != c.disk || net != c.net {
+			t.Errorf("%s: DiskNet = (%d, %d), want (%d, %d)", c.name, disk, net, c.disk, c.net)
+		}
+	}
+}

@@ -8,12 +8,13 @@
 //   - locality-aware reads: a reader on a node holding a replica reads
 //     locally, otherwise remotely (the distinction drives both scheduling
 //     and the I/O cost model);
-//   - byte-level accounting of local vs. remote traffic per node;
+//   - every read's bytes classified by distance from the reader (a
+//     ReadSplit), which the engine keeps in its per-task records;
 //   - datanode failure with re-replication, so that the engines' retry
 //     paths can be exercised.
 //
-// Data is held in memory: the simulation is about placement, locality and
-// accounting, not about durability of real disks.
+// Data is held in memory: the simulation is about placement and locality,
+// not about durability of real disks.
 package dfs
 
 import (
@@ -148,17 +149,6 @@ type block struct {
 	replicas []int32 // datanode ids holding this block
 }
 
-// IOStats aggregates byte counters; one instance exists per node plus one
-// cluster-wide total. The three read classes are disjoint: node-local,
-// rack-local (non-local, same rack) and remote (cross-rack).
-type IOStats struct {
-	LocalReadBytes     int64
-	RackLocalReadBytes int64
-	RemoteReadBytes    int64
-	WrittenBytes       int64 // bytes of primary (first-replica) writes
-	ReplicationBytes   int64 // bytes of extra replica traffic
-}
-
 // FS is the simulated distributed file system. All methods are safe for
 // concurrent use.
 type FS struct {
@@ -171,11 +161,9 @@ type FS struct {
 	// which stays until DeleteMatrix. A point lookup allocates nothing, a
 	// matrix drop at most its key; a prefix operation visits the directory
 	// names and the files of the one directory the prefix may end inside.
-	dirs  map[string]*dir
-	dead  []bool    // per node
-	live  []int     // live node ids, ascending; rebuilt by markDead only
-	stats []IOStats // per node
-	total IOStats
+	dirs map[string]*dir
+	dead []bool // per node
+	live []int  // live node ids, ascending; rebuilt by markDead only
 	// used and cands are the scratch of fillReplicaTargets, so placing a
 	// block allocates at most its replica list (nothing for an inline one).
 	used  []bool
@@ -216,7 +204,6 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 		dirs:  make(map[string]*dir),
 		dead:  make([]bool, cfg.Nodes),
 		live:  make([]int, cfg.Nodes),
-		stats: make([]IOStats, cfg.Nodes),
 		used:  make([]bool, cfg.Nodes),
 		cands: make([]int, 0, cfg.Nodes),
 	}
@@ -227,9 +214,9 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 	return fs
 }
 
-// Fork returns a file system with fs's namespace, matrix bindings, node
-// states and I/O counters that places every later write from rng; from then
-// on the two are independent. They share the directories themselves,
+// Fork returns a file system with fs's namespace, matrix bindings and node
+// states that places every later write from rng; from then on the two are
+// independent. They share the directories themselves,
 // copy-on-write: a shared directory is never changed again, and the first
 // write, delete or re-replication either side makes in it copies it first,
 // and points that side's bindings at the copy — so a fork costs the
@@ -245,10 +232,9 @@ func (fs *FS) Fork(rng *rand.Rand) *FS {
 		}
 	}
 	f := NewOn(fs.cfg, rng)
-	f.dirs, f.live, f.total = maps.Clone(fs.dirs), append(f.live[:0], fs.live...), fs.total
+	f.dirs, f.live = maps.Clone(fs.dirs), append(f.live[:0], fs.live...)
 	f.tab = slices.Clone(fs.tab)
 	copy(f.dead, fs.dead)
-	copy(f.stats, fs.stats)
 	return f
 }
 
@@ -390,9 +376,7 @@ func (fs *FS) write(s slot, data []byte, size int64, virt bool, writerNode int) 
 	if size <= fs.cfg.BlockSize && fs.cfg.Replication <= len(c.rep) && fs.cfg.Nodes <= math.MaxUint16+1 {
 		// One block, whose replicas c.rep holds.
 		var buf [3]int32
-		reps := fs.placeReplicas(buf[:0], writerNode)
-		fs.accountWrite(size, reps)
-		c.inline(reps)
+		c.inline(fs.placeReplicas(buf[:0], writerNode))
 		c.p = unsafe.Pointer(unsafe.SliceData(data))
 		fs.put(s, c)
 		return nil
@@ -405,21 +389,10 @@ func (fs *FS) write(s slot, data []byte, size int64, virt bool, writerNode int) 
 			b.data = data[off:end:end]
 		}
 		bs = append(bs, b)
-		fs.accountWrite(b.size, b.replicas)
 	}
 	c.setBlocks(bs)
 	fs.put(s, c)
 	return nil
-}
-
-func (fs *FS) accountWrite(size int64, replicas []int32) {
-	primary := replicas[0]
-	fs.stats[primary].WrittenBytes += size
-	fs.total.WrittenBytes += size
-	for _, r := range replicas[1:] {
-		fs.stats[r].ReplicationBytes += size
-		fs.total.ReplicationBytes += size
-	}
 }
 
 // ReadSplit classifies the bytes of a read by distance from the reader:
@@ -437,8 +410,8 @@ func (r ReadSplit) Total() int64 { return r.Local + r.RackLocal + r.Remote }
 
 // classify determines the read class of a block of size bytes for
 // readerNode (-1 for an external client) from its replicas on live nodes and
-// accounts it, or reports false, accounting nothing, when it has none;
-// caller holds the lock.
+// adds it to sp, or reports false, adding nothing, when it has none; caller
+// holds the lock.
 func (fs *FS) classify(size int64, replicas []int32, readerNode int, sp *ReadSplit) bool {
 	live, rackLocal := false, false
 	for _, r := range replicas {
@@ -447,8 +420,6 @@ func (fs *FS) classify(size int64, replicas []int32, readerNode int, sp *ReadSpl
 			continue
 		case int(r) == readerNode:
 			sp.Local += size
-			fs.stats[readerNode].LocalReadBytes += size
-			fs.total.LocalReadBytes += size
 			return true
 		}
 		live = true
@@ -459,20 +430,14 @@ func (fs *FS) classify(size int64, replicas []int32, readerNode int, sp *ReadSpl
 		return false
 	case rackLocal:
 		sp.RackLocal += size
-		fs.stats[readerNode].RackLocalReadBytes += size
-		fs.total.RackLocalReadBytes += size
 	default:
 		sp.Remote += size
-		if readerNode >= 0 {
-			fs.stats[readerNode].RemoteReadBytes += size
-		}
-		fs.total.RemoteReadBytes += size
 	}
 	return true
 }
 
-// ReadAccount performs the placement, locality and byte accounting of a
-// read without returning content, and reports how the bytes split by
+// ReadAccount performs the placement and locality checks of a read without
+// returning content, and reports how the bytes split by
 // distance from readerNode. It works for both real and virtual files and
 // is the read path the engines use for timing.
 func (fs *FS) ReadAccount(path string, readerNode int) (ReadSplit, error) {
@@ -490,11 +455,10 @@ func (s *slot) find() (cell, error) {
 	return cell{}, fmt.Errorf("%w: %s", ErrNotFound, s.pathname())
 }
 
-// readAccount classifies and accounts a read of every block of the file in
+// readAccount classifies a read of every block of the file in
 // slot s by readerNode. A reader id outside [0, Nodes) — negative, or one past the
 // cluster from a stale topology — is an external client, as for writes: its
-// bytes are remote and charged to the cluster total only. Caller holds the
-// lock.
+// bytes are remote. Caller holds the lock.
 func (fs *FS) readAccount(s *slot, readerNode int) (ReadSplit, error) {
 	var sp ReadSplit
 	c, err := s.find()
@@ -629,12 +593,12 @@ func (fs *FS) read(s slot, readerNode int) ([]byte, ReadSplit, error) {
 	return c.contents(), sp, nil
 }
 
-// Peek returns the file contents without performing any read accounting,
-// locality classification or liveness check of the reader. Compute
+// Peek returns the file contents without any locality classification or
+// liveness check of the reader. Compute
 // backends use it to fetch tile payloads for pure computation, while the
-// engine separately replays the read for placement and byte accounting;
+// engine separately replays the read for placement and its byte split;
 // splitting the two is what lets tile math run on worker goroutines while
-// the accounting stays deterministic. Blocks whose every replica is dead
+// the classification stays deterministic. Blocks whose every replica is dead
 // are unavailable, exactly as for Batch.Read, and the returned bytes are the
 // same read-only view Batch.Read returns.
 func (fs *FS) Peek(path string) ([]byte, error) {
@@ -721,9 +685,8 @@ type RecoveryReport struct {
 // replica, using the remaining live copies as sources (namenode-driven
 // recovery, as in HDFS). Targets are chosen by the same rack-aware policy
 // as fresh writes, spread randomly rather than piling onto low-numbered
-// nodes, and each copy charges a read on a surviving source replica
-// (rack-local or remote by topology) as well as the replication write on
-// the receiver. Blocks whose every replica was on dead nodes become
+// nodes, and each copy is read from a surviving source replica drawn at
+// random; the report counts the bytes copied. Blocks whose every replica was on dead nodes become
 // unavailable. Files are processed in sorted path order so the recovery
 // traffic is deterministic for a given placement history.
 func (fs *FS) KillNode(node int) RecoveryReport {
@@ -761,17 +724,8 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 			if len(grown) > len(live) {
 				rep.BlocksRecovered++
 			}
-			for _, dst := range grown[len(live):] {
-				src := live[fs.rng.Intn(len(live))]
-				if fs.cfg.RackSize > 0 && fs.RackOf(int(src)) == fs.RackOf(int(dst)) {
-					fs.stats[src].RackLocalReadBytes += size
-					fs.total.RackLocalReadBytes += size
-				} else {
-					fs.stats[src].RemoteReadBytes += size
-					fs.total.RemoteReadBytes += size
-				}
-				fs.stats[dst].ReplicationBytes += size
-				fs.total.ReplicationBytes += size
+			for range grown[len(live):] {
+				fs.rng.Intn(len(live)) // the source replica: later placements draw after it
 				rep.ReplicasAdded++
 				rep.BytesMoved += size
 			}
@@ -802,8 +756,7 @@ func (fs *FS) Reseed(seed int64) {
 	fs.rng = rand.New(rand.NewSource(seed))
 }
 
-// MarkDead marks a datanode dead without triggering re-replication or
-// accounting. Checkpoint restore uses it to reinstate the failure state
+// MarkDead marks a datanode dead without triggering re-replication. Checkpoint restore uses it to reinstate the failure state
 // recorded in a manifest before rehydrating tiles (whose recorded
 // placements already reflect any pre-checkpoint recovery).
 func (fs *FS) MarkDead(node int) {
@@ -879,15 +832,4 @@ func (fs *FS) NodeAlive(node int) bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return node >= 0 && node < fs.cfg.Nodes && !fs.dead[node]
-}
-
-// Stats returns the per-node counters for node, or the cluster-wide total
-// for node < 0.
-func (fs *FS) Stats(node int) IOStats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if node < 0 {
-		return fs.total
-	}
-	return fs.stats[node]
 }

@@ -68,21 +68,11 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 	if err := fs.Write("/a", data, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fs.readTracked("/a", 2); err != nil {
-		t.Fatal(err)
+	if _, sp, err := fs.readTracked("/a", 2); err != nil || sp != (ReadSplit{Local: 1000}) {
+		t.Fatalf("read by the holder: %+v, err %v", sp, err)
 	}
-	if got := fs.Stats(2).LocalReadBytes; got != 1000 {
-		t.Fatalf("local read bytes: %d", got)
-	}
-	if _, _, err := fs.readTracked("/a", 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Stats(3).RemoteReadBytes; got != 1000 {
-		t.Fatalf("remote read bytes: %d", got)
-	}
-	tot := fs.Stats(-1)
-	if tot.LocalReadBytes != 1000 || tot.RemoteReadBytes != 1000 {
-		t.Fatalf("totals: %+v", tot)
+	if _, sp, err := fs.readTracked("/a", 3); err != nil || sp != (ReadSplit{Remote: 1000}) {
+		t.Fatalf("read by another node: %+v, err %v", sp, err)
 	}
 }
 
@@ -267,18 +257,6 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	fs := New(DefaultConfig(3))
-	if err := fs.Write("/a", make([]byte, 100), 0); err != nil {
-		t.Fatal(err)
-	}
-	fs.ResetStats()
-	tot := fs.Stats(-1)
-	if tot.WrittenBytes != 0 || tot.ReplicationBytes != 0 {
-		t.Fatalf("stats not reset: %+v", tot)
-	}
-}
-
 func TestVirtualFiles(t *testing.T) {
 	fs := New(Config{Nodes: 4, Replication: 2, BlockSize: 100, Seed: 1})
 	if err := fs.WriteVirtual("/v", 250, 1); err != nil {
@@ -392,10 +370,6 @@ func TestRackLocalReadClassification(t *testing.T) {
 	if err != nil || sp.Remote != 1000 || sp.RackLocal != 0 {
 		t.Fatalf("node 5: %+v err %v", sp, err)
 	}
-	st := fs.Stats(1)
-	if st.RackLocalReadBytes != 1000 {
-		t.Fatalf("rack-local stats: %+v", st)
-	}
 }
 
 func TestSingleRackHasNoRackLocalReads(t *testing.T) {
@@ -436,7 +410,7 @@ func TestExternalWriterPastClusterTreatedAsClient(t *testing.T) {
 }
 
 // A reader id at or past Nodes is an external client, exactly like a writer
-// id there: its bytes are remote and charged to the cluster total only.
+// id there: its bytes are remote.
 func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 	for _, rackSize := range []int{0, 2} {
 		fs := New(Config{Nodes: 4, Replication: 2, Seed: 6, RackSize: rackSize})
@@ -446,7 +420,6 @@ func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 		if err := fs.WriteVirtual("/virt", 40, 2); err != nil {
 			t.Fatal(err)
 		}
-		fs.ResetStats()
 		sp, err := fs.ReadAccount("/virt", 4)
 		if err != nil || sp != (ReadSplit{Remote: 40}) {
 			t.Fatalf("ReadAccount by node 4 of 4: %+v, err %v", sp, err)
@@ -454,14 +427,6 @@ func TestExternalReaderPastClusterTreatedAsClient(t *testing.T) {
 		data, sp, err := fs.readTracked("/real", 100)
 		if err != nil || len(data) != 100 || sp != (ReadSplit{Remote: 100}) {
 			t.Fatalf("read by node 100 of 4: %d bytes, %+v, err %v", len(data), sp, err)
-		}
-		if got := fs.Stats(-1); got != (IOStats{RemoteReadBytes: 140}) {
-			t.Fatalf("cluster total %+v, want 140 remote bytes only", got)
-		}
-		for n := 0; n < 4; n++ {
-			if got := fs.Stats(n); got != (IOStats{}) {
-				t.Fatalf("node %d charged for an external read: %+v", n, got)
-			}
 		}
 	}
 }
@@ -503,30 +468,19 @@ func TestFirstReplicaNodeMatchesReplicaNodes(t *testing.T) {
 	check()
 }
 
-func TestKillNodeReportAndSourceCharging(t *testing.T) {
+func TestKillNodeReport(t *testing.T) {
 	fs := New(Config{Nodes: 6, Replication: 2, Seed: 8})
 	const size = 1000
 	if err := fs.WriteVirtual("/a", size, 1); err != nil {
 		t.Fatal(err)
 	}
 	nodes, _ := replicaNodes(fs, "/a")
-	survivor := nodes[1]
-	fs.ResetStats()
 	rep := fs.KillNode(nodes[0])
 	if rep.BlocksRecovered != 1 || rep.ReplicasAdded != 1 || rep.BytesMoved != size {
 		t.Fatalf("report: %+v", rep)
 	}
 	if rep.BlocksLost != 0 {
 		t.Fatalf("no block should be lost: %+v", rep)
-	}
-	// The copy reads size bytes off the surviving source and writes size
-	// bytes of replication traffic onto the new holder.
-	if got := fs.Stats(survivor).RemoteReadBytes; got != size {
-		t.Fatalf("source read bytes on node %d: %d", survivor, got)
-	}
-	tot := fs.Stats(-1)
-	if tot.RemoteReadBytes != size || tot.ReplicationBytes != size {
-		t.Fatalf("totals: %+v", tot)
 	}
 	// Killing an already-dead or out-of-range node is a no-op.
 	if rep := fs.KillNode(nodes[0]); rep != (RecoveryReport{}) {
@@ -582,17 +536,6 @@ func TestKillNodeLostBlocksCounted(t *testing.T) {
 	if rep.BlocksLost != 1 || rep.BlocksRecovered != 0 || rep.BytesMoved != 0 {
 		t.Fatalf("report: %+v", rep)
 	}
-}
-
-// ResetStats zeroes all I/O counters, keeping file contents, so a test
-// measures one phase of its run.
-func (fs *FS) ResetStats() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for i := range fs.stats {
-		fs.stats[i] = IOStats{}
-	}
-	fs.total = IOStats{}
 }
 
 // readTracked reads path as readerNode sees it, with the read accounted:

@@ -123,7 +123,7 @@ func tileExists(fs *FS, a TileAddr) bool {
 // forkView is everything a file system reports about its files and nodes,
 // tiles and ordinary files alike: the file count, each file's size, block
 // replicas and first live replica node in path order, and every node's
-// liveness and counters, plus the total.
+// liveness.
 func forkView(fs *FS) string {
 	var b strings.Builder
 	fs.mu.Lock()
@@ -134,8 +134,8 @@ func forkView(fs *FS) string {
 		fmt.Fprintf(&b, "%s %d %v first %d\n", s.path, c.size, c.replicaLists(), fs.firstReplica(c))
 	}
 	fs.mu.Unlock()
-	for n := -1; n < fs.cfg.Nodes; n++ {
-		fmt.Fprintf(&b, "node %d alive %v %+v\n", n, fs.NodeAlive(n), fs.Stats(n))
+	for n := 0; n < fs.cfg.Nodes; n++ {
+		fmt.Fprintf(&b, "node %d alive %v\n", n, fs.NodeAlive(n))
 	}
 	return b.String()
 }
@@ -217,7 +217,6 @@ func TestForkIsolation(t *testing.T) {
 		{"DeleteMatrix", func(fs *FS) error { fs.DeleteMatrix("m2"); return nil }},
 		{"Declare and write", func(fs *FS) error { return declareAndWrite(fs, "d") }},
 		{"Declare shared and write", func(fs *FS) error { return declareAndWrite(fs, "m1") }},
-		{"ResetStats", func(fs *FS) error { fs.ResetStats(); return nil }},
 	}
 	for _, cfg := range forkConfigs {
 		for _, op := range ops {

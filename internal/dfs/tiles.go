@@ -292,10 +292,9 @@ func (b *Batch) Placement(a TileAddr) (int64, [][]int, bool) {
 }
 
 // WritePlaced stores the tile at a with the given per-block replica lists,
-// bypassing placement randomness and write accounting: it is pure
-// bookkeeping, the restore half of checkpointing, reconstructing a tile
-// exactly where the checkpointed run had it. data may be nil for a virtual
-// tile of the given size. The replica lists must cover ceil(size/BlockSize)
+// bypassing placement randomness: it is pure bookkeeping, the restore half
+// of checkpointing, reconstructing a tile exactly where the checkpointed run
+// had it. data may be nil for a virtual tile of the given size. The replica lists must cover ceil(size/BlockSize)
 // blocks (minimum one) and be non-empty. Like Write, it takes ownership of
 // data: the payload is immutable from here on.
 func (b *Batch) WritePlaced(a TileAddr, data []byte, size int64, replicas [][]int) error {

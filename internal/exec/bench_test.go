@@ -159,9 +159,10 @@ output W
 output H
 `
 
-// benchVirtualRun times compiling src and running it virtually on a fresh
-// engine of nodes x 2 m1.large slots. With a memo, every run is served by
-// it, and one untimed run fills it first.
+// benchVirtualRun times running src virtually on a fresh engine of nodes x
+// 2 m1.large slots. It compiles src once, untimed, and each run executes a
+// Clone of that plan, as cumulond runs one from its plan cache. With a memo,
+// every run is served by it, and one untimed run fills it first.
 func benchVirtualRun(b *testing.B, nodes int, cfg plan.Config, src string, memo *compute.Memo) {
 	mt, err := cloud.TypeByName("m1.large")
 	if err != nil {
@@ -175,11 +176,12 @@ func benchVirtualRun(b *testing.B, nodes int, cfg plan.Config, src string, memo 
 	if err != nil {
 		b.Fatal(err)
 	}
+	tmpl, err := plan.Compile(prog, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	run := func(seed int64) {
-		pl, err := plan.Compile(prog, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pl := tmpl.Clone()
 		pl.AutoSplit(cl.TotalSlots())
 		ecfg := Config{Cluster: cl, Seed: seed}
 		if memo != nil {

@@ -173,9 +173,9 @@ func (e *Engine) writeCheckpoint(p *plan.Plan, pt ckptPoint, clock float64, m *R
 		}
 	}
 	// The checkpoint streams every tile back to durable storage; model it
-	// as one cluster-wide write of the checkpointed bytes at replication
-	// cost, serialized on the global clock (it is a barrier).
-	dur := e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, 0, tileBytes, tileBytes*(e.repl-1))
+	// as one task writing the checkpointed bytes at replication cost,
+	// serialized on the global clock (it is a barrier).
+	dur := e.baseTaskSeconds(&TaskRecord{WriteBytes: tileBytes})
 	end := clock + dur
 	if killAt := e.chaos.KillProgramAt(); killAt > 0 && end > killAt {
 		return 0, &ProgramKilled{At: killAt}

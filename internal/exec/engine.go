@@ -573,7 +573,7 @@ func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float6
 func (e *Engine) recordTaskSpan(pspan obs.SpanID, rec TaskRecord, res *compute.Result, notBefore float64) {
 	firstStart := rec.StartSec - rec.RecoverySec
 	id := e.rec.Start(obs.KindTask, fmt.Sprintf("j%d/p%d/t%d", rec.JobID, rec.Phase, rec.Index), pspan, firstStart)
-	b := e.taskBreakdown(rec)
+	b := e.taskBreakdown(&rec)
 	if t := b.Total(); t > 0 {
 		b = b.Scale(rec.Seconds / t)
 	} else if rec.Seconds > 0 {
@@ -613,15 +613,12 @@ func (r TaskRecord) retriedEvent() string {
 }
 
 // taskBreakdown attributes a task's noise-free duration to time
-// categories, mirroring baseTaskSeconds: the disk component splits
-// between local reads and writes by bytes, the network component between
-// rack reads, penalty-weighted remote reads and replica write streams.
-func (e *Engine) taskBreakdown(rec TaskRecord) obs.Breakdown {
-	disk := rec.LocalReadBytes + rec.WriteBytes
-	rackW := float64(rec.RackReadBytes)
-	remoteW := float64(int64(float64(rec.RemoteReadBytes) * e.cfg.CrossRackPenalty))
-	writeW := float64(rec.WriteBytes * (e.repl - 1))
-	net := int64(rackW + remoteW + writeW)
+// categories, from the same fold as baseTaskSeconds: the disk component
+// splits between local reads and writes by bytes, the network component
+// between rack reads, penalty-weighted remote reads and replica write
+// streams.
+func (e *Engine) taskBreakdown(rec *TaskRecord) obs.Breakdown {
+	disk, net := e.diskNet(rec)
 	startup, cpu, diskSec, netSec := e.cfg.Cluster.Type.TaskBreakdown(e.cfg.Cluster.Slots, rec.Flops, disk, net)
 	var b obs.Breakdown
 	b[obs.CatStartup] = startup
@@ -630,10 +627,12 @@ func (e *Engine) taskBreakdown(rec TaskRecord) obs.Breakdown {
 		b[obs.CatLocalRead] += diskSec * float64(rec.LocalReadBytes) / float64(disk)
 		b[obs.CatWrite] += diskSec * float64(rec.WriteBytes) / float64(disk)
 	}
-	if netW := rackW + remoteW + writeW; netW > 0 {
-		b[obs.CatRackRead] += netSec * rackW / netW
-		b[obs.CatRemoteRead] += netSec * remoteW / netW
-		b[obs.CatWrite] += netSec * writeW / netW
+	if net > 0 {
+		rackW, writeW := rec.RackReadBytes, rec.WriteBytes*(e.repl-1)
+		remoteW := net - rackW - writeW
+		b[obs.CatRackRead] += netSec * float64(rackW) / float64(net)
+		b[obs.CatRemoteRead] += netSec * float64(remoteW) / float64(net)
+		b[obs.CatWrite] += netSec * float64(writeW) / float64(net)
 	}
 	return b
 }
@@ -740,7 +739,7 @@ func (e *Engine) executeWithRetry(jobID, phase, index int, slot *slotState, slot
 		return TaskRecord{}, 0, nil, fmt.Errorf("task %d/%d/%d failed after %d attempts: %w", jobID, phase, index, attempt+1, err)
 	}
 	for {
-		var w work
+		rec := TaskRecord{JobID: jobID, Phase: phase, Index: index, Node: node, Slot: slotIdx}
 		var res *compute.Result
 		var err error
 		if e.chaos.TaskFault(jobID, phase, index, attempt) {
@@ -751,7 +750,7 @@ func (e *Engine) executeWithRetry(jobID, phase, index int, slot *slotState, slot
 				if p := e.firstReadPath(res); e.chaos.ReadFault(p, jobID, phase, index, attempt) {
 					err = fmt.Errorf("chaos: transient read error on %s", p)
 				} else {
-					w, err = e.applyResult(res, node)
+					err = e.applyResult(res, &rec)
 				}
 			}
 		}
@@ -773,18 +772,10 @@ func (e *Engine) executeWithRetry(jobID, phase, index int, slot *slotState, slot
 			node = next
 			continue
 		}
-		base := e.baseTaskSeconds(w)
+		base := e.baseTaskSeconds(&rec)
 		dur := base * e.noiseFactor()
 		slot.freeAt = startAt + dur
-		rec := TaskRecord{
-			JobID: jobID, Phase: phase, Index: index, Node: node, Slot: slotIdx,
-			Flops:          w.flops,
-			LocalReadBytes: w.localBytes, RackReadBytes: w.rackBytes, RemoteReadBytes: w.remoteBytes,
-			CacheReadBytes: w.cacheBytes,
-			WriteBytes:     w.writeBytes,
-			StartSec:       startAt, Seconds: dur,
-			Retries: retries, RecoverySec: recovery,
-		}
+		rec.StartSec, rec.Seconds, rec.Retries, rec.RecoverySec = startAt, dur, retries, recovery
 		m.addTask(rec)
 		return rec, base, res, nil
 	}
@@ -841,13 +832,18 @@ func (e *Engine) fireCrash(c chaos.NodeCrash, slots []*slotState, m *RunMetrics,
 	}
 }
 
-// baseTaskSeconds converts a task's work profile into noise-free virtual
+// diskNet folds a task's bytes into the cost model's disk and network
+// traffic on this engine's cluster.
+func (e *Engine) diskNet(rec *TaskRecord) (disk, net int64) {
+	return cloud.DiskNet(rec.LocalReadBytes, rec.RackReadBytes, rec.RemoteReadBytes, rec.WriteBytes,
+		e.cfg.CrossRackPenalty, e.repl)
+}
+
+// baseTaskSeconds converts a task's flops and bytes into noise-free virtual
 // seconds on the configured machine type.
-func (e *Engine) baseTaskSeconds(w work) float64 {
-	disk := w.localBytes + w.writeBytes
-	net := w.rackBytes + int64(float64(w.remoteBytes)*e.cfg.CrossRackPenalty) +
-		w.writeBytes*(e.repl-1)
-	return e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, w.flops, disk, net)
+func (e *Engine) baseTaskSeconds(rec *TaskRecord) float64 {
+	disk, net := e.diskNet(rec)
+	return e.cfg.Cluster.Type.TaskSeconds(e.cfg.Cluster.Slots, rec.Flops, disk, net)
 }
 
 // noiseFactor samples one multiplicative straggler factor (>= 1).

@@ -7,7 +7,8 @@ import (
 )
 
 // TaskRecord captures one executed task: its work profile, placement and
-// timing. The model-fitting pipeline (package model) consumes these as its
+// timing. It is the one ledger of a task's bytes: the DFS classifies each
+// read, and the engine adds the split here. The model-fitting pipeline (package model) consumes these as its
 // benchmark observations, exactly as the paper calibrates task-time models
 // from instrumented runs.
 type TaskRecord struct {

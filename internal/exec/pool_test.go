@@ -216,7 +216,7 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 		{Write: true, Tile: x.Tile(0, 1), Data: second},
 	}}
 	replaceTile(t, e.FS(), res.Ops[1].Tile, []byte("in the way"))
-	if _, err := e.applyResult(res, 1); err == nil {
+	if err := e.applyResult(res, &TaskRecord{Node: 1}); err == nil {
 		t.Fatal("replay over an existing tile succeeded")
 	}
 	if _, err := e.FS().PeekTile(res.Ops[0].Tile); !errors.Is(err, dfs.ErrNotFound) {
@@ -225,7 +225,7 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	b = e.FS().Batch()
 	b.Delete(res.Ops[1].Tile)
 	b.Done()
-	if _, err := e.applyResult(res, 2); err != nil {
+	if err := e.applyResult(res, &TaskRecord{Node: 2}); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	for i, want := range [][]byte{wantFirst, wantSecond} {

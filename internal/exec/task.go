@@ -6,16 +6,6 @@ import (
 	"cumulon/internal/plan"
 )
 
-// work is the resource profile a task accumulated while running.
-type work struct {
-	flops       int64
-	localBytes  int64
-	rackBytes   int64 // non-local reads served within the reader's rack
-	remoteBytes int64 // cross-rack reads
-	cacheBytes  int64 // reads served from the node's memory cache (free)
-	writeBytes  int64
-}
-
 // phaseTasks is one phase of a job as the engine schedules it: the compute
 // tasks, and the node each task's locality hint prefers (-1 for none). The
 // tile math runs on the compute backend; the engine replays the resulting
@@ -79,14 +69,16 @@ func leafNode(b *dfs.Batch, refs []plan.LeafRef, ti, tj int) int {
 	return -1
 }
 
-// applyResult replays a computed task's trace attributed to a node: read
-// accounting against the DFS and the node's memory cache, and the actual
-// DFS writes with replica placement. Replay is always sequential in
-// scheduling order — it is the only consumer of the placement rng and the
-// caches — which is what keeps the engine deterministic regardless of how
-// (and on how many goroutines) the trace was computed.
-func (e *Engine) applyResult(res *compute.Result, node int) (work, error) {
-	w := work{flops: res.Flops}
+// applyResult replays a computed task's trace attributed to the attempt's
+// node, adding its flops and bytes to rec: reads classified by the DFS or
+// served by the node's memory cache, and the actual DFS writes with replica
+// placement. Replay is always sequential in scheduling order — it is the
+// only consumer of the placement rng and the caches — which is what keeps
+// the engine deterministic regardless of how (and on how many goroutines)
+// the trace was computed.
+func (e *Engine) applyResult(res *compute.Result, rec *TaskRecord) error {
+	rec.Flops += res.Flops
+	node := rec.Node
 	virtual := !e.cfg.Materialize
 	nc := e.cacheFor(node)
 	b := e.fs.Batch()
@@ -95,23 +87,23 @@ func (e *Engine) applyResult(res *compute.Result, node int) (work, error) {
 	// that failed — are deleted, so a retry can replay the same trace
 	// without tripping over its own half-finished output (DFS writes reject
 	// existing files).
-	fail := func(i int, err error) (work, error) {
+	fail := func(i int, err error) error {
 		for _, op := range res.Ops[:i] {
 			if op.Write {
 				b.Delete(op.Tile)
 			}
 		}
-		return w, err
+		return err
 	}
 	for i := range res.Ops {
 		op := &res.Ops[i]
 		if op.Write {
 			var err error
 			if virtual {
-				w.writeBytes += op.Size
+				rec.WriteBytes += op.Size
 				err = b.WriteVirtual(op.Tile, op.Size, node)
 			} else {
-				w.writeBytes += int64(len(op.Data))
+				rec.WriteBytes += int64(len(op.Data))
 				err = b.Write(op.Tile, op.Data, node)
 			}
 			if err != nil {
@@ -127,7 +119,7 @@ func (e *Engine) applyResult(res *compute.Result, node int) (work, error) {
 				// only when the node holds the requested format.
 				hit := virtual || (op.Sparse && entry.hasSparse) || (!op.Sparse && entry.hasDense)
 				if hit {
-					w.cacheBytes += entry.size
+					rec.CacheReadBytes += entry.size
 					continue
 				}
 			}
@@ -136,12 +128,12 @@ func (e *Engine) applyResult(res *compute.Result, node int) (work, error) {
 		if err != nil {
 			return fail(i, err)
 		}
-		w.localBytes += sp.Local
-		w.rackBytes += sp.RackLocal
-		w.remoteBytes += sp.Remote
+		rec.LocalReadBytes += sp.Local
+		rec.RackReadBytes += sp.RackLocal
+		rec.RemoteReadBytes += sp.Remote
 		if nc != nil {
 			nc.put(op.Tile, sp.Total(), !virtual && !op.Sparse, !virtual && op.Sparse)
 		}
 	}
-	return w, nil
+	return nil
 }

@@ -271,18 +271,12 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*Calibra
 	return &CalibrationResult{Machine: mt, Slots: slots, Model: tm, Obs: obs}, nil
 }
 
-// AppendObs appends to dst the model observations of engine task records,
-// folding write traffic into the disk and network features the same way
-// the engine's duration function does, on a cluster of at least
-// cloud.DefaultReplication nodes.
+// AppendObs appends to dst the model observations of engine task records
+// from a single-rack cluster of at least cloud.DefaultReplication nodes.
 func AppendObs(dst []Obs, tasks []exec.TaskRecord) []Obs {
 	for _, t := range tasks {
-		dst = append(dst, Obs{
-			Flops:     t.Flops,
-			DiskBytes: t.LocalReadBytes + t.WriteBytes,
-			NetBytes:  t.RackReadBytes + t.RemoteReadBytes + t.WriteBytes*(cloud.DefaultReplication-1),
-			Seconds:   t.Seconds,
-		})
+		disk, net := cloud.DiskNet(t.LocalReadBytes, t.RackReadBytes, t.RemoteReadBytes, t.WriteBytes, 1, cloud.DefaultReplication)
+		dst = append(dst, Obs{Flops: t.Flops, DiskBytes: disk, NetBytes: net, Seconds: t.Seconds})
 	}
 	return dst
 }

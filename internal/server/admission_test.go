@@ -8,7 +8,7 @@ import "testing"
 // rows of TestServerValidation, cumulon's TestRunBadInputs and
 // TestParseLoadSpecAppliesRequestRules.
 func TestNormalizeDefaults(t *testing.T) {
-	site := Config{Nodes: 8}.withDefaults()
+	site := Config{Nodes: 8}.WithDefaults()
 	base := SubmitRequest{Tile: 2048, Density: 0.05, Machine: "m1.large", Nodes: 4, Slots: 2, Seed: 42}
 	opt := base
 	opt.Optimize, opt.DeadlineSec, opt.MaxNodes = true, 24*3600, 8
@@ -43,7 +43,7 @@ func TestNormalizeDefaults(t *testing.T) {
 // TestNormalizeAllocatesNothing: the table sits on every Submit, so a valid
 // request, of the kinds serve_mixed submits, normalizes without allocating.
 func TestNormalizeAllocatesNothing(t *testing.T) {
-	site := Config{}.withDefaults()
+	site := Config{}.WithDefaults()
 	src := gnmfSource()
 	for _, req := range []SubmitRequest{
 		{Tenant: "a", Program: src, Tile: 4, Nodes: 2},

@@ -67,7 +67,10 @@ type Config struct {
 	StateDir string
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset field, Sched's too, at its
+// default: the configuration New runs with.
+func (c Config) WithDefaults() Config {
+	c.Sched = c.Sched.withDefaults()
 	if c.Machine == "" {
 		c.Machine = "m1.large"
 	}
@@ -192,7 +195,7 @@ func (s *Server) tenantHist(tenant string) *tenantSeries {
 
 // New builds a server and starts its scheduler loop.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	mt, err := cloud.TypeByName(cfg.Machine)
 	if err != nil {
 		return nil, err

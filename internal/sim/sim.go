@@ -60,12 +60,11 @@ func (p *Predictor) localFraction() float64 {
 	return f
 }
 
-// diskNet folds a task's reads and (replicated) writes into the model's
-// disk and network byte features.
+// diskNet folds a task's reads, split by the expected local fraction, and
+// its (replicated) writes into the model's disk and network byte features.
 func (p *Predictor) diskNet(w plan.TaskWork) (disk, net int64) {
 	local := int64(float64(w.ReadBytes) * p.localFraction())
-	remote := w.ReadBytes - local
-	return local + w.WriteBytes, remote + w.WriteBytes*int64(p.replication()-1)
+	return cloud.DiskNet(local, 0, w.ReadBytes-local, w.WriteBytes, 1, int64(p.replication()))
 }
 
 // TaskSeconds predicts one task's duration from its exact work profile.

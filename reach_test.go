@@ -4,6 +4,9 @@ package cumulon
 // package must be reachable from what the binaries run. One that only tests
 // reach is test code shipped in production; it belongs in its package's
 // _test.go files, in internal/testutil, or in reachAllowlist with a reason.
+// A second pass walks from the binaries and examples alone: one that only
+// the benchmark (perf/) reaches is benchmark code shipped in production, and
+// needs an entry in perfOnlyAllowlist.
 
 import (
 	"bytes"
@@ -41,11 +44,46 @@ var reachAllowlist = map[string]string{
 	"dfs.(*FS).List":              "the namespace listing: dfs tests hold it to an oracle, engine and store tests check with it what a run or a matrix drop leaves behind",
 }
 
-// isReachRoot reports whether main and init of the package at path are
-// roots of the walk: the binaries, the examples and the benchmark.
-func isReachRoot(path string) bool {
-	return strings.HasPrefix(path, "cumulon/cmd/") || strings.HasPrefix(path, "cumulon/examples/") || path == "cumulon/perf"
+// perfOnlyAllowlist names the production declarations that only the
+// benchmark reaches, each with the reason. An entry that the binaries or the
+// examples reach, or that no longer exists, fails the test.
+var perfOnlyAllowlist = map[string]string{
+	"dfs.(*FS).Write":                 perfOnly,
+	"dfs.(*FS).WriteVirtual":          perfOnly,
+	"dfs.(*FS).ReadAccount":           perfOnly,
+	"dfs.(*FS).Peek":                  perfOnly,
+	"dfs.DefaultConfig":               perfOnly,
+	"store.DecodeTile":                perfOnly,
+	"store.DecodeSparseTile":          perfOnly,
+	"linalg.(*CSRTile).ToDense":       perfOnly,
+	"linalg.(*Dense).TileAt":          perfOnly,
+	"linalg.DenseToCSR":               perfOnly,
+	"linalg.GemmTA":                   perfOnly,
+	"linalg.NewTile":                  perfOnly,
+	"plan.TaskProfiles":               perfOnly,
+	"sim.(*Predictor).OptimizeSplits": perfOnly,
+	"opt.Replay":                      perfOnly,
+	"opt.ReplayedWinner":              perfOnly,
+	"opt.replayWinner":                perfOnly,
+	"core.(*Session).CompileString":   perfOnly,
+	"ckpt.(*DirStore).Root":           perfOnly,
 }
+
+const perfOnly = "only perf/ calls it; goes with ROADMAP item 20(c)"
+
+// perfPath is the benchmark: a root of the first pass only, whose own
+// declarations the second pass does not check.
+const perfPath = "cumulon/perf"
+
+// isBinaryRoot reports whether main and init of the package at path are
+// roots of the second pass: the binaries and the examples.
+func isBinaryRoot(path string) bool {
+	return strings.HasPrefix(path, "cumulon/cmd/") || strings.HasPrefix(path, "cumulon/examples/")
+}
+
+// isReachRoot reports whether main and init of the package at path are
+// roots of the first pass: the binaries, the examples and the benchmark.
+func isReachRoot(path string) bool { return isBinaryRoot(path) || path == perfPath }
 
 // testutilPath holds test support: its declarations are not checked, and
 // no production package may import it.
@@ -79,9 +117,12 @@ type listedPackage struct {
 // TestEveryExportReached walks every production declaration reachable from
 // the roots — main and init of the binaries, the examples and perf, and the
 // init functions and package-level var initializers of every package they
-// link — and fails on any other that is not allowlisted. A method is
-// reached when its receiver type is and it implements an interface that
-// reached code uses; an iota const group is reached when any member is.
+// link — and fails on any other that is not allowlisted. Its second pass
+// walks again without perf as a root and fails on any declaration outside
+// perf that only the first pass reached and perfOnlyAllowlist does not
+// name. A method is reached when its receiver type is and it implements an
+// interface that reached code uses; an iota const group is reached when any
+// member is.
 // The standard library comes from gc export data; the repo's packages are
 // type-checked from source once per build, in dependency order.
 func TestEveryExportReached(t *testing.T) {
@@ -128,21 +169,44 @@ func TestEveryExportReached(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tags %v: %v", tags, err)
 		}
-		w.walk()
-		for _, d := range w.decls {
-			d.reached = w.reached[d.obj]
-			if prev, ok := decls[d.pos]; !ok {
-				decls[d.pos] = d
-			} else if d.reached {
-				prev.reached = true
+		for pass, roots := range []func(string) bool{isReachRoot, isBinaryRoot} {
+			reached := w.walk(roots)
+			for _, d := range w.decls {
+				if prev, ok := decls[d.pos]; ok {
+					d = prev
+				} else {
+					decls[d.pos] = d
+				}
+				d.reached[pass] = d.reached[pass] || reached[d.obj]
 			}
 		}
 	}
 
+	var all, outsidePerf []*reachDecl
+	for _, d := range decls {
+		all = append(all, d)
+		if _, ok := reachAllowlist[d.name]; !ok && d.obj.Pkg().Path() != perfPath {
+			outsidePerf = append(outsidePerf, d)
+		}
+	}
+	hits := reportUnreached(t, all, 0, reachAllowlist, "reachAllowlist",
+		"no main, init or package var initializer reaches it; delete it, move it into its package's tests, or allowlist it with the reason")
+	perfOnly := reportUnreached(t, outsidePerf, 1, perfOnlyAllowlist, "perfOnlyAllowlist",
+		"only perf/ reaches it; point perf at what production calls, or allowlist it with the reason")
+	t.Logf("%d declarations in %d packages, %d builds: %d unreached and not allowlisted, %d more only perf/ reaches",
+		len(decls), len(repo), len(reachBuilds), hits, perfOnly)
+}
+
+// reportUnreached fails on every declaration of decls that the walk of the
+// given pass did not reach and allow does not name, and on every entry of
+// allow that is reached or names none of decls. It returns the number of
+// declarations it failed on.
+func reportUnreached(t *testing.T, decls []*reachDecl, pass int, allow map[string]string, allowName, fix string) int {
+	t.Helper()
 	unreached := map[string][]*reachDecl{}
 	reachedName := map[string]bool{}
 	for _, d := range decls {
-		if d.reached {
+		if d.reached[pass] {
 			reachedName[d.name] = true
 		} else {
 			unreached[d.name] = append(unreached[d.name], d)
@@ -150,7 +214,7 @@ func TestEveryExportReached(t *testing.T) {
 	}
 	var hits []string
 	for name, ds := range unreached {
-		if _, ok := reachAllowlist[name]; ok || reachedName[name] {
+		if _, ok := allow[name]; ok || reachedName[name] {
 			continue
 		}
 		for _, d := range ds {
@@ -159,36 +223,48 @@ func TestEveryExportReached(t *testing.T) {
 	}
 	sort.Strings(hits)
 	for _, h := range hits {
-		t.Errorf("%s: no main, init or package var initializer reaches it; delete it, move it into its package's tests, or allowlist it with the reason", h)
+		t.Errorf("%s: %s", h, fix)
 	}
-	for name := range reachAllowlist {
+	for name := range allow {
 		switch {
 		case reachedName[name]:
-			t.Errorf("allowlisted %s is reached: remove its reachAllowlist entry", name)
+			t.Errorf("allowlisted %s is reached: remove its %s entry", name, allowName)
 		case unreached[name] == nil:
-			t.Errorf("allowlisted %s does not exist: remove its reachAllowlist entry", name)
+			t.Errorf("allowlisted %s does not exist: remove its %s entry", name, allowName)
 		}
 	}
-	t.Logf("%d declarations in %d packages, %d builds: %d unreached and not allowlisted",
-		len(decls), len(repo), len(reachBuilds), len(hits))
+	return len(hits)
 }
 
 // reachDecl is one package-level declaration of a production package.
 type reachDecl struct {
 	obj     types.Object
 	pos     token.Pos
-	name    string // linalg.Close, linalg.(*Dense).AlmostEqual, dfs.FS
-	where   string // internal/linalg/tile.go:56
-	reached bool
+	name    string  // linalg.Close, linalg.(*Dense).AlmostEqual, dfs.FS
+	where   string  // internal/linalg/tile.go:56
+	reached [2]bool // by the walk from every root, and by the one without perf
+}
+
+// reachEntry is where a walk can start: main or an init function of a
+// package, or one of its package-level var initializers.
+type reachEntry struct {
+	pkg  string
+	obj  types.Object // main or init; nil for a var initializer
+	spec ast.Node     // the var initializer
 }
 
 // reachWalker holds one build's type-checked repo and the walk over it.
 type reachWalker struct {
-	info    *types.Info
-	repo    map[*types.Package]bool
-	node    map[types.Object]ast.Node       // the declaration that defines each object
-	group   map[types.Object][]types.Object // an iota const's whole group
-	decls   []*reachDecl
+	info     *types.Info
+	repo     map[*types.Package]bool
+	node     map[types.Object]ast.Node       // the declaration that defines each object
+	group    map[types.Object][]types.Object // an iota const's whole group
+	decls    []*reachDecl
+	order    []string            // the repo's packages, dependencies before their importers
+	imports  map[string][]string // by package
+	entries  []reachEntry
+	implicit []types.Object // implicitIfaces that this build links
+	// The state of one walk.
 	reached map[types.Object]bool
 	queue   []ast.Node                    // declarations and var initializers to walk
 	methods []*types.MethodSet            // of *T for each reached repo type T that has methods
@@ -197,8 +273,8 @@ type reachWalker struct {
 }
 
 // checkBuild type-checks the repo's packages, in dependency order, as the
-// build with the given tags compiles them, collects their declarations and
-// marks the walk's roots.
+// build with the given tags compiles them, and collects their declarations
+// and the entries a walk can start from.
 func checkBuild(fset *token.FileSet, std types.Importer, repo []*listedPackage, tags []string, parsed map[string]*ast.File) (*reachWalker, error) {
 	ctx := build.Default
 	ctx.BuildTags = tags
@@ -207,9 +283,7 @@ func checkBuild(fset *token.FileSet, std types.Importer, repo []*listedPackage, 
 		repo:    map[*types.Package]bool{},
 		node:    map[types.Object]ast.Node{},
 		group:   map[types.Object][]types.Object{},
-		reached: map[types.Object]bool{},
-		ifaces:  map[string][]*types.Interface{},
-		seen:    map[*types.Interface]bool{},
+		imports: map[string][]string{},
 	}
 	checked := map[string]*types.Package{}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
@@ -218,16 +292,9 @@ func checkBuild(fset *token.FileSet, std types.Importer, repo []*listedPackage, 
 		}
 		return std.Import(path)
 	})}
-	linked := map[string]bool{} // imported, directly or not, by a root
-	for i := len(repo) - 1; i >= 0; i-- {
-		if p := repo[i]; isReachRoot(p.ImportPath) || linked[p.ImportPath] {
-			linked[p.ImportPath] = true
-			for _, imp := range p.Imports {
-				linked[imp] = true
-			}
-		}
-	}
 	for _, p := range repo {
+		w.order = append(w.order, p.ImportPath)
+		w.imports[p.ImportPath] = p.Imports
 		var files []*ast.File
 		for _, name := range append(slices.Clone(p.GoFiles), p.IgnoredGoFiles...) {
 			if ok, err := ctx.MatchFile(p.Dir, name); err != nil {
@@ -270,10 +337,9 @@ func checkBuild(fset *token.FileSet, std types.Importer, repo []*listedPackage, 
 				case *ast.FuncDecl:
 					name := decl.Name.Name
 					if decl.Recv == nil && (name == "init" || name == "main" && isReachRoot(p.ImportPath)) {
-						if obj := w.info.Defs[decl.Name]; linked[p.ImportPath] {
-							w.node[obj] = decl
-							w.mark(obj)
-						}
+						obj := w.info.Defs[decl.Name]
+						w.node[obj] = decl
+						w.entries = append(w.entries, reachEntry{pkg: p.ImportPath, obj: obj})
 						continue
 					}
 					if decl.Recv != nil {
@@ -287,8 +353,8 @@ func checkBuild(fset *token.FileSet, std types.Importer, repo []*listedPackage, 
 						case *ast.TypeSpec:
 							declare(spec.Name, spec.Name.Name, spec)
 						case *ast.ValueSpec:
-							if decl.Tok == token.VAR && len(spec.Values) > 0 && linked[p.ImportPath] {
-								w.queue = append(w.queue, spec) // an initializer runs at init
+							if decl.Tok == token.VAR && len(spec.Values) > 0 {
+								w.entries = append(w.entries, reachEntry{pkg: p.ImportPath, spec: spec}) // it runs at init
 							}
 							for _, id := range spec.Names {
 								objs = append(objs, declare(id, id.Name, spec))
@@ -307,7 +373,7 @@ func checkBuild(fset *token.FileSet, std types.Importer, repo []*listedPackage, 
 	for path, names := range implicitIfaces {
 		if pkg, err := std.Import(path); err == nil { // else nothing links it
 			for _, name := range names {
-				w.mark(pkg.Scope().Lookup(name))
+				w.implicit = append(w.implicit, pkg.Scope().Lookup(name))
 			}
 		}
 	}
@@ -426,9 +492,35 @@ func (w *reachWalker) useIface(it *types.Interface) {
 	}
 }
 
-// walk marks everything the queued declarations use, then every method of
-// a reached type that implements a used interface, until nothing changes.
-func (w *reachWalker) walk() {
+// walk marks main of every package roots accepts, init and the var
+// initializers of every package they link, everything those use, and every
+// method of a reached type that implements a used interface, until nothing
+// changes. It returns what it reached.
+func (w *reachWalker) walk(roots func(path string) bool) map[types.Object]bool {
+	w.reached, w.methods = map[types.Object]bool{}, nil
+	w.ifaces, w.seen = map[string][]*types.Interface{}, map[*types.Interface]bool{}
+	linked := map[string]bool{} // imported, directly or not, by a root
+	for i := len(w.order) - 1; i >= 0; i-- {
+		if p := w.order[i]; roots(p) || linked[p] {
+			linked[p] = true
+			for _, imp := range w.imports[p] {
+				linked[imp] = true
+			}
+		}
+	}
+	for _, e := range w.entries {
+		switch {
+		case !linked[e.pkg] || e.obj != nil && e.obj.Name() == "main" && !roots(e.pkg):
+			// Not linked, or a main that is not a root's: it never runs.
+		case e.obj != nil:
+			w.mark(e.obj)
+		default:
+			w.queue = append(w.queue, e.spec)
+		}
+	}
+	for _, obj := range w.implicit {
+		w.mark(obj)
+	}
 	for {
 		for len(w.queue) > 0 {
 			n := w.queue[len(w.queue)-1]
@@ -464,7 +556,7 @@ func (w *reachWalker) walk() {
 			}
 		}
 		if len(w.queue) == 0 {
-			return
+			return w.reached
 		}
 	}
 }

@@ -367,6 +367,7 @@ func (s *Suite) E20FaultRecovery() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		eng.Reserve(pl)
 		for _, in := range pl.Inputs {
 			if err := eng.LoadVirtual(in); err != nil {
 				return nil, err

@@ -92,11 +92,12 @@ type Result struct {
 
 // Task is one unit of compute work: task Index of a phase of a job
 // (plan.Phase.Task gives its spans). Fn, the package's function for the
-// phase's kind (PhaseTasks), runs the tile math against a Ctx and must be
-// pure apart from the Ctx it is handed: no shared state, no dependence on
-// which worker or node runs it. Tasks within one engine scheduling phase
-// must not read each other's outputs (the engines' phase barriers guarantee
-// this).
+// phase's kind, runs the tile math against a Ctx and must be pure apart
+// from the Ctx it is handed: no shared state, no dependence on which worker
+// or node runs it. Tasks within one engine scheduling phase must not read
+// each other's outputs (the engines' phase barriers guarantee this). Only
+// a backend that computes a phase builds its tasks; one that serves a
+// recorded phase builds none.
 type Task struct {
 	Env   Env
 	Job   *plan.Job
@@ -108,15 +109,15 @@ type Task struct {
 // Backend runs compute tasks. Results do not depend on the backend's width;
 // only wall-clock does.
 type Backend interface {
-	// RunBatch accepts the tasks of one scheduling phase and returns a
-	// fetch function: fetch(i) yields task i's result, computing or
-	// waiting as needed. fetch must only be called from the engine's
-	// scheduling goroutine; it may be called in any order, at most once
-	// per index effectively (repeat calls return the memoized result).
+	// RunBatch accepts phase ph of job j, run in env, and returns a fetch
+	// function: fetch(i) yields the result of the phase's task i,
+	// computing or waiting as needed. fetch must only be called from the
+	// engine's scheduling goroutine; it may be called in any order, at most
+	// once per index effectively (repeat calls return the memoized result).
 	// The caller calls release when it is done with the batch, whether or
 	// not it fetched every result: the backend starts no further task, and
 	// release returns once none is running.
-	RunBatch(ts []Task) (fetch func(i int) (*Result, error), release func())
+	RunBatch(env Env, j *plan.Job, ph *plan.Phase) (fetch func(i int) (*Result, error), release func())
 }
 
 // runTask executes one task. A materialized task holds a token of the
@@ -194,7 +195,12 @@ func (b *batch) run(i int) {
 	b.finished.Broadcast()
 }
 
-func (p *poolBackend) RunBatch(ts []Task) (func(int) (*Result, error), func()) {
+func (p *poolBackend) RunBatch(env Env, j *plan.Job, ph *plan.Phase) (func(int) (*Result, error), func()) {
+	return p.runBatch(phaseTasks(env, j, ph))
+}
+
+// runBatch is RunBatch over tasks already built: the phase's, or a test's.
+func (p *poolBackend) runBatch(ts []Task) (func(int) (*Result, error), func()) {
 	b := &batch{ts: ts, slots: make([]batchSlot, len(ts))}
 	b.finished.L = &b.mu
 	width := linalg.Parallelism()

@@ -2,9 +2,13 @@ package compute
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
+	"cumulon/internal/linalg"
 	"cumulon/internal/plan"
 )
 
@@ -67,15 +71,15 @@ func TestRunBatchErrorAndMemoization(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
 		name string
-		be   Backend
-	}{{"sequential", NewSequential()}, {"pool", NewPool(3)}} {
+		be   *poolBackend
+	}{{"sequential", NewSequential().(*poolBackend)}, {"pool", NewPool(3).(*poolBackend)}} {
 		runs := make([]int, 3)
 		tasks := []Task{
 			{Fn: func(c *Ctx, _ *Task) error { runs[0]++; c.res.Flops = 11; return nil }},
 			{Fn: func(c *Ctx, _ *Task) error { runs[1]++; return boom }},
 			{Fn: func(c *Ctx, _ *Task) error { runs[2]++; c.res.Flops = 33; return nil }},
 		}
-		fetch, release := tc.be.RunBatch(tasks)
+		fetch, release := tc.be.runBatch(tasks)
 		if _, err := fetch(1); !errors.Is(err, boom) {
 			t.Fatalf("%s: fetch(1) err = %v, want boom", tc.name, err)
 		}
@@ -100,6 +104,52 @@ func TestRunBatchErrorAndMemoization(t *testing.T) {
 				t.Fatalf("%s: task %d ran %d times", tc.name, i, n)
 			}
 		}
+	}
+}
+
+// TestReleasedBatchStartsNothing: a pool batch whose first task fails is
+// released at once, as the engine releases a phase it has lost. release
+// waits for the tasks in flight and lets no other start, so most of the
+// batch never computes, no task starts after release has returned, and the
+// batch's helper goroutines are gone.
+func TestReleasedBatchStartsNothing(t *testing.T) {
+	defer linalg.SetParallelism(linalg.SetParallelism(4))
+	boom := errors.New("boom")
+	var started, late atomic.Int32
+	var released atomic.Bool
+	ts := make([]Task, 256)
+	for i := range ts {
+		ts[i] = Task{Env: Env{Virtual: true}, Fn: func(*Ctx, *Task) error {
+			started.Add(1)
+			if released.Load() {
+				late.Add(1)
+			}
+			time.Sleep(time.Millisecond)
+			if i == 0 {
+				return boom
+			}
+			return nil
+		}}
+	}
+	before := runtime.NumGoroutine()
+	fetch, release := NewPool(0).(*poolBackend).runBatch(ts)
+	if _, err := fetch(0); !errors.Is(err, boom) {
+		t.Fatalf("fetch(0) err = %v, want boom", err)
+	}
+	release()
+	released.Store(true)
+	// A helper has left the batch's WaitGroup a moment before it is gone.
+	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(wait); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after release, %d before the batch", n, before)
+	}
+	if n := started.Load(); n == 0 || n > 128 {
+		t.Fatalf("%d of the batch's %d tasks were computed although its first one failed", n, len(ts))
+	}
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d tasks started after release had returned", n)
 	}
 }
 

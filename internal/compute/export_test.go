@@ -43,10 +43,10 @@ func MemoHolds(m *Memo) (phases, tasks int) {
 	defer m.mu.Unlock()
 	for _, j := range m.jobs {
 		for _, byOps := range j.phases {
-			for _, res := range byOps {
-				if res != nil {
+			for _, s := range byOps {
+				if s != nil {
 					phases++
-					tasks += len(res)
+					tasks += len(s.res)
 				}
 			}
 		}

@@ -31,8 +31,15 @@ type Memo struct {
 // TileOps, and the bytes they retain.
 type memoJob struct {
 	split  plan.Split
-	phases [len(phaseFns)][2][]*Result
+	phases [len(phaseFns)][2]*served
 	bytes  int64
+}
+
+// served is a recorded phase: its results, and the fetch that serves them,
+// made once as the phase is recorded, so that serving it allocates nothing.
+type served struct {
+	res   []*Result
+	fetch func(int) (*Result, error)
 }
 
 // sequential computes what a memo does not serve.
@@ -46,46 +53,47 @@ func (m *Memo) Bytes() int64 {
 	return m.bytes
 }
 
-// phase returns where job j's entry records t's phase; with create, it
-// makes the entry or replaces one under another split. m.mu must be held.
-func (m *Memo) phase(t *Task, create bool) *[]*Result {
-	j := m.jobs[t.Job.ID]
-	if j == nil || j.split != t.Job.Split {
+// phase returns where job j's entry records its phase of kind k under
+// TileOps ops; with create, it makes the entry or replaces one under another
+// split. m.mu must be held.
+func (m *Memo) phase(j *plan.Job, k plan.PhaseKind, ops, create bool) **served {
+	mj := m.jobs[j.ID]
+	if mj == nil || mj.split != j.Split {
 		if !create {
 			return nil
 		}
-		if j != nil {
-			m.bytes -= j.bytes
+		if mj != nil {
+			m.bytes -= mj.bytes
 		}
-		j = &memoJob{split: t.Job.Split}
+		mj = &memoJob{split: j.Split}
 		if m.jobs == nil {
 			m.jobs = make(map[int]*memoJob)
 		}
-		m.jobs[t.Job.ID] = j
+		m.jobs[j.ID] = mj
 	}
-	ops := 0
-	if t.Env.TileOps {
-		ops = 1
+	i := 0
+	if ops {
+		i = 1
 	}
-	return &j.phases[t.Phase.Kind][ops]
+	return &mj.phases[k][i]
 }
 
-func (m *Memo) RunBatch(ts []Task) (func(int) (*Result, error), func()) {
-	if len(ts) == 0 || !ts[0].Env.Virtual {
-		return sequential.RunBatch(ts)
+func (m *Memo) RunBatch(env Env, j *plan.Job, ph *plan.Phase) (func(int) (*Result, error), func()) {
+	n := ph.Tasks()
+	if n == 0 || !env.Virtual {
+		return sequential.RunBatch(env, j, ph)
 	}
-	t := &ts[0]
 	m.mu.Lock()
-	var res []*Result
-	if p := m.phase(t, false); p != nil {
-		res = *p
+	var s *served
+	if p := m.phase(j, ph.Kind, env.TileOps, false); p != nil {
+		s = *p
 	}
 	m.mu.Unlock()
-	if len(res) == len(ts) {
-		return func(i int) (*Result, error) { return res[i], nil }, func() {}
+	if s != nil && len(s.res) == n {
+		return s.fetch, func() {}
 	}
-	fetch, release := sequential.RunBatch(ts)
-	res = make([]*Result, len(ts))
+	fetch, release := sequential.RunBatch(env, j, ph)
+	res := make([]*Result, n)
 	return func(i int) (*Result, error) {
 			r, err := fetch(i)
 			res[i] = r
@@ -102,9 +110,9 @@ func (m *Memo) RunBatch(ts []Task) (func(int) (*Result, error), func()) {
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			// A phase a concurrent run recorded first holds the same results.
-			if p := m.phase(t, true); *p == nil {
-				*p = res
-				m.jobs[t.Job.ID].bytes += n
+			if p := m.phase(j, ph.Kind, env.TileOps, true); *p == nil {
+				*p = &served{res: res, fetch: func(i int) (*Result, error) { return res[i], nil }}
+				m.jobs[j.ID].bytes += n
 				m.bytes += n
 			}
 		}

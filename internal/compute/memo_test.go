@@ -6,6 +6,7 @@ import (
 	"cumulon/internal/cloud"
 	"cumulon/internal/compute"
 	"cumulon/internal/exec"
+	"cumulon/internal/lang"
 	"cumulon/internal/obs"
 	"cumulon/internal/plan"
 	"cumulon/internal/workloads"
@@ -62,5 +63,43 @@ func TestMemoRecordsEveryPhase(t *testing.T) {
 	}
 	if aggs == 0 {
 		t.Fatal("no job k-splits; the aggregation phases go unchecked")
+	}
+}
+
+// TestMemoHitAllocatesNothing: serving a recorded phase — RunBatch, a fetch
+// of every task and release — allocates nothing, at 16 tasks as at 64: a
+// memo hit builds no task values.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	prog, err := lang.Parse("input A 64 64\ninput B 64 64\nC = A * B\noutput C\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Compile(prog, plan.Config{TileSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, env := pl.Jobs[0], compute.Env{Virtual: true}
+	var allocs []float64
+	for _, split := range []plan.Split{{CI: 4, CJ: 4, CK: 1}, {CI: 8, CJ: 8, CK: 1}} {
+		j.Split = split
+		ph := &j.Phases()[0]
+		memo := new(compute.Memo)
+		serve := func() {
+			fetch, release := memo.RunBatch(env, j, ph)
+			defer release()
+			for i := range ph.Tasks() {
+				if _, err := fetch(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		serve()
+		if phases, tasks := compute.MemoHolds(memo); phases != 1 || tasks != split.Tasks() {
+			t.Fatalf("split %v: the memo holds %d phases of %d tasks, want 1 of %d", split, phases, tasks, split.Tasks())
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, serve))
+	}
+	if allocs[0] != 0 || allocs[1] != 0 {
+		t.Fatalf("serving a recorded phase allocates %v times at 16 tasks, %v at 64; want 0 at both", allocs[0], allocs[1])
 	}
 }

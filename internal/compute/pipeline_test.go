@@ -52,7 +52,7 @@ func jobTasks(fns taskFns, env Env, j *plan.Job, forceK bool) [][]Task {
 	phases := j.Phases()
 	out := make([][]Task, len(phases))
 	for p := range phases {
-		out[p] = PhaseTasks(env, j, &phases[p])
+		out[p] = phaseTasks(env, j, &phases[p])
 		for i := range out[p] {
 			out[p][i].Fn = fns[phases[p].Kind]
 		}

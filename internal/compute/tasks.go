@@ -15,10 +15,11 @@ func KExtent(kSize, tileSize, k int) int {
 	return ext
 }
 
-// PhaseTasks returns the tasks of phase ph of job j, in the phase's task
+// phaseTasks returns the tasks of phase ph of job j, in the phase's task
 // order. A task is a value — its position in the phase and the package's
-// function for the phase's kind — so building one allocates nothing.
-func PhaseTasks(env Env, j *plan.Job, ph *plan.Phase) []Task {
+// function for the phase's kind — so the slice is all a batch allocates
+// for them.
+func phaseTasks(env Env, j *plan.Job, ph *plan.Phase) []Task {
 	ts := make([]Task, ph.Tasks())
 	for i := range ts {
 		ts[i] = Task{Env: env, Job: j, Phase: ph, Index: i, Fn: phaseFns[ph.Kind]}

@@ -168,6 +168,7 @@ func (s *Session) execute(pl *plan.Plan, cluster cloud.Cluster, opts ExecOptions
 	if err != nil {
 		return nil, err
 	}
+	eng.Reserve(pl)
 	for _, in := range pl.Inputs {
 		if materialize {
 			d, ok := opts.Inputs[in.Name]

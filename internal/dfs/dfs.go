@@ -220,7 +220,9 @@ func NewOn(cfg Config, rng *rand.Rand) *FS {
 // copy-on-write: a shared directory is never changed again, and the first
 // write, delete or re-replication either side makes in it copies it first,
 // and points that side's bindings at the copy — so a fork costs the
-// directory map and the binding table, not the tiles. Given rng at the position fs's own
+// directory map and the binding table, not the tiles. The fork's table
+// keeps the room fs's has, so a table reserved before a load is not
+// reallocated by a fork's run. Given rng at the position fs's own
 // stream has reached, the fork places later writes exactly as fs would. A
 // nil rng makes a snapshot that is only forked, never written.
 func (fs *FS) Fork(rng *rand.Rand) *FS {
@@ -233,7 +235,7 @@ func (fs *FS) Fork(rng *rand.Rand) *FS {
 	}
 	f := NewOn(fs.cfg, rng)
 	f.dirs, f.live = maps.Clone(fs.dirs), append(f.live[:0], fs.live...)
-	f.tab = slices.Clone(fs.tab)
+	f.tab = append(make([]binding, 0, cap(fs.tab)), fs.tab...)
 	copy(f.dead, fs.dead)
 	return f
 }

@@ -191,6 +191,7 @@ func benchVirtualRun(b *testing.B, nodes int, cfg plan.Config, src string, memo 
 		if err != nil {
 			b.Fatal(err)
 		}
+		e.Reserve(pl)
 		for _, in := range pl.Inputs {
 			if err := e.LoadVirtual(in); err != nil {
 				b.Fatal(err)

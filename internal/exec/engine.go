@@ -15,6 +15,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cumulon/internal/chaos"
 	"cumulon/internal/ckpt"
@@ -263,18 +264,31 @@ func (e *Engine) LoadVirtual(meta store.Meta) error {
 // run of the same plan are overwritten; intermediates are garbage
 // collected at the end.
 func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
+	m := new(RunMetrics)
+	if err := e.RunInto(p, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// RunInto is Run into m, which it overwrites: the run's job and task records
+// reuse m's arrays when they have room, so a caller that folds each run's
+// records as it ends — model's calibration suite — keeps one pair of arrays
+// across its runs. On an error m holds nothing meaningful.
+func (e *Engine) RunInto(p *plan.Plan, m *RunMetrics) error {
 	// However the run ends, no task runs once it returns: every decoded
 	// input goes back to the pools, so the next run starts with none.
 	defer e.env.Src.Drop(-1)
+	*m = RunMetrics{Jobs: m.Jobs[:0], Tasks: m.Tasks[:0]}
 	// A plan that cannot run — a bad split anywhere — fails here, before any
 	// task runs or any file is written.
 	jobs, err := p.TopoOrder()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	points, err := e.checkpointSetup(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Overwrite semantics for re-runs; caches cannot carry stale tiles
 	// across runs. Each delete is one map delete of the matrix's directory,
@@ -283,20 +297,19 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		e.fs.DeleteMatrix(j.Out.Name)
 	}
 	e.resetCaches()
-	m := &RunMetrics{}
 	resumeJob := -1
 	startClock := 0.0
 	if e.cfg.Resume {
 		rj, clock, ok, err := e.restoreCheckpoint(p, m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
 			resumeJob, startClock = rj, clock
 		}
 	}
 	// Each job's phases are built once, here, and the task records sized
-	// once, from the tasks of every job that runs.
+	// once, from the tasks of every job that runs, unless m has room.
 	phases, nTasks := make([][]plan.Phase, len(jobs)), 0
 	for i, j := range jobs {
 		if j.ID > resumeJob {
@@ -306,8 +319,10 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 			}
 		}
 	}
-	m.Jobs, m.Tasks = make([]JobRecord, 0, len(jobs)), make([]TaskRecord, 0, nTasks)
-	e.bind(p, phases)
+	if m.Jobs = slices.Grow(m.Jobs, len(jobs)); cap(m.Tasks) < nTasks {
+		m.Tasks = make([]TaskRecord, 0, nTasks)
+	}
+	e.bind(p)
 	slots := e.allSlots()
 	alive := 0
 	for _, s := range slots {
@@ -316,7 +331,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		}
 	}
 	if alive == 0 {
-		return nil, fmt.Errorf("exec: no live nodes")
+		return fmt.Errorf("exec: no live nodes")
 	}
 	killAt := e.chaos.KillProgramAt()
 	prog := e.rec.Start(obs.KindProgram, "program", obs.NoSpan, 0)
@@ -339,14 +354,14 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 			}
 		}
 		if killAt > 0 && ready >= killAt {
-			return nil, &ProgramKilled{At: killAt}
+			return &ProgramKilled{At: killAt}
 		}
 		end, err := e.runJob(j, phases[i], ready, slots, m, prog)
 		if err != nil {
-			return nil, fmt.Errorf("exec: %s: %w", j, err)
+			return fmt.Errorf("exec: %s: %w", j, err)
 		}
 		if killAt > 0 && end > killAt {
-			return nil, &ProgramKilled{At: killAt}
+			return &ProgramKilled{At: killAt}
 		}
 		jobEnds[j.ID] = end
 		if end > globalEnd {
@@ -355,7 +370,7 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 		if pt, ok := points[j.ID]; ok {
 			globalEnd, err = e.writeCheckpoint(p, pt, globalEnd, m, prog)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -365,22 +380,25 @@ func (e *Engine) Run(p *plan.Plan) (*RunMetrics, error) {
 	for _, im := range p.Intermediates() {
 		e.fs.DeleteMatrix(im.Name)
 	}
-	return m, nil
+	return nil
+}
+
+// Reserve makes room for every matrix number a run of p binds, so that
+// neither loading p's inputs nor running p, on this file system or a fork
+// of it, grows its binding table: a caller reserves, then loads inputs.
+func (e *Engine) Reserve(p *plan.Plan) {
+	b := e.fs.Batch()
+	b.Grow(p.Matrices())
+	b.Done()
 }
 
 // bind binds the plan's matrix numbers to their names in the file system,
 // one directory lookup each, with room for the numbers of the k-split
 // partials the phases write: from here on the run finds every matrix by
 // number.
-func (e *Engine) bind(p *plan.Plan, phases [][]plan.Phase) {
-	n := 0
-	for _, ph := range phases {
-		if len(ph) > 0 {
-			n = max(n, len(ph[0].Partials))
-		}
-	}
+func (e *Engine) bind(p *plan.Plan) {
 	b := e.fs.Batch()
-	b.Grow(len(p.Names) + n)
+	b.Grow(p.Matrices())
 	for num, name := range p.Names {
 		b.Bind(int32(num), name)
 	}
@@ -391,7 +409,7 @@ func (e *Engine) bind(p *plan.Plan, phases [][]plan.Phase) {
 // start, on the shared slot pool, and returns the job's end time.
 func (e *Engine) runJob(j *plan.Job, phases []plan.Phase, start float64, slots []*slotState, m *RunMetrics, prog obs.SpanID) (float64, error) {
 	jobStart := start + cloud.JobStartupSec
-	tasks := e.buildTasks(j, phases)
+	hints := e.buildHints(j, phases)
 	jspan := obs.NoSpan
 	if e.rec != obs.Nop() {
 		jspan = e.rec.Start(obs.KindJob, j.Name, prog, start)
@@ -401,9 +419,9 @@ func (e *Engine) runJob(j *plan.Job, phases []plan.Phase, start float64, slots [
 	}
 	clock := jobStart
 	nTasks := 0
-	for phase, ph := range tasks {
-		nTasks += len(ph.tasks)
-		end, err := e.schedulePhase(j.ID, phase, ph, clock, slots, m, jspan)
+	for phase := range phases {
+		nTasks += len(hints[phase])
+		end, err := e.schedulePhase(j, phase, &phases[phase], hints[phase], clock, slots, m, jspan)
 		if err != nil {
 			return 0, err
 		}
@@ -448,7 +466,8 @@ type slotState struct {
 // task that prefers its node if one exists, otherwise the oldest pending
 // task. Tasks cannot start before notBefore (the phase's release time).
 // Returns the phase end time.
-func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float64, slots []*slotState, m *RunMetrics, jspan obs.SpanID) (float64, error) {
+func (e *Engine) schedulePhase(j *plan.Job, phase int, ph *plan.Phase, hints []int, notBefore float64, slots []*slotState, m *RunMetrics, jspan obs.SpanID) (float64, error) {
+	jobID := j.ID
 	pspan := obs.NoSpan
 	if e.rec != obs.Nop() {
 		pspan = e.rec.Start(obs.KindPhase, fmt.Sprintf("j%d/p%d", jobID, phase), jspan, notBefore)
@@ -464,15 +483,15 @@ func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float6
 	// with accounting exactly as the pre-compute-layer engine did. However
 	// the phase ends, the batch is released: an abandoned one must not keep
 	// computing.
-	fetch, release := e.backend.RunBatch(ph.tasks)
+	fetch, release := e.backend.RunBatch(e.env, j, ph)
 	defer release()
 	// Only speculation and a recorder read where the phase's tasks ran.
 	var placements []specPlacement
 	placed := e.cfg.Speculation || e.rec != obs.Nop()
 	if placed {
-		placements = make([]specPlacement, 0, len(ph.tasks))
+		placements = make([]specPlacement, 0, len(hints))
 	}
-	pending := make([]int, len(ph.tasks)) // task indices, oldest first
+	pending := make([]int, len(hints)) // task indices, oldest first
 	for i := range pending {
 		pending[i] = i
 	}
@@ -513,7 +532,7 @@ func (e *Engine) schedulePhase(jobID, phase int, ph phaseTasks, notBefore float6
 		rackPick := -1
 		slotRack := e.fs.RackOf(slot.node)
 		for i, t := range pending {
-			pref := ph.hints[t]
+			pref := hints[t]
 			if pref == slot.node {
 				pick = i
 				break

@@ -26,13 +26,13 @@ type traceBackend struct {
 	out bytes.Buffer
 }
 
-func (b *traceBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
-	fetch, release := b.Backend.RunBatch(ts)
+func (b *traceBackend) RunBatch(env compute.Env, j *plan.Job, ph *plan.Phase) (func(int) (*compute.Result, error), func()) {
+	fetch, release := b.Backend.RunBatch(env, j, ph)
 	name := func(num int32) string {
 		if int(num) < len(b.pl.Names) {
 			return b.pl.Names[num]
 		}
-		for _, p := range ts[0].Phase.Partials {
+		for _, p := range ph.Partials {
 			if p.Num == num {
 				return p.Name
 			}

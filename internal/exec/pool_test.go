@@ -88,25 +88,22 @@ func flipTile(t *testing.T, fs *dfs.FS, a dfs.TileAddr) {
 	replaceTile(t, fs, a, bad)
 }
 
-// afterFirstTask is a backend whose tasks call then once, as the first of
-// them to finish computing returns.
+// afterFirstTask is a backend that calls then once, as the first result
+// the engine fetches from it returns: on the sequential backend, as soon as
+// the first task has computed.
 type afterFirstTask struct {
 	compute.Backend
 	then func()
 	once sync.Once
 }
 
-func (b *afterFirstTask) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
-	wrapped := append([]compute.Task(nil), ts...)
-	for i := range wrapped {
-		fn := wrapped[i].Fn
-		wrapped[i].Fn = func(c *compute.Ctx, t *compute.Task) error {
-			err := fn(c, t)
-			b.once.Do(b.then)
-			return err
-		}
-	}
-	return b.Backend.RunBatch(wrapped)
+func (b *afterFirstTask) RunBatch(env compute.Env, j *plan.Job, ph *plan.Phase) (func(int) (*compute.Result, error), func()) {
+	fetch, release := b.Backend.RunBatch(env, j, ph)
+	return func(i int) (*compute.Result, error) {
+		res, err := fetch(i)
+		b.once.Do(b.then)
+		return res, err
+	}, release
 }
 
 // TestInPlaceCorruptionFailsSharedRead: the tasks of a run share what it
@@ -239,39 +236,42 @@ func TestRetryRewritesOwnedPayloads(t *testing.T) {
 	}
 }
 
-// spyBackend is the default pool with every task's Fn wrapped: it counts the
-// Fns started, slows each down so that a batch outlives the engine's
-// interest in it, and counts those that start after the run has returned.
+// spyBackend wraps every batch of a backend: it counts the tasks of the
+// last batch, the results fetched, the batches not yet released and the
+// fetches made after the run has returned, and slows each fetch down so
+// that a batch outlives the engine's interest in it.
 type spyBackend struct {
 	compute.Backend
-	batch         int // tasks in the last batch
-	started, late atomic.Int32
-	returned      atomic.Bool
+	batch                int // tasks in the last batch
+	started, late, unrel atomic.Int32
+	returned             atomic.Bool
 }
 
-func (s *spyBackend) RunBatch(ts []compute.Task) (func(int) (*compute.Result, error), func()) {
-	s.batch = len(ts)
-	spied := append([]compute.Task(nil), ts...)
-	for i := range spied {
-		fn := spied[i].Fn
-		spied[i].Fn = func(c *compute.Ctx, t *compute.Task) error {
+func (s *spyBackend) RunBatch(env compute.Env, j *plan.Job, ph *plan.Phase) (func(int) (*compute.Result, error), func()) {
+	s.batch = ph.Tasks()
+	s.unrel.Add(1)
+	fetch, release := s.Backend.RunBatch(env, j, ph)
+	return func(i int) (*compute.Result, error) {
 			s.started.Add(1)
 			if s.returned.Load() {
 				s.late.Add(1)
 			}
 			time.Sleep(time.Millisecond)
-			return fn(c, t)
+			return fetch(i)
+		}, func() {
+			release()
+			s.unrel.Add(-1)
 		}
-	}
-	return s.Backend.RunBatch(spied)
 }
 
 // TestAbandonedPhaseStopsComputing: once a phase is lost — here its first
 // task reads a corrupt tile and exhausts its retries — the pool must not
 // go on computing the rest of it behind the caller's back. The batch is
-// released on every exit path of schedulePhase, and release waits for the
-// workers, so no task Fn starts after Run has returned, most of the phase
-// never runs at all, and the pool's goroutines are gone.
+// released on every exit path of schedulePhase, before Run returns, and
+// release waits for the workers and lets none start another task
+// (compute's TestReleasedBatchStartsNothing), so the pool's goroutines are
+// gone, most of the phase is never asked for, and nothing is fetched after
+// Run has returned.
 func TestAbandonedPhaseStopsComputing(t *testing.T) {
 	spy := &spyBackend{Backend: compute.NewPool(0)}
 	e, err := New(Config{Cluster: testCluster(t, 4, 2), Materialize: true, Seed: 7, Backend: spy})
@@ -309,9 +309,12 @@ func TestAbandonedPhaseStopsComputing(t *testing.T) {
 		t.Fatalf("%d goroutines after the failed run, %d before it", n, before)
 	}
 	if n := spy.started.Load(); spy.batch != 256 || n == 0 || n > 128 {
-		t.Fatalf("%d of the phase's %d tasks were computed although its first one failed", n, spy.batch)
+		t.Fatalf("%d of the phase's %d tasks were fetched although its first one failed", n, spy.batch)
+	}
+	if n := spy.unrel.Load(); n != 0 {
+		t.Fatalf("%d batches were not released when Run returned", n)
 	}
 	if n := spy.late.Load(); n != 0 {
-		t.Fatalf("%d task Fns started after Run had returned", n)
+		t.Fatalf("%d results were fetched after Run had returned", n)
 	}
 }

@@ -6,21 +6,15 @@ import (
 	"cumulon/internal/plan"
 )
 
-// phaseTasks is one phase of a job as the engine schedules it: the compute
-// tasks, and the node each task's locality hint prefers (-1 for none). The
-// tile math runs on the compute backend; the engine replays the resulting
-// trace on whichever node the scheduler picked.
-type phaseTasks struct {
-	tasks []compute.Task
-	hints []int
-}
-
-// buildTasks constructs the tasks of a job's phases and declares the
-// matrices they write, its output and any k-split partials, at their grids.
-// The hints look their tiles up in the same hold of the file system, before
-// any task runs.
-func (e *Engine) buildTasks(j *plan.Job, phases []plan.Phase) []phaseTasks {
-	out := make([]phaseTasks, len(phases))
+// buildHints declares the matrices a job's phases write, its output and any
+// k-split partials, at their grids, and returns per phase the node each
+// task's locality hint prefers (-1 for none). The hints look their tiles up
+// in the same hold of the file system, before any task runs. The tasks
+// themselves are the compute backend's to build, and only one that computes
+// them does; the engine replays each result on whichever node the scheduler
+// picked.
+func (e *Engine) buildHints(j *plan.Job, phases []plan.Phase) [][]int {
+	out := make([][]int, len(phases))
 	b := e.fs.Batch()
 	defer b.Done()
 	j.Out.Declare(b)
@@ -29,9 +23,9 @@ func (e *Engine) buildTasks(j *plan.Job, phases []plan.Phase) []phaseTasks {
 	}
 	for p := range phases {
 		ph := &phases[p]
-		out[p] = phaseTasks{tasks: compute.PhaseTasks(e.env, j, ph), hints: make([]int, ph.Tasks())}
-		for t := range out[p].hints {
-			out[p].hints[t] = hint(b, j, ph, t)
+		out[p] = make([]int, ph.Tasks())
+		for t := range out[p] {
+			out[p][t] = hint(b, j, ph, t)
 		}
 	}
 	return out

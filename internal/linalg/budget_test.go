@@ -1,13 +1,18 @@
 package linalg_test
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cumulon/internal/compute"
+	"cumulon/internal/dfs"
+	"cumulon/internal/lang"
 	"cumulon/internal/linalg"
+	"cumulon/internal/plan"
+	"cumulon/internal/store"
 )
 
 // mathWatch counts the goroutines inside the blocked GEMM drivers through
@@ -45,27 +50,44 @@ func watchMath(t *testing.T, meet int) *mathWatch {
 	return w
 }
 
-// bigGemmTasks returns n compute tasks that each run one product above the
-// parallel tier's flop gate, over 5 macro-panel cells.
-func bigGemmTasks(n int) []compute.Task {
+// bigGemmPhase returns a materialized phase of n tasks that each run one
+// product above the parallel tier's flop gate, over 5 macro-panel cells:
+// C = A * B with A a column of n square tiles, one task per tile of C, and
+// the environment whose inputs hold A and B.
+func bigGemmPhase(t *testing.T, n int) (compute.Env, *plan.Job, *plan.Phase) {
+	t.Helper()
 	const dim = 260 // 2·260³ ≈ 35 Mflop
-	a, b := linalg.RandomDense(dim, dim, 1), linalg.RandomDense(dim, dim, 2)
-	at, bt := &linalg.Tile{Rows: dim, Cols: dim, Data: a.Data}, &linalg.Tile{Rows: dim, Cols: dim, Data: b.Data}
-	ts := make([]compute.Task, n)
-	for i := range ts {
-		ts[i] = compute.Task{Fn: func(*compute.Ctx, *compute.Task) error {
-			linalg.Gemm(linalg.NewTile(dim, dim), at, bt)
-			return nil
-		}}
+	prog, err := lang.Parse(fmt.Sprintf("input A %d %d\ninput B %d %d\nC = A * B\noutput C\n", n*dim, dim, dim, dim))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ts
+	pl, err := plan.Compile(prog, plan.Config{TileSize: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := tileSource{}
+	for i, in := range pl.Inputs {
+		d := linalg.RandomDense(in.Rows, in.Cols, int64(i+1))
+		for ti := 0; ti < in.TileRows(); ti++ {
+			src[in.Tile(ti, 0)] = store.EncodeTile(d.TileAt(ti, 0, dim))
+		}
+	}
+	j := pl.Jobs[0]
+	j.Split = plan.Split{CI: n, CJ: 1, CK: 1}
+	return compute.Env{Src: compute.NewInputs(src)}, j, &j.Phases()[0]
 }
 
-func runBatch(t *testing.T, be compute.Backend, ts []compute.Task) {
+// tileSource is an in-memory compute.Source.
+type tileSource map[dfs.TileAddr][]byte
+
+func (s tileSource) PeekTile(a dfs.TileAddr) ([]byte, error) { return s[a], nil }
+
+func runBatch(t *testing.T, be compute.Backend, n int) {
 	t.Helper()
-	fetch, release := be.RunBatch(ts)
+	env, j, ph := bigGemmPhase(t, n)
+	fetch, release := be.RunBatch(env, j, ph)
 	defer release()
-	for i := range ts {
+	for i := range n {
 		if _, err := fetch(i); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +105,7 @@ func TestBudgetBoundsTileMath(t *testing.T) {
 
 	t.Run("pool of tasks", func(t *testing.T) {
 		w := watchMath(t, 0)
-		runBatch(t, compute.NewPool(0), bigGemmTasks(3*budget))
+		runBatch(t, compute.NewPool(0), 3*budget)
 		if h := w.high.Load(); h < 1 || h > budget {
 			t.Fatalf("%d goroutines were inside the GEMM drivers at once, budget %d", h, budget)
 		}
@@ -94,7 +116,7 @@ func TestBudgetBoundsTileMath(t *testing.T) {
 	}{{"one task, pool", compute.NewPool(0)}, {"one task, sequential", compute.NewSequential()}} {
 		t.Run(be.name, func(t *testing.T) {
 			w := watchMath(t, budget)
-			runBatch(t, be.be, bigGemmTasks(1))
+			runBatch(t, be.be, 1)
 			if h := w.high.Load(); h != budget {
 				t.Fatalf("a lone task's product ran on %d goroutines, want the whole budget of %d", h, budget)
 			}
@@ -103,7 +125,7 @@ func TestBudgetBoundsTileMath(t *testing.T) {
 	t.Run("budget of one", func(t *testing.T) {
 		defer linalg.SetParallelism(linalg.SetParallelism(1))
 		w := watchMath(t, 0)
-		runBatch(t, compute.NewPool(0), bigGemmTasks(3))
+		runBatch(t, compute.NewPool(0), 3)
 		if h := w.high.Load(); h != 1 {
 			t.Fatalf("%d goroutines were inside the GEMM drivers at once under a budget of 1", h)
 		}

@@ -59,21 +59,40 @@ output D
 `,
 }
 
-// benchmarkPlans parses and compiles the suite once per process: a cold
-// optimizer search calibrates every (machine type, slots) pair, and the
+// benchmarks is the suite compiled: the plans, and how many tasks a
+// calibration's runs make, in all and in its largest run. The plans and the
+// split task counts depend on neither the machine nor the seed, so neither
+// do the counts.
+type benchmarks struct {
+	plans       []*plan.Plan
+	tasks, most int
+}
+
+// benchmarkPlans parses, compiles and counts the suite once per process: a
+// cold optimizer search calibrates every (machine type, slots) pair, and the
 // plans do not depend on either. Engine runs Clone them.
-var benchmarkPlans = sync.OnceValues(func() ([]*plan.Plan, error) {
-	plans := make([]*plan.Plan, len(benchmarkPrograms))
+var benchmarkPlans = sync.OnceValues(func() (*benchmarks, error) {
+	bs := &benchmarks{plans: make([]*plan.Plan, len(benchmarkPrograms))}
 	for i, src := range benchmarkPrograms {
 		prog, err := lang.Parse(src)
 		if err != nil {
 			return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
 		}
-		if plans[i], err = plan.Compile(prog, plan.Config{TileSize: 1024}); err != nil {
+		if bs.plans[i], err = plan.Compile(prog, plan.Config{TileSize: 1024}); err != nil {
 			return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
 		}
+		for _, tasks := range suiteSplits {
+			pl, n := bs.plans[i].Clone(), 0
+			pl.AutoSplit(tasks)
+			for _, j := range pl.Jobs {
+				for _, ph := range j.Phases() {
+					n += ph.Tasks()
+				}
+			}
+			bs.tasks, bs.most = bs.tasks+n, max(bs.most, n)
+		}
 	}
-	return plans, nil
+	return bs, nil
 })
 
 // CalibrationResult bundles the fitted model with its raw observations so
@@ -203,14 +222,16 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*Calibra
 	if err != nil {
 		return nil, err
 	}
-	plans, err := benchmarkPlans()
+	bs, err := benchmarkPlans()
 	if err != nil {
 		return nil, err
 	}
-	// The runs' task records are kept, so the observations are built once,
-	// at their final length, in (benchmark, split, task) order.
-	runs := make([][]exec.TaskRecord, 0, len(plans)*len(suiteSplits))
-	n := 0
+	plans := bs.plans
+	// Each run's task records become observations as the run ends, in
+	// (benchmark, split, task) order, into one array of their final length;
+	// the runs share one record array, at the largest run's length.
+	obs := make([]Obs, 0, bs.tasks)
+	m := exec.RunMetrics{Tasks: make([]exec.TaskRecord, 0, bs.most)}
 	for i, tmpl := range plans {
 		for k, tasks := range suiteSplits {
 			// exec.New's seeds: noise from engineSeed, placement from one past.
@@ -243,6 +264,7 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*Calibra
 			pl := tmpl.Clone()
 			pl.AutoSplit(tasks)
 			if !loaded {
+				e.Reserve(pl)
 				for _, in := range pl.Inputs {
 					if err := e.LoadVirtual(in); err != nil {
 						return nil, err
@@ -252,17 +274,11 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*Calibra
 				s.loads[key] = load{fs: fs.Fork(nil), drawn: placement.k}
 				s.mu.Unlock()
 			}
-			m, err := e.Run(pl)
-			if err != nil {
+			if err := e.RunInto(pl, &m); err != nil {
 				return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
 			}
-			runs = append(runs, m.Tasks)
-			n += len(m.Tasks)
+			obs = AppendObs(obs, m.Tasks)
 		}
-	}
-	obs := make([]Obs, 0, n)
-	for _, tasks := range runs {
-		obs = AppendObs(obs, tasks)
 	}
 	tm, err := Fit(obs)
 	if err != nil {

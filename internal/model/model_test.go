@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"cumulon/internal/cloud"
+	"cumulon/internal/exec"
+	"cumulon/internal/lang"
+	"cumulon/internal/plan"
 )
 
 // synthObs generates observations from known coefficients plus noise.
@@ -145,6 +148,108 @@ func TestSuiteReplayMatchesFreshCalibration(t *testing.T) {
 			if !reflect.DeepEqual(got, fresh[i]) {
 				t.Fatalf("%s/%d (reverse %v): the replayed calibration differs from a fresh one\nreplayed %s\nfresh    %s",
 					pairs[i].mt.Name, pairs[i].slots, reverse, got.Model, fresh[i].Model)
+			}
+		}
+	}
+}
+
+// oracleCalibration is a calibration as plain engine runs make it: per
+// benchmark and split, a fresh engine on a fresh file system, its inputs
+// loaded, Run, and the run's task records appended as observations, then
+// Fit — no suite, memo, recorded load, memoized stream or reused record.
+func oracleCalibration(t *testing.T, mt cloud.MachineType, slots int, seed int64) ([]Obs, *TaskModel) {
+	t.Helper()
+	cluster, err := cloud.NewCluster(mt, 4, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obs []Obs
+	for i, src := range benchmarkPrograms {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl, err := plan.Compile(prog, plan.Config{TileSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tasks := range suiteSplits {
+			e, err := exec.New(exec.Config{Cluster: cluster, Seed: seed + int64(i*100+tasks), NoiseFactor: 0.08})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := tmpl.Clone()
+			pl.AutoSplit(tasks)
+			for _, in := range pl.Inputs {
+				if err := e.LoadVirtual(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := e.Run(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs = AppendObs(obs, m.Tasks)
+		}
+	}
+	tm, err := Fit(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obs, tm
+}
+
+// floatBits returns the bit patterns of xs.
+func floatBits(xs ...float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// TestCalibrateMatchesPlainRuns: a suite's calibration — its runs folded
+// into the observations as each ends, through one reused record array — has
+// bit for bit the observations and model of plain engine runs, on a cold
+// suite and on one another pair has warmed, and its observations fill
+// exactly the array they were given.
+func TestCalibrateMatchesPlainRuns(t *testing.T) {
+	cat := cloud.Catalog()
+	pairs := []struct {
+		mt    cloud.MachineType
+		slots int
+	}{{cat[0], 1}, {cat[len(cat)/2], cat[len(cat)/2].Cores}, {cat[len(cat)-1], 2 * cat[len(cat)-1].Cores}}
+	var warm Suite
+	if _, err := warm.Calibrate(cat[1], 2, 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		wantObs, wantModel := oracleCalibration(t, p.mt, p.slots, 7)
+		for _, c := range []struct {
+			name  string
+			suite *Suite
+		}{{"cold", new(Suite)}, {"warm", &warm}} {
+			got, err := c.suite.Calibrate(p.mt, p.slots, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Obs) != cap(got.Obs) {
+				t.Fatalf("%s/%d %s: %d observations in an array of %d", p.mt.Name, p.slots, c.name, len(got.Obs), cap(got.Obs))
+			}
+			if len(got.Obs) != len(wantObs) {
+				t.Fatalf("%s/%d %s: %d observations, plain runs make %d", p.mt.Name, p.slots, c.name, len(got.Obs), len(wantObs))
+			}
+			for i, o := range got.Obs {
+				w := wantObs[i]
+				if o.Flops != w.Flops || o.DiskBytes != w.DiskBytes || o.NetBytes != w.NetBytes ||
+					math.Float64bits(o.Seconds) != math.Float64bits(w.Seconds) {
+					t.Fatalf("%s/%d %s: observation %d is %+v, plain runs make %+v", p.mt.Name, p.slots, c.name, i, o, w)
+				}
+			}
+			g, w := got.Model, wantModel
+			if g.N != w.N || !reflect.DeepEqual(floatBits(g.B0, g.BFlops, g.BDisk, g.BNet), floatBits(w.B0, w.BFlops, w.BDisk, w.BNet)) ||
+				!reflect.DeepEqual(floatBits(g.Residuals...), floatBits(w.Residuals...)) {
+				t.Fatalf("%s/%d %s: the model differs from plain runs'\ngot   %s\nplain %s", p.mt.Name, p.slots, c.name, g, w)
 			}
 		}
 	}

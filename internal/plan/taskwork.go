@@ -61,6 +61,19 @@ func (j *Job) Phases() []Phase {
 	}
 }
 
+// Matrices returns how many matrix numbers a run of p at its splits binds:
+// one per name, then the Phases' partials of its widest k-split, counted
+// without building the phases.
+func (p *Plan) Matrices() int {
+	n := 0
+	for _, j := range p.Jobs {
+		if k := min(j.Split.CK, j.KTiles()); j.Kind == MulKind && j.MaskLeaf == "" && k > 1 {
+			n = max(n, k)
+		}
+	}
+	return len(p.Names) + n
+}
+
 // partialsOf returns the n partials of out, <out>~p0 … <out>~p<n-1>,
 // numbered from first, dense whatever out is, their names cut from one
 // string: a split sweep profiles hundreds of k-splits.

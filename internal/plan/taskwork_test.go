@@ -138,3 +138,39 @@ func TestChainFlopsThroughMask(t *testing.T) {
 		t.Fatalf("mask chain flops: %d", flops)
 	}
 }
+
+// TestMatricesCountsEveryNumber: Matrices is one past the largest number a
+// run binds — a name's, or a partial's of the phases — at every k-split of
+// a product, beside a masked product and a map that never split their K.
+func TestMatricesCountsEveryNumber(t *testing.T) {
+	pl := compileSrc(t, `
+input V 32 24 sparse
+input W 32 16
+input H 16 24
+X = W * H
+R = mask(V, W * H)
+Y = X + R
+output Y
+`, Config{TileSize: 4, Densities: map[string]float64{"V": 0.25}})
+	var mul *Job
+	for _, j := range pl.Jobs {
+		if j.Kind == MulKind && j.MaskLeaf == "" {
+			mul = j
+		}
+	}
+	if mul == nil || mul.KTiles() < 3 || len(pl.Jobs) < 3 {
+		t.Fatalf("want a product with a K to cut, a masked product and a map: %s", pl)
+	}
+	for ck := 1; ck <= mul.KTiles()+2; ck++ {
+		mul.Split.CK = ck
+		want := len(pl.Names)
+		for _, j := range pl.Jobs {
+			for _, pm := range j.Phases()[0].Partials {
+				want = max(want, int(pm.Num)+1)
+			}
+		}
+		if got := pl.Matrices(); got != want {
+			t.Fatalf("CK %d: Matrices() = %d, want %d", ck, got, want)
+		}
+	}
+}

@@ -219,7 +219,7 @@ func run(args []string, w io.Writer) error {
 		cluster = dep.Cluster
 	}
 
-	opts, err := req.ExecOptions(prog, cluster)
+	opts, err := req.ExecOptions(cluster)
 	if err != nil {
 		return err
 	}

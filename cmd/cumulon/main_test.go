@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cumulon/internal/cloud"
-	"cumulon/internal/lang"
 	"cumulon/internal/server"
 	"cumulon/internal/workloads"
 )
@@ -274,10 +273,6 @@ func TestServerBitIdenticalToCLIPath(t *testing.T) {
 	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := lang.ParseFile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name    string
 		flags   []string
@@ -317,7 +312,7 @@ func TestServerBitIdenticalToCLIPath(t *testing.T) {
 			if fromFlags != fromBody {
 				t.Fatalf("flags normalize to %+v, the body to %+v", fromFlags, fromBody)
 			}
-			if a, b := execFields(t, &fromFlags, parsed), execFields(t, &fromBody, parsed); a != b {
+			if a, b := execFields(t, &fromFlags), execFields(t, &fromBody); a != b {
 				t.Fatalf("engine options from flags %s, from the body %s", a, b)
 			}
 
@@ -362,9 +357,9 @@ func TestServerBitIdenticalToCLIPath(t *testing.T) {
 }
 
 // execFields renders the engine options a request maps to: the cluster,
-// seed, retry budget, checkpoint cadence, fault schedule and the digests of
-// the generated inputs.
-func execFields(t *testing.T, req *server.SubmitRequest, prog *lang.Program) string {
+// seed, retry budget, checkpoint cadence, fault schedule and whether the run
+// is materialized, which with the seed decides its drawn inputs.
+func execFields(t *testing.T, req *server.SubmitRequest) string {
 	t.Helper()
 	mt, err := cloud.TypeByName(req.Machine)
 	if err != nil {
@@ -374,12 +369,12 @@ func execFields(t *testing.T, req *server.SubmitRequest, prog *lang.Program) str
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := req.ExecOptions(prog, cluster)
+	o, err := req.ExecOptions(cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s seed=%d retries=%d ckpt=%d chaos=%v inputs=%v",
-		o.Cluster, o.Seed, o.MaxTaskRetries, o.CheckpointEvery, o.Chaos, server.DigestOutputs(o.Inputs))
+	return fmt.Sprintf("%s seed=%d retries=%d ckpt=%d chaos=%v mat=%t",
+		o.Cluster, o.Seed, o.MaxTaskRetries, o.CheckpointEvery, o.Chaos, o.Materialize)
 }
 
 // predictedLine returns the winner's "predicted" line of an EXPLAIN report.

@@ -47,10 +47,14 @@ func TestSessionConcurrentUse(t *testing.T) {
 				// Compile-only path.
 				_, errs[i] = sess.Compile(wl.Prog, cfg)
 			default:
-				// Full materialized run; record a result fingerprint.
-				res, err := sess.Run(wl.Prog, cfg, core.ExecOptions{
-					Cluster: cluster, Seed: seed, Inputs: inputs,
-				})
+				// Full materialized run, on the loaded inputs or on the same
+				// ones drawn from the seed into the store through the shared
+				// stream pool; record a result fingerprint.
+				opts := core.ExecOptions{Cluster: cluster, Seed: seed, Inputs: inputs}
+				if i%4 == 1 {
+					opts.Inputs, opts.Materialize = nil, true
+				}
+				res, err := sess.Run(wl.Prog, cfg, opts)
 				if err != nil {
 					errs[i] = err
 					return

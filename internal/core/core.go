@@ -73,9 +73,12 @@ func (s *Session) Optimizer() *opt.Optimizer { return s.optz }
 // configuration: a session run can set every engine field. The session
 // owns four of them (see execute): Cluster is the Run/ExecutePlan cluster
 // or the deployment's, a zero Seed means the session seed, a zero
-// NoiseFactor means 0.08, and Materialize follows Inputs — set, execution
-// is materialized and outputs are fetched; nil, it is virtual (inputs
-// registered by size only) and ExecResult.Outputs is nil.
+// NoiseFactor means 0.08, and Materialize is set when Inputs is. A
+// materialized run loads Inputs, or, when Inputs is nil, draws every input
+// at Seed, one tile row at a time straight into its store: the matrices
+// RandomInputs(plan's program, cfg, Seed) returns, byte for byte. Its
+// outputs are fetched into ExecResult.Outputs. A virtual run registers its
+// inputs by size only, and ExecResult.Outputs is nil.
 type ExecOptions = exec.Config
 
 // ExecResult is one finished execution.
@@ -133,25 +136,30 @@ func (s *Session) ExecutePlan(pl *plan.Plan, cluster cloud.Cluster, opts ExecOpt
 
 // RandomInputs generates deterministic positive random input matrices
 // for every input the program declares, honoring cfg.Densities for
-// sparse inputs. Both cmd/cumulon's -materialize mode and the job
-// server use it, so a program submitted to the server with the same
-// seed computes bit-identical outputs to a CLI run.
+// sparse inputs: each the whole matrix that a materialized session run
+// with nil Inputs draws at seed, tile row by tile row, into its store (see
+// ExecOptions). Tests and the benchmark load them to check a run against
+// an oracle.
 func RandomInputs(prog *lang.Program, cfg plan.Config, seed int64) map[string]*linalg.Dense {
 	data := map[string]*linalg.Dense{}
 	for i, in := range prog.Inputs {
-		s := seed + int64(i)*7
-		if in.Sparse {
-			d := cfg.Densities[in.Name]
-			if d <= 0 || d > 1 {
-				d = 0.05
-			}
-			data[in.Name] = linalg.RandomSparseDense(in.Rows, in.Cols, d, s)
-		} else {
-			data[in.Name] = linalg.RandomDense(in.Rows, in.Cols, s).
-				Map(func(x float64) float64 { return x + 0.1 })
-		}
+		data[in.Name] = linalg.Drawn(in.Rows, in.Cols, inputRows(i, in.Sparse, cfg.Densities[in.Name], seed))
 	}
 	return data
+}
+
+// inputRows starts the draw of the program's input i at seed: from seed +
+// 7i, a dense input shifted by 0.1 so that it is positive, a sparse one at
+// its density, or 0.05 when that lies outside (0, 1].
+func inputRows(i int, sparse bool, density float64, seed int64) linalg.RandomRows {
+	s := seed + int64(i)*7
+	if !sparse {
+		return linalg.DenseRows(s, 0.1)
+	}
+	if density <= 0 || density > 1 {
+		density = 0.05
+	}
+	return linalg.SparseRows(s, density)
 }
 
 func (s *Session) execute(pl *plan.Plan, cluster cloud.Cluster, opts ExecOptions) (*ExecResult, error) {
@@ -162,23 +170,30 @@ func (s *Session) execute(pl *plan.Plan, cluster cloud.Cluster, opts ExecOptions
 	if opts.NoiseFactor == 0 {
 		opts.NoiseFactor = 0.08
 	}
-	materialize := opts.Inputs != nil
+	materialize := opts.Materialize || opts.Inputs != nil
 	opts.Materialize = materialize
 	eng, err := exec.New(opts)
 	if err != nil {
 		return nil, err
 	}
+	defer eng.Close()
 	eng.Reserve(pl)
-	for _, in := range pl.Inputs {
-		if materialize {
+	for i, in := range pl.Inputs {
+		switch {
+		case !materialize:
+			err = eng.LoadVirtual(in)
+		case opts.Inputs == nil:
+			g := inputRows(i, in.Sparse, in.Density, opts.Seed)
+			err = eng.LoadRows(in, g.Fill)
+			g.Close()
+		default:
 			d, ok := opts.Inputs[in.Name]
 			if !ok {
 				return nil, fmt.Errorf("core: missing input %s", in.Name)
 			}
-			if err := eng.LoadDense(in, d); err != nil {
-				return nil, err
-			}
-		} else if err := eng.LoadVirtual(in); err != nil {
+			err = eng.LoadDense(in, d)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"cumulon/internal/core"
+	"math"
 	"testing"
 
 	"cumulon/internal/cloud"
@@ -222,6 +223,59 @@ output A
 			t.Errorf("%s: materialized run took %.6f virtual s, virtual run %.6f", entry, res.Metrics.TotalSeconds, base.TotalSeconds)
 		}
 	}
+}
+
+// TestSessionDrawsInputsFromSeed: a materialized run with nil Inputs draws
+// into its store the matrices RandomInputs returns at the run's seed, the
+// session's when it sets none, at any density the configuration gives: its
+// outputs and its run are those of a run loading RandomInputs.
+func TestSessionDrawsInputsFromSeed(t *testing.T) {
+	wl := workloads.GNMF(40, 30, 4, 2, 0.3)
+	cl := cluster(t, "m1.large", 4, 2)
+	s := core.NewSession(5)
+	for _, density := range []float64{0.3, 0} {
+		for _, seed := range []int64{9, 0} {
+			cfg := plan.Config{TileSize: 16, Densities: map[string]float64{"V": density}}
+			drawn, err := s.Run(wl.Prog, cfg, core.ExecOptions{Cluster: cl, Seed: seed, Materialize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := seed
+			if at == 0 {
+				at = 5
+			}
+			loaded, err := s.Run(wl.Prog, cfg, core.ExecOptions{Cluster: cl, Seed: seed, Inputs: core.RandomInputs(wl.Prog, cfg, at)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(drawn.Outputs, loaded.Outputs) || len(drawn.Outputs) != 2 {
+				t.Errorf("density %g, seed %d: the drawn inputs computed other outputs", density, seed)
+			}
+			if drawn.Metrics.TotalSeconds != loaded.Metrics.TotalSeconds {
+				t.Errorf("density %g, seed %d: %g virtual s, loaded %g", density, seed, drawn.Metrics.TotalSeconds, loaded.Metrics.TotalSeconds)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same matrices bit for bit, NaNs
+// included.
+func sameBits(a, b map[string]*linalg.Dense) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, d := range a {
+		e := b[name]
+		if e == nil || e.Rows != d.Rows || e.Cols != d.Cols {
+			return false
+		}
+		for i, v := range d.Data {
+			if math.Float64bits(v) != math.Float64bits(e.Data[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestSessionMissingInput(t *testing.T) {

@@ -747,15 +747,16 @@ func (fs *FS) KillNode(node int) RecoveryReport {
 	return rep
 }
 
-// Reseed replaces the placement random stream with one derived from
-// seed. Program-level checkpointing reseeds at every iteration boundary
-// so that a run resumed from a checkpoint draws the same placement
-// stream as the run that wrote it, independent of how many draws either
-// consumed before the boundary.
+// Reseed restarts the placement random stream, in place, as the stream a
+// source seeded with seed draws; the file system's source must be one that
+// can be reseeded (New's is). Program-level checkpointing reseeds at every
+// iteration boundary so that a run resumed from a checkpoint draws the same
+// placement stream as the run that wrote it, independent of how many draws
+// either consumed before the boundary.
 func (fs *FS) Reseed(seed int64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.rng = rand.New(rand.NewSource(seed))
+	fs.rng.Seed(seed)
 }
 
 // MarkDead marks a datanode dead without triggering re-replication. Checkpoint restore uses it to reinstate the failure state

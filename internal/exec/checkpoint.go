@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -143,7 +142,7 @@ func mixSeed(seed int64, stmt int) int64 {
 // both random streams reseed from the boundary position.
 func (e *Engine) boundaryReset(stmt int) {
 	e.resetCaches()
-	e.rng = rand.New(rand.NewSource(mixSeed(e.cfg.Seed, stmt)))
+	e.rng.Seed(mixSeed(e.cfg.Seed, stmt))
 	e.fs.Reseed(mixSeed(e.cfg.Seed+1, stmt))
 }
 

@@ -38,8 +38,9 @@ type Config struct {
 	// placement, accounting and timing are identical but no payloads move.
 	Materialize bool
 	// Inputs carries a session run's input matrices. Only core.Session
-	// reads it (it loads them and sets Materialize); the engine itself
-	// takes inputs through LoadDense and LoadVirtual.
+	// reads it: it loads them, and sets Materialize; with Materialize set
+	// and Inputs nil it draws the inputs from Seed instead. The engine
+	// itself takes inputs through LoadDense, LoadRows and LoadVirtual.
 	Inputs map[string]*linalg.Dense
 	// Seed drives the deterministic noise and placement randomness.
 	Seed int64
@@ -149,10 +150,14 @@ func (c Config) withDefaults() Config {
 
 // Engine executes plans over its own DFS instance.
 type Engine struct {
-	cfg    Config
-	fs     *dfs.FS
-	st     *store.Store
-	rng    *rand.Rand
+	cfg Config
+	fs  *dfs.FS
+	st  *store.Store
+	rng *rand.Rand
+	// held are the random streams the engine took from linalg's pool, its
+	// own and its file system's unless NewOn was given them: checkpoint
+	// boundaries reseed them in place, and Close hands them back.
+	held   []*rand.Rand
 	caches []*nodeCache // per-node tile caches (nil when disabled)
 	// repl is the replicas each written block gets: the file system's
 	// replication, which dfs caps at the node count.
@@ -179,25 +184,32 @@ func New(cfg Config) (*Engine, error) { return NewOn(cfg, nil, nil) }
 // cfg.Seed+1; a non-nil one must have the geometry New would give it (cfg's
 // node count, replication and racks). A nil rng is a stream seeded with
 // cfg.Seed. model's calibration suite starts engines on forks of a file
-// system it loaded once.
+// system it loaded once. A checkpoint boundary reseeds both streams in
+// place (dfs.FS.Reseed), so a checkpointing run needs reseedable ones.
 func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Cluster.Nodes <= 0 || cfg.Cluster.Slots <= 0 {
 		return nil, fmt.Errorf("exec: invalid cluster %+v", cfg.Cluster)
 	}
-	if fs == nil {
-		fs = dfs.New(dfs.Config{
-			Nodes:       cfg.Cluster.Nodes,
-			Replication: cfg.Replication,
-			Seed:        cfg.Seed + 1,
-			RackSize:    cfg.RackSize,
-		})
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("exec: Workers must be >= 0, got %d", cfg.Workers)
+	}
+	if err := cfg.Chaos.Validate(); err != nil {
+		return nil, err
+	}
+	var held []*rand.Rand
+	if fs == nil {
+		placement := linalg.Stream(cfg.Seed + 1)
+		held = append(held, placement)
+		fs = dfs.NewOn(dfs.Config{
+			Nodes:       cfg.Cluster.Nodes,
+			Replication: cfg.Replication,
+			RackSize:    cfg.RackSize,
+		}, placement)
+	}
+	if rng == nil {
+		rng = linalg.Stream(cfg.Seed)
+		held = append(held, rng)
 	}
 	backend := cfg.Backend
 	if backend == nil {
@@ -206,9 +218,6 @@ func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 		} else {
 			backend = compute.NewSequential()
 		}
-	}
-	if err := cfg.Chaos.Validate(); err != nil {
-		return nil, err
 	}
 	rec := obs.OrNop(cfg.Recorder)
 	env := compute.Env{Virtual: !cfg.Materialize, TileOps: rec.Enabled()}
@@ -220,12 +229,22 @@ func NewOn(cfg Config, fs *dfs.FS, rng *rand.Rand) (*Engine, error) {
 		fs:      fs,
 		st:      store.New(fs),
 		rng:     rng,
+		held:    held,
 		repl:    int64(fs.Replication()),
 		chaos:   chaos.NewInjector(cfg.Chaos),
 		backend: backend,
 		env:     env,
 		rec:     rec,
 	}, nil
+}
+
+// Close hands the engine's own random streams back to linalg's pool for
+// later engines. Neither the engine nor its file system may be used after.
+func (e *Engine) Close() {
+	for _, r := range e.held {
+		linalg.PutStream(r)
+	}
+	e.held = nil
 }
 
 // FS exposes the engine's file system (tests use it for failure injection
@@ -236,6 +255,12 @@ func (e *Engine) FS() *dfs.FS { return e.fs }
 // (external ingest: replicas placed randomly). Use with Materialize on.
 func (e *Engine) LoadDense(meta store.Meta, d *linalg.Dense) error {
 	return e.st.SaveDense(meta, d, -1)
+}
+
+// LoadRows ingests the stored matrix that fill draws, a tile row at a time
+// (store.SaveRows), as LoadDense ingests a whole one.
+func (e *Engine) LoadRows(meta store.Meta, fill func(dst []float64)) error {
+	return e.st.SaveRows(meta, fill, -1)
 }
 
 // FetchOutput downloads a stored matrix into memory (Materialize mode).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Dense is a simple row-major dense matrix. It serves two roles: the
@@ -26,29 +27,87 @@ func NewDense(rows, cols int) *Dense {
 // RandomDense returns a rows x cols matrix with entries drawn uniformly
 // from [0, 1) using the given seed. All randomness in this codebase is
 // seeded explicitly so that every test and experiment is reproducible.
-func RandomDense(rows, cols int, seed int64) *Dense {
-	rng := rand.New(rand.NewSource(seed))
-	d := NewDense(rows, cols)
-	for i := range d.Data {
-		d.Data[i] = rng.Float64()
-	}
-	return d
-}
+func RandomDense(rows, cols int, seed int64) *Dense { return Drawn(rows, cols, DenseRows(seed, 0)) }
 
 // RandomSparseDense returns a rows x cols matrix where each entry is
 // nonzero with probability density, drawn uniformly from [0,1). It models
 // sparse inputs (e.g. ratings matrices) while keeping a dense layout for
 // oracle simplicity.
 func RandomSparseDense(rows, cols int, density float64, seed int64) *Dense {
-	rng := rand.New(rand.NewSource(seed))
+	return Drawn(rows, cols, SparseRows(seed, density))
+}
+
+// Drawn returns the rows x cols matrix g draws, and ends the draw.
+func Drawn(rows, cols int, g RandomRows) *Dense {
 	d := NewDense(rows, cols)
-	for i := range d.Data {
-		if rng.Float64() < density {
-			d.Data[i] = rng.Float64()
-		}
-	}
+	g.Fill(d.Data)
+	g.Close()
 	return d
 }
+
+// RandomRows is a random matrix drawn row by row: the one definition of
+// every random matrix this codebase makes, whether whole (RandomDense,
+// RandomSparseDense) or a tile row at a time straight into the tile store.
+// Its entries, in row-major order, come from one stream seeded with the
+// matrix's seed: a dense entry is a Float64 plus the draw's shift; a sparse
+// one is nonzero when a first Float64 falls below the density, and is then
+// a second Float64.
+type RandomRows struct {
+	rng            *rand.Rand
+	sparse         bool
+	density, shift float64
+}
+
+// DenseRows starts the draw of a dense random matrix at seed, every entry
+// uniform in [shift, shift+1).
+func DenseRows(seed int64, shift float64) RandomRows {
+	return RandomRows{rng: Stream(seed), shift: shift}
+}
+
+// SparseRows starts the draw of a sparse random matrix at seed, each entry
+// nonzero with probability density and then uniform in [0, 1).
+func SparseRows(seed int64, density float64) RandomRows {
+	return RandomRows{rng: Stream(seed), sparse: true, density: density}
+}
+
+// Fill draws the matrix's next len(dst) entries into dst.
+func (g RandomRows) Fill(dst []float64) {
+	if !g.sparse {
+		for i := range dst {
+			dst[i] = g.rng.Float64() + g.shift
+		}
+		return
+	}
+	for i := range dst {
+		v := 0.0
+		if g.rng.Float64() < g.density {
+			v = g.rng.Float64()
+		}
+		dst[i] = v
+	}
+}
+
+// Close ends the draw, handing its stream back (PutStream).
+func (g RandomRows) Close() { PutStream(g.rng) }
+
+// streams recycles seeded random sources: a math/rand source is a 4.9 KB
+// table, and reseeding one in place starts exactly the stream a fresh
+// source seeded alike draws.
+var streams sync.Pool
+
+// Stream returns the stream rand.New(rand.NewSource(seed)) draws, on a
+// source from the pool when one is free. PutStream hands it back once
+// nothing draws from it any more.
+func Stream(seed int64) *rand.Rand {
+	if r, _ := streams.Get().(*rand.Rand); r != nil {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
+// PutStream hands a stream Stream returned back to the pool.
+func PutStream(r *rand.Rand) { streams.Put(r) }
 
 // ConstDense returns a rows x cols matrix with every entry equal to v.
 func ConstDense(rows, cols int, v float64) *Dense {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +155,88 @@ func TestConstDense(t *testing.T) {
 		if v != 2.5 {
 			t.Fatalf("const element %d = %v", i, v)
 		}
+	}
+}
+
+// TestStreamReseedsInPlace: a stream reseeded in place after any prior use,
+// and one Stream hands out again, draw what a fresh source seeded alike
+// draws, through every rand.Rand method the engines and the file system use.
+func TestStreamReseedsInPlace(t *testing.T) {
+	draws := func(r *rand.Rand) []float64 {
+		var out []float64
+		for range 5 {
+			out = append(out, r.Float64(), float64(r.Intn(7)), float64(r.Intn(1<<40)), r.ExpFloat64())
+			p := []int{0, 1, 2, 3, 4, 5}
+			r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+			for _, v := range p {
+				out = append(out, float64(v))
+			}
+		}
+		return out
+	}
+	held := rand.New(rand.NewSource(1))
+	for _, seed := range []int64{0, 7, -3, 1 << 40} {
+		want := draws(rand.New(rand.NewSource(seed)))
+		held.Read(make([]byte, 3)) // a part-read byte buffer must not leak into the next stream
+		held.Seed(seed)
+		if got := draws(held); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: the reseeded stream draws %v, a fresh one %v", seed, got, want)
+		}
+		r := Stream(seed)
+		if got := draws(r); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Stream draws %v, a fresh source %v", seed, got, want)
+		}
+		PutStream(r)
+	}
+}
+
+// TestRandomRowsDrawsInAnyStrips: a draw filled in strips of any length is
+// the whole-matrix draw, and that is one Float64 per dense entry (plus the
+// shift) or per sparse entry, and a second per nonzero, from one fresh
+// source.
+func TestRandomRowsDrawsInAnyStrips(t *testing.T) {
+	const rows, cols, seed = 13, 11, 5
+	rng := rand.New(rand.NewSource(seed))
+	dense := make([]float64, rows*cols)
+	for i := range dense {
+		dense[i] = rng.Float64() + 0.1
+	}
+	rng = rand.New(rand.NewSource(seed))
+	sparse := make([]float64, rows*cols)
+	for i := range sparse {
+		if rng.Float64() < 0.3 {
+			sparse[i] = rng.Float64()
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		start func() RandomRows
+		want  []float64
+	}{
+		{"dense", func() RandomRows { return DenseRows(seed, 0.1) }, dense},
+		{"sparse", func() RandomRows { return SparseRows(seed, 0.3) }, sparse},
+	} {
+		if got := Drawn(rows, cols, tc.start()); !slices.Equal(got.Data, tc.want) {
+			t.Fatalf("%s: the whole-matrix draw differs from one source's", tc.name)
+		}
+		for _, strip := range []int{1, cols, 3 * cols, 40} {
+			g, got := tc.start(), make([]float64, 0, rows*cols)
+			buf := make([]float64, strip)
+			for i := range buf {
+				buf[i] = -1 // a recycled buffer's stale values must not survive
+			}
+			for len(got) < rows*cols {
+				n := min(strip, rows*cols-len(got))
+				g.Fill(buf[:n])
+				got = append(got, buf[:n]...)
+			}
+			g.Close()
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("%s in strips of %d: differs from the whole-matrix draw", tc.name, strip)
+			}
+		}
+	}
+	if !slices.Equal(RandomSparseDense(rows, cols, 0.3, seed).Data, sparse) {
+		t.Fatal("RandomSparseDense is not the sparse draw")
 	}
 }

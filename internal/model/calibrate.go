@@ -135,6 +135,9 @@ type Suite struct {
 	memos   [][len(suiteSplits)]compute.Memo
 	streams map[int64]*stream
 	loads   map[loadKey]load
+	// free holds the record arrays of calibrations that ended, for the next
+	// ones: no more than run at once, which the compute budget bounds.
+	free []*exec.RunMetrics
 }
 
 // loadKey names a recorded load: benchmark, split index and calibration seed.
@@ -207,6 +210,25 @@ func (s *Suite) cursor(seed int64, k int) *cursor {
 	return &cursor{s: s, st: st, k: k}
 }
 
+// records takes a record array off the suite's free list, or makes one with
+// room for n tasks; release puts it back.
+func (s *Suite) records(n int) *exec.RunMetrics {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.free); k > 0 {
+		m := s.free[k-1]
+		s.free = s.free[:k-1]
+		return m
+	}
+	return &exec.RunMetrics{Tasks: make([]exec.TaskRecord, 0, n)}
+}
+
+func (s *Suite) release(m *exec.RunMetrics) {
+	s.mu.Lock()
+	s.free = append(s.free, m)
+	s.mu.Unlock()
+}
+
 // Calibrate runs the micro-benchmark suite on a small instrumented
 // cluster of the given machine type and slot configuration and fits the
 // task-time model. Benchmarks run in virtual mode: durations follow the
@@ -229,9 +251,11 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*Calibra
 	plans := bs.plans
 	// Each run's task records become observations as the run ends, in
 	// (benchmark, split, task) order, into one array of their final length;
-	// the runs share one record array, at the largest run's length.
+	// the runs share one record array, at the largest run's length, which
+	// the suite hands on to its next calibration.
 	obs := make([]Obs, 0, bs.tasks)
-	m := exec.RunMetrics{Tasks: make([]exec.TaskRecord, 0, bs.most)}
+	m := s.records(bs.most)
+	defer s.release(m)
 	for i, tmpl := range plans {
 		for k, tasks := range suiteSplits {
 			// exec.New's seeds: noise from engineSeed, placement from one past.
@@ -274,7 +298,7 @@ func (s *Suite) Calibrate(mt cloud.MachineType, slots int, seed int64) (*Calibra
 				s.loads[key] = load{fs: fs.Fork(nil), drawn: placement.k}
 				s.mu.Unlock()
 			}
-			if err := e.RunInto(pl, &m); err != nil {
+			if err := e.RunInto(pl, m); err != nil {
 				return nil, fmt.Errorf("model: benchmark %d: %w", i, err)
 			}
 			obs = AppendObs(obs, m.Tasks)

@@ -81,10 +81,9 @@ func Compile(p *lang.Program, cfg Config) (*Plan, error) {
 			Sparse:   in.Sparse,
 		}
 		if in.Sparse {
+			// As configured: a materialized run draws the input at it (core),
+			// the cost models read Meta.EffDensity.
 			m.Density = cfg.Densities[in.Name]
-			if m.Density <= 0 || m.Density > 1 {
-				m.Density = 1
-			}
 		}
 		l.number(&m)
 		l.metaEnv[in.Name] = m

@@ -220,12 +220,12 @@ func (r *SubmitRequest) SearchRequest(prog *lang.Program) opt.Request {
 // ExecOptions maps a normalized request onto the engine's options for a run
 // on cluster: the one mapping that cumulond's executeJob and cumulon both
 // run. The cluster is the optimizer's choice, or Machine × Nodes × Slots as
-// the caller resolved it; a materialized run draws its inputs with
-// core.RandomInputs at Seed. What is not the request's stays with each
-// caller: cumulond adds its workers, trace memo, checkpoint store and
-// recorder, cumulon its workers, state directory and trace.
-func (r *SubmitRequest) ExecOptions(prog *lang.Program, cluster cloud.Cluster) (core.ExecOptions, error) {
-	opts := core.ExecOptions{Cluster: cluster, Seed: r.Seed, MaxTaskRetries: r.MaxRetries, CheckpointEvery: r.CheckpointEvery}
+// the caller resolved it; a materialized run draws its inputs at Seed
+// (core.ExecOptions). What is not the request's stays with each caller:
+// cumulond adds its workers, trace memo, checkpoint store and recorder,
+// cumulon its workers, state directory and trace.
+func (r *SubmitRequest) ExecOptions(cluster cloud.Cluster) (core.ExecOptions, error) {
+	opts := core.ExecOptions{Cluster: cluster, Seed: r.Seed, Materialize: r.Materialize, MaxTaskRetries: r.MaxRetries, CheckpointEvery: r.CheckpointEvery}
 	if r.Chaos != "" {
 		// A fresh schedule per run keeps its consumption state private.
 		sched, err := chaos.Parse(r.Chaos)
@@ -233,9 +233,6 @@ func (r *SubmitRequest) ExecOptions(prog *lang.Program, cluster cloud.Cluster) (
 			return opts, err
 		}
 		opts.Chaos = sched
-	}
-	if r.Materialize {
-		opts.Inputs = core.RandomInputs(prog, plan.ConfigFor(prog, r.Tile, r.Density), r.Seed)
 	}
 	return opts, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cumulon/internal/obs"
@@ -368,12 +370,35 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, kind str
 	w.Write(body)
 }
 
+// jsonBuf is a response body buffer with an indenting encoder into it.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonBufs recycles writeJSON's buffers, and with each its encoder's own
+// indentation buffer, up to maxPooledJSON bytes.
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+const maxPooledJSON = 64 << 10
+
+// writeJSON writes v as an indented JSON body with the given status: encoded
+// into a pooled buffer, then written in one call.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	b.buf.Reset()
+	b.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b.buf.Bytes())
+	if b.buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(b)
+	}
 }
 
 func writeErr(w http.ResponseWriter, err error) {

@@ -432,7 +432,7 @@ func (s *Server) executeJob(j *job) (execOutcome, error) {
 		pl.AutoSplit(cluster.TotalSlots())
 		out.cluster = cluster.String()
 	}
-	opts, err := req.ExecOptions(j.prog, cluster)
+	opts, err := req.ExecOptions(cluster)
 	if err != nil {
 		return out, err
 	}

@@ -136,38 +136,72 @@ func region(m Meta, d *linalg.Dense, ti, tj int) (data []float64, rows, cols int
 // calls, which would otherwise grow a fresh one per goroutine per load.
 var csrBufs = sync.Pool{New: func() any { return new(linalg.CSRTile) }}
 
+// strips recycles the tile-row buffers SaveRows draws matrices into.
+var strips = sync.Pool{New: func() any { return new([]float64) }}
+
 // SaveDense uploads a dense in-memory matrix tile by tile (as an external
-// client: replicas are placed randomly, like an HDFS ingest). Each tile is
-// encoded, or CSR-converted through a pooled buffer, straight from its
-// region of d; the payloads are then written in (ti, tj) order, the order
-// replica placement draws its random numbers in.
+// client: replicas are placed randomly, like an HDFS ingest), every tile
+// straight from its region of d.
 func (s *Store) SaveDense(m Meta, d *linalg.Dense, node int) error {
 	if d.Rows != m.Rows || d.Cols != m.Cols {
 		return fmt.Errorf("store: matrix %s shape %dx%d does not match meta %dx%d",
 			m.Name, d.Rows, d.Cols, m.Rows, m.Cols)
 	}
+	return s.ingest(m, node, m.TileRows(), func(int) []float64 { return d.Data })
+}
+
+// SaveRows is SaveDense of the matrix that fill draws: each call writes the
+// matrix's next len(dst) entries, row-major, into dst, a tile row at a time
+// into one pooled buffer, so no more than a tile row of the matrix is ever
+// held in memory.
+func (s *Store) SaveRows(m Meta, fill func(dst []float64), node int) error {
+	buf := strips.Get().(*[]float64)
+	defer strips.Put(buf)
+	*buf = grow(*buf, min(m.TileSize, m.Rows)*m.Cols)
+	return s.ingest(m, node, 1, func(ti int) []float64 {
+		rows, _ := m.TileShape(ti, 0)
+		fill((*buf)[:rows*m.Cols])
+		return *buf
+	})
+}
+
+// ingest is the one ingest loop: it stores m in bands of band tile rows,
+// strip(ti) giving the rows of the band from tile row ti on, row-major with
+// stride m.Cols. A band's tiles are encoded, or CSR-converted through a
+// pooled buffer, on the compute budget, then written in (ti, tj) order: the
+// order replica placement draws its random numbers in.
+func (s *Store) ingest(m Meta, node, band int, strip func(ti int) []float64) error {
+	b := s.FS.Batch()
+	m.Declare(b)
+	b.Done()
 	tileCols := m.TileCols()
-	raws := make([][]byte, m.TileRows()*tileCols)
-	linalg.ForEach(len(raws), func() func(int) {
-		return func(i int) {
-			data, rows, cols := region(m, d, i/tileCols, i%tileCols)
-			if m.Sparse {
-				sp := csrBufs.Get().(*linalg.CSRTile)
-				sp.SetDense(data, rows, cols, d.Cols)
-				raws[i] = EncodeSparseTile(sp)
-				csrBufs.Put(sp)
-			} else {
-				raws[i] = encodeDense(data, rows, cols, d.Cols)
+	raws := make([][]byte, min(band, m.TileRows())*tileCols)
+	for ti := 0; ti < m.TileRows(); ti += band {
+		data, n := strip(ti), min(band, m.TileRows()-ti)*tileCols
+		linalg.ForEach(n, func() func(int) {
+			return func(i int) {
+				rows, cols := m.TileShape(ti+i/tileCols, i%tileCols)
+				at := data[i/tileCols*m.TileSize*m.Cols+i%tileCols*m.TileSize:]
+				if m.Sparse {
+					sp := csrBufs.Get().(*linalg.CSRTile)
+					sp.SetDense(at, rows, cols, m.Cols)
+					raws[i] = EncodeSparseTile(sp)
+					csrBufs.Put(sp)
+				} else {
+					raws[i] = encodeDense(at, rows, cols, m.Cols)
+				}
+			}
+		})
+		// The file system is held only to write, never while a band is drawn
+		// or waits for the compute budget.
+		b := s.FS.Batch()
+		for i, raw := range raws[:n] {
+			if err := b.Write(m.Tile(ti+i/tileCols, i%tileCols), raw, node); err != nil {
+				b.Done()
+				return err
 			}
 		}
-	})
-	b := s.FS.Batch()
-	defer b.Done()
-	m.Declare(b)
-	for i, raw := range raws {
-		if err := b.Write(m.Tile(i/tileCols, i%tileCols), raw, node); err != nil {
-			return err
-		}
+		b.Done()
 	}
 	return nil
 }

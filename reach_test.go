@@ -67,6 +67,8 @@ var perfOnlyAllowlist = map[string]string{
 	"opt.replayWinner":                perfOnly,
 	"core.(*Session).CompileString":   perfOnly,
 	"ckpt.(*DirStore).Root":           perfOnly,
+	"dfs.New":                         perfOnly,
+	"core.RandomInputs":               "the whole input matrices a materialized session run draws into its store; perf/ and the tests of seven packages load them as inputs and oracles",
 }
 
 const perfOnly = "only perf/ calls it; goes with ROADMAP item 20(c)"

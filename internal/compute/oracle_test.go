@@ -58,14 +58,8 @@ func (c *Ctx) evalTileShaped(e lang.Expr, leaves map[string]plan.LeafRef, ti, tj
 		// Transposes are pushed to leaves by the planner; a residual one
 		// here is a planner bug.
 		return nil, 0, 0, fmt.Errorf("unexpected transpose in physical expression %s", e)
-	case lang.Add:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a + b })
-	case lang.Sub:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a - b })
-	case lang.ElemMul:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a * b })
-	case lang.ElemDiv:
-		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, func(a, b float64) float64 { return a / b })
+	case lang.Elem:
+		return c.zipTiles(x.L, x.R, leaves, ti, tj, mm, mmRows, mmCols, oracleElemFns[x.Op])
 	case lang.Scale:
 		t, rows, cols, err := c.evalTileShaped(x.X, leaves, ti, tj, mm, mmRows, mmCols)
 		if err != nil {
@@ -93,6 +87,14 @@ func (c *Ctx) evalTileShaped(e lang.Expr, leaves map[string]plan.LeafRef, ti, tj
 	default:
 		return nil, 0, 0, fmt.Errorf("unexpected node %T in physical expression", e)
 	}
+}
+
+// oracleElemFns is each element-wise operator on one pair of elements.
+var oracleElemFns = [lang.NumElemOps]func(a, b float64) float64{
+	lang.OpAdd: func(a, b float64) float64 { return a + b },
+	lang.OpSub: func(a, b float64) float64 { return a - b },
+	lang.OpMul: func(a, b float64) float64 { return a * b },
+	lang.OpDiv: func(a, b float64) float64 { return a / b },
 }
 
 func (c *Ctx) zipTiles(l, r lang.Expr, leaves map[string]plan.LeafRef, ti, tj int, mm *linalg.Tile, mmRows, mmCols int, f func(a, b float64) float64) (*linalg.Tile, int, int, error) {

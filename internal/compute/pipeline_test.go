@@ -589,18 +589,10 @@ func fuzzExpr(code []byte) lang.Expr {
 				right = lang.Transpose{X: lang.Var{Name: "St"}}
 			}
 			stack = append(stack, lang.MatMul{L: lang.Var{Name: "P"}, R: right})
-		case 5:
+		case 5, 6, 7, 8:
 			r, l := pop(), pop()
-			stack = append(stack, lang.Add{L: l, R: r})
-		case 6:
-			r, l := pop(), pop()
-			stack = append(stack, lang.Sub{L: l, R: r})
-		case 7:
-			r, l := pop(), pop()
-			stack = append(stack, lang.ElemMul{L: l, R: r})
-		case 8:
-			r, l := pop(), pop()
-			stack = append(stack, lang.ElemDiv{L: l, R: r})
+			op := [...]lang.ElemOp{lang.OpAdd, lang.OpSub, lang.OpMul, lang.OpDiv}[b%11-5]
+			stack = append(stack, lang.Elem{Op: op, L: l, R: r})
 		case 9:
 			stack = append(stack, lang.Scale{S: float64(mod+1) / 2, X: pop()})
 		case 10:
@@ -609,7 +601,7 @@ func fuzzExpr(code []byte) lang.Expr {
 	}
 	e := pop()
 	for len(stack) > 0 {
-		e = lang.Add{L: pop(), R: e}
+		e = lang.Elem{Op: lang.OpAdd, L: pop(), R: e}
 	}
 	return e
 }

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"cumulon/internal/linalg"
 )
 
 // Expr is a matrix-valued expression node.
@@ -25,17 +27,42 @@ type Var struct{ Name string }
 // MatMul is the matrix product L × R.
 type MatMul struct{ L, R Expr }
 
-// Add is element-wise addition.
-type Add struct{ L, R Expr }
+// Elem is the binary element-wise operator Op applied to L and R, which
+// have one shape.
+type Elem struct {
+	Op   ElemOp
+	L, R Expr
+}
 
-// Sub is element-wise subtraction.
-type Sub struct{ L, R Expr }
+// ElemOp names a binary element-wise operator. elemOps holds everything
+// that differs between them.
+type ElemOp uint8
 
-// ElemMul is the Hadamard (element-wise) product, written ".*".
-type ElemMul struct{ L, R Expr }
+const (
+	OpAdd ElemOp = iota // +
+	OpSub               // -
+	OpMul               // .*, the Hadamard product
+	OpDiv               // ./
+	NumElemOps
+)
 
-// ElemDiv is element-wise division, written "./".
-type ElemDiv struct{ L, R Expr }
+var elemOps = [NumElemOps]struct {
+	sym string
+	// term: the operator binds like '*' in the grammar, not like '+'.
+	term  bool
+	dense func(a, b *linalg.Dense) *linalg.Dense
+}{
+	OpAdd: {"+", false, (*linalg.Dense).Add},
+	OpSub: {"-", false, (*linalg.Dense).Sub},
+	OpMul: {".*", true, (*linalg.Dense).ElemMul},
+	OpDiv: {"./", true, (*linalg.Dense).ElemDiv},
+}
+
+// String is the operator's symbol in the textual syntax.
+func (op ElemOp) String() string { return elemOps[op].sym }
+
+// Dense computes a op b on dense matrices, the interpreter's reference.
+func (op ElemOp) Dense(a, b *linalg.Dense) *linalg.Dense { return elemOps[op].dense(a, b) }
 
 // Scale multiplies every element by the constant S.
 type Scale struct {
@@ -66,25 +93,15 @@ type Mask struct {
 
 func (Var) exprNode()       {}
 func (MatMul) exprNode()    {}
-func (Add) exprNode()       {}
-func (Sub) exprNode()       {}
-func (ElemMul) exprNode()   {}
-func (ElemDiv) exprNode()   {}
+func (Elem) exprNode()      {}
 func (Scale) exprNode()     {}
 func (Transpose) exprNode() {}
 func (Apply) exprNode()     {}
 func (Mask) exprNode()      {}
 
-func (e Var) String() string    { return e.Name }
-func (e MatMul) String() string { return fmt.Sprintf("(%s * %s)", e.L, e.R) }
-func (e Add) String() string    { return fmt.Sprintf("(%s + %s)", e.L, e.R) }
-func (e Sub) String() string    { return fmt.Sprintf("(%s - %s)", e.L, e.R) }
-func (e ElemMul) String() string {
-	return fmt.Sprintf("(%s .* %s)", e.L, e.R)
-}
-func (e ElemDiv) String() string {
-	return fmt.Sprintf("(%s ./ %s)", e.L, e.R)
-}
+func (e Var) String() string       { return e.Name }
+func (e MatMul) String() string    { return fmt.Sprintf("(%s * %s)", e.L, e.R) }
+func (e Elem) String() string      { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
 func (e Scale) String() string     { return fmt.Sprintf("(%g * %s)", e.S, e.X) }
 func (e Transpose) String() string { return fmt.Sprintf("%s'", e.X) }
 func (e Apply) String() string     { return fmt.Sprintf("%s(%s)", e.Fn, e.X) }
@@ -254,13 +271,12 @@ func InferShape(e Expr, env map[string]Shape) (Shape, error) {
 			return Shape{}, fmt.Errorf("matmul inner dimensions %d vs %d", l.Cols, r.Rows)
 		}
 		return Shape{Rows: l.Rows, Cols: r.Cols}, nil
-	case Add, Sub, ElemMul, ElemDiv:
-		l, r := binaryOperands(e)
-		ls, err := InferShape(l, env)
+	case Elem:
+		ls, err := InferShape(x.L, env)
 		if err != nil {
 			return Shape{}, err
 		}
-		rs, err := InferShape(r, env)
+		rs, err := InferShape(x.R, env)
 		if err != nil {
 			return Shape{}, err
 		}
@@ -302,49 +318,38 @@ func InferShape(e Expr, env map[string]Shape) (Shape, error) {
 	}
 }
 
-func binaryOperands(e Expr) (l, r Expr) {
+// Rebuild returns e with each direct child c replaced by f(c), calling f
+// on the children left to right, in the order String renders them. A Var
+// has no children and comes back as is. A traversal that rebuilds or
+// visits a tree hands every node it has no special case for to Rebuild,
+// so that only Rebuild lists which children each node has.
+func Rebuild(e Expr, f func(Expr) Expr) Expr {
 	switch x := e.(type) {
-	case Add:
-		return x.L, x.R
-	case Sub:
-		return x.L, x.R
-	case ElemMul:
-		return x.L, x.R
-	case ElemDiv:
-		return x.L, x.R
+	case Var:
+		return x
+	case MatMul:
+		return MatMul{L: f(x.L), R: f(x.R)}
+	case Elem:
+		return Elem{Op: x.Op, L: f(x.L), R: f(x.R)}
+	case Scale:
+		return Scale{S: x.S, X: f(x.X)}
+	case Transpose:
+		return Transpose{X: f(x.X)}
+	case Apply:
+		return Apply{Fn: x.Fn, X: f(x.X)}
+	case Mask:
+		return Mask{P: f(x.P), X: f(x.X)}
 	}
-	panic("lang: not a binary element-wise node")
+	panic(fmt.Sprintf("lang: Rebuild: unknown node %T", e))
 }
 
 // Walk visits e and all descendants in prefix order.
 func Walk(e Expr, f func(Expr)) {
 	f(e)
-	switch x := e.(type) {
-	case MatMul:
-		Walk(x.L, f)
-		Walk(x.R, f)
-	case Add:
-		Walk(x.L, f)
-		Walk(x.R, f)
-	case Sub:
-		Walk(x.L, f)
-		Walk(x.R, f)
-	case ElemMul:
-		Walk(x.L, f)
-		Walk(x.R, f)
-	case ElemDiv:
-		Walk(x.L, f)
-		Walk(x.R, f)
-	case Scale:
-		Walk(x.X, f)
-	case Transpose:
-		Walk(x.X, f)
-	case Apply:
-		Walk(x.X, f)
-	case Mask:
-		Walk(x.P, f)
-		Walk(x.X, f)
-	}
+	Rebuild(e, func(c Expr) Expr {
+		Walk(c, f)
+		return c
+	})
 }
 
 // String renders the whole program in the textual syntax accepted by Parse.

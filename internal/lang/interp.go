@@ -58,30 +58,12 @@ func Eval(e Expr, env map[string]*linalg.Dense) (*linalg.Dense, error) {
 			return nil, err
 		}
 		return l.Mul(r), nil
-	case Add:
+	case Elem:
 		l, r, err := evalPair(x.L, x.R, env)
 		if err != nil {
 			return nil, err
 		}
-		return l.Add(r), nil
-	case Sub:
-		l, r, err := evalPair(x.L, x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return l.Sub(r), nil
-	case ElemMul:
-		l, r, err := evalPair(x.L, x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return l.ElemMul(r), nil
-	case ElemDiv:
-		l, r, err := evalPair(x.L, x.R, env)
-		if err != nil {
-			return nil, err
-		}
-		return l.ElemDiv(r), nil
+		return x.Op.Dense(l, r), nil
 	case Scale:
 		v, err := Eval(x.X, env)
 		if err != nil {

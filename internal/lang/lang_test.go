@@ -55,9 +55,9 @@ func TestParseExprPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add, ok := e.(Add)
-	if !ok {
-		t.Fatalf("top node %T", e)
+	add, ok := e.(Elem)
+	if !ok || add.Op != OpAdd {
+		t.Fatalf("top node %T %s", e, e)
 	}
 	if _, ok := add.R.(MatMul); !ok {
 		t.Fatalf("'*' should bind tighter than '+': %s", e)
@@ -96,7 +96,10 @@ func TestParseScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add := e.(Add)
+	add := e.(Elem)
+	if add.Op != OpAdd {
+		t.Fatalf("top op %s, want +", add.Op)
+	}
 	if s := add.L.(Scale); s.S != 0.5 {
 		t.Fatalf("left scalar: %v", s.S)
 	}
@@ -164,7 +167,7 @@ func TestValidateCatchesShapeErrors(t *testing.T) {
 func TestValidateCatchesUndefined(t *testing.T) {
 	p := &Program{
 		Inputs:  []Input{{Name: "A", Rows: 2, Cols: 2}},
-		Stmts:   []Assign{{Name: "C", Expr: Add{L: Var{"A"}, R: Var{"Z"}}}},
+		Stmts:   []Assign{{Name: "C", Expr: Elem{Op: OpAdd, L: Var{"A"}, R: Var{"Z"}}}},
 		Outputs: []string{"C"},
 	}
 	if _, err := p.Validate(); err == nil || !strings.Contains(err.Error(), "undefined") {

@@ -9,6 +9,19 @@ import (
 	"unicode"
 )
 
+// maxStatements caps what loops may unroll a program to. Without it a
+// 40-byte loop makes Parse allocate billions of statements, and nesting
+// multiplies; the largest committed workload unrolls to a few hundred.
+const maxStatements = 1 << 16
+
+// maxExprTokens caps a right-hand side's length in tokens, and with it
+// the expression's node count, its nesting depth (every pass over it
+// recurses that deep) and the length of a product chain, which the
+// planner's chain-order dynamic program prices in cubic time: a chain of
+// 2 000 factors, 8 kB of text, took 10 s to compile. No committed
+// program has a right-hand side of more than 27 tokens, rendered.
+const maxExprTokens = 512
+
 // Parse reads a program in the textual front-end syntax:
 //
 //	input V 10000 5000 sparse
@@ -35,12 +48,8 @@ import (
 //	primary:= ident '(' expr ')' | ident | '(' expr ')' ; postfix '
 //
 // A number in factor position denotes scalar multiplication (e.g.
-// "0.5 * A"); bare numbers are only valid in that position.
-// maxStatements caps what loops may unroll a program to. Without it a
-// 40-byte loop makes Parse allocate billions of statements, and nesting
-// multiplies; the largest committed workload unrolls to a few hundred.
-const maxStatements = 1 << 16
-
+// "0.5 * A"); bare numbers are only valid in that position. A right-hand
+// side has at most maxExprTokens tokens.
 func Parse(src string) (*Program, error) {
 	p := &Program{}
 	// loopStack holds the items being accumulated by enclosing for loops,
@@ -266,7 +275,7 @@ func tokenize(src string) ([]token, error) {
 	var toks []token
 	i := 0
 	rs := []rune(src)
-	for i < len(rs) {
+	for i < len(rs) && len(toks) <= maxExprTokens {
 		r := rs[i]
 		switch {
 		case unicode.IsSpace(r):
@@ -305,6 +314,9 @@ func tokenize(src string) ([]token, error) {
 			return nil, fmt.Errorf("unexpected character %q", string(r))
 		}
 	}
+	if len(toks) > maxExprTokens {
+		return nil, fmt.Errorf("expression is over the limit of %d tokens", maxExprTokens)
+	}
 	return toks, nil
 }
 
@@ -326,20 +338,15 @@ func (p *exprParser) parseExpr() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t, ok := p.peek()
-		if !ok || t.kind != tokOp || (t.text != "+" && t.text != "-") {
+		op, ok := p.elemOp(false)
+		if !ok {
 			return left, nil
 		}
-		p.pos++
 		right, err := p.parseTerm()
 		if err != nil {
 			return nil, err
 		}
-		if t.text == "+" {
-			left = Add{L: left, R: right}
-		} else {
-			left = Sub{L: left, R: right}
-		}
+		left = Elem{Op: op, L: left, R: right}
 	}
 }
 
@@ -349,24 +356,38 @@ func (p *exprParser) parseTerm() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t, ok := p.peek()
-		if !ok || t.kind != tokOp || (t.text != "*" && t.text != ".*" && t.text != "./") {
+		var op ElemOp
+		matmul := false
+		if t, ok := p.peek(); ok && t.kind == tokOp && t.text == "*" {
+			p.pos++
+			matmul = true
+		} else if op, ok = p.elemOp(true); !ok {
 			return left, nil
 		}
-		p.pos++
 		right, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
-		switch t.text {
-		case "*":
+		if matmul {
 			left = MatMul{L: left, R: right}
-		case ".*":
-			left = ElemMul{L: left, R: right}
-		case "./":
-			left = ElemDiv{L: left, R: right}
+		} else {
+			left = Elem{Op: op, L: left, R: right}
 		}
 	}
+}
+
+// elemOp consumes the next token when it is an element-wise operator that
+// binds like '*' (term) or like '+' (!term).
+func (p *exprParser) elemOp(term bool) (ElemOp, bool) {
+	if t, ok := p.peek(); ok && t.kind == tokOp {
+		for op, o := range elemOps {
+			if o.sym == t.text && o.term == term {
+				p.pos++
+				return ElemOp(op), true
+			}
+		}
+	}
+	return 0, false
 }
 
 func (p *exprParser) parseFactor() (Expr, error) {

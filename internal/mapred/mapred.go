@@ -267,24 +267,23 @@ func (e *Engine) evalExpr(label string, expr lang.Expr, env map[string]matInfo, 
 		elems := int64(in.rows) * int64(in.cols)
 		e.emitJob(m, label, x.Fn, in.bytes(), 0, out.bytes(), elems, false)
 		return out, nil
-	case lang.Add, lang.Sub, lang.ElemMul, lang.ElemDiv:
-		l, r, name, f := binaryOp(x)
-		li, err := e.evalExpr(label, l, env, m)
+	case lang.Elem:
+		li, err := e.evalExpr(label, x.L, env, m)
 		if err != nil {
 			return matInfo{}, err
 		}
-		ri, err := e.evalExpr(label, r, env, m)
+		ri, err := e.evalExpr(label, x.R, env, m)
 		if err != nil {
 			return matInfo{}, err
 		}
 		out := matInfo{rows: li.rows, cols: li.cols}
 		if li.value != nil && ri.value != nil {
-			out.value = f(li.value, ri.value)
+			out.value = x.Op.Dense(li.value, ri.value)
 		}
 		elems := int64(li.rows) * int64(li.cols)
 		// Aligning the two block streams requires shuffling both inputs.
 		in := li.bytes() + ri.bytes()
-		e.emitJob(m, label, name, in, in, out.bytes(), elems, true)
+		e.emitJob(m, label, elemJobNames[x.Op], in, in, out.bytes(), elems, true)
 		return out, nil
 	case lang.MatMul:
 		li, err := e.evalExpr(label, x.L, env, m)
@@ -510,21 +509,8 @@ func (e *Engine) recordJobSpans(jobID int, label, op string, start, secs, startu
 	e.rec.End(j, start+secs)
 }
 
-// binaryOp splits an element-wise binary node into its operands, its job
-// name and the Dense method that computes its value.
-func binaryOp(e lang.Expr) (l, r lang.Expr, name string, f func(a, b *linalg.Dense) *linalg.Dense) {
-	switch x := e.(type) {
-	case lang.Add:
-		return x.L, x.R, "add", (*linalg.Dense).Add
-	case lang.Sub:
-		return x.L, x.R, "sub", (*linalg.Dense).Sub
-	case lang.ElemMul:
-		return x.L, x.R, "elemmul", (*linalg.Dense).ElemMul
-	case lang.ElemDiv:
-		return x.L, x.R, "elemdiv", (*linalg.Dense).ElemDiv
-	}
-	panic("mapred: not a binary op")
-}
+// elemJobNames names the job of each element-wise operator.
+var elemJobNames = [lang.NumElemOps]string{lang.OpAdd: "add", lang.OpSub: "sub", lang.OpMul: "elemmul", lang.OpDiv: "elemdiv"}
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 

@@ -60,6 +60,26 @@ output C
 	}
 }
 
+// TestElemJobNames pins the baseline's job name for each element-wise
+// operator, and its value to the interpreter's.
+func TestElemJobNames(t *testing.T) {
+	want := map[string]string{"+": "add", "-": "sub", ".*": "elemmul", "./": "elemdiv"}
+	data := map[string]*linalg.Dense{"A": linalg.RandomDense(30, 20, 1), "B": linalg.RandomDense(30, 20, 2)}
+	for op := range lang.NumElemOps {
+		e, _ := New(Config{Cluster: cluster(t, 2, 2), Materialize: true})
+		m, outs, err := e.Run(parse(t, "input A 30 20\ninput B 30 20\nC = A "+op.String()+" B\noutput C"), nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Jobs) != 1 || m.Jobs[0].Op != want[op.String()] {
+			t.Errorf("A %s B runs jobs %+v, want one %q job", op, m.Jobs, want[op.String()])
+		}
+		if !reflect.DeepEqual(outs["C"], op.Dense(data["A"], data["B"])) {
+			t.Errorf("A %s B differs from the interpreter's", op)
+		}
+	}
+}
+
 func TestTransposeIsAJob(t *testing.T) {
 	e, _ := New(Config{Cluster: cluster(t, 4, 2)})
 	p := parse(t, "input A 3000 1000\nB = A'\noutput B")

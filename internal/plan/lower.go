@@ -313,9 +313,9 @@ func (l *lowerer) lowerMul(label string, mm lang.MatMul, epilogue lang.Expr, ext
 	}
 	b.job.KSize = lsh.Cols
 	if epilogue != nil {
-		// Epilogue leaves were already flattened into `body` by extractMMs?
-		// No: extractMMs keeps original Var/Transpose leaves; bind them now.
-		ep, err := b.flattenEpilogue(epilogue)
+		// extractMMs keeps the epilogue's original Var/Transpose leaves;
+		// bind them now.
+		ep, err := b.flatten(epilogue)
 		if err != nil {
 			return nil, err
 		}
@@ -391,9 +391,13 @@ func (b *jobBuilder) addDep(id int) {
 
 // flatten rewrites e into an expression over fresh leaf variables bound in
 // the job, materializing any nested matrix product into its own Mul job.
+// The MMVar placeholder of an epilogue passes through untouched.
 func (b *jobBuilder) flatten(e lang.Expr) (lang.Expr, error) {
 	switch x := e.(type) {
 	case lang.Var:
+		if x.Name == MMVar {
+			return x, nil
+		}
 		meta, ok := b.l.metaEnv[x.Name]
 		if !ok {
 			return nil, fmt.Errorf("plan: unknown variable %s", x.Name)
@@ -420,87 +424,10 @@ func (b *jobBuilder) flatten(e lang.Expr) (lang.Expr, error) {
 		}
 		b.l.metaEnv[tmp.Name] = tmp
 		return b.leaf(tmp, false), nil
-	case lang.Add:
-		return b.flattenBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.Add{L: l, R: r} })
-	case lang.Sub:
-		return b.flattenBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.Sub{L: l, R: r} })
-	case lang.ElemMul:
-		return b.flattenBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.ElemMul{L: l, R: r} })
-	case lang.ElemDiv:
-		return b.flattenBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.ElemDiv{L: l, R: r} })
-	case lang.Scale:
-		inner, err := b.flatten(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Scale{S: x.S, X: inner}, nil
-	case lang.Apply:
-		inner, err := b.flatten(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Apply{Fn: x.Fn, X: inner}, nil
 	case lang.Mask:
 		return nil, fmt.Errorf("plan: mask(...) is only supported as the whole right-hand side of a statement")
-	default:
-		return nil, fmt.Errorf("plan: flatten: unknown node %T", e)
 	}
-}
-
-func (b *jobBuilder) flattenBinary(l, r lang.Expr, mk func(l, r lang.Expr) lang.Expr) (lang.Expr, error) {
-	lf, err := b.flatten(l)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := b.flatten(r)
-	if err != nil {
-		return nil, err
-	}
-	return mk(lf, rf), nil
-}
-
-// flattenEpilogue is flatten for the epilogue tree of a Mul job: the MMVar
-// placeholder passes through untouched, everything else binds as leaves.
-func (b *jobBuilder) flattenEpilogue(e lang.Expr) (lang.Expr, error) {
-	if v, ok := e.(lang.Var); ok && v.Name == MMVar {
-		return v, nil
-	}
-	switch x := e.(type) {
-	case lang.Add:
-		return b.flattenEpilogueBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.Add{L: l, R: r} })
-	case lang.Sub:
-		return b.flattenEpilogueBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.Sub{L: l, R: r} })
-	case lang.ElemMul:
-		return b.flattenEpilogueBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.ElemMul{L: l, R: r} })
-	case lang.ElemDiv:
-		return b.flattenEpilogueBinary(x.L, x.R, func(l, r lang.Expr) lang.Expr { return lang.ElemDiv{L: l, R: r} })
-	case lang.Scale:
-		inner, err := b.flattenEpilogue(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Scale{S: x.S, X: inner}, nil
-	case lang.Apply:
-		inner, err := b.flattenEpilogue(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Apply{Fn: x.Fn, X: inner}, nil
-	default:
-		return b.flatten(e)
-	}
-}
-
-func (b *jobBuilder) flattenEpilogueBinary(l, r lang.Expr, mk func(l, r lang.Expr) lang.Expr) (lang.Expr, error) {
-	lf, err := b.flattenEpilogue(l)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := b.flattenEpilogue(r)
-	if err != nil {
-		return nil, err
-	}
-	return mk(lf, rf), nil
+	return rebuildErr(e, b.flatten)
 }
 
 // extractMMs returns e with every matrix product reachable from the root
@@ -509,34 +436,19 @@ func (b *jobBuilder) flattenEpilogueBinary(l, r lang.Expr, mk func(l, r lang.Exp
 // transposes) are not extracted — they belong to their enclosing product's
 // prologues.
 func extractMMs(e lang.Expr) (lang.Expr, []lang.MatMul) {
-	switch x := e.(type) {
-	case lang.MatMul:
-		return lang.Var{Name: MMVar}, []lang.MatMul{x}
-	case lang.Add:
-		le, lm := extractMMs(x.L)
-		re, rm := extractMMs(x.R)
-		return lang.Add{L: le, R: re}, append(lm, rm...)
-	case lang.Sub:
-		le, lm := extractMMs(x.L)
-		re, rm := extractMMs(x.R)
-		return lang.Sub{L: le, R: re}, append(lm, rm...)
-	case lang.ElemMul:
-		le, lm := extractMMs(x.L)
-		re, rm := extractMMs(x.R)
-		return lang.ElemMul{L: le, R: re}, append(lm, rm...)
-	case lang.ElemDiv:
-		le, lm := extractMMs(x.L)
-		re, rm := extractMMs(x.R)
-		return lang.ElemDiv{L: le, R: re}, append(lm, rm...)
-	case lang.Scale:
-		ie, im := extractMMs(x.X)
-		return lang.Scale{S: x.S, X: ie}, im
-	case lang.Apply:
-		ie, im := extractMMs(x.X)
-		return lang.Apply{Fn: x.Fn, X: ie}, im
-	default:
-		return e, nil
+	var mms []lang.MatMul
+	var extract func(e lang.Expr) lang.Expr
+	extract = func(e lang.Expr) lang.Expr {
+		switch x := e.(type) {
+		case lang.MatMul:
+			mms = append(mms, x)
+			return lang.Var{Name: MMVar}
+		case lang.Var, lang.Transpose, lang.Mask:
+			return e
+		}
+		return lang.Rebuild(e, extract)
 	}
+	return extract(e), mms
 }
 
 // Intermediates returns the stored matrices produced by jobs that are not

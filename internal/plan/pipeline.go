@@ -53,6 +53,9 @@ const (
 	TileApply
 )
 
+// elemTileOps is the opcode of each element-wise operator.
+var elemTileOps = [lang.NumElemOps]TileOp{lang.OpAdd: TileAdd, lang.OpSub: TileSub, lang.OpMul: TileMul, lang.OpDiv: TileDiv}
+
 func (op TileOp) String() string {
 	switch op {
 	case TileLeaf:
@@ -193,14 +196,15 @@ func CompileTileProgram(e lang.Expr, leaves map[string]LeafRef) (*TileProgram, e
 			}
 			push(TileInstr{Op: TileLeaf, Arg: slot}, 0)
 			return nil
-		case lang.Add:
-			return emitBinary(emit, push, x.L, x.R, TileAdd)
-		case lang.Sub:
-			return emitBinary(emit, push, x.L, x.R, TileSub)
-		case lang.ElemMul:
-			return emitBinary(emit, push, x.L, x.R, TileMul)
-		case lang.ElemDiv:
-			return emitBinary(emit, push, x.L, x.R, TileDiv)
+		case lang.Elem:
+			if err := emit(x.L); err != nil {
+				return err
+			}
+			if err := emit(x.R); err != nil {
+				return err
+			}
+			push(TileInstr{Op: elemTileOps[x.Op]}, 2)
+			return nil
 		case lang.Scale:
 			if err := emit(x.X); err != nil {
 				return err
@@ -230,17 +234,6 @@ func CompileTileProgram(e lang.Expr, leaves map[string]LeafRef) (*TileProgram, e
 	}
 	p.MaxStack = maxDepth
 	return p, nil
-}
-
-func emitBinary(emit func(lang.Expr) error, push func(TileInstr, int), l, r lang.Expr, op TileOp) error {
-	if err := emit(l); err != nil {
-		return err
-	}
-	if err := emit(r); err != nil {
-		return err
-	}
-	push(TileInstr{Op: op}, 2)
-	return nil
 }
 
 // compilePrograms compiles the fused pipelines of every job in the plan.

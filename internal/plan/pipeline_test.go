@@ -55,12 +55,29 @@ func TestCompileTileProgramTape(t *testing.T) {
 	}
 }
 
+// TestCompileTileProgramElemOps: each element-wise operator compiles to
+// its own opcode, after both operands.
+func TestCompileTileProgramElemOps(t *testing.T) {
+	want := map[string]TileOp{"+": TileAdd, "-": TileSub, ".*": TileMul, "./": TileDiv}
+	for op := range lang.NumElemOps {
+		p, err := CompileTileProgram(lang.Elem{Op: op, L: lang.Var{Name: "A"}, R: lang.Var{Name: "B"}}, leafEnv("A", "B"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, ok := want[op.String()]
+		if !ok || len(p.Code) != 3 || p.Code[2].Op != w {
+			t.Errorf("A %s B compiles to %s, want leaf leaf %s", op, p, w)
+		}
+	}
+}
+
 func TestCompileTileProgramMM(t *testing.T) {
 	// H ⊙ ($mm ⊘ D): the parser has no surface syntax for the product
 	// placeholder, so build the epilogue tree directly.
-	e := lang.ElemMul{
-		L: lang.Var{Name: "H"},
-		R: lang.ElemDiv{L: lang.Var{Name: MMVar}, R: lang.Var{Name: "D"}},
+	e := lang.Elem{
+		Op: lang.OpMul,
+		L:  lang.Var{Name: "H"},
+		R:  lang.Elem{Op: lang.OpDiv, L: lang.Var{Name: MMVar}, R: lang.Var{Name: "D"}},
 	}
 	p, err := CompileTileProgram(e, leafEnv("H", "D"))
 	if err != nil {

@@ -22,7 +22,7 @@ func oracleOps(e lang.Expr) int64 {
 	var n int64
 	lang.Walk(e, func(x lang.Expr) {
 		switch x.(type) {
-		case lang.Add, lang.Sub, lang.ElemMul, lang.ElemDiv, lang.Scale, lang.Apply:
+		case lang.Elem, lang.Scale, lang.Apply:
 			n++
 		}
 	})

@@ -26,7 +26,9 @@ func Rewrite(e lang.Expr, env map[string]lang.Shape) (lang.Expr, error) {
 }
 
 // pushTranspose returns an expression equal to e (or eᵀ when t is true)
-// in which every Transpose node wraps a Var.
+// in which every Transpose node wraps a Var. Every other operator is
+// element-wise or, like mask(P, X)ᵀ = mask(Pᵀ, Xᵀ), transposes with its
+// operands.
 func pushTranspose(e lang.Expr, t bool) lang.Expr {
 	switch x := e.(type) {
 	case lang.Var:
@@ -40,146 +42,76 @@ func pushTranspose(e lang.Expr, t bool) lang.Expr {
 		if t {
 			return lang.MatMul{L: pushTranspose(x.R, true), R: pushTranspose(x.L, true)}
 		}
-		return lang.MatMul{L: pushTranspose(x.L, false), R: pushTranspose(x.R, false)}
-	case lang.Add:
-		return lang.Add{L: pushTranspose(x.L, t), R: pushTranspose(x.R, t)}
-	case lang.Sub:
-		return lang.Sub{L: pushTranspose(x.L, t), R: pushTranspose(x.R, t)}
-	case lang.ElemMul:
-		return lang.ElemMul{L: pushTranspose(x.L, t), R: pushTranspose(x.R, t)}
-	case lang.ElemDiv:
-		return lang.ElemDiv{L: pushTranspose(x.L, t), R: pushTranspose(x.R, t)}
-	case lang.Scale:
-		return lang.Scale{S: x.S, X: pushTranspose(x.X, t)}
-	case lang.Apply:
-		return lang.Apply{Fn: x.Fn, X: pushTranspose(x.X, t)}
-	case lang.Mask:
-		// mask(P, X)ᵀ = mask(Pᵀ, Xᵀ): the pattern transposes with the value.
-		return lang.Mask{P: pushTranspose(x.P, t), X: pushTranspose(x.X, t)}
-	default:
-		panic(fmt.Sprintf("plan: pushTranspose: unknown node %T", e))
 	}
+	return lang.Rebuild(e, func(c lang.Expr) lang.Expr { return pushTranspose(c, t) })
 }
 
 // foldScale collapses Scale(a, Scale(b, X)) into Scale(a*b, X) and removes
 // Scale(1, X).
 func foldScale(e lang.Expr) lang.Expr {
-	switch x := e.(type) {
-	case lang.Var:
-		return x
-	case lang.Transpose:
-		return lang.Transpose{X: foldScale(x.X)}
-	case lang.MatMul:
-		return lang.MatMul{L: foldScale(x.L), R: foldScale(x.R)}
-	case lang.Add:
-		return lang.Add{L: foldScale(x.L), R: foldScale(x.R)}
-	case lang.Sub:
-		return lang.Sub{L: foldScale(x.L), R: foldScale(x.R)}
-	case lang.ElemMul:
-		return lang.ElemMul{L: foldScale(x.L), R: foldScale(x.R)}
-	case lang.ElemDiv:
-		return lang.ElemDiv{L: foldScale(x.L), R: foldScale(x.R)}
-	case lang.Scale:
-		inner := foldScale(x.X)
-		s := x.S
-		for {
-			if si, ok := inner.(lang.Scale); ok {
-				s *= si.S
-				inner = si.X
-				continue
-			}
-			break
-		}
-		if s == 1 {
-			return inner
-		}
-		return lang.Scale{S: s, X: inner}
-	case lang.Apply:
-		return lang.Apply{Fn: x.Fn, X: foldScale(x.X)}
-	case lang.Mask:
-		return lang.Mask{P: foldScale(x.P), X: foldScale(x.X)}
-	default:
-		panic(fmt.Sprintf("plan: foldScale: unknown node %T", e))
+	x, ok := e.(lang.Scale)
+	if !ok {
+		return lang.Rebuild(e, foldScale)
 	}
+	inner := foldScale(x.X)
+	s := x.S
+	for {
+		if si, ok := inner.(lang.Scale); ok {
+			s *= si.S
+			inner = si.X
+			continue
+		}
+		break
+	}
+	if s == 1 {
+		return inner
+	}
+	return lang.Scale{S: s, X: inner}
 }
 
 // reorderChains rewrites every maximal multiplication chain using the
 // optimal matrix-chain-order dynamic program over the operand shapes.
 func reorderChains(e lang.Expr, env map[string]lang.Shape) (lang.Expr, error) {
-	switch x := e.(type) {
-	case lang.Var:
-		return x, nil
-	case lang.Transpose:
-		inner, err := reorderChains(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Transpose{X: inner}, nil
-	case lang.MatMul:
-		factors := collectFactors(e)
-		reordered := make([]lang.Expr, len(factors))
-		dims := make([]int, 0, len(factors)+1)
-		for i, f := range factors {
-			rf, err := reorderChains(f, env)
-			if err != nil {
-				return nil, err
-			}
-			reordered[i] = rf
-			sh, err := lang.InferShape(rf, env)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				dims = append(dims, sh.Rows)
-			}
-			dims = append(dims, sh.Cols)
-		}
-		return chainOrder(reordered, dims), nil
-	case lang.Add:
-		return rebuildBinary(x.L, x.R, env, func(l, r lang.Expr) lang.Expr { return lang.Add{L: l, R: r} })
-	case lang.Sub:
-		return rebuildBinary(x.L, x.R, env, func(l, r lang.Expr) lang.Expr { return lang.Sub{L: l, R: r} })
-	case lang.ElemMul:
-		return rebuildBinary(x.L, x.R, env, func(l, r lang.Expr) lang.Expr { return lang.ElemMul{L: l, R: r} })
-	case lang.ElemDiv:
-		return rebuildBinary(x.L, x.R, env, func(l, r lang.Expr) lang.Expr { return lang.ElemDiv{L: l, R: r} })
-	case lang.Scale:
-		inner, err := reorderChains(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Scale{S: x.S, X: inner}, nil
-	case lang.Apply:
-		inner, err := reorderChains(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Apply{Fn: x.Fn, X: inner}, nil
-	case lang.Mask:
-		pr, err := reorderChains(x.P, env)
-		if err != nil {
-			return nil, err
-		}
-		xr, err := reorderChains(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return lang.Mask{P: pr, X: xr}, nil
-	default:
-		return nil, fmt.Errorf("plan: reorderChains: unknown node %T", e)
+	if _, ok := e.(lang.MatMul); !ok {
+		return rebuildErr(e, func(c lang.Expr) (lang.Expr, error) { return reorderChains(c, env) })
 	}
+	factors := collectFactors(e)
+	reordered := make([]lang.Expr, len(factors))
+	dims := make([]int, 0, len(factors)+1)
+	for i, f := range factors {
+		rf, err := reorderChains(f, env)
+		if err != nil {
+			return nil, err
+		}
+		reordered[i] = rf
+		sh, err := lang.InferShape(rf, env)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			dims = append(dims, sh.Rows)
+		}
+		dims = append(dims, sh.Cols)
+	}
+	return chainOrder(reordered, dims), nil
 }
 
-func rebuildBinary(l, r lang.Expr, env map[string]lang.Shape, mk func(l, r lang.Expr) lang.Expr) (lang.Expr, error) {
-	lr, err := reorderChains(l, env)
+// rebuildErr is lang.Rebuild for a child mapping that can fail: it maps no
+// child after the first error, and returns that error.
+func rebuildErr(e lang.Expr, f func(lang.Expr) (lang.Expr, error)) (lang.Expr, error) {
+	var err error
+	out := lang.Rebuild(e, func(c lang.Expr) lang.Expr {
+		if err != nil {
+			return c
+		}
+		var r lang.Expr
+		r, err = f(c)
+		return r
+	})
 	if err != nil {
 		return nil, err
 	}
-	rr, err := reorderChains(r, env)
-	if err != nil {
-		return nil, err
-	}
-	return mk(lr, rr), nil
+	return out, nil
 }
 
 // collectFactors flattens the multiplication spine of e into its ordered
@@ -424,33 +356,16 @@ func CSE(p *lang.Program) (*lang.Program, *RewriteReport, error) {
 // and the visit then recurses into the chain's factors (so chains nested
 // inside factors are visited too).
 func forEachChain(e lang.Expr, f func(chain lang.Expr)) {
-	switch x := e.(type) {
-	case lang.MatMul:
-		f(x)
-		for _, fac := range collectFactors(x) {
-			forEachChain(fac, f)
-		}
-	case lang.Add:
-		forEachChain(x.L, f)
-		forEachChain(x.R, f)
-	case lang.Sub:
-		forEachChain(x.L, f)
-		forEachChain(x.R, f)
-	case lang.ElemMul:
-		forEachChain(x.L, f)
-		forEachChain(x.R, f)
-	case lang.ElemDiv:
-		forEachChain(x.L, f)
-		forEachChain(x.R, f)
-	case lang.Scale:
-		forEachChain(x.X, f)
-	case lang.Apply:
-		forEachChain(x.X, f)
-	case lang.Transpose:
-		forEachChain(x.X, f)
-	case lang.Mask:
-		forEachChain(x.P, f)
-		forEachChain(x.X, f)
+	if _, ok := e.(lang.MatMul); !ok {
+		lang.Rebuild(e, func(c lang.Expr) lang.Expr {
+			forEachChain(c, f)
+			return c
+		})
+		return
+	}
+	f(e)
+	for _, fac := range collectFactors(e) {
+		forEachChain(fac, f)
 	}
 }
 
@@ -470,14 +385,8 @@ func chainKey(e lang.Expr, versions map[string]int) string {
 			parts[i] = chainKey(f, versions)
 		}
 		return "mm(" + joinKeys(parts) + ")"
-	case lang.Add:
-		return "add(" + chainKey(x.L, versions) + "," + chainKey(x.R, versions) + ")"
-	case lang.Sub:
-		return "sub(" + chainKey(x.L, versions) + "," + chainKey(x.R, versions) + ")"
-	case lang.ElemMul:
-		return "emul(" + chainKey(x.L, versions) + "," + chainKey(x.R, versions) + ")"
-	case lang.ElemDiv:
-		return "ediv(" + chainKey(x.L, versions) + "," + chainKey(x.R, versions) + ")"
+	case lang.Elem:
+		return x.Op.String() + "(" + chainKey(x.L, versions) + "," + chainKey(x.R, versions) + ")"
 	case lang.Scale:
 		return fmt.Sprintf("scale(%g,%s)", x.S, chainKey(x.X, versions))
 	case lang.Apply:
@@ -505,37 +414,18 @@ func joinKeys(parts []string) string {
 // skipTemp names a temp whose own defining body is being rewritten: its
 // root chain must not be replaced by itself.
 func replaceChains(e lang.Expr, versions map[string]int, temp map[string]string, skipTemp string) lang.Expr {
-	switch x := e.(type) {
-	case lang.Var:
-		return x
-	case lang.Transpose:
-		return lang.Transpose{X: replaceChains(x.X, versions, temp, skipTemp)}
-	case lang.MatMul:
-		if name, ok := temp[chainKey(x, versions)]; ok && name != skipTemp {
-			return lang.Var{Name: name}
-		}
-		// Not replaced at this root: rebuild the spine without key-testing
-		// its sub-products (fragments of one chain must not bind to temps
-		// of shorter chains — that would fence the chain-order DP), and
-		// recurse into the factors, whose own nested chains are distinct.
-		return rebuildSpine(x, versions, temp)
-	case lang.Add:
-		return lang.Add{L: replaceChains(x.L, versions, temp, skipTemp), R: replaceChains(x.R, versions, temp, skipTemp)}
-	case lang.Sub:
-		return lang.Sub{L: replaceChains(x.L, versions, temp, skipTemp), R: replaceChains(x.R, versions, temp, skipTemp)}
-	case lang.ElemMul:
-		return lang.ElemMul{L: replaceChains(x.L, versions, temp, skipTemp), R: replaceChains(x.R, versions, temp, skipTemp)}
-	case lang.ElemDiv:
-		return lang.ElemDiv{L: replaceChains(x.L, versions, temp, skipTemp), R: replaceChains(x.R, versions, temp, skipTemp)}
-	case lang.Scale:
-		return lang.Scale{S: x.S, X: replaceChains(x.X, versions, temp, skipTemp)}
-	case lang.Apply:
-		return lang.Apply{Fn: x.Fn, X: replaceChains(x.X, versions, temp, skipTemp)}
-	case lang.Mask:
-		return lang.Mask{P: replaceChains(x.P, versions, temp, skipTemp), X: replaceChains(x.X, versions, temp, skipTemp)}
-	default:
-		return e
+	x, ok := e.(lang.MatMul)
+	if !ok {
+		return lang.Rebuild(e, func(c lang.Expr) lang.Expr { return replaceChains(c, versions, temp, skipTemp) })
 	}
+	if name, ok := temp[chainKey(x, versions)]; ok && name != skipTemp {
+		return lang.Var{Name: name}
+	}
+	// Not replaced at this root: rebuild the spine without key-testing
+	// its sub-products (fragments of one chain must not bind to temps
+	// of shorter chains — that would fence the chain-order DP), and
+	// recurse into the factors, whose own nested chains are distinct.
+	return rebuildSpine(x, versions, temp)
 }
 
 // rebuildSpine walks a product spine preserving its parenthesization,
@@ -587,44 +477,23 @@ func ChainFlops(e lang.Expr, env map[string]lang.Shape) (int64, error) {
 				return lang.Shape{}, err
 			}
 			return lang.Shape{Rows: s.Cols, Cols: s.Rows}, nil
-		case lang.Scale:
-			return walk(n.X)
-		case lang.Apply:
-			return walk(n.X)
-		case lang.Add:
-			if _, err := walk(n.L); err != nil {
-				return lang.Shape{}, err
-			}
-			return walk(n.R)
-		case lang.Sub:
-			if _, err := walk(n.L); err != nil {
-				return lang.Shape{}, err
-			}
-			return walk(n.R)
-		case lang.ElemMul:
-			if _, err := walk(n.L); err != nil {
-				return lang.Shape{}, err
-			}
-			return walk(n.R)
-		case lang.ElemDiv:
-			if _, err := walk(n.L); err != nil {
-				return lang.Shape{}, err
-			}
-			return walk(n.R)
-		case lang.Mask:
-			if _, err := walk(n.P); err != nil {
-				return lang.Shape{}, err
-			}
-			return walk(n.X)
 		case lang.Var:
 			sh, ok := env[n.Name]
 			if !ok {
 				return lang.Shape{}, fmt.Errorf("plan: unknown variable %s", n.Name)
 			}
 			return sh, nil
-		default:
-			return lang.Shape{}, fmt.Errorf("plan: ChainFlops: unknown node %T", x)
 		}
+		// Every other node has its last child's shape.
+		var sh lang.Shape
+		var err error
+		lang.Rebuild(x, func(c lang.Expr) lang.Expr {
+			if err == nil {
+				sh, err = walk(c)
+			}
+			return c
+		})
+		return sh, err
 	}
 	if _, err := walk(e); err != nil {
 		return 0, err

@@ -130,6 +130,9 @@ func TestServerValidation(t *testing.T) {
 		{"parse error", SubmitRequest{Tenant: "a", Program: "not a program"}, 400},
 		// Two billion iterations in 50 bytes: refused before it unrolls.
 		{"loop bomb", SubmitRequest{Tenant: "a", Program: "input A 2 2\nfor i in 1:2000000000 {\nA = A\n}\noutput A"}, 400},
+		// A 2 000-factor product in 8 kB: refused at parse time, before the
+		// planner's cubic chain-order search.
+		{"chain bomb", SubmitRequest{Tenant: "a", Program: "input A 10 10\nX = A" + strings.Repeat(" * A", 1999) + "\noutput X"}, 400},
 		{"too many nodes", SubmitRequest{Tenant: "a", Program: gnmfSource(), Nodes: 9}, 400},
 		{"negative nodes", SubmitRequest{Tenant: "a", Program: gnmfSource(), Nodes: -1}, 400},
 		{"wrong machine", SubmitRequest{Tenant: "a", Program: gnmfSource(), Machine: "c1.xlarge"}, 400},
@@ -177,6 +180,9 @@ func TestServerValidation(t *testing.T) {
 			}
 			if tc.name == "loop bomb" && !strings.Contains(e.Error, "2000000000 x 1 statements") {
 				t.Fatalf("loop refusal does not state the count: %s", e.Error)
+			}
+			if tc.name == "chain bomb" && !strings.Contains(e.Error, "line 2: expression is over the limit of 512 tokens") {
+				t.Fatalf("chain refusal does not state the line and the limit: %s", e.Error)
 			}
 		})
 	}

@@ -69,15 +69,12 @@ func (g *Gen) Expr(rows, cols, depth int) lang.Expr {
 	if depth <= 0 {
 		return g.leaf(rows, cols)
 	}
-	switch g.rng.Intn(8) {
+	switch k := g.rng.Intn(8); k {
 	case 0:
 		return g.leaf(rows, cols)
-	case 1:
-		return lang.Add{L: g.Expr(rows, cols, depth-1), R: g.Expr(rows, cols, depth-1)}
-	case 2:
-		return lang.Sub{L: g.Expr(rows, cols, depth-1), R: g.Expr(rows, cols, depth-1)}
-	case 3:
-		return lang.ElemMul{L: g.Expr(rows, cols, depth-1), R: g.Expr(rows, cols, depth-1)}
+	case 1, 2, 3:
+		op := [...]lang.ElemOp{lang.OpAdd, lang.OpSub, lang.OpMul}[k-1]
+		return lang.Elem{Op: op, L: g.Expr(rows, cols, depth-1), R: g.Expr(rows, cols, depth-1)}
 	case 4:
 		return lang.Scale{S: 0.25 + g.rng.Float64(), X: g.Expr(rows, cols, depth-1)}
 	case 5:
